@@ -16,7 +16,11 @@ trigonometric base
                       - [int x^{n-2} sin((a-b)x) + int x^{n-2} sin((a+b)x)] / (2ab)
 
 (the same ladder also serves as the pure-recursion reference path for
-the closure).  Equal arguments a = b get their own engine with five
+the closure).  One evaluation point builds one K table for its (x, a, b)
+(see same_order.KTable): every K cell, the adjacent closure and the
+n = 1 ladder read it, and the L01 base reads its two trig chains, so the
+point walks each chain once.  The equal-argument engine shares one H
+table in the same way.  Equal arguments a = b get their own engine with five
 printed closed forms, the simpler adjacent-order rule through the
 squared family, and the equal-argument base.
 
@@ -30,10 +34,10 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NearDegenerateError
-from .same_order import DEGENERACY_GUARD, _check_degeneracy, _K
+from .same_order import DEGENERACY_GUARD, KTable
 from .sph_bessel import j_array, j_extended
-from .squared_bessel import _H
-from .trig_primitives import eval_pair, int_pow_cos, int_pow_sin
+from .squared_bessel import HTable, _H
+from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import AntiderivativeValue
 
 _EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
@@ -43,15 +47,19 @@ _EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
 # general scales
 # ---------------------------------------------------------------------------
 
-def _K_value(
-    m: int, order: int, x: float, a: float, b: float, closed_forms: bool, constants: bool = True
-) -> float:
+def _k_table(
+    x: float, a: float, b: float, lmax: int, closed_forms: bool, constants: bool = True
+) -> KTable:
+    """The one K cell table of an L evaluation at (x, a, b), in canonical
+    scale order (K is symmetric in its scales)."""
     aa, bb = (a, b) if a >= b else (b, a)
-    _check_degeneracy(m, order, aa, bb)
-    return _K(m, order, x, aa, bb, closed_forms, constants)[0]
+    return KTable(x, aa, bb, lmax, closed_forms, constants)
 
 
-def _base_L01(n: int, x: float, a: float, b: float, constants: bool = True) -> float:
+def _base_L01(n: int, x: float, a: float, b: float, near: TrigChain, far: TrigChain) -> float:
+    """L^n_{01}(x; a, b) from the chains of |a - b| x (near) and |a + b| x
+    (far); int x^m sin(c x) dx is odd in c, so the sine terms take the
+    signs of a - b and a + b."""
     for c in (a - b, a + b):
         if c == 0:
             raise DomainError("base_L01 requires |alpha| != |beta|; use the equal-argument path")
@@ -60,11 +68,11 @@ def _base_L01(n: int, x: float, a: float, b: float, constants: bool = True) -> f
                 f"scale combination {c:.3g} under the degeneracy guard with "
                 f"n = {n} < 3; evaluate by quadrature"
             )
-    cos_part = (
-        int_pow_cos(n - 3, a - b, x, constants) - int_pow_cos(n - 3, a + b, x, constants)
-    ) / (2.0 * a * b * b)
+    cos_part = (near.int_cos(n - 3) - far.int_cos(n - 3)) / (2.0 * a * b * b)
+    sin_near = near.int_sin(n - 2)
+    sin_far = far.int_sin(n - 2)
     sin_part = (
-        int_pow_sin(n - 2, a - b, x, constants) + int_pow_sin(n - 2, a + b, x, constants)
+        (sin_near if a > b else -sin_near) + (sin_far if a + b > 0 else -sin_far)
     ) / (2.0 * a * b)
     return cos_part - sin_part
 
@@ -79,7 +87,9 @@ def base_L01(n: int, x: float, alpha: float, beta: float) -> AntiderivativeValue
         raise DomainError("antiderivative evaluation requires x > 0")
     if alpha == 0 or beta == 0:
         raise DomainError("scale factors must be nonzero")
-    return AntiderivativeValue(_base_L01(n, x, alpha, beta), "base")
+    near = TrigChain(abs(alpha - beta), x)
+    far = TrigChain(abs(alpha + beta), x)
+    return AntiderivativeValue(_base_L01(n, x, alpha, beta, near, far), "base")
 
 
 def adjacent_closure(
@@ -100,27 +110,22 @@ def adjacent_closure(
         raise DomainError("adjacent_closure expects positive scales")
     jkm = j_array(l - 1, alpha * x)[l - 1]
     jl = j_array(l, beta * x)[l]
+    kt = _k_table(x, alpha, beta, l, closed_forms)
     v = (
-        x ** (n + 1) * jkm * jl
-        + alpha * _K_value(n + 1, l, x, alpha, beta, closed_forms)
-        - beta * _K_value(n + 1, l - 1, x, alpha, beta, closed_forms)
+        x ** (n + 1) * jkm * jl + alpha * kt.value(n + 1, l) - beta * kt.value(n + 1, l - 1)
     ) / (n - 1)
     return AntiderivativeValue(v, "closure")
 
 
-def _adjacent_ladder(
-    m: int, k: int, x: float, a: float, b: float, closed_forms: bool, constants: bool = True
-) -> float:
+def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -> float:
     """L^m_{k,k+1}(x; a, b) by repeated order lowering down to L^m_{01}.
 
     Each step swaps the scale order through L^m_{k,k-1}(x;a,b) =
-    L^m_{k-1,k}(x;b,a).
+    L^m_{k-1,k}(x;b,a); the K cells come from the shared table kt.
     """
     if k == 0:
-        return _base_L01(m, x, a, b, constants)
-    return (2 * k + 1) / b * _K_value(
-        m - 1, k, x, a, b, closed_forms, constants
-    ) - _adjacent_ladder(m, k - 1, x, b, a, closed_forms, constants)
+        return _base_L01(m, x, a, b, kt.near, kt.far)
+    return (2 * k + 1) / b * kt.value(m - 1, k) - _adjacent_ladder(m, k - 1, x, b, a, kt)
 
 
 def adjacent_by_recursion(
@@ -134,17 +139,20 @@ def adjacent_by_recursion(
         raise DomainError("antiderivative evaluation requires x > 0")
     if alpha <= 0 or beta <= 0:
         raise DomainError("adjacent_by_recursion expects positive scales")
-    return AntiderivativeValue(
-        _adjacent_ladder(n, l - 1, x, alpha, beta, False), "ladder"
-    )
+    kt = _k_table(x, alpha, beta, l - 1, False)
+    return AntiderivativeValue(_adjacent_ladder(n, l - 1, x, alpha, beta, kt), "ladder")
 
 
 def _L_general(
     n: int, k: int, l: int, x: float, a: float, b: float, closed_forms: bool, constants: bool = True
 ) -> float:
-    """Float core for k < l, positive distinct-order scales."""
-    jta = j_array(max(k, l), a * x)
-    jtb = j_array(max(k, l), b * x)
+    """Float core for k < l, positive distinct-order scales.
+
+    One K table serves every K cell, adjacent closure and ladder step of
+    the walk, and its j tables are the walk's own.
+    """
+    kt = _k_table(x, a, b, l, closed_forms, constants)
+    jta, jtb = (kt.jta, kt.jtb) if a >= b else (kt.jtb, kt.jta)
     memo: dict = {}
 
     def cell(m: int, lam: int) -> float:
@@ -152,24 +160,30 @@ def _L_general(
         if key in memo:
             return memo[key]
         if lam == k:
-            v = _K_value(m, k, x, a, b, closed_forms, constants)
+            v = kt.value(m, k)
         elif lam == k + 1:
             if k == 0:
-                v = _base_L01(m, x, a, b, constants)
+                v = _base_L01(m, x, a, b, kt.near, kt.far)
             elif m != 1 and closed_forms:
                 v = (
                     x ** (m + 1) * jta[k] * jtb[lam]
-                    + a * _K_value(m + 1, lam, x, a, b, closed_forms, constants)
-                    - b * _K_value(m + 1, k, x, a, b, closed_forms, constants)
+                    + a * kt.value(m + 1, lam)
+                    - b * kt.value(m + 1, k)
                 ) / (m - 1)
             else:
-                v = _adjacent_ladder(m, k, x, a, b, closed_forms, constants)
+                v = _adjacent_ladder(m, k, x, a, b, kt)
         else:
             v = (2 * lam - 1) / b * cell(m - 1, lam - 1) - cell(m, lam - 2)
         memo[key] = v
         return v
 
-    return cell(n, l)
+    try:
+        return cell(n, l)
+    finally:
+        # cell refers to itself through its closure; unbinding it frees the
+        # memo and the tables at return instead of at the next cyclic
+        # garbage collection
+        del cell
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +203,9 @@ def base_L01_equal(n: int, x: float, constants: bool = True) -> AntiderivativeVa
         poly = 0.5 * math.log(x)
     else:
         poly = 0.5 * x ** (n - 2) / (n - 2)
-    pair_y = eval_pair(n - 3, 2.0 * x, constants=constants)
-    pair_x = eval_pair(n - 2, 2.0 * x, constants=constants)
-    v = poly - 2.0 ** (1 - n) * pair_y.Y - 2.0 ** (-n) * pair_x.X
+    chain = TrigChain(1.0, 2.0 * x, constants)
+    _refuse_small_arg(n - 3, chain.u)
+    v = poly - 2.0 ** (1 - n) * chain.pair(n - 3)[1] - 2.0 ** (-n) * chain.pair(n - 2)[0]
     return AntiderivativeValue(v, "base")
 
 
@@ -274,7 +288,8 @@ def _L_equal(n: int, k: int, l: int, u: float, closed_forms: bool, constants: bo
     """Float core of L^n_{kl}(u) at equal unit scales; assumes k <= l."""
     if k == l:
         return _H(n, k, u, closed_forms, constants)[0]
-    jt = j_array(l + 1, u)
+    ht = HTable(u, l, closed_forms, constants)
+    jt = ht.jt
     memo: dict = {}
 
     def cell(m: int, lam: int) -> float:
@@ -282,20 +297,23 @@ def _L_equal(n: int, k: int, l: int, u: float, closed_forms: bool, constants: bo
         if key in memo:
             return memo[key]
         if lam == k:
-            v = _H(m, k, u, closed_forms, constants)[0]
+            v = ht.cell(m, k)
         else:
             kind = _equal_closed_kind(m, k, lam) if closed_forms else None
             if kind is not None:
                 v = _closed_L_equal(kind, k, lam, u, jt, constants)
             elif lam == k + 1:
                 # adjacent orders through the squared family
-                v = (k + 0.5 * m) * _H(m - 1, k, u, closed_forms, constants)[0] - 0.5 * u**m * jt[k] ** 2
+                v = (k + 0.5 * m) * ht.cell(m - 1, k) - 0.5 * u**m * jt[k] ** 2
             else:
                 v = (2 * lam - 1) * cell(m - 1, lam - 1) - cell(m, lam - 2)
         memo[key] = v
         return v
 
-    return cell(n, l)
+    try:
+        return cell(n, l)
+    finally:
+        del cell  # see _L_general
 
 
 def eval_L_equal_args(
@@ -367,9 +385,8 @@ def eval_L(
         v = alpha ** (-1 - n) * _L_equal(n, k, l, alpha * x, closed_forms, constants)
         return AntiderivativeValue(sign * v, "equal-args")
     if k == l:
-        return AntiderivativeValue(
-            sign * _K_value(n, k, x, alpha, beta, closed_forms, constants), "same-order"
-        )
+        kt = _k_table(x, alpha, beta, k, closed_forms, constants)
+        return AntiderivativeValue(sign * kt.value(n, k), "same-order")
     return AntiderivativeValue(
         sign * _L_general(n, k, l, x, alpha, beta, closed_forms, constants), "recursion"
     )

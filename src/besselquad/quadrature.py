@@ -16,6 +16,7 @@ Intervals straddling the threshold are split there.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 
@@ -369,6 +370,8 @@ def definite_integral(
     finiteness condition holds; auto evaluation then covers [0, t] by
     quadrature, so the antiderivative limit at 0 is never needed.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"limits must be finite, got [{a}, {b}]")
     if not 0 <= a < b:
         raise DomainError("need 0 <= a < b")
     if a == 0 and not spec.finite_at_zero:
@@ -390,10 +393,21 @@ def definite_integral(
     elif strategy == "auto":
         t = chosen.split_at
         analytic = "recursion"
-        if recursion_amplification(spec) > AMPLIFICATION_GUARD:
+        amplification = recursion_amplification(spec)
+        if amplification > AMPLIFICATION_GUARD:
             # widely separated scales: the recursion sheds too many
             # digits between its trig bases and the result
             analytic = "quadrature"
+            if chosen.kind == "Recursion":
+                chosen = dataclasses.replace(
+                    chosen,
+                    kind="Quadrature",
+                    reason=(
+                        f"recursion amplification {amplification:.3g} exceeds "
+                        f"AMPLIFICATION_GUARD {AMPLIFICATION_GUARD:g}; "
+                        "quadrature over the whole interval"
+                    ),
+                )
         if chosen.kind == "Quadrature":
             segments.append(("quadrature", a, b))
         elif t is None:

@@ -13,6 +13,11 @@ and levels above it satisfy
 
 The only printed closed form is n = 2.
 
+One evaluation point shares one ``KTable``: the j tables at a x and b x,
+one trig chain each for (a - b) x and (a + b) x, and the memo of cells.
+So the point walks each chain once, and the L family reuses the same
+table for every K cell its own recursion reaches.
+
 When |a - b| shrinks, the base terms divide a nearly flat cosine
 primitive by a high power of (a - b); with n >= 2 the series route in
 trig_primitives absorbs that, otherwise the evaluation refuses with
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from .errors import DomainError, NearDegenerateError
 from .sph_bessel import j_array, j_extended
-from .trig_primitives import int_pow_cos
+from .trig_primitives import TrigChain
 from .types import AntiderivativeValue
 
 #: relative |alpha - beta| guard below which the base case is hazardous
@@ -57,12 +62,6 @@ def _check_degeneracy(n: int, l: int, a: float, b: float) -> None:
             )
 
 
-def _K_base(m: int, x: float, a: float, b: float, constants: bool = True) -> float:
-    return (
-        int_pow_cos(m - 2, a - b, x, constants) - int_pow_cos(m - 2, a + b, x, constants)
-    ) / (2.0 * a * b)
-
-
 def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
     ja = jta[lam]
     jb = jtb[lam]
@@ -71,47 +70,67 @@ def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
     return x * x / (a * a - b * b) * (b * ja * jbm - a * jam * jb)
 
 
-def _K(
-    n: int,
-    l: int,
-    x: float,
-    a: float,
-    b: float,
-    closed_forms: bool = True,
-    constants: bool = True,
-) -> tuple:
-    """Float core of K^n_l(x; a, b); a > b > 0 canonical.  Returns (value, path)."""
-    jta = j_array(l, a * x)
-    jtb = j_array(l, b * x)
-    memo: dict = {}
-    used_closed = False
+class KTable:
+    """The cells K^m_lam(x; a, b), lam <= lmax, of one evaluation point.
 
-    def cell(m: int, lam: int) -> float:
-        nonlocal used_closed
+    a > b > 0 canonical.  The table holds the j_0..j_lmax tables at a x
+    and b x, one TrigChain for (a - b) x and one for (a + b) x that every
+    l = 0 base cell reads, and the memo of the cells computed so far.  A
+    caller that needs K cells of several orders or exponents at one
+    point (the L recursion, its adjacent closure and its n = 1 ladder)
+    shares one table, so no cell, j table or trig chain is computed
+    twice.  The table lives only as long as the evaluation that built it.
+    """
+
+    __slots__ = ("x", "a", "b", "jta", "jtb", "near", "far", "closed_forms", "used_closed", "_memo")
+
+    def __init__(
+        self,
+        x: float,
+        a: float,
+        b: float,
+        lmax: int,
+        closed_forms: bool = True,
+        constants: bool = True,
+    ):
+        self.x = x
+        self.a = a
+        self.b = b
+        self.jta = j_array(lmax, a * x)
+        self.jtb = j_array(lmax, b * x)
+        self.near = TrigChain(a - b, x, constants)
+        self.far = TrigChain(a + b, x, constants)
+        self.closed_forms = closed_forms
+        self.used_closed = False
+        self._memo: dict = {}
+
+    def value(self, m: int, lam: int) -> float:
+        """K^m_lam, refusing near-degenerate scales as eval_K does."""
+        _check_degeneracy(m, lam, self.a, self.b)
+        return self.cell(m, lam)
+
+    def cell(self, m: int, lam: int) -> float:
         key = (m, lam)
-        if key in memo:
-            return memo[key]
+        v = self._memo.get(key)
+        if v is not None:
+            return v
+        x, a, b = self.x, self.a, self.b
         if lam == 0:
-            v = _K_base(m, x, a, b, constants)
-        elif closed_forms and m == 2:
-            v = _closed_K2(lam, x, a, b, jta, jtb)
-            used_closed = True
+            v = (self.near.int_cos(m - 2) - self.far.int_cos(m - 2)) / (2.0 * a * b)
+        elif self.closed_forms and m == 2:
+            v = _closed_K2(lam, x, a, b, self.jta, self.jtb)
+            self.used_closed = True
         else:
-            jam, jal = jta[lam - 1], jta[lam]
-            jbm, jbl = jtb[lam - 1], jtb[lam]
+            jam, jal = self.jta[lam - 1], self.jta[lam]
+            jbm, jbl = self.jtb[lam - 1], self.jtb[lam]
             v = (
-                (a * a + b * b) * cell(m, lam - 1)
-                + (m - 2) * (m + 2 * lam - 3) * cell(m - 2, lam - 1)
+                (a * a + b * b) * self.cell(m, lam - 1)
+                + (m - 2) * (m + 2 * lam - 3) * self.cell(m - 2, lam - 1)
                 + (2 - m) * x ** (m - 1) * jam * jbm
                 - x**m * (b * jam * jbl + a * jal * jbm)
             ) / (2.0 * a * b)
-        memo[key] = v
+        self._memo[key] = v
         return v
-
-    v = cell(n, l)
-    if l == 0:
-        return v, "base"
-    return v, "recursion+closed" if used_closed else "recursion"
 
 
 def eval_K(
@@ -148,8 +167,12 @@ def eval_K(
         raise DomainError(
             "equal scale magnitudes reduce to the squared family; use eval_H_scaled"
         )
-    _check_degeneracy(n, l, a, b)
-    v, path = _K(n, l, x, a, b, closed_forms, constants)
+    table = KTable(x, a, b, l, closed_forms, constants)
+    v = table.value(n, l)
+    if l == 0:
+        path = "base"
+    else:
+        path = "recursion+closed" if table.used_closed else "recursion"
     return AntiderivativeValue(sign * v, path)
 
 

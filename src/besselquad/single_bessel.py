@@ -35,12 +35,17 @@ def _I(n: int, l: int, x: float, truncate: bool = True, constants: bool = True) 
     jt = j_array(l - 1, x)
     total = 0.0
     coef = 1  # exact integer product of recursion coefficients
-    for i in range(l):
-        total -= coef * x ** (n - i) * jt[l - 1 - i]
-        coef *= l + n - 1 - 2 * i
-        if truncate and coef == 0:
-            return total
-    return total + coef * _trig_X(n - l - 1, x, constants)
+    try:
+        for i in range(l):
+            total -= coef * x ** (n - i) * jt[l - 1 - i]
+            coef *= l + n - 1 - 2 * i
+            if truncate and coef == 0:
+                return total
+        return total + coef * _trig_X(n - l - 1, x, constants)
+    except OverflowError:
+        raise DomainError(
+            f"I^{n}_{l} at x = {x:g}: the recursion's terms overflow a float"
+        ) from None
 
 
 def eval_I(

@@ -23,18 +23,19 @@ import math
 
 from .errors import DomainError
 from .sph_bessel import j_array, j_extended
-from .trig_primitives import ci, eval_pair
+from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import AntiderivativeValue
 
 _CLOSED_KINDS = ("H1", "H2", "H3", "H4", "H5")
 
 
-def _H_base(m: int, x: float, constants: bool = True) -> float:
+def _H_base(m: int, x: float, chain: TrigChain) -> float:
+    """H^m_0(x); ``chain`` is the TrigChain of 2x that every base cell of
+    one evaluation point shares."""
     if m == 1:
-        return 0.5 * (math.log(x) - ci(2.0 * x))
-    return x ** (m - 1) / (2.0 * (m - 1)) - 2.0 ** (-m) * eval_pair(
-        m - 2, 2.0 * x, constants=constants
-    ).Y
+        return 0.5 * (math.log(x) - chain.pair(-1)[1])
+    _refuse_small_arg(m - 2, chain.u)
+    return x ** (m - 1) / (2.0 * (m - 1)) - 2.0 ** (-m) * chain.pair(m - 2)[1]
 
 
 def _closed_kind(m: int, lam: int) -> str | None:
@@ -110,39 +111,59 @@ def closed_H(kind: str, l: int, x: float) -> AntiderivativeValue:
     return AntiderivativeValue(_closed_H(kind, l, x), f"closed:{kind}")
 
 
-def _H(n: int, l: int, x: float, closed_forms: bool = True, constants: bool = True) -> tuple:
-    """Float core of H^n_l(x).  Returns (value, path)."""
-    jt = j_array(l + 1, x) if l >= 0 else None
-    memo: dict = {}
-    used_closed = False
+class HTable:
+    """The cells H^m_lam(x), lam <= lmax, of one evaluation point.
 
-    def cell(m: int, lam: int) -> float:
-        nonlocal used_closed
+    The table holds j_0..j_{lmax+1} at x, the TrigChain of 2x that every
+    l = 0 base cell reads, and the memo of the cells computed so far.
+    The equal-argument L engine shares one table across every H cell it
+    reaches.  The table lives only as long as the evaluation that built
+    it.
+    """
+
+    __slots__ = ("x", "jt", "chain", "closed_forms", "constants", "used_closed", "_memo")
+
+    def __init__(self, x: float, lmax: int, closed_forms: bool = True, constants: bool = True):
+        self.x = x
+        self.jt = j_array(lmax + 1, x)
+        self.chain = TrigChain(1.0, 2.0 * x, constants)
+        self.closed_forms = closed_forms
+        self.constants = constants
+        self.used_closed = False
+        self._memo: dict = {}
+
+    def cell(self, m: int, lam: int) -> float:
         key = (m, lam)
-        if key in memo:
-            return memo[key]
+        v = self._memo.get(key)
+        if v is not None:
+            return v
+        x = self.x
         if lam == 0:
-            v = _H_base(m, x, constants)
+            v = _H_base(m, x, self.chain)
         else:
-            kind = _closed_kind(m, lam) if closed_forms else None
+            kind = _closed_kind(m, lam) if self.closed_forms else None
             if kind is not None:
-                v = _closed_H(kind, lam, x, jt, constants)
-                used_closed = True
+                v = _closed_H(kind, lam, x, self.jt, self.constants)
+                self.used_closed = True
             else:
-                jm, jl = jt[lam - 1], jt[lam]
+                jm, jl = self.jt[lam - 1], self.jt[lam]
                 v = (
-                    cell(m, lam - 1)
-                    + 0.5 * (m - 2) * (2 * lam + m - 3) * cell(m - 2, lam - 1)
+                    self.cell(m, lam - 1)
+                    + 0.5 * (m - 2) * (2 * lam + m - 3) * self.cell(m - 2, lam - 1)
                     + (1.0 - 0.5 * m) * x ** (m - 1) * jm * jm
                     - x**m * jm * jl
                 )
-        memo[key] = v
+        self._memo[key] = v
         return v
 
-    v = cell(n, l)
+
+def _H(n: int, l: int, x: float, closed_forms: bool = True, constants: bool = True) -> tuple:
+    """Float core of H^n_l(x).  Returns (value, path)."""
+    table = HTable(x, l, closed_forms, constants)
+    v = table.cell(n, l)
     if l == 0:
         return v, "base"
-    return v, "recursion+closed" if used_closed else "recursion"
+    return v, "recursion+closed" if table.used_closed else "recursion"
 
 
 def eval_H(

@@ -18,6 +18,12 @@ step away from the anchors X_{-1} = Si(x), Y_{-1} = Ci(x).  Fixing these
 four anchors fixes every constant of integration, so the values returned
 here are reproducible, not merely correct up to a constant.
 
+The engines need these pairs at many exponents but at few arguments: one
+evaluation point of H reads the argument 2x, one of K or L the arguments
+|a - b| x and (a + b) x.  ``TrigChain`` keeps the walked values of one
+argument, so an evaluation point walks each chain once and computes its
+Si/Ci anchor once, instead of restarting from the anchors per exponent.
+
 Si and Ci are implemented locally: a convergent power series below
 ``SI_CI_SWITCH`` and rational approximations of the auxiliary functions
 f, g above it, with Si = pi/2 - f cos - g sin and Ci = f sin - g cos.
@@ -122,22 +128,40 @@ def _aux_fg(x: float) -> tuple:
     return f, g
 
 
+def _si_series(x: float) -> float:
+    # sum (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
+    acc = 0.0
+    f = x
+    k = 0
+    while True:
+        term = f / (2 * k + 1)
+        acc += term
+        k += 1
+        f *= -(x * x) / ((2 * k) * (2 * k + 1))
+        if abs(f) < 1e-18 * (abs(acc) + 1e-300):
+            return acc
+
+
+def _ci_series(x: float) -> float:
+    # gamma + ln x + sum (-1)^k x^(2k) / ((2k) (2k)!)
+    acc = EULER_GAMMA + math.log(x)
+    g = 1.0
+    k = 0
+    while True:
+        k += 1
+        g *= -(x * x) / ((2 * k - 1) * (2 * k))
+        term = g / (2 * k)
+        acc += term
+        if abs(g) < 1e-18 * (abs(acc) + 1e-300):
+            return acc
+
+
 def si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t)/t dt for x >= 0."""
     if x < 0:
         raise DomainError("si requires x >= 0")
     if x <= SI_CI_SWITCH:
-        # sum (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
-        acc = 0.0
-        f = x
-        k = 0
-        while True:
-            term = f / (2 * k + 1)
-            acc += term
-            k += 1
-            f *= -(x * x) / ((2 * k) * (2 * k + 1))
-            if abs(f) < 1e-18 * (abs(acc) + 1e-300):
-                return acc
+        return _si_series(x)
     f, g = _aux_fg(x)
     return 0.5 * math.pi - f * math.cos(x) - g * math.sin(x)
 
@@ -147,27 +171,119 @@ def ci(x: float) -> float:
     if x <= 0:
         raise DomainError("ci requires x > 0 (logarithmic divergence at 0)")
     if x <= SI_CI_SWITCH:
-        # gamma + ln x + sum (-1)^k x^(2k) / ((2k) (2k)!)
-        acc = EULER_GAMMA + math.log(x)
-        g = 1.0
-        k = 0
-        while True:
-            k += 1
-            g *= -(x * x) / ((2 * k - 1) * (2 * k))
-            term = g / (2 * k)
-            acc += term
-            if abs(g) < 1e-18 * (abs(acc) + 1e-300):
-                return acc
+        return _ci_series(x)
     f, g = _aux_fg(x)
     return f * math.sin(x) - g * math.cos(x)
 
 
-def _si_minus_half_pi(x: float) -> float:
-    # Si(x) - pi/2 without forming the near-pi/2 value first
-    if x > SI_CI_SWITCH:
-        f, g = _aux_fg(x)
-        return -f * math.cos(x) - g * math.sin(x)
-    return si(x) - 0.5 * math.pi
+def _refuse_small_arg(n: int, u: float) -> None:
+    """Raise QuadratureRecommendedError for X_n(u)/Y_n(u) with n < -1 at
+    0 < u < SMALL_ARG_HAZARD, where no small-argument expansion exists."""
+    if n < -1 and u < SMALL_ARG_HAZARD:
+        raise QuadratureRecommendedError(
+            f"X_{n}/Y_{n} at x={u:g}: no small-argument expansion below "
+            f"{SMALL_ARG_HAZARD}; integrate this region by quadrature"
+        )
+
+
+class TrigChain:
+    """Every X_k(u), Y_k(u) at one argument u = |c| x, each computed once.
+
+    One evaluation point of the H, K and L engines needs the trig
+    primitives at many exponents but at only one or two arguments.  A
+    chain keeps the values already walked for its argument and extends
+    the recursions on demand: upward from X_0, Y_0 for k >= 0, and
+    downward for k < 0 from the Si/Ci anchors, which come from one
+    evaluation of the auxiliary functions f, g (or of the two series
+    below ``SI_CI_SWITCH``).  So an evaluation point walks each chain
+    once, and each value is bitwise the one a fresh walk to k returns.
+    The chain lives only as long as the evaluation that built it.
+
+    ``int_sin``/``int_cos`` return int x^m sin(c x) dx and
+    int x^m cos(c x) dx at x; ``pair`` returns the unscaled
+    (X_k(u), Y_k(u)).  ``constants`` is as in ``eval_pair``.
+    """
+
+    __slots__ = ("c", "x", "u", "constants", "_cos", "_sin", "_up", "_uk", "_down")
+
+    def __init__(self, c: float, x: float, constants: bool = True):
+        self.c = c
+        self.x = x
+        self.u = abs(c) * x
+        self.constants = constants
+        self._cos = math.cos(self.u)
+        self._sin = math.sin(self.u)
+        self._up = None  # [(X_0, Y_0), (X_1, Y_1), ...]
+        self._uk = 1.0  # u^k for the last k in _up
+        self._down = None  # [(X_-1, Y_-1), (X_-2, Y_-2), ...]
+
+    def _anchor(self) -> tuple:
+        """(X_-1, Y_-1) = (Si, Ci), or (Si - pi/2, Ci) with constants=False."""
+        u = self.u
+        if u == 0:
+            raise DomainError("Y_n(0) diverges for n < 0 (and X_n(0) for n < -1)")
+        if u <= SI_CI_SWITCH:
+            X = _si_series(u)
+            if not self.constants:
+                X -= 0.5 * math.pi
+            return X, _ci_series(u)
+        c, s = self._cos, self._sin
+        f, g = _aux_fg(u)
+        if self.constants:
+            X = 0.5 * math.pi - f * c - g * s
+        else:
+            # Si(u) - pi/2 without forming the near-pi/2 value first
+            X = -f * c - g * s
+        return X, f * s - g * c
+
+    def pair(self, n: int) -> tuple:
+        """(X_n(u), Y_n(u)) under the frozen convention (see eval_pair)."""
+        u, c, s = self.u, self._cos, self._sin
+        if u < 0:
+            raise DomainError("trig primitives require x >= 0")
+        if n >= 0:
+            up = self._up
+            if up is None:
+                X0 = -c if self.constants else 2.0 * math.sin(0.5 * u) ** 2
+                up = self._up = [(X0, s)]
+            if n >= len(up):
+                X, Y = up[-1]
+                uk = self._uk
+                for k in range(len(up), n + 1):
+                    uk *= u
+                    X, Y = k * Y - uk * c, uk * s - k * X
+                    up.append((X, Y))
+                self._uk = uk
+            return up[n]
+        down = self._down
+        if down is None:
+            down = self._down = [self._anchor()]
+        if -n > len(down):
+            X, Y = down[-1]
+            for k in range(-1 - len(down), n - 1, -1):
+                p = u ** (k + 1)
+                X, Y = (p * s - Y) / (k + 1), (p * c + X) / (k + 1)
+                down.append((X, Y))
+        return down[-1 - n]
+
+    def int_sin(self, m: int) -> float:
+        """int x^m sin(c x) dx; equals sign(c) |c|^(-m-1) X_m(|c| x),
+        routed through the power series when m >= 0 and |c x| <=
+        SERIES_ARG_MAX."""
+        if m >= 0 and self.u <= SERIES_ARG_MAX:
+            return eval_scaled_X_series(m, self.c, self.x, self.constants)
+        if m == -1 and self.u == 0.0:
+            xv = 0.0 if self.constants else -0.5 * math.pi
+        else:
+            xv = self.pair(m)[0]
+        v = abs(self.c) ** (-m - 1) * xv
+        return v if self.c > 0 else -v
+
+    def int_cos(self, m: int) -> float:
+        """int x^m cos(c x) dx; equals |c|^(-m-1) Y_m(|c| x)."""
+        if m >= 0 and self.u <= SERIES_ARG_MAX:
+            return eval_scaled_Y_series(m, self.c, self.x, self.constants)
+        return abs(self.c) ** (-m - 1) * self.pair(m)[1]
 
 
 def eval_pair(
@@ -176,7 +292,9 @@ def eval_pair(
     """Evaluate (X_n(x), Y_n(x)) jointly.
 
     The two sequences are coupled by the recursions, so computing them
-    together costs the same as computing either one.
+    together costs the same as computing either one.  This walks a fresh
+    ``TrigChain``; callers that need several exponents at one argument
+    keep the chain instead.
 
     Parameters
     ----------
@@ -212,26 +330,9 @@ def eval_pair(
         raise DomainError("trig primitives require x >= 0")
     if x == 0 and n < 0:
         raise DomainError("Y_n(0) diverges for n < 0 (and X_n(0) for n < -1)")
-    if small_arg_check and n < -1 and x < SMALL_ARG_HAZARD:
-        raise QuadratureRecommendedError(
-            f"X_{n}/Y_{n} at x={x:g}: no small-argument expansion below "
-            f"{SMALL_ARG_HAZARD}; integrate this region by quadrature"
-        )
-    c = math.cos(x)
-    s = math.sin(x)
-    if n >= 0:
-        X = -c if constants else 2.0 * math.sin(0.5 * x) ** 2
-        Y = s
-        xk = 1.0
-        for k in range(1, n + 1):
-            xk *= x
-            X, Y = k * Y - xk * c, xk * s - k * X
-    else:
-        X = si(x) if constants else _si_minus_half_pi(x)
-        Y = ci(x)
-        for k in range(-2, n - 1, -1):
-            p = x ** (k + 1)
-            X, Y = (p * s - Y) / (k + 1), (p * c + X) / (k + 1)
+    if small_arg_check:
+        _refuse_small_arg(n, x)
+    X, Y = TrigChain(1.0, x, constants).pair(n)
     return TrigPrimitive(n=n, x=x, X=X, Y=Y)
 
 
@@ -318,22 +419,11 @@ def int_pow_sin(m: int, c: float, x: float, constants: bool = True) -> float:
     """
     if c == 0:
         raise DomainError("c must be nonzero")
-    u = abs(c) * x
-    if m >= 0 and u <= SERIES_ARG_MAX:
-        return eval_scaled_X_series(m, c, x, constants)
-    if m == -1 and u == 0.0:
-        xv = 0.0 if constants else -0.5 * math.pi
-    else:
-        xv = eval_pair(m, u, small_arg_check=False, constants=constants).X
-    v = abs(c) ** (-m - 1) * xv
-    return v if c > 0 else -v
+    return TrigChain(c, x, constants).int_sin(m)
 
 
 def int_pow_cos(m: int, c: float, x: float, constants: bool = True) -> float:
     """int x^m cos(c x) dx for c != 0; equals |c|^(-m-1) Y_m(|c| x)."""
     if c == 0:
         raise DomainError("c must be nonzero")
-    u = abs(c) * x
-    if m >= 0 and u <= SERIES_ARG_MAX:
-        return eval_scaled_Y_series(m, c, x, constants)
-    return abs(c) ** (-m - 1) * eval_pair(m, u, small_arg_check=False, constants=constants).Y
+    return TrigChain(c, x, constants).int_cos(m)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,14 @@ class IntegralSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown integral family {self.family!r}")
+        for name in ("n", "l", "k"):
+            v = getattr(self, name)
+            if v is None and name == "k":
+                continue
+            try:
+                object.__setattr__(self, name, operator.index(v))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {v!r}") from None
         if self.l < 0 or (self.k is not None and self.k < 0):
             raise DomainError("Bessel orders must be nonnegative")
         if self.alpha == 0 or (self.family in ("K", "L") and not self.beta):

@@ -25,11 +25,15 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .quadrature import _j_signed, adaptive_quad, antiderivative, oscillation_threshold
+from .errors import DomainError, NotConvergedError
+from .quadrature import (
+    DEFAULT_TOL,
+    _j_signed,
+    adaptive_quad,
+    antiderivative,
+    oscillation_threshold,
+)
 from .types import IntegralSpec, PiecewisePolynomial
-
-DEFAULT_TOL = 1e-10
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
@@ -186,6 +190,17 @@ def _integrate_weighted(pp, kind, k, l, alpha, beta, a, b, tol) -> float:
     threshold = oscillation_threshold(probe)
     total = 0.0
     osc_width = math.pi / max(abs(s) for s in probe.scales)
+    # antiderivative of monomial m at x; adjacent pieces share their
+    # breakpoint, so each (m, x) is evaluated once for the whole sum
+    values: dict = {}
+
+    def F(m: int, x: float) -> float:
+        v = values.get((m, x))
+        if v is None:
+            v = antiderivative(_spec_for(kind, k, l, alpha, beta, m), x, constants=False)
+            values[(m, x)] = v
+        return v
+
     for i, seg_a, seg_b in _pieces(pp, a, b):
         x_left = pp.breakpoints[i]
         local = pp.coefficients[i]
@@ -207,16 +222,17 @@ def _integrate_weighted(pp, kind, k, l, alpha, beta, a, b, tol) -> float:
                 q = adaptive_quad(
                     f, lo, hi, tol=tol, vectorized=True, initial_max_width=osc_width
                 )
+                if not q.converged:
+                    raise NotConvergedError(
+                        f"quadrature on the piece [{lo:.6g}, {hi:.6g}]: error "
+                        f"estimate {q.error_estimate:.3g} above tolerance {tol:.3g}"
+                    )
                 total += q.value
             else:
                 for m, cm in enumerate(_global_coeffs(local, x_left)):
                     if cm == 0.0:
                         continue
-                    spec = _spec_for(kind, k, l, alpha, beta, m)
-                    total += cm * (
-                        antiderivative(spec, hi, constants=False)
-                        - antiderivative(spec, lo, constants=False)
-                    )
+                    total += cm * (F(m, hi) - F(m, lo))
     return total
 
 
@@ -229,7 +245,10 @@ def _bessel_product(kind, k, l, alpha, beta, xs):
 def integrate_single(
     f: PiecewisePolynomial, l: int, alpha: float, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> float:
-    """int_a^b f(x) j_l(alpha x) dx for an interpolated prefactor f."""
+    """int_a^b f(x) j_l(alpha x) dx for an interpolated prefactor f.
+
+    Raises NotConvergedError when a quadrature piece misses ``tol``.
+    """
     if alpha == 0:
         raise DomainError("alpha must be nonzero")
     if l < 0:
@@ -250,7 +269,8 @@ def integrate_product(
     """int_a^b f(x) j_k(alpha x) j_l(beta x) dx for an interpolated f.
 
     Dispatches per piece into the squared (k = l, alpha = beta), same
-    order (k = l) or mixed family.
+    order (k = l) or mixed family.  Raises NotConvergedError when a
+    quadrature piece misses ``tol``.
     """
     if alpha == 0 or beta == 0:
         raise DomainError("scale factors must be nonzero")

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -10,13 +11,18 @@ from besselquad import (
     base_L01,
     base_L01_equal,
     closed_L_equal,
+    eval_H,
+    eval_K,
     eval_L,
     eval_L_equal_args,
     first_zero_estimate,
     identity_residual,
+    int_pow_cos,
+    int_pow_sin,
     j,
     j_many,
 )
+from besselquad import mixed_order, same_order
 from helpers import assert_derivative_matches
 
 
@@ -139,6 +145,58 @@ class TestBaseL01:
     def test_against_oracle(self):
         got = base_L01(0, 10.0, 2.0, 3.0).value - base_L01(0, 1.0, 2.0, 3.0).value
         assert got == pytest.approx(oracle(0, 0, 1, 1.0, 10.0, 2.0, 3.0), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(1.0, 2.0), (2.0, 1.0), (-1.0, 2.0), (2.0, -1.0), (-2.0, -1.0)]
+    )
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_equals_product_to_sum_formula(self, n, alpha, beta):
+        # the shared |a - b| and |a + b| chains carry the signs of the
+        # odd sine terms exactly
+        x, a, b = 5.0, alpha, beta
+        want = (int_pow_cos(n - 3, a - b, x) - int_pow_cos(n - 3, a + b, x)) / (2.0 * a * b * b) - (
+            int_pow_sin(n - 2, a - b, x) + int_pow_sin(n - 2, a + b, x)
+        ) / (2.0 * a * b)
+        assert base_L01(n, x, alpha, beta).value == want
+
+
+class TestTablesDieWithTheirCall:
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: eval_H(3, 6, 20.0),
+            lambda: eval_K(0, 6, 20.0, 1.0, 1.6),
+            lambda: eval_L(0, 2, 6, 20.0, 1.0, 1.6),
+            lambda: eval_L(1, 2, 6, 20.0, 1.0, 1.6),
+            lambda: eval_L_equal_args(1, 2, 6, 20.0, closed_forms=False),
+        ],
+        ids=["H", "K", "L-closure", "L-ladder", "L-equal-args"],
+    )
+    def test_no_cyclic_garbage(self, evaluate):
+        # memos, j tables and chains are freed at return, not left for
+        # the cyclic collector to find later
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestSharedKTable:
+    @pytest.mark.parametrize("n", [0, 1])  # adjacent closure / n = 1 ladder
+    def test_one_pair_of_j_tables_per_evaluation(self, n, monkeypatch):
+        calls = []
+        for mod in (mixed_order, same_order):
+            fn = mod.j_array
+            monkeypatch.setattr(
+                mod, "j_array", lambda l, x, fn=fn: calls.append((l, x)) or fn(l, x)
+            )
+        want = eval_L(n, 2, 5, 30.0, 1.0, 1.6).value
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert eval_L(n, 2, 5, 30.0, 1.0, 1.6).value == want
 
 
 class TestIdentityResidual:

@@ -165,6 +165,23 @@ class TestDefiniteIntegral:
         r = definite_integral(mild, 31.0, 70.0)
         assert r.segments == (("recursion", 31.0, 70.0),)
 
+    def test_guard_diversion_reports_quadrature(self):
+        spec = IntegralSpec("K", 0, 10, 1.0, beta=20.0)
+        r = definite_integral(spec, 200.0, 260.0)
+        assert r.segments == (("quadrature", 200.0, 260.0),)
+        assert r.strategy.kind == "Quadrature"
+        assert "AMPLIFICATION_GUARD" in r.strategy.reason
+
+    @pytest.mark.parametrize("a, b", [(1.0, math.inf), (0.0, math.nan)])
+    def test_nonfinite_limits_are_domain_errors(self, a, b):
+        with pytest.raises(DomainError):
+            definite_integral(IntegralSpec("I", 0, 2), a, b)
+
+    def test_overflowing_recursion_is_a_domain_error(self):
+        # the exact integer coefficients of I^0_200 pass the float range
+        with pytest.raises(DomainError):
+            definite_integral(IntegralSpec("I", 0, 200), 300.0, 400.0)
+
     def test_K_with_equal_scales_delegates_to_H(self):
         r1 = definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=1.0), 5.0, 40.0)
         r2 = definite_integral(IntegralSpec("H", 0, 1, 1.0), 5.0, 40.0)
@@ -199,3 +216,23 @@ class TestIntegrandBuilder:
         xs = np.array([0.7, 3.0])
         expect = [-j(1, 2.0 * x) for x in xs]
         assert np.allclose(f(xs), expect, rtol=1e-13)
+
+
+class TestIntegralSpecValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(family="I", n=1.5, l=2),
+            dict(family="H", n=0, l=2.0),
+            dict(family="L", n=0, l=2, k=0.5, beta=2.0),
+            dict(family="K", n="0", l=2, beta=2.0),
+        ],
+    )
+    def test_non_integer_exponent_or_order(self, kwargs):
+        with pytest.raises(DomainError):
+            IntegralSpec(**kwargs)
+
+    def test_integer_like_values_become_int(self):
+        spec = IntegralSpec("L", np.int64(2), np.int32(3), k=np.int64(1), beta=2.0)
+        assert (type(spec.n), type(spec.l), type(spec.k)) == (int, int, int)
+        assert spec == IntegralSpec("L", 2, 3, k=1, beta=2.0)

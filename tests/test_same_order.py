@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from besselquad import (
     j,
     j_many,
 )
+from besselquad import trig_primitives
 from helpers import assert_derivative_matches
 
 
@@ -152,3 +154,24 @@ class TestDerivativeProperty:
                 x**n * j(l, alpha * x) * j(l, beta * x),
                 x,
             )
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize(
+        "alpha, beta, x",
+        [(1.7, 1.0, 40.0), (1.3, 1.0, 10.0)],  # (a - b) x above / below SI_CI_SWITCH
+    )
+    def test_si_ci_anchor_once_per_chain(self, alpha, beta, x, monkeypatch):
+        calls = Counter()
+        for name in ("_aux_fg", "_si_series", "_ci_series"):
+            fn = getattr(trig_primitives, name)
+            monkeypatch.setattr(
+                trig_primitives, name, lambda u, fn=fn, name=name: calls.update([name]) or fn(u)
+            )
+        want = eval_K(0, 20, x, alpha, beta).value
+        # the base cells of K^0_20 reach X/Y_{-42}: two chains, (a - b) x
+        # and (a + b) x, each anchored once
+        assert calls["_aux_fg"] + calls["_si_series"] == 2
+        assert calls["_si_series"] == calls["_ci_series"]
+        monkeypatch.undo()
+        assert eval_K(0, 20, x, alpha, beta).value == want

@@ -18,6 +18,8 @@ from besselquad import (
     int_pow_sin,
     si,
 )
+from besselquad import trig_primitives as tp
+from besselquad.trig_primitives import TrigChain
 from helpers import assert_derivative_matches, si_series
 
 SI_PI = 1.8519370519824663  # from the quadrature oracle, cross-checked below
@@ -221,3 +223,94 @@ class TestScaledHelpers:
                 m, 1.3, 4.0, constants=False
             )
             assert d1 == pytest.approx(d2, rel=1e-11, abs=1e-16)
+
+
+def plain_pair(n, x, constants):
+    """Reference: a fresh walk from the anchors to (X_n(x), Y_n(x)), one
+    plain loop per call."""
+    c, s = math.cos(x), math.sin(x)
+    if n >= 0:
+        X = -c if constants else 2.0 * math.sin(0.5 * x) ** 2
+        Y = s
+        xk = 1.0
+        for k in range(1, n + 1):
+            xk *= x
+            X, Y = k * Y - xk * c, xk * s - k * X
+        return X, Y
+    if constants:
+        X = si(x)
+    elif x <= tp.SI_CI_SWITCH:
+        X = si(x) - 0.5 * math.pi
+    else:
+        f, g = tp._aux_fg(x)
+        X = -f * c - g * s
+    Y = ci(x)
+    for k in range(-2, n - 1, -1):
+        p = x ** (k + 1)
+        X, Y = (p * s - Y) / (k + 1), (p * c + X) / (k + 1)
+    return X, Y
+
+
+def plain_scaled(m, c, x, constants):
+    """Reference for int x^m sin(c x) dx and int x^m cos(c x) dx."""
+    u = abs(c) * x
+    if m >= 0 and u <= tp.SERIES_ARG_MAX:
+        return (
+            eval_scaled_X_series(m, c, x, constants),
+            eval_scaled_Y_series(m, c, x, constants),
+        )
+    X, Y = plain_pair(m, u, constants)
+    v = abs(c) ** (-m - 1) * X
+    return (v if c > 0 else -v), abs(c) ** (-m - 1) * Y
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+# both sides of SERIES_ARG_MAX (0.5) and of SI_CI_SWITCH (6)
+CHAIN_ARGS = [0.3, 0.5, 0.7, 3.0, 6.0, 6.5, 25.0]
+
+
+class TestTrigChain:
+    @pytest.mark.parametrize("constants", [True, False])
+    @pytest.mark.parametrize("u", CHAIN_ARGS)
+    def test_pair_bitwise_equals_fresh_walk(self, u, constants):
+        chain = TrigChain(1.0, u, constants)
+        # one chain serves every request, in an order that extends both
+        # sides piecemeal and revisits values already walked
+        order = [3, -2, 40, 0, -40, 17, -1, -17, 1, 39, -39]
+        for m in order + list(range(-40, 41)):
+            assert bits(*chain.pair(m)) == bits(*plain_pair(m, u, constants)), m
+
+    @pytest.mark.parametrize("constants", [True, False])
+    @pytest.mark.parametrize("c", [-1.7, 1.7])
+    @pytest.mark.parametrize("u", CHAIN_ARGS)
+    def test_scaled_bitwise_equals_fresh_walk(self, u, c, constants):
+        x = u / abs(c)
+        chain = TrigChain(c, x, constants)
+        for m in range(-40, 41):
+            want = plain_scaled(m, c, x, constants)
+            assert bits(chain.int_sin(m), chain.int_cos(m)) == bits(*want), m
+            assert bits(int_pow_sin(m, c, x, constants), int_pow_cos(m, c, x, constants)) == bits(
+                *want
+            ), m
+
+    @pytest.mark.parametrize("u", [3.0, 25.0])
+    def test_eval_pair_reads_the_chain(self, u):
+        for n in (-9, -1, 0, 9):
+            p = eval_pair(n, u)
+            assert bits(p.X, p.Y) == bits(*plain_pair(n, u, True))
+
+    @pytest.mark.parametrize("u", [3.0, 25.0])
+    def test_si_ci_anchor_computed_once(self, u, monkeypatch):
+        calls = []
+        for name in ("_aux_fg", "_si_series", "_ci_series"):
+            fn = getattr(tp, name)
+            monkeypatch.setattr(
+                tp, name, lambda v, fn=fn, name=name: calls.append(name) or fn(v)
+            )
+        chain = TrigChain(1.0, u)
+        for m in range(-1, -30, -1):
+            chain.pair(m)
+        assert len(set(calls)) == len(calls) >= 1

@@ -1,16 +1,20 @@
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from besselquad import (
     DomainError,
+    NotConvergedError,
     adaptive_quad,
     build_interpolant,
     integrate_product,
     integrate_single,
     j_many,
 )
+from besselquad import quadrature, weighted
 
 SI_PI = 1.8519370519824663
 
@@ -180,3 +184,63 @@ class TestRefinementStability:
         # fourth-order interpolation: halving h shrinks the difference
         # to the h^4 scale of the fine grid
         assert abs(v1 - v2) < 1e-5
+
+
+def per_piece_reference(pp, k, l, alpha, beta, a, b):
+    """The per-piece sum with both ends of every piece evaluated afresh;
+    valid when [a, b] lies above the oscillation threshold."""
+    kind = "single" if k is None else "product"
+    total = 0.0
+    for i, lo, hi in weighted._pieces(pp, a, b):
+        for m, cm in enumerate(weighted._global_coeffs(pp.coefficients[i], pp.breakpoints[i])):
+            if cm == 0.0:
+                continue
+            spec = weighted._spec_for(kind, k, l, alpha, beta, m)
+            total += cm * (
+                quadrature.antiderivative(spec, hi, constants=False)
+                - quadrature.antiderivative(spec, lo, constants=False)
+            )
+    return total
+
+
+class TestSharedBreakpoints:
+    @pytest.mark.parametrize("degree", [1, 3])
+    @pytest.mark.parametrize(
+        "k, l, alpha, beta",
+        [(None, 2, 1.3, None), (2, 2, 1.0, 1.0), (2, 2, 1.0, 1.6), (1, 3, 1.0, 1.6)],
+    )
+    def test_each_antiderivative_once_and_same_value(self, degree, k, l, alpha, beta, monkeypatch):
+        xs = np.linspace(10.0, 40.0, 13)
+        pp = build_interpolant(np.column_stack([xs, 1.0 / (1.0 + 0.01 * xs**2)]), degree=degree)
+        a, b = 12.0, 40.0
+        want = per_piece_reference(pp, k, l, alpha, beta, a, b)
+        calls = Counter()
+
+        def counted(spec, x, **kw):
+            calls[(spec.n, x)] += 1
+            return quadrature.antiderivative(spec, x, **kw)
+
+        monkeypatch.setattr(weighted, "antiderivative", counted)
+        if k is None:
+            got = integrate_single(pp, l, alpha, a, b)
+        else:
+            got = integrate_product(pp, k, l, alpha, beta, a, b)
+        assert got == want
+        assert set(calls.values()) == {1}
+        # a, and the 12 breakpoints 12.5, 15, ..., 40 in (a, b]
+        assert len({x for _, x in calls}) == 13
+
+
+class TestNonConvergence:
+    @pytest.mark.parametrize("k", [None, 1])
+    def test_missed_tolerance_raises(self, k, monkeypatch):
+        # a small evaluation cap keeps the unreachable tolerance cheap
+        monkeypatch.setattr(
+            weighted, "adaptive_quad", functools.partial(quadrature.adaptive_quad, max_evals=600)
+        )
+        pp = build_interpolant([(0.0, 1.0), (2.0, 0.9), (4.0, 0.7), (6.0, 0.2)], degree=3)
+        with pytest.raises(NotConvergedError):
+            if k is None:
+                integrate_single(pp, 2, 1.3, 0.0, 6.0, tol=1e-300)
+            else:
+                integrate_product(pp, k, 2, 1.3, 0.7, 0.0, 6.0, tol=1e-300)
