@@ -78,23 +78,40 @@ _G_FULL = np.zeros(15)
 _G_FULL[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
 
 
-def _gk15(f, a: float, b: float, vectorized: bool):
-    half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    xs = center + half * _NODES
+#: integrand evaluations of one GK15 panel
+_PANEL_NODES = 15
+
+#: panels per integrand call in the initial partition; caps the node
+#: array at PANEL_CHUNK * 15 points whatever the length of the interval
+PANEL_CHUNK = 256
+
+
+def _gk15_panels(f, edges: np.ndarray, vectorized: bool):
+    """GK15 values and error estimates of the panels between consecutive
+    ``edges``, from one integrand call on all their nodes (a flat array,
+    panel after panel).  A scalar integrand is mapped over the same nodes.
+    Returns (values, errors, nodes evaluated) with Python-float lists."""
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    center = 0.5 * (lo + hi)
+    xs = (center[:, None] + half[:, None] * _NODES).ravel()
     if vectorized:
         fs = np.asarray(f(xs), dtype=float)
     else:
-        fs = np.array([f(float(x)) for x in xs], dtype=float)
-    vk = half * float(np.dot(_K_WEIGHTS, fs))
-    vg = half * float(np.dot(_G_FULL, fs))
+        fs = np.array([f(x) for x in xs.tolist()], dtype=float)
+    fs = fs.reshape(len(half), _PANEL_NODES)
+    # elementwise products and row sums, not a BLAS matrix product: the
+    # first 2-D matmul of a process allocates a multi-megabyte buffer
+    vk = half * (fs * _K_WEIGHTS).sum(axis=1)
+    vg = half * (fs * _G_FULL).sum(axis=1)
     # QUADPACK-style error model: scale |K - G| by the smoothness measure
-    mean = vk / (b - a)
-    resasc = half * float(np.dot(_K_WEIGHTS, np.abs(fs - mean)))
-    err = abs(vk - vg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return vk, err
+    mean = vk / (hi - lo)
+    resasc = half * (np.abs(fs - mean[:, None]) * _K_WEIGHTS).sum(axis=1)
+    err = np.abs(vk - vg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return vk.tolist(), err.tolist(), xs.size
 
 
 def adaptive_quad(
@@ -113,7 +130,7 @@ def adaptive_quad(
     ----------
     integrand : callable
         Real function of one real variable; must be finite on [a, b].
-        With vectorized=True it is called with a numpy array of nodes
+        With vectorized=True it is called with a 1-D numpy array of nodes
         instead and must return the corresponding array.
     a, b : float
         Interval, a < b.
@@ -123,8 +140,9 @@ def adaptive_quad(
         Relative tolerance; defaults to ``tol`` (mixed criterion
         err <= max(tol, rtol |value|)).
     max_evals : int
-        Cap on integrand evaluations; on hitting it the best estimate is
-        returned with converged=False (no exception).
+        Cap on integrand evaluations, at least 15 (one panel); on hitting
+        it the best estimate is returned with converged=False (no
+        exception).
     initial_max_width : float, optional
         Pre-split [a, b] into pieces no wider than this before adapting.
         For oscillatory integrands a width of pi over the fastest scale
@@ -132,6 +150,13 @@ def adaptive_quad(
 
     Notes
     -----
+    The panels are evaluated in batches: the initial partition with one
+    integrand call per PANEL_CHUNK panels, each bisection with one call
+    on the 30 nodes of both halves.  So the node arrays, and the memory
+    they take, stay below PANEL_CHUNK * 15 points however long [a, b]
+    is.  A scalar integrand goes through the same rule, node by node, and
+    gives the same result as its vectorized form.
+
     Pure function; when the caller runs it from several threads the
     integrand must itself be safe to call concurrently.
     """
@@ -139,6 +164,8 @@ def adaptive_quad(
         raise DomainError("adaptive_quad requires a < b")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
+    if max_evals < _PANEL_NODES:
+        raise DomainError(f"max_evals must be at least {_PANEL_NODES}, one panel (got {max_evals})")
     if rtol is None:
         rtol = tol
     if initial_max_width is not None and initial_max_width > 0:
@@ -150,12 +177,15 @@ def adaptive_quad(
     total = 0.0
     total_err = 0.0
     evals = 0
-    for i in range(npieces):
-        v, e = _gk15(integrand, float(edges[i]), float(edges[i + 1]), vectorized)
-        evals += 15
-        total += v
-        total_err += e
-        heapq.heappush(heap, (-e, float(edges[i]), float(edges[i + 1]), v, e))
+    for first in range(0, npieces, PANEL_CHUNK):
+        chunk = edges[first : first + PANEL_CHUNK + 1]
+        vs, es, n = _gk15_panels(integrand, chunk, vectorized)
+        evals += n
+        for lo, hi, v, e in zip(chunk[:-1].tolist(), chunk[1:].tolist(), vs, es):
+            total += v
+            total_err += e
+            heap.append((-e, lo, hi, v, e))
+    heapq.heapify(heap)
     min_width = 1e-14 * max(1.0, abs(a), abs(b))
     while total_err > max(tol, rtol * abs(total)) and evals + 30 <= max_evals:
         neg_e, lo, hi, v, e = heapq.heappop(heap)
@@ -164,9 +194,8 @@ def adaptive_quad(
             heapq.heappush(heap, (neg_e, lo, hi, v, e))
             break
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(integrand, lo, mid, vectorized)
-        v2, e2 = _gk15(integrand, mid, hi, vectorized)
-        evals += 30
+        (v1, v2), (e1, e2), n = _gk15_panels(integrand, np.array([lo, mid, hi]), vectorized)
+        evals += n
         total += (v1 + v2) - v
         total_err += (e1 + e2) - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
@@ -369,7 +398,14 @@ def definite_integral(
     A lower limit of exactly 0 is accepted only when the family's
     finiteness condition holds; auto evaluation then covers [0, t] by
     quadrature, so the antiderivative limit at 0 is never needed.
+
+    max_evals caps the quadrature nodes over all segments and must be at
+    least 15, one GK15 panel.  A quadrature segment left with less than
+    that is not evaluated: the result is then not converged and its
+    error estimate is infinite.
     """
+    if max_evals < _PANEL_NODES:
+        raise DomainError(f"max_evals must be at least {_PANEL_NODES}, one panel (got {max_evals})")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"limits must be finite, got [{a}, {b}]")
     if not 0 <= a < b:
@@ -425,6 +461,7 @@ def definite_integral(
     evals = 0
     converged = True
     done = []
+    refused = None
     for kind, lo, hi in segments:
         if kind == "recursion":
             try:
@@ -433,10 +470,16 @@ def definite_integral(
                 )
                 done.append(("recursion", lo, hi))
                 continue
-            except (NearDegenerateError, QuadratureRecommendedError):
+            except (NearDegenerateError, QuadratureRecommendedError) as exc:
                 if strategy == "recursion":
                     raise
-                kind = "quadrature"  # analytic route refused; fall back
+                refused = exc  # analytic route refused; fall back
+        done.append(("quadrature", lo, hi))
+        if max_evals - evals < _PANEL_NODES:
+            # the budget is spent: the segment stays unevaluated
+            err = math.inf
+            converged = False
+            continue
         if f is None:
             f = integrand(spec)
         q = adaptive_quad(
@@ -447,7 +490,15 @@ def definite_integral(
         err += q.error_estimate
         evals += q.evaluations
         converged = converged and q.converged
-        done.append(("quadrature", lo, hi))
+    if chosen.kind != "Quadrature" and all(route == "quadrature" for route, _, _ in done):
+        if refused is None:
+            reason = "quadrature strategy requested"
+        else:
+            reason = (
+                f"recursion refused ({type(refused).__name__}: {refused}); "
+                "quadrature over the whole interval"
+            )
+        chosen = dataclasses.replace(chosen, kind="Quadrature", reason=reason)
     result = DefiniteResult(
         value=value,
         error_estimate=err,

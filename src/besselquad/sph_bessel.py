@@ -41,11 +41,10 @@ def first_zero_estimate(l: int) -> float:
 
 def _series_value(l: int, x: float) -> float:
     # x^l / (2l+1)!! * (1 - t/(2l+3) + t^2/(2 (2l+3)(2l+5)) - ...), t = x^2/2
+    # works elementwise on an array of x as well
     lead = 1.0
     for m in range(1, l + 1):
         lead *= x / (2 * m + 1)
-        if lead == 0.0:
-            return 0.0
     t = 0.5 * x * x
     c1 = -t / (2 * l + 3)
     c2 = t * t / (2.0 * (2 * l + 3) * (2 * l + 5))
@@ -135,7 +134,10 @@ def j_many(l: int, xs) -> np.ndarray:
     """Vectorized j_l over an array of nonnegative arguments.
 
     Arguments at or above l + UPWARD_MARGIN are handled with vectorized
-    upward recursion; the rest fall back to per-point evaluation.
+    upward recursion; the rest go through ``_j_below_margin``, one
+    downward (Miller) recursion over all of them at once, so a call costs
+    a fixed number of array steps for its order, whatever the number of
+    points.  Below the margin every value is bitwise equal to ``j(l, x)``.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < 0):
@@ -159,7 +161,70 @@ def j_many(l: int, xs) -> np.ndarray:
                 out[up] = j1
     rest = ~up
     if np.any(rest):
-        out[rest] = [j(l, float(xv)) for xv in xs[rest]]
+        out[rest] = _j_below_margin(l, xs[rest])
+    return out
+
+
+#: log of _RESCALE_AT, less a margin for the rounding of the growth bound
+#: in _j_below_margin
+_LOG_RESCALE_AT = math.log(_RESCALE_AT) - 1.0
+
+
+def _j_below_margin(l: int, x: np.ndarray) -> np.ndarray:
+    """j_l at a 1-D array of arguments 0 <= x < l + UPWARD_MARGIN.
+
+    The same arithmetic as ``j``, one array step per order: the ascending
+    series below SMALL_X_SERIES, sinc at l = 0, and otherwise the Miller
+    walk of ``j_array`` from the same starting order, with the same
+    per-point rescaling and the same j_0 / j_1 normalisation.
+    """
+    out = np.empty_like(x)
+    small = x < SMALL_X_SERIES
+    if np.any(small):
+        out[small] = _series_value(l, x[small])
+        x = x[~small]
+        if not len(x):
+            return out
+    # math.sin and math.cos, as j uses: numpy's may differ in the last bit
+    xl = x.tolist()
+    s = np.fromiter(map(math.sin, xl), float, len(xl))
+    if l == 0:
+        out[~small] = s / x
+        return out
+    c = np.fromiter(map(math.cos, xl), float, len(xl))
+    lstart = l + max(20, math.ceil(1.5 * l))
+    jp = np.zeros_like(x)  # j_{m+1}, unnormalized
+    jc = np.ones_like(x)  # j_m, unnormalized
+    jm = np.empty_like(x)
+    kept = {}  # order -> unnormalized j at the orders l, 1 and 0
+    # |j_m| grows by at most a factor (2m+1)/x + 1 per step, so no point
+    # can pass _RESCALE_AT before this bound on log max |j| does
+    growth = 0.0
+    x_min = float(x.min())
+    for m in range(lstart, 0, -1):
+        np.divide(2 * m + 1, x, out=jm)
+        jm *= jc
+        jm -= jp
+        jp, jc, jm = jc, jm, jp
+        if m - 1 in (l, 1, 0):
+            kept[m - 1] = jc.copy()
+        if growth <= _LOG_RESCALE_AT:
+            growth += math.log1p((2 * m + 1) / x_min)
+            if growth <= _LOG_RESCALE_AT:
+                continue
+        over = np.abs(jc) > _RESCALE_AT
+        if over.any():
+            jp[over] /= _RESCALE_AT
+            jc[over] /= _RESCALE_AT
+            for v in kept.values():
+                v[over] /= _RESCALE_AT
+    j0_true = s / x
+    j1_true = s / (x * x) - c / x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(
+            np.abs(j0_true) >= np.abs(j1_true), j0_true / kept[0], j1_true / kept[1]
+        )
+    out[~small] = kept[l] * scale
     return out
 
 

@@ -143,6 +143,15 @@ class TestErrors:
         assert payload["error"] == "not-converged"
         assert "value" in payload
 
+    def test_max_evals_below_one_panel_exit_2(self, capsys):
+        code, out = invoke(
+            ["single", "--n", "0", "--l", "0", "--a", "0", "--b", "1",
+             "--max-evals", "10", "--format", "json"],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == "domain"
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(["single", "--n", "0"])

@@ -15,6 +15,7 @@ from besselquad import (
     integrand,
     recursion_amplification,
 )
+from besselquad.quadrature import PANEL_CHUNK
 from helpers import si_series
 
 SI_PI = 1.8519370519824663
@@ -48,6 +49,48 @@ class TestAdaptiveQuad:
         r1 = adaptive_quad(f_s, 0.0, 5.0)
         r2 = adaptive_quad(f_v, 0.0, 5.0, vectorized=True)
         assert r1.value == pytest.approx(r2.value, abs=1e-14)
+        # with the same arithmetic in both forms, the scalar and the
+        # batched paths give the same bits, bisections included
+        peak = lambda t: t * (3.0 - t) / (1e-3 + (t - 1.3) * (t - 1.3))
+        for width in (None, 0.7, 0.01):
+            r1 = adaptive_quad(peak, 0.0, 5.0, initial_max_width=width)
+            r2 = adaptive_quad(peak, 0.0, 5.0, vectorized=True, initial_max_width=width)
+            assert r1 == r2
+
+    def test_initial_partition_is_batched(self):
+        seen = []
+
+        def f(xs):
+            seen.append(len(xs))
+            return np.cos(xs)
+
+        panels = 2 * PANEL_CHUNK + 3
+        r = adaptive_quad(f, 0.0, float(panels), vectorized=True, initial_max_width=1.0)
+        assert r.converged
+        assert len(seen) == math.ceil(panels / PANEL_CHUNK)
+        assert seen == [15 * PANEL_CHUNK, 15 * PANEL_CHUNK, 15 * 3]
+        assert r.evaluations == sum(seen)
+        assert r.value == pytest.approx(math.sin(panels), abs=1e-12)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_bisection_is_one_call(self, vectorized):
+        seen = []
+
+        def f(xs):
+            seen.append(len(xs) if vectorized else 1)
+            return 1.0 / (1e-3 + (xs - 0.3) * (xs - 0.3))
+
+        r = adaptive_quad(f, 0.0, 1.0, vectorized=vectorized)
+        assert r.converged
+        assert r.evaluations == sum(seen)
+        if vectorized:
+            assert seen[0] == 15 and len(seen) > 1
+            assert set(seen[1:]) == {30}
+
+    def test_max_evals_below_one_panel_is_domain_error(self):
+        with pytest.raises(DomainError):
+            adaptive_quad(math.sin, 0.0, 1.0, max_evals=10)
+        assert adaptive_quad(math.sin, 0.0, 1.0, max_evals=15).evaluations == 15
 
     def test_error_estimate_is_honest(self):
         r = adaptive_quad(lambda t: math.cos(7.3 * t), 0.0, 20.0, tol=1e-11)
@@ -111,6 +154,7 @@ class TestDefiniteIntegral:
         r_auto = definite_integral(spec, a, b)
         assert r_rec.value == pytest.approx(r_quad.value, rel=1e-9)
         assert r_auto.value == pytest.approx(r_quad.value, rel=1e-9)
+        assert r_quad.strategy.kind == "Quadrature"
 
     def test_auto_splits_interval(self):
         spec = IntegralSpec("H", 0, 5)
@@ -164,6 +208,25 @@ class TestDefiniteIntegral:
         assert recursion_amplification(mild) < AMPLIFICATION_GUARD
         r = definite_integral(mild, 31.0, 70.0)
         assert r.segments == (("recursion", 31.0, 70.0),)
+
+    def test_refused_recursion_reports_quadrature(self):
+        spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
+        r = definite_integral(spec, 6.0, 20.0)
+        assert r.segments == (("quadrature", 6.0, 20.0),)
+        assert r.strategy.kind == "Quadrature"
+        assert "recursion refused (NearDegenerateError" in r.strategy.reason
+
+    def test_spent_budget_leaves_segment_unevaluated(self):
+        # [1, t] takes the whole budget of one panel; the refused
+        # recursion above t falls back to quadrature with none left
+        spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
+        r = definite_integral(spec, 1.0, 20.0, max_evals=15)
+        assert [route for route, _, _ in r.segments] == ["quadrature", "quadrature"]
+        assert r.evaluations == 15
+        assert not r.converged
+        assert r.error_estimate == math.inf
+        with pytest.raises(DomainError):
+            definite_integral(spec, 1.0, 20.0, max_evals=14)
 
     def test_guard_diversion_reports_quadrature(self):
         spec = IntegralSpec("K", 0, 10, 1.0, beta=20.0)

@@ -15,6 +15,7 @@ from besselquad import (
     j_parity_extend,
     small_x_leading,
 )
+from besselquad import sph_bessel
 from helpers import richardson_derivative
 
 J2_PI = 3.0 / math.pi**2  # the printed j_2 form at pi: only the cos term survives
@@ -150,6 +151,26 @@ class TestVectorized:
             vec = j_many(l, xs)
             ref = np.array([j(l, float(x)) for x in xs])
             assert np.allclose(vec, ref, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 8, 12, 20, 25, 30, 40, 80])
+    def test_below_margin_is_one_walk_bitwise_equal_to_j(self, l, monkeypatch):
+        top = l + sph_bessel.UPWARD_MARGIN
+        small = sph_bessel.SMALL_X_SERIES
+        xs = np.concatenate([
+            # x = 0 and the ascending series, then the Miller walk; at
+            # l = 40 the points near 1e-3 pass the rescaling threshold
+            [0.0, 1e-9, 0.5 * small, np.nextafter(small, 0.0), small, 1e-3, 2e-3],
+            np.linspace(0.01, top, 97, endpoint=False),
+            [top - 1e-9, np.nextafter(top, 0.0)],
+        ])
+        want = np.array([j(l, x) for x in xs.tolist()])
+
+        def per_point(*args):
+            raise AssertionError("j_many fell back to the scalar table")
+
+        monkeypatch.setattr(sph_bessel, "j_array", per_point)
+        got = j_many(l, xs)
+        assert got.tobytes() == want.tobytes()
 
     def test_j_extended_minus_one(self):
         assert j_extended(-1, 2.0) == pytest.approx(math.cos(2.0) / 2.0)
