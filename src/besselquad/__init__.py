@@ -81,7 +81,7 @@ from .types import (
     Strategy,
     TrigPrimitive,
 )
-from .weighted import build_interpolant, integrate_product, integrate_single
+from .weighted import build_interpolant, integrate_product, integrate_single, weighted_integral
 
 __version__ = "0.1.0"
 
@@ -151,4 +151,5 @@ __all__ = [
     "truncates_early",
     "verify_identity",
     "verify_suite",
+    "weighted_integral",
 ]

@@ -2,7 +2,9 @@
 
 Subcommands: single, squared, product-same, product-diff evaluate one
 definite integral; weighted integrates a tabulated prefactor read from
-CSV against Bessel factors; table sweeps a parameter grid from a JSON
+CSV against Bessel factors (its pieces take quadrature below the
+first-zero threshold and the recursion above it, so it has no
+--strategy or --max-evals); table sweeps a parameter grid from a JSON
 config file; verify runs the translated-identity suite.
 
 Output schema (json/csv/plain all carry the same fields):
@@ -33,7 +35,7 @@ from .errors import (
 from .ordinary_bessel import default_suite, verify_identity
 from .quadrature import DEFAULT_TOL, MAX_EVALS, definite_integral
 from .types import IntegralSpec
-from .weighted import build_interpolant, integrate_product, integrate_single
+from .weighted import build_interpolant, weighted_integral
 
 RESIDUAL_THRESHOLD = 1e-8
 
@@ -42,11 +44,12 @@ def _default_tol() -> float:
     return float(os.environ.get("BESSELQUAD_TOL", DEFAULT_TOL))
 
 
-def _add_common(p, needs_interval=True):
+def _add_common(p, needs_interval=True, strategies=True):
     p.add_argument("--tol", type=float, default=None, help="tolerance (default from BESSELQUAD_TOL or 1e-10)")
-    p.add_argument("--strategy", choices=("auto", "recursion", "quadrature"), default="auto")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-    p.add_argument("--max-evals", type=int, default=MAX_EVALS, help="cap on quadrature evaluations")
+    if strategies:
+        p.add_argument("--strategy", choices=("auto", "recursion", "quadrature"), default="auto")
+        p.add_argument("--max-evals", type=int, default=MAX_EVALS, help="cap on quadrature evaluations")
     if needs_interval:
         p.add_argument("--a", type=float, required=True, help="lower limit")
         p.add_argument("--b", type=float, required=True, help="upper limit")
@@ -93,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--k", type=int, default=None, help="second order (product form)")
     p.add_argument("--beta", type=float, default=None, help="second scale (product form)")
-    _add_common(p)
+    _add_common(p, strategies=False)
 
     p = sub.add_parser("table", help="sweep a grid of parameters from a JSON config")
     p.add_argument("--config", required=True, help="JSON grid description")
@@ -165,20 +168,15 @@ def _weighted(args) -> dict:
     tol = args.tol if args.tol is not None else _default_tol()
     interp = build_interpolant(_read_samples(args.csv), degree=args.degree)
     t0 = time.perf_counter()
-    if args.k is None and args.beta is None:
-        value = integrate_single(interp, args.l, args.alpha, args.a, args.b, tol=tol)
-    elif args.k is None or args.beta is None:
-        raise DomainError("product form needs both --k and --beta")
-    else:
-        value = integrate_product(
-            interp, args.k, args.l, args.alpha, args.beta, args.a, args.b, tol=tol
-        )
+    res = weighted_integral(
+        interp, args.l, args.alpha, args.a, args.b, tol=tol, k=args.k, beta=args.beta
+    )
     dt = time.perf_counter() - t0
     return {
-        "value": float(value),
-        "abs_error_est": tol,
-        "strategy": "auto(per-piece)",
-        "nodes": 0,
+        "value": res.value,
+        "abs_error_est": res.error_estimate,
+        "strategy": _strategy_label(res),
+        "nodes": res.evaluations,
         "seconds": dt,
     }
 

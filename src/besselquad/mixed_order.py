@@ -16,17 +16,19 @@ trigonometric base
                       - [int x^{n-2} sin((a-b)x) + int x^{n-2} sin((a+b)x)] / (2ab)
 
 (the same ladder also serves as the pure-recursion reference path for
-the closure).  One evaluation point builds one K table for its (x, a, b)
-(see same_order.KTable): every K cell, the adjacent closure and the
-n = 1 ladder read it, and the L01 base reads its two trig chains, so the
-point walks each chain once.  The equal-argument engine shares one H
-table in the same way.  Equal arguments a = b get their own engine with five
-printed closed forms, the simpler adjacent-order rule through the
-squared family, and the equal-argument base.
+the closure).  One evaluation point builds one ``LTable``, which holds
+one K table for its (x, a, b) (see same_order.KTable): every K cell, the
+adjacent closure and the n = 1 ladder read it, and the L01 base reads
+its two trig chains, so the point walks each chain once.  Equal
+arguments a = b get their own engine, ``LEqualTable``, with five printed
+closed forms, the simpler adjacent-order rule through the squared
+family, and the equal-argument base; it shares one H table in the same
+way.  A table's memo serves every exponent asked of it, so one table
+per point covers every monomial of a weighted integral.
 
-Canonicalization: parity signs of negative scales are folded out front
-(j_m(-u) = (-1)^m j_m(u)) and (k, a) is swapped with (l, b) when k > l,
-so symmetry under the joint swap is exact.
+Canonicalization (``l_table``): parity signs of negative scales are
+folded out front (j_m(-u) = (-1)^m j_m(u)) and (k, a) is swapped with
+(l, b) when k > l, so symmetry under the joint swap is exact.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 from .errors import DomainError, NearDegenerateError
 from .same_order import DEGENERACY_GUARD, KTable
 from .sph_bessel import j_array, j_extended
-from .squared_bessel import HTable, _H
+from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import AntiderivativeValue
 
@@ -48,12 +50,18 @@ _EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
 # ---------------------------------------------------------------------------
 
 def _k_table(
-    x: float, a: float, b: float, lmax: int, closed_forms: bool, constants: bool = True
+    x: float,
+    a: float,
+    b: float,
+    lmax: int,
+    closed_forms: bool,
+    constants: bool = True,
+    sign: float = 1.0,
 ) -> KTable:
     """The one K cell table of an L evaluation at (x, a, b), in canonical
     scale order (K is symmetric in its scales)."""
     aa, bb = (a, b) if a >= b else (b, a)
-    return KTable(x, aa, bb, lmax, closed_forms, constants)
+    return KTable(x, aa, bb, lmax, closed_forms, constants, sign)
 
 
 def _base_L01(n: int, x: float, a: float, b: float, near: TrigChain, far: TrigChain) -> float:
@@ -112,7 +120,7 @@ def adjacent_closure(
     jl = j_array(l, beta * x)[l]
     kt = _k_table(x, alpha, beta, l, closed_forms)
     v = (
-        x ** (n + 1) * jkm * jl + alpha * kt.value(n + 1, l) - beta * kt.value(n + 1, l - 1)
+        x ** (n + 1) * jkm * jl + alpha * kt.guarded(n + 1, l) - beta * kt.guarded(n + 1, l - 1)
     ) / (n - 1)
     return AntiderivativeValue(v, "closure")
 
@@ -125,7 +133,7 @@ def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -
     """
     if k == 0:
         return _base_L01(m, x, a, b, kt.near, kt.far)
-    return (2 * k + 1) / b * kt.value(m - 1, k) - _adjacent_ladder(m, k - 1, x, b, a, kt)
+    return (2 * k + 1) / b * kt.guarded(m - 1, k) - _adjacent_ladder(m, k - 1, x, b, a, kt)
 
 
 def adjacent_by_recursion(
@@ -143,47 +151,63 @@ def adjacent_by_recursion(
     return AntiderivativeValue(_adjacent_ladder(n, l - 1, x, alpha, beta, kt), "ladder")
 
 
-def _L_general(
-    n: int, k: int, l: int, x: float, a: float, b: float, closed_forms: bool, constants: bool = True
-) -> float:
-    """Float core for k < l, positive distinct-order scales.
+class LTable:
+    """The cells L^m_{k,lam}(x; a, b), k < lam <= l, of one evaluation
+    point, for positive distinct scales and k < l.
 
     One K table serves every K cell, adjacent closure and ladder step of
-    the walk, and its j tables are the walk's own.
+    the walk, and its j tables are the walk's own.  ``value(n)`` is
+    L^n_{kl} times ``sign``, the parity sign of the caller's unfolded
+    scales.
     """
-    kt = _k_table(x, a, b, l, closed_forms, constants)
-    jta, jtb = (kt.jta, kt.jtb) if a >= b else (kt.jtb, kt.jta)
-    memo: dict = {}
 
-    def cell(m: int, lam: int) -> float:
+    __slots__ = ("x", "k", "l", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "_memo")
+
+    def __init__(
+        self,
+        x: float,
+        k: int,
+        l: int,
+        a: float,
+        b: float,
+        closed_forms: bool = True,
+        constants: bool = True,
+        sign: float = 1.0,
+    ):
+        self.x, self.k, self.l, self.a, self.b = x, k, l, a, b
+        self.sign = sign
+        self.closed_forms = closed_forms
+        self.kt = kt = _k_table(x, a, b, l, closed_forms, constants)
+        self.jta, self.jtb = (kt.jta, kt.jtb) if a >= b else (kt.jtb, kt.jta)
+        self._memo: dict = {}
+
+    def value(self, n: int) -> float:
+        """int x^n j_k(a x) j_l(b x) dx at the table's point."""
+        return self.sign * self.cell(n, self.l)
+
+    def cell(self, m: int, lam: int) -> float:
         key = (m, lam)
-        if key in memo:
-            return memo[key]
+        v = self._memo.get(key)
+        if v is not None:
+            return v
+        x, k, a, b, kt = self.x, self.k, self.a, self.b, self.kt
         if lam == k:
-            v = kt.value(m, k)
+            v = kt.guarded(m, k)
         elif lam == k + 1:
             if k == 0:
                 v = _base_L01(m, x, a, b, kt.near, kt.far)
-            elif m != 1 and closed_forms:
+            elif m != 1 and self.closed_forms:
                 v = (
-                    x ** (m + 1) * jta[k] * jtb[lam]
-                    + a * kt.value(m + 1, lam)
-                    - b * kt.value(m + 1, k)
+                    x ** (m + 1) * self.jta[k] * self.jtb[lam]
+                    + a * kt.guarded(m + 1, lam)
+                    - b * kt.guarded(m + 1, k)
                 ) / (m - 1)
             else:
                 v = _adjacent_ladder(m, k, x, a, b, kt)
         else:
-            v = (2 * lam - 1) / b * cell(m - 1, lam - 1) - cell(m, lam - 2)
-        memo[key] = v
+            v = (2 * lam - 1) / b * self.cell(m - 1, lam - 1) - self.cell(m, lam - 2)
+        self._memo[key] = v
         return v
-
-    try:
-        return cell(n, l)
-    finally:
-        # cell refers to itself through its closure; unbinding it frees the
-        # memo and the tables at return instead of at the next cyclic
-        # garbage collection
-        del cell
 
 
 # ---------------------------------------------------------------------------
@@ -284,36 +308,74 @@ def _equal_closed_kind(m: int, k: int, lam: int) -> str | None:
     return None
 
 
-def _L_equal(n: int, k: int, l: int, u: float, closed_forms: bool, constants: bool = True) -> float:
-    """Float core of L^n_{kl}(u) at equal unit scales; assumes k <= l."""
-    if k == l:
-        return _H(n, k, u, closed_forms, constants)[0]
-    ht = HTable(u, l, closed_forms, constants)
-    jt = ht.jt
-    memo: dict = {}
+class LEqualTable:
+    """The cells L^m_{k,lam}(u), k < lam <= l, of one evaluation point at
+    equal unit scales, u = |alpha| x.
 
-    def cell(m: int, lam: int) -> float:
+    One H table at u serves every H cell the walk reaches, and its j
+    table is the walk's own.  ``value(n)`` is |alpha|^(-n-1) L^n_{kl}(u)
+    times ``sign``, the parity sign of the caller's unfolded scales.
+    """
+
+    __slots__ = ("k", "l", "sign", "closed_forms", "constants", "ht", "_memo")
+
+    def __init__(
+        self,
+        x: float,
+        k: int,
+        l: int,
+        closed_forms: bool = True,
+        constants: bool = True,
+        alpha: float = 1.0,
+        sign: float = 1.0,
+    ):
+        self.k, self.l = k, l
+        self.sign = sign
+        self.closed_forms = closed_forms
+        self.constants = constants
+        self.ht = HTable(x, l, closed_forms, constants, alpha)
+        self._memo: dict = {}
+
+    def value(self, n: int) -> float:
+        """int x^n j_k(alpha x) j_l(alpha x) dx at the table's point."""
+        return self.sign * self.ht.a ** (-n - 1) * self.cell(n, self.l)
+
+    def cell(self, m: int, lam: int) -> float:
         key = (m, lam)
-        if key in memo:
-            return memo[key]
+        v = self._memo.get(key)
+        if v is not None:
+            return v
+        k, ht = self.k, self.ht
+        u, jt = ht.u, ht.jt
         if lam == k:
             v = ht.cell(m, k)
         else:
-            kind = _equal_closed_kind(m, k, lam) if closed_forms else None
+            kind = _equal_closed_kind(m, k, lam) if self.closed_forms else None
             if kind is not None:
-                v = _closed_L_equal(kind, k, lam, u, jt, constants)
+                v = _closed_L_equal(kind, k, lam, u, jt, self.constants)
             elif lam == k + 1:
                 # adjacent orders through the squared family
                 v = (k + 0.5 * m) * ht.cell(m - 1, k) - 0.5 * u**m * jt[k] ** 2
             else:
-                v = (2 * lam - 1) * cell(m - 1, lam - 1) - cell(m, lam - 2)
-        memo[key] = v
+                v = (2 * lam - 1) * self.cell(m - 1, lam - 1) - self.cell(m, lam - 2)
+        self._memo[key] = v
         return v
 
-    try:
-        return cell(n, l)
-    finally:
-        del cell  # see _L_general
+
+def _equal_table(
+    x: float,
+    k: int,
+    l: int,
+    closed_forms: bool,
+    constants: bool,
+    alpha: float = 1.0,
+    sign: float = 1.0,
+):
+    """The table of equal-scale products, k <= l: the squared family's
+    own when the orders meet."""
+    if k == l:
+        return HTable(x, k, closed_forms, constants, alpha, sign)
+    return LEqualTable(x, k, l, closed_forms, constants, alpha, sign)
 
 
 def eval_L_equal_args(
@@ -331,12 +393,59 @@ def eval_L_equal_args(
         raise DomainError("antiderivative evaluation requires x > 0")
     if k > l:
         k, l = l, k
-    return AntiderivativeValue(_L_equal(n, k, l, x, closed_forms, constants), "equal-args")
+    table = _equal_table(x, k, l, closed_forms, constants)
+    return AntiderivativeValue(table.value(n), "equal-args")
 
 
 # ---------------------------------------------------------------------------
 # top-level dispatch
 # ---------------------------------------------------------------------------
+
+def l_table(
+    k: int,
+    l: int,
+    x: float,
+    alpha: float,
+    beta: float,
+    closed_forms: bool = True,
+    constants: bool = True,
+):
+    """The per-point table of int x^n j_k(alpha x) j_l(beta x) dx at x:
+    its ``value(n)`` serves every exponent n.
+
+    Parity signs of negative scales are folded out front and (k, alpha)
+    is swapped with (l, beta) when k > l.  Equal scales then get the
+    equal-argument table (the H table when the orders meet too), equal
+    orders the K table, and the rest the general order-lowering table.
+    Assumes x > 0, nonzero scales and nonnegative orders.
+    """
+    sign = 1.0
+    if alpha < 0:
+        alpha = -alpha
+        if k % 2:
+            sign = -sign
+    if beta < 0:
+        beta = -beta
+        if l % 2:
+            sign = -sign
+    if k > l:
+        k, l = l, k
+        alpha, beta = beta, alpha
+    if alpha == beta:
+        return _equal_table(x, k, l, closed_forms, constants, alpha, sign)
+    if k == l:
+        return _k_table(x, alpha, beta, k, closed_forms, constants, sign)
+    return LTable(x, k, l, alpha, beta, closed_forms, constants, sign)
+
+
+#: eval_L's path for each kind of table l_table returns
+_L_PATHS = {
+    HTable: "equal-args",
+    LEqualTable: "equal-args",
+    KTable: "same-order",
+    LTable: "recursion",
+}
+
 
 def eval_L(
     n: int,
@@ -369,27 +478,8 @@ def eval_L(
         raise DomainError("antiderivative evaluation requires x > 0")
     if alpha == 0 or beta == 0:
         raise DomainError("scale factors must be nonzero")
-    sign = 1.0
-    if alpha < 0:
-        alpha = -alpha
-        if k % 2:
-            sign = -sign
-    if beta < 0:
-        beta = -beta
-        if l % 2:
-            sign = -sign
-    if k > l:
-        k, l = l, k
-        alpha, beta = beta, alpha
-    if alpha == beta:
-        v = alpha ** (-1 - n) * _L_equal(n, k, l, alpha * x, closed_forms, constants)
-        return AntiderivativeValue(sign * v, "equal-args")
-    if k == l:
-        kt = _k_table(x, alpha, beta, k, closed_forms, constants)
-        return AntiderivativeValue(sign * kt.value(n, k), "same-order")
-    return AntiderivativeValue(
-        sign * _L_general(n, k, l, x, alpha, beta, closed_forms, constants), "recursion"
-    )
+    table = l_table(k, l, x, alpha, beta, closed_forms, constants)
+    return AntiderivativeValue(table.value(n), _L_PATHS[type(table)])
 
 
 def identity_residual(

@@ -23,11 +23,10 @@ import math
 import numpy as np
 
 from .errors import DomainError, NearDegenerateError, NotConvergedError, QuadratureRecommendedError
-from .mixed_order import eval_L
-from .same_order import eval_K
-from .single_bessel import eval_I_scaled
+from .mixed_order import l_table
+from .single_bessel import ITable
 from .sph_bessel import first_zero_estimate, j_many, small_x_leading
-from .squared_bessel import eval_H_scaled
+from .squared_bessel import HTable
 from .types import DefiniteResult, IntegralSpec, QuadratureResult, Strategy
 
 #: default mixed absolute/relative tolerance
@@ -114,6 +113,21 @@ def _gk15_panels(f, edges: np.ndarray, vectorized: bool):
     return vk.tolist(), err.tolist(), xs.size
 
 
+def _initial_edges(knots: list, width: float | None, cap: int) -> np.ndarray:
+    """Panel edges of the initial partition: each interval between
+    consecutive knots split into at most ``cap`` equal panels no wider
+    than ``width`` where the cap allows (one panel when width is None)."""
+    parts = []
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        n = 1
+        if width is not None and width > 0:
+            n = min(int(math.ceil((hi - lo) / width)), cap)
+        parts.append(np.linspace(lo, hi, n + 1))
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([p[:-1] for p in parts[:-1]] + parts[-1:])
+
+
 def adaptive_quad(
     integrand,
     a: float,
@@ -123,6 +137,7 @@ def adaptive_quad(
     max_evals: int = MAX_EVALS,
     vectorized: bool = False,
     initial_max_width: float | None = None,
+    breakpoints=None,
 ) -> QuadratureResult:
     """Adaptively integrate ``integrand`` over [a, b].
 
@@ -147,6 +162,17 @@ def adaptive_quad(
         Pre-split [a, b] into pieces no wider than this before adapting.
         For oscillatory integrands a width of pi over the fastest scale
         keeps each half-oscillation resolved by the base rule.
+    breakpoints : sequence of float, optional
+        Interior points a < p_1 < ... < p_k < b where the integrand may
+        change form (a kink, or a switch between pieces).  No panel
+        straddles one: each sub-interval between consecutive points gets
+        its own equal panels no wider than initial_max_width, so its
+        edges are those of a separate call on it.  One adaptive run then
+        bisects whichever panel carries the largest error, and the
+        tolerance applies to the sum over [a, b], not to each
+        sub-interval.  The cap on the initial panels, max_evals // 30, is
+        shared evenly between the sub-intervals, and max_evals must allow
+        at least one panel (15 evaluations) for each.
 
     Notes
     -----
@@ -160,19 +186,28 @@ def adaptive_quad(
     Pure function; when the caller runs it from several threads the
     integrand must itself be safe to call concurrently.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"adaptive_quad requires finite limits, got [{a}, {b}]")
     if not a < b:
         raise DomainError("adaptive_quad requires a < b")
+    inner = [] if breakpoints is None else [float(p) for p in breakpoints]
+    knots = [a, *inner, b]
+    if inner and not all(lo < hi for lo, hi in zip(knots[:-1], knots[1:])):
+        raise DomainError(
+            f"breakpoints must be finite and strictly increasing inside ({a}, {b}), got {inner}"
+        )
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    if max_evals < _PANEL_NODES:
-        raise DomainError(f"max_evals must be at least {_PANEL_NODES}, one panel (got {max_evals})")
+    nsub = len(knots) - 1
+    if max_evals < _PANEL_NODES * nsub:
+        raise DomainError(
+            f"max_evals must be at least {_PANEL_NODES} per sub-interval, one panel "
+            f"each ({_PANEL_NODES * nsub} for {nsub}; got {max_evals})"
+        )
     if rtol is None:
         rtol = tol
-    if initial_max_width is not None and initial_max_width > 0:
-        npieces = min(int(math.ceil((b - a) / initial_max_width)), max(1, max_evals // 30))
-    else:
-        npieces = 1
-    edges = np.linspace(a, b, npieces + 1)
+    edges = _initial_edges(knots, initial_max_width, max(1, max_evals // (30 * nsub)))
+    npieces = len(edges) - 1
     heap = []
     total = 0.0
     total_err = 0.0
@@ -352,8 +387,34 @@ def _j_signed(l: int, scale: float, xs: np.ndarray) -> np.ndarray:
     return v
 
 
-def antiderivative(
+def point_table(
     spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True
+):
+    """The per-point table of spec's family, orders and scales at x.
+
+    Its ``value(n)`` is the antiderivative of x^n times spec's Bessel
+    product at x for any exponent n; the exponents asked of one table
+    share its j tables, trig chains and recursion cells, and each value
+    is bitwise the one a fresh table returns.  Parity and scale folding
+    happen once, here: K with |alpha| = |beta| gets the squared family's
+    table with the parity sign.  spec.n is not read.
+    """
+    if not x > 0:
+        raise DomainError(f"antiderivative evaluation requires x > 0, got {x}")
+    if spec.family == "I":
+        return ITable(spec.l, x, spec.alpha, constants)
+    if spec.family == "H":
+        return HTable(x, spec.l, closed_forms, constants, spec.alpha)
+    k = spec.orders[0]
+    return l_table(k, spec.l, x, spec.alpha, spec.beta, closed_forms, constants)
+
+
+def antiderivative(
+    spec: IntegralSpec,
+    x: float,
+    closed_forms: bool = True,
+    constants: bool = True,
+    tables: dict | None = None,
 ) -> float:
     """Antiderivative value of the spec's integrand at x, by recursion.
 
@@ -361,21 +422,19 @@ def antiderivative(
     (definite differences are unchanged, but conditioned on the genuine
     oscillation scale rather than the constants; the definite evaluators
     difference in that mode).
+
+    tables, when given, keeps the per-point tables (see point_table)
+    across calls, keyed by x: a caller that needs several exponents of
+    one family, orders and scales at the same points passes one dict for
+    all of them, with the same closed_forms and constants, so each point
+    builds one table.
     """
-    if spec.family == "I":
-        return eval_I_scaled(spec.n, spec.l, x, spec.alpha, constants).value
-    if spec.family == "H":
-        return eval_H_scaled(spec.n, spec.l, x, spec.alpha, closed_forms, constants).value
-    if spec.family == "K":
-        a, b = abs(spec.alpha), abs(spec.beta)
-        if a == b:
-            sign = 1.0
-            if (spec.alpha < 0) != (spec.beta < 0) and spec.l % 2:
-                sign = -1.0
-            return sign * eval_H_scaled(spec.n, spec.l, x, a, closed_forms, constants).value
-        return eval_K(spec.n, spec.l, x, spec.alpha, spec.beta, closed_forms, constants).value
-    k = spec.k if spec.k is not None else spec.l
-    return eval_L(spec.n, k, spec.l, x, spec.alpha, spec.beta, closed_forms, constants).value
+    if tables is None:
+        return point_table(spec, x, closed_forms, constants).value(spec.n)
+    table = tables.get(x)
+    if table is None:
+        table = tables[x] = point_table(spec, x, closed_forms, constants)
+    return table.value(spec.n)
 
 
 def definite_integral(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from .errors import DomainError, NearDegenerateError
 from .sph_bessel import j_array, j_extended
+from .squared_bessel import _path
 from .trig_primitives import TrigChain
 from .types import AntiderivativeValue
 
@@ -79,10 +80,15 @@ class KTable:
     caller that needs K cells of several orders or exponents at one
     point (the L recursion, its adjacent closure and its n = 1 ladder)
     shares one table, so no cell, j table or trig chain is computed
-    twice.  The table lives only as long as the evaluation that built it.
+    twice.  ``value(n)`` is the order-lmax antiderivative times ``sign``,
+    the parity sign of the caller's unfolded scales.  The table lives
+    only as long as the evaluation that built it.
     """
 
-    __slots__ = ("x", "a", "b", "jta", "jtb", "near", "far", "closed_forms", "used_closed", "_memo")
+    __slots__ = (
+        "x", "a", "b", "lmax", "sign", "jta", "jtb", "near", "far", "closed_forms",
+        "used_closed", "_memo",
+    )
 
     def __init__(
         self,
@@ -92,10 +98,13 @@ class KTable:
         lmax: int,
         closed_forms: bool = True,
         constants: bool = True,
+        sign: float = 1.0,
     ):
         self.x = x
         self.a = a
         self.b = b
+        self.lmax = lmax
+        self.sign = sign
         self.jta = j_array(lmax, a * x)
         self.jtb = j_array(lmax, b * x)
         self.near = TrigChain(a - b, x, constants)
@@ -104,8 +113,12 @@ class KTable:
         self.used_closed = False
         self._memo: dict = {}
 
-    def value(self, m: int, lam: int) -> float:
-        """K^m_lam, refusing near-degenerate scales as eval_K does."""
+    def value(self, n: int) -> float:
+        """int x^n j_lmax(alpha x) j_lmax(beta x) dx at the table's point."""
+        return self.sign * self.guarded(n, self.lmax)
+
+    def guarded(self, m: int, lam: int) -> float:
+        """K^m_lam, refusing near-degenerate scales."""
         _check_degeneracy(m, lam, self.a, self.b)
         return self.cell(m, lam)
 
@@ -167,13 +180,8 @@ def eval_K(
         raise DomainError(
             "equal scale magnitudes reduce to the squared family; use eval_H_scaled"
         )
-    table = KTable(x, a, b, l, closed_forms, constants)
-    v = table.value(n, l)
-    if l == 0:
-        path = "base"
-    else:
-        path = "recursion+closed" if table.used_closed else "recursion"
-    return AntiderivativeValue(sign * v, path)
+    table = KTable(x, a, b, l, closed_forms, constants, sign)
+    return AntiderivativeValue(table.value(n), _path(table, l))
 
 
 def closed_K2(l: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:

@@ -18,34 +18,55 @@ import math
 
 from .errors import DomainError
 from .sph_bessel import j, j_array
-from .trig_primitives import eval_pair
+from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import AntiderivativeValue
 
 
-def _trig_X(m: int, x: float, constants: bool) -> float:
-    if m == -1 and x == 0.0 and constants:
-        return 0.0
-    return eval_pair(m, x, constants=constants).X
+class ITable:
+    """int x^n j_l(alpha x) dx at one evaluation point x, for any n.
 
+    The table holds the j_0..j_{l-1} table at u = |alpha| x and the
+    TrigChain of u that the l = 0 base reads, so exponents asked of one
+    table share both.  Negative alpha folds through parity,
+    j_l(-u) = (-1)^l j_l(u), once here.
+    """
 
-def _I(n: int, l: int, x: float, truncate: bool = True, constants: bool = True) -> float:
-    """Float core of I^n_l(x); assumes x > 0, l >= 0."""
-    if l == 0:
-        return _trig_X(n - 1, x, constants)
-    jt = j_array(l - 1, x)
-    total = 0.0
-    coef = 1  # exact integer product of recursion coefficients
-    try:
-        for i in range(l):
-            total -= coef * x ** (n - i) * jt[l - 1 - i]
-            coef *= l + n - 1 - 2 * i
-            if truncate and coef == 0:
-                return total
-        return total + coef * _trig_X(n - l - 1, x, constants)
-    except OverflowError:
-        raise DomainError(
-            f"I^{n}_{l} at x = {x:g}: the recursion's terms overflow a float"
-        ) from None
+    __slots__ = ("l", "a", "sign", "u", "jt", "chain")
+
+    def __init__(self, l: int, x: float, alpha: float = 1.0, constants: bool = True):
+        self.l = l
+        self.a = abs(alpha)
+        self.sign = 1.0 if alpha > 0 or l % 2 == 0 else -1.0
+        self.u = u = self.a * x
+        self.jt = j_array(l - 1, u) if l else None
+        self.chain = TrigChain(1.0, u, constants)
+
+    def _X(self, m: int) -> float:
+        _refuse_small_arg(m, self.u)
+        return self.chain.pair(m)[0]
+
+    def value(self, n: int, truncate: bool = True) -> float:
+        """alpha^(-n-1) I^n_l(alpha x), with the parity sign."""
+        return self.sign * self.a ** (-n - 1) * self._I(n, truncate)
+
+    def _I(self, n: int, truncate: bool) -> float:
+        """I^n_l(u)."""
+        l, u, jt = self.l, self.u, self.jt
+        if l == 0:
+            return self._X(n - 1)
+        total = 0.0
+        coef = 1  # exact integer product of recursion coefficients
+        try:
+            for i in range(l):
+                total -= coef * u ** (n - i) * jt[l - 1 - i]
+                coef *= l + n - 1 - 2 * i
+                if truncate and coef == 0:
+                    return total
+            return total + coef * self._X(n - l - 1)
+        except OverflowError:
+            raise DomainError(
+                f"I^{n}_{l} at x = {u:g}: the recursion's terms overflow a float"
+            ) from None
 
 
 def eval_I(
@@ -76,7 +97,7 @@ def eval_I(
     if x <= 0:
         raise DomainError("antiderivative evaluation requires x > 0")
     path = "recursion" if l else "base"
-    return AntiderivativeValue(_I(n, l, x, truncate, constants), path)
+    return AntiderivativeValue(ITable(l, x, 1.0, constants).value(n, truncate), path)
 
 
 def eval_I_scaled(
@@ -92,11 +113,7 @@ def eval_I_scaled(
         raise DomainError("order must be nonnegative")
     if x <= 0:
         raise DomainError("antiderivative evaluation requires x > 0")
-    a = abs(alpha)
-    sign = 1.0 if alpha > 0 or l % 2 == 0 else -1.0
-    return AntiderivativeValue(
-        sign * a ** (-n - 1) * _I(n, l, a * x, constants=constants), "recursion"
-    )
+    return AntiderivativeValue(ITable(l, x, alpha, constants).value(n), "recursion")
 
 
 def truncates_early(n: int, l: int) -> bool:

@@ -112,58 +112,78 @@ def closed_H(kind: str, l: int, x: float) -> AntiderivativeValue:
 
 
 class HTable:
-    """The cells H^m_lam(x), lam <= lmax, of one evaluation point.
+    """The cells H^m_lam(u), lam <= lmax, of one evaluation point.
 
-    The table holds j_0..j_{lmax+1} at x, the TrigChain of 2x that every
-    l = 0 base cell reads, and the memo of the cells computed so far.
-    The equal-argument L engine shares one table across every H cell it
+    The cells are taken at u = |alpha| x.  The table holds j_0..j_{lmax+1}
+    at u, the TrigChain of 2u that every l = 0 base cell reads, and the
+    memo of the cells computed so far.  ``value(n)`` is the antiderivative
+    int x^n j_lmax(alpha x)^2 dx = |alpha|^(-n-1) H^n_lmax(u) (times
+    ``sign``, which the K and L engines set for parity-folded scales), so
+    every exponent asked of one table shares its cells.  The
+    equal-argument L engine shares one table across every H cell it
     reaches.  The table lives only as long as the evaluation that built
     it.
     """
 
-    __slots__ = ("x", "jt", "chain", "closed_forms", "constants", "used_closed", "_memo")
+    __slots__ = (
+        "u", "lmax", "a", "sign", "jt", "chain", "closed_forms", "constants", "used_closed",
+        "_memo",
+    )
 
-    def __init__(self, x: float, lmax: int, closed_forms: bool = True, constants: bool = True):
-        self.x = x
-        self.jt = j_array(lmax + 1, x)
-        self.chain = TrigChain(1.0, 2.0 * x, constants)
+    def __init__(
+        self,
+        x: float,
+        lmax: int,
+        closed_forms: bool = True,
+        constants: bool = True,
+        alpha: float = 1.0,
+        sign: float = 1.0,
+    ):
+        self.a = abs(alpha)
+        self.u = u = self.a * x
+        self.lmax = lmax
+        self.sign = sign
+        self.jt = j_array(lmax + 1, u)
+        self.chain = TrigChain(1.0, 2.0 * u, constants)
         self.closed_forms = closed_forms
         self.constants = constants
         self.used_closed = False
         self._memo: dict = {}
+
+    def value(self, n: int) -> float:
+        """int x^n j_lmax(alpha x)^2 dx at the table's point."""
+        return self.sign * self.a ** (-n - 1) * self.cell(n, self.lmax)
 
     def cell(self, m: int, lam: int) -> float:
         key = (m, lam)
         v = self._memo.get(key)
         if v is not None:
             return v
-        x = self.x
+        u = self.u
         if lam == 0:
-            v = _H_base(m, x, self.chain)
+            v = _H_base(m, u, self.chain)
         else:
             kind = _closed_kind(m, lam) if self.closed_forms else None
             if kind is not None:
-                v = _closed_H(kind, lam, x, self.jt, self.constants)
+                v = _closed_H(kind, lam, u, self.jt, self.constants)
                 self.used_closed = True
             else:
                 jm, jl = self.jt[lam - 1], self.jt[lam]
                 v = (
                     self.cell(m, lam - 1)
                     + 0.5 * (m - 2) * (2 * lam + m - 3) * self.cell(m - 2, lam - 1)
-                    + (1.0 - 0.5 * m) * x ** (m - 1) * jm * jm
-                    - x**m * jm * jl
+                    + (1.0 - 0.5 * m) * u ** (m - 1) * jm * jm
+                    - u**m * jm * jl
                 )
         self._memo[key] = v
         return v
 
 
-def _H(n: int, l: int, x: float, closed_forms: bool = True, constants: bool = True) -> tuple:
-    """Float core of H^n_l(x).  Returns (value, path)."""
-    table = HTable(x, l, closed_forms, constants)
-    v = table.cell(n, l)
+def _path(table, l: int) -> str:
+    """The route an engine's table took to its order-l value."""
     if l == 0:
-        return v, "base"
-    return v, "recursion+closed" if table.used_closed else "recursion"
+        return "base"
+    return "recursion+closed" if table.used_closed else "recursion"
 
 
 def eval_H(
@@ -179,8 +199,8 @@ def eval_H(
         raise DomainError("order must be nonnegative")
     if x <= 0:
         raise DomainError("antiderivative evaluation requires x > 0")
-    v, path = _H(n, l, x, closed_forms, constants)
-    return AntiderivativeValue(v, path)
+    table = HTable(x, l, closed_forms, constants)
+    return AntiderivativeValue(table.value(n), _path(table, l))
 
 
 def eval_H_scaled(
@@ -194,6 +214,5 @@ def eval_H_scaled(
         raise DomainError("alpha must be nonzero")
     if x <= 0:
         raise DomainError("antiderivative evaluation requires x > 0")
-    a = abs(alpha)
-    v, path = _H(n, l, a * x, closed_forms, constants)
-    return AntiderivativeValue(a ** (-n - 1) * v, path)
+    table = HTable(x, l, closed_forms, constants, alpha)
+    return AntiderivativeValue(table.value(n), _path(table, l))

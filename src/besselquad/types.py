@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -136,6 +137,12 @@ class IntegralSpec:
             raise DomainError("Bessel orders must be nonnegative")
         if self.alpha == 0 or (self.family in ("K", "L") and not self.beta):
             raise DomainError("scale factors must be nonzero")
+        try:
+            finite = all(math.isfinite(s) for s in self.scales)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise DomainError(f"scale factors must be finite real numbers, got {self.scales}")
 
     @property
     def orders(self) -> tuple:

@@ -6,9 +6,21 @@ piecewise polynomial (linear or cubic spline) and
     int f(x) j_l(a x) dx        int f(x) j_k(a x) j_l(b x) dx
 
 reduce, piece by piece, to sums of monomial antiderivative differences
-from the I/H/K/L engines.  Pieces that sit below the first-zero
-threshold go to quadrature directly; pieces above it use the recursion
-engine; a piece straddling the threshold is split there.
+from the I/H/K/L engines.  A piece straddling the first-zero threshold
+is split there.
+
+Above the threshold each piece is a sum of c_m (F_m(hi) - F_m(lo)) over
+the monomials x^m with nonzero coefficient.  Each breakpoint builds one
+per-point table (quadrature.point_table) that serves every monomial:
+its j tables, trig chains and recursion cells are computed once, and
+adjacent pieces share the breakpoint between them, so each
+(monomial, breakpoint) value is computed once for the whole sum.
+
+Below the threshold the pieces form a prefix of [a, b], and one
+adaptive quadrature run covers all of them, with their knots as
+breakpoints: no panel straddles a knot, and each node takes the
+polynomial of its own piece.  The tolerance applies to the sum of these
+pieces, not to each one.
 
 Local bases: each interval stores coefficients of (x - x_left)^d, which
 keeps interpolation well conditioned; the expansion to global monomials
@@ -31,9 +43,9 @@ from .quadrature import (
     _j_signed,
     adaptive_quad,
     antiderivative,
-    oscillation_threshold,
+    choose_strategy,
 )
-from .types import IntegralSpec, PiecewisePolynomial
+from .types import DefiniteResult, IntegralSpec, PiecewisePolynomial
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
@@ -102,9 +114,9 @@ def build_interpolant(samples, degree: int = 3) -> PiecewisePolynomial:
     Parameters
     ----------
     samples : sequence of (x, f) pairs or a 2-column array
-        Abscissae strictly increasing and nonnegative; at least two
-        samples (four for a proper cubic; two or three fall back to the
-        interpolating polynomial of the data).
+        Finite values, abscissae strictly increasing and nonnegative; at
+        least two samples (four for a proper cubic; two or three fall back
+        to the interpolating polynomial of the data).
     degree : {1, 3}
         1 for broken lines, 3 for a not-a-knot cubic spline with
         continuous first and second derivatives.
@@ -114,6 +126,8 @@ def build_interpolant(samples, degree: int = 3) -> PiecewisePolynomial:
         raise DomainError("need at least two (x, f) samples")
     x = arr[:, 0]
     y = arr[:, 1]
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("samples must be finite")
     if np.any(np.diff(x) <= 0):
         raise DomainError("sample abscissae must be strictly increasing")
     if x[0] < 0:
@@ -183,57 +197,27 @@ def _spec_for(kind: str, k, l, alpha, beta, n: int) -> IntegralSpec:
     return IntegralSpec("L", n, l, alpha, k=k, beta=beta)
 
 
-def _integrate_weighted(pp, kind, k, l, alpha, beta, a, b, tol) -> float:
-    if not a < b:
-        raise DomainError("need a < b")
-    probe = _spec_for(kind, k, l, alpha, beta, 0)
-    threshold = oscillation_threshold(probe)
-    total = 0.0
-    osc_width = math.pi / max(abs(s) for s in probe.scales)
-    # antiderivative of monomial m at x; adjacent pieces share their
-    # breakpoint, so each (m, x) is evaluated once for the whole sum
-    values: dict = {}
+def _below_integrand(pp: PiecewisePolynomial, below, kind, k, l, alpha, beta):
+    """Vectorised integrand of the pieces ``below`` (index, lo, hi), which
+    tile one interval in order: each node takes the polynomial of the
+    piece it falls in, in that piece's local basis."""
+    lefts = np.array([lo for _, lo, _ in below])
+    x_left = np.array([pp.breakpoints[i] for i, _, _ in below])
+    width = max(len(pp.coefficients[i]) for i, _, _ in below)
+    coeffs = np.zeros((width, len(below)))
+    for j, (i, _, _) in enumerate(below):
+        coeffs[: len(pp.coefficients[i]), j] = pp.coefficients[i]
 
-    def F(m: int, x: float) -> float:
-        v = values.get((m, x))
-        if v is None:
-            v = antiderivative(_spec_for(kind, k, l, alpha, beta, m), x, constants=False)
-            values[(m, x)] = v
-        return v
+    def f(xs):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        p = np.clip(np.searchsorted(lefts, xs, side="right") - 1, 0, len(below) - 1)
+        t = xs - x_left[p]
+        env = np.zeros_like(xs)
+        for c in coeffs[::-1]:
+            env = env * t + c[p]
+        return env * _bessel_product(kind, k, l, alpha, beta, xs)
 
-    for i, seg_a, seg_b in _pieces(pp, a, b):
-        x_left = pp.breakpoints[i]
-        local = pp.coefficients[i]
-        # split the piece at the oscillation threshold if it straddles it
-        cuts = [seg_a, seg_b]
-        if seg_a < threshold < seg_b:
-            cuts = [seg_a, threshold, seg_b]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= threshold:
-                # quadrature on the raw product; the local basis is exact here
-                def f(xs):
-                    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-                    t = xs - x_left
-                    env = np.zeros_like(xs)
-                    for c in reversed(local):
-                        env = env * t + c
-                    return env * _bessel_product(kind, k, l, alpha, beta, xs)
-
-                q = adaptive_quad(
-                    f, lo, hi, tol=tol, vectorized=True, initial_max_width=osc_width
-                )
-                if not q.converged:
-                    raise NotConvergedError(
-                        f"quadrature on the piece [{lo:.6g}, {hi:.6g}]: error "
-                        f"estimate {q.error_estimate:.3g} above tolerance {tol:.3g}"
-                    )
-                total += q.value
-            else:
-                for m, cm in enumerate(_global_coeffs(local, x_left)):
-                    if cm == 0.0:
-                        continue
-                    total += cm * (F(m, hi) - F(m, lo))
-    return total
+    return f
 
 
 def _bessel_product(kind, k, l, alpha, beta, xs):
@@ -242,18 +226,101 @@ def _bessel_product(kind, k, l, alpha, beta, xs):
     return _j_signed(k, alpha, xs) * _j_signed(l, beta, xs)
 
 
+def weighted_integral(
+    f: PiecewisePolynomial,
+    l: int,
+    alpha: float,
+    a: float,
+    b: float,
+    tol: float = DEFAULT_TOL,
+    k: int | None = None,
+    beta: float | None = None,
+) -> DefiniteResult:
+    """int_a^b f(x) j_l(alpha x) dx, or with k and beta given
+    int_a^b f(x) j_k(alpha x) j_l(beta x) dx, as a result record.
+
+    The record carries the quadrature run's error estimate and node
+    count (the recursion pieces add neither, as in definite_integral),
+    the threshold strategy and the segments each route covered.  Raises
+    NotConvergedError when the quadrature run misses ``tol``.
+    """
+    if (k is None) != (beta is None):
+        raise DomainError("the product form needs both k and beta")
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
+    if not a < b:
+        raise DomainError("need a < b")
+    kind = "single" if k is None else "product"
+    width = max(len(c) for c in f.coefficients)
+    # the specs check the orders and scales
+    specs = [_spec_for(kind, k, l, alpha, beta, m) for m in range(width)]
+    strategy = choose_strategy(specs[0], a, b)
+    threshold = strategy.threshold_x
+    pieces = _pieces(f, a, b)
+    # the pieces, clipped at the threshold, that quadrature covers (a
+    # prefix) and that the recursion covers (the rest)
+    below = [(i, lo, min(hi, threshold)) for i, lo, hi in pieces if lo < threshold]
+    above = [(i, max(lo, threshold), hi) for i, lo, hi in pieces if hi > threshold]
+    value = 0.0
+    err = 0.0
+    evals = 0
+    segments = []
+    if below:
+        lo, hi = below[0][1], below[-1][2]
+        q = adaptive_quad(
+            _below_integrand(f, below, kind, k, l, alpha, beta),
+            lo,
+            hi,
+            tol=tol,
+            vectorized=True,
+            initial_max_width=math.pi / max(abs(s) for s in specs[0].scales),
+            breakpoints=[knot for _, _, knot in below[:-1]],
+        )
+        if not q.converged:
+            raise NotConvergedError(
+                f"quadrature on [{lo:.6g}, {hi:.6g}]: error estimate "
+                f"{q.error_estimate:.3g} above tolerance {tol:.3g}"
+            )
+        value, err, evals = q.value, q.error_estimate, q.evaluations
+        segments.append(("quadrature", lo, hi))
+    # antiderivative of monomial m at x; adjacent pieces share their
+    # breakpoint, so each (m, x) is evaluated once for the whole sum, and
+    # each x builds one table for all its monomials
+    tables: dict = {}
+    values: dict = {}
+
+    def F(m: int, x: float) -> float:
+        v = values.get((m, x))
+        if v is None:
+            v = values[(m, x)] = antiderivative(specs[m], x, constants=False, tables=tables)
+        return v
+
+    for i, lo, hi in above:
+        for m, cm in enumerate(_global_coeffs(f.coefficients[i], f.breakpoints[i])):
+            if cm == 0.0:
+                continue
+            value += cm * (F(m, hi) - F(m, lo))
+    if above:
+        segments.append(("recursion", above[0][1], above[-1][2]))
+    return DefiniteResult(
+        value=value,
+        error_estimate=err,
+        evaluations=evals,
+        converged=True,
+        strategy=strategy,
+        segments=tuple(segments),
+    )
+
+
 def integrate_single(
     f: PiecewisePolynomial, l: int, alpha: float, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> float:
     """int_a^b f(x) j_l(alpha x) dx for an interpolated prefactor f.
 
-    Raises NotConvergedError when a quadrature piece misses ``tol``.
+    Raises NotConvergedError when the quadrature below the threshold
+    misses ``tol``; weighted_integral returns the full record.
     """
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    if l < 0:
-        raise DomainError("order must be nonnegative")
-    return _integrate_weighted(f, "single", None, l, alpha, None, a, b, tol)
+    return weighted_integral(f, l, alpha, a, b, tol).value
 
 
 def integrate_product(
@@ -268,12 +335,9 @@ def integrate_product(
 ) -> float:
     """int_a^b f(x) j_k(alpha x) j_l(beta x) dx for an interpolated f.
 
-    Dispatches per piece into the squared (k = l, alpha = beta), same
-    order (k = l) or mixed family.  Raises NotConvergedError when a
-    quadrature piece misses ``tol``.
+    Dispatches into the squared (k = l, alpha = beta), same order
+    (k = l) or mixed family.  Raises NotConvergedError when the
+    quadrature below the threshold misses ``tol``; weighted_integral
+    returns the full record.
     """
-    if alpha == 0 or beta == 0:
-        raise DomainError("scale factors must be nonzero")
-    if k < 0 or l < 0:
-        raise DomainError("orders must be nonnegative")
-    return _integrate_weighted(f, "product", k, l, alpha, beta, a, b, tol)
+    return weighted_integral(f, l, alpha, a, b, tol, k=k, beta=beta).value

@@ -211,6 +211,52 @@ class TestWeighted:
         )
         assert code == 2
 
+    def test_record_reports_the_quadrature_run(self, tmp_path, capsys):
+        csv = tmp_path / "f.csv"
+        csv.write_text("x,f\n0,1\n2,0.9\n10,0.7\n40,0.3\n")
+        code, out = invoke(
+            ["weighted", "--csv", str(csv), "--l", "0", "--a", "0", "--b", "40",
+             "--tol", "1e-10", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["nodes"] > 0
+        assert 0.0 < payload["abs_error_est"] < 1e-10
+        assert payload["strategy"] == f"quadrature[0,{math.pi:g}]+recursion[{math.pi:g},40]"
+
+    def test_recursion_only_record_has_no_nodes(self, tmp_path, capsys):
+        csv = tmp_path / "f.csv"
+        csv.write_text("10,1\n20,2\n30,1.5\n")
+        code, out = invoke(
+            ["weighted", "--csv", str(csv), "--degree", "1", "--l", "1",
+             "--a", "12", "--b", "30", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["nodes"], payload["abs_error_est"]) == (0, 0.0)
+        assert payload["strategy"] == "recursion[12,30]"
+
+    @pytest.mark.parametrize("option", [["--strategy", "recursion"], ["--max-evals", "15"]])
+    def test_options_it_cannot_honour_are_usage_errors(self, tmp_path, option):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(
+                ["weighted", "--csv", "f.csv", "--l", "0", "--a", "0", "--b", "1", *option]
+            )
+        assert err.value.code == 2
+
+    def test_nonfinite_sample_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "f.csv"
+        csv.write_text("0,1\n1,nan\n2,1\n")
+        code, out = invoke(
+            ["weighted", "--csv", str(csv), "--l", "0", "--a", "0", "--b", "2",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == "domain"
+
 
 class TestTable:
     def test_grid_sweep_csv(self, tmp_path, capsys):

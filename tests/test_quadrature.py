@@ -114,6 +114,77 @@ class TestAdaptiveQuad:
         with pytest.raises(DomainError):
             adaptive_quad(math.sin, 0.0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0)])
+    def test_nonfinite_limits_are_domain_errors(self, a, b):
+        with pytest.raises(DomainError):
+            adaptive_quad(math.sin, a, b)
+
+
+class TestBreakpoints:
+    """adaptive_quad over [a, b] with interior breakpoints: one run whose
+    initial panels are those of separate runs on the sub-intervals."""
+
+    KNOTS = [0.0, 0.35, 1.9, 2.0, 6.5]
+    WIDTH = 0.8
+
+    @staticmethod
+    def f(xs):
+        return np.exp(-0.3 * xs) * np.cos(2.0 * xs) + np.where(xs < 1.9, xs, 1.0)
+
+    def _nodes(self, a, b, **kw):
+        seen = []
+
+        def g(xs):
+            seen.append(xs.copy())
+            return self.f(xs)
+
+        r = adaptive_quad(g, a, b, vectorized=True, initial_max_width=self.WIDTH, **kw)
+        return r, np.concatenate(seen)
+
+    def test_edges_are_the_per_piece_edges(self):
+        r, nodes = self._nodes(self.KNOTS[0], self.KNOTS[-1], breakpoints=self.KNOTS[1:-1], tol=1e-6)
+        pieces = [
+            self._nodes(lo, hi, tol=1e-6)[1] for lo, hi in zip(self.KNOTS[:-1], self.KNOTS[1:])
+        ]
+        want = np.concatenate(pieces)
+        assert len(nodes) == r.evaluations == len(want)  # no bisection either way
+        assert np.array_equal(nodes, want)
+
+    def test_value_is_the_sum_of_the_pieces(self):
+        r = adaptive_quad(
+            self.f, self.KNOTS[0], self.KNOTS[-1], vectorized=True,
+            initial_max_width=self.WIDTH, breakpoints=self.KNOTS[1:-1],
+        )
+        parts = [
+            adaptive_quad(self.f, lo, hi, vectorized=True, initial_max_width=self.WIDTH)
+            for lo, hi in zip(self.KNOTS[:-1], self.KNOTS[1:])
+        ]
+        want = sum(q.value for q in parts)
+        assert r.converged
+        assert abs(r.value - want) <= 1e-14 * abs(want)
+
+    def test_none_and_empty_are_the_plain_call(self):
+        plain = adaptive_quad(self.f, 0.0, 6.5, vectorized=True, initial_max_width=self.WIDTH)
+        for bps in (None, [], np.array([])):
+            assert adaptive_quad(
+                self.f, 0.0, 6.5, vectorized=True, initial_max_width=self.WIDTH, breakpoints=bps
+            ) == plain
+
+    def test_max_evals_needs_one_panel_per_sub_interval(self):
+        bps = self.KNOTS[1:-1]  # four sub-intervals
+        with pytest.raises(DomainError):
+            adaptive_quad(self.f, 0.0, 6.5, vectorized=True, breakpoints=bps, max_evals=59)
+        r = adaptive_quad(self.f, 0.0, 6.5, vectorized=True, breakpoints=bps, max_evals=60)
+        assert r.evaluations == 60
+
+    @pytest.mark.parametrize(
+        "bps",
+        [[math.nan], [math.inf], [2.0, 1.0], [1.0, 1.0], [0.0], [6.5], [-1.0], [7.0]],
+    )
+    def test_bad_breakpoints_are_domain_errors(self, bps):
+        with pytest.raises(DomainError):
+            adaptive_quad(self.f, 0.0, 6.5, vectorized=True, breakpoints=bps)
+
 
 class TestChooseStrategy:
     def test_below_threshold_goes_quadrature(self):
@@ -294,6 +365,27 @@ class TestIntegralSpecValidation:
     def test_non_integer_exponent_or_order(self, kwargs):
         with pytest.raises(DomainError):
             IntegralSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(family="I", alpha=math.inf),
+            dict(family="I", alpha=math.nan),
+            dict(family="H", alpha=-math.inf),
+            dict(family="K", beta=math.inf),
+            dict(family="K", alpha=math.nan, beta=2.0),
+            dict(family="L", k=1, beta=math.nan),
+            dict(family="L", k=1, beta="2"),
+        ],
+    )
+    def test_nonfinite_scales(self, kwargs):
+        with pytest.raises(DomainError, match="finite"):
+            IntegralSpec(n=0, l=1, **kwargs)
+
+    def test_infinite_scale_never_reaches_a_value(self):
+        # the spec used to be accepted and the integral came back nan
+        with pytest.raises(DomainError):
+            definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=math.inf), 1.0, 2.0)
 
     def test_integer_like_values_become_int(self):
         spec = IntegralSpec("L", np.int64(2), np.int32(3), k=np.int64(1), beta=2.0)

@@ -215,20 +215,30 @@ class TestSharedBreakpoints:
         a, b = 12.0, 40.0
         want = per_piece_reference(pp, k, l, alpha, beta, a, b)
         calls = Counter()
+        tables = Counter()
 
         def counted(spec, x, **kw):
             calls[(spec.n, x)] += 1
             return quadrature.antiderivative(spec, x, **kw)
 
+        def counted_table(spec, x, *args):
+            tables[x] += 1
+            return point_table(spec, x, *args)
+
+        point_table = quadrature.point_table
         monkeypatch.setattr(weighted, "antiderivative", counted)
+        monkeypatch.setattr(quadrature, "point_table", counted_table)
         if k is None:
             got = integrate_single(pp, l, alpha, a, b)
         else:
             got = integrate_product(pp, k, l, alpha, beta, a, b)
         assert got == want
         assert set(calls.values()) == {1}
-        # a, and the 12 breakpoints 12.5, 15, ..., 40 in (a, b]
-        assert len({x for _, x in calls}) == 13
+        # one table per point, serving every monomial there: a, and the
+        # 12 breakpoints 12.5, 15, ..., 40 in (a, b]
+        assert set(tables.values()) == {1}
+        assert len(tables) == 13
+        assert {x for _, x in calls} == set(tables)
 
 
 class TestNonConvergence:
@@ -244,3 +254,75 @@ class TestNonConvergence:
                 integrate_single(pp, 2, 1.3, 0.0, 6.0, tol=1e-300)
             else:
                 integrate_product(pp, k, 2, 1.3, 0.7, 0.0, 6.0, tol=1e-300)
+
+
+class TestOneQuadratureRun:
+    """The pieces below the threshold share one adaptive_quad call."""
+
+    @pytest.mark.parametrize("k", [None, 1])
+    @pytest.mark.parametrize("a", [0.0, 1.3])
+    def test_one_call_per_integral(self, k, a, monkeypatch):
+        xs = np.linspace(0.0, 30.0, 25)
+        pp = build_interpolant(np.column_stack([xs, np.exp(-0.05 * xs)]), degree=3)
+        seen = []
+
+        def counted(f, lo, hi, **kw):
+            seen.append((lo, hi, list(kw["breakpoints"])))
+            return quadrature.adaptive_quad(f, lo, hi, **kw)
+
+        monkeypatch.setattr(weighted, "adaptive_quad", counted)
+        r = weighted.weighted_integral(pp, 2, 1.3, a, 30.0, k=k, beta=None if k is None else 0.7)
+        (lo, hi, bps), = seen
+        t = r.strategy.threshold_x
+        assert (lo, hi) == (a, t)
+        # the knots strictly between a and the threshold
+        assert bps == [float(x) for x in xs if a < x < t]
+        assert r.segments == (("quadrature", a, t), ("recursion", t, 30.0))
+        want = oracle_weighted(
+            lambda v: pp(v), k, 2, 1.3, 1.3 if k is None else 0.7, a, 30.0, tol=1e-12
+        )
+        assert r.value == pytest.approx(want, abs=1e-9)
+
+    def test_no_call_above_the_threshold(self, monkeypatch):
+        monkeypatch.setattr(weighted, "adaptive_quad", None)  # any call would fail
+        pp = build_interpolant([(10.0, 1.0), (20.0, 2.0), (30.0, 1.5)], degree=1)
+        r = weighted.weighted_integral(pp, 1, 1.0, 12.0, 30.0)
+        assert (r.evaluations, r.error_estimate) == (0, 0.0)
+        assert r.segments == (("recursion", 12.0, 30.0),)
+
+    def test_record_reports_the_quadrature_run(self):
+        pp = build_interpolant([(0.0, 1.0), (2.0, 0.8), (4.0, 0.9), (40.0, 0.2)], degree=3)
+        r = weighted.weighted_integral(pp, 0, 1.0, 0.0, 40.0, tol=1e-10)
+        assert r.converged and r.evaluations > 0
+        assert 0.0 < r.error_estimate <= 1e-10
+        assert r.value == integrate_single(pp, 0, 1.0, 0.0, 40.0, tol=1e-10)
+
+    def test_value_matches_per_piece_quadrature(self):
+        # one run with breakpoints against one run per piece, as before
+        xs = np.linspace(0.0, 12.0, 9)
+        pp = build_interpolant(np.column_stack([xs, 1.0 + 0.1 * xs]), degree=1)
+        got = integrate_single(pp, 3, 1.0, 0.0, 7.0)
+        f = weighted._below_integrand(pp, weighted._pieces(pp, 0.0, 7.0), "single", None, 3, 1.0, None)
+        parts = [
+            adaptive_quad(f, lo, hi, vectorized=True, initial_max_width=math.pi)
+            for _, lo, hi in weighted._pieces(pp, 0.0, 7.0)
+        ]
+        want = sum(q.value for q in parts)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_samples(self, bad):
+        with pytest.raises(DomainError):
+            build_interpolant([(0.0, 1.0), (1.0, bad), (2.0, 1.0)])
+        with pytest.raises(DomainError):
+            build_interpolant([(0.0, 1.0), (bad, 2.0)], degree=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_scales(self, bad):
+        pp = build_interpolant([(0.0, 1.0), (5.0, 1.0)], degree=1)
+        with pytest.raises(DomainError):
+            integrate_single(pp, 1, bad, 0.0, 5.0)
+        with pytest.raises(DomainError):
+            integrate_product(pp, 1, 2, 1.0, bad, 0.0, 5.0)
