@@ -26,9 +26,11 @@ family, and the equal-argument base; it shares one H table in the same
 way.  A table's memo serves every exponent asked of it, so one table
 per point covers every monomial of a weighted integral.
 
-Canonicalization (``l_table``): parity signs of negative scales are
-folded out front (j_m(-u) = (-1)^m j_m(u)) and (k, a) is swapped with
-(l, b) when k > l, so symmetry under the joint swap is exact.
+Canonicalization (``l_table``, the one table constructor of every
+two-factor product): the parity sign of each negative scale is folded
+out front by ``sph_bessel.parity_fold`` (j_m(-u) = (-1)^m j_m(u)), and
+(k, a) is swapped with (l, b) when k > l, so symmetry under the joint
+swap is exact.  The K table orders its own scales.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ import math
 
 from .errors import DomainError, NearDegenerateError
 from .same_order import DEGENERACY_GUARD, KTable
-from .sph_bessel import j_array, j_extended
+from .sph_bessel import j_array, j_extended, parity_fold
 from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import AntiderivativeValue
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
 
 _EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
 
@@ -48,21 +50,6 @@ _EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
 # ---------------------------------------------------------------------------
 # general scales
 # ---------------------------------------------------------------------------
-
-def _k_table(
-    x: float,
-    a: float,
-    b: float,
-    lmax: int,
-    closed_forms: bool,
-    constants: bool = True,
-    sign: float = 1.0,
-) -> KTable:
-    """The one K cell table of an L evaluation at (x, a, b), in canonical
-    scale order (K is symmetric in its scales)."""
-    aa, bb = (a, b) if a >= b else (b, a)
-    return KTable(x, aa, bb, lmax, closed_forms, constants, sign)
-
 
 def _base_L01(n: int, x: float, a: float, b: float, near: TrigChain, far: TrigChain) -> float:
     """L^n_{01}(x; a, b) from the chains of |a - b| x (near) and |a + b| x
@@ -91,13 +78,20 @@ def base_L01(n: int, x: float, alpha: float, beta: float) -> AntiderivativeValue
     Derived purely from product-to-sum trig identities, so any nonzero
     scales with |alpha| != |beta| are accepted.
     """
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    if alpha == 0 or beta == 0:
-        raise DomainError("scale factors must be nonzero")
+    IntegralSpec("L", n, 1, alpha, k=0, beta=beta)  # checks n and the scales
+    x = check_point(x)
     near = TrigChain(abs(alpha - beta), x)
     far = TrigChain(abs(alpha + beta), x)
     return AntiderivativeValue(_base_L01(n, x, alpha, beta, near, far), "base")
+
+
+def _check_adjacent(n: int, l: int, x: float, alpha: float, beta: float) -> None:
+    """The checks of the adjacent-order evaluators, which take positive
+    scales (eval_L folds parity before landing there)."""
+    IntegralSpec("L", n, l, alpha, k=l - 1, beta=beta)  # checks n and the scales
+    check_point(x)
+    if alpha < 0 or beta < 0:
+        raise DomainError("the adjacent-order evaluators expect positive scales")
 
 
 def adjacent_closure(
@@ -112,13 +106,10 @@ def adjacent_closure(
         raise DomainError("adjacent closure divides by n - 1; use the n = 1 ladder")
     if l < 1:
         raise DomainError("adjacent closure requires l >= 1")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("adjacent_closure expects positive scales")
+    _check_adjacent(n, l, x, alpha, beta)
     jkm = j_array(l - 1, alpha * x)[l - 1]
     jl = j_array(l, beta * x)[l]
-    kt = _k_table(x, alpha, beta, l, closed_forms)
+    kt = KTable(x, alpha, beta, l, closed_forms)
     v = (
         x ** (n + 1) * jkm * jl + alpha * kt.guarded(n + 1, l) - beta * kt.guarded(n + 1, l - 1)
     ) / (n - 1)
@@ -143,15 +134,12 @@ def adjacent_by_recursion(
     no closed forms inside K); used to validate adjacent_closure."""
     if l < 1:
         raise DomainError("adjacent orders require l >= 1")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("adjacent_by_recursion expects positive scales")
-    kt = _k_table(x, alpha, beta, l - 1, False)
+    _check_adjacent(n, l, x, alpha, beta)
+    kt = KTable(x, alpha, beta, l - 1, False)
     return AntiderivativeValue(_adjacent_ladder(n, l - 1, x, alpha, beta, kt), "ladder")
 
 
-class LTable:
+class LTable(PointTable):
     """The cells L^m_{k,lam}(x; a, b), k < lam <= l, of one evaluation
     point, for positive distinct scales and k < l.
 
@@ -161,7 +149,10 @@ class LTable:
     scales.
     """
 
-    __slots__ = ("x", "k", "l", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "_memo")
+    __slots__ = (
+        "x", "orders", "k", "l", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "_memo",
+    )
+    family = "L"
 
     def __init__(
         self,
@@ -175,14 +166,14 @@ class LTable:
         sign: float = 1.0,
     ):
         self.x, self.k, self.l, self.a, self.b = x, k, l, a, b
+        self.orders = (k, l)
         self.sign = sign
         self.closed_forms = closed_forms
-        self.kt = kt = _k_table(x, a, b, l, closed_forms, constants)
+        self.kt = kt = KTable(x, a, b, l, closed_forms, constants)
         self.jta, self.jtb = (kt.jta, kt.jtb) if a >= b else (kt.jtb, kt.jta)
         self._memo: dict = {}
 
-    def value(self, n: int) -> float:
-        """int x^n j_k(a x) j_l(b x) dx at the table's point."""
+    def _value(self, n: int) -> float:
         return self.sign * self.cell(n, self.l)
 
     def cell(self, m: int, lam: int) -> float:
@@ -221,8 +212,8 @@ def base_L01_equal(n: int, x: float, constants: bool = True) -> AntiderivativeVa
 
     with the power-rule integral turning into (ln x)/2 at n = 2.
     """
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
+    IntegralSpec("L", n, 1, k=0, beta=1.0)  # checks n
+    x = check_point(x)
     if n == 2:
         poly = 0.5 * math.log(x)
     else:
@@ -284,12 +275,9 @@ def closed_L_equal(kind: str, k: int, l: int, x: float) -> AntiderivativeValue:
     """
     if kind not in _EQUAL_CLOSED_KINDS:
         raise DomainError(f"unknown closed form {kind!r}")
-    if k < 0 or l < 0:
-        raise DomainError("orders must be nonnegative")
-    if x <= 0:
-        raise DomainError("closed forms require x > 0")
-    if k > l:
-        k, l = l, k
+    spec = IntegralSpec("L", 0, l, k=k, beta=1.0)
+    x = check_point(x)
+    k, l = sorted(spec.orders)
     jt = j_array(l + 1, x)
     return AntiderivativeValue(_closed_L_equal(kind, k, l, x, jt), f"closed:{kind}")
 
@@ -308,7 +296,7 @@ def _equal_closed_kind(m: int, k: int, lam: int) -> str | None:
     return None
 
 
-class LEqualTable:
+class LEqualTable(PointTable):
     """The cells L^m_{k,lam}(u), k < lam <= l, of one evaluation point at
     equal unit scales, u = |alpha| x.
 
@@ -317,7 +305,8 @@ class LEqualTable:
     times ``sign``, the parity sign of the caller's unfolded scales.
     """
 
-    __slots__ = ("k", "l", "sign", "closed_forms", "constants", "ht", "_memo")
+    __slots__ = ("x", "orders", "k", "l", "sign", "closed_forms", "constants", "ht", "_memo")
+    family = "L"
 
     def __init__(
         self,
@@ -329,6 +318,8 @@ class LEqualTable:
         alpha: float = 1.0,
         sign: float = 1.0,
     ):
+        self.x = x
+        self.orders = (k, l)
         self.k, self.l = k, l
         self.sign = sign
         self.closed_forms = closed_forms
@@ -336,8 +327,7 @@ class LEqualTable:
         self.ht = HTable(x, l, closed_forms, constants, alpha)
         self._memo: dict = {}
 
-    def value(self, n: int) -> float:
-        """int x^n j_k(alpha x) j_l(alpha x) dx at the table's point."""
+    def _value(self, n: int) -> float:
         return self.sign * self.ht.a ** (-n - 1) * self.cell(n, self.l)
 
     def cell(self, m: int, lam: int) -> float:
@@ -362,22 +352,6 @@ class LEqualTable:
         return v
 
 
-def _equal_table(
-    x: float,
-    k: int,
-    l: int,
-    closed_forms: bool,
-    constants: bool,
-    alpha: float = 1.0,
-    sign: float = 1.0,
-):
-    """The table of equal-scale products, k <= l: the squared family's
-    own when the orders meet."""
-    if k == l:
-        return HTable(x, k, closed_forms, constants, alpha, sign)
-    return LEqualTable(x, k, l, closed_forms, constants, alpha, sign)
-
-
 def eval_L_equal_args(
     n: int, k: int, l: int, x: float, closed_forms: bool = True, constants: bool = True
 ) -> AntiderivativeValue:
@@ -387,14 +361,9 @@ def eval_L_equal_args(
     matches, the adjacent-order rule through H when l = k + 1, plain
     order lowering otherwise.  Symmetric under k <-> l.
     """
-    if k < 0 or l < 0:
-        raise DomainError("orders must be nonnegative")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    if k > l:
-        k, l = l, k
-    table = _equal_table(x, k, l, closed_forms, constants)
-    return AntiderivativeValue(table.value(n), "equal-args")
+    spec = IntegralSpec("L", n, l, k=k, beta=1.0)
+    table = l_table(*spec.orders, check_point(x), 1.0, 1.0, closed_forms, constants)
+    return AntiderivativeValue(table.value(spec.n), "equal-args")
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +382,25 @@ def l_table(
     """The per-point table of int x^n j_k(alpha x) j_l(beta x) dx at x:
     its ``value(n)`` serves every exponent n.
 
-    Parity signs of negative scales are folded out front and (k, alpha)
-    is swapped with (l, beta) when k > l.  Equal scales then get the
-    equal-argument table (the H table when the orders meet too), equal
-    orders the K table, and the rest the general order-lowering table.
-    Assumes x > 0, nonzero scales and nonnegative orders.
+    The one table constructor of every two-factor product.  Parity signs
+    of negative scales are folded out front and (k, alpha) is swapped
+    with (l, beta) when k > l.  Equal scales then get the equal-argument
+    table (the H table when the orders meet too), equal orders the K
+    table, and the rest the general order-lowering table.  Assumes
+    0 < x < inf, nonzero finite scales and nonnegative orders.
     """
-    sign = 1.0
-    if alpha < 0:
-        alpha = -alpha
-        if k % 2:
-            sign = -sign
-    if beta < 0:
-        beta = -beta
-        if l % 2:
-            sign = -sign
+    sign_a, alpha = parity_fold(k, alpha)
+    sign_b, beta = parity_fold(l, beta)
+    sign = sign_a * sign_b
     if k > l:
         k, l = l, k
         alpha, beta = beta, alpha
+    if alpha == beta and k == l:
+        return HTable(x, k, closed_forms, constants, alpha, sign)
     if alpha == beta:
-        return _equal_table(x, k, l, closed_forms, constants, alpha, sign)
+        return LEqualTable(x, k, l, closed_forms, constants, alpha, sign)
     if k == l:
-        return _k_table(x, alpha, beta, k, closed_forms, constants, sign)
+        return KTable(x, alpha, beta, k, closed_forms, constants, sign)
     return LTable(x, k, l, alpha, beta, closed_forms, constants, sign)
 
 
@@ -467,19 +433,15 @@ def eval_L(
     Raises
     ------
     DomainError
-        x <= 0, a zero scale, or a negative order.
+        x outside (0, inf), a zero or non-finite scale, or a negative
+        order.
     NearDegenerateError
         |alpha - beta| under the degeneracy guard where the base terms
         admit no series route.
     """
-    if k < 0 or l < 0:
-        raise DomainError("orders must be nonnegative")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    if alpha == 0 or beta == 0:
-        raise DomainError("scale factors must be nonzero")
-    table = l_table(k, l, x, alpha, beta, closed_forms, constants)
-    return AntiderivativeValue(table.value(n), _L_PATHS[type(table)])
+    spec = IntegralSpec("L", n, l, alpha, k=k, beta=beta)
+    table = l_table(*spec.orders, check_point(x), alpha, beta, closed_forms, constants)
+    return AntiderivativeValue(table.value(spec.n), _L_PATHS[type(table)])
 
 
 def identity_residual(

@@ -25,9 +25,8 @@ import numpy as np
 from .errors import DomainError, NearDegenerateError, NotConvergedError, QuadratureRecommendedError
 from .mixed_order import l_table
 from .single_bessel import ITable
-from .sph_bessel import first_zero_estimate, j_many, small_x_leading
-from .squared_bessel import HTable
-from .types import DefiniteResult, IntegralSpec, QuadratureResult, Strategy
+from .sph_bessel import first_zero_estimate, j_many, parity_fold, small_x_leading
+from .types import DefiniteResult, IntegralSpec, QuadratureResult, Strategy, check_point
 
 #: default mixed absolute/relative tolerance
 DEFAULT_TOL = 1e-10
@@ -261,9 +260,9 @@ def recursion_amplification(spec: IntegralSpec) -> float:
     trigonometric bases and the result.  Single-scale families have no
     such channel.
     """
-    if spec.family not in ("K", "L") or spec.beta is None:
+    a, b = abs(spec.scales[0]), abs(spec.scales[-1])
+    if a == b:  # one scale, or two equal magnitudes
         return 1.0
-    a, b = abs(spec.alpha), abs(spec.beta)
     r = (a * a + b * b) / (2.0 * a * b)
     try:
         return r**spec.max_order
@@ -309,20 +308,10 @@ def _zero_limit(spec: IntegralSpec) -> float:
     """lim_{x->0} x^n * product of j's, finite when the family finiteness
     condition holds (integer exponents make the power n + sum(orders)
     either positive or zero)."""
-
-    if spec.family == "I":
-        factors = [(spec.l, spec.alpha)]
-    elif spec.family == "H":
-        factors = [(spec.l, spec.alpha)] * 2
-    elif spec.family == "K":
-        factors = [(spec.l, spec.alpha), (spec.l, spec.beta)]
-    else:
-        k = spec.k if spec.k is not None else spec.l
-        factors = [(k, spec.alpha), (spec.l, spec.beta)]
-    if spec.n + sum(order for order, _ in factors) > 0:
+    if spec.n + sum(spec.orders) > 0:
         return 0.0
     lead = 1.0
-    for order, scale in factors:
+    for order, scale in spec.factors:
         lead *= small_x_leading(order, 1.0) * scale**order
     return lead
 
@@ -331,37 +320,12 @@ def integrand(spec: IntegralSpec):
     """Vectorized integrand x^n * (product of spherical Bessels) for the
     quadrature routes.  At x = 0 the analytic limit is substituted; it is
     finite whenever the family finiteness condition holds."""
-    n = spec.n
-
-    if spec.family == "I":
-        l, al = spec.l, spec.alpha
-
-        def raw(xs):
-            return _pow(xs, n) * _j_signed(l, al, xs)
-
-    elif spec.family == "H":
-        l, al = spec.l, spec.alpha
-
-        def raw(xs):
-            return _pow(xs, n) * _j_signed(l, al, xs) ** 2
-
-    elif spec.family == "K":
-        l, al, be = spec.l, spec.alpha, spec.beta
-
-        def raw(xs):
-            return _pow(xs, n) * _j_signed(l, al, xs) * _j_signed(l, be, xs)
-
-    else:
-        k = spec.k if spec.k is not None else spec.l
-        l, al, be = spec.l, spec.alpha, spec.beta
-
-        def raw(xs):
-            return _pow(xs, n) * _j_signed(k, al, xs) * _j_signed(l, be, xs)
+    n, factors = spec.n, spec.factors
 
     def f(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         with np.errstate(invalid="ignore"):
-            out = raw(xs)
+            out = bessel_product(factors, xs, _pow(xs, n))
         zero = xs == 0.0
         if np.any(zero):
             out[zero] = _zero_limit(spec)
@@ -381,32 +345,53 @@ def _pow(xs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _j_signed(l: int, scale: float, xs: np.ndarray) -> np.ndarray:
-    v = j_many(l, abs(scale) * xs)
-    if scale < 0 and l % 2:
-        return -v
-    return v
+    """j_l(scale * xs) for an array xs >= 0 and a scale of either sign."""
+    sign, a = parity_fold(l, scale)
+    v = j_many(l, a * xs)
+    return -v if sign < 0 else v
+
+
+def bessel_product(factors: tuple, xs: np.ndarray, lead=None) -> np.ndarray:
+    """The product of j_order(scale * xs) over a spec's ``factors``,
+    times ``lead`` when given: lead * j1 * j2, left to right.
+
+    Two equal factors (the squared family) share one j_many call, and
+    lead multiplies their square.
+    """
+    (order, scale), *rest = factors
+    out = _j_signed(order, scale, xs)
+    if rest and rest[0] == factors[0]:
+        out = out**2
+        rest = ()
+    if lead is not None:
+        out = lead * out
+    for order, scale in rest:
+        out = out * _j_signed(order, scale, xs)
+    return out
 
 
 def point_table(
     spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True
 ):
-    """The per-point table of spec's family, orders and scales at x.
+    """The per-point table of spec's Bessel factors at x: the one
+    antiderivative dispatch.
 
     Its ``value(n)`` is the antiderivative of x^n times spec's Bessel
     product at x for any exponent n; the exponents asked of one table
     share its j tables, trig chains and recursion cells, and each value
-    is bitwise the one a fresh table returns.  Parity and scale folding
-    happen once, here: K with |alpha| = |beta| gets the squared family's
-    table with the parity sign.  spec.n is not read.
+    is bitwise the one a fresh table returns.  One factor gets the I
+    table; any two factors go to ``mixed_order.l_table``, which folds
+    their parity signs once and picks the table by which factors
+    coincide: equal scales the squared or equal-argument table (so K
+    with |alpha| = |beta| gets the H table with the parity sign), equal
+    orders the K table.  spec.n is not read.
     """
-    if not x > 0:
-        raise DomainError(f"antiderivative evaluation requires x > 0, got {x}")
-    if spec.family == "I":
-        return ITable(spec.l, x, spec.alpha, constants)
-    if spec.family == "H":
-        return HTable(x, spec.l, closed_forms, constants, spec.alpha)
-    k = spec.orders[0]
-    return l_table(k, spec.l, x, spec.alpha, spec.beta, closed_forms, constants)
+    x = check_point(x)
+    (k, alpha), *rest = spec.factors
+    if not rest:
+        return ITable(k, x, alpha, constants)
+    (l, beta), = rest
+    return l_table(k, l, x, alpha, beta, closed_forms, constants)
 
 
 def antiderivative(
@@ -443,9 +428,7 @@ def definite_integral(
     b: float,
     tol: float = DEFAULT_TOL,
     strategy: str = "auto",
-    closed_forms: bool = True,
     max_evals: int = MAX_EVALS,
-    c_switch: float = 1.0,
     raise_on_nonconverged: bool = False,
 ) -> DefiniteResult:
     """Definite integral of ``spec`` over [a, b] with strategy dispatch.
@@ -474,7 +457,7 @@ def definite_integral(
             f"integral from 0 diverges: family {spec.family} requires "
             f"{spec.finiteness_condition} (got n={spec.n}, orders={spec.orders})"
         )
-    chosen = choose_strategy(spec, a, b, c_switch)
+    chosen = choose_strategy(spec, a, b)
     segments = []
     if strategy == "quadrature":
         segments.append(("quadrature", a, b))
@@ -524,8 +507,8 @@ def definite_integral(
     for kind, lo, hi in segments:
         if kind == "recursion":
             try:
-                value += antiderivative(spec, hi, closed_forms, constants=False) - antiderivative(
-                    spec, lo, closed_forms, constants=False
+                value += antiderivative(spec, hi, constants=False) - antiderivative(
+                    spec, lo, constants=False
                 )
                 done.append(("recursion", lo, hi))
                 continue

@@ -27,29 +27,13 @@ NearDegenerateError so callers can fall back to quadrature.
 from __future__ import annotations
 
 from .errors import DomainError, NearDegenerateError
-from .sph_bessel import j_array, j_extended
+from .sph_bessel import j_array, j_extended, parity_fold
 from .squared_bessel import _path
 from .trig_primitives import TrigChain
-from .types import AntiderivativeValue
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
 
 #: relative |alpha - beta| guard below which the base case is hazardous
 DEGENERACY_GUARD = 1e-6
-
-
-def _canonical_scales(l: int, alpha: float, beta: float) -> tuple:
-    """Fold parity signs and order the scales; returns (sign, a, b), a >= b."""
-    sign = 1.0
-    if alpha < 0:
-        alpha = -alpha
-        if l % 2:
-            sign = -sign
-    if beta < 0:
-        beta = -beta
-        if l % 2:
-            sign = -sign
-    if alpha < beta:
-        alpha, beta = beta, alpha
-    return sign, alpha, beta
 
 
 def _check_degeneracy(n: int, l: int, a: float, b: float) -> None:
@@ -71,24 +55,26 @@ def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
     return x * x / (a * a - b * b) * (b * ja * jbm - a * jam * jb)
 
 
-class KTable:
+class KTable(PointTable):
     """The cells K^m_lam(x; a, b), lam <= lmax, of one evaluation point.
 
-    a > b > 0 canonical.  The table holds the j_0..j_lmax tables at a x
-    and b x, one TrigChain for (a - b) x and one for (a + b) x that every
-    l = 0 base cell reads, and the memo of the cells computed so far.  A
-    caller that needs K cells of several orders or exponents at one
-    point (the L recursion, its adjacent closure and its n = 1 ladder)
-    shares one table, so no cell, j table or trig chain is computed
-    twice.  ``value(n)`` is the order-lmax antiderivative times ``sign``,
-    the parity sign of the caller's unfolded scales.  The table lives
-    only as long as the evaluation that built it.
+    The scales are positive and distinct; the table orders them, a > b,
+    since K is symmetric in its scales.  The table holds the j_0..j_lmax
+    tables at a x and b x, one TrigChain for (a - b) x and one for
+    (a + b) x that every l = 0 base cell reads, and the memo of the cells
+    computed so far.  A caller that needs K cells of several orders or
+    exponents at one point (the L recursion, its adjacent closure and its
+    n = 1 ladder) shares one table, so no cell, j table or trig chain is
+    computed twice.  ``value(n)`` is the order-lmax antiderivative times
+    ``sign``, the parity sign of the caller's unfolded scales.  The table
+    lives only as long as the evaluation that built it.
     """
 
     __slots__ = (
-        "x", "a", "b", "lmax", "sign", "jta", "jtb", "near", "far", "closed_forms",
+        "x", "orders", "a", "b", "lmax", "sign", "jta", "jtb", "near", "far", "closed_forms",
         "used_closed", "_memo",
     )
+    family = "K"
 
     def __init__(
         self,
@@ -100,7 +86,10 @@ class KTable:
         constants: bool = True,
         sign: float = 1.0,
     ):
+        if a < b:
+            a, b = b, a
         self.x = x
+        self.orders = (lmax,)
         self.a = a
         self.b = b
         self.lmax = lmax
@@ -113,8 +102,7 @@ class KTable:
         self.used_closed = False
         self._memo: dict = {}
 
-    def value(self, n: int) -> float:
-        """int x^n j_lmax(alpha x) j_lmax(beta x) dx at the table's point."""
+    def _value(self, n: int) -> float:
         return self.sign * self.guarded(n, self.lmax)
 
     def guarded(self, m: int, lam: int) -> float:
@@ -146,6 +134,20 @@ class KTable:
         return v
 
 
+def _table(
+    l: int, x: float, alpha: float, beta: float, closed_forms: bool = True, constants: bool = True
+) -> KTable:
+    """The K table of eval_K and closed_K2, after their checks: equal
+    scale magnitudes belong to the squared family."""
+    x = check_point(x)
+    (sa, a), (sb, b) = parity_fold(l, alpha), parity_fold(l, beta)
+    if a == b:
+        raise DomainError(
+            "equal scale magnitudes reduce to the squared family; use eval_H_scaled"
+        )
+    return KTable(x, a, b, l, closed_forms, constants, sa * sb)
+
+
 def eval_K(
     n: int,
     l: int,
@@ -157,31 +159,20 @@ def eval_K(
 ) -> AntiderivativeValue:
     """K^n_l(x; alpha, beta) = int x^n j_l(alpha x) j_l(beta x) dx.
 
-    Symmetric in (alpha, beta); the implementation canonicalizes the
-    order so swapped calls return bit-identical values.  Equal scales
-    (after parity folding) belong to the squared family and are
-    rejected.
+    Symmetric in (alpha, beta); the table orders the scales, so swapped
+    calls return bit-identical values.  Equal scales (after parity
+    folding) belong to the squared family and are rejected.
 
     Raises
     ------
     DomainError
-        x <= 0, zero scale, or |alpha| = |beta|.
+        x outside (0, inf), a zero or non-finite scale, or |alpha| = |beta|.
     NearDegenerateError
         Scales under the degeneracy guard with no series route.
     """
-    if l < 0:
-        raise DomainError("order must be nonnegative")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    if alpha == 0 or beta == 0:
-        raise DomainError("scale factors must be nonzero")
-    sign, a, b = _canonical_scales(l, alpha, beta)
-    if a == b:
-        raise DomainError(
-            "equal scale magnitudes reduce to the squared family; use eval_H_scaled"
-        )
-    table = KTable(x, a, b, l, closed_forms, constants, sign)
-    return AntiderivativeValue(table.value(n), _path(table, l))
+    spec = IntegralSpec("K", n, l, alpha, beta=beta)
+    table = _table(spec.l, x, alpha, beta, closed_forms, constants)
+    return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))
 
 
 def closed_K2(l: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:
@@ -191,15 +182,8 @@ def closed_K2(l: int, x: float, alpha: float, beta: float) -> AntiderivativeValu
 
     valid for l >= 1 directly and for l = 0 with j_{-1}(x) = cos(x)/x.
     """
-    if l < 0:
-        raise DomainError("order must be nonnegative")
-    if x <= 0:
-        raise DomainError("closed forms require x > 0")
-    if alpha == 0 or beta == 0:
-        raise DomainError("scale factors must be nonzero")
-    sign, a, b = _canonical_scales(l, alpha, beta)
-    if a == b:
-        raise DomainError("closed_K2 requires distinct scale magnitudes")
-    jta = j_array(l, a * x)
-    jtb = j_array(l, b * x)
-    return AntiderivativeValue(sign * _closed_K2(l, x, a, b, jta, jtb), "closed:K2")
+    spec = IntegralSpec("K", 2, l, alpha, beta=beta)
+    t = _table(spec.l, x, alpha, beta)
+    return AntiderivativeValue(
+        t.sign * _closed_K2(spec.l, t.x, t.a, t.b, t.jta, t.jtb), "closed:K2"
+    )

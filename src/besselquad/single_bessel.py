@@ -17,56 +17,55 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .sph_bessel import j, j_array
+from .sph_bessel import j, j_array, parity_fold
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import AntiderivativeValue
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
 
 
-class ITable:
+class ITable(PointTable):
     """int x^n j_l(alpha x) dx at one evaluation point x, for any n.
 
     The table holds the j_0..j_{l-1} table at u = |alpha| x and the
     TrigChain of u that the l = 0 base reads, so exponents asked of one
-    table share both.  Negative alpha folds through parity,
-    j_l(-u) = (-1)^l j_l(u), once here.
+    table share both.  ``value(n)`` is alpha^(-n-1) I^n_l(alpha x), with
+    the parity sign of a negative alpha.  ``truncate`` is as in eval_I.
     """
 
-    __slots__ = ("l", "a", "sign", "u", "jt", "chain")
+    __slots__ = ("x", "orders", "l", "a", "sign", "u", "jt", "chain", "truncate")
+    family = "I"
 
-    def __init__(self, l: int, x: float, alpha: float = 1.0, constants: bool = True):
+    def __init__(
+        self, l: int, x: float, alpha: float = 1.0, constants: bool = True, truncate: bool = True
+    ):
+        self.x = x
+        self.orders = (l,)
         self.l = l
-        self.a = abs(alpha)
-        self.sign = 1.0 if alpha > 0 or l % 2 == 0 else -1.0
+        self.sign, self.a = parity_fold(l, alpha)
         self.u = u = self.a * x
         self.jt = j_array(l - 1, u) if l else None
         self.chain = TrigChain(1.0, u, constants)
+        self.truncate = truncate
 
     def _X(self, m: int) -> float:
         _refuse_small_arg(m, self.u)
         return self.chain.pair(m)[0]
 
-    def value(self, n: int, truncate: bool = True) -> float:
-        """alpha^(-n-1) I^n_l(alpha x), with the parity sign."""
-        return self.sign * self.a ** (-n - 1) * self._I(n, truncate)
+    def _value(self, n: int) -> float:
+        return self.sign * self.a ** (-n - 1) * self._I(n)
 
-    def _I(self, n: int, truncate: bool) -> float:
+    def _I(self, n: int) -> float:
         """I^n_l(u)."""
         l, u, jt = self.l, self.u, self.jt
         if l == 0:
             return self._X(n - 1)
         total = 0.0
         coef = 1  # exact integer product of recursion coefficients
-        try:
-            for i in range(l):
-                total -= coef * u ** (n - i) * jt[l - 1 - i]
-                coef *= l + n - 1 - 2 * i
-                if truncate and coef == 0:
-                    return total
-            return total + coef * self._X(n - l - 1)
-        except OverflowError:
-            raise DomainError(
-                f"I^{n}_{l} at x = {u:g}: the recursion's terms overflow a float"
-            ) from None
+        for i in range(l):
+            total -= coef * u ** (n - i) * jt[l - 1 - i]
+            coef *= l + n - 1 - 2 * i
+            if self.truncate and coef == 0:
+                return total
+        return total + coef * self._X(n - l - 1)
 
 
 def eval_I(
@@ -81,7 +80,7 @@ def eval_I(
     l : int
         Bessel order, l >= 0.
     x : float
-        Evaluation point, x > 0.
+        Evaluation point, 0 < x < inf.
     truncate : bool
         Stop the recursion once a vanishing coefficient kills every
         deeper term (the default).  With truncate=False the walk always
@@ -92,12 +91,9 @@ def eval_I(
         integration; differences over an interval are unchanged but
         better conditioned.
     """
-    if l < 0:
-        raise DomainError("order must be nonnegative")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    path = "recursion" if l else "base"
-    return AntiderivativeValue(ITable(l, x, 1.0, constants).value(n, truncate), path)
+    spec = IntegralSpec("I", n, l)
+    table = ITable(spec.l, check_point(x), 1.0, constants, truncate)
+    return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
 
 
 def eval_I_scaled(
@@ -107,13 +103,9 @@ def eval_I_scaled(
 
     Negative alpha folds through parity, j_l(-u) = (-1)^l j_l(u).
     """
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    if l < 0:
-        raise DomainError("order must be nonnegative")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    return AntiderivativeValue(ITable(l, x, alpha, constants).value(n), "recursion")
+    spec = IntegralSpec("I", n, l, alpha)
+    table = ITable(spec.l, check_point(x), alpha, constants)
+    return AntiderivativeValue(table.value(spec.n), "recursion")
 
 
 def truncates_early(n: int, l: int) -> bool:
@@ -132,10 +124,8 @@ def closed_I(kind: str, l: int, x: float) -> AntiderivativeValue:
     I3 at l = 0 reduces to I^1_0, which the recursion base already
     covers, so it is rejected here.
     """
-    if l < 0:
-        raise DomainError("order must be nonnegative")
-    if x <= 0:
-        raise DomainError("closed forms require x > 0")
+    l = IntegralSpec("I", 0, l).l
+    x = check_point(x)
     if kind == "I1":
         v = x ** (2 + l) * j(l + 1, x)
     elif kind == "I2":

@@ -122,12 +122,22 @@ def j(l: int, x: float) -> float:
     return float(j_array(l, x)[l])
 
 
+def parity_fold(order: int, scale: float) -> tuple:
+    """(sign, |scale|) with j_order(scale u) = sign * j_order(|scale| u).
+
+    The one home of the parity rule j_l(-u) = (-1)^l j_l(u): every
+    engine and integrand folds a negative scale through it.
+    """
+    if scale < 0:
+        return (-1.0 if order % 2 else 1.0), -scale
+    return 1.0, scale
+
+
 def j_parity_extend(l: int, x: float) -> float:
     """j_l extended to negative arguments via j_l(-x) = (-1)^l j_l(x)."""
-    if x < 0:
-        v = j(l, -x)
-        return -v if l % 2 else v
-    return j(l, x)
+    sign, u = parity_fold(l, x)
+    v = j(l, u)
+    return -v if sign < 0 else v
 
 
 def j_many(l: int, xs) -> np.ndarray:

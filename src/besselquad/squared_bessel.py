@@ -24,7 +24,7 @@ import math
 from .errors import DomainError
 from .sph_bessel import j_array, j_extended
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import AntiderivativeValue
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
 
 _CLOSED_KINDS = ("H1", "H2", "H3", "H4", "H5")
 
@@ -104,21 +104,18 @@ def closed_H(kind: str, l: int, x: float) -> AntiderivativeValue:
     """
     if kind not in _CLOSED_KINDS:
         raise DomainError(f"unknown closed form {kind!r}")
-    if l < 0:
-        raise DomainError("order must be nonnegative")
-    if x <= 0:
-        raise DomainError("closed forms require x > 0")
-    return AntiderivativeValue(_closed_H(kind, l, x), f"closed:{kind}")
+    l = IntegralSpec("H", 0, l).l
+    return AntiderivativeValue(_closed_H(kind, l, check_point(x)), f"closed:{kind}")
 
 
-class HTable:
+class HTable(PointTable):
     """The cells H^m_lam(u), lam <= lmax, of one evaluation point.
 
     The cells are taken at u = |alpha| x.  The table holds j_0..j_{lmax+1}
     at u, the TrigChain of 2u that every l = 0 base cell reads, and the
     memo of the cells computed so far.  ``value(n)`` is the antiderivative
     int x^n j_lmax(alpha x)^2 dx = |alpha|^(-n-1) H^n_lmax(u) (times
-    ``sign``, which the K and L engines set for parity-folded scales), so
+    ``sign``, the parity sign of a K or L product whose factors meet), so
     every exponent asked of one table shares its cells.  The
     equal-argument L engine shares one table across every H cell it
     reaches.  The table lives only as long as the evaluation that built
@@ -126,9 +123,10 @@ class HTable:
     """
 
     __slots__ = (
-        "u", "lmax", "a", "sign", "jt", "chain", "closed_forms", "constants", "used_closed",
-        "_memo",
+        "x", "orders", "u", "lmax", "a", "sign", "jt", "chain", "closed_forms", "constants",
+        "used_closed", "_memo",
     )
+    family = "H"
 
     def __init__(
         self,
@@ -139,6 +137,8 @@ class HTable:
         alpha: float = 1.0,
         sign: float = 1.0,
     ):
+        self.x = x
+        self.orders = (lmax,)
         self.a = abs(alpha)
         self.u = u = self.a * x
         self.lmax = lmax
@@ -150,8 +150,7 @@ class HTable:
         self.used_closed = False
         self._memo: dict = {}
 
-    def value(self, n: int) -> float:
-        """int x^n j_lmax(alpha x)^2 dx at the table's point."""
+    def _value(self, n: int) -> float:
         return self.sign * self.a ** (-n - 1) * self.cell(n, self.lmax)
 
     def cell(self, m: int, lam: int) -> float:
@@ -195,12 +194,7 @@ def eval_H(
     what the closed forms are validated against (on differences).
     constants=False drops x-independent constants of integration.
     """
-    if l < 0:
-        raise DomainError("order must be nonnegative")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    table = HTable(x, l, closed_forms, constants)
-    return AntiderivativeValue(table.value(n), _path(table, l))
+    return eval_H_scaled(n, l, x, 1.0, closed_forms, constants)
 
 
 def eval_H_scaled(
@@ -210,9 +204,6 @@ def eval_H_scaled(
 
     The integrand is even in alpha, so only |alpha| matters.
     """
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    if x <= 0:
-        raise DomainError("antiderivative evaluation requires x > 0")
-    table = HTable(x, l, closed_forms, constants, alpha)
-    return AntiderivativeValue(table.value(n), _path(table, l))
+    spec = IntegralSpec("H", n, l, alpha)
+    table = HTable(check_point(x), spec.l, closed_forms, constants, alpha)
+    return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))

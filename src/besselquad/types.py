@@ -6,6 +6,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,12 @@ class IntegralSpec:
     For families I and H only ``l`` and ``alpha`` are used.  K uses equal
     orders ``l`` with two scales.  L uses orders ``k`` and ``l`` with
     scales ``alpha`` and ``beta`` attached respectively.
+
+    The canonical form is ``factors``, one (order, scale) pair per Bessel
+    factor: I has one, H two equal ones, K and L two.  Orders, scales,
+    the oscillation threshold, the finiteness at 0, the quadrature
+    integrand and the antiderivative table all derive from it; only the
+    finiteness condition's wording is named per family.
     """
 
     family: str
@@ -121,6 +128,7 @@ class IntegralSpec:
     alpha: float = 1.0
     k: int | None = None
     beta: float | None = None
+    factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -133,48 +141,50 @@ class IntegralSpec:
                 object.__setattr__(self, name, operator.index(v))
             except TypeError:
                 raise DomainError(f"{name} must be an integer, got {v!r}") from None
-        if self.l < 0 or (self.k is not None and self.k < 0):
-            raise DomainError("Bessel orders must be nonnegative")
-        if self.alpha == 0 or (self.family in ("K", "L") and not self.beta):
-            raise DomainError("scale factors must be nonzero")
-        try:
-            finite = all(math.isfinite(s) for s in self.scales)
-        except TypeError:
-            finite = False
-        if not finite:
-            raise DomainError(f"scale factors must be finite real numbers, got {self.scales}")
+        first = (self.l, self.alpha)
+        if self.family == "I":
+            factors = (first,)
+        elif self.family == "H":
+            factors = (first, first)
+        else:
+            k = self.l if self.k is None or self.family == "K" else self.k
+            factors = ((k, self.alpha), (self.l, self.beta))
+        object.__setattr__(self, "factors", factors)
+        for order, _ in factors:
+            if order < 0:
+                raise DomainError("Bessel orders must be nonnegative")
+        for _, scale in factors:
+            if scale is None or scale == 0:
+                raise DomainError("scale factors must be nonzero")
+            try:
+                finite = math.isfinite(scale)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise DomainError(f"scale factors must be finite real numbers, got {self.scales}")
 
-    @property
+    # cached: the quadrature layer reads these on every call with a spec
+    @cached_property
     def orders(self) -> tuple:
-        if self.family == "L":
-            return (self.k if self.k is not None else self.l, self.l)
-        return (self.l,)
+        return tuple(order for order, _ in self.factors)
 
-    @property
+    @cached_property
     def scales(self) -> tuple:
-        if self.family in ("K", "L"):
-            return (self.alpha, self.beta)
-        return (self.alpha,)
+        return tuple(scale for _, scale in self.factors)
 
-    @property
+    @cached_property
     def max_order(self) -> int:
         return max(self.orders)
 
-    @property
+    @cached_property
     def min_scale(self) -> float:
         return min(abs(s) for s in self.scales)
 
     @property
     def finite_at_zero(self) -> bool:
-        """Whether the antiderivative stays finite as x -> 0."""
-        if self.family == "I":
-            return self.l + self.n > -1
-        if self.family == "H":
-            return 2 * self.l + self.n > -1
-        if self.family == "K":
-            return 2 * self.l + self.n > -1
-        k = self.k if self.k is not None else self.l
-        return k + self.l + self.n > -1
+        """Whether the antiderivative stays finite as x -> 0: the
+        integrand starts as x^(n + sum of orders)."""
+        return self.n + sum(self.orders) > -1
 
     @property
     def finiteness_condition(self) -> str:
@@ -185,6 +195,44 @@ class IntegralSpec:
             "K": "2l + n > -1",
             "L": "k + l + n > -1",
         }[self.family]
+
+
+def check_point(x: float) -> float:
+    """x, when it is a point an antiderivative can be evaluated at:
+    0 < x < inf.  Anything else, NaN included, is a DomainError."""
+    if not 0 < x < math.inf:
+        raise DomainError(f"antiderivative evaluation requires 0 < x < inf, got {x}")
+    return x
+
+
+class PointTable:
+    """Base of the per-point antiderivative tables of the engines.
+
+    A table holds the shared work of one evaluation point x (j tables,
+    trig chains, memoised recursion cells) and serves every exponent:
+    ``value(n)`` is the antiderivative of x^n times the table's Bessel
+    product at x.  Subclasses set ``family``, ``orders`` and ``x`` and
+    define ``_value(n)``.  Every table value passes through ``value``,
+    so a recursion whose terms overflow a float, or which runs deeper
+    than the interpreter's recursion limit, surfaces here as a
+    DomainError naming the family, n, orders and x.
+    """
+
+    __slots__ = ()
+    family = ""
+
+    def value(self, n: int) -> float:
+        """int x^n (the table's Bessel product) dx at the table's point."""
+        try:
+            return self._value(n)
+        except OverflowError:
+            reason = "the recursion's terms overflow a float"
+        except RecursionError:
+            reason = "the recursion runs deeper than the interpreter's recursion limit"
+        raise DomainError(
+            f"{self.family} antiderivative with n = {n}, orders {self.orders} "
+            f"at x = {self.x:g}: {reason}"
+        )
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,9 @@ import numpy as np
 from .errors import DomainError, NotConvergedError
 from .quadrature import (
     DEFAULT_TOL,
-    _j_signed,
     adaptive_quad,
     antiderivative,
+    bessel_product,
     choose_strategy,
 )
 from .types import DefiniteResult, IntegralSpec, PiecewisePolynomial
@@ -188,12 +188,10 @@ def _pieces(pp: PiecewisePolynomial, a: float, b: float):
 
 
 def _spec_for(kind: str, k, l, alpha, beta, n: int) -> IntegralSpec:
+    """The monomial x^n's spec: I, or L for any product (the tables
+    route squared and same-order products themselves)."""
     if kind == "single":
         return IntegralSpec("I", n, l, alpha)
-    if k == l and alpha == beta:
-        return IntegralSpec("H", n, l, alpha)
-    if k == l:
-        return IntegralSpec("K", n, l, alpha, beta=beta)
     return IntegralSpec("L", n, l, alpha, k=k, beta=beta)
 
 
@@ -201,6 +199,7 @@ def _below_integrand(pp: PiecewisePolynomial, below, kind, k, l, alpha, beta):
     """Vectorised integrand of the pieces ``below`` (index, lo, hi), which
     tile one interval in order: each node takes the polynomial of the
     piece it falls in, in that piece's local basis."""
+    factors = _spec_for(kind, k, l, alpha, beta, 0).factors
     lefts = np.array([lo for _, lo, _ in below])
     x_left = np.array([pp.breakpoints[i] for i, _, _ in below])
     width = max(len(pp.coefficients[i]) for i, _, _ in below)
@@ -215,15 +214,9 @@ def _below_integrand(pp: PiecewisePolynomial, below, kind, k, l, alpha, beta):
         env = np.zeros_like(xs)
         for c in coeffs[::-1]:
             env = env * t + c[p]
-        return env * _bessel_product(kind, k, l, alpha, beta, xs)
+        return env * bessel_product(factors, xs)
 
     return f
-
-
-def _bessel_product(kind, k, l, alpha, beta, xs):
-    if kind == "single":
-        return _j_signed(l, alpha, xs)
-    return _j_signed(k, alpha, xs) * _j_signed(l, beta, xs)
 
 
 def weighted_integral(

@@ -1,0 +1,247 @@
+"""One canonical spec and one table dispatch.
+
+``IntegralSpec.factors`` is the one (order, scale) list every derived
+property, integrand and table reads; the parity fold lives in
+``sph_bessel.parity_fold``; every table value passes one handler that
+turns overflow and recursion depth into DomainError; and every public
+evaluator shares one point check and the spec's scale validation.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from besselquad import (
+    DomainError,
+    IntegralSpec,
+    adjacent_by_recursion,
+    adjacent_closure,
+    antiderivative,
+    base_L01,
+    base_L01_equal,
+    build_interpolant,
+    closed_H,
+    closed_I,
+    closed_K2,
+    closed_L_equal,
+    definite_integral,
+    eval_H,
+    eval_H_scaled,
+    eval_I,
+    eval_I_scaled,
+    eval_K,
+    eval_L,
+    eval_L_equal_args,
+    integrand,
+    oscillation_threshold,
+    weighted_integral,
+)
+from besselquad import quadrature
+from besselquad.sph_bessel import parity_fold
+
+
+class TestFactors:
+    @pytest.mark.parametrize(
+        "spec, factors",
+        [
+            (IntegralSpec("I", 1, 3, -1.5), ((3, -1.5),)),
+            (IntegralSpec("H", 1, 3, -1.5), ((3, -1.5), (3, -1.5))),
+            (IntegralSpec("K", 1, 3, -1.5, beta=2.0), ((3, -1.5), (3, 2.0))),
+            (IntegralSpec("L", 1, 3, -1.5, k=2, beta=2.0), ((2, -1.5), (3, 2.0))),
+            (IntegralSpec("L", 1, 3, -1.5, beta=2.0), ((3, -1.5), (3, 2.0))),
+            # the second order and scale are not read by I and H
+            (IntegralSpec("I", 1, 3, 0.5, k=7, beta=9.0), ((3, 0.5),)),
+        ],
+    )
+    def test_one_pair_per_factor(self, spec, factors):
+        assert spec.factors == factors
+        assert spec.orders == tuple(o for o, _ in factors)
+        assert spec.scales == tuple(s for _, s in factors)
+        assert spec.max_order == max(spec.orders)
+        assert spec.min_scale == min(abs(s) for s in spec.scales)
+
+    @pytest.mark.parametrize(
+        "family, kw, edge",
+        [("I", {}, -4), ("H", {}, -7), ("K", {"beta": 2.0}, -7), ("L", {"k": 1, "beta": 2.0}, -5)],
+    )
+    def test_finite_at_zero_follows_the_stated_condition(self, family, kw, edge):
+        # l = 3: I needs l + n > -1, H and K 2l + n > -1, L (k = 1) k + l + n > -1
+        assert IntegralSpec(family, edge + 1, 3, **kw).finite_at_zero
+        assert not IntegralSpec(family, edge, 3, **kw).finite_at_zero
+
+    def test_factors_are_not_compared_or_printed(self):
+        spec = IntegralSpec("H", 0, 2)
+        assert "factors" not in repr(spec)
+        assert spec == IntegralSpec("H", 0, 2) and hash(spec) == hash(IntegralSpec("H", 0, 2))
+
+    @pytest.mark.parametrize("order, scale, want", [
+        (3, -2.0, (-1.0, 2.0)), (2, -2.0, (1.0, 2.0)), (3, 2.0, (1.0, 2.0)), (0, -0.5, (1.0, 0.5)),
+    ])
+    def test_parity_fold(self, order, scale, want):
+        assert parity_fold(order, scale) == want
+
+
+BAD_POINTS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+#: every public evaluator that takes a point, as a function of it
+AT_POINT = {
+    "eval_I": lambda x: eval_I(0, 2, x),
+    "eval_I_scaled": lambda x: eval_I_scaled(0, 2, x, 1.3),
+    "eval_H": lambda x: eval_H(0, 2, x),
+    "eval_H_scaled": lambda x: eval_H_scaled(0, 2, x, 1.3),
+    "eval_K": lambda x: eval_K(0, 1, x, 1.0, 2.0),
+    "eval_L": lambda x: eval_L(0, 1, 2, x, 1.0, 2.0),
+    "eval_L_equal_args": lambda x: eval_L_equal_args(0, 1, 2, x),
+    "closed_I": lambda x: closed_I("I1", 2, x),
+    "closed_H": lambda x: closed_H("H3", 1, x),
+    "closed_K2": lambda x: closed_K2(1, x, 1.0, 2.0),
+    "closed_L_equal": lambda x: closed_L_equal("L4", 1, 2, x),
+    "base_L01": lambda x: base_L01(0, x, 1.0, 2.0),
+    "base_L01_equal": lambda x: base_L01_equal(0, x),
+    "adjacent_closure": lambda x: adjacent_closure(0, 2, x, 1.0, 2.0),
+    "adjacent_by_recursion": lambda x: adjacent_by_recursion(0, 2, x, 1.0, 2.0),
+    **{
+        f"antiderivative {spec.family}": (lambda x, spec=spec: antiderivative(spec, x))
+        for spec in (
+            IntegralSpec("I", 0, 2),
+            IntegralSpec("H", 0, 2),
+            IntegralSpec("K", 0, 2, 1.0, beta=2.0),
+            IntegralSpec("L", 0, 2, 1.0, k=1, beta=2.0),
+        )
+    },
+}
+
+#: every public evaluator that takes a scale, as a function of one
+WITH_SCALE = {
+    "eval_I_scaled": lambda s: eval_I_scaled(0, 2, 3.0, s),
+    "eval_H_scaled": lambda s: eval_H_scaled(0, 2, 3.0, s),
+    "eval_K alpha": lambda s: eval_K(0, 1, 3.0, s, 2.0),
+    "eval_K beta": lambda s: eval_K(0, 1, 3.0, 1.0, s),
+    "eval_L alpha": lambda s: eval_L(0, 1, 2, 3.0, s, 2.0),
+    "eval_L beta": lambda s: eval_L(0, 1, 2, 3.0, 1.0, s),
+    "closed_K2": lambda s: closed_K2(1, 3.0, s, 2.0),
+    "base_L01": lambda s: base_L01(0, 3.0, 1.0, s),
+    "adjacent_closure": lambda s: adjacent_closure(0, 2, 3.0, s, 2.0),
+    "adjacent_by_recursion": lambda s: adjacent_by_recursion(0, 2, 3.0, 1.0, s),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("x", BAD_POINTS)
+    @pytest.mark.parametrize("name", sorted(AT_POINT))
+    def test_bad_point_is_a_domain_error(self, name, x):
+        with pytest.raises(DomainError):
+            AT_POINT[name](x)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(WITH_SCALE))
+    def test_nonfinite_scale_is_a_domain_error(self, name, scale):
+        with pytest.raises(DomainError):
+            WITH_SCALE[name](scale)
+
+    @pytest.mark.parametrize("name", sorted(AT_POINT))
+    def test_good_point_still_evaluates(self, name):
+        assert math.isfinite(float(AT_POINT[name](3.0)))
+
+
+def _above_threshold(spec, c=1.5, width=20.0):
+    t = oscillation_threshold(spec)
+    return c * t, c * t + width
+
+
+class TestDeepRecursions:
+    """Every table value passes one handler, so a recursion that leaves
+    the float range, or the interpreter's depth, is a DomainError naming
+    the family, n, orders and x."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [IntegralSpec("H", 150, 60, 1.3), IntegralSpec("K", 150, 60, 1.0, beta=1.3)],
+        ids=["H", "K"],
+    )
+    @pytest.mark.parametrize("strategy", ["auto", "recursion"])
+    def test_overflow(self, spec, strategy):
+        a, b = _above_threshold(spec)
+        with pytest.raises(DomainError, match=rf"{spec.family} .*n = 150, orders \(60,\) at x = .*overflow"):
+            definite_integral(spec, a, b, strategy=strategy)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            IntegralSpec("H", -3, 1000),
+            IntegralSpec("K", -3, 1000, 1.0, beta=1.3),
+            IntegralSpec("L", -3, 1000, 1.0, k=0, beta=1.3),
+        ],
+        ids=["H", "K", "L"],
+    )
+    def test_recursion_depth(self, spec):
+        a, b = _above_threshold(spec)
+        with pytest.raises(DomainError, match=r"n = -3, orders \(.*1000,?\) at x = .*recursion limit"):
+            definite_integral(spec, a, b, strategy="recursion")
+
+    def test_scale_power_overflow(self):
+        # alpha^(-n-1) alone passes the float range
+        with pytest.raises(DomainError, match=r"I .*n = 50, orders \(0,\)"):
+            eval_I_scaled(50, 0, 1.0, 1e-10)
+
+
+def _count_j_many(monkeypatch):
+    calls = Counter()
+    j_many = quadrature.j_many
+
+    def counted(l, xs):
+        calls[l] += 1
+        return j_many(l, xs)
+
+    monkeypatch.setattr(quadrature, "j_many", counted)
+    return calls
+
+
+class TestSharedProduct:
+    """One Bessel product over spec.factors: two equal factors share one
+    j_many call."""
+
+    @pytest.mark.parametrize(
+        "spec, per_call",
+        [
+            (IntegralSpec("I", 1, 2, -1.3), 1),
+            (IntegralSpec("H", 1, 2, -1.3), 1),
+            (IntegralSpec("L", 1, 2, -1.3, k=2, beta=-1.3), 1),
+            (IntegralSpec("K", 1, 2, 1.3, beta=-1.3), 2),
+            (IntegralSpec("L", 1, 2, 1.3, k=1, beta=0.7), 2),
+        ],
+    )
+    def test_integrand(self, spec, per_call, monkeypatch):
+        f = integrand(spec)
+        calls = _count_j_many(monkeypatch)
+        xs = np.linspace(0.5, 9.0, 7)
+        got = f(xs)
+        assert sum(calls.values()) == per_call
+        want = [
+            x**spec.n * math.prod(float(quadrature.j_many(o, abs(s) * np.array([x]))[0])
+                                  * (-1 if s < 0 and o % 2 else 1) for o, s in spec.factors)
+            for x in xs
+        ]
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_equal_factor_weighted_integral(self, monkeypatch):
+        xs = np.linspace(0.0, 8.0, 9)
+        pp = build_interpolant(np.column_stack([xs, 1.0 + 0.1 * xs]), degree=3)
+        calls = _count_j_many(monkeypatch)
+        evaluations = Counter()
+        adaptive_quad = quadrature.adaptive_quad
+
+        def counted_quad(f, *args, **kw):
+            def g(nodes):
+                evaluations["calls"] += 1
+                return f(nodes)
+
+            return adaptive_quad(g, *args, **kw)
+
+        monkeypatch.setattr("besselquad.weighted.adaptive_quad", counted_quad)
+        r = weighted_integral(pp, 3, 1.3, 0.0, 8.0, k=3, beta=1.3)
+        assert r.segments[0][0] == "quadrature" and r.evaluations > 0
+        assert evaluations["calls"] > 0
+        assert sum(calls.values()) == evaluations["calls"]

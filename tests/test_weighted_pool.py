@@ -1,9 +1,10 @@
-"""Every input of the benchmark's weighted_tabulated pool passes its check.
+"""Every input of the benchmark's four pools passes its check.
 
-The 448 pinned inputs (piecewise linear and cubic prefactors against
-all four families, with references from an independent quadrature) go
-through the benchmark's own call and check; the pool file is only read.
-Takes a few seconds.
+The 2 492 pinned inputs (definite integrals of all four families above
+the threshold, from zero and past the amplification guard, and
+piecewise linear and cubic prefactors against all four families, with
+references from an independent quadrature) go through the benchmark's
+own call and check; the pool files are only read.  Takes a few seconds.
 """
 
 import os
@@ -17,7 +18,13 @@ sys.path.insert(
 
 import harness  # noqa: E402
 
-POOL = harness.load_pool("weighted_tabulated")
+#: inputs pinned in each pool
+POOL_SIZES = {
+    "oscillatory_tail": 920,
+    "from_zero": 724,
+    "weighted_tabulated": 448,
+    "guarded_fallback": 400,
+}
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +32,14 @@ def bq():
     return harness.import_library()
 
 
-def test_every_input_passes(bq):
-    tol, c = POOL["check_tol"], POOL["check_c"]
+@pytest.mark.parametrize("workload", sorted(POOL_SIZES))
+def test_every_input_passes(bq, workload):
+    pool = harness.load_pool(workload)
+    tol, c = pool["check_tol"], pool["check_c"]
     failed = []
-    for item in POOL["items"]:
+    for item in pool["items"]:
         value, converged = harness.make_call(bq, item)()
         if not harness.check(item, value, converged, tol, c):
             failed.append((item["cell"], value, item["ref"]))
-    assert len(POOL["items"]) == 448
+    assert len(pool["items"]) == POOL_SIZES[workload]
     assert not failed
