@@ -86,9 +86,9 @@ def base_L01(n: int, x: float, alpha: float, beta: float) -> AntiderivativeValue
 
 
 def _check_adjacent(n: int, l: int, x: float, alpha: float, beta: float) -> None:
-    """The checks of the adjacent-order evaluators, which take positive
-    scales (eval_L folds parity before landing there)."""
-    IntegralSpec("L", n, l, alpha, k=l - 1, beta=beta)  # checks n and the scales
+    """The checks of the adjacent-order evaluators, which take l >= 1 and
+    positive scales (eval_L folds parity before landing there)."""
+    IntegralSpec("L", n, l, alpha, k=l - 1, beta=beta)  # checks n, the orders and scales
     check_point(x)
     if alpha < 0 or beta < 0:
         raise DomainError("the adjacent-order evaluators expect positive scales")
@@ -100,20 +100,13 @@ def adjacent_closure(
     """Closure for adjacent orders, L^n_{l-1,l}(x; alpha, beta), n != 1.
 
     Requires positive scales (eval_L folds parity before landing here)
-    and l >= 1.
+    and l >= 1.  closed_forms applies to the K cells the closure reads.
     """
     if n == 1:
         raise DomainError("adjacent closure divides by n - 1; use the n = 1 ladder")
-    if l < 1:
-        raise DomainError("adjacent closure requires l >= 1")
     _check_adjacent(n, l, x, alpha, beta)
-    jkm = j_array(l - 1, alpha * x)[l - 1]
-    jl = j_array(l, beta * x)[l]
-    kt = KTable(x, alpha, beta, l, closed_forms)
-    v = (
-        x ** (n + 1) * jkm * jl + alpha * kt.guarded(n + 1, l) - beta * kt.guarded(n + 1, l - 1)
-    ) / (n - 1)
-    return AntiderivativeValue(v, "closure")
+    table = _AdjacentTable(x, l, alpha, beta, True, closed_forms)
+    return AntiderivativeValue(table.value(n), "closure")
 
 
 def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -> float:
@@ -132,11 +125,37 @@ def adjacent_by_recursion(
 ) -> AntiderivativeValue:
     """Pure-recursion reference for the adjacent-order case (no closure,
     no closed forms inside K); used to validate adjacent_closure."""
-    if l < 1:
-        raise DomainError("adjacent orders require l >= 1")
     _check_adjacent(n, l, x, alpha, beta)
-    kt = KTable(x, alpha, beta, l - 1, False)
-    return AntiderivativeValue(_adjacent_ladder(n, l - 1, x, alpha, beta, kt), "ladder")
+    table = _AdjacentTable(x, l, alpha, beta, False, False)
+    return AntiderivativeValue(table.value(n), "ladder")
+
+
+def _closure(
+    m: int, k: int, x: float, a: float, b: float, jk: float, jl: float, kt: KTable
+) -> float:
+    """L^m_{k,k+1}(x; a, b) by the adjacent-order closure, m != 1, from
+    jk = j_k(a x), jl = j_{k+1}(b x) and the K cells of kt."""
+    return (x ** (m + 1) * jk * jl + a * kt.guarded(m + 1, k + 1) - b * kt.guarded(m + 1, k)) / (m - 1)
+
+
+class _AdjacentTable(PointTable):
+    """L^n_{l-1,l}(x; a, b) of the adjacent-order evaluators at one
+    point: by the closure, or with closure=False by the ladder over a K
+    table without closed forms.  Read through ``value``, so a walk that
+    overflows is a DomainError as in every other table."""
+
+    __slots__ = ("x", "orders", "a", "b", "closure", "kt")
+    family = "L"
+
+    def __init__(self, x: float, l: int, a: float, b: float, closure: bool, closed_forms: bool):
+        self.x, self.orders, self.a, self.b, self.closure = x, (l - 1, l), a, b, closure
+        self.kt = KTable(x, a, b, l if closure else l - 1, closed_forms)
+
+    def _value(self, n: int) -> float:
+        x, (k, l), a, b = self.x, self.orders, self.a, self.b
+        if not self.closure:
+            return _adjacent_ladder(n, k, x, a, b, self.kt)
+        return _closure(n, k, x, a, b, j_array(k, a * x)[k], j_array(l, b * x)[l], self.kt)
 
 
 class LTable(PointTable):
@@ -188,11 +207,7 @@ class LTable(PointTable):
             if k == 0:
                 v = _base_L01(m, x, a, b, kt.near, kt.far)
             elif m != 1 and self.closed_forms:
-                v = (
-                    x ** (m + 1) * self.jta[k] * self.jtb[lam]
-                    + a * kt.guarded(m + 1, lam)
-                    - b * kt.guarded(m + 1, k)
-                ) / (m - 1)
+                v = _closure(m, k, x, a, b, self.jta[k], self.jtb[lam], kt)
             else:
                 v = _adjacent_ladder(m, k, x, a, b, kt)
         else:

@@ -11,12 +11,12 @@ Strategy selection follows the first-zero heuristic: below roughly
 started oscillating, quadrature is cheap and the recursion values
 suffer cancellation; above it the recursion differences are exact and
 fast while quadrature cost grows with the number of oscillations.
-Intervals straddling the threshold are split there.
+Intervals straddling the threshold are split there.  ``_run_routes``,
+shared by definite_integral and the weighted integrator, owns the policy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 
@@ -270,38 +270,59 @@ def recursion_amplification(spec: IntegralSpec) -> float:
         return math.inf
 
 
-def choose_strategy(spec: IntegralSpec, a: float, b: float, c_switch: float = 1.0) -> Strategy:
-    """Pick the evaluation strategy for the definite integral of ``spec``
-    over [a, b].
+def _plan(spec: IntegralSpec, a: float, b: float, strategy: str) -> tuple:
+    """(threshold, planned segments, reason) for ``strategy`` on [a, b].
 
-    Quadrature below the oscillation threshold, recursion above it, and
-    a split at the threshold (recorded in split_at) when the interval
-    straddles it.  c_switch rescales the threshold.
+    auto: quadrature below the first-zero threshold and over the whole
+    interval past AMPLIFICATION_GUARD, recursion above the threshold,
+    and a split there when the interval straddles it.
     """
+    t = oscillation_threshold(spec)
+    if strategy == "quadrature":
+        return t, [("quadrature", a, b)], "quadrature strategy requested"
+    if strategy == "recursion":
+        if a == 0:
+            raise QuadratureRecommendedError(
+                "the antiderivative value at 0 is not evaluated directly; "
+                "use auto strategy, which covers [0, threshold] by quadrature"
+            )
+        return t, [("recursion", a, b)], "recursion strategy requested"
+    if strategy != "auto":
+        raise DomainError(f"unknown strategy {strategy!r}")
+    if b <= t:
+        return t, [("quadrature", a, b)], f"interval entirely below the first-zero threshold {t:.6g}"
+    amplification = recursion_amplification(spec)
+    if amplification > AMPLIFICATION_GUARD:
+        # widely separated scales: the recursion sheds too many digits
+        # between its trig bases and the result
+        reason = (
+            f"recursion amplification {amplification:.3g} exceeds "
+            f"AMPLIFICATION_GUARD {AMPLIFICATION_GUARD:g}; quadrature over the whole interval"
+        )
+        return t, [("quadrature", a, b)], reason
+    if a >= t:
+        return t, [("recursion", a, b)], f"interval entirely above the first-zero threshold {t:.6g}"
+    reason = (
+        f"interval straddles the first-zero threshold {t:.6g}; "
+        "quadrature below it, recursion above"
+    )
+    return t, [("quadrature", a, t), ("recursion", t, b)], reason
+
+
+def _strategy(t: float, segments: list, reason: str) -> Strategy:
+    """The Strategy of the routes ``segments`` took: Recursion when any
+    segment is analytic (a plan's analytic segment is its last), and
+    split_at set when the segments meet at t."""
+    kind = "Recursion" if segments[-1][0] == "recursion" else "Quadrature"
+    return Strategy(kind, reason, t, t if len(segments) > 1 else None)
+
+
+def choose_strategy(spec: IntegralSpec, a: float, b: float) -> Strategy:
+    """The auto plan for ``spec`` over [a, b], before any analytic route
+    runs (or refuses): see ``_plan``."""
     if not a < b:
         raise DomainError("need a < b")
-    t = oscillation_threshold(spec) * c_switch
-    if b <= t:
-        return Strategy(
-            kind="Quadrature",
-            reason=f"interval entirely below the first-zero threshold {t:.6g}",
-            threshold_x=t,
-        )
-    if a >= t:
-        return Strategy(
-            kind="Recursion",
-            reason=f"interval entirely above the first-zero threshold {t:.6g}",
-            threshold_x=t,
-        )
-    return Strategy(
-        kind="Recursion",
-        reason=(
-            f"interval straddles the first-zero threshold {t:.6g}; "
-            "quadrature below it, recursion above"
-        ),
-        threshold_x=t,
-        split_at=t,
-    )
+    return _strategy(*_plan(spec, a, b, "auto"))
 
 
 def _zero_limit(spec: IntegralSpec) -> float:
@@ -422,6 +443,89 @@ def antiderivative(
     return table.value(spec.n)
 
 
+def _run_routes(
+    spec: IntegralSpec,
+    a: float,
+    b: float,
+    tol: float,
+    strategy: str,
+    max_evals: int,
+    raise_on_nonconverged: bool,
+    quad_integrand,
+    analytic,
+    knots=(),
+) -> DefiniteResult:
+    """Run ``_plan``'s segments for definite_integral and the weighted
+    integrator.  A recursion segment is ``analytic(lo, hi)``; where that
+    refuses (NearDegenerateError, QuadratureRecommendedError) auto falls
+    back to quadrature.  A quadrature segment is one adaptive_quad run
+    of ``quad_integrand`` with the ``knots`` inside it as breakpoints, on
+    what is left of max_evals (none left: not evaluated, not converged).
+    The Strategy and the record come from the segments actually taken.
+    """
+    if max_evals < _PANEL_NODES:
+        raise DomainError(f"max_evals must be at least {_PANEL_NODES}, one panel (got {max_evals})")
+    if not tol > 0:
+        raise DomainError("tolerance must be positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"limits must be finite, got [{a}, {b}]")
+    if not 0 <= a < b:
+        raise DomainError("need 0 <= a < b")
+    if a == 0 and not spec.finite_at_zero:
+        raise DomainError(
+            f"integral from 0 diverges: family {spec.family} requires "
+            f"{spec.finiteness_condition} (got n={spec.n}, orders={spec.orders})"
+        )
+    t, plan, reason = _plan(spec, a, b, strategy)
+    value = 0.0
+    err = 0.0
+    evals = 0
+    converged = True
+    done = []
+    for route, lo, hi in plan:
+        if route == "recursion":
+            try:
+                value += analytic(lo, hi)
+                done.append(("recursion", lo, hi))
+                continue
+            except (NearDegenerateError, QuadratureRecommendedError) as exc:
+                if strategy == "recursion":
+                    raise
+                reason = (
+                    f"recursion refused ({type(exc).__name__}: {exc}); "
+                    "quadrature over the whole interval"
+                )
+        done.append(("quadrature", lo, hi))
+        inner = [p for p in knots if lo < p < hi]
+        if max_evals - evals < _PANEL_NODES * (len(inner) + 1):
+            # the budget is spent: the segment stays unevaluated
+            err = math.inf
+            converged = False
+            continue
+        q = adaptive_quad(
+            quad_integrand, lo, hi, tol=tol, max_evals=max_evals - evals, vectorized=True,
+            initial_max_width=math.pi / max(abs(s) for s in spec.scales), breakpoints=inner,
+        )
+        value += q.value
+        err += q.error_estimate
+        evals += q.evaluations
+        converged = converged and q.converged
+    result = DefiniteResult(
+        value=value,
+        error_estimate=err,
+        evaluations=evals,
+        converged=converged,
+        strategy=_strategy(t, done, reason),
+        segments=tuple(done),
+    )
+    if raise_on_nonconverged and not converged:
+        raise NotConvergedError(
+            f"quadrature error estimate {err:.3g} above tolerance {tol:.3g}",
+            result=result,
+        )
+    return result
+
+
 def definite_integral(
     spec: IntegralSpec,
     a: float,
@@ -444,114 +548,13 @@ def definite_integral(
     max_evals caps the quadrature nodes over all segments and must be at
     least 15, one GK15 panel.  A quadrature segment left with less than
     that is not evaluated: the result is then not converged and its
-    error estimate is infinite.
+    error estimate is infinite.  The route policy is ``_run_routes``,
+    which the weighted integrator shares.
     """
-    if max_evals < _PANEL_NODES:
-        raise DomainError(f"max_evals must be at least {_PANEL_NODES}, one panel (got {max_evals})")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"limits must be finite, got [{a}, {b}]")
-    if not 0 <= a < b:
-        raise DomainError("need 0 <= a < b")
-    if a == 0 and not spec.finite_at_zero:
-        raise DomainError(
-            f"integral from 0 diverges: family {spec.family} requires "
-            f"{spec.finiteness_condition} (got n={spec.n}, orders={spec.orders})"
-        )
-    chosen = choose_strategy(spec, a, b)
-    segments = []
-    if strategy == "quadrature":
-        segments.append(("quadrature", a, b))
-    elif strategy == "recursion":
-        if a == 0:
-            raise QuadratureRecommendedError(
-                "the antiderivative value at 0 is not evaluated directly; "
-                "use auto strategy, which covers [0, threshold] by quadrature"
-            )
-        segments.append(("recursion", a, b))
-    elif strategy == "auto":
-        t = chosen.split_at
-        analytic = "recursion"
-        amplification = recursion_amplification(spec)
-        if amplification > AMPLIFICATION_GUARD:
-            # widely separated scales: the recursion sheds too many
-            # digits between its trig bases and the result
-            analytic = "quadrature"
-            if chosen.kind == "Recursion":
-                chosen = dataclasses.replace(
-                    chosen,
-                    kind="Quadrature",
-                    reason=(
-                        f"recursion amplification {amplification:.3g} exceeds "
-                        f"AMPLIFICATION_GUARD {AMPLIFICATION_GUARD:g}; "
-                        "quadrature over the whole interval"
-                    ),
-                )
-        if chosen.kind == "Quadrature":
-            segments.append(("quadrature", a, b))
-        elif t is None:
-            segments.append((analytic, a, b))
-        else:
-            segments.append(("quadrature", a, t))
-            segments.append((analytic, t, b))
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}")
 
-    f = None
-    osc_width = math.pi / max(abs(s) for s in spec.scales)
-    value = 0.0
-    err = 0.0
-    evals = 0
-    converged = True
-    done = []
-    refused = None
-    for kind, lo, hi in segments:
-        if kind == "recursion":
-            try:
-                value += antiderivative(spec, hi, constants=False) - antiderivative(
-                    spec, lo, constants=False
-                )
-                done.append(("recursion", lo, hi))
-                continue
-            except (NearDegenerateError, QuadratureRecommendedError) as exc:
-                if strategy == "recursion":
-                    raise
-                refused = exc  # analytic route refused; fall back
-        done.append(("quadrature", lo, hi))
-        if max_evals - evals < _PANEL_NODES:
-            # the budget is spent: the segment stays unevaluated
-            err = math.inf
-            converged = False
-            continue
-        if f is None:
-            f = integrand(spec)
-        q = adaptive_quad(
-            f, lo, hi, tol=tol, max_evals=max_evals - evals, vectorized=True,
-            initial_max_width=osc_width,
-        )
-        value += q.value
-        err += q.error_estimate
-        evals += q.evaluations
-        converged = converged and q.converged
-    if chosen.kind != "Quadrature" and all(route == "quadrature" for route, _, _ in done):
-        if refused is None:
-            reason = "quadrature strategy requested"
-        else:
-            reason = (
-                f"recursion refused ({type(refused).__name__}: {refused}); "
-                "quadrature over the whole interval"
-            )
-        chosen = dataclasses.replace(chosen, kind="Quadrature", reason=reason)
-    result = DefiniteResult(
-        value=value,
-        error_estimate=err,
-        evaluations=evals,
-        converged=converged,
-        strategy=chosen,
-        segments=tuple(done),
+    def difference(lo: float, hi: float) -> float:
+        return antiderivative(spec, hi, constants=False) - antiderivative(spec, lo, constants=False)
+
+    return _run_routes(
+        spec, a, b, tol, strategy, max_evals, raise_on_nonconverged, integrand(spec), difference
     )
-    if raise_on_nonconverged and not converged:
-        raise NotConvergedError(
-            f"quadrature error estimate {err:.3g} above tolerance {tol:.3g}",
-            result=result,
-        )
-    return result

@@ -63,11 +63,11 @@ def small_x_leading(l: int, x: float) -> float:
 
 
 def j_array(lmax: int, x: float) -> np.ndarray:
-    """Table of j_0(x) .. j_lmax(x) at a scalar argument x >= 0."""
+    """Table of j_0(x) .. j_lmax(x) at a finite scalar argument x >= 0."""
     if lmax < 0:
         raise DomainError("order must be nonnegative")
-    if x < 0:
-        raise DomainError("j_array requires x >= 0; use j_parity_extend")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"j_array requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
     out = np.empty(lmax + 1)
     if x < SMALL_X_SERIES:
         for l in range(lmax + 1):
@@ -113,8 +113,8 @@ def j(l: int, x: float) -> float:
     """j_l(x) for integer l >= 0 and x >= 0."""
     if l < 0:
         raise DomainError("order must be nonnegative")
-    if x < 0:
-        raise DomainError("j requires x >= 0; use j_parity_extend")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"j requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
     if l == 0:
         if x < SMALL_X_SERIES:
             return _series_value(0, x)

@@ -210,6 +210,8 @@ class TrigChain:
         self.c = c
         self.x = x
         self.u = abs(c) * x
+        if not self.u < math.inf:
+            raise DomainError(f"trig primitives require a finite argument, got |c| x = {self.u}")
         self.constants = constants
         self._cos = math.cos(self.u)
         self._sin = math.sin(self.u)
@@ -286,9 +288,7 @@ class TrigChain:
         return abs(self.c) ** (-m - 1) * self.pair(m)[1]
 
 
-def eval_pair(
-    n: int, x: float, small_arg_check: bool = True, constants: bool = True
-) -> TrigPrimitive:
+def eval_pair(n: int, x: float, constants: bool = True) -> TrigPrimitive:
     """Evaluate (X_n(x), Y_n(x)) jointly.
 
     The two sequences are coupled by the recursions, so computing them
@@ -302,14 +302,6 @@ def eval_pair(
         Monomial exponent.
     x : float
         Argument; x > 0, or x = 0 when n >= 0.
-    small_arg_check : bool
-        With the default True, n < -1 at x < SMALL_ARG_HAZARD raises
-        instead of returning a value the caller probably should not
-        difference.  The scaled helpers below disable the check: their
-        hazard policy lives with the degeneracy guards of the product
-        families, and the upward recursion itself stays relatively
-        accurate at small arguments (the divergent leading terms are
-        real, not canceling).
     constants : bool
         With constants=False the x-independent parts of the frozen
         convention are dropped: the downward chain is anchored at
@@ -324,14 +316,14 @@ def eval_pair(
     DomainError
         For x < 0, or x = 0 with n < 0.
     QuadratureRecommendedError
-        For n < -1 with 0 < x < SMALL_ARG_HAZARD (see above).
+        For n < -1 with 0 < x < SMALL_ARG_HAZARD, where the value is one
+        a caller should not difference.
     """
     if x < 0:
         raise DomainError("trig primitives require x >= 0")
     if x == 0 and n < 0:
         raise DomainError("Y_n(0) diverges for n < 0 (and X_n(0) for n < -1)")
-    if small_arg_check:
-        _refuse_small_arg(n, x)
+    _refuse_small_arg(n, x)
     X, Y = TrigChain(1.0, x, constants).pair(n)
     return TrigPrimitive(n=n, x=x, X=X, Y=Y)
 

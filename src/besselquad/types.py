@@ -56,13 +56,13 @@ class AntiderivativeValue:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Evaluation strategy chosen for a definite integral.
+    """How a definite integral was evaluated.
 
-    kind is one of "ClosedForm", "Recursion", "Quadrature", "Series".
-    threshold_x is the argument below which the integrand has not yet
-    started oscillating (first-zero heuristic divided by the slowest
-    scale).  When the requested interval straddles threshold_x the
-    evaluation splits there; split_at records the split point.
+    kind is "Recursion" when an antiderivative difference covered a
+    segment, "Quadrature" when quadrature covered them all; reason says
+    why.  threshold_x is the argument below which the integrand has not
+    yet started oscillating (first-zero heuristic divided by the slowest
+    scale); split_at is threshold_x when the evaluation split there.
     """
 
     kind: str
@@ -250,6 +250,15 @@ class PiecewisePolynomial:
     @property
     def span(self) -> tuple:
         return (self.breakpoints[0], self.breakpoints[-1])
+
+    @cached_property
+    def piece_arrays(self) -> tuple:
+        """(lefts, coeffs): the left breakpoints, and coeffs[d, i] the
+        coefficient of (x - lefts[i])**d, zero-padded; cached, as the
+        weighted integrand reads them on every call."""
+        width = max(len(c) for c in self.coefficients)
+        coeffs = np.array([tuple(c) + (0.0,) * (width - len(c)) for c in self.coefficients])
+        return np.array(self.breakpoints[:-1]), coeffs.T
 
     def interval_index(self, x: float) -> int:
         lo, hi = self.span

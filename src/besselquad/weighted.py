@@ -6,21 +6,29 @@ piecewise polynomial (linear or cubic spline) and
     int f(x) j_l(a x) dx        int f(x) j_k(a x) j_l(b x) dx
 
 reduce, piece by piece, to sums of monomial antiderivative differences
-from the I/H/K/L engines.  A piece straddling the first-zero threshold
-is split there.
+from the I/H/K/L engines.
 
-Above the threshold each piece is a sum of c_m (F_m(hi) - F_m(lo)) over
-the monomials x^m with nonzero coefficient.  Each breakpoint builds one
-per-point table (quadrature.point_table) that serves every monomial:
-its j tables, trig chains and recursion cells are computed once, and
-adjacent pieces share the breakpoint between them, so each
-(monomial, breakpoint) value is computed once for the whole sum.
+The route policy is definite_integral's, from the one runner
+quadrature._run_routes, applied to the n = 0 spec of the Bessel factors:
+quadrature below the first-zero threshold, the analytic sum above it,
+quadrature over the whole interval when the scales pass
+AMPLIFICATION_GUARD, and quadrature where the analytic route refuses
+(near-degenerate scales).  NotConvergedError, carrying the result
+record, reports a quadrature run that misses the tolerance.  This module
+supplies only what the routes integrate: the quadrature integrand and
+the analytic difference over a segment.
 
-Below the threshold the pieces form a prefix of [a, b], and one
-adaptive quadrature run covers all of them, with their knots as
-breakpoints: no panel straddles a knot, and each node takes the
-polynomial of its own piece.  The tolerance applies to the sum of these
-pieces, not to each one.
+The analytic route over [lo, hi] is a sum of c_m (F_m(hi) - F_m(lo))
+over the pieces and the monomials x^m with nonzero coefficient.  Each
+breakpoint builds one per-point table (quadrature.point_table) that
+serves every monomial: its j tables, trig chains and recursion cells are
+computed once, and adjacent pieces share the breakpoint between them, so
+each (monomial, breakpoint) value is computed once for the whole sum.
+
+A quadrature segment is one adaptive run with the interpolant's knots
+inside it as breakpoints: no panel straddles a knot, and each node takes
+the polynomial of its own piece.  The tolerance applies to the segment,
+not to each piece.
 
 Local bases: each interval stores coefficients of (x - x_left)^d, which
 keeps interpolation well conditioned; the expansion to global monomials
@@ -37,14 +45,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NotConvergedError
-from .quadrature import (
-    DEFAULT_TOL,
-    adaptive_quad,
-    antiderivative,
-    bessel_product,
-    choose_strategy,
-)
+from .errors import DomainError
+from .quadrature import DEFAULT_TOL, MAX_EVALS, _run_routes, antiderivative, bessel_product
 from .types import DefiniteResult, IntegralSpec, PiecewisePolynomial
 
 
@@ -195,22 +197,17 @@ def _spec_for(kind: str, k, l, alpha, beta, n: int) -> IntegralSpec:
     return IntegralSpec("L", n, l, alpha, k=k, beta=beta)
 
 
-def _below_integrand(pp: PiecewisePolynomial, below, kind, k, l, alpha, beta):
-    """Vectorised integrand of the pieces ``below`` (index, lo, hi), which
-    tile one interval in order: each node takes the polynomial of the
-    piece it falls in, in that piece's local basis."""
-    factors = _spec_for(kind, k, l, alpha, beta, 0).factors
-    lefts = np.array([lo for _, lo, _ in below])
-    x_left = np.array([pp.breakpoints[i] for i, _, _ in below])
-    width = max(len(pp.coefficients[i]) for i, _, _ in below)
-    coeffs = np.zeros((width, len(below)))
-    for j, (i, _, _) in enumerate(below):
-        coeffs[: len(pp.coefficients[i]), j] = pp.coefficients[i]
+def _integrand(pp: PiecewisePolynomial, factors: tuple):
+    """Vectorised integrand pp(x) times the Bessel product of ``factors``:
+    each node takes the polynomial of the interpolant piece it falls in,
+    in that piece's local basis."""
+    lefts, coeffs = pp.piece_arrays
+    last = len(lefts) - 1
 
     def f(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        p = np.clip(np.searchsorted(lefts, xs, side="right") - 1, 0, len(below) - 1)
-        t = xs - x_left[p]
+        p = np.clip(np.searchsorted(lefts, xs, side="right") - 1, 0, last)
+        t = xs - lefts[p]
         env = np.zeros_like(xs)
         for c in coeffs[::-1]:
             env = env * t + c[p]
@@ -232,50 +229,22 @@ def weighted_integral(
     """int_a^b f(x) j_l(alpha x) dx, or with k and beta given
     int_a^b f(x) j_k(alpha x) j_l(beta x) dx, as a result record.
 
-    The record carries the quadrature run's error estimate and node
-    count (the recursion pieces add neither, as in definite_integral),
-    the threshold strategy and the segments each route covered.  Raises
-    NotConvergedError when the quadrature run misses ``tol``.
+    The route policy is definite_integral's (auto) for the n = 0 spec:
+    the first-zero split, quadrature over the whole interval past
+    AMPLIFICATION_GUARD, and quadrature where the analytic route refuses
+    (near-degenerate scales), named in the strategy's reason.  The
+    record carries the quadrature run's error estimate and node count
+    (the recursion pieces add neither), the strategy and the segments
+    each route covered.  Raises NotConvergedError, carrying the record,
+    when the quadrature misses ``tol``.
     """
     if (k is None) != (beta is None):
         raise DomainError("the product form needs both k and beta")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
-    if not a < b:
-        raise DomainError("need a < b")
     kind = "single" if k is None else "product"
     width = max(len(c) for c in f.coefficients)
     # the specs check the orders and scales
     specs = [_spec_for(kind, k, l, alpha, beta, m) for m in range(width)]
-    strategy = choose_strategy(specs[0], a, b)
-    threshold = strategy.threshold_x
     pieces = _pieces(f, a, b)
-    # the pieces, clipped at the threshold, that quadrature covers (a
-    # prefix) and that the recursion covers (the rest)
-    below = [(i, lo, min(hi, threshold)) for i, lo, hi in pieces if lo < threshold]
-    above = [(i, max(lo, threshold), hi) for i, lo, hi in pieces if hi > threshold]
-    value = 0.0
-    err = 0.0
-    evals = 0
-    segments = []
-    if below:
-        lo, hi = below[0][1], below[-1][2]
-        q = adaptive_quad(
-            _below_integrand(f, below, kind, k, l, alpha, beta),
-            lo,
-            hi,
-            tol=tol,
-            vectorized=True,
-            initial_max_width=math.pi / max(abs(s) for s in specs[0].scales),
-            breakpoints=[knot for _, _, knot in below[:-1]],
-        )
-        if not q.converged:
-            raise NotConvergedError(
-                f"quadrature on [{lo:.6g}, {hi:.6g}]: error estimate "
-                f"{q.error_estimate:.3g} above tolerance {tol:.3g}"
-            )
-        value, err, evals = q.value, q.error_estimate, q.evaluations
-        segments.append(("quadrature", lo, hi))
     # antiderivative of monomial m at x; adjacent pieces share their
     # breakpoint, so each (m, x) is evaluated once for the whole sum, and
     # each x builds one table for all its monomials
@@ -288,20 +257,21 @@ def weighted_integral(
             v = values[(m, x)] = antiderivative(specs[m], x, constants=False, tables=tables)
         return v
 
-    for i, lo, hi in above:
-        for m, cm in enumerate(_global_coeffs(f.coefficients[i], f.breakpoints[i])):
-            if cm == 0.0:
+    def difference(lo: float, hi: float) -> float:
+        total = 0.0
+        for i, p_lo, p_hi in pieces:
+            if p_hi <= lo or p_lo >= hi:
                 continue
-            value += cm * (F(m, hi) - F(m, lo))
-    if above:
-        segments.append(("recursion", above[0][1], above[-1][2]))
-    return DefiniteResult(
-        value=value,
-        error_estimate=err,
-        evaluations=evals,
-        converged=True,
-        strategy=strategy,
-        segments=tuple(segments),
+            p_lo, p_hi = max(p_lo, lo), min(p_hi, hi)
+            for m, cm in enumerate(_global_coeffs(f.coefficients[i], f.breakpoints[i])):
+                if cm == 0.0:
+                    continue
+                total += cm * (F(m, p_hi) - F(m, p_lo))
+        return total
+
+    return _run_routes(
+        specs[0], a, b, tol, "auto", MAX_EVALS, True,
+        _integrand(f, specs[0].factors), difference, f.breakpoints,
     )
 
 
@@ -310,8 +280,11 @@ def integrate_single(
 ) -> float:
     """int_a^b f(x) j_l(alpha x) dx for an interpolated prefactor f.
 
-    Raises NotConvergedError when the quadrature below the threshold
-    misses ``tol``; weighted_integral returns the full record.
+    The routes are weighted_integral's: quadrature below the first-zero
+    threshold, and over the whole interval past AMPLIFICATION_GUARD or
+    where the analytic route refuses.  Raises NotConvergedError, which
+    carries the result record, when a quadrature run misses ``tol``;
+    weighted_integral returns the record.
     """
     return weighted_integral(f, l, alpha, a, b, tol).value
 
@@ -329,8 +302,11 @@ def integrate_product(
     """int_a^b f(x) j_k(alpha x) j_l(beta x) dx for an interpolated f.
 
     Dispatches into the squared (k = l, alpha = beta), same order
-    (k = l) or mixed family.  Raises NotConvergedError when the
-    quadrature below the threshold misses ``tol``; weighted_integral
-    returns the full record.
+    (k = l) or mixed family.  The routes are weighted_integral's:
+    quadrature below the first-zero threshold, and over the whole
+    interval past AMPLIFICATION_GUARD or where the analytic route refuses
+    (near-degenerate scales).  Raises NotConvergedError, which carries
+    the result record, when a quadrature run misses ``tol``;
+    weighted_integral returns the record.
     """
     return weighted_integral(f, l, alpha, a, b, tol, k=k, beta=beta).value

@@ -39,7 +39,8 @@ from besselquad import (
     weighted_integral,
 )
 from besselquad import quadrature
-from besselquad.sph_bessel import parity_fold
+from besselquad.sph_bessel import j, j_array, parity_fold
+from besselquad.trig_primitives import TrigChain
 
 
 class TestFactors:
@@ -146,6 +147,35 @@ class TestNonFiniteInput:
         assert math.isfinite(float(AT_POINT[name](3.0)))
 
 
+class TestNonFiniteArgument:
+    """A finite point times a finite scale, or the trig chain's argument
+    built from it ((a + b) x, 2u), can still overflow; j_array and
+    TrigChain refuse it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: eval_I_scaled(0, 2, 1e300, 1e10),
+            lambda: eval_K(0, 1, 1e300, 1e10, 2.0),
+            lambda: eval_H_scaled(0, 1, 1e308, 1.0),
+            lambda: eval_K(0, 1, 1e308, 1.0, 1.5),
+        ],
+        ids=["I u", "K alpha x", "H 2u", "K (a+b) x"],
+    )
+    def test_overflowing_argument_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="inf"):
+            call()
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_primitives_refuse(self, x):
+        with pytest.raises(DomainError):
+            j_array(3, x)
+        with pytest.raises(DomainError):
+            j(0, x)
+        with pytest.raises(DomainError):
+            TrigChain(1.0, x)
+
+
 def _above_threshold(spec, c=1.5, width=20.0):
     t = oscillation_threshold(spec)
     return c * t, c * t + width
@@ -180,6 +210,12 @@ class TestDeepRecursions:
         a, b = _above_threshold(spec)
         with pytest.raises(DomainError, match=r"n = -3, orders \(.*1000,?\) at x = .*recursion limit"):
             definite_integral(spec, a, b, strategy="recursion")
+
+    @pytest.mark.parametrize("evaluator", [adjacent_closure, adjacent_by_recursion])
+    def test_adjacent_evaluators_overflow(self, evaluator):
+        # x^(n+1) = 50^401 alone passes the float range
+        with pytest.raises(DomainError, match=r"L .*n = 400, orders \(1, 2\) at x = 50: .*overflow"):
+            evaluator(400, 2, 50.0, 1.0, 2.0)
 
     def test_scale_power_overflow(self):
         # alpha^(-n-1) alone passes the float range
@@ -240,7 +276,7 @@ class TestSharedProduct:
 
             return adaptive_quad(g, *args, **kw)
 
-        monkeypatch.setattr("besselquad.weighted.adaptive_quad", counted_quad)
+        monkeypatch.setattr(quadrature, "adaptive_quad", counted_quad)
         r = weighted_integral(pp, 3, 1.3, 0.0, 8.0, k=3, beta=1.3)
         assert r.segments[0][0] == "quadrature" and r.evaluations > 0
         assert evaluations["calls"] > 0

@@ -209,9 +209,10 @@ class TestChooseStrategy:
         s = choose_strategy(IntegralSpec("K", 0, 4, 2.0, beta=0.5), 1.0, 100.0)
         assert s.threshold_x == pytest.approx((4.75 + 1.05 * 4) / 0.5)
 
-    def test_c_switch_rescales(self):
-        s = choose_strategy(IntegralSpec("I", 0, 5), 1.0, 100.0, c_switch=0.5)
-        assert s.threshold_x == pytest.approx(0.5 * (4.75 + 1.05 * 5))
+    def test_guard_plans_quadrature(self):
+        s = choose_strategy(IntegralSpec("K", 0, 10, 1.0, beta=20.0), 5.0, 260.0)
+        assert (s.kind, s.split_at) == ("Quadrature", None)
+        assert "AMPLIFICATION_GUARD" in s.reason
 
 
 class TestDefiniteIntegral:
@@ -305,6 +306,37 @@ class TestDefiniteIntegral:
         assert r.segments == (("quadrature", 200.0, 260.0),)
         assert r.strategy.kind == "Quadrature"
         assert "AMPLIFICATION_GUARD" in r.strategy.reason
+
+    @pytest.mark.parametrize("a, b", [(1.0, 5.0), (1.0, 50.0), (20.0, 50.0)])
+    def test_strategy_names_the_route_that_ran(self, a, b):
+        # I, n = 2, l = 5: threshold 10
+        spec = IntegralSpec("I", 2, 5)
+        r = definite_integral(spec, a, b, strategy="recursion")
+        assert r.segments == (("recursion", a, b),)
+        assert (r.strategy.kind, r.strategy.split_at) == ("Recursion", None)
+        assert r.strategy.reason == "recursion strategy requested"
+        assert r.strategy.threshold_x == pytest.approx(10.0)
+        r = definite_integral(spec, a, b, strategy="quadrature")
+        assert r.segments == (("quadrature", a, b),)
+        assert (r.strategy.kind, r.strategy.split_at) == ("Quadrature", None)
+        assert r.strategy.reason == "quadrature strategy requested"
+
+    def test_split_at_only_where_the_evaluation_split(self):
+        # past the guard a straddling interval runs as one quadrature segment
+        r = definite_integral(IntegralSpec("K", 0, 10, 1.0, beta=20.0), 5.0, 30.0)
+        assert r.segments == (("quadrature", 5.0, 30.0),)
+        assert r.strategy.split_at is None
+        # a refused recursion above the split keeps the split
+        r = definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8), 1.0, 20.0)
+        t = r.strategy.threshold_x
+        assert r.segments == (("quadrature", 1.0, t), ("quadrature", t, 20.0))
+        assert (r.strategy.kind, r.strategy.split_at) == ("Quadrature", t)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_nonpositive_tolerance_is_a_domain_error(self, tol):
+        # above the threshold no quadrature runs to check it
+        with pytest.raises(DomainError, match="tolerance"):
+            definite_integral(IntegralSpec("I", 0, 2), 20.0, 30.0, tol=tol)
 
     @pytest.mark.parametrize("a, b", [(1.0, math.inf), (0.0, math.nan)])
     def test_nonfinite_limits_are_domain_errors(self, a, b):

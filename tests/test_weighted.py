@@ -1,4 +1,3 @@
-import functools
 import math
 from collections import Counter
 
@@ -7,9 +6,11 @@ import pytest
 
 from besselquad import (
     DomainError,
+    IntegralSpec,
     NotConvergedError,
     adaptive_quad,
     build_interpolant,
+    definite_integral,
     integrate_product,
     integrate_single,
     j_many,
@@ -244,20 +245,27 @@ class TestSharedBreakpoints:
 class TestNonConvergence:
     @pytest.mark.parametrize("k", [None, 1])
     def test_missed_tolerance_raises(self, k, monkeypatch):
-        # a small evaluation cap keeps the unreachable tolerance cheap
-        monkeypatch.setattr(
-            weighted, "adaptive_quad", functools.partial(quadrature.adaptive_quad, max_evals=600)
-        )
+        # a small evaluation cap on the route runner's quadrature call
+        # keeps the unreachable tolerance cheap
+        adaptive_quad = quadrature.adaptive_quad
+
+        def capped(f, lo, hi, **kw):
+            return adaptive_quad(f, lo, hi, **{**kw, "max_evals": 600})
+
+        monkeypatch.setattr(quadrature, "adaptive_quad", capped)
         pp = build_interpolant([(0.0, 1.0), (2.0, 0.9), (4.0, 0.7), (6.0, 0.2)], degree=3)
-        with pytest.raises(NotConvergedError):
+        with pytest.raises(NotConvergedError) as err:
             if k is None:
                 integrate_single(pp, 2, 1.3, 0.0, 6.0, tol=1e-300)
             else:
                 integrate_product(pp, k, 2, 1.3, 0.7, 0.0, 6.0, tol=1e-300)
+        assert err.value.result.evaluations <= 600
+        assert not err.value.result.converged
 
 
 class TestOneQuadratureRun:
-    """The pieces below the threshold share one adaptive_quad call."""
+    """The pieces below the threshold share one adaptive_quad call, the
+    route runner's in quadrature."""
 
     @pytest.mark.parametrize("k", [None, 1])
     @pytest.mark.parametrize("a", [0.0, 1.3])
@@ -268,9 +276,9 @@ class TestOneQuadratureRun:
 
         def counted(f, lo, hi, **kw):
             seen.append((lo, hi, list(kw["breakpoints"])))
-            return quadrature.adaptive_quad(f, lo, hi, **kw)
+            return adaptive_quad(f, lo, hi, **kw)
 
-        monkeypatch.setattr(weighted, "adaptive_quad", counted)
+        monkeypatch.setattr(quadrature, "adaptive_quad", counted)
         r = weighted.weighted_integral(pp, 2, 1.3, a, 30.0, k=k, beta=None if k is None else 0.7)
         (lo, hi, bps), = seen
         t = r.strategy.threshold_x
@@ -284,7 +292,7 @@ class TestOneQuadratureRun:
         assert r.value == pytest.approx(want, abs=1e-9)
 
     def test_no_call_above_the_threshold(self, monkeypatch):
-        monkeypatch.setattr(weighted, "adaptive_quad", None)  # any call would fail
+        monkeypatch.setattr(quadrature, "adaptive_quad", None)  # any call would fail
         pp = build_interpolant([(10.0, 1.0), (20.0, 2.0), (30.0, 1.5)], degree=1)
         r = weighted.weighted_integral(pp, 1, 1.0, 12.0, 30.0)
         assert (r.evaluations, r.error_estimate) == (0, 0.0)
@@ -302,7 +310,7 @@ class TestOneQuadratureRun:
         xs = np.linspace(0.0, 12.0, 9)
         pp = build_interpolant(np.column_stack([xs, 1.0 + 0.1 * xs]), degree=1)
         got = integrate_single(pp, 3, 1.0, 0.0, 7.0)
-        f = weighted._below_integrand(pp, weighted._pieces(pp, 0.0, 7.0), "single", None, 3, 1.0, None)
+        f = weighted._integrand(pp, ((3, 1.0),))
         parts = [
             adaptive_quad(f, lo, hi, vectorized=True, initial_max_width=math.pi)
             for _, lo, hi in weighted._pieces(pp, 0.0, 7.0)
@@ -326,3 +334,84 @@ class TestNonFiniteInput:
             integrate_single(pp, 1, bad, 0.0, 5.0)
         with pytest.raises(DomainError):
             integrate_product(pp, 1, 2, 1.0, bad, 0.0, 5.0)
+
+
+# f = 1 as the linear interpolant through (0, 1), (100, 1), (200, 1)
+UNIT = build_interpolant([(0.0, 1.0), (100.0, 1.0), (200.0, 1.0)], degree=1)
+
+
+def tight_product(k, l, alpha, beta, a, b):
+    """int_a^b j_k(alpha x) j_l(beta x) dx by quadrature at tol 1e-14."""
+    spec = IntegralSpec("L", 0, l, alpha, k=k, beta=beta)
+    return definite_integral(spec, a, b, tol=1e-14, strategy="quadrature").value
+
+
+class TestSharedRoutePolicy:
+    """The weighted integrator runs definite_integral's route policy: the
+    amplification guard and the fallback where the analytic route
+    refuses."""
+
+    @pytest.mark.parametrize(
+        "k, l, beta, a, b", [(12, 12, 30.0, 30.0, 100.0), (8, 9, 25.0, 25.0, 80.0)]
+    )
+    def test_past_the_guard_quadrature_covers_the_interval(self, k, l, beta, a, b):
+        r = weighted.weighted_integral(UNIT, l, 1.0, a, b, k=k, beta=beta)
+        assert abs(r.value - tight_product(k, l, 1.0, beta, a, b)) <= 1e-10
+        assert r.segments == (("quadrature", a, b),)
+        assert r.strategy.kind == "Quadrature" and "AMPLIFICATION_GUARD" in r.strategy.reason
+        assert r.converged and r.evaluations > 0
+        assert integrate_product(UNIT, k, l, 1.0, beta, a, b) == r.value
+
+    def test_refused_recursion_falls_back(self):
+        beta = 1.0 + 1e-9
+        r = weighted.weighted_integral(UNIT, 2, 1.0, 20.0, 40.0, k=2, beta=beta)
+        assert abs(r.value - tight_product(2, 2, 1.0, beta, 20.0, 40.0)) <= 1e-10
+        assert r.segments == (("quadrature", 20.0, 40.0),)
+        assert r.strategy.kind == "Quadrature"
+        assert "recursion refused (NearDegenerateError" in r.strategy.reason
+
+    def test_nonconverged_error_carries_the_record(self, monkeypatch):
+        adaptive_quad = quadrature.adaptive_quad
+
+        def capped(f, lo, hi, **kw):
+            return adaptive_quad(f, lo, hi, **{**kw, "max_evals": 300})
+
+        monkeypatch.setattr(quadrature, "adaptive_quad", capped)
+        with pytest.raises(NotConvergedError) as err:
+            weighted.weighted_integral(UNIT, 12, 1.0, 30.0, 100.0, k=12, beta=30.0)
+        r = err.value.result
+        assert not r.converged and r.evaluations <= 300
+        assert r.segments == (("quadrature", 30.0, 100.0),)
+
+
+class TestParityWithDefiniteIntegral:
+    """A constant prefactor c gives c times definite_integral of the
+    n = 0 spec, through the same routes."""
+
+    @pytest.mark.parametrize(
+        "k, l, alpha, beta, a, b",
+        [
+            (None, 2, 1.3, None, 0.5, 4.0),  # below the threshold
+            (None, 2, 1.3, None, 10.0, 60.0),  # above
+            (None, 2, 1.3, None, 1.0, 60.0),  # straddling
+            (1, 3, 1.0, 2.0, 0.0, 5.0),
+            (1, 3, 1.0, 2.0, 12.0, 90.0),
+            (1, 3, 1.0, 2.0, 2.0, 90.0),
+            (12, 12, 1.0, 30.0, 30.0, 100.0),  # past the guard
+            (12, 12, 1.0, 30.0, 5.0, 100.0),  # past the guard, straddling
+            (2, 2, 1.0, 1.0 + 1e-9, 20.0, 40.0),  # recursion refused
+            (2, 2, 1.0, 1.0 + 1e-9, 1.0, 40.0),  # refused above the split
+        ],
+    )
+    def test_same_value_segments_and_kind(self, k, l, alpha, beta, a, b):
+        c = 2.5
+        pp = build_interpolant([(0.0, c), (100.0, c), (200.0, c)], degree=1)
+        if k is None:
+            spec = IntegralSpec("I", 0, l, alpha)
+        else:
+            spec = IntegralSpec("L", 0, l, alpha, k=k, beta=beta)
+        want = definite_integral(spec, a, b)
+        got = weighted.weighted_integral(pp, l, alpha, a, b, k=k, beta=beta)
+        assert abs(got.value - c * want.value) <= 1e-10 * max(1.0, abs(got.value))
+        assert got.segments == want.segments
+        assert got.strategy == want.strategy
