@@ -7,9 +7,10 @@ first-zero threshold and the recursion above it, so it has no
 --strategy or --max-evals); table sweeps a parameter grid from a JSON
 config file; verify runs the translated-identity suite.
 
-Output schema (json/csv/plain all carry the same fields):
-
-    {"value": ..., "abs_error_est": ..., "strategy": ..., "nodes": ..., "seconds": ...}
+Output schema: every integral's record (single, squared, product-same,
+product-diff, weighted, and each table row after its parameters)
+carries the fields value, abs_error_est, strategy, nodes and seconds,
+built by ``_record``; json, csv and plain print the same fields.
 
 Exit codes: 0 success, 2 usage or domain error, 3 a degenerate or
 hazardous analytic path with fallback disallowed, 4 quadrature did not
@@ -109,43 +110,44 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: the integral family each single-integral subcommand evaluates
+_FAMILIES = {"single": "I", "squared": "H", "product-same": "K", "product-diff": "L"}
+
+
 def _spec_from_args(args) -> IntegralSpec:
-    if args.subcommand == "single":
-        return IntegralSpec("I", args.n, args.l, args.alpha)
-    if args.subcommand == "squared":
-        return IntegralSpec("H", args.n, args.l, args.alpha)
-    if args.subcommand == "product-same":
-        return IntegralSpec("K", args.n, args.l, args.alpha, beta=args.beta)
-    return IntegralSpec("L", args.n, args.l, args.alpha, k=args.k, beta=args.beta)
+    return IntegralSpec(
+        _FAMILIES[args.subcommand], args.n, args.l, args.alpha,
+        k=getattr(args, "k", None), beta=getattr(args, "beta", None),
+    )
 
 
-def _strategy_label(result) -> str:
-    return "+".join(f"{kind}[{lo:g},{hi:g}]" for kind, lo, hi in result.segments)
+def _tol(args) -> float:
+    return args.tol if args.tol is not None else _default_tol()
+
+
+def _estimate(result) -> dict:
+    return {"value": result.value, "abs_error_est": result.error_estimate}
+
+
+def _record(evaluate, *args, **kwargs) -> dict:
+    """The output record of one integral: ``evaluate(*args, **kwargs)``
+    (definite_integral or weighted_integral), timed."""
+    t0 = time.perf_counter()
+    res = evaluate(*args, **kwargs)
+    dt = time.perf_counter() - t0
+    strategy = "+".join(f"{kind}[{lo:g},{hi:g}]" for kind, lo, hi in res.segments)
+    return {**_estimate(res), "strategy": strategy, "nodes": res.evaluations, "seconds": dt}
+
+
+def _definite(args, spec: IntegralSpec, a: float, b: float, tol: float) -> dict:
+    return _record(
+        definite_integral, spec, a, b, tol=tol, strategy=args.strategy,
+        max_evals=args.max_evals, raise_on_nonconverged=True,
+    )
 
 
 def _evaluate(args) -> dict:
-    spec = _spec_from_args(args)
-    tol = args.tol if args.tol is not None else _default_tol()
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    t0 = time.perf_counter()
-    res = definite_integral(
-        spec,
-        args.a,
-        args.b,
-        tol=tol,
-        strategy=args.strategy,
-        max_evals=args.max_evals,
-        raise_on_nonconverged=True,
-    )
-    dt = time.perf_counter() - t0
-    return {
-        "value": res.value,
-        "abs_error_est": res.error_estimate,
-        "strategy": _strategy_label(res),
-        "nodes": res.evaluations,
-        "seconds": dt,
-    }
+    return _definite(args, _spec_from_args(args), args.a, args.b, _tol(args))
 
 
 def _read_samples(path: str):
@@ -165,25 +167,18 @@ def _read_samples(path: str):
 
 
 def _weighted(args) -> dict:
-    tol = args.tol if args.tol is not None else _default_tol()
     interp = build_interpolant(_read_samples(args.csv), degree=args.degree)
-    t0 = time.perf_counter()
-    res = weighted_integral(
-        interp, args.l, args.alpha, args.a, args.b, tol=tol, k=args.k, beta=args.beta
+    return _record(
+        weighted_integral, interp, args.l, args.alpha, args.a, args.b, tol=_tol(args),
+        k=args.k, beta=args.beta,
     )
-    dt = time.perf_counter() - t0
-    return {
-        "value": res.value,
-        "abs_error_est": res.error_estimate,
-        "strategy": _strategy_label(res),
-        "nodes": res.evaluations,
-        "seconds": dt,
-    }
 
 
 def _table(args) -> list:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise DomainError("table config must be a JSON object")
     family = cfg["family"]
     if family not in ("I", "H", "K", "L"):
         raise DomainError(f"table config: unknown family {family!r}")
@@ -203,19 +198,11 @@ def _table(args) -> list:
     betas = axis("beta") if family in ("K", "L") else [None]
     rows = []
     for n, k, l, alpha, beta in itertools.product(ns, ks, ls, alphas, betas):
-        spec = IntegralSpec(family, int(n), int(l), float(alpha),
-                            k=None if k is None else int(k),
+        # the spec checks the orders: a missing or non-integer one is a DomainError
+        spec = IntegralSpec(family, n, l, float(alpha), k=k,
                             beta=None if beta is None else float(beta))
-        t0 = time.perf_counter()
-        res = definite_integral(
-            spec, a, b, tol=tol, strategy=args.strategy,
-            max_evals=args.max_evals, raise_on_nonconverged=True,
-        )
-        dt = time.perf_counter() - t0
-        row = {"family": family, "n": n, "k": k, "l": l, "alpha": alpha, "beta": beta,
-               "value": res.value, "abs_error_est": res.error_estimate,
-               "strategy": _strategy_label(res), "nodes": res.evaluations, "seconds": dt}
-        rows.append(row)
+        rows.append({"family": family, "n": n, "k": k, "l": l, "alpha": alpha, "beta": beta,
+                     **_definite(args, spec, a, b, tol)})
     return rows
 
 
@@ -275,7 +262,7 @@ def _cell(v) -> str:
 def run(args) -> tuple:
     """Execute a parsed command; returns (exit_code, payload)."""
     try:
-        if args.subcommand in ("single", "squared", "product-same", "product-diff"):
+        if args.subcommand in _FAMILIES:
             return 0, _evaluate(args)
         if args.subcommand == "weighted":
             return 0, _weighted(args)
@@ -290,8 +277,7 @@ def run(args) -> tuple:
     except NotConvergedError as exc:
         payload = {"error": "not-converged", "message": str(exc)}
         if exc.result is not None:
-            payload["value"] = exc.result.value
-            payload["abs_error_est"] = exc.result.error_estimate
+            payload.update(_estimate(exc.result))
         return 4, payload
     except OSError as exc:
         return 2, {"error": "io", "message": str(exc)}

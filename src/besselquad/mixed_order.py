@@ -376,9 +376,7 @@ def eval_L_equal_args(
     matches, the adjacent-order rule through H when l = k + 1, plain
     order lowering otherwise.  Symmetric under k <-> l.
     """
-    spec = IntegralSpec("L", n, l, k=k, beta=1.0)
-    table = l_table(*spec.orders, check_point(x), 1.0, 1.0, closed_forms, constants)
-    return AntiderivativeValue(table.value(spec.n), "equal-args")
+    return eval_L(n, k, l, x, 1.0, 1.0, closed_forms, constants)
 
 
 # ---------------------------------------------------------------------------

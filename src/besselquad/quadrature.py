@@ -120,7 +120,8 @@ def _initial_edges(knots: list, width: float | None, cap: int) -> np.ndarray:
     for lo, hi in zip(knots[:-1], knots[1:]):
         n = 1
         if width is not None and width > 0:
-            n = min(int(math.ceil((hi - lo) / width)), cap)
+            # capped before ceil: a width far below the interval gives inf
+            n = math.ceil(min((hi - lo) / width, cap))
         parts.append(np.linspace(lo, hi, n + 1))
     if len(parts) == 1:
         return parts[0]
@@ -195,7 +196,7 @@ def adaptive_quad(
         raise DomainError(
             f"breakpoints must be finite and strictly increasing inside ({a}, {b}), got {inner}"
         )
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
     nsub = len(knots) - 1
     if max_evals < _PANEL_NODES * nsub:

@@ -39,18 +39,6 @@ def first_zero_estimate(l: int) -> float:
     return 4.75 + 1.05 * l
 
 
-def _series_value(l: int, x: float) -> float:
-    # x^l / (2l+1)!! * (1 - t/(2l+3) + t^2/(2 (2l+3)(2l+5)) - ...), t = x^2/2
-    # works elementwise on an array of x as well
-    lead = 1.0
-    for m in range(1, l + 1):
-        lead *= x / (2 * m + 1)
-    t = 0.5 * x * x
-    c1 = -t / (2 * l + 3)
-    c2 = t * t / (2.0 * (2 * l + 3) * (2 * l + 5))
-    return lead * (1.0 + c1 + c2)
-
-
 def small_x_leading(l: int, x: float) -> float:
     """Leading small-x behavior x^l sqrt(pi) / (2^(l+1) Gamma(l + 3/2)),
     i.e. x^l / (2l+1)!!."""
@@ -60,6 +48,15 @@ def small_x_leading(l: int, x: float) -> float:
     for m in range(1, l + 1):
         out *= x / (2 * m + 1)
     return out
+
+
+def _series_value(l: int, x: float) -> float:
+    # x^l / (2l+1)!! * (1 - t/(2l+3) + t^2/(2 (2l+3)(2l+5)) - ...), t = x^2/2
+    # works elementwise on an array of x as well
+    t = 0.5 * x * x
+    c1 = -t / (2 * l + 3)
+    c2 = t * t / (2.0 * (2 * l + 3) * (2 * l + 5))
+    return small_x_leading(l, x) * (1.0 + c1 + c2)
 
 
 def j_array(lmax: int, x: float) -> np.ndarray:
@@ -115,10 +112,6 @@ def j(l: int, x: float) -> float:
         raise DomainError("order must be nonnegative")
     if not 0 <= x < math.inf:
         raise DomainError(f"j requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
-    if l == 0:
-        if x < SMALL_X_SERIES:
-            return _series_value(0, x)
-        return math.sin(x) / x
     return float(j_array(l, x)[l])
 
 
@@ -141,7 +134,7 @@ def j_parity_extend(l: int, x: float) -> float:
 
 
 def j_many(l: int, xs) -> np.ndarray:
-    """Vectorized j_l over an array of nonnegative arguments.
+    """Vectorized j_l over an array of finite nonnegative arguments.
 
     Arguments at or above l + UPWARD_MARGIN are handled with vectorized
     upward recursion; the rest go through ``_j_below_margin``, one
@@ -150,8 +143,9 @@ def j_many(l: int, xs) -> np.ndarray:
     points.  Below the margin every value is bitwise equal to ``j(l, x)``.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 0):
-        raise DomainError("j_many requires x >= 0")
+    ok = (xs >= 0) & (xs < math.inf)
+    if not ok.all():
+        raise DomainError(f"j_many requires 0 <= x < inf, got {xs[~ok].flat[0]}")
     out = np.empty_like(xs)
     up = xs >= l + UPWARD_MARGIN
     if np.any(up):

@@ -342,6 +342,34 @@ def eval_Y(n: int, x: float) -> float:
     return eval_pair(n, x).Y
 
 
+def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) -> float:
+    """The series of X_n (odd = 1, sin) or Y_n (odd = 0, cos) at alpha x
+    over alpha^(n+1): the constant, then
+
+        alpha^odd x^(n+1+odd) sum_m (-(alpha x)^2)^m / ((2m+odd)! (n+2m+1+odd))
+    """
+    if n < 0:
+        raise DomainError("scaled series requires n >= 0")
+    if alpha == 0:
+        raise DomainError("alpha must be nonzero")
+    u2 = (alpha * x) ** 2
+    half = -_COS_HALF[n % 4] if odd else _SIN_HALF[n % 4]
+    const = 0.0
+    if half and constants:
+        const = float(math.factorial(n)) * half / alpha ** (n + 1)
+    acc = 0.0
+    f = 1.0
+    m = 0
+    while True:
+        acc += f / (n + 2 * m + 1 + odd)
+        m += 1
+        f *= -u2 / ((2 * m - 1 + odd) * (2 * m + odd))
+        if abs(f) < 1e-18 * (abs(acc) + 1e-300) or m > 60:
+            break
+    lead = alpha * x ** (n + 2) if odd else x ** (n + 1)
+    return const + lead * acc
+
+
 def eval_scaled_X_series(n: int, alpha: float, x: float, constants: bool = True) -> float:
     """Series evaluation of X_n(alpha x) / alpha^(n+1) for n >= 0.
 
@@ -355,25 +383,7 @@ def eval_scaled_X_series(n: int, alpha: float, x: float, constants: bool = True)
     convergence at machine precision, so it stays accurate slightly
     beyond that.  constants=False drops the Gamma term (see eval_pair).
     """
-    if n < 0:
-        raise DomainError("scaled series requires n >= 0")
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    u2 = (alpha * x) ** 2
-    cos_half = _COS_HALF[n % 4]
-    const = 0.0
-    if cos_half and constants:
-        const = -float(math.factorial(n)) * cos_half / alpha ** (n + 1)
-    acc = 0.0
-    f = 1.0
-    m = 0
-    while True:
-        acc += f / (n + 2 * m + 2)
-        m += 1
-        f *= -u2 / ((2 * m) * (2 * m + 1))
-        if abs(f) < 1e-18 * (abs(acc) + 1e-300) or m > 60:
-            break
-    return const + alpha * x ** (n + 2) * acc
+    return _scaled_series(1, n, alpha, x, constants)
 
 
 def eval_scaled_Y_series(n: int, alpha: float, x: float, constants: bool = True) -> float:
@@ -382,25 +392,7 @@ def eval_scaled_Y_series(n: int, alpha: float, x: float, constants: bool = True)
     Constant term +Gamma(n+1) sin(n pi/2) / alpha^(n+1); see
     eval_scaled_X_series.
     """
-    if n < 0:
-        raise DomainError("scaled series requires n >= 0")
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
-    u2 = (alpha * x) ** 2
-    sin_half = _SIN_HALF[n % 4]
-    const = 0.0
-    if sin_half and constants:
-        const = float(math.factorial(n)) * sin_half / alpha ** (n + 1)
-    acc = 0.0
-    f = 1.0
-    m = 0
-    while True:
-        acc += f / (n + 2 * m + 1)
-        m += 1
-        f *= -u2 / ((2 * m - 1) * (2 * m))
-        if abs(f) < 1e-18 * (abs(acc) + 1e-300) or m > 60:
-            break
-    return const + x ** (n + 1) * acc
+    return _scaled_series(0, n, alpha, x, constants)
 
 
 def int_pow_sin(m: int, c: float, x: float, constants: bool = True) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -213,9 +212,10 @@ class PointTable:
     ``value(n)`` is the antiderivative of x^n times the table's Bessel
     product at x.  Subclasses set ``family``, ``orders`` and ``x`` and
     define ``_value(n)``.  Every table value passes through ``value``,
-    so a recursion whose terms overflow a float, or which runs deeper
-    than the interpreter's recursion limit, surfaces here as a
-    DomainError naming the family, n, orders and x.
+    so a recursion whose terms overflow a float (raising OverflowError,
+    or ending in inf or nan), or which runs deeper than the
+    interpreter's recursion limit, surfaces here as a DomainError naming
+    the family, n, orders and x.
     """
 
     __slots__ = ()
@@ -223,12 +223,16 @@ class PointTable:
 
     def value(self, n: int) -> float:
         """int x^n (the table's Bessel product) dx at the table's point."""
+        reason = "the recursion's terms overflow a float"
         try:
-            return self._value(n)
+            v = self._value(n)
         except OverflowError:
-            reason = "the recursion's terms overflow a float"
+            pass
         except RecursionError:
             reason = "the recursion runs deeper than the interpreter's recursion limit"
+        else:
+            if math.isfinite(v):
+                return v
         raise DomainError(
             f"{self.family} antiderivative with n = {n}, orders {self.orders} "
             f"at x = {self.x:g}: {reason}"
@@ -254,30 +258,29 @@ class PiecewisePolynomial:
     @cached_property
     def piece_arrays(self) -> tuple:
         """(lefts, coeffs): the left breakpoints, and coeffs[d, i] the
-        coefficient of (x - lefts[i])**d, zero-padded; cached, as the
-        weighted integrand reads them on every call."""
+        coefficient of (x - lefts[i])**d, zero-padded; cached, as
+        ``values`` reads them on every call."""
         width = max(len(c) for c in self.coefficients)
         coeffs = np.array([tuple(c) + (0.0,) * (width - len(c)) for c in self.coefficients])
         return np.array(self.breakpoints[:-1]), coeffs.T
 
-    def interval_index(self, x: float) -> int:
-        lo, hi = self.span
-        if x < lo or x > hi:
-            raise DomainError(f"x={x} outside interpolant span [{lo}, {hi}]")
-        # rightmost interval whose left edge is <= x
-        i = bisect.bisect_right(self.breakpoints, x) - 1
-        return min(max(i, 0), len(self.coefficients) - 1)
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """The interpolant at an array of points, each on the piece it
+        falls in (clamped to the end pieces, without a span check): one
+        vectorised Horner step per degree in the piece's local basis."""
+        lefts, coeffs = self.piece_arrays
+        p = np.clip(np.searchsorted(lefts, xs, side="right") - 1, 0, len(lefts) - 1)
+        t = xs - lefts[p]
+        env = np.zeros_like(xs)
+        for c in coeffs[::-1]:
+            env = env * t + c[p]
+        return env
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        out = np.empty_like(xs)
-        for j, xv in enumerate(xs):
-            i = self.interval_index(float(xv))
-            t = float(xv) - self.breakpoints[i]
-            acc = 0.0
-            for c in reversed(self.coefficients[i]):
-                acc = acc * t + c
-            out[j] = acc
-        return float(out[0]) if scalar else out
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        lo, hi = self.span
+        outside = (xs < lo) | (xs > hi)
+        if outside.any():
+            raise DomainError(f"x={float(xs[outside][0])} outside interpolant span [{lo}, {hi}]")
+        out = self.values(xs)
+        return float(out[0]) if np.ndim(x) == 0 else out

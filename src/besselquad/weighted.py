@@ -201,17 +201,10 @@ def _integrand(pp: PiecewisePolynomial, factors: tuple):
     """Vectorised integrand pp(x) times the Bessel product of ``factors``:
     each node takes the polynomial of the interpolant piece it falls in,
     in that piece's local basis."""
-    lefts, coeffs = pp.piece_arrays
-    last = len(lefts) - 1
 
     def f(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        p = np.clip(np.searchsorted(lefts, xs, side="right") - 1, 0, last)
-        t = xs - lefts[p]
-        env = np.zeros_like(xs)
-        for c in coeffs[::-1]:
-            env = env * t + c[p]
-        return env * bessel_product(factors, xs)
+        return pp.values(xs) * bessel_product(factors, xs)
 
     return f
 

@@ -281,3 +281,27 @@ class TestSharedProduct:
         assert r.segments[0][0] == "quadrature" and r.evaluations > 0
         assert evaluations["calls"] > 0
         assert sum(calls.values()) == evaluations["calls"]
+
+
+class TestNonFiniteWalkValues:
+    """A walk whose float products end in inf or nan, without raising
+    OverflowError, is the same DomainError: no non-finite value leaves a
+    table, and auto does not fall back to quadrature."""
+
+    @pytest.mark.parametrize(
+        "spec, a, match",
+        [
+            (IntegralSpec("H", 140, 60), 68.4275, r"H .*n = 140, orders \(60,\) at x = "),
+            (IntegralSpec("H", 100, 200), 859.0, r"H .*n = 100, orders \(200,\) at x = "),
+            (IntegralSpec("K", 140, 20, 1.0, beta=1.02), 26.0075,
+             r"K .*n = 140, orders \(20,\) at x = "),
+        ],
+        ids=["H-inf", "H-nan", "K-nan"],
+    )
+    def test_auto_definite_integral(self, spec, a, match):
+        with pytest.raises(DomainError, match=match + ".*overflow"):
+            definite_integral(spec, a, a + 20.0)
+
+    def test_eval_L(self):
+        with pytest.raises(DomainError, match=r"L .*n = 0, orders \(0, 600\) at x = 5000: .*overflow"):
+            eval_L(0, 0, 600, 5000.0, 1.0, 1.3)

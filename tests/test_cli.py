@@ -309,3 +309,50 @@ class TestVerify:
         assert len(rows) == 63
         assert all(r["pass"] for r in rows)
         assert max(r["residual"] for r in rows) < 1e-8
+
+
+class TestTableConfigValidation:
+    """The table's orders go to IntegralSpec as written, so a non-integer
+    or missing order, or a config that is not an object, exits 2."""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"family": "I", "n": [1.5], "l": [2], "a": 5.0, "b": 20.0}, "n must be an integer"),
+            ({"family": "I", "l": [2], "a": 5.0, "b": 20.0}, "n must be an integer"),
+            ({"family": "I", "n": [0], "a": 5.0, "b": 20.0}, "l must be an integer"),
+            ([{"family": "I", "n": [0], "l": [2], "a": 5.0, "b": 20.0}], "JSON object"),
+        ],
+        ids=["non-integer-n", "no-n-axis", "no-l-axis", "not-an-object"],
+    )
+    def test_exit_2(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(config))
+        code, out = invoke(["table", "--config", str(cfg), "--format", "json"], capsys)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "domain"
+        assert message in payload["message"]
+
+
+def test_every_integral_carries_the_same_record_fields(tmp_path, capsys):
+    fields = ["value", "abs_error_est", "strategy", "nodes", "seconds"]
+    code, out = invoke(
+        ["single", "--n", "0", "--l", "1", "--a", "1", "--b", "30", "--format", "json"], capsys
+    )
+    assert code == 0 and list(json.loads(out)) == fields
+    csv = tmp_path / "f.csv"
+    csv.write_text("x,f\n0,1\n10,2\n30,1\n")
+    code, out = invoke(
+        ["weighted", "--csv", str(csv), "--l", "1", "--a", "1", "--b", "30", "--format", "json"],
+        capsys,
+    )
+    assert code == 0 and list(json.loads(out)) == fields
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"family": "L", "n": [0, 1], "k": [1], "l": [2], "alpha": [1.0],
+                               "beta": [1.5], "a": 1.0, "b": 30.0}))
+    code, out = invoke(["table", "--config", str(cfg), "--format", "json"], capsys)
+    rows = json.loads(out)
+    assert code == 0 and len(rows) == 2
+    for row in rows:
+        assert list(row)[6:] == fields

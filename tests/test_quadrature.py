@@ -423,3 +423,27 @@ class TestIntegralSpecValidation:
         spec = IntegralSpec("L", np.int64(2), np.int32(3), k=np.int64(1), beta=2.0)
         assert (type(spec.n), type(spec.l), type(spec.k)) == (int, int, int)
         assert spec == IntegralSpec("L", 2, 3, k=1, beta=2.0)
+
+
+class TestQuadraturePathGuards:
+    def test_overflowing_node_argument_is_a_domain_error(self):
+        # alpha * x passes the float range at every node
+        match = "j_many requires 0 <= x < inf"
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match=match):
+            definite_integral(
+                IntegralSpec("I", 0, 2, 1e10), 1e299, 1.0000001e299,
+                strategy="quadrature", max_evals=300,
+            )
+
+    def test_panel_count_is_capped_before_it_overflows(self):
+        # (b - a) / initial_max_width is inf: the cap, not math.ceil, decides
+        r = adaptive_quad(
+            lambda xs: np.ones_like(xs), 0.0, 1e300,
+            initial_max_width=1e-10, max_evals=300, vectorized=True,
+        )
+        assert r.evaluations <= 300
+        assert r.value == pytest.approx(1e300, rel=1e-12)
+
+    def test_nan_tolerance_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            adaptive_quad(math.sin, 0.0, 1.0, tol=math.nan)

@@ -185,3 +185,9 @@ def test_scipy_cross_check(l):
         ref = float(ss.spherical_jn(l, x))
         got = j(l, x)
         assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-2)
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan, -1.0])
+def test_j_many_refuses_nonfinite_or_negative_arguments(x):
+    with pytest.raises(DomainError, match="j_many requires 0 <= x < inf"):
+        j_many(2, np.array([1.0, x, 2.0]))

@@ -415,3 +415,15 @@ class TestParityWithDefiniteIntegral:
         assert abs(got.value - c * want.value) <= 1e-10 * max(1.0, abs(got.value))
         assert got.segments == want.segments
         assert got.strategy == want.strategy
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_interpolant_array_call_is_bitwise_the_scalar_calls(degree):
+    pp = build_interpolant([(0.5, 1.0), (1.5, -2.0), (2.0, 0.25), (4.0, 3.0), (7.5, 1.0)], degree)
+    lo, hi = pp.span
+    xs = np.concatenate([pp.breakpoints, np.linspace(lo, hi, 41), [np.nextafter(hi, 0.0)]])
+    got = pp(xs)
+    want = np.array([pp(float(x)) for x in xs])
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(DomainError, match=r"x=7.6 outside interpolant span \[0.5, 7.5\]"):
+        pp(np.array([lo, 7.6, hi]))
