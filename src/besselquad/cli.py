@@ -174,6 +174,15 @@ def _weighted(args) -> dict:
     )
 
 
+def _number(name: str, v) -> float:
+    """A scale, limit or tolerance of the table config as a float; one
+    that is not a number is a DomainError."""
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise DomainError(f"table config: {name} must be a number, got {v!r}") from None
+
+
 def _table(args) -> list:
     with open(args.config) as fh:
         cfg = json.load(fh)
@@ -182,8 +191,8 @@ def _table(args) -> list:
     family = cfg["family"]
     if family not in ("I", "H", "K", "L"):
         raise DomainError(f"table config: unknown family {family!r}")
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", _default_tol()))
-    a, b = float(cfg["a"]), float(cfg["b"])
+    tol = args.tol if args.tol is not None else _number("tol", cfg.get("tol", _default_tol()))
+    a, b = _number("a", cfg["a"]), _number("b", cfg["b"])
 
     def axis(name, default=None):
         v = cfg.get(name, default)
@@ -199,8 +208,8 @@ def _table(args) -> list:
     rows = []
     for n, k, l, alpha, beta in itertools.product(ns, ks, ls, alphas, betas):
         # the spec checks the orders: a missing or non-integer one is a DomainError
-        spec = IntegralSpec(family, n, l, float(alpha), k=k,
-                            beta=None if beta is None else float(beta))
+        spec = IntegralSpec(family, n, l, _number("alpha", alpha), k=k,
+                            beta=None if beta is None else _number("beta", beta))
         rows.append({"family": family, "n": n, "k": k, "l": l, "alpha": alpha, "beta": beta,
                      **_definite(args, spec, a, b, tol)})
     return rows

@@ -39,7 +39,7 @@ import math
 
 from .errors import DomainError, NearDegenerateError
 from .same_order import DEGENERACY_GUARD, KTable
-from .sph_bessel import j_array, j_extended, parity_fold
+from .sph_bessel import _j_list, j_extended, parity_fold
 from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
@@ -155,7 +155,7 @@ class _AdjacentTable(PointTable):
         x, (k, l), a, b = self.x, self.orders, self.a, self.b
         if not self.closure:
             return _adjacent_ladder(n, k, x, a, b, self.kt)
-        return _closure(n, k, x, a, b, j_array(k, a * x)[k], j_array(l, b * x)[l], self.kt)
+        return _closure(n, k, x, a, b, _j_list(k, a * x)[k], _j_list(l, b * x)[l], self.kt)
 
 
 class LTable(PointTable):
@@ -293,7 +293,7 @@ def closed_L_equal(kind: str, k: int, l: int, x: float) -> AntiderivativeValue:
     spec = IntegralSpec("L", 0, l, k=k, beta=1.0)
     x = check_point(x)
     k, l = sorted(spec.orders)
-    jt = j_array(l + 1, x)
+    jt = _j_list(l + 1, x)
     return AntiderivativeValue(_closed_L_equal(kind, k, l, x, jt), f"closed:{kind}")
 
 
@@ -486,8 +486,8 @@ def identity_residual(
         )
 
     def boundary(x: float) -> float:
-        jk = j_array(k, alpha * x)[k]
-        jl = j_array(l, beta * x)[l]
+        jk = _j_list(k, alpha * x)[k]
+        jl = _j_list(l, beta * x)[l]
         jlm = j_extended(l - 1, beta * x)
         jkm = j_extended(k - 1, alpha * x)
         return (

@@ -367,9 +367,13 @@ def _pow(xs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _j_signed(l: int, scale: float, xs: np.ndarray) -> np.ndarray:
-    """j_l(scale * xs) for an array xs >= 0 and a scale of either sign."""
+    """j_l(scale * xs) for an array xs >= 0 and a scale of either sign.
+    An argument that overflows to inf is j_many's DomainError, with no
+    numpy warning first."""
     sign, a = parity_fold(l, scale)
-    v = j_many(l, a * xs)
+    with np.errstate(over="ignore"):
+        u = a * xs
+    v = j_many(l, u)
     return -v if sign < 0 else v
 
 

@@ -27,7 +27,7 @@ NearDegenerateError so callers can fall back to quadrature.
 from __future__ import annotations
 
 from .errors import DomainError, NearDegenerateError
-from .sph_bessel import j_array, j_extended, parity_fold
+from .sph_bessel import _j_list, j_extended, parity_fold
 from .squared_bessel import _path
 from .trig_primitives import TrigChain
 from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
@@ -94,8 +94,8 @@ class KTable(PointTable):
         self.b = b
         self.lmax = lmax
         self.sign = sign
-        self.jta = j_array(lmax, a * x)
-        self.jtb = j_array(lmax, b * x)
+        self.jta = _j_list(lmax, a * x)
+        self.jtb = _j_list(lmax, b * x)
         self.near = TrigChain(a - b, x, constants)
         self.far = TrigChain(a + b, x, constants)
         self.closed_forms = closed_forms

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .sph_bessel import j, j_array, parity_fold
+from .sph_bessel import _j_list, j, parity_fold
 from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
 
@@ -42,7 +42,7 @@ class ITable(PointTable):
         self.l = l
         self.sign, self.a = parity_fold(l, alpha)
         self.u = u = self.a * x
-        self.jt = j_array(l - 1, u) if l else None
+        self.jt = _j_list(l - 1, u) if l else None
         self.chain = TrigChain(1.0, u, constants)
         self.truncate = truncate
 
@@ -129,7 +129,7 @@ def closed_I(kind: str, l: int, x: float) -> AntiderivativeValue:
     if kind == "I1":
         v = x ** (2 + l) * j(l + 1, x)
     elif kind == "I2":
-        jt = j_array(l + 3, x)
+        jt = _j_list(l + 3, x)
         v = x ** (3 + l) * ((2 * l + 3) * jt[l + 2] - x * jt[l + 3])
     elif kind == "I3":
         if l < 1:

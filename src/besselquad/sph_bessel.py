@@ -59,30 +59,36 @@ def _series_value(l: int, x: float) -> float:
     return small_x_leading(l, x) * (1.0 + c1 + c2)
 
 
-def j_array(lmax: int, x: float) -> np.ndarray:
-    """Table of j_0(x) .. j_lmax(x) at a finite scalar argument x >= 0."""
+def _j_list(lmax: int, x: float) -> list:
+    """j_0(x) .. j_lmax(x) as a list of Python floats: the one j table.
+
+    ``j_array`` wraps it in an array; ``j`` and the per-point tables of
+    the engines index it directly, so their recursion walks run on
+    Python floats, where an index and a product cost a fraction of a
+    numpy scalar's.  x is taken as float(x).
+    """
     if lmax < 0:
         raise DomainError("order must be nonnegative")
     if not 0 <= x < math.inf:
         raise DomainError(f"j_array requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
-    out = np.empty(lmax + 1)
+    x = float(x)
     if x < SMALL_X_SERIES:
-        for l in range(lmax + 1):
-            out[l] = _series_value(l, x)
-        return out
+        return [_series_value(l, x) for l in range(lmax + 1)]
     s = math.sin(x)
     c = math.cos(x)
     if lmax == 0:
-        out[0] = s / x
-        return out
+        return [s / x]
     if x >= lmax + UPWARD_MARGIN:
-        out[0] = s / x
-        out[1] = s / (x * x) - c / x
+        j0 = s / x
+        j1 = s / (x * x) - c / x
+        out = [j0, j1]
         for m in range(2, lmax + 1):
-            out[m] = (2 * m - 1) / x * out[m - 1] - out[m - 2]
+            j0, j1 = j1, (2 * m - 1) / x * j1 - j0
+            out.append(j1)
         return out
     # downward (Miller) from a safety margin above lmax
     lstart = lmax + max(20, math.ceil(1.5 * lmax))
+    out = [0.0] * (lmax + 1)
     jp = 0.0  # j_{m+1}, unnormalized
     jc = 1.0  # j_m, unnormalized
     for m in range(lstart, 0, -1):
@@ -95,15 +101,19 @@ def j_array(lmax: int, x: float) -> np.ndarray:
             jp /= _RESCALE_AT
             jc /= _RESCALE_AT
             if idx <= lmax:
-                out[idx : lmax + 1] /= _RESCALE_AT
+                out[idx:] = [v / _RESCALE_AT for v in out[idx:]]
     j0_true = s / x
     j1_true = s / (x * x) - c / x
     if abs(j0_true) >= abs(j1_true):
         scale = j0_true / out[0]
     else:
         scale = j1_true / out[1]
-    out *= scale
-    return out
+    return [v * scale for v in out]
+
+
+def j_array(lmax: int, x: float) -> np.ndarray:
+    """Table of j_0(x) .. j_lmax(x) at a finite scalar argument x >= 0."""
+    return np.array(_j_list(lmax, x))
 
 
 def j(l: int, x: float) -> float:
@@ -112,7 +122,7 @@ def j(l: int, x: float) -> float:
         raise DomainError("order must be nonnegative")
     if not 0 <= x < math.inf:
         raise DomainError(f"j requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
-    return float(j_array(l, x)[l])
+    return _j_list(l, x)[l]
 
 
 def parity_fold(order: int, scale: float) -> tuple:
@@ -179,7 +189,7 @@ def _j_below_margin(l: int, x: np.ndarray) -> np.ndarray:
 
     The same arithmetic as ``j``, one array step per order: the ascending
     series below SMALL_X_SERIES, sinc at l = 0, and otherwise the Miller
-    walk of ``j_array`` from the same starting order, with the same
+    walk of ``_j_list`` from the same starting order, with the same
     per-point rescaling and the same j_0 / j_1 normalisation.
     """
     out = np.empty_like(x)

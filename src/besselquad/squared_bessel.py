@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .sph_bessel import j_array, j_extended
+from .sph_bessel import _j_list, j_extended
 from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
 
@@ -58,7 +58,7 @@ def _closed_kind(m: int, lam: int) -> str | None:
 def _closed_H(kind: str, l: int, x: float, jt=None, constants: bool = True) -> float:
     """Float core of the printed closed forms; j_{-1} = cos(x)/x at l = 0."""
     if jt is None:
-        jt = j_array(l + 1, x)
+        jt = _j_list(l + 1, x)
     jl = jt[l]
     jm = jt[l - 1] if l >= 1 else j_extended(-1, x)
     jp = jt[l + 1]
@@ -143,7 +143,7 @@ class HTable(PointTable):
         self.u = u = self.a * x
         self.lmax = lmax
         self.sign = sign
-        self.jt = j_array(lmax + 1, u)
+        self.jt = _j_list(lmax + 1, u)
         self.chain = TrigChain(1.0, 2.0 * u, constants)
         self.closed_forms = closed_forms
         self.constants = constants

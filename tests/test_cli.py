@@ -356,3 +356,24 @@ def test_every_integral_carries_the_same_record_fields(tmp_path, capsys):
     assert code == 0 and len(rows) == 2
     for row in rows:
         assert list(row)[6:] == fields
+
+
+@pytest.mark.parametrize(
+    "extra, name",
+    [
+        ({"a": None}, "a"),
+        ({"b": "far"}, "b"),
+        ({"alpha": [[1.0]]}, "alpha"),
+        ({"family": "K", "beta": [[2.0]]}, "beta"),
+        ({"tol": [1e-9]}, "tol"),
+    ],
+    ids=["null-limit", "string-limit", "nested-scale", "nested-second-scale", "list-tol"],
+)
+def test_table_number_that_is_not_a_number_exits_2(tmp_path, capsys, extra, name):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"family": "I", "n": [0], "l": [2], "a": 5.0, "b": 20.0, **extra}))
+    code, out = invoke(["table", "--config", str(cfg), "--format", "json"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "domain"
+    assert f"{name} must be a number" in payload["message"]

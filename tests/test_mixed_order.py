@@ -189,9 +189,9 @@ class TestSharedKTable:
     def test_one_pair_of_j_tables_per_evaluation(self, n, monkeypatch):
         calls = []
         for mod in (mixed_order, same_order):
-            fn = mod.j_array
+            fn = mod._j_list
             monkeypatch.setattr(
-                mod, "j_array", lambda l, x, fn=fn: calls.append((l, x)) or fn(l, x)
+                mod, "_j_list", lambda l, x, fn=fn: calls.append((l, x)) or fn(l, x)
             )
         want = eval_L(n, 2, 5, 30.0, 1.0, 1.6).value
         assert len(calls) == 2

@@ -14,7 +14,10 @@ from besselquad import (
     eval_K,
     eval_L,
 )
+from besselquad.mixed_order import LEqualTable, LTable, _AdjacentTable
 from besselquad.quadrature import antiderivative, point_table
+from besselquad.same_order import KTable
+from besselquad.single_bessel import ITable
 from besselquad.squared_bessel import HTable
 
 EXPONENTS = range(-2, 4)
@@ -94,3 +97,23 @@ def test_equal_magnitude_K_gets_the_H_table_with_the_parity_sign():
 def test_point_must_be_positive(x):
     with pytest.raises(BesselQuadError):
         point_table(IntegralSpec("I", 0, 1), x)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ITable(3, 7.5, 1.3),
+        lambda: HTable(7.5, 4),
+        lambda: KTable(7.5, 1.3, 0.7, 4),
+        lambda: LTable(7.5, 1, 4, 1.3, 0.7),
+        lambda: LEqualTable(7.5, 1, 4),
+        lambda: _AdjacentTable(7.5, 4, 1.3, 0.7, True, True),
+        lambda: _AdjacentTable(7.5, 4, 1.3, 0.7, False, False),
+    ],
+    ids=["I", "H", "K", "L", "L-equal", "adjacent-closure", "adjacent-ladder"],
+)
+def test_table_values_are_python_floats(make):
+    # the j tables are float lists, so no walk runs numpy scalar arithmetic
+    table = make()
+    for n in (0, 2, 3):
+        assert type(table.value(n)) is float

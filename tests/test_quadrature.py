@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,3 +448,13 @@ class TestQuadraturePathGuards:
     def test_nan_tolerance_is_a_domain_error(self):
         with pytest.raises(DomainError, match="tolerance must be positive"):
             adaptive_quad(math.sin, 0.0, 1.0, tol=math.nan)
+
+    def test_overflowing_node_argument_warns_nothing(self):
+        # the DomainError is the only signal: no numpy overflow warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="j_many requires 0 <= x < inf"):
+                definite_integral(
+                    IntegralSpec("I", 0, 2, 1e10), 1e299, 1.0000001e299,
+                    strategy="quadrature", max_evals=300,
+                )

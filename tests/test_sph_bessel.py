@@ -191,3 +191,35 @@ def test_scipy_cross_check(l):
 def test_j_many_refuses_nonfinite_or_negative_arguments(x):
     with pytest.raises(DomainError, match="j_many requires 0 <= x < inf"):
         j_many(2, np.array([1.0, x, 2.0]))
+
+
+class TestListCore:
+    """``_j_list`` is the one j table: j_array wraps it, j and the
+    engines' tables index it."""
+
+    @pytest.mark.parametrize(
+        "lmax, x",
+        [
+            (8, 0.0), (8, 5e-5),  # ascending series
+            (0, 3.0), (1, 3.0), (12, 40.0), (40, 1e4),  # sinc, upward
+            (12, 3.0), (40, 12.0), (80, 0.37),  # Miller
+            (300, 1e-3), (700, 1e-3), (700, 0.5),  # Miller, rescaled
+        ],
+    )
+    def test_is_j_array_bitwise_in_python_floats(self, lmax, x):
+        got = sph_bessel._j_list(lmax, x)
+        assert all(type(v) is float for v in got)
+        arr = j_array(lmax, x)
+        assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == (lmax + 1,)
+        assert np.array(got).tobytes() == arr.tobytes()
+        assert j(lmax, x) == got[lmax]
+        if x >= sph_bessel.SMALL_X_SERIES:
+            # the normalisation survives the rescaling: j_0 and j_1 as printed
+            assert got[0] == pytest.approx(j0_closed(x), rel=1e-13)
+            if lmax >= 1:  # the printed j_1 cancels ~1/x^2 ulps at small x
+                assert got[1] == pytest.approx(j1_closed(x), rel=1e-9)
+
+    def test_numpy_argument_gives_python_floats(self):
+        got = sph_bessel._j_list(5, np.float64(2.5))
+        assert all(type(v) is float for v in got)
+        assert got == sph_bessel._j_list(5, 2.5)
