@@ -176,11 +176,13 @@ def _weighted(args) -> dict:
 
 def _number(name: str, v) -> float:
     """A scale, limit or tolerance of the table config as a float; one
-    that is not a number is a DomainError."""
+    that is not a JSON number (null, true, "20", a list) is a DomainError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise DomainError(f"table config: {name} must be a number, got {v!r}")
     try:
         return float(v)
-    except (TypeError, ValueError):
-        raise DomainError(f"table config: {name} must be a number, got {v!r}") from None
+    except OverflowError:  # an integer literal beyond the float range
+        raise DomainError(f"table config: {name} must be a finite number, got {v!r}") from None
 
 
 def _table(args) -> list:
@@ -191,7 +193,12 @@ def _table(args) -> list:
     family = cfg["family"]
     if family not in ("I", "H", "K", "L"):
         raise DomainError(f"table config: unknown family {family!r}")
-    tol = args.tol if args.tol is not None else _number("tol", cfg.get("tol", _default_tol()))
+    if args.tol is not None:
+        tol = args.tol
+    elif "tol" in cfg:
+        tol = _number("tol", cfg["tol"])
+    else:
+        tol = _default_tol()
     a, b = _number("a", cfg["a"]), _number("b", cfg["b"])
 
     def axis(name, default=None):

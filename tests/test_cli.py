@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -366,8 +367,15 @@ def test_every_integral_carries_the_same_record_fields(tmp_path, capsys):
         ({"alpha": [[1.0]]}, "alpha"),
         ({"family": "K", "beta": [[2.0]]}, "beta"),
         ({"tol": [1e-9]}, "tol"),
+        ({"a": True}, "a"),
+        ({"b": "20"}, "b"),
+        ({"alpha": "nan"}, "alpha"),
+        ({"tol": "1e-9"}, "tol"),
+        ({"b": 10 ** 400}, "b"),
     ],
-    ids=["null-limit", "string-limit", "nested-scale", "nested-second-scale", "list-tol"],
+    ids=["null-limit", "string-limit", "nested-scale", "nested-second-scale", "list-tol",
+         "bool-limit", "numeric-string-limit", "string-nan-scale", "string-tol",
+         "huge-integer-limit"],
 )
 def test_table_number_that_is_not_a_number_exits_2(tmp_path, capsys, extra, name):
     cfg = tmp_path / "grid.json"
@@ -376,4 +384,14 @@ def test_table_number_that_is_not_a_number_exits_2(tmp_path, capsys, extra, name
     assert code == 2
     payload = json.loads(out)
     assert payload["error"] == "domain"
-    assert f"{name} must be a number" in payload["message"]
+    assert re.search(rf"\b{name} must be a (finite )?number", payload["message"])
+
+
+def test_table_config_tol_wins_over_an_unparsable_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BESSELQUAD_TOL", "abc")
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"family": "I", "n": [0], "l": [2], "a": 5.0, "b": 20.0,
+                               "tol": 1e-9}))
+    code, out = invoke(["table", "--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0
+    assert len(json.loads(out)) == 1

@@ -168,7 +168,8 @@ class TestVectorized:
         def per_point(*args):
             raise AssertionError("j_many fell back to the scalar table")
 
-        monkeypatch.setattr(sph_bessel, "j_array", per_point)
+        # every scalar j table (j, j_array) is built by _j_list
+        monkeypatch.setattr(sph_bessel, "_j_list", per_point)
         got = j_many(l, xs)
         assert got.tobytes() == want.tobytes()
 
