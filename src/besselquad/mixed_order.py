@@ -26,11 +26,12 @@ family, and the equal-argument base; it shares one H table in the same
 way.  A table's memo serves every exponent asked of it, so one table
 per point covers every monomial of a weighted integral.
 
-Canonicalization (``l_table``, the one table constructor of every
-two-factor product): the parity sign of each negative scale is folded
-out front by ``sph_bessel.parity_fold`` (j_m(-u) = (-1)^m j_m(u)), and
-(k, a) is swapped with (l, b) when k > l, so symmetry under the joint
-swap is exact.  The K table orders its own scales.
+Canonicalization (``point_table``, the one table dispatch of every
+family, which quadrature imports): the parity sign of each negative
+scale is folded out front by ``sph_bessel.parity_fold``
+(j_m(-u) = (-1)^m j_m(u)), and (k, a) is swapped with (l, b) when
+k > l, so symmetry under the joint swap is exact.  The K table orders
+its own scales.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 
 from .errors import DomainError, NearDegenerateError
 from .same_order import DEGENERACY_GUARD, KTable
+from .single_bessel import ITable
 from .sph_bessel import _j_list, j_extended, parity_fold
 from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
@@ -94,19 +96,17 @@ def _check_adjacent(n: int, l: int, x: float, alpha: float, beta: float) -> None
         raise DomainError("the adjacent-order evaluators expect positive scales")
 
 
-def adjacent_closure(
-    n: int, l: int, x: float, alpha: float, beta: float, closed_forms: bool = True
-) -> AntiderivativeValue:
+def adjacent_closure(n: int, l: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:
     """Closure for adjacent orders, L^n_{l-1,l}(x; alpha, beta), n != 1.
 
     Requires positive scales (eval_L folds parity before landing here)
-    and l >= 1.  closed_forms applies to the K cells the closure reads.
+    and l >= 1.  The value is the general table's adjacent cell, so at
+    l = 1 it is the L01 base.
     """
     if n == 1:
         raise DomainError("adjacent closure divides by n - 1; use the n = 1 ladder")
     _check_adjacent(n, l, x, alpha, beta)
-    table = _AdjacentTable(x, l, alpha, beta, True, closed_forms)
-    return AntiderivativeValue(table.value(n), "closure")
+    return AntiderivativeValue(LTable(x, l - 1, l, alpha, beta).value(n), "closure")
 
 
 def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -> float:
@@ -126,8 +126,7 @@ def adjacent_by_recursion(
     """Pure-recursion reference for the adjacent-order case (no closure,
     no closed forms inside K); used to validate adjacent_closure."""
     _check_adjacent(n, l, x, alpha, beta)
-    table = _AdjacentTable(x, l, alpha, beta, False, False)
-    return AntiderivativeValue(table.value(n), "ladder")
+    return AntiderivativeValue(LTable(x, l - 1, l, alpha, beta, False).value(n), "ladder")
 
 
 def _closure(
@@ -136,26 +135,6 @@ def _closure(
     """L^m_{k,k+1}(x; a, b) by the adjacent-order closure, m != 1, from
     jk = j_k(a x), jl = j_{k+1}(b x) and the K cells of kt."""
     return (x ** (m + 1) * jk * jl + a * kt.guarded(m + 1, k + 1) - b * kt.guarded(m + 1, k)) / (m - 1)
-
-
-class _AdjacentTable(PointTable):
-    """L^n_{l-1,l}(x; a, b) of the adjacent-order evaluators at one
-    point: by the closure, or with closure=False by the ladder over a K
-    table without closed forms.  Read through ``value``, so a walk that
-    overflows is a DomainError as in every other table."""
-
-    __slots__ = ("x", "orders", "a", "b", "closure", "kt")
-    family = "L"
-
-    def __init__(self, x: float, l: int, a: float, b: float, closure: bool, closed_forms: bool):
-        self.x, self.orders, self.a, self.b, self.closure = x, (l - 1, l), a, b, closure
-        self.kt = KTable(x, a, b, l if closure else l - 1, closed_forms)
-
-    def _value(self, n: int) -> float:
-        x, (k, l), a, b = self.x, self.orders, self.a, self.b
-        if not self.closure:
-            return _adjacent_ladder(n, k, x, a, b, self.kt)
-        return _closure(n, k, x, a, b, _j_list(k, a * x)[k], _j_list(l, b * x)[l], self.kt)
 
 
 class LTable(PointTable):
@@ -383,25 +362,26 @@ def eval_L_equal_args(
 # top-level dispatch
 # ---------------------------------------------------------------------------
 
-def l_table(
-    k: int,
-    l: int,
-    x: float,
-    alpha: float,
-    beta: float,
-    closed_forms: bool = True,
-    constants: bool = True,
-):
-    """The per-point table of int x^n j_k(alpha x) j_l(beta x) dx at x:
-    its ``value(n)`` serves every exponent n.
+def point_table(spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True):
+    """The per-point table of spec's Bessel factors at x: the one
+    antiderivative dispatch.
 
-    The one table constructor of every two-factor product.  Parity signs
-    of negative scales are folded out front and (k, alpha) is swapped
-    with (l, beta) when k > l.  Equal scales then get the equal-argument
-    table (the H table when the orders meet too), equal orders the K
-    table, and the rest the general order-lowering table.  Assumes
-    0 < x < inf, nonzero finite scales and nonnegative orders.
+    Its ``value(n)`` is the antiderivative of x^n times spec's Bessel
+    product at x for any exponent n; the exponents asked of one table
+    share its j tables, trig chains and recursion cells, and each value
+    is bitwise the one a fresh table returns.  One factor gets the I
+    table.  Two factors have the parity signs of negative scales folded
+    out front, and (k, alpha) swapped with (l, beta) when k > l; equal
+    scales then get the equal-argument table (the H table when the
+    orders meet too, so K with |alpha| = |beta| gets the H table with the
+    parity sign), equal orders the K table, and the rest the general
+    order-lowering table.  spec.n is not read.
     """
+    x = check_point(x)
+    (k, alpha), *rest = spec.factors
+    if not rest:
+        return ITable(k, x, alpha, constants)
+    (l, beta), = rest
     sign_a, alpha = parity_fold(k, alpha)
     sign_b, beta = parity_fold(l, beta)
     sign = sign_a * sign_b
@@ -417,7 +397,7 @@ def l_table(
     return LTable(x, k, l, alpha, beta, closed_forms, constants, sign)
 
 
-#: eval_L's path for each kind of table l_table returns
+#: eval_L's path for each kind of table point_table returns
 _L_PATHS = {
     HTable: "equal-args",
     LEqualTable: "equal-args",
@@ -453,7 +433,7 @@ def eval_L(
         admit no series route.
     """
     spec = IntegralSpec("L", n, l, alpha, k=k, beta=beta)
-    table = l_table(*spec.orders, check_point(x), alpha, beta, closed_forms, constants)
+    table = point_table(spec, x, closed_forms, constants)
     return AntiderivativeValue(table.value(spec.n), _L_PATHS[type(table)])
 
 

@@ -23,10 +23,9 @@ import math
 import numpy as np
 
 from .errors import DomainError, NearDegenerateError, NotConvergedError, QuadratureRecommendedError
-from .mixed_order import l_table
-from .single_bessel import ITable
+from .mixed_order import point_table
 from .sph_bessel import first_zero_estimate, j_many, parity_fold, small_x_leading
-from .types import DefiniteResult, IntegralSpec, QuadratureResult, Strategy, check_point
+from .types import DefiniteResult, IntegralSpec, QuadratureResult, Strategy
 
 #: default mixed absolute/relative tolerance
 DEFAULT_TOL = 1e-10
@@ -341,13 +340,20 @@ def _zero_limit(spec: IntegralSpec) -> float:
 def integrand(spec: IntegralSpec):
     """Vectorized integrand x^n * (product of spherical Bessels) for the
     quadrature routes.  At x = 0 the analytic limit is substituted; it is
-    finite whenever the family finiteness condition holds."""
+    finite whenever the family finiteness condition holds.  A value that
+    overflows a float is a DomainError."""
     n, factors = spec.n, spec.factors
 
     def f(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        with np.errstate(invalid="ignore"):
-            out = bessel_product(factors, xs, _pow(xs, n))
+        try:
+            with np.errstate(invalid="ignore", over="raise"):
+                out = bessel_product(factors, xs, _pow(xs, n))
+        except FloatingPointError:
+            raise DomainError(
+                f"{spec.family} integrand with n = {n}, orders {spec.orders} on "
+                f"[{xs.min():g}, {xs.max():g}]: its values overflow a float"
+            ) from None
         zero = xs == 0.0
         if np.any(zero):
             out[zero] = _zero_limit(spec)
@@ -396,30 +402,6 @@ def bessel_product(factors: tuple, xs: np.ndarray, lead=None) -> np.ndarray:
     return out
 
 
-def point_table(
-    spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True
-):
-    """The per-point table of spec's Bessel factors at x: the one
-    antiderivative dispatch.
-
-    Its ``value(n)`` is the antiderivative of x^n times spec's Bessel
-    product at x for any exponent n; the exponents asked of one table
-    share its j tables, trig chains and recursion cells, and each value
-    is bitwise the one a fresh table returns.  One factor gets the I
-    table; any two factors go to ``mixed_order.l_table``, which folds
-    their parity signs once and picks the table by which factors
-    coincide: equal scales the squared or equal-argument table (so K
-    with |alpha| = |beta| gets the H table with the parity sign), equal
-    orders the K table.  spec.n is not read.
-    """
-    x = check_point(x)
-    (k, alpha), *rest = spec.factors
-    if not rest:
-        return ITable(k, x, alpha, constants)
-    (l, beta), = rest
-    return l_table(k, l, x, alpha, beta, closed_forms, constants)
-
-
 def antiderivative(
     spec: IntegralSpec,
     x: float,
@@ -462,10 +444,12 @@ def _run_routes(
 ) -> DefiniteResult:
     """Run ``_plan``'s segments for definite_integral and the weighted
     integrator.  A recursion segment is ``analytic(lo, hi)``; where that
-    refuses (NearDegenerateError, QuadratureRecommendedError) auto falls
-    back to quadrature.  A quadrature segment is one adaptive_quad run
-    of ``quad_integrand`` with the ``knots`` inside it as breakpoints, on
-    what is left of max_evals (none left: not evaluated, not converged).
+    refuses (NearDegenerateError, QuadratureRecommendedError) or its walk
+    leaves the float range (DomainError: the inputs are checked before
+    the plan) auto falls back to quadrature.  A quadrature segment is one
+    adaptive_quad run of ``quad_integrand`` with the ``knots`` inside it
+    as breakpoints, on what is left of max_evals (none left: not
+    evaluated, not converged).
     The Strategy and the record come from the segments actually taken.
     """
     if max_evals < _PANEL_NODES:
@@ -493,7 +477,7 @@ def _run_routes(
                 value += analytic(lo, hi)
                 done.append(("recursion", lo, hi))
                 continue
-            except (NearDegenerateError, QuadratureRecommendedError) as exc:
+            except (DomainError, NearDegenerateError, QuadratureRecommendedError) as exc:
                 if strategy == "recursion":
                     raise
                 reason = (

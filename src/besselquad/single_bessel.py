@@ -105,7 +105,7 @@ def eval_I_scaled(
     """
     spec = IntegralSpec("I", n, l, alpha)
     table = ITable(spec.l, check_point(x), alpha, constants)
-    return AntiderivativeValue(table.value(spec.n), "recursion")
+    return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
 
 
 def truncates_early(n: int, l: int) -> bool:

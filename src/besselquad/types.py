@@ -137,6 +137,8 @@ class IntegralSpec:
             if v is None and name == "k":
                 continue
             try:
+                if isinstance(v, bool):  # operator.index(True) is 1
+                    raise TypeError
                 object.__setattr__(self, name, operator.index(v))
             except TypeError:
                 raise DomainError(f"{name} must be an integer, got {v!r}") from None

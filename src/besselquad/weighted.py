@@ -13,10 +13,10 @@ quadrature._run_routes, applied to the n = 0 spec of the Bessel factors:
 quadrature below the first-zero threshold, the analytic sum above it,
 quadrature over the whole interval when the scales pass
 AMPLIFICATION_GUARD, and quadrature where the analytic route refuses
-(near-degenerate scales).  NotConvergedError, carrying the result
-record, reports a quadrature run that misses the tolerance.  This module
-supplies only what the routes integrate: the quadrature integrand and
-the analytic difference over a segment.
+(near-degenerate scales, or a walk that overflows).  NotConvergedError,
+carrying the result record, reports a quadrature run that misses the
+tolerance.  This module supplies only what the routes integrate: the
+quadrature integrand and the analytic difference over a segment.
 
 The analytic route over [lo, hi] is a sum of c_m (F_m(hi) - F_m(lo))
 over the pieces and the monomials x^m with nonzero coefficient.  Each
@@ -225,10 +225,10 @@ def weighted_integral(
     The route policy is definite_integral's (auto) for the n = 0 spec:
     the first-zero split, quadrature over the whole interval past
     AMPLIFICATION_GUARD, and quadrature where the analytic route refuses
-    (near-degenerate scales), named in the strategy's reason.  The
-    record carries the quadrature run's error estimate and node count
-    (the recursion pieces add neither), the strategy and the segments
-    each route covered.  Raises NotConvergedError, carrying the record,
+    (near-degenerate scales, or a walk that overflows), named in the
+    strategy's reason.  The record carries the quadrature run's error
+    estimate and node count (the recursion pieces add neither), the
+    strategy and the segments each route covered.  Raises NotConvergedError, carrying the record,
     when the quadrature misses ``tol``.
     """
     if (k is None) != (beta is None):

@@ -323,8 +323,9 @@ class TestTableConfigValidation:
             ({"family": "I", "l": [2], "a": 5.0, "b": 20.0}, "n must be an integer"),
             ({"family": "I", "n": [0], "a": 5.0, "b": 20.0}, "l must be an integer"),
             ([{"family": "I", "n": [0], "l": [2], "a": 5.0, "b": 20.0}], "JSON object"),
+            ({"family": "I", "n": [True], "l": [2], "a": 5.0, "b": 20.0}, "n must be an integer"),
         ],
-        ids=["non-integer-n", "no-n-axis", "no-l-axis", "not-an-object"],
+        ids=["non-integer-n", "no-n-axis", "no-l-axis", "not-an-object", "boolean-n"],
     )
     def test_exit_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "grid.json"

@@ -1,5 +1,9 @@
-"""Each script under demos/ runs to completion against the sources in src/."""
+"""Each script under demos/, and the package's ``python -m`` entry point,
+runs to completion against the sources in src/.  They run in
+subprocesses, which pytest's warning filter does not reach, so each runs
+with RuntimeWarning as an error."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -11,11 +15,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *argv], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
-        timeout=120,
-    )
+    done = _run(str(demo))
     assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_point():
+    done = _run("-m", "besselquad", "single", "--n", "2", "--l", "3", "--a", "0", "--b", "50",
+                "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert list(json.loads(done.stdout)) == ["value", "abs_error_est", "strategy", "nodes", "seconds"]

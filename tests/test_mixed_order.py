@@ -198,6 +198,17 @@ class TestSharedKTable:
         monkeypatch.undo()
         assert eval_L(n, 2, 5, 30.0, 1.0, 1.6).value == want
 
+    @pytest.mark.parametrize("evaluator", [adjacent_closure, adjacent_by_recursion])
+    def test_adjacent_evaluators_build_one_j_table_per_scale(self, evaluator, monkeypatch):
+        calls = []
+        for mod in (mixed_order, same_order):
+            fn = mod._j_list
+            monkeypatch.setattr(
+                mod, "_j_list", lambda l, x, fn=fn: calls.append((l, x)) or fn(l, x)
+            )
+        evaluator(0, 4, 30.0, 1.0, 1.6)
+        assert sorted(x for _, x in calls) == [30.0, 48.0]
+
 
 class TestIdentityResidual:
     def test_specific_case(self):

@@ -14,7 +14,7 @@ from besselquad import (
     eval_K,
     eval_L,
 )
-from besselquad.mixed_order import LEqualTable, LTable, _AdjacentTable
+from besselquad.mixed_order import LEqualTable, LTable
 from besselquad.quadrature import antiderivative, point_table
 from besselquad.same_order import KTable
 from besselquad.single_bessel import ITable
@@ -107,8 +107,8 @@ def test_point_must_be_positive(x):
         lambda: KTable(7.5, 1.3, 0.7, 4),
         lambda: LTable(7.5, 1, 4, 1.3, 0.7),
         lambda: LEqualTable(7.5, 1, 4),
-        lambda: _AdjacentTable(7.5, 4, 1.3, 0.7, True, True),
-        lambda: _AdjacentTable(7.5, 4, 1.3, 0.7, False, False),
+        lambda: LTable(7.5, 3, 4, 1.3, 0.7),
+        lambda: LTable(7.5, 3, 4, 1.3, 0.7, False),
     ],
     ids=["I", "H", "K", "L", "L-equal", "adjacent-closure", "adjacent-ladder"],
 )

@@ -14,6 +14,7 @@ from besselquad import (
     choose_strategy,
     definite_integral,
     integrand,
+    oscillation_threshold,
     recursion_amplification,
 )
 from besselquad.quadrature import PANEL_CHUNK
@@ -345,9 +346,15 @@ class TestDefiniteIntegral:
             definite_integral(IntegralSpec("I", 0, 2), a, b)
 
     def test_overflowing_recursion_is_a_domain_error(self):
-        # the exact integer coefficients of I^0_200 pass the float range
-        with pytest.raises(DomainError):
-            definite_integral(IntegralSpec("I", 0, 200), 300.0, 400.0)
+        # the exact integer coefficients of I^0_200 pass the float range:
+        # the recursion strategy raises, auto falls back to quadrature
+        spec = IntegralSpec("I", 0, 200)
+        with pytest.raises(DomainError, match="overflow"):
+            definite_integral(spec, 300.0, 400.0, strategy="recursion")
+        r = definite_integral(spec, 300.0, 400.0)
+        assert r.converged and "overflow" in r.strategy.reason
+        assert r.value == definite_integral(spec, 300.0, 400.0, strategy="quadrature").value
+        assert r.value == pytest.approx(0.0019413776962425588, rel=0, abs=1e-10)  # mpmath
 
     def test_K_with_equal_scales_delegates_to_H(self):
         r1 = definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=1.0), 5.0, 40.0)
@@ -393,6 +400,10 @@ class TestIntegralSpecValidation:
             dict(family="H", n=0, l=2.0),
             dict(family="L", n=0, l=2, k=0.5, beta=2.0),
             dict(family="K", n="0", l=2, beta=2.0),
+            # operator.index(True) is 1, so a bool would pass as order 1
+            dict(family="I", n=True, l=2),
+            dict(family="H", n=0, l=False),
+            dict(family="L", n=0, l=2, k=True, beta=2.0),
         ],
     )
     def test_non_integer_exponent_or_order(self, kwargs):
@@ -427,6 +438,16 @@ class TestIntegralSpecValidation:
 
 
 class TestQuadraturePathGuards:
+    def test_overflowing_integrand_is_a_domain_error(self):
+        # x^150 passes the float range at the nodes: no nan, no numpy warning
+        spec = IntegralSpec("K", 150, 60, 1.0, beta=1.3)
+        t = oscillation_threshold(spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="K integrand with n = 150.*overflow"):
+                definite_integral(spec, 1.5 * t, 1.5 * t + 20.0, strategy="quadrature")
+        assert caught == []
+
     def test_overflowing_node_argument_is_a_domain_error(self):
         # alpha * x passes the float range at every node
         match = "j_many requires 0 <= x < inf"

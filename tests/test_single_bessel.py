@@ -81,6 +81,12 @@ class TestScaled:
         want = oracle(n, l, a, b, alpha)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, -1.3])
+    def test_order_zero_path_is_base(self, alpha):
+        # the l = 0 value is the trig base itself, as in eval_I
+        assert eval_I_scaled(0, 0, 2.0, alpha).path == eval_I(0, 0, 2.0).path == "base"
+        assert eval_I_scaled(0, 1, 2.0, alpha).path == "recursion"
+
     def test_zero_alpha_rejected(self):
         with pytest.raises(DomainError):
             eval_I_scaled(0, 0, 1.0, 0.0)
