@@ -8,6 +8,12 @@ small-argument regime where the recursions cancel catastrophically, and
 a piecewise-polynomial weighted integrator handles tabulated slowly
 varying prefactors.
 
+numpy is loaded on first use by the quadrature and array routes: a
+quadrature segment, ``j_array``, ``j_many``, ``build_interpolant``, a
+``PiecewisePolynomial`` and ``besselJ``.  Importing the package, the
+scalar evaluators and definite integrals above the first-zero
+threshold run without it.
+
 Everything here is a pure function of its arguments and safe to call
 concurrently.
 """

@@ -41,10 +41,10 @@ import math
 from .errors import DomainError, NearDegenerateError
 from .same_order import DEGENERACY_GUARD, KTable
 from .single_bessel import ITable
-from .sph_bessel import _j_list, j_extended, parity_fold
+from .sph_bessel import _j_extended, _j_list, j_extended, parity_fold
 from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result
 
 _EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
 
@@ -74,6 +74,7 @@ def _base_L01(n: int, x: float, a: float, b: float, near: TrigChain, far: TrigCh
     return cos_part - sin_part
 
 
+@finite_result
 def base_L01(n: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:
     """The terminal case L^n_{01}(x; alpha, beta) = int x^n j_0(ax) j_1(bx) dx.
 
@@ -199,6 +200,7 @@ class LTable(PointTable):
 # equal arguments
 # ---------------------------------------------------------------------------
 
+@finite_result
 def base_L01_equal(n: int, x: float, constants: bool = True) -> AntiderivativeValue:
     """Equal-argument base L^n_{01}(x) = int x^n j_0(x) j_1(x) dx,
 
@@ -221,8 +223,8 @@ def base_L01_equal(n: int, x: float, constants: bool = True) -> AntiderivativeVa
 def _closed_L_equal(kind: str, k: int, l: int, x: float, jt, constants: bool = True) -> float:
     """Printed equal-argument closed forms; cells assume k <= l."""
     jk, jl = jt[k], jt[l]
-    jkm = jt[k - 1] if k >= 1 else j_extended(-1, x)
-    jlm = jt[l - 1] if l >= 1 else j_extended(-1, x)
+    jkm = jt[k - 1] if k >= 1 else _j_extended(-1, x)
+    jlm = jt[l - 1] if l >= 1 else _j_extended(-1, x)
     jkp, jlp = jt[k + 1], jt[l + 1]
     if kind == "L1":  # n = 0
         if k == l:
@@ -261,6 +263,7 @@ def _closed_L_equal(kind: str, k: int, l: int, x: float, jt, constants: bool = T
     raise DomainError(f"unknown closed form {kind!r}")
 
 
+@finite_result
 def closed_L_equal(kind: str, k: int, l: int, x: float) -> AntiderivativeValue:
     """Equal-argument closed forms for L^n_{kl}(x) at special exponents:
 

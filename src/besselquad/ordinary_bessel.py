@@ -18,17 +18,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .quadrature import adaptive_quad
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RESCALE_AT = 1e250
 
 
 def _J_table(nmax: int, x: float) -> np.ndarray:
     """J_0(x) .. J_nmax(x) by Miller's downward recurrence."""
+    import numpy as np
+
     out = np.zeros(nmax + 1)
     if x == 0.0:
         out[0] = 1.0
@@ -75,6 +79,8 @@ def _J(order: int, x: float) -> float:
 
 
 def _Jm(order: int, xs: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    import numpy as np
+
     return np.array([_J(order, scale * float(x)) for x in np.atleast_1d(xs)])
 
 

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import heapq
 import math
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NearDegenerateError, NotConvergedError, QuadratureRecommendedError
 from .mixed_order import point_table
 from .sph_bessel import first_zero_estimate, j_many, parity_fold, small_x_leading
 from .types import DefiniteResult, IntegralSpec, QuadratureResult, Strategy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: default mixed absolute/relative tolerance
 DEFAULT_TOL = 1e-10
@@ -35,44 +38,50 @@ MAX_EVALS = 10**6
 
 # 15-point Kronrod nodes (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed nodes.  QUADPACK dqk15 values.
-_XGK = np.array(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-        0.0,
-    ]
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
 )
-_WGK = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-        0.209482141084727828012999174891714,
-    ]
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
-_WG = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-        0.417959183673469387755102040816327,
-    ]
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
 
-# full 15-node arrays on [-1, 1]
-_NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])  # ascending
-_K_WEIGHTS = np.concatenate([_WGK[:7], _WGK[::-1]])
-_G_FULL = np.zeros(15)
-_G_FULL[1:14:2] = np.concatenate([_WG[:3], _WG[::-1]])
+
+@cache
+def _gk15_rule() -> tuple:
+    """(nodes, Kronrod weights, Gauss weights) as read-only 15-point
+    arrays on [-1, 1], nodes ascending and the Gauss weights zero on the
+    Kronrod-only nodes.  Built on first use, so a process that runs no
+    quadrature never imports numpy."""
+    import numpy as np
+
+    xgk, wgk, wg = np.array(_XGK), np.array(_WGK), np.array(_WG)
+    nodes = np.concatenate([-xgk[:7], xgk[::-1]])
+    k_weights = np.concatenate([wgk[:7], wgk[::-1]])
+    g_full = np.zeros(15)
+    g_full[1:14:2] = np.concatenate([wg[:3], wg[::-1]])
+    for a in (nodes, k_weights, g_full):
+        a.flags.writeable = False
+    return nodes, k_weights, g_full
 
 
 #: integrand evaluations of one GK15 panel
@@ -88,10 +97,13 @@ def _gk15_panels(f, edges: np.ndarray, vectorized: bool):
     ``edges``, from one integrand call on all their nodes (a flat array,
     panel after panel).  A scalar integrand is mapped over the same nodes.
     Returns (values, errors, nodes evaluated) with Python-float lists."""
+    import numpy as np
+
+    nodes, k_weights, g_full = _gk15_rule()
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     center = 0.5 * (lo + hi)
-    xs = (center[:, None] + half[:, None] * _NODES).ravel()
+    xs = (center[:, None] + half[:, None] * nodes).ravel()
     if vectorized:
         fs = np.asarray(f(xs), dtype=float)
     else:
@@ -99,11 +111,11 @@ def _gk15_panels(f, edges: np.ndarray, vectorized: bool):
     fs = fs.reshape(len(half), _PANEL_NODES)
     # elementwise products and row sums, not a BLAS matrix product: the
     # first 2-D matmul of a process allocates a multi-megabyte buffer
-    vk = half * (fs * _K_WEIGHTS).sum(axis=1)
-    vg = half * (fs * _G_FULL).sum(axis=1)
+    vk = half * (fs * k_weights).sum(axis=1)
+    vg = half * (fs * g_full).sum(axis=1)
     # QUADPACK-style error model: scale |K - G| by the smoothness measure
     mean = vk / (hi - lo)
-    resasc = half * (np.abs(fs - mean[:, None]) * _K_WEIGHTS).sum(axis=1)
+    resasc = half * (np.abs(fs - mean[:, None]) * k_weights).sum(axis=1)
     err = np.abs(vk - vg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
@@ -115,6 +127,8 @@ def _initial_edges(knots: list, width: float | None, cap: int) -> np.ndarray:
     """Panel edges of the initial partition: each interval between
     consecutive knots split into at most ``cap`` equal panels no wider
     than ``width`` where the cap allows (one panel when width is None)."""
+    import numpy as np
+
     parts = []
     for lo, hi in zip(knots[:-1], knots[1:]):
         n = 1
@@ -185,6 +199,8 @@ def adaptive_quad(
     Pure function; when the caller runs it from several threads the
     integrand must itself be safe to call concurrently.
     """
+    import numpy as np
+
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"adaptive_quad requires finite limits, got [{a}, {b}]")
     if not a < b:
@@ -345,6 +361,8 @@ def integrand(spec: IntegralSpec):
     n, factors = spec.n, spec.factors
 
     def f(xs):
+        import numpy as np
+
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         try:
             with np.errstate(invalid="ignore", over="raise"):
@@ -365,6 +383,8 @@ def integrand(spec: IntegralSpec):
 def _pow(xs: np.ndarray, n: int) -> np.ndarray:
     if n >= 0:
         return xs**n
+    import numpy as np
+
     out = np.empty_like(xs)
     nz = xs != 0
     out[nz] = xs[nz] ** n
@@ -376,6 +396,8 @@ def _j_signed(l: int, scale: float, xs: np.ndarray) -> np.ndarray:
     """j_l(scale * xs) for an array xs >= 0 and a scale of either sign.
     An argument that overflows to inf is j_many's DomainError, with no
     numpy warning first."""
+    import numpy as np
+
     sign, a = parity_fold(l, scale)
     with np.errstate(over="ignore"):
         u = a * xs

@@ -27,10 +27,10 @@ NearDegenerateError so callers can fall back to quadrature.
 from __future__ import annotations
 
 from .errors import DomainError, NearDegenerateError
-from .sph_bessel import _j_list, j_extended, parity_fold
+from .sph_bessel import _j_extended, _j_list, parity_fold
 from .squared_bessel import _path
 from .trig_primitives import TrigChain
-from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result
 
 #: relative |alpha - beta| guard below which the base case is hazardous
 DEGENERACY_GUARD = 1e-6
@@ -50,8 +50,8 @@ def _check_degeneracy(n: int, l: int, a: float, b: float) -> None:
 def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
     ja = jta[lam]
     jb = jtb[lam]
-    jam = jta[lam - 1] if lam >= 1 else j_extended(-1, a * x)
-    jbm = jtb[lam - 1] if lam >= 1 else j_extended(-1, b * x)
+    jam = jta[lam - 1] if lam >= 1 else _j_extended(-1, a * x)
+    jbm = jtb[lam - 1] if lam >= 1 else _j_extended(-1, b * x)
     return x * x / (a * a - b * b) * (b * ja * jbm - a * jam * jb)
 
 
@@ -175,6 +175,7 @@ def eval_K(
     return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))
 
 
+@finite_result
 def closed_K2(l: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:
     """The one printed closed form,
 

@@ -19,7 +19,7 @@ import math
 from .errors import DomainError
 from .sph_bessel import _j_list, j, parity_fold
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result
 
 
 class ITable(PointTable):
@@ -113,6 +113,7 @@ def truncates_early(n: int, l: int) -> bool:
     return (l + n) % 2 == 1 and 1 - l <= n <= l - 1
 
 
+@finite_result
 def closed_I(kind: str, l: int, x: float) -> AntiderivativeValue:
     """Printed closed forms for special exponents.
 

@@ -18,10 +18,13 @@ series to avoid 0/0 in the sinc-based seeds.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+from .types import finite_result
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: below this argument the ascending series is used directly
 SMALL_X_SERIES = 1e-4
@@ -39,11 +42,18 @@ def first_zero_estimate(l: int) -> float:
     return 4.75 + 1.05 * l
 
 
+@finite_result
 def small_x_leading(l: int, x: float) -> float:
     """Leading small-x behavior x^l sqrt(pi) / (2^(l+1) Gamma(l + 3/2)),
     i.e. x^l / (2l+1)!!."""
     if l < 0:
         raise DomainError("order must be nonnegative")
+    return _leading(l, x)
+
+
+def _leading(l: int, x):
+    # small_x_leading's core: _series_value applies it to arrays of x too,
+    # which the public, finite-checked form does not take
     out = 1.0
     for m in range(1, l + 1):
         out *= x / (2 * m + 1)
@@ -56,7 +66,7 @@ def _series_value(l: int, x: float) -> float:
     t = 0.5 * x * x
     c1 = -t / (2 * l + 3)
     c2 = t * t / (2.0 * (2 * l + 3) * (2 * l + 5))
-    return small_x_leading(l, x) * (1.0 + c1 + c2)
+    return _leading(l, x) * (1.0 + c1 + c2)
 
 
 def _j_list(lmax: int, x: float) -> list:
@@ -113,6 +123,8 @@ def _j_list(lmax: int, x: float) -> list:
 
 def j_array(lmax: int, x: float) -> np.ndarray:
     """Table of j_0(x) .. j_lmax(x) at a finite scalar argument x >= 0."""
+    import numpy as np
+
     return np.array(_j_list(lmax, x))
 
 
@@ -152,6 +164,8 @@ def j_many(l: int, xs) -> np.ndarray:
     a fixed number of array steps for its order, whatever the number of
     points.  Below the margin every value is bitwise equal to ``j(l, x)``.
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ok = (xs >= 0) & (xs < math.inf)
     if not ok.all():
@@ -192,6 +206,8 @@ def _j_below_margin(l: int, x: np.ndarray) -> np.ndarray:
     walk of ``_j_list`` from the same starting order, with the same
     per-point rescaling and the same j_0 / j_1 normalisation.
     """
+    import numpy as np
+
     out = np.empty_like(x)
     small = x < SMALL_X_SERIES
     if np.any(small):
@@ -242,14 +258,22 @@ def _j_below_margin(l: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@finite_result
 def j_extended(order: int, x: float) -> float:
     """j at integer order >= -1; j_{-1}(x) = cos(x)/x.
 
     The order -1 continuation is what the closed forms need when a
     formula written for l >= 1 is evaluated at l = 0.
     """
+    return _j_extended(order, x)
+
+
+def _j_extended(order: int, x: float) -> float:
+    """j_extended's core, which the closed forms of the engines call."""
     if order == -1:
         if x == 0:
             raise DomainError("j_{-1} diverges at x = 0")
+        if not math.isfinite(x):
+            raise DomainError(f"j_{{-1}} requires a finite x, got {x}")
         return math.cos(x) / x
     return j(order, x)

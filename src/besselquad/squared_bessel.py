@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .sph_bessel import _j_list, j_extended
+from .sph_bessel import _j_extended, _j_list
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result
 
 _CLOSED_KINDS = ("H1", "H2", "H3", "H4", "H5")
 
@@ -60,7 +60,7 @@ def _closed_H(kind: str, l: int, x: float, jt=None, constants: bool = True) -> f
     if jt is None:
         jt = _j_list(l + 1, x)
     jl = jt[l]
-    jm = jt[l - 1] if l >= 1 else j_extended(-1, x)
+    jm = jt[l - 1] if l >= 1 else _j_extended(-1, x)
     jp = jt[l + 1]
     if kind == "H1":
         if l < 1:
@@ -93,6 +93,7 @@ def _closed_H(kind: str, l: int, x: float, jt=None, constants: bool = True) -> f
     raise DomainError(f"unknown closed form {kind!r}")
 
 
+@finite_result
 def closed_H(kind: str, l: int, x: float) -> AntiderivativeValue:
     """Printed closed forms:
 

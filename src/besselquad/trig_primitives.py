@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, QuadratureRecommendedError
-from .types import TrigPrimitive
+from .types import TrigPrimitive, finite_result, finite_value
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -50,6 +50,11 @@ SI_CI_SWITCH = 6.0
 
 #: scaled series is used for |alpha x| at or below this
 SERIES_ARG_MAX = 0.5
+
+#: the scaled series refuses |alpha x| above this (the engines stay at or
+#: below SERIES_ARG_MAX): past |alpha x| ~ 10 the alternating sum cancels
+#: catastrophically
+SERIES_ARG_LIMIT = 2 * SERIES_ARG_MAX
 
 #: below this argument, primitives with n < -1 refuse to evaluate
 SMALL_ARG_HAZARD = 0.1
@@ -156,20 +161,24 @@ def _ci_series(x: float) -> float:
             return acc
 
 
+@finite_result
 def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(t)/t dt for x >= 0."""
-    if x < 0:
-        raise DomainError("si requires x >= 0")
+    """Sine integral Si(x) = int_0^x sin(t)/t dt for finite x >= 0."""
+    if not 0 <= x < math.inf:
+        raise DomainError(f"si requires 0 <= x < inf, got {x}")
     if x <= SI_CI_SWITCH:
         return _si_series(x)
     f, g = _aux_fg(x)
     return 0.5 * math.pi - f * math.cos(x) - g * math.sin(x)
 
 
+@finite_result
 def ci(x: float) -> float:
-    """Cosine integral Ci(x) = -int_x^inf cos(t)/t dt for x > 0."""
+    """Cosine integral Ci(x) = -int_x^inf cos(t)/t dt for finite x > 0."""
     if x <= 0:
         raise DomainError("ci requires x > 0 (logarithmic divergence at 0)")
+    if not x < math.inf:
+        raise DomainError(f"ci requires a finite x, got {x}")
     if x <= SI_CI_SWITCH:
         return _ci_series(x)
     f, g = _aux_fg(x)
@@ -273,7 +282,7 @@ class TrigChain:
         routed through the power series when m >= 0 and |c x| <=
         SERIES_ARG_MAX."""
         if m >= 0 and self.u <= SERIES_ARG_MAX:
-            return eval_scaled_X_series(m, self.c, self.x, self.constants)
+            return _scaled_series(1, m, self.c, self.x, self.constants)
         if m == -1 and self.u == 0.0:
             xv = 0.0 if self.constants else -0.5 * math.pi
         else:
@@ -284,7 +293,7 @@ class TrigChain:
     def int_cos(self, m: int) -> float:
         """int x^m cos(c x) dx; equals |c|^(-m-1) Y_m(|c| x)."""
         if m >= 0 and self.u <= SERIES_ARG_MAX:
-            return eval_scaled_Y_series(m, self.c, self.x, self.constants)
+            return _scaled_series(0, m, self.c, self.x, self.constants)
         return abs(self.c) ** (-m - 1) * self.pair(m)[1]
 
 
@@ -314,32 +323,40 @@ def eval_pair(n: int, x: float, constants: bool = True) -> TrigPrimitive:
     Raises
     ------
     DomainError
-        For x < 0, or x = 0 with n < 0.
+        For x < 0, x = 0 with n < 0, a non-finite x, or an X_n or Y_n
+        that overflows a float.
     QuadratureRecommendedError
         For n < -1 with 0 < x < SMALL_ARG_HAZARD, where the value is one
         a caller should not difference.
     """
+    X, Y = finite_value(lambda *args: f"eval_pair{args}", _pair, n, x, constants)
+    return TrigPrimitive(n=n, x=x, X=X, Y=Y)
+
+
+def _pair(n: int, x: float, constants: bool = True) -> tuple:
+    """eval_pair's (X_n(x), Y_n(x)), before the check that both are finite."""
     if x < 0:
         raise DomainError("trig primitives require x >= 0")
     if x == 0 and n < 0:
         raise DomainError("Y_n(0) diverges for n < 0 (and X_n(0) for n < -1)")
     _refuse_small_arg(n, x)
-    X, Y = TrigChain(1.0, x, constants).pair(n)
-    return TrigPrimitive(n=n, x=x, X=X, Y=Y)
+    return TrigChain(1.0, x, constants).pair(n)
 
 
+@finite_result
 def eval_X(n: int, x: float) -> float:
     """X_n(x) = int x^n sin(x) dx under the frozen constant convention."""
     if x == 0 and n == -1:
         return 0.0  # Si(0)
     if x == 0 and n < -1:
         raise DomainError(f"X_{n}(0) is divergent")
-    return eval_pair(n, x).X
+    return _pair(n, x)[0]
 
 
+@finite_result
 def eval_Y(n: int, x: float) -> float:
     """Y_n(x) = int x^n cos(x) dx under the frozen constant convention."""
-    return eval_pair(n, x).Y
+    return _pair(n, x)[1]
 
 
 def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) -> float:
@@ -352,6 +369,11 @@ def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) ->
         raise DomainError("scaled series requires n >= 0")
     if alpha == 0:
         raise DomainError("alpha must be nonzero")
+    if not abs(alpha * x) <= SERIES_ARG_LIMIT:
+        raise DomainError(
+            f"scaled series at |alpha x| = {abs(alpha * x):g}: "
+            f"it is accurate only up to SERIES_ARG_LIMIT = {SERIES_ARG_LIMIT:g}"
+        )
     u2 = (alpha * x) ** 2
     half = -_COS_HALF[n % 4] if odd else _SIN_HALF[n % 4]
     const = 0.0
@@ -370,6 +392,7 @@ def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) ->
     return const + lead * acc
 
 
+@finite_result
 def eval_scaled_X_series(n: int, alpha: float, x: float, constants: bool = True) -> float:
     """Series evaluation of X_n(alpha x) / alpha^(n+1) for n >= 0.
 
@@ -379,22 +402,27 @@ def eval_scaled_X_series(n: int, alpha: float, x: float, constants: bool = True)
         -Gamma(n+1) cos(n pi/2) / alpha^(n+1)
         + alpha x^(n+2) sum_m (-(alpha x)^2)^m / ((2m+1)! (n+2m+2))
 
-    Intended for |alpha x| <= SERIES_ARG_MAX; the sum is taken to
-    convergence at machine precision, so it stays accurate slightly
-    beyond that.  constants=False drops the Gamma term (see eval_pair).
+    Intended for |alpha x| <= SERIES_ARG_MAX, where the engines use it;
+    the sum is taken to convergence at machine precision, so it stays
+    accurate slightly beyond that.  |alpha x| above SERIES_ARG_LIMIT
+    (= 2 SERIES_ARG_MAX), where the alternating sum starts to cancel, is
+    a DomainError, and so is a value that overflows a float.
+    constants=False drops the Gamma term (see eval_pair).
     """
     return _scaled_series(1, n, alpha, x, constants)
 
 
+@finite_result
 def eval_scaled_Y_series(n: int, alpha: float, x: float, constants: bool = True) -> float:
     """Series evaluation of Y_n(alpha x) / alpha^(n+1) for n >= 0.
 
-    Constant term +Gamma(n+1) sin(n pi/2) / alpha^(n+1); see
-    eval_scaled_X_series.
+    Constant term +Gamma(n+1) sin(n pi/2) / alpha^(n+1); the domain is
+    eval_scaled_X_series's.
     """
     return _scaled_series(0, n, alpha, x, constants)
 
 
+@finite_result
 def int_pow_sin(m: int, c: float, x: float, constants: bool = True) -> float:
     """int x^m sin(c x) dx for c != 0 under the frozen convention.
 
@@ -406,6 +434,7 @@ def int_pow_sin(m: int, c: float, x: float, constants: bool = True) -> float:
     return TrigChain(c, x, constants).int_sin(m)
 
 
+@finite_result
 def int_pow_cos(m: int, c: float, x: float, constants: bool = True) -> float:
     """int x^m cos(c x) dx for c != 0; equals |c|^(-m-1) Y_m(|c| x)."""
     if c == 0:

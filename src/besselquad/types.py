@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Integral families handled by the engine.
 #:   I  ->  x^n j_l(alpha x)
@@ -206,6 +209,48 @@ def check_point(x: float) -> float:
     return x
 
 
+def finite_value(describe, compute, /, *args, **kwargs):
+    """``compute(*args, **kwargs)`` when it is finite: a float, a value
+    with ``__float__``, or a tuple of floats.
+
+    The one place where a computation whose terms overflow a float
+    (raising OverflowError, or ending in inf or nan), or which runs
+    deeper than the interpreter's recursion limit, becomes a DomainError.
+    ``describe(*args, **kwargs)`` names the computation in the message;
+    it runs only on failure.  The per-point tables and the public scalar
+    evaluators (see ``finite_result``) pass their values through here.
+    """
+    reason = "its terms overflow a float"
+    try:
+        v = compute(*args, **kwargs)
+    except OverflowError:
+        pass
+    except RecursionError:
+        reason = "the recursion runs deeper than the interpreter's recursion limit"
+    else:
+        if all(map(math.isfinite, v)) if isinstance(v, tuple) else math.isfinite(v):
+            return v
+    raise DomainError(f"{describe(*args, **kwargs)}: {reason}")
+
+
+def _call_text(name: str, *args, **kwargs) -> str:
+    params = [repr(a) for a in args] + [f"{k}={v!r}" for k, v in kwargs.items()]
+    return f"{name}({', '.join(params)})"
+
+
+def finite_result(fn):
+    """Decorate a public scalar evaluator: it returns a finite value or
+    raises the DomainError of ``finite_value``, which names the function
+    and its arguments.  The engines call the undecorated cores."""
+    describe = functools.partial(_call_text, fn.__name__)
+
+    @functools.wraps(fn)
+    def evaluator(*args, **kwargs):
+        return finite_value(describe, fn, *args, **kwargs)
+
+    return evaluator
+
+
 class PointTable:
     """Base of the per-point antiderivative tables of the engines.
 
@@ -214,10 +259,9 @@ class PointTable:
     ``value(n)`` is the antiderivative of x^n times the table's Bessel
     product at x.  Subclasses set ``family``, ``orders`` and ``x`` and
     define ``_value(n)``.  Every table value passes through ``value``,
-    so a recursion whose terms overflow a float (raising OverflowError,
-    or ending in inf or nan), or which runs deeper than the
-    interpreter's recursion limit, surfaces here as a DomainError naming
-    the family, n, orders and x.
+    so a recursion whose terms overflow a float, or which runs deeper
+    than the interpreter's recursion limit, surfaces here as the
+    DomainError of ``finite_value``, naming the family, n, orders and x.
     """
 
     __slots__ = ()
@@ -225,20 +269,10 @@ class PointTable:
 
     def value(self, n: int) -> float:
         """int x^n (the table's Bessel product) dx at the table's point."""
-        reason = "the recursion's terms overflow a float"
-        try:
-            v = self._value(n)
-        except OverflowError:
-            pass
-        except RecursionError:
-            reason = "the recursion runs deeper than the interpreter's recursion limit"
-        else:
-            if math.isfinite(v):
-                return v
-        raise DomainError(
-            f"{self.family} antiderivative with n = {n}, orders {self.orders} "
-            f"at x = {self.x:g}: {reason}"
-        )
+        return finite_value(self._describe, self._value, n)
+
+    def _describe(self, n: int) -> str:
+        return f"{self.family} antiderivative with n = {n}, orders {self.orders} at x = {self.x:g}"
 
 
 @dataclass(frozen=True)
@@ -262,6 +296,8 @@ class PiecewisePolynomial:
         """(lefts, coeffs): the left breakpoints, and coeffs[d, i] the
         coefficient of (x - lefts[i])**d, zero-padded; cached, as
         ``values`` reads them on every call."""
+        import numpy as np
+
         width = max(len(c) for c in self.coefficients)
         coeffs = np.array([tuple(c) + (0.0,) * (width - len(c)) for c in self.coefficients])
         return np.array(self.breakpoints[:-1]), coeffs.T
@@ -270,6 +306,8 @@ class PiecewisePolynomial:
         """The interpolant at an array of points, each on the piece it
         falls in (clamped to the end pieces, without a span check): one
         vectorised Horner step per degree in the piece's local basis."""
+        import numpy as np
+
         lefts, coeffs = self.piece_arrays
         p = np.clip(np.searchsorted(lefts, xs, side="right") - 1, 0, len(lefts) - 1)
         t = xs - lefts[p]
@@ -279,6 +317,8 @@ class PiecewisePolynomial:
         return env
 
     def __call__(self, x):
+        import numpy as np
+
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.span
         outside = (xs < lo) | (xs > hi)

@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 from .quadrature import DEFAULT_TOL, MAX_EVALS, _run_routes, antiderivative, bessel_product
 from .types import DefiniteResult, IntegralSpec, PiecewisePolynomial
@@ -52,6 +50,8 @@ from .types import DefiniteResult, IntegralSpec, PiecewisePolynomial
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
     """Thomas algorithm; arrays are modified copies, O(n)."""
+    import numpy as np
+
     n = len(diag)
     c = np.array(upper, dtype=float)
     d = np.array(diag, dtype=float)
@@ -69,6 +69,8 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
 
 def _cubic_second_derivatives(x, y):
     """Second derivatives M_i of the not-a-knot cubic spline."""
+    import numpy as np
+
     n = len(x)
     h = np.diff(x)
     if n == 3:
@@ -123,6 +125,8 @@ def build_interpolant(samples, degree: int = 3) -> PiecewisePolynomial:
         1 for broken lines, 3 for a not-a-knot cubic spline with
         continuous first and second derivatives.
     """
+    import numpy as np
+
     arr = np.asarray(list(samples), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise DomainError("need at least two (x, f) samples")
@@ -203,6 +207,8 @@ def _integrand(pp: PiecewisePolynomial, factors: tuple):
     in that piece's local basis."""
 
     def f(xs):
+        import numpy as np
+
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         return pp.values(xs) * bessel_product(factors, xs)
 

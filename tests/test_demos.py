@@ -29,8 +29,19 @@ def test_demo_runs(demo):
     assert done.returncode == 0, done.stderr
 
 
-def test_module_entry_point():
-    done = _run("-m", "besselquad", "single", "--n", "2", "--l", "3", "--a", "0", "--b", "50",
-                "--format", "json")
+@pytest.mark.parametrize(
+    "a, strategy, loads_numpy",
+    [("0", "quadrature[0,7.9]+recursion[7.9,50]", True), ("20", "recursion[20,50]", False)],
+)
+def test_module_entry_point(a, strategy, loads_numpy):
+    # -X importtime lists every module the run imports on stderr: only a
+    # quadrature segment imports numpy
+    done = _run("-X", "importtime", "-m", "besselquad", "single", "--n", "2", "--l", "3",
+                "--a", a, "--b", "50", "--format", "json")
     assert done.returncode == 0, done.stderr
-    assert list(json.loads(done.stdout)) == ["value", "abs_error_est", "strategy", "nodes", "seconds"]
+    record = json.loads(done.stdout)
+    assert list(record) == ["value", "abs_error_est", "strategy", "nodes", "seconds"]
+    assert record["strategy"] == strategy
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    assert "besselquad.cli" in imported
+    assert ("numpy" in imported) == loads_numpy

@@ -172,6 +172,31 @@ class TestScaledSeries:
         with pytest.raises(DomainError):
             eval_scaled_Y_series(-2, 1.0, 0.1)
 
+    @pytest.mark.parametrize("x", [50.0, 30.0, -50.0, math.nan])
+    @pytest.mark.parametrize("series", [eval_scaled_X_series, eval_scaled_Y_series])
+    def test_series_refuses_past_its_limit(self, series, x):
+        # 60 terms at |alpha x| = 50 gave -12040.69 for X_0 (-cos 50 = -0.965)
+        with pytest.raises(DomainError, match="SERIES_ARG_LIMIT"):
+            series(1, 1.0, x)
+        with pytest.raises(DomainError, match="SERIES_ARG_LIMIT"):
+            series(0, 0.5 * x, 2.0)
+
+    # (n, alpha, x, constants) -> (X series, Y series), as float.hex
+    SERIES_AT_ENGINE_BOUND = {
+        (0, 1.0, 0.5, True): ("-0x1.c1528065b7d50p-1", "0x1.eaee8744b05f0p-2"),
+        (1, 1.0, 0.5, True): ("0x1.4ce036f7c4502p-5", "0x1.1e07111b71f66p+0"),
+        (7, 1.0, 0.5, True): ("0x1.b7c25c1f862e5p-13", "-0x1.3afffe3251437p+12"),
+        (2, -1.3, 0.5 / 1.3, False): ("-0x1.c54393f44c2c0p-8", "0x1.1fc44cc0b7afcp-6"),
+    }
+
+    @pytest.mark.parametrize("args", SERIES_AT_ENGINE_BOUND, ids=str)
+    def test_series_values_at_the_engine_bound_unchanged(self, args):
+        # |alpha x| = SERIES_ARG_MAX, the largest argument the engines send
+        assert bits(
+            eval_scaled_X_series(*args), eval_scaled_Y_series(*args)
+        ) == self.SERIES_AT_ENGINE_BOUND[args]
+        assert tp.SERIES_ARG_LIMIT >= tp.SERIES_ARG_MAX
+
     @pytest.mark.parametrize("n", range(0, 7))
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
     def test_series_recursion_agreement_on_differences(self, n, alpha):
