@@ -9,8 +9,8 @@ a piecewise-polynomial weighted integrator handles tabulated slowly
 varying prefactors.
 
 numpy is loaded on first use by the quadrature and array routes: a
-quadrature segment, ``j_array``, ``j_many``, ``build_interpolant``, a
-``PiecewisePolynomial`` and ``besselJ``.  Importing the package, the
+quadrature segment, ``j_array``, ``j_many``, ``build_interpolant`` and
+a ``PiecewisePolynomial``.  Importing the package, the
 scalar evaluators and definite integrals above the first-zero
 threshold run without it.
 

@@ -33,7 +33,7 @@ from .errors import (
     NotConvergedError,
     QuadratureRecommendedError,
 )
-from .ordinary_bessel import default_suite, verify_identity
+from .ordinary_bessel import verify_suite
 from .quadrature import DEFAULT_TOL, MAX_EVALS, definite_integral
 from .types import IntegralSpec
 from .weighted import build_interpolant, weighted_integral
@@ -224,27 +224,10 @@ def _table(args) -> list:
 
 def _verify(args) -> tuple:
     tol = args.tol if args.tol is not None else 1e-11
-    rows = []
-    ok = True
-    for identity, (a, b) in default_suite():
-        r = verify_identity(identity, a, b, tol)
-        good = r < RESIDUAL_THRESHOLD
-        ok = ok and good
-        rows.append(
-            {
-                "identity": identity.id,
-                "n": identity.n,
-                "k": identity.k,
-                "l": identity.l,
-                "alpha": identity.alpha,
-                "beta": identity.beta,
-                "a": a,
-                "b": b,
-                "residual": r,
-                "pass": good,
-            }
-        )
-    return ok, rows
+    rows = [{"identity": i.id, "n": i.n, "k": i.k, "l": i.l, "alpha": i.alpha, "beta": i.beta,
+             "a": a, "b": b, "residual": r, "pass": r < RESIDUAL_THRESHOLD}
+            for i, (a, b), r in verify_suite(tol)]
+    return all(row["pass"] for row in rows), rows
 
 
 def _emit(payload, fmt: str, stream=None) -> None:

@@ -383,7 +383,7 @@ def point_table(spec: IntegralSpec, x: float, closed_forms: bool = True, constan
     x = check_point(x)
     (k, alpha), *rest = spec.factors
     if not rest:
-        return ITable(k, x, alpha, constants)
+        return ITable(k, x, alpha, closed_forms, constants)
     (l, beta), = rest
     sign_a, alpha = parity_fold(k, alpha)
     sign_b, beta = parity_fold(l, beta)

@@ -18,25 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .quadrature import adaptive_quad
+from .sph_bessel import _RESCALE_AT
+from .types import check_integer
 
-if TYPE_CHECKING:
-    import numpy as np
+#: besselJ refuses x above this: the Miller walk starts near 1.2 x, so its
+#: cost grows with x (about 0.3 s at the bound)
+_X_MAX = 1e6
 
-_RESCALE_AT = 1e250
 
-
-def _J_table(nmax: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_nmax(x) by Miller's downward recurrence."""
-    import numpy as np
-
-    out = np.zeros(nmax + 1)
+def _J_list(nmax: int, x: float) -> list:
+    """J_0(x) .. J_nmax(x) as a list of Python floats, by Miller's
+    downward recurrence normalised by J_0 + 2 J_2 + 2 J_4 + ... = 1."""
+    if not 0 <= x <= _X_MAX:
+        raise DomainError(f"besselJ requires 0 <= x <= {_X_MAX:g}, got {x}")
     if x == 0.0:
-        out[0] = 1.0
-        return out
+        return [1.0] + [0.0] * nmax
+    out = [0.0] * (nmax + 1)
     start = max(nmax, int(math.ceil(x))) + 40 + max(nmax, int(x)) // 5
     jp = 0.0
     jc = 1.0
@@ -56,32 +56,21 @@ def _J_table(nmax: int, x: float) -> np.ndarray:
             jc /= _RESCALE_AT
             ssum /= _RESCALE_AT
             if idx <= nmax:
-                out[idx:] /= _RESCALE_AT
-    out /= ssum
-    return out
+                out[idx:] = [v / _RESCALE_AT for v in out[idx:]]
+    return [v / ssum for v in out]
 
 
 def besselJ(order: int, x: float) -> float:
-    """Ordinary Bessel function J_order(x) for integer order >= 0, x >= 0."""
-    if order < 0:
-        raise DomainError("order must be nonnegative; use J_{-n} = (-1)^n J_n")
-    if x < 0:
-        raise DomainError("besselJ requires x >= 0")
-    return float(_J_table(order, x)[order])
+    """Ordinary Bessel function J_order(x) for integer order >= 0 and
+    0 <= x <= 1e6."""
+    order = check_integer("order", order, 0)
+    return _J_list(order, x)[order]
 
 
 def _J(order: int, x: float) -> float:
     # negative integer orders through the reflection J_{-n} = (-1)^n J_n
-    if order < 0:
-        v = besselJ(-order, x)
-        return -v if (-order) % 2 else v
-    return besselJ(order, x)
-
-
-def _Jm(order: int, xs: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    import numpy as np
-
-    return np.array([_J(order, scale * float(x)) for x in np.atleast_1d(xs)])
+    v = _J_list(abs(order), x)[abs(order)]
+    return -v if order < 0 and order % 2 else v
 
 
 @dataclass(frozen=True)
@@ -96,11 +85,20 @@ class AppendixIdentity:
     beta: float = 1.0
 
 
-def _quad(f, a, b, tol, scale_hint=1.0):
-    r = adaptive_quad(
-        f, a, b, tol=tol, vectorized=True, initial_max_width=math.pi / max(scale_hint, 1e-6)
-    )
-    return r.value
+def _integral(n: int, factors, a: float, b: float, tol: float) -> float:
+    """int_a^b x^n prod J_order(scale x) dx by adaptive quadrature, over
+    the (order, scale) factors, as in IntegralSpec.factors.  The first
+    panels are pi over the fastest scale wide."""
+    import numpy as np
+
+    def f(xs):
+        out = xs**n
+        for order, scale in factors:
+            out = out * np.array([_J(order, scale * x) for x in xs.tolist()])
+        return out
+
+    width = math.pi / max(max(abs(scale) for _, scale in factors), 1e-6)
+    return adaptive_quad(f, a, b, tol=tol, vectorized=True, initial_max_width=width).value
 
 
 def _rel(lhs: float, rhs: float) -> float:
@@ -111,29 +109,29 @@ def _rel(lhs: float, rhs: float) -> float:
 
 def _r_single_recursion(p, a, b, tol):
     n, l = p.n, p.l
-    lhs = _quad(lambda xs: xs**n * _Jm(l, xs), a, b, tol)
-    rhs = (l + n - 1) * _quad(lambda xs: xs ** (n - 1) * _Jm(l - 1, xs), a, b, tol)
+    lhs = _integral(n, [(l, 1)], a, b, tol)
+    rhs = (l + n - 1) * _integral(n - 1, [(l - 1, 1)], a, b, tol)
     rhs -= b**n * _J(l - 1, b) - a**n * _J(l - 1, a)
     return _rel(lhs, rhs)
 
 
 def _r_single_l_plus_1(p, a, b, tol):
     l = p.l
-    q = _quad(lambda xs: xs ** (l + 1) * _Jm(l, xs), a, b, tol)
+    q = _integral(l + 1, [(l, 1)], a, b, tol)
     F = lambda x: x ** (l + 1) * _J(l + 1, x)
     return _rel(F(b) - F(a), q)
 
 
 def _r_single_l_plus_3(p, a, b, tol):
     l = p.l
-    q = _quad(lambda xs: xs ** (l + 3) * _Jm(l, xs), a, b, tol)
+    q = _integral(l + 3, [(l, 1)], a, b, tol)
     F = lambda x: x ** (2 + l) * (2 * (l + 1) * _J(l + 2, x) - x * _J(l + 3, x))
     return _rel(F(b) - F(a), q)
 
 
 def _r_single_1_minus_l(p, a, b, tol):
     l = p.l
-    q = _quad(lambda xs: xs ** (1 - l) * _Jm(l, xs), a, b, tol)
+    q = _integral(1 - l, [(l, 1)], a, b, tol)
     # constant 2^-l / Gamma(l) cancels in the difference but is kept so the
     # a -> 0 limit of F matches the integral from 0
     F = lambda x: 2.0 ** (-l) / math.gamma(l) - x ** (1 - l) * _J(l - 1, x)
@@ -144,11 +142,9 @@ def _r_single_1_minus_l(p, a, b, tol):
 
 def _r_squared_recursion(p, a, b, tol):
     n, l = p.n, p.l
-    lhs = _quad(lambda xs: xs**n * _Jm(l, xs) ** 2, a, b, tol)
-    rhs = _quad(lambda xs: xs**n * _Jm(l - 1, xs) ** 2, a, b, tol)
-    rhs += 0.5 * (n - 1) * (2 * l + n - 3) * _quad(
-        lambda xs: xs ** (n - 2) * _Jm(l - 1, xs) ** 2, a, b, tol
-    )
+    lhs = _integral(n, [(l, 1), (l, 1)], a, b, tol)
+    rhs = _integral(n, [(l - 1, 1), (l - 1, 1)], a, b, tol)
+    rhs += 0.5 * (n - 1) * (2 * l + n - 3) * _integral(n - 2, [(l - 1, 1), (l - 1, 1)], a, b, tol)
     F = lambda x: 0.5 * (1 - n) * x ** (n - 1) * _J(l - 1, x) ** 2 - x**n * _J(l, x) * _J(
         l - 1, x
     )
@@ -158,7 +154,7 @@ def _r_squared_recursion(p, a, b, tol):
 
 def _r_squared_minus_2(p, a, b, tol):
     l = p.l
-    q = _quad(lambda xs: xs**-2 * _Jm(l, xs) ** 2, a, b, tol)
+    q = _integral(-2, [(l, 1), (l, 1)], a, b, tol)
 
     def F(x):
         jm, jl = _J(l - 1, x), _J(l, x)
@@ -173,7 +169,7 @@ def _r_squared_minus_2(p, a, b, tol):
 
 def _r_squared_1_minus_2l(p, a, b, tol):
     l = p.l
-    q = _quad(lambda xs: xs ** (1 - 2 * l) * _Jm(l, xs) ** 2, a, b, tol)
+    q = _integral(1 - 2 * l, [(l, 1), (l, 1)], a, b, tol)
 
     def F(x):
         jm, jl = _J(l - 1, x), _J(l, x)
@@ -186,14 +182,14 @@ def _r_squared_1_minus_2l(p, a, b, tol):
 
 def _r_squared_x(p, a, b, tol):
     l = p.l
-    q = _quad(lambda xs: xs * _Jm(l, xs) ** 2, a, b, tol)
+    q = _integral(1, [(l, 1), (l, 1)], a, b, tol)
     F = lambda x: 0.5 * x * x * (_J(l, x) ** 2 - _J(l - 1, x) * _J(l + 1, x))
     return _rel(F(b) - F(a), q)
 
 
 def _r_squared_x3(p, a, b, tol):
     l = p.l
-    q = _quad(lambda xs: xs**3 * _Jm(l, xs) ** 2, a, b, tol)
+    q = _integral(3, [(l, 1), (l, 1)], a, b, tol)
 
     def F(x):
         jm, jl = _J(l - 1, x), _J(l, x)
@@ -212,7 +208,7 @@ def _r_squared_x3(p, a, b, tol):
 
 def _r_squared_2l_plus_1(p, a, b, tol):
     l = p.l
-    q = _quad(lambda xs: xs ** (2 * l + 1) * _Jm(l, xs) ** 2, a, b, tol)
+    q = _integral(2 * l + 1, [(l, 1), (l, 1)], a, b, tol)
     F = lambda x: x ** (2 * l + 2) / (2.0 * (2 * l + 1)) * (
         _J(l, x) ** 2 + _J(l + 1, x) ** 2
     )
@@ -223,16 +219,9 @@ def _r_squared_2l_plus_1(p, a, b, tol):
 
 def _r_same_recursion(p, a, b, tol):
     n, l, al, be = p.n, p.l, p.alpha, p.beta
-    sh = max(al, be)
-    lhs = 2 * al * be * _quad(
-        lambda xs: xs**n * _Jm(l, xs, al) * _Jm(l, xs, be), a, b, tol, sh
-    )
-    rhs = (al * al + be * be) * _quad(
-        lambda xs: xs**n * _Jm(l - 1, xs, al) * _Jm(l - 1, xs, be), a, b, tol, sh
-    )
-    rhs += (n - 1) * (n + 2 * l - 3) * _quad(
-        lambda xs: xs ** (n - 2) * _Jm(l - 1, xs, al) * _Jm(l - 1, xs, be), a, b, tol, sh
-    )
+    lhs = 2 * al * be * _integral(n, [(l, al), (l, be)], a, b, tol)
+    rhs = (al * al + be * be) * _integral(n, [(l - 1, al), (l - 1, be)], a, b, tol)
+    rhs += (n - 1) * (n + 2 * l - 3) * _integral(n - 2, [(l - 1, al), (l - 1, be)], a, b, tol)
 
     def F(x):
         return (1 - n) * x ** (n - 1) * _J(l - 1, al * x) * _J(l - 1, be * x) - x**n * (
@@ -246,7 +235,7 @@ def _r_same_recursion(p, a, b, tol):
 
 def _r_same_x(p, a, b, tol):
     l, al, be = p.l, p.alpha, p.beta
-    q = _quad(lambda xs: xs * _Jm(l, xs, al) * _Jm(l, xs, be), a, b, tol, max(al, be))
+    q = _integral(1, [(l, al), (l, be)], a, b, tol)
     F = lambda x: x / (al * al - be * be) * (
         be * _J(l, al * x) * _J(l - 1, be * x) - al * _J(l - 1, al * x) * _J(l, be * x)
     )
@@ -257,39 +246,26 @@ def _r_same_x(p, a, b, tol):
 
 def _r_diff_recursion(p, a, b, tol):
     n, k, l, al, be = p.n, p.k, p.l, p.alpha, p.beta
-    sh = max(al, be)
-    lhs = _quad(lambda xs: xs**n * _Jm(k, xs, al) * _Jm(l, xs, be), a, b, tol, sh)
-    rhs = 2 * (l - 1) / be * _quad(
-        lambda xs: xs ** (n - 1) * _Jm(k, xs, al) * _Jm(l - 1, xs, be), a, b, tol, sh
-    )
-    rhs -= _quad(lambda xs: xs**n * _Jm(k, xs, al) * _Jm(l - 2, xs, be), a, b, tol, sh)
+    lhs = _integral(n, [(k, al), (l, be)], a, b, tol)
+    rhs = 2 * (l - 1) / be * _integral(n - 1, [(k, al), (l - 1, be)], a, b, tol)
+    rhs -= _integral(n, [(k, al), (l - 2, be)], a, b, tol)
     return _rel(lhs, rhs)
 
 
 def _r_diff_closure(p, a, b, tol):
     n, l, al, be = p.n, p.l, p.alpha, p.beta
-    sh = max(al, be)
-    lhs = n * _quad(lambda xs: xs**n * _Jm(l - 1, xs, al) * _Jm(l, xs, be), a, b, tol, sh)
+    lhs = n * _integral(n, [(l - 1, al), (l, be)], a, b, tol)
     F = lambda x: x ** (n + 1) * _J(l - 1, al * x) * _J(l, be * x)
     rhs = F(b) - F(a)
-    rhs += al * _quad(
-        lambda xs: xs ** (n + 1) * _Jm(l, xs, al) * _Jm(l, xs, be), a, b, tol, sh
-    )
-    rhs -= be * _quad(
-        lambda xs: xs ** (n + 1) * _Jm(l - 1, xs, al) * _Jm(l - 1, xs, be), a, b, tol, sh
-    )
+    rhs += al * _integral(n + 1, [(l, al), (l, be)], a, b, tol)
+    rhs -= be * _integral(n + 1, [(l - 1, al), (l - 1, be)], a, b, tol)
     return _rel(lhs, rhs)
 
 
 def _r_diff_combined(p, a, b, tol):
     k, l, al, be = p.k, p.l, p.alpha, p.beta
-    sh = max(al, be)
-    lhs = (al * al - be * be) * _quad(
-        lambda xs: xs * _Jm(k, xs, al) * _Jm(l, xs, be), a, b, tol, sh
-    )
-    rhs = (k * k - l * l) * _quad(
-        lambda xs: _Jm(k, xs, al) * _Jm(l, xs, be) / xs, a, b, tol, sh
-    )
+    lhs = (al * al - be * be) * _integral(1, [(k, al), (l, be)], a, b, tol)
+    rhs = (k * k - l * l) * _integral(-1, [(k, al), (l, be)], a, b, tol)
 
     def F(x):
         return (
@@ -306,10 +282,8 @@ def _r_diff_combined(p, a, b, tol):
 
 def _r_equal_adjacent(p, a, b, tol):
     n, l = p.n, p.l
-    lhs = _quad(lambda xs: xs**n * _Jm(l - 1, xs) * _Jm(l, xs), a, b, tol)
-    rhs = (l + 0.5 * n - 1) * _quad(
-        lambda xs: xs ** (n - 1) * _Jm(l - 1, xs) ** 2, a, b, tol
-    )
+    lhs = _integral(n, [(l - 1, 1), (l, 1)], a, b, tol)
+    rhs = (l + 0.5 * n - 1) * _integral(n - 1, [(l - 1, 1), (l - 1, 1)], a, b, tol)
     F = lambda x: 0.5 * x**n * _J(l - 1, x) ** 2
     rhs -= F(b) - F(a)
     return _rel(lhs, rhs)
@@ -317,7 +291,7 @@ def _r_equal_adjacent(p, a, b, tol):
 
 def _r_equal_over_x(p, a, b, tol):
     k, l = p.k, p.l
-    q = _quad(lambda xs: _Jm(k, xs) * _Jm(l, xs) / xs, a, b, tol)
+    q = _integral(-1, [(k, 1), (l, 1)], a, b, tol)
 
     def F(x):
         return (
@@ -330,7 +304,7 @@ def _r_equal_over_x(p, a, b, tol):
 
 def _r_equal_over_x2(p, a, b, tol):
     k, l = p.k, p.l
-    q = _quad(lambda xs: _Jm(k, xs) * _Jm(l, xs) / xs**2, a, b, tol)
+    q = _integral(-2, [(k, 1), (l, 1)], a, b, tol)
 
     def F(x):
         jk, jl = _J(k, x), _J(l, x)
@@ -350,7 +324,7 @@ def _r_equal_over_x2(p, a, b, tol):
 
 def _r_equal_1_minus_kl(p, a, b, tol):
     k, l = p.k, p.l
-    q = _quad(lambda xs: xs ** (1 - k - l) * _Jm(k, xs) * _Jm(l, xs), a, b, tol)
+    q = _integral(1 - k - l, [(k, 1), (l, 1)], a, b, tol)
 
     def F(x):
         return 1.0 / (
@@ -364,7 +338,7 @@ def _r_equal_1_minus_kl(p, a, b, tol):
 
 def _r_equal_l_minus_k(p, a, b, tol):
     k, l = p.k, p.l
-    q = _quad(lambda xs: xs ** (l - k + 1) * _Jm(k, xs) * _Jm(l, xs), a, b, tol)
+    q = _integral(l - k + 1, [(k, 1), (l, 1)], a, b, tol)
     F = lambda x: x ** (l - k + 2) / (2.0 * (k - l - 1)) * (
         _J(k - 1, x) * _J(l + 1, x) - _J(k, x) * _J(l, x)
     )
@@ -373,7 +347,7 @@ def _r_equal_l_minus_k(p, a, b, tol):
 
 def _r_equal_k_plus_l(p, a, b, tol):
     k, l = p.k, p.l
-    q = _quad(lambda xs: xs ** (k + l + 1) * _Jm(k, xs) * _Jm(l, xs), a, b, tol)
+    q = _integral(k + l + 1, [(k, 1), (l, 1)], a, b, tol)
     F = lambda x: x ** (k + l + 2) / (2.0 * (k + l + 1)) * (
         _J(k + 1, x) * _J(l + 1, x) + _J(k, x) * _J(l, x)
     )
@@ -499,8 +473,5 @@ def default_suite():
 
 
 def verify_suite(tol: float = 1e-11):
-    """Run the default suite; yields (identity, (a, b), residual)."""
-    out = []
-    for identity, (a, b) in default_suite():
-        out.append((identity, (a, b), verify_identity(identity, a, b, tol)))
-    return out
+    """Run the default suite; returns a list of (identity, (a, b), residual)."""
+    return [(i, (a, b), verify_identity(i, a, b, tol)) for i, (a, b) in default_suite()]

@@ -28,14 +28,15 @@ class ITable(PointTable):
     The table holds the j_0..j_{l-1} table at u = |alpha| x and the
     TrigChain of u that the l = 0 base reads, so exponents asked of one
     table share both.  ``value(n)`` is alpha^(-n-1) I^n_l(alpha x), with
-    the parity sign of a negative alpha.  ``truncate`` is as in eval_I.
+    the parity sign of a negative alpha.  ``closed_forms`` is as in eval_I.
     """
 
-    __slots__ = ("x", "orders", "l", "a", "sign", "u", "jt", "chain", "truncate")
+    __slots__ = ("x", "orders", "l", "a", "sign", "u", "jt", "chain", "closed_forms")
     family = "I"
 
     def __init__(
-        self, l: int, x: float, alpha: float = 1.0, constants: bool = True, truncate: bool = True
+        self, l: int, x: float, alpha: float = 1.0, closed_forms: bool = True,
+        constants: bool = True,
     ):
         self.x = x
         self.orders = (l,)
@@ -44,7 +45,7 @@ class ITable(PointTable):
         self.u = u = self.a * x
         self.jt = _j_list(l - 1, u) if l else None
         self.chain = TrigChain(1.0, u, constants)
-        self.truncate = truncate
+        self.closed_forms = closed_forms
 
     def _X(self, m: int) -> float:
         _refuse_small_arg(m, self.u)
@@ -63,13 +64,13 @@ class ITable(PointTable):
         for i in range(l):
             total -= coef * u ** (n - i) * jt[l - 1 - i]
             coef *= l + n - 1 - 2 * i
-            if self.truncate and coef == 0:
+            if self.closed_forms and coef == 0:
                 return total
         return total + coef * self._X(n - l - 1)
 
 
 def eval_I(
-    n: int, l: int, x: float, truncate: bool = True, constants: bool = True
+    n: int, l: int, x: float, closed_forms: bool = True, constants: bool = True
 ) -> AntiderivativeValue:
     """I^n_l(x) = int x^n j_l(x) dx under the frozen constant convention.
 
@@ -81,9 +82,10 @@ def eval_I(
         Bessel order, l >= 0.
     x : float
         Evaluation point, 0 < x < inf.
-    truncate : bool
+    closed_forms : bool
         Stop the recursion once a vanishing coefficient kills every
-        deeper term (the default).  With truncate=False the walk always
+        deeper term (the default): I's closed form, as a stop at the
+        first step is I3.  With closed_forms=False the walk always
         reaches the trigonometric base; the two paths agree because the
         skipped terms carry an exact zero factor.
     constants : bool
@@ -92,7 +94,7 @@ def eval_I(
         better conditioned.
     """
     spec = IntegralSpec("I", n, l)
-    table = ITable(spec.l, check_point(x), 1.0, constants, truncate)
+    table = ITable(spec.l, check_point(x), 1.0, closed_forms, constants)
     return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
 
 
@@ -104,7 +106,7 @@ def eval_I_scaled(
     Negative alpha folds through parity, j_l(-u) = (-1)^l j_l(u).
     """
     spec = IntegralSpec("I", n, l, alpha)
-    table = ITable(spec.l, check_point(x), alpha, constants)
+    table = ITable(spec.l, check_point(x), alpha, constants=constants)
     return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
 
 

@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .types import finite_result
+from .types import check_integer, finite_result
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,9 +45,10 @@ def first_zero_estimate(l: int) -> float:
 @finite_result
 def small_x_leading(l: int, x: float) -> float:
     """Leading small-x behavior x^l sqrt(pi) / (2^(l+1) Gamma(l + 3/2)),
-    i.e. x^l / (2l+1)!!."""
-    if l < 0:
-        raise DomainError("order must be nonnegative")
+    i.e. x^l / (2l+1)!!, for finite x."""
+    l = check_integer("l", l, 0)
+    if not math.isfinite(x):
+        raise DomainError(f"small_x_leading requires a finite x, got {x}")
     return _leading(l, x)
 
 
@@ -125,13 +126,12 @@ def j_array(lmax: int, x: float) -> np.ndarray:
     """Table of j_0(x) .. j_lmax(x) at a finite scalar argument x >= 0."""
     import numpy as np
 
-    return np.array(_j_list(lmax, x))
+    return np.array(_j_list(check_integer("lmax", lmax, 0), x))
 
 
 def j(l: int, x: float) -> float:
     """j_l(x) for integer l >= 0 and x >= 0."""
-    if l < 0:
-        raise DomainError("order must be nonnegative")
+    l = check_integer("l", l, 0)
     if not 0 <= x < math.inf:
         raise DomainError(f"j requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
     return _j_list(l, x)[l]
@@ -166,6 +166,7 @@ def j_many(l: int, xs) -> np.ndarray:
     """
     import numpy as np
 
+    l = check_integer("l", l, 0)
     xs = np.asarray(xs, dtype=float)
     ok = (xs >= 0) & (xs < math.inf)
     if not ok.all():
@@ -265,7 +266,7 @@ def j_extended(order: int, x: float) -> float:
     The order -1 continuation is what the closed forms need when a
     formula written for l >= 1 is evaluated at l = 0.
     """
-    return _j_extended(order, x)
+    return _j_extended(check_integer("order", order, -1), x)
 
 
 def _j_extended(order: int, x: float) -> float:

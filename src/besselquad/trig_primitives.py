@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, QuadratureRecommendedError
-from .types import TrigPrimitive, finite_result, finite_value
+from .types import TrigPrimitive, check_integer, finite_result, finite_value
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -161,15 +161,26 @@ def _ci_series(x: float) -> float:
             return acc
 
 
+def _si_ci(u: float, constants: bool = True) -> tuple:
+    """(Si(u), Ci(u)) for 0 < u < inf, or (Si(u) - pi/2, Ci(u)) with
+    constants=False: the two power series up to SI_CI_SWITCH, the
+    auxiliary functions f, g above it."""
+    if u <= SI_CI_SWITCH:
+        X = _si_series(u)
+        return (X if constants else X - 0.5 * math.pi), _ci_series(u)
+    c, s = math.cos(u), math.sin(u)
+    f, g = _aux_fg(u)
+    # constants=False: Si(u) - pi/2 without forming the near-pi/2 value first
+    X = 0.5 * math.pi - f * c - g * s if constants else -f * c - g * s
+    return X, f * s - g * c
+
+
 @finite_result
 def si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t)/t dt for finite x >= 0."""
     if not 0 <= x < math.inf:
         raise DomainError(f"si requires 0 <= x < inf, got {x}")
-    if x <= SI_CI_SWITCH:
-        return _si_series(x)
-    f, g = _aux_fg(x)
-    return 0.5 * math.pi - f * math.cos(x) - g * math.sin(x)
+    return _si_ci(x)[0] if x else 0.0
 
 
 @finite_result
@@ -179,10 +190,7 @@ def ci(x: float) -> float:
         raise DomainError("ci requires x > 0 (logarithmic divergence at 0)")
     if not x < math.inf:
         raise DomainError(f"ci requires a finite x, got {x}")
-    if x <= SI_CI_SWITCH:
-        return _ci_series(x)
-    f, g = _aux_fg(x)
-    return f * math.sin(x) - g * math.cos(x)
+    return _si_ci(x)[1]
 
 
 def _refuse_small_arg(n: int, u: float) -> None:
@@ -230,22 +238,9 @@ class TrigChain:
 
     def _anchor(self) -> tuple:
         """(X_-1, Y_-1) = (Si, Ci), or (Si - pi/2, Ci) with constants=False."""
-        u = self.u
-        if u == 0:
+        if self.u == 0:
             raise DomainError("Y_n(0) diverges for n < 0 (and X_n(0) for n < -1)")
-        if u <= SI_CI_SWITCH:
-            X = _si_series(u)
-            if not self.constants:
-                X -= 0.5 * math.pi
-            return X, _ci_series(u)
-        c, s = self._cos, self._sin
-        f, g = _aux_fg(u)
-        if self.constants:
-            X = 0.5 * math.pi - f * c - g * s
-        else:
-            # Si(u) - pi/2 without forming the near-pi/2 value first
-            X = -f * c - g * s
-        return X, f * s - g * c
+        return _si_ci(self.u, self.constants)
 
     def pair(self, n: int) -> tuple:
         """(X_n(u), Y_n(u)) under the frozen convention (see eval_pair)."""
@@ -335,6 +330,7 @@ def eval_pair(n: int, x: float, constants: bool = True) -> TrigPrimitive:
 
 def _pair(n: int, x: float, constants: bool = True) -> tuple:
     """eval_pair's (X_n(x), Y_n(x)), before the check that both are finite."""
+    n = check_integer("n", n)
     if x < 0:
         raise DomainError("trig primitives require x >= 0")
     if x == 0 and n < 0:
@@ -346,6 +342,7 @@ def _pair(n: int, x: float, constants: bool = True) -> tuple:
 @finite_result
 def eval_X(n: int, x: float) -> float:
     """X_n(x) = int x^n sin(x) dx under the frozen constant convention."""
+    n = check_integer("n", n)
     if x == 0 and n == -1:
         return 0.0  # Si(0)
     if x == 0 and n < -1:
@@ -409,7 +406,7 @@ def eval_scaled_X_series(n: int, alpha: float, x: float, constants: bool = True)
     a DomainError, and so is a value that overflows a float.
     constants=False drops the Gamma term (see eval_pair).
     """
-    return _scaled_series(1, n, alpha, x, constants)
+    return _scaled_series(1, check_integer("n", n), alpha, x, constants)
 
 
 @finite_result
@@ -419,7 +416,7 @@ def eval_scaled_Y_series(n: int, alpha: float, x: float, constants: bool = True)
     Constant term +Gamma(n+1) sin(n pi/2) / alpha^(n+1); the domain is
     eval_scaled_X_series's.
     """
-    return _scaled_series(0, n, alpha, x, constants)
+    return _scaled_series(0, check_integer("n", n), alpha, x, constants)
 
 
 @finite_result
@@ -431,7 +428,7 @@ def int_pow_sin(m: int, c: float, x: float, constants: bool = True) -> float:
     """
     if c == 0:
         raise DomainError("c must be nonzero")
-    return TrigChain(c, x, constants).int_sin(m)
+    return TrigChain(c, x, constants).int_sin(check_integer("m", m))
 
 
 @finite_result
@@ -439,4 +436,4 @@ def int_pow_cos(m: int, c: float, x: float, constants: bool = True) -> float:
     """int x^m cos(c x) dx for c != 0; equals |c|^(-m-1) Y_m(|c| x)."""
     if c == 0:
         raise DomainError("c must be nonzero")
-    return TrigChain(c, x, constants).int_cos(m)
+    return TrigChain(c, x, constants).int_cos(check_integer("m", m))

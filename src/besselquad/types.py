@@ -139,12 +139,7 @@ class IntegralSpec:
             v = getattr(self, name)
             if v is None and name == "k":
                 continue
-            try:
-                if isinstance(v, bool):  # operator.index(True) is 1
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(v))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {v!r}") from None
+            object.__setattr__(self, name, check_integer(name, v))
         first = (self.l, self.alpha)
         if self.family == "I":
             factors = (first,)
@@ -199,6 +194,23 @@ class IntegralSpec:
             "K": "2l + n > -1",
             "L": "k + l + n > -1",
         }[self.family]
+
+
+def check_integer(name: str, v, least: int | None = None) -> int:
+    """v as an int, when it is an integer (``operator.index``; a bool is
+    refused, though ``operator.index(True)`` is 1) and, if ``least`` is
+    given, at least ``least``.  Anything else is a DomainError naming the
+    argument: the one integer check of IntegralSpec and of the public
+    scalar evaluators' orders and exponents."""
+    try:
+        if isinstance(v, bool):
+            raise TypeError
+        i = operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
+    if least is not None and i < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {v!r}")
+    return i
 
 
 def check_point(x: float) -> float:

@@ -288,8 +288,8 @@ class TestCriterion9TruncationRule:
         for (n, l) in cases:
             a = first_zero_estimate(l)
             b = a + 20.0
-            t = eval_I(n, l, b, truncate=True).value - eval_I(n, l, a, truncate=True).value
-            f = eval_I(n, l, b, truncate=False).value - eval_I(n, l, a, truncate=False).value
+            t = eval_I(n, l, b, closed_forms=True).value - eval_I(n, l, a, closed_forms=True).value
+            f = eval_I(n, l, b, closed_forms=False).value - eval_I(n, l, a, closed_forms=False).value
             rel = abs(t - f) / max(1.0, abs(f))
             assert rel < 1e-11, (n, l, rel)
             worst = max(worst, rel)

@@ -63,8 +63,13 @@ def test_finite_float_or_typed_error(name):
         (lambda: bq.int_pow_sin(400, 1.3, 0.0), r"int_pow_sin\(400, 1.3, 0.0\): its terms overflow"),
         (lambda: bq.eval_pair(400, 0.7), r"eval_pair\(400, 0.7, True\): its terms overflow"),
         (lambda: bq.small_x_leading(3, 1e200), r"small_x_leading\(3, 1e\+200\): its terms"),
+        (lambda: bq.small_x_leading(0, math.nan), "small_x_leading requires a finite x, got nan"),
+        (lambda: bq.small_x_leading(0, math.inf), "small_x_leading requires a finite x, got inf"),
     ],
-    ids=["si-inf", "ci-nan", "j_ext-inf", "j_ext-tiny", "H2", "int_pow_sin", "pair", "leading"],
+    ids=[
+        "si-inf", "ci-nan", "j_ext-inf", "j_ext-tiny", "H2", "int_pow_sin", "pair", "leading",
+        "leading-0-nan", "leading-0-inf",
+    ],
 )
 def test_error_names_the_call(call, text):
     with pytest.raises(DomainError, match=text):
@@ -74,6 +79,40 @@ def test_error_names_the_call(call, text):
 def test_finite_values_are_untouched():
     # finite neighbours of the refused calls keep their values
     assert bq.eval_Y(400, 0.0) == 0.0  # Y_400(0) = 400! sin(200 pi), though X_400(0) overflows
-    assert bq.small_x_leading(0, math.inf) == 1.0
+    assert bq.small_x_leading(0, 1e300) == 1.0
     assert bq.j_extended(-1, 2.0) == math.cos(2.0) / 2.0
     assert bq.si(0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bq.j_many(-1, [5.0]),
+        lambda: bq.j_many(-2, [5.0]),
+        lambda: bq.j_many(-1, [0.0]),
+        lambda: bq.j_many(-1, [0.5]),
+        lambda: bq.j(True, 1.0),
+        lambda: bq.j_array(True, 1.0),
+        lambda: bq.j_many(True, [1.0]),
+        lambda: bq.j_array(2.5, 1.0),
+        lambda: bq.j_extended(1.5, 1.0),
+        lambda: bq.small_x_leading(2.5, 1.0),
+        lambda: bq.eval_pair(2.5, 1.0),
+        lambda: bq.eval_X(1.5, 1.0),
+        lambda: bq.int_pow_sin(1.5, 1.0, 1.0),
+        lambda: bq.eval_scaled_X_series(1.5, 1.0, 0.1),
+        lambda: bq.besselJ(2.5, 1.0),
+        lambda: bq.besselJ(True, 1.0),
+    ],
+    ids=[
+        "j_many-neg1", "j_many-neg2", "j_many-neg1-at-0", "j_many-neg1-small", "j-bool",
+        "j_array-bool", "j_many-bool", "j_array-float", "j_extended-float", "leading-float",
+        "pair-float", "X-float", "int_pow_sin-float", "scaled_X-float", "besselJ-float",
+        "besselJ-bool",
+    ],
+)
+def test_orders_and_exponents_are_integers(call):
+    # the one integer rule of IntegralSpec: operator.index, booleans
+    # refused, and orders at least 0
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()

@@ -50,6 +50,7 @@ def analytic():
         bq.int_pow_sin(-2, 1.3, x), bq.int_pow_cos(3, -0.7, x), bq.si(x), bq.ci(x),
         bq.j(5, x), bq.j_extended(-1, x), bq.j_parity_extend(3, -x),
         bq.small_x_leading(3, 0.1), bq.identity_residual(1, 3, 8.0, 12.0, 1.3, 0.7),
+        bq.besselJ(5, 10.0),
     ]
     return out
 

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +16,7 @@ from besselquad import (
     verify_identity,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 J_THREE_HALVES_AT_2 = 0.49129377868716234  # half-integer cross-library value
 
 
@@ -51,6 +56,22 @@ class TestBesselJ:
             besselJ(-1, 1.0)
         with pytest.raises(DomainError):
             besselJ(0, -1.0)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf, math.nextafter(1e6, 2e6), 2e6])
+    def test_refuses_non_finite_and_huge_x(self, x):
+        with pytest.raises(DomainError, match=r"0 <= x <= 1e\+06"):
+            besselJ(0, x)
+
+    def test_huge_x_is_refused_at_once(self):
+        # the Miller walk starts near 1.2 x: at 1e300 it would never end
+        code = "import besselquad as bq\ntry:\n    bq.besselJ(3, 1e300)\nexcept bq.DomainError:\n    pass"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+
+    def test_largest_x_against_scipy(self):
+        ss = pytest.importorskip("scipy.special")
+        assert besselJ(3, 1e6) == pytest.approx(float(ss.jv(3, 1e6)), rel=1e-9, abs=1e-13)
 
 
 class TestVerifyIdentity:

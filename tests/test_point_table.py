@@ -10,6 +10,7 @@ from besselquad import (
     BesselQuadError,
     IntegralSpec,
     eval_H_scaled,
+    eval_I,
     eval_I_scaled,
     eval_K,
     eval_L,
@@ -91,6 +92,26 @@ def test_equal_magnitude_K_gets_the_H_table_with_the_parity_sign():
     assert isinstance(table, HTable) and table.sign == -1.0
     for n in EXPONENTS:
         assert table.value(n) == -eval_H_scaled(n, 3, x, 1.2).value
+
+
+@pytest.mark.parametrize("constants", [True, False])
+@pytest.mark.parametrize("route", ["point_table", "antiderivative"])
+def test_closed_forms_off_walks_I_to_its_trig_base(route, constants, monkeypatch):
+    # n = 0, l = 3 stops at the first vanishing coefficient (I's closed
+    # form) and reads no X_m; closed_forms=False walks on to the base
+    spec, x = IntegralSpec("I", 0, 3), 20.0
+    want = eval_I(0, 3, x, closed_forms=False, constants=constants).value
+    calls = []
+    read_X = ITable._X
+    monkeypatch.setattr(ITable, "_X", lambda self, m: calls.append(m) or read_X(self, m))
+    point_table(spec, x, constants=constants).value(0)
+    assert calls == []
+    if route == "point_table":
+        got = point_table(spec, x, closed_forms=False, constants=constants).value(0)
+    else:
+        got = antiderivative(spec, x, closed_forms=False, constants=constants)
+    assert len(calls) == 1
+    assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, float("nan")])

@@ -165,6 +165,6 @@ class TestTruncation:
     def test_truncated_equals_full_path(self, n, l):
         a = first_zero_estimate(l)
         b = a + 20.0
-        t = eval_I(n, l, b, truncate=True).value - eval_I(n, l, a, truncate=True).value
-        f = eval_I(n, l, b, truncate=False).value - eval_I(n, l, a, truncate=False).value
+        t = eval_I(n, l, b, closed_forms=True).value - eval_I(n, l, a, closed_forms=True).value
+        f = eval_I(n, l, b, closed_forms=False).value - eval_I(n, l, a, closed_forms=False).value
         assert abs(t - f) <= 1e-11 * max(1.0, abs(f))

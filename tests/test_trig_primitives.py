@@ -327,6 +327,19 @@ class TestTrigChain:
             p = eval_pair(n, u)
             assert bits(p.X, p.Y) == bits(*plain_pair(n, u, True))
 
+    @pytest.mark.parametrize("constants", [True, False])
+    @pytest.mark.parametrize(
+        "u", [1e-3, 3.0, tp.SI_CI_SWITCH, math.nextafter(tp.SI_CI_SWITCH, 7.0), 6.5, 25.0]
+    )
+    def test_anchor_is_si_ci(self, u, constants):
+        # one Si/Ci core: the anchor is (si, ci), or Si - pi/2 formed from
+        # f, g directly above the switch with constants=False
+        X, Y = TrigChain(1.0, u, constants)._anchor()
+        assert bits(X, Y) == bits(*plain_pair(-1, u, constants))
+        assert bits(Y) == bits(ci(u))
+        if constants or u <= tp.SI_CI_SWITCH:
+            assert bits(X) == bits(si(u) - (0.0 if constants else 0.5 * math.pi))
+
     @pytest.mark.parametrize("u", [3.0, 25.0])
     def test_si_ci_anchor_computed_once(self, u, monkeypatch):
         calls = []
