@@ -23,8 +23,9 @@ its two trig chains, so the point walks each chain once.  Equal
 arguments a = b get their own engine, ``LEqualTable``, with five printed
 closed forms, the simpler adjacent-order rule through the squared
 family, and the equal-argument base; it shares one H table in the same
-way.  A table's memo serves every exponent asked of it, so one table
-per point covers every monomial of a weighted integral.
+way.  A table keeps the cells it has filled, one row per order, and
+they serve every exponent asked of it, so one table per point covers
+every monomial of a weighted integral.
 
 Canonicalization (``point_table``, the one table dispatch of every
 family, which quadrature imports): the parity sign of each negative
@@ -111,14 +112,21 @@ def adjacent_closure(n: int, l: int, x: float, alpha: float, beta: float) -> Ant
 
 
 def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -> float:
-    """L^m_{k,k+1}(x; a, b) by repeated order lowering down to L^m_{01}.
+    """L^m_{k,k+1}(x; a, b) by repeated order lowering down to L^m_{01}:
 
-    Each step swaps the scale order through L^m_{k,k-1}(x;a,b) =
-    L^m_{k-1,k}(x;b,a); the K cells come from the shared table kt.
+        L^m_{j,j+1}(x; p, q) = (2j+1)/q K^{m-1}_j(x) - L^m_{j-1,j}(x; q, p)
+
+    each step swapping the scale order through L^m_{j,j-1}(x; p, q) =
+    L^m_{j-1,j}(x; q, p).  The K cells come from the shared table kt,
+    asked from order k down; the steps then run up from the base.
     """
-    if k == 0:
-        return _base_L01(m, x, a, b, kt.near, kt.far)
-    return (2 * k + 1) / b * kt.guarded(m - 1, k) - _adjacent_ladder(m, k - 1, x, b, a, kt)
+    cells = [kt.guarded(m - 1, j) for j in range(k, 0, -1)]
+    p, q = (a, b) if k % 2 == 0 else (b, a)
+    v = _base_L01(m, x, p, q, kt.near, kt.far)
+    for j in range(1, k + 1):
+        p, q = q, p
+        v = (2 * j + 1) / q * cells[k - j] - v
+    return v
 
 
 def adjacent_by_recursion(
@@ -143,13 +151,19 @@ class LTable(PointTable):
     point, for positive distinct scales and k < l.
 
     One K table serves every K cell, adjacent closure and ladder step of
-    the walk, and its j tables are the walk's own.  ``value(n)`` is
-    L^n_{kl} times ``sign``, the parity sign of the caller's unfolded
-    scales.
+    the walk, and its j tables are the walk's own; its row of order k is
+    this table's row k.  ``value(n)`` is L^n_{kl} times ``sign``, the
+    parity sign of the caller's unfolded scales.
+
+    A cell (m, lam) above k + 1 needs (m - 1, lam - 1) and (m, lam - 2),
+    so a request for (n, l) needs at level l - d the exponents n - d to
+    n - (d mod 2) in steps of 2, down to the adjacent cells at k + 1; the
+    K cells at k are those of level k + 2.  The walk fills the levels
+    from the bottom.
     """
 
     __slots__ = (
-        "x", "orders", "k", "l", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "_memo",
+        "x", "orders", "k", "l", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "rows",
     )
     family = "L"
 
@@ -170,30 +184,71 @@ class LTable(PointTable):
         self.closed_forms = closed_forms
         self.kt = kt = KTable(x, a, b, l, closed_forms, constants)
         self.jta, self.jtb = (kt.jta, kt.jtb) if a >= b else (kt.jtb, kt.jta)
-        self._memo: dict = {}
+        self.rows = rows = [None] * (l + 1)
+        rows[k] = kt.level(k)
+        for lam in range(k + 1, l + 1):
+            rows[lam] = {}
 
     def _value(self, n: int) -> float:
-        return self.sign * self.cell(n, self.l)
-
-    def cell(self, m: int, lam: int) -> float:
-        key = (m, lam)
-        v = self._memo.get(key)
-        if v is not None:
-            return v
-        x, k, a, b, kt = self.x, self.k, self.a, self.b, self.kt
-        if lam == k:
-            v = kt.guarded(m, k)
-        elif lam == k + 1:
-            if k == 0:
-                v = _base_L01(m, x, a, b, kt.near, kt.far)
-            elif m != 1 and self.closed_forms:
-                v = _closure(m, k, x, a, b, self.jta[k], self.jtb[lam], kt)
+        l, top = self.l, self.rows[self.l]
+        v = top.get(n)
+        if v is None:
+            if l == self.k + 1:
+                v = top[n] = self._adjacent(n)
             else:
-                v = _adjacent_ladder(m, k, x, a, b, kt)
-        else:
-            v = (2 * lam - 1) / b * self.cell(m - 1, lam - 1) - self.cell(m, lam - 2)
-        self._memo[key] = v
-        return v
+                self._fill(n, l)
+                v = top[n]
+        return self.sign * v
+
+    def _adjacent(self, m: int) -> float:
+        """The adjacent cell L^m_{k,k+1}."""
+        x, k, a, b, kt = self.x, self.k, self.a, self.b, self.kt
+        if k == 0:
+            return _base_L01(m, x, a, b, kt.near, kt.far)
+        if m != 1 and self.closed_forms:
+            return _closure(m, k, x, a, b, self.jta[k], self.jtb[k + 1], kt)
+        return _adjacent_ladder(m, k, x, a, b, kt)
+
+    def _fill(self, n: int, l: int) -> None:
+        """Store cell (n, l), l >= k + 2, and every cell it needs: the
+        adjacent cells, the K cells, then the levels k + 2..l upwards."""
+        k, kt, rows = self.k, self.kt, self.rows
+        adjacent = rows[k + 1]
+        d = l - k - 1
+        lo, hi = n - d, n - d % 2
+        # the lowest adjacent cell first, the first cell the recursion
+        # reaches: the degeneracy guard refuses low exponents first, so if
+        # any cell is refused, this one is, with its own message
+        if lo not in adjacent:
+            adjacent[lo] = self._adjacent(lo)
+        # one K walk per run of the K cells the other adjacent cells and
+        # level k need; none of them is refused once the lowest adjacent
+        # cell is not, as the guard refuses low exponents first
+        rest = lo + 2
+        if k and rest <= hi:
+            if not self.closed_forms:
+                kt.fill(k, rest - 1, hi - 1)
+            elif rest <= 1 <= hi and rest % 2:
+                # the n = 1 cell takes the ladder, which needs K^0 of order k
+                if rest < 1:
+                    kt.fill(k + 1, rest + 1, 0)
+                if hi > 1:
+                    kt.fill(k + 1, 4, hi + 1)
+                kt.fill(k, 0, 0)
+            else:
+                kt.fill(k + 1, rest + 1, hi + 1)
+        kt.fill(k, lo + 1, n - (d + 1) % 2)
+        for m in range(rest, hi + 1, 2):
+            if m not in adjacent:
+                adjacent[m] = self._adjacent(m)
+        b = self.b
+        for lam in range(k + 2, l + 1):
+            row, below, below2 = rows[lam], rows[lam - 1], rows[lam - 2]
+            c = (2 * lam - 1) / b
+            e = l - lam
+            for m in range(n - e, n - e % 2 + 1, 2):
+                if m not in row:
+                    row[m] = c * below[m - 1] - below2[m]
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +353,16 @@ class LEqualTable(PointTable):
     equal unit scales, u = |alpha| x.
 
     One H table at u serves every H cell the walk reaches, and its j
-    table is the walk's own.  ``value(n)`` is |alpha|^(-n-1) L^n_{kl}(u)
-    times ``sign``, the parity sign of the caller's unfolded scales.
+    table is the walk's own; its row of order k is this table's row k.
+    ``value(n)`` is |alpha|^(-n-1) L^n_{kl}(u) times ``sign``, the parity
+    sign of the caller's unfolded scales.
+
+    The walk is LTable's, with closed cells above k: each level's run is
+    the union of the runs of the two levels above, their ends moved
+    inwards past closed cells and shifted as the recursion steps.
     """
 
-    __slots__ = ("x", "orders", "k", "l", "sign", "closed_forms", "constants", "ht", "_memo")
+    __slots__ = ("x", "orders", "k", "l", "sign", "closed_forms", "constants", "ht", "rows")
     family = "L"
 
     def __init__(
@@ -322,31 +382,80 @@ class LEqualTable(PointTable):
         self.closed_forms = closed_forms
         self.constants = constants
         self.ht = HTable(x, l, closed_forms, constants, alpha)
-        self._memo: dict = {}
+        self.rows = rows = [None] * (l + 1)
+        rows[k] = self.ht.level(k)
+        for lam in range(k + 1, l + 1):
+            rows[lam] = {}
 
     def _value(self, n: int) -> float:
-        return self.sign * self.ht.a ** (-n - 1) * self.cell(n, self.l)
+        l = self.l
+        v = self.rows[l].get(n)
+        if v is None:
+            self._fill(n, l)
+            v = self.rows[l][n]
+        return self.sign * self.ht.a ** (-n - 1) * v
 
-    def cell(self, m: int, lam: int) -> float:
-        key = (m, lam)
-        v = self._memo.get(key)
-        if v is not None:
-            return v
-        k, ht = self.k, self.ht
-        u, jt = ht.u, ht.jt
-        if lam == k:
-            v = ht.cell(m, k)
-        else:
-            kind = _equal_closed_kind(m, k, lam) if self.closed_forms else None
-            if kind is not None:
-                v = _closed_L_equal(kind, k, lam, u, jt, self.constants)
-            elif lam == k + 1:
-                # adjacent orders through the squared family
-                v = (k + 0.5 * m) * ht.cell(m - 1, k) - 0.5 * u**m * jt[k] ** 2
-            else:
-                v = (2 * lam - 1) * self.cell(m - 1, lam - 1) - self.cell(m, lam - 2)
-        self._memo[key] = v
-        return v
+    def _runs(self, n: int, l: int) -> dict:
+        """{lam: (lo, hi)}, the exponents a request for (n, l) needs at
+        each level from l down to k, in steps of 2."""
+        k, closed = self.k, self.closed_forms
+        runs = {l: (n, n)}
+        for lam in range(l, k + 1, -1):
+            if lam not in runs:
+                continue
+            lo, hi = runs[lam]
+            if closed:
+                while lo <= hi and _equal_closed_kind(lo, k, lam):
+                    lo += 2
+                while lo <= hi and _equal_closed_kind(hi, k, lam):
+                    hi -= 2
+                if lo > hi:
+                    continue
+            for below, a, b in ((lam - 1, lo - 1, hi - 1), (lam - 2, lo, hi)):
+                if below in runs:
+                    a = min(a, runs[below][0])
+                    b = max(b, runs[below][1])
+                runs[below] = (a, b)
+        return runs
+
+    def _fill(self, n: int, l: int) -> None:
+        """Store cell (n, l) and every cell it needs: the H cells, then the
+        levels k + 1..l upwards, closed cells by their closed forms."""
+        k, ht, rows, closed = self.k, self.ht, self.rows, self.closed_forms
+        u, jt, constants = ht.u, ht.jt, self.constants
+        runs = self._runs(n, l)
+        # the H cells one walk at a time, lowest exponent first, the order
+        # the recursion reaches them in: a base the small-argument guard
+        # refuses is then the one the recursion's walk names
+        wanted = set()
+        if k in runs:
+            lo, hi = runs[k]
+            wanted.update(range(lo, hi + 1, 2))
+        if k + 1 in runs:
+            lo, hi = runs[k + 1]
+            wanted.update(
+                m - 1 for m in range(lo, hi + 1, 2)
+                if not (closed and _equal_closed_kind(m, k, k + 1))
+            )
+        for m in sorted(wanted):
+            ht.cell(m, k)
+        jk = jt[k]
+        for lam in range(k + 1, l + 1):
+            if lam not in runs:
+                continue
+            lo, hi = runs[lam]
+            row, below, below2 = rows[lam], rows[lam - 1], rows[lam - 2]
+            for m in range(lo, hi + 1, 2):
+                if m in row:
+                    continue
+                kind = _equal_closed_kind(m, k, lam) if closed else None
+                if kind is not None:
+                    row[m] = _closed_L_equal(kind, k, lam, u, jt, constants)
+                elif lam == k + 1:
+                    # adjacent orders through the squared family
+                    row[m] = (k + 0.5 * m) * ht.cell(m - 1, k) - 0.5 * u**m * jk**2
+                else:
+                    row[m] = (2 * lam - 1) * below[m - 1] - below2[m]
 
 
 def eval_L_equal_args(

@@ -14,9 +14,10 @@ and levels above it satisfy
 The only printed closed form is n = 2.
 
 One evaluation point shares one ``KTable``: the j tables at a x and b x,
-one trig chain each for (a - b) x and (a + b) x, and the memo of cells.
-So the point walks each chain once, and the L family reuses the same
-table for every K cell its own recursion reaches.
+one trig chain each for (a - b) x and (a + b) x, and one row of cells
+per level.  A walk fills the levels bottom-up, so its depth is bounded
+only by the order; the point walks each chain once, and the L family
+reuses the same table for every K cell its own recursion reaches.
 
 When |a - b| shrinks, the base terms divide a nearly flat cosine
 primitive by a high power of (a - b); with n >= 2 the series route in
@@ -26,6 +27,8 @@ NearDegenerateError so callers can fall back to quadrature.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DomainError, NearDegenerateError
 from .sph_bessel import _j_extended, _j_list, parity_fold
 from .squared_bessel import _path
@@ -34,17 +37,6 @@ from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, f
 
 #: relative |alpha - beta| guard below which the base case is hazardous
 DEGENERACY_GUARD = 1e-6
-
-
-def _check_degeneracy(n: int, l: int, a: float, b: float) -> None:
-    if abs(a - b) < DEGENERACY_GUARD * (abs(a) + abs(b)):
-        # base cells reach exponent n - 2l, trig index n - 2l - 2
-        if n - 2 * l - 2 < 0:
-            raise NearDegenerateError(
-                f"|alpha - beta| = {abs(a - b):.3g} is below the degeneracy "
-                f"guard and the n = {n}, l = {l} base terms admit no series; "
-                "evaluate this integral by quadrature"
-            )
 
 
 def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
@@ -61,18 +53,19 @@ class KTable(PointTable):
     The scales are positive and distinct; the table orders them, a > b,
     since K is symmetric in its scales.  The table holds the j_0..j_lmax
     tables at a x and b x, one TrigChain for (a - b) x and one for
-    (a + b) x that every l = 0 base cell reads, and the memo of the cells
-    computed so far.  A caller that needs K cells of several orders or
-    exponents at one point (the L recursion, its adjacent closure and its
-    n = 1 ladder) shares one table, so no cell, j table or trig chain is
-    computed twice.  ``value(n)`` is the order-lmax antiderivative times
-    ``sign``, the parity sign of the caller's unfolded scales.  The table
-    lives only as long as the evaluation that built it.
+    (a + b) x that every l = 0 base cell reads, and one row per level of
+    the cells computed so far, keyed by exponent.  A caller that needs K
+    cells of several orders or exponents at one point (the L recursion,
+    its adjacent closure and its n = 1 ladder) shares one table, so no
+    cell, j table or trig chain is computed twice.  ``value(n)`` is the
+    order-lmax antiderivative times ``sign``, the parity sign of the
+    caller's unfolded scales.  The table lives only as long as the
+    evaluation that built it.
     """
 
     __slots__ = (
         "x", "orders", "a", "b", "lmax", "sign", "jta", "jtb", "near", "far", "closed_forms",
-        "used_closed", "_memo",
+        "used_closed", "rows", "_tight", "_s", "_d", "_t",
     )
     family = "K"
 
@@ -96,42 +89,122 @@ class KTable(PointTable):
         self.sign = sign
         self.jta = _j_list(lmax, a * x)
         self.jtb = _j_list(lmax, b * x)
+        # scales under the degeneracy guard: base terms with a negative
+        # trig index admit no series
+        self._tight = abs(a - b) < DEGENERACY_GUARD * (abs(a) + abs(b))
         self.near = TrigChain(a - b, x, constants)
         self.far = TrigChain(a + b, x, constants)
         self.closed_forms = closed_forms
         self.used_closed = False
-        self._memo: dict = {}
+        self.rows = []  # the stored cells of each level, keyed by exponent; see level
+        self._s = a * a + b * b
+        self._d = 2.0 * a * b
+        # b j_{lam-1}(ax) j_lam(bx) + a j_lam(ax) j_{lam-1}(bx) for the levels lam >= 1 walked
+        self._t = [0.0]
 
     def _value(self, n: int) -> float:
         return self.sign * self.guarded(n, self.lmax)
 
     def guarded(self, m: int, lam: int) -> float:
         """K^m_lam, refusing near-degenerate scales."""
-        _check_degeneracy(m, lam, self.a, self.b)
-        return self.cell(m, lam)
-
-    def cell(self, m: int, lam: int) -> float:
-        key = (m, lam)
-        v = self._memo.get(key)
-        if v is not None:
-            return v
-        x, a, b = self.x, self.a, self.b
-        if lam == 0:
-            v = (self.near.int_cos(m - 2) - self.far.int_cos(m - 2)) / (2.0 * a * b)
-        elif self.closed_forms and m == 2:
-            v = _closed_K2(lam, x, a, b, self.jta, self.jtb)
-            self.used_closed = True
-        else:
-            jam, jal = self.jta[lam - 1], self.jta[lam]
-            jbm, jbl = self.jtb[lam - 1], self.jtb[lam]
-            v = (
-                (a * a + b * b) * self.cell(m, lam - 1)
-                + (m - 2) * (m + 2 * lam - 3) * self.cell(m - 2, lam - 1)
-                + (2 - m) * x ** (m - 1) * jam * jbm
-                - x**m * (b * jam * jbl + a * jal * jbm)
-            ) / (2.0 * a * b)
-        self._memo[key] = v
+        # base cells reach exponent m - 2 lam, trig index m - 2 lam - 2
+        if self._tight and m - 2 * lam - 2 < 0:
+            raise NearDegenerateError(
+                f"|alpha - beta| = {abs(self.a - self.b):.3g} is below the degeneracy "
+                f"guard and the n = {m}, l = {lam} base terms admit no series; "
+                "evaluate this integral by quadrature"
+            )
+        rows = self.rows
+        v = rows[lam].get(m) if lam < len(rows) else None
+        if v is None:
+            self.fill(lam, m, m)
+            v = rows[lam][m]
         return v
+
+    def fill(self, top: int, lo: int, hi: int) -> None:
+        """Store the cells lo..hi (in steps of 2) of level ``top`` and every
+        cell they need, from the bottom (see ``_walk``).  Stored cells at
+        the ends of lo..hi are dropped first, and stored cells are skipped
+        throughout: their needs are stored too.  Level 0 fills first; the
+        levels above fill column by column, each column upwards, so the
+        powers of x are taken once per column."""
+        rows = self.rows
+        row = rows[top] if top < len(rows) else self.level(top)
+        while lo <= hi and lo in row:
+            lo += 2
+        while lo <= hi and hi in row:
+            hi -= 2
+        if lo > hi:
+            return
+        if top == 0:
+            bases, columns = range(lo, hi + 1, 2), ()
+        else:
+            bases, columns = _walk(top, lo, hi, self.closed_forms)
+        d = self._d
+        row, near, far = rows[0], self.near, self.far
+        for m in bases:
+            if m not in row:
+                row[m] = (near.int_cos(m - 2) - far.int_cos(m - 2)) / d
+        if not columns:
+            return
+        x, a, b, s = self.x, self.a, self.b, self._s
+        jta, jtb, ts = self.jta, self.jtb, self._t
+        if len(ts) <= top:
+            for lam in range(len(ts), top + 1):
+                ts.append(b * jta[lam - 1] * jtb[lam] + a * jta[lam] * jtb[lam - 1])
+        for m, levels, closed in columns:
+            if closed:
+                for lam in levels:
+                    row = rows[lam]
+                    if m not in row:
+                        row[m] = _closed_K2(lam, x, a, b, jta, jtb)
+                        self.used_closed = True
+                continue
+            power = None
+            for lam in levels:
+                row = rows[lam]
+                if m in row:
+                    continue
+                if power is None:
+                    power = (2 - m) * x ** (m - 1)
+                    xm = x**m
+                below = rows[lam - 1]
+                row[m] = (
+                    s * below[m]
+                    + (m - 2) * (m + 2 * lam - 3) * below[m - 2]
+                    + power * jta[lam - 1] * jtb[lam - 1]
+                    - xm * ts[lam]
+                ) / d
+
+
+@functools.lru_cache(maxsize=128)
+def _walk(top: int, lo: int, hi: int, closed: bool) -> tuple:
+    """(bases, columns): the cells the K recursion reaches from the cells
+    lo..hi (in steps of 2) of level ``top`` >= 1.
+
+    A cell (m, lam) above level 0 needs (m, lam - 1) and
+    (m - 2, lam - 1), unless it is the closed form m = 2.  So level
+    top - d, d >= 1, needs lo - 2d..hi, except that no exponent below 2
+    is needed when lo is even and at least 2, and none above 0 when hi
+    is 2.  ``bases`` runs over the exponents of level 0; each column is
+    (m, levels, closed), m ascending, with ``levels`` the levels above 0
+    whose runs hold m and ``closed`` whether m is the closed form.  The
+    walk depends on these arguments alone, and a shallow walk costs
+    about as much to plan as to fill, so the last 128 plans are kept.
+    """
+    two = 2 if closed else None
+    floor = 2 if two and lo >= 2 and lo % 2 == 0 else lo - 2 * top
+    below_hi = 0 if hi == two else hi
+    bases = range(max(lo - 2 * top, floor), below_hi + 1, 2)
+    columns = tuple(
+        (
+            m,
+            range(1 if m <= below_hi else top, top + 1 if m >= lo else top - (lo - m) // 2 + 1),
+            m == two,
+        )
+        for m in range(max(lo - 2 * top + 2, floor), hi + 1, 2)
+    )
+    return bases, columns
 
 
 def _table(

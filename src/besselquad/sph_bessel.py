@@ -38,8 +38,9 @@ _RESCALE_AT = 1e250
 
 def first_zero_estimate(l: int) -> float:
     """Rough location of the first zero of j_l, from a linear fit over
-    0 <= l <= 100.  An overestimate for very low l (j_0 vanishes at pi)."""
-    return 4.75 + 1.05 * l
+    0 <= l <= 100.  An overestimate for very low l (j_0 vanishes at pi).
+    An order that is not an integer >= 0 is a DomainError."""
+    return 4.75 + 1.05 * check_integer("l", l, 0)
 
 
 @finite_result

@@ -19,6 +19,7 @@ the recursion convention in general; every route is deterministic in
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DomainError
@@ -113,19 +114,19 @@ class HTable(PointTable):
     """The cells H^m_lam(u), lam <= lmax, of one evaluation point.
 
     The cells are taken at u = |alpha| x.  The table holds j_0..j_{lmax+1}
-    at u, the TrigChain of 2u that every l = 0 base cell reads, and the
-    memo of the cells computed so far.  ``value(n)`` is the antiderivative
-    int x^n j_lmax(alpha x)^2 dx = |alpha|^(-n-1) H^n_lmax(u) (times
-    ``sign``, the parity sign of a K or L product whose factors meet), so
-    every exponent asked of one table shares its cells.  The
-    equal-argument L engine shares one table across every H cell it
-    reaches.  The table lives only as long as the evaluation that built
-    it.
+    at u, the TrigChain of 2u that every l = 0 base cell reads, and one
+    row per level of the cells computed so far, keyed by exponent.
+    ``value(n)`` is the antiderivative int x^n j_lmax(alpha x)^2 dx =
+    |alpha|^(-n-1) H^n_lmax(u) (times ``sign``, the parity sign of a K or
+    L product whose factors meet), so every exponent asked of one table
+    shares its cells.  The equal-argument L engine shares one table
+    across every H cell it reaches.  The table lives only as long as the
+    evaluation that built it.
     """
 
     __slots__ = (
         "x", "orders", "u", "lmax", "a", "sign", "jt", "chain", "closed_forms", "constants",
-        "used_closed", "_memo",
+        "used_closed", "rows",
     )
     family = "H"
 
@@ -149,34 +150,141 @@ class HTable(PointTable):
         self.closed_forms = closed_forms
         self.constants = constants
         self.used_closed = False
-        self._memo: dict = {}
+        self.rows = []  # the stored cells of each level, keyed by exponent; see level
 
     def _value(self, n: int) -> float:
         return self.sign * self.a ** (-n - 1) * self.cell(n, self.lmax)
 
-    def cell(self, m: int, lam: int) -> float:
-        key = (m, lam)
-        v = self._memo.get(key)
-        if v is not None:
-            return v
-        u = self.u
-        if lam == 0:
-            v = _H_base(m, u, self.chain)
-        else:
-            kind = _closed_kind(m, lam) if self.closed_forms else None
-            if kind is not None:
-                v = _closed_H(kind, lam, u, self.jt, self.constants)
+    def cell(self, n: int, l: int) -> float:
+        """H^n_l(u), filled with the cells it needs on first request."""
+        rows = self.rows
+        top = rows[l] if l < len(rows) else self.level(l)
+        v = top.get(n)
+        if v is None:
+            kind = _closed_kind(n, l) if self.closed_forms else None
+            # a base or a closed form at the top needs no walk
+            if l == 0:
+                v = top[n] = _H_base(n, self.u, self.chain)
+            elif kind is not None:
+                v = top[n] = _closed_H(kind, l, self.u, self.jt, self.constants)
                 self.used_closed = True
             else:
-                jm, jl = self.jt[lam - 1], self.jt[lam]
-                v = (
-                    self.cell(m, lam - 1)
-                    + 0.5 * (m - 2) * (2 * lam + m - 3) * self.cell(m - 2, lam - 1)
-                    + (1.0 - 0.5 * m) * u ** (m - 1) * jm * jm
-                    - u**m * jm * jl
-                )
-        self._memo[key] = v
+                self._fill(n, l)
+                v = top[n]
         return v
+
+    def _fill(self, n: int, l: int) -> None:
+        """Store cell (n, l), which no closed form matches, and every cell
+        it needs, from the bottom (see ``_walk``).  Level 0 fills first,
+        downwards, as the recursion reaches its bases: where the
+        small-argument guard refuses bases, the refusal names the highest.
+        The levels above fill column by column, each column upwards, so
+        the powers of u are taken once per column.  Stored cells are
+        skipped: their needs are stored too."""
+        bases, columns = _walk(n, l, self.closed_forms)
+        u, jt, rows, constants = self.u, self.jt, self.rows, self.constants
+        row, chain = rows[0], self.chain
+        for m in bases:
+            if m not in row:
+                row[m] = _H_base(m, u, chain)
+        for m, levels, shut, d2, d5 in columns:
+            if shut:
+                for lam in levels:
+                    row = rows[lam]
+                    if m not in row:
+                        row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt, constants)
+                        self.used_closed = True
+                continue
+            half = 0.5 * (m - 2)
+            power = None
+            for lam in levels:
+                row = rows[lam]
+                if m in row:
+                    continue
+                if lam == d2 or lam == d5:
+                    row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt, constants)
+                    self.used_closed = True
+                    continue
+                if power is None:
+                    power = (1.0 - 0.5 * m) * u ** (m - 1)
+                    um = u**m
+                below = rows[lam - 1]
+                jm, jl = jt[lam - 1], jt[lam]
+                row[m] = (
+                    below[m]
+                    + half * (2 * lam + m - 3) * below[m - 2]
+                    + power * jm * jm
+                    - um * jm * jl
+                )
+
+
+@functools.lru_cache(maxsize=128)
+def _walk(n: int, l: int, closed: bool) -> tuple:
+    """(bases, columns): the cells the H recursion reaches from cell
+    (n, l), l >= 1, which no closed form matches.
+
+    A cell (m, lam) above level 0 needs (m, lam - 1) and
+    (m - 2, lam - 1), unless a closed form matches it: m = -1, 1 - 2 lam
+    or 2 lam + 3 for odd m, 2 or 4 for even m.  So level lam < l needs
+    lo..hi, in steps of 2, with lo = n - 2(l - lam) and hi = n, except
+    where a closed cell ends a run: for even n >= 6 no exponent is below
+    4; for odd n >= 1 none is below -1, and the top follows the diagonal
+    2 lam + 3 below the level ``cut`` where it meets n; for odd n <= -3
+    the top is n - 2 below the level ``cut`` where the diagonal 1 - 2 lam
+    meets n, and lo is 2 higher below the level ``kink`` where that
+    diagonal meets lo.  Closed cells inside a run are computed by their
+    closed form.
+
+    ``bases`` runs over the exponents of level 0, downwards.  Each column
+    is (m, levels, shut, d2, d5), m ascending: ``levels`` the levels
+    above 0 whose runs hold m, ``shut`` whether m is closed at all of
+    them, and d2, d5 the levels of its diagonal closed cells, if any.
+    The walk depends on (n, l) and the closed-forms switch alone, and a
+    shallow walk costs about as much to plan as to fill, so the last 128
+    plans are kept.
+    """
+    odd = n % 2
+    floor = None  # the least exponent of a run
+    kink = cut = 0
+    five = False  # below cut, hi is 2 lam + 3 rather than n - 2
+    if closed:
+        if not odd:
+            if n >= 6:
+                floor = 4
+        elif n >= 1:
+            floor = -1
+            if n <= 2 * l + 3:
+                cut, five = (n - 3) // 2, True
+        else:
+            if (1 - n) // 2 < l:
+                cut = (1 - n) // 2
+            q, r = divmod(1 - n + 2 * l, 4)
+            if r == 0 and q < l:
+                kink = q
+
+    def lowest(lam):
+        lo = n - 2 * (l - lam)
+        if floor is not None and lo < floor:
+            lo = floor
+        return lo + 2 if lam < kink else lo
+
+    hi = n if cut <= 0 else 3 if five else n - 2
+    bases = range(hi, lowest(0) - 1, -2)
+    shut = (2, 4) if closed and not odd else (-1,) if closed else ()
+    columns = []
+    for m in range(lowest(1), n + 1, 2):
+        last = l - (n - m) // 2
+        if last < kink:
+            last -= 1
+        if m <= n - 2 and not five or cut <= 1:
+            first = 1
+        elif five:
+            first = max(1, min((m - 3) // 2, cut))
+        else:
+            first = cut
+        d2, d5 = ((1 - m) // 2, (m - 3) // 2) if closed and odd else (None, None)
+        columns.append((m, range(first, last + 1), m in shut, d2, d5))
+    return bases, tuple(columns)
 
 
 def _path(table, l: int) -> str:

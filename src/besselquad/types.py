@@ -226,23 +226,20 @@ def finite_value(describe, compute, /, *args, **kwargs):
     with ``__float__``, or a tuple of floats.
 
     The one place where a computation whose terms overflow a float
-    (raising OverflowError, or ending in inf or nan), or which runs
-    deeper than the interpreter's recursion limit, becomes a DomainError.
-    ``describe(*args, **kwargs)`` names the computation in the message;
-    it runs only on failure.  The per-point tables and the public scalar
-    evaluators (see ``finite_result``) pass their values through here.
+    (raising OverflowError, or ending in inf or nan) becomes a
+    DomainError.  ``describe(*args, **kwargs)`` names the computation in
+    the message; it runs only on failure.  The per-point tables and the
+    public scalar evaluators (see ``finite_result``) pass their values
+    through here.
     """
-    reason = "its terms overflow a float"
     try:
         v = compute(*args, **kwargs)
     except OverflowError:
         pass
-    except RecursionError:
-        reason = "the recursion runs deeper than the interpreter's recursion limit"
     else:
         if all(map(math.isfinite, v)) if isinstance(v, tuple) else math.isfinite(v):
             return v
-    raise DomainError(f"{describe(*args, **kwargs)}: {reason}")
+    raise DomainError(f"{describe(*args, **kwargs)}: its terms overflow a float")
 
 
 def _call_text(name: str, *args, **kwargs) -> str:
@@ -267,13 +264,13 @@ class PointTable:
     """Base of the per-point antiderivative tables of the engines.
 
     A table holds the shared work of one evaluation point x (j tables,
-    trig chains, memoised recursion cells) and serves every exponent:
-    ``value(n)`` is the antiderivative of x^n times the table's Bessel
-    product at x.  Subclasses set ``family``, ``orders`` and ``x`` and
-    define ``_value(n)``.  Every table value passes through ``value``,
-    so a recursion whose terms overflow a float, or which runs deeper
-    than the interpreter's recursion limit, surfaces here as the
-    DomainError of ``finite_value``, naming the family, n, orders and x.
+    trig chains, the recursion cells filled so far) and serves every
+    exponent: ``value(n)`` is the antiderivative of x^n times the
+    table's Bessel product at x.  Subclasses set ``family``, ``orders``
+    and ``x`` and define ``_value(n)``.  Every table value passes through
+    ``value``, so a recursion whose terms overflow a float surfaces here
+    as the DomainError of ``finite_value``, naming the family, n, orders
+    and x.
     """
 
     __slots__ = ()
@@ -285,6 +282,16 @@ class PointTable:
 
     def _describe(self, n: int) -> str:
         return f"{self.family} antiderivative with n = {n}, orders {self.orders} at x = {self.x:g}"
+
+    def level(self, lam: int) -> dict:
+        """The stored cells of level lam of a table that keeps them in
+        ``rows``, one dict per level keyed by exponent.  The rows up to lam
+        are made on first use, so a table whose value needs no walk, or
+        only a shallow one, holds no empty rows above it."""
+        rows = self.rows
+        while len(rows) <= lam:
+            rows.append({})
+        return rows[lam]
 
 
 @dataclass(frozen=True)

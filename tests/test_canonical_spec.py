@@ -195,8 +195,8 @@ def _assert_quadrature_fallback(spec, a, b):
 
 class TestDeepRecursions:
     """Every table value passes one handler, so a recursion that leaves
-    the float range, or the interpreter's depth, is a DomainError naming
-    the family, n, orders and x."""
+    the float range is a DomainError naming the family, n, orders and x;
+    the walks fill their tables bottom-up, so depth alone is no limit."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -226,9 +226,24 @@ class TestDeepRecursions:
         ids=["H", "K", "L"],
     )
     def test_recursion_depth(self, spec):
+        # a thousand levels run to the end; their terms leave the float range
         a, b = _above_threshold(spec)
-        with pytest.raises(DomainError, match=r"n = -3, orders \(.*1000,?\) at x = .*recursion limit"):
+        with pytest.raises(DomainError, match=r"n = -3, orders \(.*1000,?\) at x = .*overflow a float"):
             definite_integral(spec, a, b, strategy="recursion")
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_deep_walk_matches_gauss_legendre(self, n):
+        # 1 200 levels of the H walk against a 200-node Gauss-Legendre sum
+        # of x^n j_1200(x)^2 over twenty units past the threshold
+        ss = pytest.importorskip("scipy.special")
+        spec = IntegralSpec("H", n, 1200)
+        a, b = _above_threshold(spec)
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        ref = 0.5 * (b - a) * float(np.sum(weights * xs**n * ss.spherical_jn(1200, xs) ** 2))
+        got = definite_integral(spec, a, b, strategy="recursion")
+        assert got.segments == (("recursion", a, b),)
+        assert abs(got.value - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("evaluator", [adjacent_closure, adjacent_by_recursion])
     def test_adjacent_evaluators_overflow(self, evaluator):

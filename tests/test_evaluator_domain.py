@@ -103,12 +103,22 @@ def test_finite_values_are_untouched():
         lambda: bq.eval_scaled_X_series(1.5, 1.0, 0.1),
         lambda: bq.besselJ(2.5, 1.0),
         lambda: bq.besselJ(True, 1.0),
+        lambda: bq.first_zero_estimate(-1),
+        lambda: bq.first_zero_estimate(2.5),
+        lambda: bq.first_zero_estimate(True),
+        lambda: bq.truncates_early(1.5, 2),
+        lambda: bq.truncates_early(True, 2),
+        lambda: bq.truncates_early(1, -1),
+        lambda: bq.truncates_early(1, 2.0),
+        lambda: bq.truncates_early(0, False),
     ],
     ids=[
         "j_many-neg1", "j_many-neg2", "j_many-neg1-at-0", "j_many-neg1-small", "j-bool",
         "j_array-bool", "j_many-bool", "j_array-float", "j_extended-float", "leading-float",
         "pair-float", "X-float", "int_pow_sin-float", "scaled_X-float", "besselJ-float",
-        "besselJ-bool",
+        "besselJ-bool", "first_zero-neg1", "first_zero-float", "first_zero-bool",
+        "truncates-n-float", "truncates-n-bool", "truncates-l-neg1", "truncates-l-float",
+        "truncates-l-bool",
     ],
 )
 def test_orders_and_exponents_are_integers(call):

@@ -1,0 +1,177 @@
+"""Write every output of the benchmark pools and of a seeded engine grid
+to JSON, or diff two such files: one command for "same numbers".
+
+    python3 tools/same_numbers.py OUT.json [--src DIR] [--grid N] [--seed S]
+    python3 tools/same_numbers.py --compare A.json B.json
+
+The first form imports besselquad from ``--src`` (default: this
+checkout's ``src``), so a second checkout of another commit can be
+measured with this one file.  It records
+
+* every input of the four pools in ``perfbench/reference/*.json`` (only
+  read), through ``definite_integral`` or ``weighted_integral``: value,
+  error estimate, evaluations, convergence, strategy and segments;
+* ``--grid`` seeded calls of ``eval_H_scaled``, ``eval_K`` and
+  ``eval_L`` (equal and near-degenerate scales included) in every
+  ``closed_forms`` x ``constants`` mode, with value and path, plus
+  per-point tables asked several exponents in a random order.
+
+Floats are written with ``float.hex``, so equal files mean bitwise equal
+numbers; an error is written as its type and message.  ``--compare``
+prints the entries that differ and exits 1 when any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import random
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+POOLS = os.path.join(ROOT, "perfbench", "reference")
+WORKLOADS = ("oscillatory_tail", "from_zero", "weighted_tabulated", "guarded_fallback")
+MODES = ((True, True), (True, False), (False, True), (False, False))
+
+
+def _hex(v) -> str:
+    return float(v).hex()
+
+
+def _outcome(fn) -> dict:
+    """fn()'s record, or its error's type and message."""
+    try:
+        return fn()
+    except Exception as exc:  # every failure is part of the record
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _result(r) -> dict:
+    return {
+        "value": _hex(r.value),
+        "error_estimate": _hex(r.error_estimate),
+        "evaluations": r.evaluations,
+        "converged": r.converged,
+        "strategy": [r.strategy.kind, r.strategy.reason, _hex(r.strategy.threshold_x),
+                     None if r.strategy.split_at is None else _hex(r.strategy.split_at)],
+        "segments": [[route, _hex(lo), _hex(hi)] for route, lo, hi in r.segments],
+    }
+
+
+def _antiderivative(v) -> dict:
+    return {"value": _hex(v.value), "path": v.path}
+
+
+def pool_entries(bq):
+    for workload in WORKLOADS:
+        with open(os.path.join(POOLS, f"{workload}.json")) as fh:
+            pool = json.load(fh)
+        for i, item in enumerate(pool["items"]):
+            key = f"{workload}/{i}/{item['cell']}"
+            if item["op"] == "definite":
+                spec = bq.IntegralSpec(
+                    item["family"], item["n"], item["l"], item["alpha"], k=item["k"],
+                    beta=item["beta"],
+                )
+                a, b = item["a"], item["b"]
+                yield key, _outcome(lambda: _result(bq.definite_integral(spec, a, b)))
+                continue
+            pp = bq.build_interpolant(item["samples"], degree=item["degree"])
+            k, beta = (item["k"], item["beta"]) if item["op"] == "product" else (None, None)
+            yield key, _outcome(lambda: _result(bq.weighted_integral(
+                pp, item["l"], item["alpha"], item["a"], item["b"], k=k, beta=beta,
+            )))
+
+
+def _scales(rng: random.Random) -> tuple:
+    alpha = rng.uniform(0.2, 3.0) * rng.choice((1, 1, 1, -1))
+    kind = rng.random()
+    if kind < 0.15:
+        beta = alpha * rng.choice((1, -1))  # equal magnitudes
+    elif kind < 0.25:
+        beta = alpha * (1 + rng.choice((1e-9, 1e-7, 1e-5, 1e-3)))  # near-degenerate
+    else:
+        beta = rng.uniform(0.2, 3.0) * rng.choice((1, 1, 1, -1))
+    return alpha, beta
+
+
+def grid_entries(bq, calls: int, seed: int):
+    from besselquad.quadrature import point_table
+
+    rng = random.Random(seed)
+    for i in range(calls):
+        closed_forms, constants = MODES[i % len(MODES)]
+        family = rng.choice("HKLLT")
+        n = rng.randint(-10, 12) if rng.random() < 0.95 else rng.randint(-160, 160)
+        l = rng.randint(0, 30) if rng.random() < 0.9 else rng.randint(31, 60)
+        k = rng.randint(0, l + 3)
+        x = 10 ** rng.uniform(-2.0, 2.5)
+        alpha, beta = _scales(rng)
+        args = (n, k, l, x, alpha, beta, closed_forms, constants)
+        key = f"grid/{i}/{family}{args!r}"
+        if family == "H":
+            fn = lambda: _antiderivative(  # noqa: E731
+                bq.eval_H_scaled(n, l, x, alpha, closed_forms, constants))
+        elif family == "K":
+            fn = lambda: _antiderivative(  # noqa: E731
+                bq.eval_K(n, l, x, alpha, beta, closed_forms, constants))
+        elif family == "L":
+            fn = lambda: _antiderivative(  # noqa: E731
+                bq.eval_L(n, k, l, x, alpha, beta, closed_forms, constants))
+        else:
+            # one table, several exponents in a random order
+            exps = rng.sample(range(-6, 10), rng.randint(2, 5))
+            key += repr(exps)
+
+            def fn():
+                table = point_table(bq.IntegralSpec("L", 0, l, alpha, k=k, beta=beta), x,
+                                    closed_forms, constants)
+                return [_outcome(lambda: _hex(table.value(m))) for m in exps]
+
+        yield key, _outcome(fn)
+
+
+def write(out: str, src: str, calls: int, seed: int) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    bq = importlib.import_module("besselquad")
+    entries = dict(pool_entries(bq))
+    entries.update(grid_entries(bq, calls, seed))
+    with open(out, "w") as fh:
+        json.dump({"src": os.path.abspath(src), "seed": seed, "entries": entries}, fh)
+    errors = sum(1 for v in entries.values() if isinstance(v, dict) and "error" in v)
+    print(f"{len(entries)} entries ({errors} errors) from {bq.__file__} -> {out}")
+
+
+def compare(first: str, second: str) -> int:
+    with open(first) as fh:
+        a = json.load(fh)["entries"]
+    with open(second) as fh:
+        b = json.load(fh)["entries"]
+    differ = [key for key in a.keys() | b.keys() if a.get(key) != b.get(key)]
+    for key in sorted(differ):
+        print(f"{key}\n  {a.get(key)}\n  {b.get(key)}")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="JSON file to write")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the besselquad package to import")
+    parser.add_argument("--grid", type=int, default=20_000, help="engine grid calls")
+    parser.add_argument("--seed", type=int, default=15, help="engine grid seed")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="diff two files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        parser.error("give OUT.json or --compare A B")
+    write(args.out, args.src, args.grid, args.seed)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
