@@ -37,6 +37,7 @@ its own scales.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DomainError, NearDegenerateError
@@ -45,9 +46,16 @@ from .single_bessel import ITable
 from .sph_bessel import _j_extended, _j_list, j_extended, parity_fold
 from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result
+from .types import (
+    AntiderivativeValue, IntegralSpec, PointTable, StepRule, check_point, finite_result, sweep,
+)
 
 _EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
+
+#: L's rule: L^m_{k,lam} needs L^{m-1}_{k,lam-1} and L^m_{k,lam-2}, down to
+#: the adjacent cells at order k + 1 and the cells of order k, which are
+#: computed from the lowest exponent up
+_RULE = StepRule(((-1, 1), (0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +163,9 @@ class LTable(PointTable):
     this table's row k.  ``value(n)`` is L^n_{kl} times ``sign``, the
     parity sign of the caller's unfolded scales.
 
-    A cell (m, lam) above k + 1 needs (m - 1, lam - 1) and (m, lam - 2),
-    so a request for (n, l) needs at level l - d the exponents n - d to
-    n - (d mod 2) in steps of 2, down to the adjacent cells at k + 1; the
-    K cells at k are those of level k + 2.  The walk fills the levels
-    from the bottom.
+    A walk is planned from L's rule (``_RULE``, see ``_plan``) and filled
+    from the bottom: the adjacent cells at order k + 1, the K cells
+    they and order k read, then the levels k + 2..l.
     """
 
     __slots__ = (
@@ -210,45 +216,58 @@ class LTable(PointTable):
         return _adjacent_ladder(m, k, x, a, b, kt)
 
     def _fill(self, n: int, l: int) -> None:
-        """Store cell (n, l), l >= k + 2, and every cell it needs: the
-        adjacent cells, the K cells, then the levels k + 2..l upwards."""
+        """Store cell (n, l), l >= k + 2, and every cell it needs, as
+        ``_plan`` plans it: the adjacent cells, the K cells, then the
+        levels k + 2..l upwards."""
         k, kt, rows = self.k, self.kt, self.rows
+        runs, cells, asks = _plan(n, l, k, self.closed_forms)
         adjacent = rows[k + 1]
-        d = l - k - 1
-        lo, hi = n - d, n - d % 2
         # the lowest adjacent cell first, the first cell the recursion
         # reaches: the degeneracy guard refuses low exponents first, so if
         # any cell is refused, this one is, with its own message
-        if lo not in adjacent:
-            adjacent[lo] = self._adjacent(lo)
-        # one K walk per run of the K cells the other adjacent cells and
-        # level k need; none of them is refused once the lowest adjacent
-        # cell is not, as the guard refuses low exponents first
-        rest = lo + 2
-        if k and rest <= hi:
-            if not self.closed_forms:
-                kt.fill(k, rest - 1, hi - 1)
-            elif rest <= 1 <= hi and rest % 2:
-                # the n = 1 cell takes the ladder, which needs K^0 of order k
-                if rest < 1:
-                    kt.fill(k + 1, rest + 1, 0)
-                if hi > 1:
-                    kt.fill(k + 1, 4, hi + 1)
-                kt.fill(k, 0, 0)
-            else:
-                kt.fill(k + 1, rest + 1, hi + 1)
-        kt.fill(k, lo + 1, n - (d + 1) % 2)
-        for m in range(rest, hi + 1, 2):
+        if cells[0] not in adjacent:
+            adjacent[cells[0]] = self._adjacent(cells[0])
+        # the K walks the other adjacent cells and order k read; none of
+        # them is refused once the lowest adjacent cell is not
+        for top, lo, hi in asks:
+            kt.fill(top, lo, hi)
+        for m in cells:
             if m not in adjacent:
                 adjacent[m] = self._adjacent(m)
         b = self.b
         for lam in range(k + 2, l + 1):
             row, below, below2 = rows[lam], rows[lam - 1], rows[lam - 2]
             c = (2 * lam - 1) / b
-            e = l - lam
-            for m in range(n - e, n - e % 2 + 1, 2):
+            lo, hi = runs[lam]
+            for m in range(lo, hi + 1, 2):
                 if m not in row:
                     row[m] = c * below[m - 1] - below2[m]
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(n: int, l: int, k: int, closed_forms: bool) -> tuple:
+    """(runs, cells, asks): the plan of LTable's fill of cell (n, l),
+    l >= k + 2.
+
+    ``runs`` is the sweep of L's rule, ``cells`` the adjacent cells in
+    the order they are computed, and ``asks`` the K walks (order, lo,
+    hi) that hold the K cells read below order k + 1.  An adjacent cell
+    but the first reads the closure's K^{m+1}_{k+1}, whose walk holds its
+    K^{m+1}_k, or the ladder's K^{m-1}_k, whose walk holds those of lower
+    orders; each run of these is one walk, and the order-k run of
+    ``runs`` is the last.
+    """
+    runs = sweep.__wrapped__(l, n, n, None, _RULE.step, k + 1)  # the plan is kept
+    cells = _RULE.order(*runs[k + 1])
+    asks = []
+    for m in cells[1:] if k else ():
+        top, e = (k + 1, m + 1) if m != 1 and closed_forms else (k, m - 1)
+        if asks and asks[-1][0] == top and asks[-1][2] + 2 == e:
+            asks[-1] = (top, asks[-1][1], e)
+        else:
+            asks.append((top, e, e))
+    asks.append((k, *runs[k]))
+    return runs, cells, tuple(asks)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +367,14 @@ def _equal_closed_kind(m: int, k: int, lam: int) -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=64)
+def _equal_rule(k: int) -> StepRule:
+    """The equal-argument rule above order k: L's step, with the cells of
+    the five printed closed forms closed.  One rule object per k, so
+    that plans are cached by it."""
+    return StepRule(_RULE.step, lambda m, lam: _equal_closed_kind(m, k, lam) is not None)
+
+
 class LEqualTable(PointTable):
     """The cells L^m_{k,lam}(u), k < lam <= l, of one evaluation point at
     equal unit scales, u = |alpha| x.
@@ -357,9 +384,9 @@ class LEqualTable(PointTable):
     ``value(n)`` is |alpha|^(-n-1) L^n_{kl}(u) times ``sign``, the parity
     sign of the caller's unfolded scales.
 
-    The walk is LTable's, with closed cells above k: each level's run is
-    the union of the runs of the two levels above, their ends moved
-    inwards past closed cells and shifted as the recursion steps.
+    The walk is LTable's, planned from the same rule with the cells of
+    the five closed forms closed (``_equal_rule``); H cells stand in for
+    the K cells.
     """
 
     __slots__ = ("x", "orders", "k", "l", "sign", "closed_forms", "constants", "ht", "rows")
@@ -395,49 +422,20 @@ class LEqualTable(PointTable):
             v = self.rows[l][n]
         return self.sign * self.ht.a ** (-n - 1) * v
 
-    def _runs(self, n: int, l: int) -> dict:
-        """{lam: (lo, hi)}, the exponents a request for (n, l) needs at
-        each level from l down to k, in steps of 2."""
-        k, closed = self.k, self.closed_forms
-        runs = {l: (n, n)}
-        for lam in range(l, k + 1, -1):
-            if lam not in runs:
-                continue
-            lo, hi = runs[lam]
-            if closed:
-                while lo <= hi and _equal_closed_kind(lo, k, lam):
-                    lo += 2
-                while lo <= hi and _equal_closed_kind(hi, k, lam):
-                    hi -= 2
-                if lo > hi:
-                    continue
-            for below, a, b in ((lam - 1, lo - 1, hi - 1), (lam - 2, lo, hi)):
-                if below in runs:
-                    a = min(a, runs[below][0])
-                    b = max(b, runs[below][1])
-                runs[below] = (a, b)
-        return runs
-
     def _fill(self, n: int, l: int) -> None:
-        """Store cell (n, l) and every cell it needs: the H cells, then the
-        levels k + 1..l upwards, closed cells by their closed forms."""
+        """Store cell (n, l) and every cell it needs, as ``types.sweep``
+        plans it for the equal-argument rule: the H cells, then the levels
+        k + 1..l upwards, closed cells by their closed forms."""
         k, ht, rows, closed = self.k, self.ht, self.rows, self.closed_forms
         u, jt, constants = ht.u, ht.jt, self.constants
-        runs = self._runs(n, l)
+        rule = _equal_rule(k) if closed else _RULE
+        # down to order k, as an adjacent cell needs the H cell H^{m-1}_k
+        # (the run the sweep leaves at order k - 1 is not read)
+        runs = sweep(l, n, n, rule.closed, rule.step, k)
         # the H cells one walk at a time, lowest exponent first, the order
         # the recursion reaches them in: a base the small-argument guard
         # refuses is then the one the recursion's walk names
-        wanted = set()
-        if k in runs:
-            lo, hi = runs[k]
-            wanted.update(range(lo, hi + 1, 2))
-        if k + 1 in runs:
-            lo, hi = runs[k + 1]
-            wanted.update(
-                m - 1 for m in range(lo, hi + 1, 2)
-                if not (closed and _equal_closed_kind(m, k, k + 1))
-            )
-        for m in sorted(wanted):
+        for m in rule.order(*runs.get(k, (0, -2))):
             ht.cell(m, k)
         jk = jt[k]
         for lam in range(k + 1, l + 1):

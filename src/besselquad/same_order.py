@@ -27,16 +27,23 @@ NearDegenerateError so callers can fall back to quadrature.
 
 from __future__ import annotations
 
-import functools
-
 from .errors import DomainError, NearDegenerateError
 from .sph_bessel import _j_extended, _j_list, parity_fold
 from .squared_bessel import _path
 from .trig_primitives import TrigChain
-from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result
+from .types import (
+    AntiderivativeValue, IntegralSpec, PointTable, StepRule, check_point, column_plan, finite_result,
+)
 
 #: relative |alpha - beta| guard below which the base case is hazardous
 DEGENERACY_GUARD = 1e-6
+
+#: the cells K^m_lam needs: (m, lam - 1) and (m - 2, lam - 1)
+_STEP = ((0, 1), (-2, 1))
+
+#: K's rule without and with its closed form K^2_lam; its bases are
+#: computed from the lowest exponent up
+_RULES = (StepRule(_STEP), StepRule(_STEP, lambda m, lam: m == 2))
 
 
 def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
@@ -123,11 +130,12 @@ class KTable(PointTable):
 
     def fill(self, top: int, lo: int, hi: int) -> None:
         """Store the cells lo..hi (in steps of 2) of level ``top`` and every
-        cell they need, from the bottom (see ``_walk``).  Stored cells at
-        the ends of lo..hi are dropped first, and stored cells are skipped
-        throughout: their needs are stored too.  Level 0 fills first; the
-        levels above fill column by column, each column upwards, so the
-        powers of x are taken once per column."""
+        cell they need, from the bottom, as ``types.column_plan`` plans it
+        for K's rule.  Stored cells at the ends of lo..hi are dropped
+        first, and stored cells are skipped throughout: their needs are
+        stored too.  Level 0 fills first; the levels above fill column by
+        column, each column upwards, so the powers of x are taken once per
+        column."""
         rows = self.rows
         row = rows[top] if top < len(rows) else self.level(top)
         while lo <= hi and lo in row:
@@ -136,10 +144,7 @@ class KTable(PointTable):
             hi -= 2
         if lo > hi:
             return
-        if top == 0:
-            bases, columns = range(lo, hi + 1, 2), ()
-        else:
-            bases, columns = _walk(top, lo, hi, self.closed_forms)
+        bases, columns = column_plan(top, lo, hi, _RULES[self.closed_forms])
         d = self._d
         row, near, far = rows[0], self.near, self.far
         for m in bases:
@@ -152,8 +157,8 @@ class KTable(PointTable):
         if len(ts) <= top:
             for lam in range(len(ts), top + 1):
                 ts.append(b * jta[lam - 1] * jtb[lam] + a * jta[lam] * jtb[lam - 1])
-        for m, levels, closed in columns:
-            if closed:
+        for m, levels, shut, _ in columns:  # K's closed cells fill whole columns
+            if shut:
                 for lam in levels:
                     row = rows[lam]
                     if m not in row:
@@ -175,36 +180,6 @@ class KTable(PointTable):
                     + power * jta[lam - 1] * jtb[lam - 1]
                     - xm * ts[lam]
                 ) / d
-
-
-@functools.lru_cache(maxsize=128)
-def _walk(top: int, lo: int, hi: int, closed: bool) -> tuple:
-    """(bases, columns): the cells the K recursion reaches from the cells
-    lo..hi (in steps of 2) of level ``top`` >= 1.
-
-    A cell (m, lam) above level 0 needs (m, lam - 1) and
-    (m - 2, lam - 1), unless it is the closed form m = 2.  So level
-    top - d, d >= 1, needs lo - 2d..hi, except that no exponent below 2
-    is needed when lo is even and at least 2, and none above 0 when hi
-    is 2.  ``bases`` runs over the exponents of level 0; each column is
-    (m, levels, closed), m ascending, with ``levels`` the levels above 0
-    whose runs hold m and ``closed`` whether m is the closed form.  The
-    walk depends on these arguments alone, and a shallow walk costs
-    about as much to plan as to fill, so the last 128 plans are kept.
-    """
-    two = 2 if closed else None
-    floor = 2 if two and lo >= 2 and lo % 2 == 0 else lo - 2 * top
-    below_hi = 0 if hi == two else hi
-    bases = range(max(lo - 2 * top, floor), below_hi + 1, 2)
-    columns = tuple(
-        (
-            m,
-            range(1 if m <= below_hi else top, top + 1 if m >= lo else top - (lo - m) // 2 + 1),
-            m == two,
-        )
-        for m in range(max(lo - 2 * top + 2, floor), hi + 1, 2)
-    )
-    return bases, columns
 
 
 def _table(

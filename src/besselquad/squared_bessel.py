@@ -19,15 +19,19 @@ the recursion convention in general; every route is deterministic in
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import DomainError
 from .sph_bessel import _j_extended, _j_list
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result
+from .types import (
+    AntiderivativeValue, IntegralSpec, PointTable, StepRule, check_point, column_plan, finite_result,
+)
 
 _CLOSED_KINDS = ("H1", "H2", "H3", "H4", "H5")
+
+#: the cells H^m_lam needs: (m, lam - 1) and (m - 2, lam - 1)
+_STEP = ((0, 1), (-2, 1))
 
 
 def _H_base(m: int, x: float, chain: TrigChain) -> float:
@@ -54,6 +58,11 @@ def _closed_kind(m: int, lam: int) -> str | None:
     if m == 2 * lam + 3:
         return "H5"
     return None
+
+
+#: H's rule without and with closed forms; its bases are computed from
+#: the highest exponent down, the order the recursion reaches them in
+_RULES = (StepRule(_STEP, None, True), StepRule(_STEP, _closed_kind, True))
 
 
 def _closed_H(kind: str, l: int, x: float, jt=None, constants: bool = True) -> float:
@@ -175,19 +184,18 @@ class HTable(PointTable):
 
     def _fill(self, n: int, l: int) -> None:
         """Store cell (n, l), which no closed form matches, and every cell
-        it needs, from the bottom (see ``_walk``).  Level 0 fills first,
-        downwards, as the recursion reaches its bases: where the
-        small-argument guard refuses bases, the refusal names the highest.
-        The levels above fill column by column, each column upwards, so
-        the powers of u are taken once per column.  Stored cells are
-        skipped: their needs are stored too."""
-        bases, columns = _walk(n, l, self.closed_forms)
+        it needs, from the bottom, as ``types.column_plan`` plans it for
+        H's rule: level 0 first, downwards (where the small-argument guard
+        refuses bases, the refusal names the highest), then column by
+        column, each column upwards, so the powers of u are taken once
+        per column.  Stored cells are skipped: their needs are stored too."""
+        bases, columns = column_plan(l, n, n, _RULES[self.closed_forms])
         u, jt, rows, constants = self.u, self.jt, self.rows, self.constants
         row, chain = rows[0], self.chain
         for m in bases:
             if m not in row:
                 row[m] = _H_base(m, u, chain)
-        for m, levels, shut, d2, d5 in columns:
+        for m, levels, shut, closed_at in columns:
             if shut:
                 for lam in levels:
                     row = rows[lam]
@@ -201,7 +209,7 @@ class HTable(PointTable):
                 row = rows[lam]
                 if m in row:
                     continue
-                if lam == d2 or lam == d5:
+                if lam in closed_at:
                     row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt, constants)
                     self.used_closed = True
                     continue
@@ -216,75 +224,6 @@ class HTable(PointTable):
                     + power * jm * jm
                     - um * jm * jl
                 )
-
-
-@functools.lru_cache(maxsize=128)
-def _walk(n: int, l: int, closed: bool) -> tuple:
-    """(bases, columns): the cells the H recursion reaches from cell
-    (n, l), l >= 1, which no closed form matches.
-
-    A cell (m, lam) above level 0 needs (m, lam - 1) and
-    (m - 2, lam - 1), unless a closed form matches it: m = -1, 1 - 2 lam
-    or 2 lam + 3 for odd m, 2 or 4 for even m.  So level lam < l needs
-    lo..hi, in steps of 2, with lo = n - 2(l - lam) and hi = n, except
-    where a closed cell ends a run: for even n >= 6 no exponent is below
-    4; for odd n >= 1 none is below -1, and the top follows the diagonal
-    2 lam + 3 below the level ``cut`` where it meets n; for odd n <= -3
-    the top is n - 2 below the level ``cut`` where the diagonal 1 - 2 lam
-    meets n, and lo is 2 higher below the level ``kink`` where that
-    diagonal meets lo.  Closed cells inside a run are computed by their
-    closed form.
-
-    ``bases`` runs over the exponents of level 0, downwards.  Each column
-    is (m, levels, shut, d2, d5), m ascending: ``levels`` the levels
-    above 0 whose runs hold m, ``shut`` whether m is closed at all of
-    them, and d2, d5 the levels of its diagonal closed cells, if any.
-    The walk depends on (n, l) and the closed-forms switch alone, and a
-    shallow walk costs about as much to plan as to fill, so the last 128
-    plans are kept.
-    """
-    odd = n % 2
-    floor = None  # the least exponent of a run
-    kink = cut = 0
-    five = False  # below cut, hi is 2 lam + 3 rather than n - 2
-    if closed:
-        if not odd:
-            if n >= 6:
-                floor = 4
-        elif n >= 1:
-            floor = -1
-            if n <= 2 * l + 3:
-                cut, five = (n - 3) // 2, True
-        else:
-            if (1 - n) // 2 < l:
-                cut = (1 - n) // 2
-            q, r = divmod(1 - n + 2 * l, 4)
-            if r == 0 and q < l:
-                kink = q
-
-    def lowest(lam):
-        lo = n - 2 * (l - lam)
-        if floor is not None and lo < floor:
-            lo = floor
-        return lo + 2 if lam < kink else lo
-
-    hi = n if cut <= 0 else 3 if five else n - 2
-    bases = range(hi, lowest(0) - 1, -2)
-    shut = (2, 4) if closed and not odd else (-1,) if closed else ()
-    columns = []
-    for m in range(lowest(1), n + 1, 2):
-        last = l - (n - m) // 2
-        if last < kink:
-            last -= 1
-        if m <= n - 2 and not five or cut <= 1:
-            first = 1
-        elif five:
-            first = max(1, min((m - 3) // 2, cut))
-        else:
-            first = cut
-        d2, d5 = ((1 - m) // 2, (m - 3) // 2) if closed and odd else (None, None)
-        columns.append((m, range(first, last + 1), m in shut, d2, d5))
-    return bases, tuple(columns)
 
 
 def _path(table, l: int) -> str:

@@ -375,7 +375,11 @@ def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) ->
     half = -_COS_HALF[n % 4] if odd else _SIN_HALF[n % 4]
     const = 0.0
     if half and constants:
-        const = float(math.factorial(n)) * half / alpha ** (n + 1)
+        power = alpha ** (n + 1)
+        if not power:
+            # the constant's quotient leaves the float range
+            raise OverflowError(f"alpha^{n + 1} underflows")
+        const = float(math.factorial(n)) * half / power
     acc = 0.0
     f = 1.0
     m = 0

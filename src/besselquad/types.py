@@ -294,6 +294,90 @@ class PointTable:
         return rows[lam]
 
 
+class StepRule:
+    """One family's order-lowering recursion, as data for ``sweep``.
+
+    A cell (m, lam) needs (m + dm, lam - dlam) for each (dm, dlam) in
+    ``step``, unless ``closed(m, lam)`` is true: a printed closed form
+    gives that cell (None: closed forms off).  ``descending`` is the order
+    in which a walk computes the cells where it stops, the order the
+    recursion reached them in, which decides the error raised when
+    several of them would raise.  Rules compare by identity, so a plan
+    cached by its rule is cheap to look up.
+    """
+
+    __slots__ = ("step", "closed", "descending")
+
+    def __init__(self, step: tuple, closed=None, descending: bool = False):
+        self.step = step
+        self.closed = closed
+        self.descending = descending
+
+    def order(self, lo: int, hi: int) -> range:
+        """The exponents lo..hi, in steps of 2, in the rule's order."""
+        return range(hi, lo - 1, -2) if self.descending else range(lo, hi + 1, 2)
+
+
+@functools.lru_cache(maxsize=512)
+def sweep(top: int, lo: int, hi: int, closed, step: tuple, floor: int) -> dict:
+    """{level: (lo, hi)}: the cells, one run of exponents in steps of 2 per
+    level, that the cells lo..hi of level ``top`` reach through ``step``
+    and ``closed`` (see StepRule); cells at or below ``floor`` need none.
+
+    The one planner of every table's walk.  Going down from ``top``, each
+    level's run has its closed cells trimmed off its ends, and the rest,
+    shifted by each step, widens the run of the level that step reaches.
+    Closed cells inside a run stay: for the rules of the H, K and L
+    tables the runs are exact all the same (tests/test_level_walks.py
+    checks them cell by cell).  Levels no cell reaches are absent.
+    Plans are shared, so the dict must not be changed.
+    """
+    runs = {top: (lo, hi)}
+    for lam in range(top, floor, -1):
+        lo, hi = runs.get(lam, (0, -2))
+        if closed is not None:
+            while lo <= hi and closed(lo, lam):
+                lo += 2
+            while lo <= hi and closed(hi, lam):
+                hi -= 2
+        if lo > hi:
+            continue
+        for dm, dlam in step:
+            a, b = runs.get(lam - dlam, (lo + dm, hi + dm))
+            runs[lam - dlam] = (min(a, lo + dm), max(b, hi + dm))
+    return runs
+
+
+@functools.lru_cache(maxsize=256)
+def column_plan(top: int, lo: int, hi: int, rule: StepRule) -> tuple:
+    """(bases, columns): the sweep of the cells lo..hi of level ``top``
+    down to level 0, in the form the H and K tables fill it.
+
+    ``bases`` runs over the exponents of level 0 in the rule's order.
+    Each column is (m, levels, shut, closed_at), m ascending: ``levels``
+    the range of levels above 0 whose runs hold m, ``closed_at`` those of
+    them where m is closed, and ``shut`` whether that is all of them.
+    Under the steps (0, 1) and (-2, 1) of H and K the levels holding m
+    are consecutive, and a cell needs cells of the level below in its own
+    column and the one before, so a fill takes level 0 first and then
+    each column upwards.  A shallow walk costs about as much to plan as
+    to fill, so plans are kept.
+    """
+    closed = rule.closed
+    runs = sweep.__wrapped__(top, lo, hi, closed, rule.step, 0)  # the plan is kept, not the runs
+    levels = {}
+    for lam in range(1, top + 1):
+        a, b = runs.get(lam, (0, -2))
+        for m in range(a, b + 1, 2):
+            levels.setdefault(m, []).append(lam)
+    columns = []
+    for m in sorted(levels):
+        at = levels[m]
+        closed_at = tuple(lam for lam in at if closed and closed(m, lam))
+        columns.append((m, range(at[0], at[-1] + 1), len(closed_at) == len(at), closed_at))
+    return rule.order(*runs.get(0, (0, -2))), tuple(columns)
+
+
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     """Piecewise polynomial in local monomial bases.

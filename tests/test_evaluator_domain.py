@@ -76,6 +76,34 @@ def test_error_names_the_call(call, text):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: bq.eval_K(37, 0, 5.0, 1.0, 1.000000001), "K antiderivative with n = 37"),
+        (lambda: bq.eval_L(76, 0, 1, 8606.03, 1.0, 1.000000001), "L antiderivative with n = 76"),
+        (lambda: bq.base_L01(76, 8606.03, 1.0, 1.000000001), r"base_L01\(76, 8606.03"),
+        (
+            lambda: bq.adjacent_closure(218, 59, 0.0383, 1.0, 1.000000001),
+            "L antiderivative with n = 218",
+        ),
+        (
+            lambda: bq.adjacent_by_recursion(218, 59, 0.0383, 1.0, 1.000000001),
+            "L antiderivative with n = 218",
+        ),
+        (lambda: bq.eval_scaled_Y_series(35, 1e-9, 1.0), r"eval_scaled_Y_series\(35, 1e-09"),
+        (lambda: bq.eval_scaled_X_series(40, 1e-9, 1.0), r"eval_scaled_X_series\(40, 1e-09"),
+    ],
+    ids=["K", "L", "base_L01", "closure", "ladder", "scaled_Y", "scaled_X"],
+)
+def test_underflowing_series_constant(call, text):
+    # near-degenerate scales take the scaled trig series, whose constant
+    # n! / alpha^(n+1) divides by a power that underflows to 0
+    with pytest.raises(DomainError, match=f"{text}.*its terms overflow a float"):
+        call()
+    # one exponent lower the power is still a float, and so is the value
+    assert math.isfinite(bq.eval_K(36, 0, 5.0, 1.0, 1.000000001).value)
+
+
 def test_finite_values_are_untouched():
     # finite neighbours of the refused calls keep their values
     assert bq.eval_Y(400, 0.0) == 0.0  # Y_400(0) = 400! sin(200 pi), though X_400(0) overflows

@@ -1,12 +1,13 @@
 """The bottom-up walks store exactly the cells the order-lowering
 recursions reach.
 
-Each table fills its levels from the bottom from an arithmetic demand.
-A cell too many could raise where the recursion returned a value, and a
-cell too few would leave a KeyError; both change ``used_closed`` and the
-reported path.  The reachability functions below follow the recursion
-rules cell by cell, as a memoised recursion would, and the cells each
-table stores after ``value(n)`` must be that set.
+Each table fills its levels from the bottom, as ``types.sweep`` plans
+them from the family's step rule.  A cell too many could raise where the
+recursion returned a value, and a cell too few would leave a KeyError;
+both change ``used_closed`` and the reported path.  The reachability
+functions below follow the recursion rules cell by cell, as a memoised
+recursion would, and the cells each table stores after ``value(n)``
+must be that set.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from besselquad.squared_bessel import HTable, _closed_kind
 X = 40.0
 EXPONENTS = range(-6, 9)
 ORDERS = range(0, 31)
+#: sparse orders for exponents from -2l - 7 to 2l + 7
+WIDE_ORDERS = (3, 5, 8, 13, 21, 30)
 
 
 def _reach(start, needs):
@@ -106,26 +109,52 @@ def _order_pairs(l):
     return sorted({k for k in (0, 1, l // 2, l - 2, l - 1) if 0 <= k < l})
 
 
+def check_h(n, l, closed):
+    table = HTable(X, l, closed, False, 1.3)
+    table.value(n)
+    want = h_cells(n, l, closed)
+    assert stored(table.rows) == want, (n, l)
+    assert table.used_closed == (closed and _h_used_closed(want)), (n, l)
+
+
+def check_k(n, l, closed):
+    table = KTable(X, 1.3, 0.7, l, closed, False)
+    table.value(n)
+    want = k_cells(n, l, closed)
+    assert stored(table.rows) == want, (n, l)
+    assert table.used_closed == (closed and _k_used_closed(want)), (n, l)
+
+
+def check_l(n, k, l, closed):
+    table = LTable(X, k, l, 1.3, 0.7, closed, False)
+    table.value(n)
+    want_l, want_k = l_cells(n, k, l, closed)
+    assert stored(table.rows, k) == want_l, (n, k, l)
+    assert stored(table.kt.rows) == want_k, (n, k, l)
+    assert table.kt.used_closed == (closed and _k_used_closed(want_k)), (n, k, l)
+
+
+def check_l_equal(n, k, l, closed):
+    table = LEqualTable(X, k, l, closed, False, 1.3)
+    table.value(n)
+    want_l, want_h = l_equal_cells(n, k, l, closed)
+    assert stored(table.rows, k) == want_l, (n, k, l)
+    assert stored(table.ht.rows) == want_h, (n, k, l)
+    assert table.ht.used_closed == (closed and _h_used_closed(want_h)), (n, k, l)
+
+
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "plain"])
 def test_h_table_stores_the_reached_cells(closed):
     for l in ORDERS:
         for n in EXPONENTS:
-            table = HTable(X, l, closed, False, 1.3)
-            table.value(n)
-            want = h_cells(n, l, closed)
-            assert stored(table.rows) == want, (n, l)
-            assert table.used_closed == (closed and _h_used_closed(want)), (n, l)
+            check_h(n, l, closed)
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "plain"])
 def test_k_table_stores_the_reached_cells(closed):
     for l in ORDERS:
         for n in EXPONENTS:
-            table = KTable(X, 1.3, 0.7, l, closed, False)
-            table.value(n)
-            want = k_cells(n, l, closed)
-            assert stored(table.rows) == want, (n, l)
-            assert table.used_closed == (closed and _k_used_closed(want)), (n, l)
+            check_k(n, l, closed)
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "plain"])
@@ -133,12 +162,7 @@ def test_l_table_stores_the_reached_cells(closed):
     for l in ORDERS[1:]:
         for k in _order_pairs(l):
             for n in EXPONENTS:
-                table = LTable(X, k, l, 1.3, 0.7, closed, False)
-                table.value(n)
-                want_l, want_k = l_cells(n, k, l, closed)
-                assert stored(table.rows, k) == want_l, (n, k, l)
-                assert stored(table.kt.rows) == want_k, (n, k, l)
-                assert table.kt.used_closed == (closed and _k_used_closed(want_k)), (n, k, l)
+                check_l(n, k, l, closed)
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "plain"])
@@ -146,12 +170,24 @@ def test_l_equal_table_stores_the_reached_cells(closed):
     for l in ORDERS[1:]:
         for k in _order_pairs(l):
             for n in EXPONENTS:
-                table = LEqualTable(X, k, l, closed, False, 1.3)
-                table.value(n)
-                want_l, want_h = l_equal_cells(n, k, l, closed)
-                assert stored(table.rows, k) == want_l, (n, k, l)
-                assert stored(table.ht.rows) == want_h, (n, k, l)
-                assert table.ht.used_closed == (closed and _h_used_closed(want_h)), (n, k, l)
+                check_l_equal(n, k, l, closed)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "plain"])
+@pytest.mark.parametrize("check", [check_h, check_k], ids=["H", "K"])
+def test_deep_diagonals(check, closed):
+    # exponents out to the diagonal closed forms of every level
+    for l in WIDE_ORDERS:
+        for n in range(-2 * l - 7, 2 * l + 8):
+            check(n, l, closed)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "plain"])
+@pytest.mark.parametrize("check", [check_l, check_l_equal], ids=["L", "LEqual"])
+def test_deep_diagonals_two_orders(check, closed):
+    for l in WIDE_ORDERS:
+        for n in range(-2 * l - 7, 2 * l + 8):
+            check(n, l // 2, l, closed)
 
 
 def test_exponents_share_one_table():

@@ -173,8 +173,8 @@ class TestTablesDieWithTheirCall:
         ids=["H", "K", "L-closure", "L-ladder", "L-equal-args"],
     )
     def test_no_cyclic_garbage(self, evaluate):
-        # memos, j tables and chains are freed at return, not left for
-        # the cyclic collector to find later
+        # tables, their rows, j tables and chains are freed at return,
+        # not left for the cyclic collector to find later
         gc.collect()
         gc.disable()
         try:

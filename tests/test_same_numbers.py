@@ -1,0 +1,50 @@
+"""tools/same_numbers.py, the bitwise gate between two checkouts: a seeded
+grid written twice compares equal, and one changed entry is reported."""
+
+import importlib.util
+import json
+import os
+
+import besselquad as bq
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "same_numbers.py")
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("same_numbers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write(path, entries):
+    with open(path, "w") as fh:
+        json.dump({"entries": entries}, fh)
+
+
+def test_compare_exit_status(tmp_path, capsys):
+    tool = _tool()
+    first = dict(tool.grid_entries(bq, 200, 16))
+    second = dict(tool.grid_entries(bq, 200, 16))
+    assert len(first) == 200
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write(a, first)
+    _write(b, second)
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    assert "0 of 200 entries differ" in capsys.readouterr().out
+
+    key = sorted(second)[0]
+    second[key] = {"error": "DomainError", "message": "changed"}
+    _write(b, second)
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert key in out
+    assert "1 of 200 entries differ" in out
+
+
+def test_grid_covers_every_engine():
+    # the grid calls each engine, and records the errors they raise
+    entries = dict(_tool().grid_entries(bq, 200, 16))
+    families = {key.split("/")[2][0] for key in entries}
+    assert families == set("HKLTAR")
+    assert any("error" in v for v in entries.values() if isinstance(v, dict))

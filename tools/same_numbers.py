@@ -11,10 +11,13 @@ measured with this one file.  It records
 * every input of the four pools in ``perfbench/reference/*.json`` (only
   read), through ``definite_integral`` or ``weighted_integral``: value,
   error estimate, evaluations, convergence, strategy and segments;
-* ``--grid`` seeded calls of ``eval_H_scaled``, ``eval_K`` and
-  ``eval_L`` (equal and near-degenerate scales included) in every
-  ``closed_forms`` x ``constants`` mode, with value and path, plus
-  per-point tables asked several exponents in a random order.
+* ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``,
+  ``eval_K`` and ``eval_L`` (equal and near-degenerate scales included)
+  in every ``closed_forms`` x ``constants`` mode, of
+  ``adjacent_closure`` and ``adjacent_by_recursion``, and of per-point
+  tables asked several exponents in a random order.  About a fifth of
+  the calls draw n relative to the order, from -2l-5 to 2l+5, where the
+  closed forms of the deep levels sit.
 
 Floats are written with ``float.hex``, so equal files mean bitwise equal
 numbers; an error is written as its type and message.  ``--compare``
@@ -103,9 +106,13 @@ def grid_entries(bq, calls: int, seed: int):
     rng = random.Random(seed)
     for i in range(calls):
         closed_forms, constants = MODES[i % len(MODES)]
-        family = rng.choice("HKLLT")
-        n = rng.randint(-10, 12) if rng.random() < 0.95 else rng.randint(-160, 160)
+        family = rng.choice("HKLLTAR")
         l = rng.randint(0, 30) if rng.random() < 0.9 else rng.randint(31, 60)
+        spread = rng.random()
+        if spread < 0.2:
+            n = rng.randint(-2 * l - 5, 2 * l + 5)
+        else:
+            n = rng.randint(-10, 12) if spread < 0.96 else rng.randint(-160, 160)
         k = rng.randint(0, l + 3)
         x = 10 ** rng.uniform(-2.0, 2.5)
         alpha, beta = _scales(rng)
@@ -120,6 +127,11 @@ def grid_entries(bq, calls: int, seed: int):
         elif family == "L":
             fn = lambda: _antiderivative(  # noqa: E731
                 bq.eval_L(n, k, l, x, alpha, beta, closed_forms, constants))
+        elif family in "AR":
+            # the adjacent-order evaluators take positive scales
+            adjacent = bq.adjacent_closure if family == "A" else bq.adjacent_by_recursion
+            fn = lambda: _antiderivative(  # noqa: E731
+                adjacent(n, l, x, abs(alpha), abs(beta)))
         else:
             # one table, several exponents in a random order
             exps = rng.sample(range(-6, 10), rng.randint(2, 5))
