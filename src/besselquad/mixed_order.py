@@ -47,15 +47,14 @@ from .sph_bessel import _j_extended, _j_list, j_extended, parity_fold
 from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import (
-    AntiderivativeValue, IntegralSpec, PointTable, StepRule, check_point, finite_result, sweep,
+    AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result, sweep,
 )
 
 _EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
 
-#: L's rule: L^m_{k,lam} needs L^{m-1}_{k,lam-1} and L^m_{k,lam-2}, down to
-#: the adjacent cells at order k + 1 and the cells of order k, which are
-#: computed from the lowest exponent up
-_RULE = StepRule(((-1, 1), (0, 2)))
+#: the cells L^m_{k,lam} needs: L^{m-1}_{k,lam-1} and L^m_{k,lam-2}, down
+#: to the adjacent cells at order k + 1 and the cells of order k
+_STEP = ((-1, 1), (0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +98,24 @@ def base_L01(n: int, x: float, alpha: float, beta: float) -> AntiderivativeValue
 
 def _check_adjacent(n: int, l: int, x: float, alpha: float, beta: float) -> None:
     """The checks of the adjacent-order evaluators, which take l >= 1 and
-    positive scales (eval_L folds parity before landing there)."""
+    positive distinct scales (eval_L folds parity before landing there,
+    and sends equal scales to the equal-argument table)."""
     IntegralSpec("L", n, l, alpha, k=l - 1, beta=beta)  # checks n, the orders and scales
     check_point(x)
     if alpha < 0 or beta < 0:
         raise DomainError("the adjacent-order evaluators expect positive scales")
+    if alpha == beta:
+        raise DomainError(
+            "the adjacent-order evaluators require alpha != beta; use the equal-argument path"
+        )
 
 
 def adjacent_closure(n: int, l: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:
     """Closure for adjacent orders, L^n_{l-1,l}(x; alpha, beta), n != 1.
 
-    Requires positive scales (eval_L folds parity before landing here)
-    and l >= 1.  The value is the general table's adjacent cell, so at
-    l = 1 it is the L01 base.
+    Requires positive distinct scales (eval_L folds parity before
+    landing here) and l >= 1.  The value is the general table's adjacent
+    cell, so at l = 1 it is the L01 base.
     """
     if n == 1:
         raise DomainError("adjacent closure divides by n - 1; use the n = 1 ladder")
@@ -128,7 +132,7 @@ def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -
     L^m_{j-1,j}(x; q, p).  The K cells come from the shared table kt,
     asked from order k down; the steps then run up from the base.
     """
-    cells = [kt.guarded(m - 1, j) for j in range(k, 0, -1)]
+    cells = [kt.cell(m - 1, j) for j in range(k, 0, -1)]
     p, q = (a, b) if k % 2 == 0 else (b, a)
     v = _base_L01(m, x, p, q, kt.near, kt.far)
     for j in range(1, k + 1):
@@ -151,7 +155,7 @@ def _closure(
 ) -> float:
     """L^m_{k,k+1}(x; a, b) by the adjacent-order closure, m != 1, from
     jk = j_k(a x), jl = j_{k+1}(b x) and the K cells of kt."""
-    return (x ** (m + 1) * jk * jl + a * kt.guarded(m + 1, k + 1) - b * kt.guarded(m + 1, k)) / (m - 1)
+    return (x ** (m + 1) * jk * jl + a * kt.cell(m + 1, k + 1) - b * kt.cell(m + 1, k)) / (m - 1)
 
 
 class LTable(PointTable):
@@ -163,13 +167,13 @@ class LTable(PointTable):
     this table's row k.  ``value(n)`` is L^n_{kl} times ``sign``, the
     parity sign of the caller's unfolded scales.
 
-    A walk is planned from L's rule (``_RULE``, see ``_plan``) and filled
-    from the bottom: the adjacent cells at order k + 1, the K cells
-    they and order k read, then the levels k + 2..l.
+    A walk is planned from L's recursion (see ``_plan``) and filled from
+    the bottom: the K walks the adjacent cells at order k + 1 read, the
+    adjacent cells, the K cells of order k, then the levels k + 2..l.
     """
 
     __slots__ = (
-        "x", "orders", "k", "l", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "rows",
+        "x", "orders", "k", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "rows",
     )
     family = "L"
 
@@ -184,7 +188,7 @@ class LTable(PointTable):
         constants: bool = True,
         sign: float = 1.0,
     ):
-        self.x, self.k, self.l, self.a, self.b = x, k, l, a, b
+        self.x, self.k, self.a, self.b = x, k, a, b
         self.orders = (k, l)
         self.sign = sign
         self.closed_forms = closed_forms
@@ -195,17 +199,6 @@ class LTable(PointTable):
         for lam in range(k + 1, l + 1):
             rows[lam] = {}
 
-    def _value(self, n: int) -> float:
-        l, top = self.l, self.rows[self.l]
-        v = top.get(n)
-        if v is None:
-            if l == self.k + 1:
-                v = top[n] = self._adjacent(n)
-            else:
-                self._fill(n, l)
-                v = top[n]
-        return self.sign * v
-
     def _adjacent(self, m: int) -> float:
         """The adjacent cell L^m_{k,k+1}."""
         x, k, a, b, kt = self.x, self.k, self.a, self.b, self.kt
@@ -215,27 +208,26 @@ class LTable(PointTable):
             return _closure(m, k, x, a, b, self.jta[k], self.jtb[k + 1], kt)
         return _adjacent_ladder(m, k, x, a, b, kt)
 
-    def _fill(self, n: int, l: int) -> None:
-        """Store cell (n, l), l >= k + 2, and every cell it needs, as
-        ``_plan`` plans it: the adjacent cells, the K cells, then the
-        levels k + 2..l upwards."""
+    def fill(self, top: int, lo: int, hi: int) -> None:
+        """Store the cells lo..hi (in steps of 2) of level ``top`` > k and
+        every cell they need, as ``_plan`` plans them: the K walks of the
+        adjacent cells, the adjacent cells, the K cells of order k, then
+        the levels k + 2..top upwards, each lowest exponent first.  Where
+        the degeneracy guard refuses a walk, it refuses the lowest
+        adjacent cell (its K walk, or at k = 0 its L01 base) first, so the
+        error names that cell."""
         k, kt, rows = self.k, self.kt, self.rows
-        runs, cells, asks = _plan(n, l, k, self.closed_forms)
+        runs, cells, asks = _plan(lo, hi, top, k, self.closed_forms)
+        for t, a, b in asks:
+            kt.fill(t, a, b)
         adjacent = rows[k + 1]
-        # the lowest adjacent cell first, the first cell the recursion
-        # reaches: the degeneracy guard refuses low exponents first, so if
-        # any cell is refused, this one is, with its own message
-        if cells[0] not in adjacent:
-            adjacent[cells[0]] = self._adjacent(cells[0])
-        # the K walks the other adjacent cells and order k read; none of
-        # them is refused once the lowest adjacent cell is not
-        for top, lo, hi in asks:
-            kt.fill(top, lo, hi)
         for m in cells:
             if m not in adjacent:
                 adjacent[m] = self._adjacent(m)
+        if k in runs:
+            kt.fill(k, *runs[k])
         b = self.b
-        for lam in range(k + 2, l + 1):
+        for lam in range(k + 2, top + 1):
             row, below, below2 = rows[lam], rows[lam - 1], rows[lam - 2]
             c = (2 * lam - 1) / b
             lo, hi = runs[lam]
@@ -245,28 +237,28 @@ class LTable(PointTable):
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(n: int, l: int, k: int, closed_forms: bool) -> tuple:
-    """(runs, cells, asks): the plan of LTable's fill of cell (n, l),
-    l >= k + 2.
+def _plan(lo: int, hi: int, l: int, k: int, closed_forms: bool) -> tuple:
+    """(runs, cells, asks): the plan of LTable's fill of the cells lo..hi
+    of level l > k.
 
-    ``runs`` is the sweep of L's rule, ``cells`` the adjacent cells in
-    the order they are computed, and ``asks`` the K walks (order, lo,
-    hi) that hold the K cells read below order k + 1.  An adjacent cell
-    but the first reads the closure's K^{m+1}_{k+1}, whose walk holds its
+    ``runs`` is the sweep of L's recursion down to the adjacent level
+    k + 1, ``cells`` its adjacent cells, lowest first, and ``asks`` the
+    K walks (order, lo, hi) that hold the K cells they read.  An adjacent
+    cell reads the closure's K^{m+1}_{k+1}, whose walk holds its
     K^{m+1}_k, or the ladder's K^{m-1}_k, whose walk holds those of lower
-    orders; each run of these is one walk, and the order-k run of
-    ``runs`` is the last.
+    orders; each run of these is one walk.  At k = 0 the adjacent cells
+    are L01 bases, which read no K cell.
     """
-    runs = sweep.__wrapped__(l, n, n, None, _RULE.step, k + 1)  # the plan is kept
-    cells = _RULE.order(*runs[k + 1])
+    runs = sweep.__wrapped__(l, lo, hi, None, _STEP, k + 1)  # the plan is kept
+    a, b = runs[k + 1]
+    cells = range(a, b + 1, 2)
     asks = []
-    for m in cells[1:] if k else ():
+    for m in cells if k else ():
         top, e = (k + 1, m + 1) if m != 1 and closed_forms else (k, m - 1)
         if asks and asks[-1][0] == top and asks[-1][2] + 2 == e:
             asks[-1] = (top, asks[-1][1], e)
         else:
             asks.append((top, e, e))
-    asks.append((k, *runs[k]))
     return runs, cells, tuple(asks)
 
 
@@ -368,11 +360,11 @@ def _equal_closed_kind(m: int, k: int, lam: int) -> str | None:
 
 
 @functools.lru_cache(maxsize=64)
-def _equal_rule(k: int) -> StepRule:
-    """The equal-argument rule above order k: L's step, with the cells of
-    the five printed closed forms closed.  One rule object per k, so
-    that plans are cached by it."""
-    return StepRule(_RULE.step, lambda m, lam: _equal_closed_kind(m, k, lam) is not None)
+def _equal_closed(k: int):
+    """The closed cells of the equal-argument walks above order k, those
+    of the five printed closed forms.  One predicate per k, so that plans
+    are cached by it."""
+    return lambda m, lam: _equal_closed_kind(m, k, lam) is not None
 
 
 class LEqualTable(PointTable):
@@ -384,12 +376,14 @@ class LEqualTable(PointTable):
     ``value(n)`` is |alpha|^(-n-1) L^n_{kl}(u) times ``sign``, the parity
     sign of the caller's unfolded scales.
 
-    The walk is LTable's, planned from the same rule with the cells of
-    the five closed forms closed (``_equal_rule``); H cells stand in for
-    the K cells.
+    The walk is LTable's, planned from the same recursion with the cells
+    of the five closed forms closed (``_equal_closed``); H cells stand in
+    for the K cells.
     """
 
-    __slots__ = ("x", "orders", "k", "l", "sign", "closed_forms", "constants", "ht", "rows")
+    __slots__ = (
+        "x", "orders", "k", "scale", "sign", "closed_forms", "constants", "ht", "rows",
+    )
     family = "L"
 
     def __init__(
@@ -404,41 +398,31 @@ class LEqualTable(PointTable):
     ):
         self.x = x
         self.orders = (k, l)
-        self.k, self.l = k, l
+        self.k = k
         self.sign = sign
         self.closed_forms = closed_forms
         self.constants = constants
         self.ht = HTable(x, l, closed_forms, constants, alpha)
+        self.scale = self.ht.scale
         self.rows = rows = [None] * (l + 1)
         rows[k] = self.ht.level(k)
         for lam in range(k + 1, l + 1):
             rows[lam] = {}
 
-    def _value(self, n: int) -> float:
-        l = self.l
-        v = self.rows[l].get(n)
-        if v is None:
-            self._fill(n, l)
-            v = self.rows[l][n]
-        return self.sign * self.ht.a ** (-n - 1) * v
-
-    def _fill(self, n: int, l: int) -> None:
-        """Store cell (n, l) and every cell it needs, as ``types.sweep``
-        plans it for the equal-argument rule: the H cells, then the levels
-        k + 1..l upwards, closed cells by their closed forms."""
+    def fill(self, top: int, lo: int, hi: int) -> None:
+        """Store the cells lo..hi (in steps of 2) of level ``top`` > k and
+        every cell they need, as ``types.sweep`` plans them for the
+        equal-argument recursion: the order-k H cells in one H walk, then
+        the levels k + 1..top upwards, closed cells by their closed forms."""
         k, ht, rows, closed = self.k, self.ht, self.rows, self.closed_forms
         u, jt, constants = ht.u, ht.jt, self.constants
-        rule = _equal_rule(k) if closed else _RULE
         # down to order k, as an adjacent cell needs the H cell H^{m-1}_k
         # (the run the sweep leaves at order k - 1 is not read)
-        runs = sweep(l, n, n, rule.closed, rule.step, k)
-        # the H cells one walk at a time, lowest exponent first, the order
-        # the recursion reaches them in: a base the small-argument guard
-        # refuses is then the one the recursion's walk names
-        for m in rule.order(*runs.get(k, (0, -2))):
-            ht.cell(m, k)
+        runs = sweep(top, lo, hi, _equal_closed(k) if closed else None, _STEP, k)
+        if k in runs:
+            ht.fill(k, *runs[k])
         jk = jt[k]
-        for lam in range(k + 1, l + 1):
+        for lam in range(k + 1, top + 1):
             if lam not in runs:
                 continue
             lo, hi = runs[lam]
@@ -451,7 +435,7 @@ class LEqualTable(PointTable):
                     row[m] = _closed_L_equal(kind, k, lam, u, jt, constants)
                 elif lam == k + 1:
                     # adjacent orders through the squared family
-                    row[m] = (k + 0.5 * m) * ht.cell(m - 1, k) - 0.5 * u**m * jk**2
+                    row[m] = (k + 0.5 * m) * below[m - 1] - 0.5 * u**m * jk**2
                 else:
                     row[m] = (2 * lam - 1) * below[m - 1] - below2[m]
 

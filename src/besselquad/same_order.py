@@ -32,7 +32,7 @@ from .sph_bessel import _j_extended, _j_list, parity_fold
 from .squared_bessel import _path
 from .trig_primitives import TrigChain
 from .types import (
-    AntiderivativeValue, IntegralSpec, PointTable, StepRule, check_point, column_plan, finite_result,
+    AntiderivativeValue, IntegralSpec, PointTable, check_point, column_plan, finite_result,
 )
 
 #: relative |alpha - beta| guard below which the base case is hazardous
@@ -41,9 +41,8 @@ DEGENERACY_GUARD = 1e-6
 #: the cells K^m_lam needs: (m, lam - 1) and (m - 2, lam - 1)
 _STEP = ((0, 1), (-2, 1))
 
-#: K's rule without and with its closed form K^2_lam; its bases are
-#: computed from the lowest exponent up
-_RULES = (StepRule(_STEP), StepRule(_STEP, lambda m, lam: m == 2))
+#: the closed cells of K's walks without and with its closed form K^2_lam
+_CLOSED = (None, lambda m, lam: m == 2)
 
 
 def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
@@ -71,7 +70,7 @@ class KTable(PointTable):
     """
 
     __slots__ = (
-        "x", "orders", "a", "b", "lmax", "sign", "jta", "jtb", "near", "far", "closed_forms",
+        "x", "orders", "a", "b", "sign", "jta", "jtb", "near", "far", "closed_forms",
         "used_closed", "rows", "_tight", "_s", "_d", "_t",
     )
     family = "K"
@@ -92,7 +91,6 @@ class KTable(PointTable):
         self.orders = (lmax,)
         self.a = a
         self.b = b
-        self.lmax = lmax
         self.sign = sign
         self.jta = _j_list(lmax, a * x)
         self.jtb = _j_list(lmax, b * x)
@@ -109,42 +107,28 @@ class KTable(PointTable):
         # b j_{lam-1}(ax) j_lam(bx) + a j_lam(ax) j_{lam-1}(bx) for the levels lam >= 1 walked
         self._t = [0.0]
 
-    def _value(self, n: int) -> float:
-        return self.sign * self.guarded(n, self.lmax)
-
-    def guarded(self, m: int, lam: int) -> float:
-        """K^m_lam, refusing near-degenerate scales."""
-        # base cells reach exponent m - 2 lam, trig index m - 2 lam - 2
-        if self._tight and m - 2 * lam - 2 < 0:
-            raise NearDegenerateError(
-                f"|alpha - beta| = {abs(self.a - self.b):.3g} is below the degeneracy "
-                f"guard and the n = {m}, l = {lam} base terms admit no series; "
-                "evaluate this integral by quadrature"
-            )
-        rows = self.rows
-        v = rows[lam].get(m) if lam < len(rows) else None
-        if v is None:
-            self.fill(lam, m, m)
-            v = rows[lam][m]
-        return v
-
     def fill(self, top: int, lo: int, hi: int) -> None:
         """Store the cells lo..hi (in steps of 2) of level ``top`` and every
         cell they need, from the bottom, as ``types.column_plan`` plans it
-        for K's rule.  Stored cells at the ends of lo..hi are dropped
-        first, and stored cells are skipped throughout: their needs are
-        stored too.  Level 0 fills first; the levels above fill column by
-        column, each column upwards, so the powers of x are taken once per
-        column."""
-        rows = self.rows
-        row = rows[top] if top < len(rows) else self.level(top)
-        while lo <= hi and lo in row:
-            lo += 2
-        while lo <= hi and hi in row:
-            hi -= 2
+        for K's recursion.  Near-degenerate scales are refused first, when
+        the walk reaches a base term with a negative trig index, which
+        admits no series.  Stored cells at the ends of lo..hi are dropped,
+        and stored cells are skipped throughout: their needs are stored
+        too.  Level 0 fills first, lowest exponent first; the levels above
+        fill column by column, each column upwards, so the powers of x are
+        taken once per column."""
+        # base cells reach exponent lo - 2 top, trig index lo - 2 top - 2
+        if self._tight and lo - 2 * top - 2 < 0:
+            raise NearDegenerateError(
+                f"|alpha - beta| = {abs(self.a - self.b):.3g} is below the degeneracy "
+                f"guard and the n = {lo}, l = {top} base terms admit no series; "
+                "evaluate this integral by quadrature"
+            )
+        lo, hi = self._unfilled(top, lo, hi)
         if lo > hi:
             return
-        bases, columns = column_plan(top, lo, hi, _RULES[self.closed_forms])
+        rows = self.rows
+        bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms], _STEP)
         d = self._d
         row, near, far = rows[0], self.near, self.far
         for m in bases:

@@ -25,7 +25,7 @@ from .errors import DomainError
 from .sph_bessel import _j_extended, _j_list
 from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import (
-    AntiderivativeValue, IntegralSpec, PointTable, StepRule, check_point, column_plan, finite_result,
+    AntiderivativeValue, IntegralSpec, PointTable, check_point, column_plan, finite_result,
 )
 
 _CLOSED_KINDS = ("H1", "H2", "H3", "H4", "H5")
@@ -60,9 +60,8 @@ def _closed_kind(m: int, lam: int) -> str | None:
     return None
 
 
-#: H's rule without and with closed forms; its bases are computed from
-#: the highest exponent down, the order the recursion reaches them in
-_RULES = (StepRule(_STEP, None, True), StepRule(_STEP, _closed_kind, True))
+#: the closed cells of H's walks without and with closed forms
+_CLOSED = (None, _closed_kind)
 
 
 def _closed_H(kind: str, l: int, x: float, jt=None, constants: bool = True) -> float:
@@ -134,7 +133,7 @@ class HTable(PointTable):
     """
 
     __slots__ = (
-        "x", "orders", "u", "lmax", "a", "sign", "jt", "chain", "closed_forms", "constants",
+        "x", "orders", "u", "scale", "sign", "jt", "chain", "closed_forms", "constants",
         "used_closed", "rows",
     )
     family = "H"
@@ -150,9 +149,8 @@ class HTable(PointTable):
     ):
         self.x = x
         self.orders = (lmax,)
-        self.a = abs(alpha)
-        self.u = u = self.a * x
-        self.lmax = lmax
+        self.scale = abs(alpha)
+        self.u = u = self.scale * x
         self.sign = sign
         self.jt = _j_list(lmax + 1, u)
         self.chain = TrigChain(1.0, 2.0 * u, constants)
@@ -161,35 +159,19 @@ class HTable(PointTable):
         self.used_closed = False
         self.rows = []  # the stored cells of each level, keyed by exponent; see level
 
-    def _value(self, n: int) -> float:
-        return self.sign * self.a ** (-n - 1) * self.cell(n, self.lmax)
-
-    def cell(self, n: int, l: int) -> float:
-        """H^n_l(u), filled with the cells it needs on first request."""
-        rows = self.rows
-        top = rows[l] if l < len(rows) else self.level(l)
-        v = top.get(n)
-        if v is None:
-            kind = _closed_kind(n, l) if self.closed_forms else None
-            # a base or a closed form at the top needs no walk
-            if l == 0:
-                v = top[n] = _H_base(n, self.u, self.chain)
-            elif kind is not None:
-                v = top[n] = _closed_H(kind, l, self.u, self.jt, self.constants)
-                self.used_closed = True
-            else:
-                self._fill(n, l)
-                v = top[n]
-        return v
-
-    def _fill(self, n: int, l: int) -> None:
-        """Store cell (n, l), which no closed form matches, and every cell
-        it needs, from the bottom, as ``types.column_plan`` plans it for
-        H's rule: level 0 first, downwards (where the small-argument guard
-        refuses bases, the refusal names the highest), then column by
-        column, each column upwards, so the powers of u are taken once
-        per column.  Stored cells are skipped: their needs are stored too."""
-        bases, columns = column_plan(l, n, n, _RULES[self.closed_forms])
+    def fill(self, top: int, lo: int, hi: int) -> None:
+        """Store the cells lo..hi (in steps of 2) of level ``top`` and every
+        cell they need, from the bottom, as ``types.column_plan`` plans it
+        for H's recursion.  Stored cells at the ends of lo..hi are dropped
+        first, and stored cells are skipped throughout: their needs are
+        stored too.  Level 0 fills first, lowest exponent first (where the
+        small-argument guard refuses bases, the refusal names the lowest),
+        then column by column, each column upwards, so the powers of u are
+        taken once per column."""
+        lo, hi = self._unfilled(top, lo, hi)
+        if lo > hi:
+            return
+        bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms], _STEP)
         u, jt, rows, constants = self.u, self.jt, self.rows, self.constants
         row, chain = rows[0], self.chain
         for m in bases:

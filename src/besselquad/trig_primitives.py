@@ -229,6 +229,8 @@ class TrigChain:
         self.u = abs(c) * x
         if not self.u < math.inf:
             raise DomainError(f"trig primitives require a finite argument, got |c| x = {self.u}")
+        if self.u < 0:
+            raise DomainError("trig primitives require x >= 0")
         self.constants = constants
         self._cos = math.cos(self.u)
         self._sin = math.sin(self.u)
@@ -245,8 +247,6 @@ class TrigChain:
     def pair(self, n: int) -> tuple:
         """(X_n(u), Y_n(u)) under the frozen convention (see eval_pair)."""
         u, c, s = self.u, self._cos, self._sin
-        if u < 0:
-            raise DomainError("trig primitives require x >= 0")
         if n >= 0:
             up = self._up
             if up is None:

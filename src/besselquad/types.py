@@ -266,71 +266,87 @@ class PointTable:
     A table holds the shared work of one evaluation point x (j tables,
     trig chains, the recursion cells filled so far) and serves every
     exponent: ``value(n)`` is the antiderivative of x^n times the
-    table's Bessel product at x.  Subclasses set ``family``, ``orders``
-    and ``x`` and define ``_value(n)``.  Every table value passes through
+    table's Bessel product at x.  Every table value passes through
     ``value``, so a recursion whose terms overflow a float surfaces here
     as the DomainError of ``finite_value``, naming the family, n, orders
     and x.
+
+    The two-factor tables (H, K, L and equal-argument L) share one
+    protocol.  They keep their cells in ``rows``, one dict per level
+    keyed by exponent, and define only ``fill(top, lo, hi)``, which
+    stores the cells lo..hi (in steps of 2) of level ``top`` and every
+    cell they need.  ``cell`` and ``_value`` are defined here, once:
+    the value is ``sign * scale ** (-n - 1)`` times the cell (n, top),
+    top the higher order.  Subclasses set ``family``, ``orders``, ``x``,
+    ``sign`` and, where the cells are taken at |alpha| x, ``scale``.
+    The I table defines its own ``_value``.
     """
 
     __slots__ = ()
     family = ""
+    scale = 1.0
 
     def value(self, n: int) -> float:
         """int x^n (the table's Bessel product) dx at the table's point."""
         return finite_value(self._describe, self._value, n)
 
+    def _value(self, n: int) -> float:
+        return self.sign * self.scale ** (-n - 1) * self.cell(n, self.orders[-1])
+
     def _describe(self, n: int) -> str:
         return f"{self.family} antiderivative with n = {n}, orders {self.orders} at x = {self.x:g}"
 
+    def cell(self, m: int, lam: int) -> float:
+        """The cell (m, lam), filled with the cells it needs on first
+        request."""
+        rows = self.rows
+        row = rows[lam] if lam < len(rows) else self.level(lam)
+        v = row.get(m)
+        if v is None:
+            self.fill(lam, m, m)
+            v = row[m]
+        return v
+
+    def _unfilled(self, top: int, lo: int, hi: int) -> tuple:
+        """lo..hi with the stored cells at its ends dropped: the part of a
+        run of level ``top`` that a fill has left to do."""
+        rows = self.rows
+        row = rows[top] if top < len(rows) else self.level(top)
+        while lo <= hi and lo in row:
+            lo += 2
+        while lo <= hi and hi in row:
+            hi -= 2
+        return lo, hi
+
     def level(self, lam: int) -> dict:
-        """The stored cells of level lam of a table that keeps them in
-        ``rows``, one dict per level keyed by exponent.  The rows up to lam
-        are made on first use, so a table whose value needs no walk, or
-        only a shallow one, holds no empty rows above it."""
+        """The stored cells of level lam.  The rows up to lam are made on
+        first use, so a table whose value needs only a shallow walk holds
+        no empty rows above it."""
         rows = self.rows
         while len(rows) <= lam:
             rows.append({})
         return rows[lam]
 
 
-class StepRule:
-    """One family's order-lowering recursion, as data for ``sweep``.
-
-    A cell (m, lam) needs (m + dm, lam - dlam) for each (dm, dlam) in
-    ``step``, unless ``closed(m, lam)`` is true: a printed closed form
-    gives that cell (None: closed forms off).  ``descending`` is the order
-    in which a walk computes the cells where it stops, the order the
-    recursion reached them in, which decides the error raised when
-    several of them would raise.  Rules compare by identity, so a plan
-    cached by its rule is cheap to look up.
-    """
-
-    __slots__ = ("step", "closed", "descending")
-
-    def __init__(self, step: tuple, closed=None, descending: bool = False):
-        self.step = step
-        self.closed = closed
-        self.descending = descending
-
-    def order(self, lo: int, hi: int) -> range:
-        """The exponents lo..hi, in steps of 2, in the rule's order."""
-        return range(hi, lo - 1, -2) if self.descending else range(lo, hi + 1, 2)
-
-
 @functools.lru_cache(maxsize=512)
 def sweep(top: int, lo: int, hi: int, closed, step: tuple, floor: int) -> dict:
     """{level: (lo, hi)}: the cells, one run of exponents in steps of 2 per
-    level, that the cells lo..hi of level ``top`` reach through ``step``
-    and ``closed`` (see StepRule); cells at or below ``floor`` need none.
+    level, that the cells lo..hi of level ``top`` reach through a
+    family's recursion; cells at or below ``floor`` need none.
 
-    The one planner of every table's walk.  Going down from ``top``, each
-    level's run has its closed cells trimmed off its ends, and the rest,
-    shifted by each step, widens the run of the level that step reaches.
-    Closed cells inside a run stay: for the rules of the H, K and L
-    tables the runs are exact all the same (tests/test_level_walks.py
-    checks them cell by cell).  Levels no cell reaches are absent.
-    Plans are shared, so the dict must not be changed.
+    A cell (m, lam) needs (m + dm, lam - dlam) for each (dm, dlam) in
+    ``step``, unless ``closed(m, lam)`` is true: a printed closed form
+    gives that cell (None: closed forms off).  The one planner of every
+    table's walk.  Going down from ``top``, each level's run has its
+    closed cells trimmed off its ends, and the rest, shifted by each
+    step, widens the run of the level that step reaches.  Closed cells
+    inside a run stay: for the recursions of the H, K and L tables the
+    runs are exact all the same (tests/test_level_walks.py checks them
+    cell by cell).  Levels no cell reaches are absent.  A walk computes
+    the cells of each run from the lowest exponent up, so where several
+    cells would raise, the lowest names the error.  Plans are cached by
+    the identity of ``closed`` and shared, so the dict must not be
+    changed.
     """
     runs = {top: (lo, hi)}
     for lam in range(top, floor, -1):
@@ -349,13 +365,13 @@ def sweep(top: int, lo: int, hi: int, closed, step: tuple, floor: int) -> dict:
 
 
 @functools.lru_cache(maxsize=256)
-def column_plan(top: int, lo: int, hi: int, rule: StepRule) -> tuple:
+def column_plan(top: int, lo: int, hi: int, closed, step: tuple) -> tuple:
     """(bases, columns): the sweep of the cells lo..hi of level ``top``
     down to level 0, in the form the H and K tables fill it.
 
-    ``bases`` runs over the exponents of level 0 in the rule's order.
-    Each column is (m, levels, shut, closed_at), m ascending: ``levels``
-    the range of levels above 0 whose runs hold m, ``closed_at`` those of
+    ``bases`` runs over the exponents of level 0, lowest first.  Each
+    column is (m, levels, shut, closed_at), m ascending: ``levels`` the
+    range of levels above 0 whose runs hold m, ``closed_at`` those of
     them where m is closed, and ``shut`` whether that is all of them.
     Under the steps (0, 1) and (-2, 1) of H and K the levels holding m
     are consecutive, and a cell needs cells of the level below in its own
@@ -363,8 +379,7 @@ def column_plan(top: int, lo: int, hi: int, rule: StepRule) -> tuple:
     each column upwards.  A shallow walk costs about as much to plan as
     to fill, so plans are kept.
     """
-    closed = rule.closed
-    runs = sweep.__wrapped__(top, lo, hi, closed, rule.step, 0)  # the plan is kept, not the runs
+    runs = sweep.__wrapped__(top, lo, hi, closed, step, 0)  # the plan is kept, not the runs
     levels = {}
     for lam in range(1, top + 1):
         a, b = runs.get(lam, (0, -2))
@@ -375,7 +390,8 @@ def column_plan(top: int, lo: int, hi: int, rule: StepRule) -> tuple:
         at = levels[m]
         closed_at = tuple(lam for lam in at if closed and closed(m, lam))
         columns.append((m, range(at[0], at[-1] + 1), len(closed_at) == len(at), closed_at))
-    return rule.order(*runs.get(0, (0, -2))), tuple(columns)
+    a, b = runs.get(0, (0, -2))
+    return range(a, b + 1, 2), tuple(columns)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,14 @@ class TestAdjacentClosure:
         with pytest.raises(DomainError):
             adjacent_closure(1, 2, 5.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("evaluator", [adjacent_closure, adjacent_by_recursion])
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_equal_scales_refused_at_every_order(self, evaluator, l):
+        # equal scales belong to the equal-argument path at every order,
+        # not to quadrature through the degeneracy guard
+        with pytest.raises(DomainError, match="use the equal-argument path"):
+            evaluator(2, l, 10.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("n,l,alpha,beta", [
         (0, 1, 1.0, 2.0), (2, 3, 1.3, 0.7), (4, 2, 2.0, 1.1), (-1, 4, 0.9, 1.8),
     ])

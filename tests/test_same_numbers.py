@@ -1,5 +1,6 @@
 """tools/same_numbers.py, the bitwise gate between two checkouts: a seeded
-grid written twice compares equal, and one changed entry is reported."""
+grid written twice compares equal, one changed entry is reported, and
+entries that differ only in an error message are counted apart."""
 
 import importlib.util
 import json
@@ -40,6 +41,34 @@ def test_compare_exit_status(tmp_path, capsys):
     out = capsys.readouterr().out
     assert key in out
     assert "1 of 200 entries differ" in out
+
+
+def test_compare_counts_message_only_differences(tmp_path, capsys):
+    tool = _tool()
+    first = {
+        "value": {"value": "0x1.0p+0", "path": "recursion"},
+        "error": {"error": "QuadratureRecommendedError", "message": "X_-3/Y_-3 at x=0.05"},
+        "table": ["0x1.0p+0", {"error": "DomainError", "message": "n = 4"}],
+        "type": {"error": "DomainError", "message": "same"},
+    }
+    second = {
+        "value": {"value": "0x1.8p+0", "path": "recursion"},
+        "error": {"error": "QuadratureRecommendedError", "message": "X_-5/Y_-5 at x=0.05"},
+        "table": ["0x1.0p+0", {"error": "DomainError", "message": "n = 6"}],
+        "type": {"error": "NearDegenerateError", "message": "same"},
+    }
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write(a, first)
+    _write(b, second)
+    # message-only differences still fail the comparison
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "4 of 4 entries differ: 2 only in an error message, 2 otherwise" in out
+
+    _write(b, {**first, "error": second["error"]})
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "1 of 4 entries differ: 1 only in an error message, 0 otherwise" in out
 
 
 def test_grid_covers_every_engine():

@@ -228,6 +228,14 @@ class TestScaledHelpers:
             lambda t: int_pow_cos(m, c, t), x**m * math.cos(c * x), x
         )
 
+    @pytest.mark.parametrize("helper", [int_pow_sin, int_pow_cos])
+    @pytest.mark.parametrize("m", [-2, 0, 2])
+    @pytest.mark.parametrize("x", [-0.3, -5.0])
+    def test_negative_x_refused(self, helper, m, x):
+        # the series route takes small |c x| only at x >= 0, as eval_X does
+        with pytest.raises(DomainError, match=r"require x >= 0"):
+            helper(m, 1.0, x)
+
     @pytest.mark.parametrize("m", [0, 1, 3])
     @pytest.mark.parametrize("c", [0.02, -0.05])
     def test_series_route_matches_recursion_route_across_threshold(self, m, c):

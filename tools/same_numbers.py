@@ -21,7 +21,9 @@ measured with this one file.  It records
 
 Floats are written with ``float.hex``, so equal files mean bitwise equal
 numbers; an error is written as its type and message.  ``--compare``
-prints the entries that differ and exits 1 when any does.
+prints the entries that differ, then how many of them differ only in an
+error message (same error types, every value equal) and how many
+otherwise, and exits 1 when any entry differs.
 """
 
 from __future__ import annotations
@@ -156,6 +158,15 @@ def write(out: str, src: str, calls: int, seed: int) -> None:
     print(f"{len(entries)} entries ({errors} errors) from {bq.__file__} -> {out}")
 
 
+def _without_messages(v):
+    """An entry with each error's message dropped, its type kept."""
+    if isinstance(v, list):
+        return [_without_messages(e) for e in v]
+    if isinstance(v, dict) and "error" in v:
+        return {"error": v["error"]}
+    return v
+
+
 def compare(first: str, second: str) -> int:
     with open(first) as fh:
         a = json.load(fh)["entries"]
@@ -164,7 +175,12 @@ def compare(first: str, second: str) -> int:
     differ = [key for key in a.keys() | b.keys() if a.get(key) != b.get(key)]
     for key in sorted(differ):
         print(f"{key}\n  {a.get(key)}\n  {b.get(key)}")
-    print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ")
+    messages = sum(
+        1 for key in differ
+        if key in a and key in b and _without_messages(a[key]) == _without_messages(b[key])
+    )
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ: "
+          f"{messages} only in an error message, {len(differ) - messages} otherwise")
     return 1 if differ else 0
 
 
