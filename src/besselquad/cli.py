@@ -35,14 +35,10 @@ from .errors import (
 )
 from .ordinary_bessel import verify_suite
 from .quadrature import DEFAULT_TOL, MAX_EVALS, definite_integral
-from .types import IntegralSpec
+from .types import IntegralSpec, check_real
 from .weighted import build_interpolant, weighted_integral
 
 RESIDUAL_THRESHOLD = 1e-8
-
-
-def _default_tol() -> float:
-    return float(os.environ.get("BESSELQUAD_TOL", DEFAULT_TOL))
 
 
 def _add_common(p, needs_interval=True, strategies=True):
@@ -122,7 +118,7 @@ def _spec_from_args(args) -> IntegralSpec:
 
 
 def _tol(args) -> float:
-    return args.tol if args.tol is not None else _default_tol()
+    return args.tol if args.tol is not None else float(os.environ.get("BESSELQUAD_TOL", DEFAULT_TOL))
 
 
 def _estimate(result) -> dict:
@@ -174,32 +170,15 @@ def _weighted(args) -> dict:
     )
 
 
-def _number(name: str, v) -> float:
-    """A scale, limit or tolerance of the table config as a float; one
-    that is not a JSON number (null, true, "20", a list) is a DomainError."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DomainError(f"table config: {name} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:  # an integer literal beyond the float range
-        raise DomainError(f"table config: {name} must be a finite number, got {v!r}") from None
-
-
 def _table(args) -> list:
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise DomainError("table config must be a JSON object")
-    family = cfg["family"]
-    if family not in ("I", "H", "K", "L"):
-        raise DomainError(f"table config: unknown family {family!r}")
-    if args.tol is not None:
-        tol = args.tol
-    elif "tol" in cfg:
-        tol = _number("tol", cfg["tol"])
-    else:
-        tol = _default_tol()
-    a, b = _number("a", cfg["a"]), _number("b", cfg["b"])
+    family = cfg["family"]  # the specs check it
+    # --tol wins over the config's tol, which wins over BESSELQUAD_TOL
+    tol = check_real("tol", cfg["tol"]) if args.tol is None and "tol" in cfg else _tol(args)
+    a, b = check_real("a", cfg["a"]), check_real("b", cfg["b"])
 
     def axis(name, default=None):
         v = cfg.get(name, default)
@@ -214,9 +193,8 @@ def _table(args) -> list:
     betas = axis("beta") if family in ("K", "L") else [None]
     rows = []
     for n, k, l, alpha, beta in itertools.product(ns, ks, ls, alphas, betas):
-        # the spec checks the orders: a missing or non-integer one is a DomainError
-        spec = IntegralSpec(family, n, l, _number("alpha", alpha), k=k,
-                            beta=None if beta is None else _number("beta", beta))
+        # the spec checks the orders and scales (missing ones included)
+        spec = IntegralSpec(family, n, l, alpha, k=k, beta=beta)
         rows.append({"family": family, "n": n, "k": k, "l": l, "alpha": alpha, "beta": beta,
                      **_definite(args, spec, a, b, tol)})
     return rows

@@ -47,10 +47,9 @@ from .sph_bessel import _j_extended, _j_list, j_extended, parity_fold
 from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import (
-    AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result, sweep,
+    AntiderivativeValue, IntegralSpec, PointTable, check_integer, check_limits, check_point,
+    finite_result, sweep,
 )
-
-_EQUAL_CLOSED_KINDS = ("L1", "L2", "L3", "L4", "L5")
 
 #: the cells L^m_{k,lam} needs: L^{m-1}_{k,lam-1} and L^m_{k,lam-2}, down
 #: to the adjacent cells at order k + 1 and the cells of order k
@@ -89,25 +88,27 @@ def base_L01(n: int, x: float, alpha: float, beta: float) -> AntiderivativeValue
     Derived purely from product-to-sum trig identities, so any nonzero
     scales with |alpha| != |beta| are accepted.
     """
-    IntegralSpec("L", n, 1, alpha, k=0, beta=beta)  # checks n and the scales
+    spec = IntegralSpec("L", n, 1, alpha, k=0, beta=beta)  # checks n and the scales
+    alpha, beta = spec.scales
     x = check_point(x)
     near = TrigChain(abs(alpha - beta), x)
     far = TrigChain(abs(alpha + beta), x)
-    return AntiderivativeValue(_base_L01(n, x, alpha, beta, near, far), "base")
+    return AntiderivativeValue(_base_L01(spec.n, x, alpha, beta, near, far), "base")
 
 
-def _check_adjacent(n: int, l: int, x: float, alpha: float, beta: float) -> None:
-    """The checks of the adjacent-order evaluators, which take l >= 1 and
-    positive distinct scales (eval_L folds parity before landing there,
-    and sends equal scales to the equal-argument table)."""
-    IntegralSpec("L", n, l, alpha, k=l - 1, beta=beta)  # checks n, the orders and scales
-    check_point(x)
+def _adjacent_table(n, l, x, alpha, beta, closed_forms: bool) -> tuple:
+    """(n, LTable) of the adjacent-order evaluators, for l >= 1 and positive
+    distinct scales (eval_L folds parity and sends equal scales elsewhere)."""
+    l = check_integer("l", l)
+    spec = IntegralSpec("L", n, l, alpha, k=l - 1, beta=beta)  # checks n, the orders and scales
+    alpha, beta = spec.scales
     if alpha < 0 or beta < 0:
         raise DomainError("the adjacent-order evaluators expect positive scales")
     if alpha == beta:
         raise DomainError(
             "the adjacent-order evaluators require alpha != beta; use the equal-argument path"
         )
+    return spec.n, LTable(check_point(x), spec.l - 1, spec.l, alpha, beta, closed_forms)
 
 
 def adjacent_closure(n: int, l: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:
@@ -119,8 +120,8 @@ def adjacent_closure(n: int, l: int, x: float, alpha: float, beta: float) -> Ant
     """
     if n == 1:
         raise DomainError("adjacent closure divides by n - 1; use the n = 1 ladder")
-    _check_adjacent(n, l, x, alpha, beta)
-    return AntiderivativeValue(LTable(x, l - 1, l, alpha, beta).value(n), "closure")
+    n, table = _adjacent_table(n, l, x, alpha, beta, True)
+    return AntiderivativeValue(table.value(n), "closure")
 
 
 def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -> float:
@@ -146,8 +147,8 @@ def adjacent_by_recursion(
 ) -> AntiderivativeValue:
     """Pure-recursion reference for the adjacent-order case (no closure,
     no closed forms inside K); used to validate adjacent_closure."""
-    _check_adjacent(n, l, x, alpha, beta)
-    return AntiderivativeValue(LTable(x, l - 1, l, alpha, beta, False).value(n), "ladder")
+    n, table = _adjacent_table(n, l, x, alpha, beta, False)
+    return AntiderivativeValue(table.value(n), "ladder")
 
 
 def _closure(
@@ -336,8 +337,6 @@ def closed_L_equal(kind: str, k: int, l: int, x: float) -> AntiderivativeValue:
     L1: n = 0          L2: n = -1         L3: n = 1 - k - l
     L4: n = l - k + 2  L5: n = k + l + 3
     """
-    if kind not in _EQUAL_CLOSED_KINDS:
-        raise DomainError(f"unknown closed form {kind!r}")
     spec = IntegralSpec("L", 0, l, k=k, beta=1.0)
     x = check_point(x)
     k, l = sorted(spec.orders)
@@ -545,8 +544,9 @@ def identity_residual(
     consistent.  Degenerate parameter combinations make both sides
     vanish identically.
     """
-    if not 0 < a < b:
-        raise DomainError("need 0 < a < b")
+    a, b = check_limits(a, b, 0.0, above=True)
+    spec = IntegralSpec("L", 0, l, alpha, k=k, beta=beta)  # checks the orders and scales
+    (k, alpha), (l, beta) = spec.factors
     c2 = alpha * alpha - beta * beta
     c0 = l * (l + 1) - k * (k + 1)
     lhs = 0.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .quadrature import adaptive_quad
 from .sph_bessel import _RESCALE_AT
-from .types import check_integer
+from .types import check_integer, check_limits, check_real
 
 #: besselJ refuses x above this: the Miller walk starts near 1.2 x, so its
 #: cost grows with x (about 0.3 s at the bound)
@@ -32,7 +32,7 @@ _X_MAX = 1e6
 def _J_list(nmax: int, x: float) -> list:
     """J_0(x) .. J_nmax(x) as a list of Python floats, by Miller's
     downward recurrence normalised by J_0 + 2 J_2 + 2 J_4 + ... = 1."""
-    if not 0 <= x <= _X_MAX:
+    if not 0 <= x <= _X_MAX:  # the residuals pass computed scale * x
         raise DomainError(f"besselJ requires 0 <= x <= {_X_MAX:g}, got {x}")
     if x == 0.0:
         return [1.0] + [0.0] * nmax
@@ -64,7 +64,7 @@ def besselJ(order: int, x: float) -> float:
     """Ordinary Bessel function J_order(x) for integer order >= 0 and
     0 <= x <= 1e6."""
     order = check_integer("order", order, 0)
-    return _J_list(order, x)[order]
+    return _J_list(order, check_real("x", x, 0.0, _X_MAX))[order]
 
 
 def _J(order: int, x: float) -> float:
@@ -388,8 +388,7 @@ def verify_identity(identity: AppendixIdentity, a: float, b: float, tol: float =
     and the two sides compared.  Expected below 1e-8 for valid
     parameters.
     """
-    if not 0 < a < b:
-        raise DomainError("need 0 < a < b")
+    a, b = check_limits(a, b, 0.0, above=True)
     if identity.id not in IDENTITY_REGISTRY:
         raise DomainError(f"unknown identity {identity.id!r}")
     return IDENTITY_REGISTRY[identity.id](identity, a, b, tol)

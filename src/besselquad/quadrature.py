@@ -25,7 +25,9 @@ from typing import TYPE_CHECKING
 from .errors import DomainError, NearDegenerateError, NotConvergedError, QuadratureRecommendedError
 from .mixed_order import point_table
 from .sph_bessel import first_zero_estimate, j_many, parity_fold, small_x_leading
-from .types import DefiniteResult, IntegralSpec, QuadratureResult, Strategy
+from .types import (
+    DefiniteResult, IntegralSpec, QuadratureResult, Strategy, check_integer, check_limits, check_real,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,16 +163,16 @@ def adaptive_quad(
         With vectorized=True it is called with a 1-D numpy array of nodes
         instead and must return the corresponding array.
     a, b : float
-        Interval, a < b.
+        Interval, a < b, both finite.
     tol : float
-        Absolute tolerance target.
+        Absolute tolerance target, tol > 0.
     rtol : float, optional
-        Relative tolerance; defaults to ``tol`` (mixed criterion
-        err <= max(tol, rtol |value|)).
+        Relative tolerance, rtol >= 0; defaults to ``tol`` (mixed
+        criterion err <= max(tol, rtol |value|)).
     max_evals : int
-        Cap on integrand evaluations, at least 15 (one panel); on hitting
-        it the best estimate is returned with converged=False (no
-        exception).
+        Cap on integrand evaluations, an integer at least 15 (one
+        panel); on hitting it the best estimate is returned with
+        converged=False (no exception).
     initial_max_width : float, optional
         Pre-split [a, b] into pieces no wider than this before adapting.
         For oscillatory integrands a width of pi over the fastest scale
@@ -201,26 +203,23 @@ def adaptive_quad(
     """
     import numpy as np
 
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"adaptive_quad requires finite limits, got [{a}, {b}]")
-    if not a < b:
-        raise DomainError("adaptive_quad requires a < b")
-    inner = [] if breakpoints is None else [float(p) for p in breakpoints]
+    a, b = check_limits(a, b)
+    inner = [] if breakpoints is None else [check_real("breakpoints", p) for p in breakpoints]
     knots = [a, *inner, b]
     if inner and not all(lo < hi for lo, hi in zip(knots[:-1], knots[1:])):
         raise DomainError(
             f"breakpoints must be finite and strictly increasing inside ({a}, {b}), got {inner}"
         )
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    tol = check_real("tol", tol, 0.0, above=True)
+    rtol = tol if rtol is None else check_real("rtol", rtol, 0.0)
     nsub = len(knots) - 1
-    if max_evals < _PANEL_NODES * nsub:
+    if check_integer("max_evals", max_evals) < _PANEL_NODES * nsub:
         raise DomainError(
             f"max_evals must be at least {_PANEL_NODES} per sub-interval, one panel "
             f"each ({_PANEL_NODES * nsub} for {nsub}; got {max_evals})"
         )
-    if rtol is None:
-        rtol = tol
+    if initial_max_width is not None:
+        initial_max_width = check_real("initial_max_width", initial_max_width)
     edges = _initial_edges(knots, initial_max_width, max(1, max_evals // (30 * nsub)))
     npieces = len(edges) - 1
     heap = []
@@ -335,10 +334,8 @@ def _strategy(t: float, segments: list, reason: str) -> Strategy:
 
 def choose_strategy(spec: IntegralSpec, a: float, b: float) -> Strategy:
     """The auto plan for ``spec`` over [a, b], before any analytic route
-    runs (or refuses): see ``_plan``."""
-    if not a < b:
-        raise DomainError("need a < b")
-    return _strategy(*_plan(spec, a, b, "auto"))
+    runs (or refuses): see ``_plan``.  Its limits are definite_integral's."""
+    return _strategy(*_plan(spec, *check_limits(a, b, 0.0), "auto"))
 
 
 def _zero_limit(spec: IntegralSpec) -> float:
@@ -474,14 +471,9 @@ def _run_routes(
     evaluated, not converged).
     The Strategy and the record come from the segments actually taken.
     """
-    if max_evals < _PANEL_NODES:
-        raise DomainError(f"max_evals must be at least {_PANEL_NODES}, one panel (got {max_evals})")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"limits must be finite, got [{a}, {b}]")
-    if not 0 <= a < b:
-        raise DomainError("need 0 <= a < b")
+    max_evals = check_integer("max_evals", max_evals, _PANEL_NODES)
+    tol = check_real("tol", tol, 0.0, above=True)
+    a, b = check_limits(a, b, 0.0)
     if a == 0 and not spec.finite_at_zero:
         raise DomainError(
             f"integral from 0 diverges: family {spec.family} requires "

@@ -38,9 +38,6 @@ from .types import (
 #: relative |alpha - beta| guard below which the base case is hazardous
 DEGENERACY_GUARD = 1e-6
 
-#: the cells K^m_lam needs: (m, lam - 1) and (m - 2, lam - 1)
-_STEP = ((0, 1), (-2, 1))
-
 #: the closed cells of K's walks without and with its closed form K^2_lam
 _CLOSED = (None, lambda m, lam: m == 2)
 
@@ -128,7 +125,7 @@ class KTable(PointTable):
         if lo > hi:
             return
         rows = self.rows
-        bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms], _STEP)
+        bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
         d = self._d
         row, near, far = rows[0], self.near, self.far
         for m in bases:
@@ -166,18 +163,15 @@ class KTable(PointTable):
                 ) / d
 
 
-def _table(
-    l: int, x: float, alpha: float, beta: float, closed_forms: bool = True, constants: bool = True
-) -> KTable:
-    """The K table of eval_K and closed_K2, after their checks: equal
+def _table(spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True) -> KTable:
+    """The K table of eval_K and closed_K2 for their checked spec: equal
     scale magnitudes belong to the squared family."""
-    x = check_point(x)
-    (sa, a), (sb, b) = parity_fold(l, alpha), parity_fold(l, beta)
+    (sa, a), (sb, b) = (parity_fold(spec.l, scale) for scale in spec.scales)
     if a == b:
         raise DomainError(
             "equal scale magnitudes reduce to the squared family; use eval_H_scaled"
         )
-    return KTable(x, a, b, l, closed_forms, constants, sa * sb)
+    return KTable(check_point(x), a, b, spec.l, closed_forms, constants, sa * sb)
 
 
 def eval_K(
@@ -203,7 +197,7 @@ def eval_K(
         Scales under the degeneracy guard with no series route.
     """
     spec = IntegralSpec("K", n, l, alpha, beta=beta)
-    table = _table(spec.l, x, alpha, beta, closed_forms, constants)
+    table = _table(spec, x, closed_forms, constants)
     return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))
 
 
@@ -216,7 +210,7 @@ def closed_K2(l: int, x: float, alpha: float, beta: float) -> AntiderivativeValu
     valid for l >= 1 directly and for l = 0 with j_{-1}(x) = cos(x)/x.
     """
     spec = IntegralSpec("K", 2, l, alpha, beta=beta)
-    t = _table(spec.l, x, alpha, beta)
+    t = _table(spec, x)
     return AntiderivativeValue(
         t.sign * _closed_K2(spec.l, t.x, t.a, t.b, t.jta, t.jtb), "closed:K2"
     )

@@ -108,7 +108,7 @@ def eval_I_scaled(
     Negative alpha folds through parity, j_l(-u) = (-1)^l j_l(u).
     """
     spec = IntegralSpec("I", n, l, alpha)
-    table = ITable(spec.l, check_point(x), alpha, constants=constants)
+    table = ITable(spec.l, check_point(x), spec.alpha, constants=constants)
     return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
 
 

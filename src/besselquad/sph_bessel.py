@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .types import check_integer, finite_result
+from .types import check_integer, check_real, check_real_array, finite_result
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,10 +47,7 @@ def first_zero_estimate(l: int) -> float:
 def small_x_leading(l: int, x: float) -> float:
     """Leading small-x behavior x^l sqrt(pi) / (2^(l+1) Gamma(l + 3/2)),
     i.e. x^l / (2l+1)!!, for finite x."""
-    l = check_integer("l", l, 0)
-    if not math.isfinite(x):
-        raise DomainError(f"small_x_leading requires a finite x, got {x}")
-    return _leading(l, x)
+    return _leading(check_integer("l", l, 0), check_real("x", x))
 
 
 def _leading(l: int, x):
@@ -79,8 +76,6 @@ def _j_list(lmax: int, x: float) -> list:
     Python floats, where an index and a product cost a fraction of a
     numpy scalar's.  x is taken as float(x).
     """
-    if lmax < 0:
-        raise DomainError("order must be nonnegative")
     if not 0 <= x < math.inf:
         raise DomainError(f"j_array requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
     x = float(x)
@@ -127,15 +122,13 @@ def j_array(lmax: int, x: float) -> np.ndarray:
     """Table of j_0(x) .. j_lmax(x) at a finite scalar argument x >= 0."""
     import numpy as np
 
-    return np.array(_j_list(check_integer("lmax", lmax, 0), x))
+    return np.array(_j_list(check_integer("lmax", lmax, 0), check_real("x", x, 0.0)))
 
 
 def j(l: int, x: float) -> float:
-    """j_l(x) for integer l >= 0 and x >= 0."""
+    """j_l(x) for integer l >= 0 and real 0 <= x < inf."""
     l = check_integer("l", l, 0)
-    if not 0 <= x < math.inf:
-        raise DomainError(f"j requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
-    return _j_list(l, x)[l]
+    return _j_list(l, check_real("x", x, 0.0))[l]
 
 
 def parity_fold(order: int, scale: float) -> tuple:
@@ -151,8 +144,9 @@ def parity_fold(order: int, scale: float) -> tuple:
 
 def j_parity_extend(l: int, x: float) -> float:
     """j_l extended to negative arguments via j_l(-x) = (-1)^l j_l(x)."""
-    sign, u = parity_fold(l, x)
-    v = j(l, u)
+    l = check_integer("l", l, 0)
+    sign, u = parity_fold(l, check_real("x", x))
+    v = _j_list(l, u)[l]
     return -v if sign < 0 else v
 
 
@@ -168,7 +162,7 @@ def j_many(l: int, xs) -> np.ndarray:
     import numpy as np
 
     l = check_integer("l", l, 0)
-    xs = np.asarray(xs, dtype=float)
+    xs = check_real_array("xs", xs)
     ok = (xs >= 0) & (xs < math.inf)
     if not ok.all():
         raise DomainError(f"j_many requires 0 <= x < inf, got {xs[~ok].flat[0]}")
@@ -267,15 +261,14 @@ def j_extended(order: int, x: float) -> float:
     The order -1 continuation is what the closed forms need when a
     formula written for l >= 1 is evaluated at l = 0.
     """
-    return _j_extended(check_integer("order", order, -1), x)
+    order = check_integer("order", order, -1)
+    return _j_extended(order, check_real("x", x, -math.inf if order < 0 else 0.0))
 
 
 def _j_extended(order: int, x: float) -> float:
-    """j_extended's core, which the closed forms of the engines call."""
+    """j_extended's core, for the closed forms of the engines: x finite."""
     if order == -1:
         if x == 0:
             raise DomainError("j_{-1} diverges at x = 0")
-        if not math.isfinite(x):
-            raise DomainError(f"j_{{-1}} requires a finite x, got {x}")
         return math.cos(x) / x
-    return j(order, x)
+    return _j_list(order, x)[order]

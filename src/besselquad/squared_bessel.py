@@ -28,11 +28,6 @@ from .types import (
     AntiderivativeValue, IntegralSpec, PointTable, check_point, column_plan, finite_result,
 )
 
-_CLOSED_KINDS = ("H1", "H2", "H3", "H4", "H5")
-
-#: the cells H^m_lam needs: (m, lam - 1) and (m - 2, lam - 1)
-_STEP = ((0, 1), (-2, 1))
-
 
 def _H_base(m: int, x: float, chain: TrigChain) -> float:
     """H^m_0(x); ``chain`` is the TrigChain of 2x that every base cell of
@@ -112,8 +107,6 @@ def closed_H(kind: str, l: int, x: float) -> AntiderivativeValue:
     H1 and H2 need l >= 1 (their denominators carry a factor l); H3 and
     H4 at l = 0 use the continuation j_{-1}(x) = cos(x)/x.
     """
-    if kind not in _CLOSED_KINDS:
-        raise DomainError(f"unknown closed form {kind!r}")
     l = IntegralSpec("H", 0, l).l
     return AntiderivativeValue(_closed_H(kind, l, check_point(x)), f"closed:{kind}")
 
@@ -171,7 +164,7 @@ class HTable(PointTable):
         lo, hi = self._unfilled(top, lo, hi)
         if lo > hi:
             return
-        bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms], _STEP)
+        bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
         u, jt, rows, constants = self.u, self.jt, self.rows, self.constants
         row, chain = rows[0], self.chain
         for m in bases:
@@ -235,5 +228,5 @@ def eval_H_scaled(
     The integrand is even in alpha, so only |alpha| matters.
     """
     spec = IntegralSpec("H", n, l, alpha)
-    table = HTable(check_point(x), spec.l, closed_forms, constants, alpha)
+    table = HTable(check_point(x), spec.l, closed_forms, constants, spec.alpha)
     return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, QuadratureRecommendedError
-from .types import TrigPrimitive, check_integer, finite_result, finite_value
+from .types import TrigPrimitive, check_integer, check_real, finite_result, finite_value
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -178,19 +178,14 @@ def _si_ci(u: float, constants: bool = True) -> tuple:
 @finite_result
 def si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t)/t dt for finite x >= 0."""
-    if not 0 <= x < math.inf:
-        raise DomainError(f"si requires 0 <= x < inf, got {x}")
+    x = check_real("x", x, 0.0)
     return _si_ci(x)[0] if x else 0.0
 
 
 @finite_result
 def ci(x: float) -> float:
     """Cosine integral Ci(x) = -int_x^inf cos(t)/t dt for finite x > 0."""
-    if x <= 0:
-        raise DomainError("ci requires x > 0 (logarithmic divergence at 0)")
-    if not x < math.inf:
-        raise DomainError(f"ci requires a finite x, got {x}")
-    return _si_ci(x)[1]
+    return _si_ci(check_real("x", x, 0.0, above=True))[1]
 
 
 def _refuse_small_arg(n: int, u: float) -> None:
@@ -229,8 +224,6 @@ class TrigChain:
         self.u = abs(c) * x
         if not self.u < math.inf:
             raise DomainError(f"trig primitives require a finite argument, got |c| x = {self.u}")
-        if self.u < 0:
-            raise DomainError("trig primitives require x >= 0")
         self.constants = constants
         self._cos = math.cos(self.u)
         self._sin = math.sin(self.u)
@@ -324,15 +317,13 @@ def eval_pair(n: int, x: float, constants: bool = True) -> TrigPrimitive:
         For n < -1 with 0 < x < SMALL_ARG_HAZARD, where the value is one
         a caller should not difference.
     """
+    n, x = check_integer("n", n), check_real("x", x, 0.0)
     X, Y = finite_value(lambda *args: f"eval_pair{args}", _pair, n, x, constants)
     return TrigPrimitive(n=n, x=x, X=X, Y=Y)
 
 
 def _pair(n: int, x: float, constants: bool = True) -> tuple:
-    """eval_pair's (X_n(x), Y_n(x)), before the check that both are finite."""
-    n = check_integer("n", n)
-    if x < 0:
-        raise DomainError("trig primitives require x >= 0")
+    """eval_pair's (X_n(x), Y_n(x)) at checked n, x, before the finiteness check."""
     if x == 0 and n < 0:
         raise DomainError("Y_n(0) diverges for n < 0 (and X_n(0) for n < -1)")
     _refuse_small_arg(n, x)
@@ -342,7 +333,7 @@ def _pair(n: int, x: float, constants: bool = True) -> tuple:
 @finite_result
 def eval_X(n: int, x: float) -> float:
     """X_n(x) = int x^n sin(x) dx under the frozen constant convention."""
-    n = check_integer("n", n)
+    n, x = check_integer("n", n), check_real("x", x, 0.0)
     if x == 0 and n == -1:
         return 0.0  # Si(0)
     if x == 0 and n < -1:
@@ -353,7 +344,7 @@ def eval_X(n: int, x: float) -> float:
 @finite_result
 def eval_Y(n: int, x: float) -> float:
     """Y_n(x) = int x^n cos(x) dx under the frozen constant convention."""
-    return _pair(n, x)[1]
+    return _pair(check_integer("n", n), check_real("x", x, 0.0))[1]
 
 
 def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) -> float:
@@ -361,11 +352,8 @@ def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) ->
     over alpha^(n+1): the constant, then
 
         alpha^odd x^(n+1+odd) sum_m (-(alpha x)^2)^m / ((2m+odd)! (n+2m+1+odd))
-    """
-    if n < 0:
-        raise DomainError("scaled series requires n >= 0")
-    if alpha == 0:
-        raise DomainError("alpha must be nonzero")
+
+    for n >= 0, alpha != 0 and finite x, as the callers check."""
     if not abs(alpha * x) <= SERIES_ARG_LIMIT:
         raise DomainError(
             f"scaled series at |alpha x| = {abs(alpha * x):g}: "
@@ -410,7 +398,7 @@ def eval_scaled_X_series(n: int, alpha: float, x: float, constants: bool = True)
     a DomainError, and so is a value that overflows a float.
     constants=False drops the Gamma term (see eval_pair).
     """
-    return _scaled_series(1, check_integer("n", n), alpha, x, constants)
+    return _scaled_series(1, *_series_args(n, alpha, x), constants)
 
 
 @finite_result
@@ -420,7 +408,12 @@ def eval_scaled_Y_series(n: int, alpha: float, x: float, constants: bool = True)
     Constant term +Gamma(n+1) sin(n pi/2) / alpha^(n+1); the domain is
     eval_scaled_X_series's.
     """
-    return _scaled_series(0, check_integer("n", n), alpha, x, constants)
+    return _scaled_series(0, *_series_args(n, alpha, x), constants)
+
+
+def _series_args(n, alpha, x) -> tuple:
+    """The checked (n >= 0, alpha != 0, x) of the public scaled series."""
+    return check_integer("n", n, 0), check_real("alpha", alpha, nonzero=True), check_real("x", x)
 
 
 @finite_result
@@ -430,14 +423,15 @@ def int_pow_sin(m: int, c: float, x: float, constants: bool = True) -> float:
     Equals sign(c) |c|^(-m-1) X_m(|c| x); routed through the power series
     when m >= 0 and |c x| <= SERIES_ARG_MAX.
     """
-    if c == 0:
-        raise DomainError("c must be nonzero")
-    return TrigChain(c, x, constants).int_sin(check_integer("m", m))
+    return _chain(c, x, constants).int_sin(check_integer("m", m))
 
 
 @finite_result
 def int_pow_cos(m: int, c: float, x: float, constants: bool = True) -> float:
     """int x^m cos(c x) dx for c != 0; equals |c|^(-m-1) Y_m(|c| x)."""
-    if c == 0:
-        raise DomainError("c must be nonzero")
-    return TrigChain(c, x, constants).int_cos(check_integer("m", m))
+    return _chain(c, x, constants).int_cos(check_integer("m", m))
+
+
+def _chain(c, x, constants: bool) -> TrigChain:
+    """The chain of int_pow_sin and int_pow_cos, at checked c != 0, x >= 0."""
+    return TrigChain(check_real("c", c, nonzero=True), check_real("x", x, 0.0), constants)

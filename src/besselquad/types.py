@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -135,11 +136,10 @@ class IntegralSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown integral family {self.family!r}")
-        for name in ("n", "l", "k"):
-            v = getattr(self, name)
-            if v is None and name == "k":
-                continue
-            object.__setattr__(self, name, check_integer(name, v))
+        for name in ("n", "l") if self.k is None else ("n", "l", "k"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        for name in ("alpha", "beta") if self.family in "KL" else ("alpha",):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), nonzero=True))
         first = (self.l, self.alpha)
         if self.family == "I":
             factors = (first,)
@@ -149,18 +149,8 @@ class IntegralSpec:
             k = self.l if self.k is None or self.family == "K" else self.k
             factors = ((k, self.alpha), (self.l, self.beta))
         object.__setattr__(self, "factors", factors)
-        for order, _ in factors:
-            if order < 0:
-                raise DomainError("Bessel orders must be nonnegative")
-        for _, scale in factors:
-            if scale is None or scale == 0:
-                raise DomainError("scale factors must be nonzero")
-            try:
-                finite = math.isfinite(scale)
-            except TypeError:
-                finite = False
-            if not finite:
-                raise DomainError(f"scale factors must be finite real numbers, got {self.scales}")
+        if min(order for order, _ in factors) < 0:
+            raise DomainError("Bessel orders must be nonnegative")
 
     # cached: the quadrature layer reads these on every call with a spec
     @cached_property
@@ -197,11 +187,11 @@ class IntegralSpec:
 
 
 def check_integer(name: str, v, least: int | None = None) -> int:
-    """v as an int, when it is an integer (``operator.index``; a bool is
-    refused, though ``operator.index(True)`` is 1) and, if ``least`` is
-    given, at least ``least``.  Anything else is a DomainError naming the
-    argument: the one integer check of IntegralSpec and of the public
-    scalar evaluators' orders and exponents."""
+    """v as an int, when it is an integer (``operator.index``: numpy
+    integers count, a bool does not) and, if ``least`` is given, at least
+    ``least``.  Anything else is a DomainError naming the argument: the
+    one check of orders, exponents and counts, as ``check_real`` is of
+    real numbers."""
     try:
         if isinstance(v, bool):
             raise TypeError
@@ -213,12 +203,57 @@ def check_integer(name: str, v, least: int | None = None) -> int:
     return i
 
 
-def check_point(x: float) -> float:
-    """x, when it is a point an antiderivative can be evaluated at:
-    0 < x < inf.  Anything else, NaN included, is a DomainError."""
-    if not 0 < x < math.inf:
-        raise DomainError(f"antiderivative evaluation requires 0 < x < inf, got {x}")
-    return x
+def check_real(
+    name: str, v, lo: float = -math.inf, hi: float = math.inf, *, above: bool = False,
+    nonzero: bool = False,
+) -> float:
+    """v as a float, when it is a finite real number (``numbers.Real``:
+    ints and numpy scalars, not bools) with lo <= v <= hi (lo < v with
+    ``above``, v != 0 with ``nonzero``); anything else is a DomainError
+    naming the argument.  The one check of every public real argument,
+    limit and tolerance.  A numpy scalar becomes a float, so the walks
+    behind the check run in float arithmetic: the same values, faster."""
+    try:
+        real = type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
+        f = float(v) if real else math.nan  # nan: refused below
+    except OverflowError:  # an int beyond the float range
+        f = math.nan
+    if (lo < f if above else lo <= f) and f <= hi and math.isfinite(f) and (f or not nonzero):
+        return f
+    rule = f"a finite {'nonzero ' if nonzero else ''}real number"
+    if lo > -math.inf or hi < math.inf:
+        ops = ("<" if above else "<=", "<=" if hi < math.inf else "<")
+        rule = f"a real number with {lo:g} {ops[0]} {name} {ops[1]} {hi:g}"
+    raise DomainError(f"{name} must be {rule}, got {v!r}")
+
+
+def check_limits(a, b, lo: float = -math.inf, *, above: bool = False) -> tuple:
+    """(a, b) as floats, when ``check_real`` passes a at least ``lo``
+    (above it with ``above``) and b above a."""
+    a = check_real("a", a, lo, above=above)
+    return a, check_real("b", b, a, above=True)
+
+
+def check_point(x) -> float:
+    """``check_real`` of a point an antiderivative is evaluated at, 0 < x <
+    inf, with a fast path for a float: every point of the engines."""
+    if type(x) is float and 0 < x < math.inf:
+        return x
+    return check_real("x", x, 0.0, above=True)
+
+
+def check_real_array(name: str, v) -> np.ndarray:
+    """v as a float array, when it holds ints and floats; anything else is
+    a DomainError naming the argument.  Callers check the elements' range."""
+    import numpy as np
+
+    try:
+        arr = np.asarray(v)
+    except ValueError:  # a ragged sequence
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be an array of real numbers, got {arr.dtype} values")
+    return arr if arr.dtype.char == "d" else arr.astype(float)  # a float64 array as it is
 
 
 def finite_value(describe, compute, /, *args, **kwargs):
@@ -365,21 +400,22 @@ def sweep(top: int, lo: int, hi: int, closed, step: tuple, floor: int) -> dict:
 
 
 @functools.lru_cache(maxsize=256)
-def column_plan(top: int, lo: int, hi: int, closed, step: tuple) -> tuple:
+def column_plan(top: int, lo: int, hi: int, closed) -> tuple:
     """(bases, columns): the sweep of the cells lo..hi of level ``top``
-    down to level 0, in the form the H and K tables fill it.
+    down to level 0 under the step of H and K (the cell (m, lam) needs
+    (m, lam - 1) and (m - 2, lam - 1)), in the form their tables fill it.
 
     ``bases`` runs over the exponents of level 0, lowest first.  Each
     column is (m, levels, shut, closed_at), m ascending: ``levels`` the
     range of levels above 0 whose runs hold m, ``closed_at`` those of
     them where m is closed, and ``shut`` whether that is all of them.
-    Under the steps (0, 1) and (-2, 1) of H and K the levels holding m
-    are consecutive, and a cell needs cells of the level below in its own
+    Under the steps (0, 1) and (-2, 1) the levels holding m are
+    consecutive, and a cell needs cells of the level below in its own
     column and the one before, so a fill takes level 0 first and then
     each column upwards.  A shallow walk costs about as much to plan as
     to fill, so plans are kept.
     """
-    runs = sweep.__wrapped__(top, lo, hi, closed, step, 0)  # the plan is kept, not the runs
+    runs = sweep.__wrapped__(top, lo, hi, closed, ((0, 1), (-2, 1)), 0)  # the plan is kept
     levels = {}
     for lam in range(1, top + 1):
         a, b = runs.get(lam, (0, -2))
@@ -398,13 +434,29 @@ def column_plan(top: int, lo: int, hi: int, closed, step: tuple) -> tuple:
 class PiecewisePolynomial:
     """Piecewise polynomial in local monomial bases.
 
-    breakpoints are strictly increasing; interval i carries coefficients
-    coefficients[i][d] of (x - breakpoints[i])**d for d = 0..degree.
+    breakpoints (two or more) are finite and strictly increasing; interval
+    i carries a non-empty tuple of finite coefficients, coefficients[i][d]
+    of (x - breakpoints[i])**d for d = 0..degree: checked on construction.
     """
 
     breakpoints: tuple
     coefficients: tuple
     degree: int = field(default=1)
+
+    def __post_init__(self):
+        try:
+            bps = tuple(check_real("breakpoints", v) for v in self.breakpoints)
+            coeffs = tuple(tuple(check_real("coefficients", c) for c in cs) for cs in self.coefficients)
+        except TypeError:  # not sequences
+            raise DomainError("breakpoints and coefficients must be sequences of numbers") from None
+        if len(bps) < 2 or any(lo >= hi for lo, hi in zip(bps, bps[1:])):
+            raise DomainError(f"breakpoints must be at least two, strictly increasing, got {bps}")
+        if len(coeffs) != len(bps) - 1 or not all(coeffs):
+            lengths = [len(c) for c in coeffs]
+            raise DomainError(f"{len(bps) - 1} intervals need a coefficient tuple each, got {lengths}")
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "degree", check_integer("degree", self.degree, 0))
 
     @property
     def span(self) -> tuple:
@@ -438,9 +490,9 @@ class PiecewisePolynomial:
     def __call__(self, x):
         import numpy as np
 
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        xs = np.atleast_1d(check_real_array("x", x))
         lo, hi = self.span
-        outside = (xs < lo) | (xs > hi)
+        outside = ~((xs >= lo) & (xs <= hi))  # NaN included
         if outside.any():
             raise DomainError(f"x={float(xs[outside][0])} outside interpolant span [{lo}, {hi}]")
         out = self.values(xs)

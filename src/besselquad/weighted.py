@@ -45,7 +45,9 @@ import math
 
 from .errors import DomainError
 from .quadrature import DEFAULT_TOL, MAX_EVALS, _run_routes, antiderivative, bessel_product
-from .types import DefiniteResult, IntegralSpec, PiecewisePolynomial
+from .types import (
+    DefiniteResult, IntegralSpec, PiecewisePolynomial, check_integer, check_limits, check_real_array,
+)
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
@@ -127,7 +129,7 @@ def build_interpolant(samples, degree: int = 3) -> PiecewisePolynomial:
     """
     import numpy as np
 
-    arr = np.asarray(list(samples), dtype=float)
+    arr = check_real_array("samples", list(samples))
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise DomainError("need at least two (x, f) samples")
     x = arr[:, 0]
@@ -138,7 +140,7 @@ def build_interpolant(samples, degree: int = 3) -> PiecewisePolynomial:
         raise DomainError("sample abscissae must be strictly increasing")
     if x[0] < 0:
         raise DomainError("sample abscissae must be nonnegative")
-    if degree not in (1, 3):
+    if check_integer("degree", degree) not in (1, 3):
         raise DomainError("degree must be 1 or 3")
     n = len(x)
     coeffs = []
@@ -243,6 +245,7 @@ def weighted_integral(
     width = max(len(c) for c in f.coefficients)
     # the specs check the orders and scales
     specs = [_spec_for(kind, k, l, alpha, beta, m) for m in range(width)]
+    a, b = check_limits(a, b, 0.0)  # before the span test compares them
     pieces = _pieces(f, a, b)
     # antiderivative of monomial m at x; adjacent pieces share their
     # breakpoint, so each (m, x) is evaluated once for the whole sum, and

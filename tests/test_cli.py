@@ -385,7 +385,7 @@ def test_table_number_that_is_not_a_number_exits_2(tmp_path, capsys, extra, name
     assert code == 2
     payload = json.loads(out)
     assert payload["error"] == "domain"
-    assert re.search(rf"\b{name} must be a (finite )?number", payload["message"])
+    assert re.search(rf"\b{name} must be a finite (nonzero )?real number, got ", payload["message"])
 
 
 def test_table_config_tol_wins_over_an_unparsable_environment(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ bare ValueError or OverflowError or as inf or nan."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import besselquad as bq
@@ -55,16 +56,16 @@ def test_finite_float_or_typed_error(name):
 @pytest.mark.parametrize(
     "call, text",
     [
-        (lambda: bq.si(math.inf), "si requires 0 <= x < inf, got inf"),
-        (lambda: bq.ci(math.nan), "ci requires a finite x, got nan"),
-        (lambda: bq.j_extended(-1, math.inf), "requires a finite x, got inf"),
+        (lambda: bq.si(math.inf), "x must be a real number with 0 <= x < inf, got inf"),
+        (lambda: bq.ci(math.nan), "x must be a real number with 0 < x < inf, got nan"),
+        (lambda: bq.j_extended(-1, math.inf), "x must be a finite real number, got inf"),
         (lambda: bq.j_extended(-1, 1e-320), r"j_extended\(-1, 1e-320\): its terms overflow"),
         (lambda: bq.closed_H("H2", 3, 1e-320), r"closed_H\('H2', 3, 1e-320\): its terms overflow"),
         (lambda: bq.int_pow_sin(400, 1.3, 0.0), r"int_pow_sin\(400, 1.3, 0.0\): its terms overflow"),
         (lambda: bq.eval_pair(400, 0.7), r"eval_pair\(400, 0.7, True\): its terms overflow"),
         (lambda: bq.small_x_leading(3, 1e200), r"small_x_leading\(3, 1e\+200\): its terms"),
-        (lambda: bq.small_x_leading(0, math.nan), "small_x_leading requires a finite x, got nan"),
-        (lambda: bq.small_x_leading(0, math.inf), "small_x_leading requires a finite x, got inf"),
+        (lambda: bq.small_x_leading(0, math.nan), "x must be a finite real number, got nan"),
+        (lambda: bq.small_x_leading(0, math.inf), "x must be a finite real number, got inf"),
     ],
     ids=[
         "si-inf", "ci-nan", "j_ext-inf", "j_ext-tiny", "H2", "int_pow_sin", "pair", "leading",
@@ -154,3 +155,117 @@ def test_orders_and_exponents_are_integers(call):
     # refused, and orders at least 0
     with pytest.raises(DomainError, match="must be an integer"):
         call()
+
+
+#: values that are not real numbers: each is a DomainError naming the argument
+NOT_REAL = ("1.0", None, 1j, [1.0], True)
+NOT_REAL_IDS = ("str", "None", "complex", "list", "bool")
+
+
+@pytest.mark.parametrize("x", NOT_REAL, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_point_that_is_not_real_is_named(name, x):
+    with pytest.raises(DomainError, match=r"^x must be a (finite )?real number"):
+        EVALUATORS[name](2, x)
+
+
+def _limits_calls():
+    spec = bq.IntegralSpec("I", 0, 2)
+    calls = {
+        "definite_integral": lambda **kw: bq.definite_integral(spec, **{"a": 1.0, "b": 20.0, **kw}),
+        "adaptive_quad": lambda **kw: bq.adaptive_quad(math.sin, **{"a": 0.0, "b": 1.0, **kw}),
+        "choose_strategy": lambda **kw: bq.choose_strategy(spec, **{"a": 1.0, "b": 20.0, **kw}),
+    }
+    arguments = {
+        "definite_integral": ("a", "b", "tol", "max_evals"),
+        "adaptive_quad": ("a", "b", "tol", "rtol", "max_evals"),
+        "choose_strategy": ("a", "b"),
+    }
+    # rtol=None is its default, rtol = tol
+    return [
+        pytest.param(arg, calls[f], value, id=f"{f}-{arg}-{vid}")
+        for f in calls for arg in arguments[f] for value, vid in zip(NOT_REAL, NOT_REAL_IDS)
+        if not (arg == "rtol" and value is None)
+    ]
+
+
+@pytest.mark.parametrize("argument, call, value", _limits_calls())
+def test_limit_or_tolerance_that_is_not_real_is_named(argument, call, value):
+    kind = "an integer" if argument == "max_evals" else "a (finite )?real number"
+    with pytest.raises(DomainError, match=rf"^{argument} must be {kind}"):
+        call(**{argument: value})
+
+
+@pytest.mark.parametrize("xs", [[1.0, 2j], np.array([1.0, 2.0]) + 0j, ["1.0"], "1.0", [True]],
+                         ids=["complex-list", "complex-array", "string-list", "string", "bool"])
+def test_j_many_refuses_arrays_that_are_not_real(xs):
+    with pytest.raises(DomainError, match="xs must be an array of real numbers"):
+        bq.j_many(2, xs)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(-5.0, 10.0), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+     (2.0, 1.0), (0.0, 10.0), (1.0, 20.0), (0, 10), (np.float64(30.0), np.float64(40.0))],
+)
+def test_choose_strategy_refuses_what_definite_integral_refuses(a, b):
+    spec = bq.IntegralSpec("H", 0, 3)
+    try:
+        plan = bq.choose_strategy(spec, a, b)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as caught:
+            bq.definite_integral(spec, a, b)
+        assert str(caught.value) == str(exc)
+        return
+    assert bq.definite_integral(spec, a, b).strategy == plan
+
+
+def test_check_real_converts_and_refuses():
+    from besselquad.types import check_real
+
+    for v in (2, np.float64(2.0), np.float32(2.0), np.int64(2), 2.0):
+        assert type(check_real("v", v)) is float and check_real("v", v) == 2.0
+    for v in (np.bool_(True), False, 10**400, "2", 2 + 0j, np.array(2.0), None):
+        with pytest.raises(DomainError, match="^v must be a finite real number"):
+            check_real("v", v)
+    with pytest.raises(DomainError, match=r"^v must be a real number with 0 < v < inf, got 0"):
+        check_real("v", 0, 0.0, above=True)
+    with pytest.raises(DomainError, match=r"^v must be a real number with 0 <= v <= 1, got 1.5"):
+        check_real("v", 1.5, 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"^v must be a finite nonzero real number, got 0.0"):
+        check_real("v", 0.0, nonzero=True)
+
+
+#: one spec per table kind: I, H, K, L and equal-argument L
+TABLE_SPECS = {
+    "I": dict(family="I", n=0, l=3, alpha=2),
+    "H": dict(family="H", n=0, l=5, alpha=-2),
+    "K": dict(family="K", n=0, l=4, alpha=2, beta=3),
+    "L": dict(family="L", n=0, k=2, l=5, alpha=2, beta=-3),
+    "L-equal": dict(family="L", n=0, k=2, l=5, alpha=2, beta=2),
+}
+
+
+@pytest.mark.parametrize("convert", [np.float64, int], ids=["float64", "int"])
+@pytest.mark.parametrize("kind", TABLE_SPECS)
+def test_converted_points_give_the_float_values(kind, convert):
+    # a numpy or int point and scales are converted to floats first, so the
+    # walks run on Python floats and give bitwise the float-input values
+    from besselquad.quadrature import point_table
+
+    def values(spec, x, closed_forms, constants):
+        table = point_table(spec, x, closed_forms, constants)
+        out = []
+        for n in range(-4, 9):
+            try:
+                out.append(table.value(n).hex())
+            except BesselQuadError as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    fields = TABLE_SPECS[kind]
+    floats = bq.IntegralSpec(**{k: float(v) if k in ("alpha", "beta") else v for k, v in fields.items()})
+    converted = bq.IntegralSpec(**{k: convert(v) if k in ("alpha", "beta") else v for k, v in fields.items()})
+    for x, closed_forms, constants in itertools.product((3, 7, 60), (True, False), (True, False)):
+        want = values(floats, float(x), closed_forms, constants)
+        assert values(converted, convert(x), closed_forms, constants) == want

@@ -337,7 +337,7 @@ class TestDefiniteIntegral:
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_nonpositive_tolerance_is_a_domain_error(self, tol):
         # above the threshold no quadrature runs to check it
-        with pytest.raises(DomainError, match="tolerance"):
+        with pytest.raises(DomainError, match="tol must be a real number with 0 < tol < inf"):
             definite_integral(IntegralSpec("I", 0, 2), 20.0, 30.0, tol=tol)
 
     @pytest.mark.parametrize("a, b", [(1.0, math.inf), (0.0, math.nan)])
@@ -467,7 +467,7 @@ class TestQuadraturePathGuards:
         assert r.value == pytest.approx(1e300, rel=1e-12)
 
     def test_nan_tolerance_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="tolerance must be positive"):
+        with pytest.raises(DomainError, match="tol must be a real number with 0 < tol < inf, got nan"):
             adaptive_quad(math.sin, 0.0, 1.0, tol=math.nan)
 
     def test_overflowing_node_argument_warns_nothing(self):

@@ -427,3 +427,81 @@ def test_interpolant_array_call_is_bitwise_the_scalar_calls(degree):
     assert got.tobytes() == want.tobytes()
     with pytest.raises(DomainError, match=r"x=7.6 outside interpolant span \[0.5, 7.5\]"):
         pp(np.array([lo, 7.6, hi]))
+
+
+class TestPiecewisePolynomialChecks:
+    """A hand-built interpolant is checked on construction: finite, strictly
+    increasing breakpoints, one non-empty tuple of finite coefficients per
+    interval and an integer degree, stored as floats and an int."""
+
+    @pytest.mark.parametrize(
+        "breakpoints, coefficients",
+        [
+            ((0.0, 30.0), ((math.nan,),)),
+            ((0.0, 30.0), ((1.0, math.inf),)),
+            ((0.0, 30.0), ()),
+            ((0.0, 10.0, 30.0), ((1.0, 0.5),)),
+            ((0.0, 30.0), ((),)),
+            ((0.0, 30.0), ((1.0,), (2.0,))),
+            ((0.0, math.inf), ((1.0,),)),
+            ((0.0, math.nan), ((1.0,),)),
+            ((30.0, 0.0), ((1.0,),)),
+            ((0.0, 0.0), ((1.0,),)),
+            ((0.0,), ()),
+            ((0.0, "30"), ((1.0,),)),
+            ((0.0, 30.0), (("1",),)),
+            ((0.0, 30.0), ((True,),)),
+            (5.0, ((1.0,),)),
+            ((0.0, 30.0), (1.0,)),
+        ],
+        ids=["nan-coefficient", "inf-coefficient", "no-coefficients", "one-tuple-two-intervals",
+             "empty-tuple", "two-tuples-one-interval", "inf-breakpoint", "nan-breakpoint",
+             "decreasing", "repeated", "one-breakpoint", "string-breakpoint", "string-coefficient",
+             "bool-coefficient", "breakpoints-not-a-sequence", "coefficients-not-tuples"],
+    )
+    def test_malformed_interpolant_is_a_domain_error(self, breakpoints, coefficients):
+        with pytest.raises(DomainError):
+            weighted.PiecewisePolynomial(breakpoints, coefficients)
+
+    def test_nan_coefficient_never_reaches_an_integral(self):
+        # it used to give value nan, converged, with a zero error estimate
+        with pytest.raises(DomainError, match="coefficients must be a finite real number, got nan"):
+            weighted_integral_of(weighted.PiecewisePolynomial((0.0, 30.0), ((math.nan,),)))
+
+    @pytest.mark.parametrize("degree", [1.0, True, "1", -1, None])
+    def test_degree_must_be_an_integer(self, degree):
+        with pytest.raises(DomainError, match="degree must be an integer"):
+            weighted.PiecewisePolynomial((0.0, 30.0), ((1.0, 0.5),), degree)
+        if degree != -1:
+            with pytest.raises(DomainError, match="degree must be an integer"):
+                build_interpolant([(0.0, 1.0), (30.0, 2.0)], degree=degree)
+
+    def test_numbers_are_stored_as_floats(self):
+        pp = weighted.PiecewisePolynomial(
+            np.array([0, 10.0, 30.0]), [(np.float64(1.0), 2), [np.int64(3)]], np.int64(1)
+        )
+        assert pp.breakpoints == (0.0, 10.0, 30.0) and pp.coefficients == ((1.0, 2.0), (3.0,))
+        assert type(pp.degree) is int
+        assert {type(v) for v in pp.breakpoints + sum(pp.coefficients, ())} == {float}
+
+    def test_nan_point_is_outside_the_span(self):
+        pp = build_interpolant([(0.0, 1.0), (30.0, 2.0)], degree=1)
+        with pytest.raises(DomainError, match="x=nan outside interpolant span"):
+            pp(math.nan)
+        with pytest.raises(DomainError, match="x=nan outside interpolant span"):
+            pp(np.array([1.0, math.nan]))
+        with pytest.raises(DomainError, match="x must be an array of real numbers"):
+            pp("1.0")
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[("a", 1), (1, 2)], [(0.0, None), (1.0, 2.0)], [(0.0, 1.0), (1.0,)], [(0.0, 1j), (1.0, 2.0)]],
+        ids=["string", "none", "ragged", "complex"],
+    )
+    def test_samples_that_are_not_numbers(self, samples):
+        with pytest.raises(DomainError, match="samples must be an array of real numbers"):
+            build_interpolant(samples)
+
+
+def weighted_integral_of(pp):
+    return weighted.weighted_integral(pp, 2, 1.0, 20.0, 30.0)

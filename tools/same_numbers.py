@@ -17,7 +17,9 @@ measured with this one file.  It records
   ``adjacent_closure`` and ``adjacent_by_recursion``, and of per-point
   tables asked several exponents in a random order.  About a fifth of
   the calls draw n relative to the order, from -2l-5 to 2l+5, where the
-  closed forms of the deep levels sit.
+  closed forms of the deep levels sit.  One call in ten passes x and the
+  scales as ``numpy.float64``, and another one in ten as ints, rounded to
+  integral values first; their keys end in " as float64" and " as int".
 
 Floats are written with ``float.hex``, so equal files mean bitwise equal
 numbers; an error is written as its type and message.  ``--compare``
@@ -31,14 +33,20 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import random
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POOLS = os.path.join(ROOT, "perfbench", "reference")
 WORKLOADS = ("oscillatory_tail", "from_zero", "weighted_tabulated", "guarded_fallback")
 MODES = ((True, True), (True, False), (False, True), (False, False))
+
+#: grid calls i with i % 10 in CONVERTED pass x and the scales converted
+CONVERTED = {3: "float64", 7: "int"}
 
 
 def _hex(v) -> str:
@@ -102,6 +110,11 @@ def _scales(rng: random.Random) -> tuple:
     return alpha, beta
 
 
+def _integral(v: float) -> int:
+    """v rounded to a nonzero int of its sign (a scale or point must not be 0)."""
+    return int(math.copysign(max(1, round(abs(v))), v))
+
+
 def grid_entries(bq, calls: int, seed: int):
     from besselquad.quadrature import point_table
 
@@ -118,8 +131,15 @@ def grid_entries(bq, calls: int, seed: int):
         k = rng.randint(0, l + 3)
         x = 10 ** rng.uniform(-2.0, 2.5)
         alpha, beta = _scales(rng)
+        converted = CONVERTED.get(i % 10)
+        if converted == "int":
+            x, alpha, beta = map(_integral, (x, alpha, beta))
         args = (n, k, l, x, alpha, beta, closed_forms, constants)
         key = f"grid/{i}/{family}{args!r}"
+        if converted:
+            key += f" as {converted}"
+        if converted == "float64":
+            x, alpha, beta = map(np.float64, (x, alpha, beta))
         if family == "H":
             fn = lambda: _antiderivative(  # noqa: E731
                 bq.eval_H_scaled(n, l, x, alpha, closed_forms, constants))
