@@ -75,7 +75,8 @@ def _J(order: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class AppendixIdentity:
-    """One translated identity together with its parameters."""
+    """One translated identity together with its parameters: integer
+    n, k and l and finite real alpha and beta, checked on construction."""
 
     id: str
     n: int = 0
@@ -83,6 +84,12 @@ class AppendixIdentity:
     l: int = 1
     alpha: float = 1.0
     beta: float = 1.0
+
+    def __post_init__(self):
+        for name in ("n", "k", "l"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
 
 
 def _integral(n: int, factors, a: float, b: float, tol: float) -> float:

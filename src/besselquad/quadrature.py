@@ -27,6 +27,7 @@ from .mixed_order import point_table
 from .sph_bessel import first_zero_estimate, j_many, parity_fold, small_x_leading
 from .types import (
     DefiniteResult, IntegralSpec, QuadratureResult, Strategy, check_integer, check_limits, check_real,
+    check_real_array,
 )
 
 if TYPE_CHECKING:
@@ -352,15 +353,15 @@ def _zero_limit(spec: IntegralSpec) -> float:
 
 def integrand(spec: IntegralSpec):
     """Vectorized integrand x^n * (product of spherical Bessels) for the
-    quadrature routes.  At x = 0 the analytic limit is substituted; it is
-    finite whenever the family finiteness condition holds.  A value that
-    overflows a float is a DomainError."""
+    quadrature routes, on an array of real nodes.  At x = 0 the analytic
+    limit is substituted; it is finite whenever the family finiteness
+    condition holds.  A value that overflows a float is a DomainError."""
     n, factors = spec.n, spec.factors
 
     def f(xs):
         import numpy as np
 
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        xs = np.atleast_1d(check_real_array("xs", xs))  # a float64 array as it is
         try:
             with np.errstate(invalid="ignore", over="raise"):
                 out = bessel_product(factors, xs, _pow(xs, n))
@@ -422,31 +423,18 @@ def bessel_product(factors: tuple, xs: np.ndarray, lead=None) -> np.ndarray:
 
 
 def antiderivative(
-    spec: IntegralSpec,
-    x: float,
-    closed_forms: bool = True,
-    constants: bool = True,
-    tables: dict | None = None,
+    spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True
 ) -> float:
-    """Antiderivative value of the spec's integrand at x, by recursion.
+    """Antiderivative value of the spec's integrand at x, by recursion:
+    ``point_table(spec, x, closed_forms, constants).value(spec.n)``.  A
+    caller that needs several exponents at one point asks one point_table.
 
     constants=False drops the x-independent constants of integration
     (definite differences are unchanged, but conditioned on the genuine
     oscillation scale rather than the constants; the definite evaluators
     difference in that mode).
-
-    tables, when given, keeps the per-point tables (see point_table)
-    across calls, keyed by x: a caller that needs several exponents of
-    one family, orders and scales at the same points passes one dict for
-    all of them, with the same closed_forms and constants, so each point
-    builds one table.
     """
-    if tables is None:
-        return point_table(spec, x, closed_forms, constants).value(spec.n)
-    table = tables.get(x)
-    if table is None:
-        table = tables[x] = point_table(spec, x, closed_forms, constants)
-    return table.value(spec.n)
+    return point_table(spec, x, closed_forms, constants).value(spec.n)
 
 
 def _run_routes(

@@ -6,29 +6,9 @@ piecewise polynomial (linear or cubic spline) and
     int f(x) j_l(a x) dx        int f(x) j_k(a x) j_l(b x) dx
 
 reduce, piece by piece, to sums of monomial antiderivative differences
-from the I/H/K/L engines.
-
-The route policy is definite_integral's, from the one runner
-quadrature._run_routes, applied to the n = 0 spec of the Bessel factors:
-quadrature below the first-zero threshold, the analytic sum above it,
-quadrature over the whole interval when the scales pass
-AMPLIFICATION_GUARD, and quadrature where the analytic route refuses
-(near-degenerate scales, or a walk that overflows).  NotConvergedError,
-carrying the result record, reports a quadrature run that misses the
-tolerance.  This module supplies only what the routes integrate: the
-quadrature integrand and the analytic difference over a segment.
-
-The analytic route over [lo, hi] is a sum of c_m (F_m(hi) - F_m(lo))
-over the pieces and the monomials x^m with nonzero coefficient.  Each
-breakpoint builds one per-point table (quadrature.point_table) that
-serves every monomial: its j tables, trig chains and recursion cells are
-computed once, and adjacent pieces share the breakpoint between them, so
-each (monomial, breakpoint) value is computed once for the whole sum.
-
-A quadrature segment is one adaptive run with the interpolant's knots
-inside it as breakpoints: no panel straddles a knot, and each node takes
-the polynomial of its own piece.  The tolerance applies to the segment,
-not to each piece.
+from the I/H/K/L engines.  weighted_integral states the route policy;
+this module supplies what the routes integrate: the quadrature integrand
+and the analytic difference over a segment.
 
 Local bases: each interval stores coefficients of (x - x_left)^d, which
 keeps interpolation well conditioned; the expansion to global monomials
@@ -43,8 +23,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
-from .quadrature import DEFAULT_TOL, MAX_EVALS, _run_routes, antiderivative, bessel_product
+from .errors import DomainError, QuadratureRecommendedError
+from .quadrature import DEFAULT_TOL, MAX_EVALS, _run_routes, bessel_product, point_table
 from .types import (
     DefiniteResult, IntegralSpec, PiecewisePolynomial, check_integer, check_limits, check_real_array,
 )
@@ -181,40 +161,19 @@ def _global_coeffs(local, x_left: float):
 
 
 def _pieces(pp: PiecewisePolynomial, a: float, b: float):
-    """Clip the interpolant's intervals to [a, b]."""
-    lo, hi = pp.span
-    if a < lo - 1e-12 * max(1.0, abs(lo)) or b > hi + 1e-12 * max(1.0, abs(hi)):
-        raise DomainError(f"[{a}, {b}] exceeds the interpolant span [{lo}, {hi}]")
+    """The interpolant's intervals clipped to [a, b], as (index, lo, hi)."""
     bps = pp.breakpoints
-    out = []
     for i in range(len(bps) - 1):
-        seg_a = max(a, bps[i])
-        seg_b = min(b, bps[i + 1])
-        if seg_b > seg_a:
-            out.append((i, seg_a, seg_b))
-    return out
-
-
-def _spec_for(kind: str, k, l, alpha, beta, n: int) -> IntegralSpec:
-    """The monomial x^n's spec: I, or L for any product (the tables
-    route squared and same-order products themselves)."""
-    if kind == "single":
-        return IntegralSpec("I", n, l, alpha)
-    return IntegralSpec("L", n, l, alpha, k=k, beta=beta)
+        lo, hi = max(a, bps[i]), min(b, bps[i + 1])
+        if hi > lo:
+            yield i, lo, hi
 
 
 def _integrand(pp: PiecewisePolynomial, factors: tuple):
-    """Vectorised integrand pp(x) times the Bessel product of ``factors``:
-    each node takes the polynomial of the interpolant piece it falls in,
-    in that piece's local basis."""
-
-    def f(xs):
-        import numpy as np
-
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return pp.values(xs) * bessel_product(factors, xs)
-
-    return f
+    """Vectorised integrand pp(x) times the Bessel product of ``factors``
+    at adaptive_quad's float64 nodes: each node takes the polynomial of
+    the interpolant piece it falls in, in that piece's local basis."""
+    return lambda xs: pp.values(xs) * bessel_product(factors, xs)
 
 
 def weighted_integral(
@@ -228,64 +187,89 @@ def weighted_integral(
     beta: float | None = None,
 ) -> DefiniteResult:
     """int_a^b f(x) j_l(alpha x) dx, or with k and beta given
-    int_a^b f(x) j_k(alpha x) j_l(beta x) dx, as a result record.
+    int_a^b f(x) j_k(alpha x) j_l(beta x) dx, as a result record, for a
+    PiecewisePolynomial f (see build_interpolant) whose span covers [a, b].
 
-    The route policy is definite_integral's (auto) for the n = 0 spec:
-    the first-zero split, quadrature over the whole interval past
-    AMPLIFICATION_GUARD, and quadrature where the analytic route refuses
-    (near-degenerate scales, or a walk that overflows), named in the
-    strategy's reason.  The record carries the quadrature run's error
-    estimate and node count (the recursion pieces add neither), the
-    strategy and the segments each route covered.  Raises NotConvergedError, carrying the record,
+    The route policy is definite_integral's (auto), from the one runner
+    quadrature._run_routes, applied to the n = 0 spec of the Bessel
+    factors: quadrature below the first-zero threshold, the analytic sum
+    above it, quadrature over the whole interval past AMPLIFICATION_GUARD,
+    and quadrature where the analytic route refuses.  It refuses
+    near-degenerate scales, a walk that overflows, and a sum whose
+    rounding, eps times the sum of |c_m (F_m(hi) - F_m(lo))|, passes the
+    tolerance: the global monomials cancel far from the origin.  The
+    strategy's reason names the refusal.
+
+    The analytic route over [lo, hi] is the sum of c_m (F_m(hi) - F_m(lo))
+    over the pieces and the monomials x^m with nonzero coefficient.  Each
+    breakpoint builds one per-point table (point_table), whose value(m)
+    serves every monomial, and adjacent pieces share the breakpoint
+    between them.  A quadrature segment is one adaptive run with the
+    interpolant's knots inside it as breakpoints: no panel straddles a
+    knot, each node takes the polynomial of its own piece, and the
+    tolerance applies to the segment, not to each piece.
+
+    The record carries the quadrature run's error estimate and node count
+    (the recursion pieces add neither), the strategy and the segments
+    each route covered.  Raises NotConvergedError, carrying the record,
     when the quadrature misses ``tol``.
     """
     if (k is None) != (beta is None):
         raise DomainError("the product form needs both k and beta")
-    kind = "single" if k is None else "product"
-    width = max(len(c) for c in f.coefficients)
-    # the specs check the orders and scales
-    specs = [_spec_for(kind, k, l, alpha, beta, m) for m in range(width)]
-    a, b = check_limits(a, b, 0.0)  # before the span test compares them
-    pieces = _pieces(f, a, b)
-    # antiderivative of monomial m at x; adjacent pieces share their
-    # breakpoint, so each (m, x) is evaluated once for the whole sum, and
-    # each x builds one table for all its monomials
-    tables: dict = {}
-    values: dict = {}
+    if not isinstance(f, PiecewisePolynomial):
+        raise DomainError(
+            f"f must be a PiecewisePolynomial (see build_interpolant), got {type(f).__name__}"
+        )
+    # the spec checks the orders and scales; the tables (point_table)
+    # route squared and same-order products themselves
+    if k is None:
+        spec = IntegralSpec("I", 0, l, alpha)
+    else:
+        spec = IntegralSpec("L", 0, l, alpha, k=k, beta=beta)
+    a, b = check_limits(a, b, 0.0)
+    first, last = f.span
+    if a < first - 1e-12 * max(1.0, abs(first)) or b > last + 1e-12 * max(1.0, abs(last)):
+        raise DomainError(f"[{a}, {b}] exceeds the interpolant span [{first}, {last}]")
+    tables: dict = {}  # breakpoint -> its table
 
-    def F(m: int, x: float) -> float:
-        v = values.get((m, x))
-        if v is None:
-            v = values[(m, x)] = antiderivative(specs[m], x, constants=False, tables=tables)
-        return v
+    def table(x: float):
+        t = tables.get(x)
+        if t is None:
+            t = tables[x] = point_table(spec, x, constants=False)
+        return t
 
     def difference(lo: float, hi: float) -> float:
         total = 0.0
-        for i, p_lo, p_hi in pieces:
-            if p_hi <= lo or p_lo >= hi:
-                continue
-            p_lo, p_hi = max(p_lo, lo), min(p_hi, hi)
+        spread = 0.0  # the sum of |c_m (F_m(hi) - F_m(lo))|
+        for i, p_lo, p_hi in _pieces(f, lo, hi):
             for m, cm in enumerate(_global_coeffs(f.coefficients[i], f.breakpoints[i])):
                 if cm == 0.0:
                     continue
-                total += cm * (F(m, p_hi) - F(m, p_lo))
+                term = cm * (table(p_hi).value(m) - table(p_lo).value(m))
+                total += term
+                spread += abs(term)
+        # far from the origin the global monomials' terms cancel, like
+        # (x / piece width)^degree; their rounding then passes the tolerance
+        rounding, bound = math.ulp(1.0) * spread, max(tol, tol * abs(total))
+        if rounding > bound:
+            raise QuadratureRecommendedError(
+                f"the monomial sum over [{lo:g}, {hi:g}] cancels: its rounding, eps times the "
+                f"sum of |c_m (F_m(hi) - F_m(lo))|, is {rounding:.3g}, above the tolerance {bound:.3g}"
+            )
         return total
 
     return _run_routes(
-        specs[0], a, b, tol, "auto", MAX_EVALS, True,
-        _integrand(f, specs[0].factors), difference, f.breakpoints,
+        spec, a, b, tol, "auto", MAX_EVALS, True, _integrand(f, spec.factors), difference,
+        f.breakpoints,
     )
 
 
 def integrate_single(
     f: PiecewisePolynomial, l: int, alpha: float, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> float:
-    """int_a^b f(x) j_l(alpha x) dx for an interpolated prefactor f.
-
-    The routes are weighted_integral's: quadrature below the first-zero
-    threshold, and over the whole interval past AMPLIFICATION_GUARD or
-    where the analytic route refuses.  Raises NotConvergedError, which
-    carries the result record, when a quadrature run misses ``tol``;
+    """int_a^b f(x) j_l(alpha x) dx for an interpolated prefactor f, by
+    weighted_integral's routes.  Raises NotConvergedError, which carries
+    the result record, when a quadrature run misses ``tol``;
     weighted_integral returns the record.
     """
     return weighted_integral(f, l, alpha, a, b, tol).value
@@ -301,14 +285,10 @@ def integrate_product(
     b: float,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """int_a^b f(x) j_k(alpha x) j_l(beta x) dx for an interpolated f.
-
-    Dispatches into the squared (k = l, alpha = beta), same order
-    (k = l) or mixed family.  The routes are weighted_integral's:
-    quadrature below the first-zero threshold, and over the whole
-    interval past AMPLIFICATION_GUARD or where the analytic route refuses
-    (near-degenerate scales).  Raises NotConvergedError, which carries
-    the result record, when a quadrature run misses ``tol``;
-    weighted_integral returns the record.
+    """int_a^b f(x) j_k(alpha x) j_l(beta x) dx for an interpolated f, by
+    weighted_integral's routes; the per-point tables take the squared
+    (k = l, alpha = beta), same-order (k = l) or mixed family.  Raises
+    NotConvergedError, which carries the result record, when a quadrature
+    run misses ``tol``; weighted_integral returns the record.
     """
     return weighted_integral(f, l, alpha, a, b, tol, k=k, beta=beta).value

@@ -93,6 +93,29 @@ class TestVerifyIdentity:
         with pytest.raises(DomainError):
             verify_identity(AppendixIdentity("no-such"), 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            ({"l": 1.5}, "l"),
+            ({"n": True}, "n"),
+            ({"k": "2"}, "k"),
+            ({"alpha": "1"}, "alpha"),
+            ({"beta": None}, "beta"),
+            ({"alpha": math.inf}, "alpha"),
+            ({"beta": True}, "beta"),
+        ],
+    )
+    def test_parameters_are_checked(self, params, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            AppendixIdentity("same-x", **params)
+
+    def test_parameters_become_ints_and_floats(self):
+        import numpy as np
+
+        p = AppendixIdentity("same-x", l=np.int64(2), alpha=np.float64(0.5), beta=2)
+        assert (type(p.l), type(p.alpha), type(p.beta)) == (int, float, float)
+        assert p == AppendixIdentity("same-x", l=2, alpha=0.5, beta=2.0)
+
     def test_interval_validation(self):
         with pytest.raises(DomainError):
             verify_identity(AppendixIdentity("squared-x", l=1), 3.0, 2.0)

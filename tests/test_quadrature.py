@@ -383,6 +383,16 @@ class TestIntegrandBuilder:
         expect = [x**2 * j(3, 1.5 * x) * j(3, 0.5 * x) for x in xs]
         assert np.allclose(f(xs), expect, rtol=1e-13)
 
+    @pytest.mark.parametrize("xs", ["1.0", None, [1.0, "2"], 1j])
+    def test_nodes_must_be_real(self, xs):
+        with pytest.raises(DomainError, match="^xs must be an array of real numbers"):
+            integrand(IntegralSpec("I", 0, 2))(xs)
+
+    def test_float_nodes_as_they_are(self):
+        f = integrand(IntegralSpec("I", 0, 2))
+        xs = np.array([0.0, 0.5, 3.0])
+        assert f(xs).tolist() == f([0, 0.5, 3]).tolist() == [f(float(x))[0] for x in xs]
+
     def test_negative_scale_parity(self):
         from besselquad import j
 

@@ -77,3 +77,21 @@ def test_grid_covers_every_engine():
     families = {key.split("/")[2][0] for key in entries}
     assert families == set("HKLTAR")
     assert any("error" in v for v in entries.values() if isinstance(v, dict))
+
+
+def test_weighted_grid_covers_the_routes():
+    # linear and cubic interpolants, j_l and every kind of product, and
+    # intervals below, above and across the threshold, where the
+    # analytic route refuses too; a second run writes the same entries
+    tool = _tool()
+    entries = dict(tool.weighted_entries(bq, 60, 16))
+    assert entries == dict(tool.weighted_entries(bq, 60, 16))
+    assert len(entries) == 60
+    keys = " ".join(entries)
+    assert all(kind in keys for kind in tool.WEIGHTED_KINDS)
+    assert "degree=1" in keys and "degree=3" in keys
+    fields = {"value", "error_estimate", "evaluations", "converged", "strategy", "segments"}
+    assert all(set(v) == fields for v in entries.values())
+    routes = {tuple(route for route, _, _ in v["segments"]) for v in entries.values()}
+    assert {("quadrature",), ("recursion",), ("quadrature", "recursion")} <= routes
+    assert any(v["strategy"][1].startswith("recursion refused") for v in entries.values())

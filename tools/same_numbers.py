@@ -1,7 +1,7 @@
 """Write every output of the benchmark pools and of a seeded engine grid
 to JSON, or diff two such files: one command for "same numbers".
 
-    python3 tools/same_numbers.py OUT.json [--src DIR] [--grid N] [--seed S]
+    python3 tools/same_numbers.py OUT.json [--src DIR] [--grid N] [--weighted N] [--seed S]
     python3 tools/same_numbers.py --compare A.json B.json
 
 The first form imports besselquad from ``--src`` (default: this
@@ -19,7 +19,13 @@ measured with this one file.  It records
   the calls draw n relative to the order, from -2l-5 to 2l+5, where the
   closed forms of the deep levels sit.  One call in ten passes x and the
   scales as ``numpy.float64``, and another one in ten as ints, rounded to
-  integral values first; their keys end in " as float64" and " as int".
+  integral values first; their keys end in " as float64" and " as int";
+* ``--weighted`` seeded ``weighted_integral`` calls, recorded like the
+  pool inputs.  Linear and cubic interpolants of a slowly varying
+  prefactor, sampled from 0 to about 400, weight j_l or a product whose
+  scales are unrelated, equal in magnitude (sign flips included), both
+  negative or near-degenerate (the analytic route refuses some of
+  these); a third of the intervals straddle the first-zero threshold.
 
 Floats are written with ``float.hex``, so equal files mean bitwise equal
 numbers; an error is written as its type and message.  ``--compare``
@@ -167,11 +173,64 @@ def grid_entries(bq, calls: int, seed: int):
         yield key, _outcome(fn)
 
 
-def write(out: str, src: str, calls: int, seed: int) -> None:
+#: the Bessel factors of the weighted grid, drawn in turn
+WEIGHTED_KINDS = ("single", "general", "equal", "negative", "near-degenerate")
+
+
+def _weighted_factors(rng: random.Random, kind: str) -> tuple:
+    """(l, alpha, k, beta) of one weighted call; k and beta are None for j_l."""
+    l = rng.randint(0, 12)
+    alpha = rng.uniform(0.2, 3.0) * rng.choice((1, 1, -1))
+    if kind == "single":
+        return l, alpha, None, None
+    k = rng.randint(max(0, l - 3), l + 3)
+    if kind == "general":
+        beta = rng.uniform(0.2, 3.0) * rng.choice((1, 1, -1))
+    elif kind == "equal":
+        k = rng.choice((k, l))  # the squared family when k = l and beta = alpha
+        beta = alpha * rng.choice((1, -1))
+    elif kind == "negative":
+        alpha, beta = -abs(alpha), -rng.uniform(0.2, 3.0)
+    else:
+        beta = alpha * (1 + rng.choice((1e-9, 1e-7, 1e-5, 1e-3)))
+    return l, alpha, k, beta
+
+
+def weighted_entries(bq, calls: int, seed: int):
+    rng = random.Random(seed)
+    for i in range(calls):
+        kind = WEIGHTED_KINDS[i % len(WEIGHTED_KINDS)]
+        degree = 3 if i // len(WEIGHTED_KINDS) % 2 else 1
+        l, alpha, k, beta = _weighted_factors(rng, kind)
+        # the first-zero threshold, up to the pi of order 0
+        slow = min(abs(s) for s in (alpha, beta) if s is not None)
+        t = (4.75 + 1.05 * max(l, k or 0)) / slow
+        if i % 3 == 0:
+            a, b = t * rng.uniform(0.2, 0.9), t * rng.uniform(1.2, 4.0)
+        else:
+            a = 0.0 if i % 7 == 0 else rng.uniform(0.0, 300.0)
+            b = a + rng.uniform(5.0, 100.0)
+        lo, hi = max(0.0, a - rng.uniform(0.0, 5.0)), b + rng.uniform(0.0, 5.0)
+        xs = np.linspace(lo, hi, rng.randint(4, 32))
+        c0, amp = rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.5)
+        w, slope = rng.uniform(3.0, 30.0), rng.uniform(-1.0, 1.0)
+        fs = c0 + amp * np.sin(xs / w) + slope * (xs - lo) / (hi - lo)
+        key = (f"weighted/{i}/{kind} degree={degree} l={l} alpha={alpha!r} k={k} beta={beta!r} "
+               f"[{a!r}, {b!r}] samples={len(xs)} on [{lo!r}, {hi!r}]")
+
+        def fn():
+            pp = bq.build_interpolant(np.column_stack([xs, fs]), degree=degree)
+            return _result(bq.weighted_integral(pp, l, alpha, a, b, k=k, beta=beta))
+
+        yield key, _outcome(fn)
+
+
+def write(out: str, src: str, calls: int, weighted: int, seed: int) -> None:
     sys.path.insert(0, os.path.abspath(src))
     bq = importlib.import_module("besselquad")
     entries = dict(pool_entries(bq))
     entries.update(grid_entries(bq, calls, seed))
+    entries.update(weighted_entries(bq, weighted, seed))
     with open(out, "w") as fh:
         json.dump({"src": os.path.abspath(src), "seed": seed, "entries": entries}, fh)
     errors = sum(1 for v in entries.values() if isinstance(v, dict) and "error" in v)
@@ -210,14 +269,15 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the besselquad package to import")
     parser.add_argument("--grid", type=int, default=20_000, help="engine grid calls")
-    parser.add_argument("--seed", type=int, default=15, help="engine grid seed")
+    parser.add_argument("--weighted", type=int, default=3_000, help="weighted grid calls")
+    parser.add_argument("--seed", type=int, default=15, help="engine and weighted grid seed")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="diff two files")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not args.out:
         parser.error("give OUT.json or --compare A B")
-    write(args.out, args.src, args.grid, args.seed)
+    write(args.out, args.src, args.grid, args.weighted, args.seed)
     return 0
 
 
