@@ -423,18 +423,32 @@ def bessel_product(factors: tuple, xs: np.ndarray, lead=None) -> np.ndarray:
 
 
 def antiderivative(
-    spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True
+    spec: IntegralSpec,
+    x: float,
+    closed_forms: bool = True,
+    constants: bool = True,
+    tables: dict | None = None,
 ) -> float:
     """Antiderivative value of the spec's integrand at x, by recursion:
-    ``point_table(spec, x, closed_forms, constants).value(spec.n)``.  A
-    caller that needs several exponents at one point asks one point_table.
+    ``point_table(spec, x, closed_forms, constants).value(spec.n)``.
 
     constants=False drops the x-independent constants of integration
     (definite differences are unchanged, but conditioned on the genuine
     oscillation scale rather than the constants; the definite evaluators
     difference in that mode).
+
+    tables, when given, keeps the per-point tables across calls, keyed by
+    x: a caller that needs several exponents of one family, orders and
+    scales at the same points (the weighted integrator) passes one dict
+    for all of them, with the same closed_forms and constants, so each
+    point builds one table.
     """
-    return point_table(spec, x, closed_forms, constants).value(spec.n)
+    if tables is None:
+        return point_table(spec, x, closed_forms, constants).value(spec.n)
+    table = tables.get(x)
+    if table is None:
+        table = tables[x] = point_table(spec, x, closed_forms, constants)
+    return table.value(spec.n)
 
 
 def _run_routes(

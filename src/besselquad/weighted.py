@@ -22,9 +22,10 @@ cubic polynomials exactly and converges at fourth order for smooth f.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .errors import DomainError, QuadratureRecommendedError
-from .quadrature import DEFAULT_TOL, MAX_EVALS, _run_routes, bessel_product, point_table
+from .quadrature import DEFAULT_TOL, MAX_EVALS, _run_routes, antiderivative, bessel_product
 from .types import (
     DefiniteResult, IntegralSpec, PiecewisePolynomial, check_integer, check_limits, check_real_array,
 )
@@ -202,9 +203,9 @@ def weighted_integral(
 
     The analytic route over [lo, hi] is the sum of c_m (F_m(hi) - F_m(lo))
     over the pieces and the monomials x^m with nonzero coefficient.  Each
-    breakpoint builds one per-point table (point_table), whose value(m)
-    serves every monomial, and adjacent pieces share the breakpoint
-    between them.  A quadrature segment is one adaptive run with the
+    breakpoint builds one per-point table (point_table, kept in
+    antiderivative's tables), whose value(m) serves every monomial, and
+    adjacent pieces share the breakpoint between them.  A quadrature segment is one adaptive run with the
     interpolant's knots inside it as breakpoints: no panel straddles a
     knot, each node takes the polynomial of its own piece, and the
     tolerance applies to the segment, not to each piece.
@@ -230,13 +231,13 @@ def weighted_integral(
     first, last = f.span
     if a < first - 1e-12 * max(1.0, abs(first)) or b > last + 1e-12 * max(1.0, abs(last)):
         raise DomainError(f"[{a}, {b}] exceeds the interpolant span [{first}, {last}]")
-    tables: dict = {}  # breakpoint -> its table
+    # the monomial x^m's spec, and one table per breakpoint (antiderivative's
+    # tables) serving every monomial and both pieces that meet there
+    specs = [replace(spec, n=m) for m in range(max(len(c) for c in f.coefficients))]
+    tables: dict = {}
 
-    def table(x: float):
-        t = tables.get(x)
-        if t is None:
-            t = tables[x] = point_table(spec, x, constants=False)
-        return t
+    def F(m: int, x: float) -> float:
+        return antiderivative(specs[m], x, constants=False, tables=tables)
 
     def difference(lo: float, hi: float) -> float:
         total = 0.0
@@ -245,7 +246,7 @@ def weighted_integral(
             for m, cm in enumerate(_global_coeffs(f.coefficients[i], f.breakpoints[i])):
                 if cm == 0.0:
                     continue
-                term = cm * (table(p_hi).value(m) - table(p_lo).value(m))
+                term = cm * (F(m, p_hi) - F(m, p_lo))
                 total += term
                 spread += abs(term)
         # far from the origin the global monomials' terms cancel, like

@@ -76,6 +76,16 @@ def test_shared_table_is_bitwise_the_fresh_one(spec, x):
             assert got == fresh
 
 
+def test_tables_memo_builds_one_table_per_point():
+    spec = IntegralSpec("L", 0, 3, 1.3, k=1, beta=0.7)
+    tables = {}
+    for n, x in itertools.product(EXPONENTS, (9.0, 12.5)):
+        s = IntegralSpec("L", n, 3, 1.3, k=1, beta=0.7)
+        assert antiderivative(s, x, tables=tables) == antiderivative(s, x)
+    assert sorted(tables) == [9.0, 12.5]
+    assert type(tables[9.0]) is type(point_table(spec, 9.0))
+
+
 def test_equal_magnitude_K_gets_the_H_table_with_the_parity_sign():
     x = 6.1
     table = point_table(IntegralSpec("K", 0, 3, 1.2, beta=-1.2), x)

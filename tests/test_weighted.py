@@ -223,8 +223,8 @@ class TestSharedBreakpoints:
             tables[x] += 1
             return point_table(spec, x, *args, **kw)
 
-        point_table = weighted.point_table
-        monkeypatch.setattr(weighted, "point_table", counted_table)
+        point_table = quadrature.point_table
+        monkeypatch.setattr(quadrature, "point_table", counted_table)
         if k is None:
             got = integrate_single(pp, l, alpha, a, b)
         else:
