@@ -196,8 +196,13 @@ def adaptive_quad(
     integrand call per PANEL_CHUNK panels, each bisection with one call
     on the 30 nodes of both halves.  So the node arrays, and the memory
     they take, stay below PANEL_CHUNK * 15 points however long [a, b]
-    is.  A scalar integrand goes through the same rule, node by node, and
-    gives the same result as its vectorized form.
+    is.  (A two-factor integrand passes both factors' arguments to one
+    j_many call, 2 * PANEL_CHUNK * 15 points.)  The panels' values and
+    errors are summed in partition order; the heap that picks the panel
+    to bisect is built before the first bisection, so a run whose initial
+    partition meets the tolerance, the common case, builds none.  A
+    scalar integrand goes through the same rule, node by node, and gives
+    the same result as its vectorized form.
 
     Pure function; when the caller runs it from several threads the
     integrand must itself be safe to call concurrently.
@@ -223,7 +228,7 @@ def adaptive_quad(
         initial_max_width = check_real("initial_max_width", initial_max_width)
     edges = _initial_edges(knots, initial_max_width, max(1, max_evals // (30 * nsub)))
     npieces = len(edges) - 1
-    heap = []
+    chunks = []  # (edges, values, errors) of each integrand call
     total = 0.0
     total_err = 0.0
     evals = 0
@@ -231,13 +236,21 @@ def adaptive_quad(
         chunk = edges[first : first + PANEL_CHUNK + 1]
         vs, es, n = _gk15_panels(integrand, chunk, vectorized)
         evals += n
-        for lo, hi, v, e in zip(chunk[:-1].tolist(), chunk[1:].tolist(), vs, es):
+        for v in vs:
             total += v
+        for e in es:
             total_err += e
-            heap.append((-e, lo, hi, v, e))
-    heapq.heapify(heap)
+        chunks.append((chunk, vs, es))
+    heap = None  # built before the first bisection: most runs need none
     min_width = 1e-14 * max(1.0, abs(a), abs(b))
     while total_err > max(tol, rtol * abs(total)) and evals + 30 <= max_evals:
+        if heap is None:
+            heap = [
+                (-e, lo, hi, v, e)
+                for chunk, vs, es in chunks
+                for lo, hi, v, e in zip(chunk[:-1].tolist(), chunk[1:].tolist(), vs, es)
+            ]
+            heapq.heapify(heap)
         neg_e, lo, hi, v, e = heapq.heappop(heap)
         if hi - lo < min_width:
             # cannot refine further; put it back and stop
@@ -407,19 +420,39 @@ def bessel_product(factors: tuple, xs: np.ndarray, lead=None) -> np.ndarray:
     """The product of j_order(scale * xs) over a spec's ``factors``,
     times ``lead`` when given: lead * j1 * j2, left to right.
 
-    Two equal factors (the squared family) share one j_many call, and
-    lead multiplies their square.
+    Two factors take one j_many call between them: the nodes scaled by
+    each factor's |scale|, one array after the other, with each factor's
+    order per point, so one walk serves both and a two-factor node array
+    of adaptive_quad's initial partition is 2 * PANEL_CHUNK * 15 points.
+    Two equal factors (the squared family) take one call on the nodes
+    alone, and lead multiplies their square.
     """
-    (order, scale), *rest = factors
-    out = _j_signed(order, scale, xs)
-    if rest and rest[0] == factors[0]:
-        out = out**2
-        rest = ()
-    if lead is not None:
-        out = lead * out
-    for order, scale in rest:
-        out = out * _j_signed(order, scale, xs)
-    return out
+    import numpy as np
+
+    if len(factors) == 1 or factors[0] == factors[1]:
+        out = _j_signed(*factors[0], xs)
+        if len(factors) > 1:
+            out = out**2
+        return out if lead is None else lead * out
+    (k, alpha), (l, beta) = factors
+    sign_k, a = parity_fold(k, alpha)
+    sign_l, b = parity_fold(l, beta)
+    n = len(xs)
+    u = np.empty((2 * n, *xs.shape[1:]))
+    with np.errstate(over="ignore"):
+        np.multiply(a, xs, out=u[:n])
+        np.multiply(b, xs, out=u[n:])
+    if k == l:  # the same order at every point
+        orders = k
+    else:
+        orders = np.empty(u.shape, dtype=np.int64)
+        orders[:n] = k
+        orders[n:] = l
+    v = j_many(orders, u)
+    j1 = -v[:n] if sign_k < 0 else v[:n]
+    j2 = -v[n:] if sign_l < 0 else v[n:]
+    out = j1 if lead is None else lead * j1
+    return out * j2
 
 
 def antiderivative(
@@ -496,10 +529,12 @@ def _run_routes(
             except (DomainError, NearDegenerateError, QuadratureRecommendedError) as exc:
                 if strategy == "recursion":
                     raise
-                reason = (
-                    f"recursion refused ({type(exc).__name__}: {exc}); "
-                    "quadrature over the whole interval"
+                # a split plan's analytic segment [t, b] gets a run of its own
+                covered = (
+                    "the whole interval" if len(plan) == 1
+                    else f"[{lo:.6g}, {hi:.6g}] as well as below the threshold"
                 )
+                reason = f"recursion refused ({type(exc).__name__}: {exc}); quadrature over {covered}"
         done.append(("quadrature", lo, hi))
         inner = [p for p in knots if lo < p < hi]
         if max_evals - evals < _PANEL_NODES * (len(inner) + 1):

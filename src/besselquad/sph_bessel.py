@@ -150,108 +150,243 @@ def j_parity_extend(l: int, x: float) -> float:
     return -v if sign < 0 else v
 
 
-def j_many(l: int, xs) -> np.ndarray:
+def j_many(l, xs) -> np.ndarray:
     """Vectorized j_l over an array of finite nonnegative arguments.
 
-    Arguments at or above l + UPWARD_MARGIN are handled with vectorized
-    upward recursion; the rest go through ``_j_below_margin``, one
-    downward (Miller) recursion over all of them at once, so a call costs
-    a fixed number of array steps for its order, whatever the number of
-    points.  Below the margin every value is bitwise equal to ``j(l, x)``.
+    ``l`` is one order for every point, or a numpy integer array shaped
+    like ``xs`` that gives each point its own order.  Arguments at or
+    above their order + UPWARD_MARGIN share one vectorized upward walk to
+    the highest of their orders; the rest go through ``_j_below_margin``,
+    one downward (Miller) walk over all of them at once.  So a call costs
+    a fixed number of array steps for its highest order, whatever the
+    number of points, and the factors of a product integrand take one
+    call between them.  Every value is bitwise what a call with its own
+    order alone gives, and below the margin bitwise equal to
+    ``j(order, x)``.
     """
     import numpy as np
 
-    l = check_integer("l", l, 0)
+    per_point = isinstance(l, np.ndarray) and l.ndim > 0
+    if not per_point:
+        l = check_integer("l", l, 0)
     xs = check_real_array("xs", xs)
-    ok = (xs >= 0) & (xs < math.inf)
-    if not ok.all():
-        raise DomainError(f"j_many requires 0 <= x < inf, got {xs[~ok].flat[0]}")
-    out = np.empty_like(xs)
+    if per_point:
+        l = _check_orders(l, xs)
+    if xs.size and not (xs.min() >= 0 and xs.max() < math.inf):  # nan fails too
+        bad = ~((xs >= 0) & (xs < math.inf))
+        raise DomainError(f"j_many requires 0 <= x < inf, got {xs[bad].flat[0]}")
+    if not xs.size:
+        return np.empty(xs.shape)
+    shape = xs.shape
+    xs = xs.ravel()
+    if per_point:
+        l = l.ravel()
     up = xs >= l + UPWARD_MARGIN
-    if np.any(up):
-        xu = xs[up]
-        s = np.sin(xu)
-        c = np.cos(xu)
-        j0 = s / xu
-        if l == 0:
-            out[up] = j0
-        else:
-            j1 = s / (xu * xu) - c / xu
-            if l == 1:
-                out[up] = j1
-            else:
-                for m in range(2, l + 1):
-                    j0, j1 = j1, (2 * m - 1) / xu * j1 - j0
-                out[up] = j1
+    if up.all():
+        return _j_upward(l, xs).reshape(shape)
+    if not up.any():
+        return _j_below_margin(l, xs).reshape(shape)
+    out = np.empty_like(xs)
+    out[up] = _j_upward(l[up] if per_point else l, xs[up])
     rest = ~up
-    if np.any(rest):
-        out[rest] = _j_below_margin(l, xs[rest])
+    out[rest] = _j_below_margin(l[rest] if per_point else l, xs[rest])
+    return out.reshape(shape)
+
+
+def _check_orders(l: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """j_many's order array as int64, when it holds integers >= 0 (bools
+    are not integers), one per point of xs; anything else is a
+    DomainError."""
+    if l.dtype.kind not in "iu" or l.shape != xs.shape:
+        raise DomainError(
+            f"l must be an integer or an integer array shaped like xs {xs.shape}, "
+            f"got {l.dtype} values of shape {l.shape}"
+        )
+    if l.size and l.min() < 0:
+        raise DomainError(f"l must hold integers >= 0, got {l.min()}")
+    return l.astype("int64", copy=False)
+
+
+def _by_order(l, x: np.ndarray) -> tuple:
+    """(x, runs, perm): the points x sorted by falling order, the run
+    (order, lo, hi) of x[lo:hi] that each order holds, highest first, and
+    the sorting permutation (None: x was sorted).  An int l is one run;
+    rising orders, as a product's factors may give, are reversed."""
+    import numpy as np
+
+    if isinstance(l, int):
+        return x, [(l, 0, len(x))], None
+    perm = None
+    if (l[1:] > l[:-1]).any():
+        perm = slice(None, None, -1) if (l[1:] >= l[:-1]).all() else np.argsort(-l, kind="stable")
+        l, x = l[perm], np.ascontiguousarray(x[perm])
+    bounds = [0, *(np.flatnonzero(l[1:] != l[:-1]) + 1).tolist(), len(l)]
+    return x, [(int(l[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])], perm
+
+
+def _unsorted(values: np.ndarray, perm) -> np.ndarray:
+    """Values at the points ``_by_order`` sorted by ``perm``, in the
+    points' own order."""
+    import numpy as np
+
+    if perm is None:
+        return values
+    out = np.empty_like(values)
+    out[perm] = values
     return out
+
+
+def _j_upward(l, x: np.ndarray) -> np.ndarray:
+    """j at a 1-D array of arguments x >= order + UPWARD_MARGIN, with one
+    order or one per point: one upward walk from j_0 and j_1, each value
+    taken at its own order.  Sorted by falling order, the points whose
+    order the walk has not reached are a prefix, and each step runs on
+    that prefix alone."""
+    import numpy as np
+
+    x, runs, perm = _by_order(l, x)
+    out = np.empty_like(x) if len(runs) > 1 else None
+    s = np.sin(x)
+    c = np.cos(x)
+    xk = x
+    j1 = s / x  # the walk at m on the points xk = x[:k], j0 at m - 1
+    m = 0
+    for order, lo, k in reversed(runs):  # lowest order first: its points end xk
+        if k < len(xk):
+            xk, j1 = x[:k], j1[:k]
+            if m:
+                j0, jm = j0[:k], jm[:k]
+        if m == 0 and order > 0:
+            m = 1
+            j0, j1 = j1, s[:k] / (xk * xk) - c[:k] / xk
+            jm = np.empty_like(j1)
+        for m in range(m + 1, order + 1):
+            np.divide(2 * m - 1, xk, out=jm)
+            jm *= j1
+            jm -= j0
+            j0, j1, jm = j1, jm, j0
+        if out is None:
+            return j1
+        out[lo:k] = j1[lo:k]
+    return _unsorted(out, perm)
 
 
 #: log of _RESCALE_AT, less a margin for the rounding of the growth bound
-#: in _j_below_margin
+#: in _j_miller
 _LOG_RESCALE_AT = math.log(_RESCALE_AT) - 1.0
 
 
-def _j_below_margin(l: int, x: np.ndarray) -> np.ndarray:
-    """j_l at a 1-D array of arguments 0 <= x < l + UPWARD_MARGIN.
+def _j_below_margin(l, x: np.ndarray) -> np.ndarray:
+    """j at a 1-D array of arguments 0 <= x < order + UPWARD_MARGIN, with
+    one order or one per point.
 
     The same arithmetic as ``j``, one array step per order: the ascending
-    series below SMALL_X_SERIES, sinc at l = 0, and otherwise the Miller
-    walk of ``_j_list`` from the same starting order, with the same
-    per-point rescaling and the same j_0 / j_1 normalisation.
+    series below SMALL_X_SERIES, and above it ``_j_miller``.
     """
     import numpy as np
 
-    out = np.empty_like(x)
     small = x < SMALL_X_SERIES
-    if np.any(small):
-        out[small] = _series_value(l, x[small])
-        x = x[~small]
-        if not len(x):
-            return out
+    if not np.any(small):
+        return _j_miller(l, x)
+    out = np.empty_like(x)
+    xs, runs, perm = _by_order(l if isinstance(l, int) else l[small], x[small])
+    series = np.empty_like(xs)
+    for order, lo, hi in runs:
+        series[lo:hi] = _series_value(order, xs[lo:hi])
+    out[small] = _unsorted(series, perm)
+    big = ~small
+    if np.any(big):
+        out[big] = _j_miller(l if isinstance(l, int) else l[big], x[big])
+    return out
+
+
+def _j_miller(l, x: np.ndarray) -> np.ndarray:
+    """j at a 1-D array of arguments SMALL_X_SERIES <= x < order +
+    UPWARD_MARGIN: sinc at order 0, and otherwise the Miller walk of
+    ``_j_list`` from the same starting order, with the same per-point
+    rescaling and the same j_0 / j_1 normalisation.
+
+    One walk serves every order: sorted by falling order, which is
+    falling start, the points whose start the walk has passed are a
+    prefix, and each point joins it at its own start.
+    """
+    import numpy as np
+
+    x, runs, perm = _by_order(l, x)
     # math.sin and math.cos, as j uses: numpy's may differ in the last bit
     xl = x.tolist()
     s = np.fromiter(map(math.sin, xl), float, len(xl))
-    if l == 0:
-        out[~small] = s / x
-        return out
-    c = np.fromiter(map(math.cos, xl), float, len(xl))
-    lstart = l + max(20, math.ceil(1.5 * l))
-    jp = np.zeros_like(x)  # j_{m+1}, unnormalized
-    jc = np.ones_like(x)  # j_m, unnormalized
-    jm = np.empty_like(x)
-    kept = {}  # order -> unnormalized j at the orders l, 1 and 0
+    out = np.empty_like(x)
+    if runs[-1][0] == 0:
+        _, lo, _ = runs.pop()
+        out[lo:] = s[lo:] / x[lo:]
+        if not runs:
+            return _unsorted(out, perm)
+    n = runs[-1][2]  # the points of order >= 1
+    xn, s = x[:n], s[:n]
+    c = np.fromiter(map(math.cos, xl[:n]), float, n)
+    # after the step that reaches order m - 1: the runs of that order
+    # keep their values, and the run whose start is m - 1 joins; a run's
+    # start rises with its order, so the points joined are a prefix
+    keep_at = {order + 1: (lo, hi) for order, lo, hi in runs}
+    join_at = {order + max(20, math.ceil(1.5 * order)) + 1: hi for order, _, hi in runs}
+    top = max(join_at) - 1
+    k = join_at.pop(top + 1)
+    marks = {*keep_at, *join_at, 2, 1}
+    jp = np.zeros(k)  # j_{m+1}, unnormalized
+    jc = np.ones(k)  # j_m, unnormalized
+    jm = np.empty(k)
+    xk = xn[:k]
+    # unnormalized j at each point's own order; zero until kept, so the
+    # rescaling of the points not kept yet leaves them zero
+    kept = np.zeros(n)
+    kept_k = kept[:k]
+    kept_low = {}  # order -> unnormalized j at the orders 1 and 0
     # |j_m| grows by at most a factor (2m+1)/x + 1 per step, so no point
     # can pass _RESCALE_AT before this bound on log max |j| does
     growth = 0.0
-    x_min = float(x.min())
-    for m in range(lstart, 0, -1):
-        np.divide(2 * m + 1, x, out=jm)
+    x_min = float(xn.min())
+    for m in range(top, 0, -1):
+        np.divide(2 * m + 1, xk, out=jm)
         jm *= jc
         jm -= jp
         jp, jc, jm = jc, jm, jp
-        if m - 1 in (l, 1, 0):
-            kept[m - 1] = jc.copy()
         if growth <= _LOG_RESCALE_AT:
             growth += math.log1p((2 * m + 1) / x_min)
-            if growth <= _LOG_RESCALE_AT:
-                continue
-        over = np.abs(jc) > _RESCALE_AT
-        if over.any():
-            jp[over] /= _RESCALE_AT
-            jc[over] /= _RESCALE_AT
-            for v in kept.values():
-                v[over] /= _RESCALE_AT
-    j0_true = s / x
-    j1_true = s / (x * x) - c / x
+        if growth > _LOG_RESCALE_AT:
+            over = np.abs(jc) > _RESCALE_AT
+            if over.any():
+                jp[over] /= _RESCALE_AT
+                jc[over] /= _RESCALE_AT
+                kept_k[over] /= _RESCALE_AT
+                for v in kept_low.values():
+                    v[over] /= _RESCALE_AT
+        if m not in marks:
+            continue
+        # a value kept after the rescaling of its step is the one kept
+        # before it and rescaled with the walk
+        span = keep_at.get(m)
+        if span is not None:
+            kept[span[0] : span[1]] = jc[span[0] : span[1]]
+        if m <= 2:
+            kept_low[m - 1] = jc.copy()
+        end = join_at.get(m)
+        if end is not None:
+            # the points starting at m - 1 join with j_m = 0, j_{m-1} = 1
+            jp = np.concatenate([jp, np.zeros(end - k)])
+            jc = np.concatenate([jc, np.ones(end - k)])
+            k = end
+            jm = np.empty(k)
+            xk = xn[:k]
+            kept_k = kept[:k]
+    j0_true = s / xn
+    j1_true = s / (xn * xn) - c / xn
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(
-            np.abs(j0_true) >= np.abs(j1_true), j0_true / kept[0], j1_true / kept[1]
+            np.abs(j0_true) >= np.abs(j1_true), j0_true / kept_low[0], j1_true / kept_low[1]
         )
-    out[~small] = kept[l] * scale
-    return out
+    out[:n] = kept * scale
+    return _unsorted(out, perm)
 
 
 @finite_result

@@ -414,20 +414,38 @@ def column_plan(top: int, lo: int, hi: int, closed) -> tuple:
     column and the one before, so a fill takes level 0 first and then
     each column upwards.  A shallow walk costs about as much to plan as
     to fill, so plans are kept.
+
+    The columns' level spans are read off the runs' ends, where a column
+    enters or leaves the runs from one level to the next, so a plan costs
+    O(levels + columns) steps besides the ``closed`` calls of closed_at.
     """
     runs = sweep.__wrapped__(top, lo, hi, closed, ((0, 1), (-2, 1)), 0)  # the plan is kept
-    levels = {}
-    for lam in range(1, top + 1):
-        a, b = runs.get(lam, (0, -2))
-        for m in range(a, b + 1, 2):
-            levels.setdefault(m, []).append(lam)
+    first, last = {}, {}  # column -> its lowest and highest level above 0
+    below = (0, -2)
+    for lam in range(1, top + 2):
+        run = runs.get(lam, (0, -2))
+        for m in _beyond(run, below):
+            first.setdefault(m, lam)
+        for m in _beyond(below, run):
+            last[m] = lam - 1
+        below = run
     columns = []
-    for m in sorted(levels):
-        at = levels[m]
-        closed_at = tuple(lam for lam in at if closed and closed(m, lam))
-        columns.append((m, range(at[0], at[-1] + 1), len(closed_at) == len(at), closed_at))
+    for m in sorted(first):
+        levels = range(first[m], last[m] + 1)
+        closed_at = tuple(filter(functools.partial(closed, m), levels)) if closed else ()
+        columns.append((m, levels, len(closed_at) == len(levels), closed_at))
     a, b = runs.get(0, (0, -2))
     return range(a, b + 1, 2), tuple(columns)
+
+
+def _beyond(run: tuple, other: tuple) -> list:
+    """The exponents of ``run`` (lo, hi), in steps of 2, outside the span
+    of ``other`` (empty when its lo > hi): at most two stretches."""
+    lo, hi = run
+    olo, ohi = other
+    if olo > ohi:
+        return range(lo, hi + 1, 2)
+    return [*range(lo, min(hi, olo - 2) + 1, 2), *range(max(lo, ohi + 2), hi + 1, 2)]
 
 
 @dataclass(frozen=True)

@@ -258,11 +258,14 @@ class TestDeepRecursions:
 
 
 def _count_j_many(monkeypatch):
+    """Count quadrature's j_many calls by (orders, points): the orders a
+    call takes, one or one per point, as a sorted tuple."""
     calls = Counter()
     j_many = quadrature.j_many
 
     def counted(l, xs):
-        calls[l] += 1
+        orders = (l,) if isinstance(l, int) else tuple(sorted(set(l.tolist())))
+        calls[orders, len(xs)] += 1
         return j_many(l, xs)
 
     monkeypatch.setattr(quadrature, "j_many", counted)
@@ -270,25 +273,26 @@ def _count_j_many(monkeypatch):
 
 
 class TestSharedProduct:
-    """One Bessel product over spec.factors: two equal factors share one
-    j_many call."""
+    """One Bessel product over spec.factors, one j_many call per integrand
+    call: two equal factors share it on the nodes alone, two other
+    factors take it on both their arguments, with an order per point."""
 
     @pytest.mark.parametrize(
-        "spec, per_call",
+        "spec, call",
         [
-            (IntegralSpec("I", 1, 2, -1.3), 1),
-            (IntegralSpec("H", 1, 2, -1.3), 1),
-            (IntegralSpec("L", 1, 2, -1.3, k=2, beta=-1.3), 1),
-            (IntegralSpec("K", 1, 2, 1.3, beta=-1.3), 2),
-            (IntegralSpec("L", 1, 2, 1.3, k=1, beta=0.7), 2),
+            (IntegralSpec("I", 1, 2, -1.3), ((2,), 7)),
+            (IntegralSpec("H", 1, 2, -1.3), ((2,), 7)),
+            (IntegralSpec("L", 1, 2, -1.3, k=2, beta=-1.3), ((2,), 7)),
+            (IntegralSpec("K", 1, 2, 1.3, beta=-1.3), ((2,), 14)),
+            (IntegralSpec("L", 1, 2, 1.3, k=1, beta=0.7), ((1, 2), 14)),
         ],
     )
-    def test_integrand(self, spec, per_call, monkeypatch):
+    def test_integrand(self, spec, call, monkeypatch):
         f = integrand(spec)
         calls = _count_j_many(monkeypatch)
         xs = np.linspace(0.5, 9.0, 7)
         got = f(xs)
-        assert sum(calls.values()) == per_call
+        assert calls == {call: 1}
         want = [
             x**spec.n * math.prod(float(quadrature.j_many(o, abs(s) * np.array([x]))[0])
                                   * (-1 if s < 0 and o % 2 else 1) for o, s in spec.factors)

@@ -13,8 +13,10 @@ must be that set.
 import pytest
 
 from besselquad.mixed_order import LEqualTable, LTable, _equal_closed_kind
+from besselquad.same_order import _CLOSED as K_CLOSED
 from besselquad.same_order import KTable
 from besselquad.squared_bessel import HTable, _closed_kind
+from besselquad.types import column_plan, sweep
 
 X = 40.0
 EXPONENTS = range(-6, 9)
@@ -198,3 +200,35 @@ def test_exponents_share_one_table():
         table.value(n)
         want |= h_cells(n, 12, True)
         assert stored(table.rows) == want, n
+
+
+def _column_plan_by_cells(top, lo, hi, closed):
+    """``types.column_plan`` read off every cell of the sweep: each level
+    run exponent by exponent, ``closed`` asked of each cell."""
+    runs = sweep(top, lo, hi, closed, ((0, 1), (-2, 1)), 0)
+    levels = {}
+    for lam in range(1, top + 1):
+        a, b = runs.get(lam, (0, -2))
+        for m in range(a, b + 1, 2):
+            levels.setdefault(m, []).append(lam)
+    columns = []
+    for m in sorted(levels):
+        at = levels[m]
+        assert at == list(range(at[0], at[-1] + 1)), (m, at)  # consecutive levels
+        closed_at = tuple(lam for lam in at if closed and closed(m, lam))
+        columns.append((m, range(at[0], at[-1] + 1), len(closed_at) == len(at), closed_at))
+    a, b = runs.get(0, (0, -2))
+    return range(a, b + 1, 2), tuple(columns)
+
+
+@pytest.mark.parametrize(
+    "closed", [_closed_kind, K_CLOSED[1], None], ids=["H", "K", "none"]
+)
+def test_column_plan_matches_the_cells(closed):
+    # the spans read off the runs' ends are the spans of the cells
+    for top in (*range(0, 13), 25):
+        for lo in range(-2 * top - 7, 2 * top + 8):
+            for width in (0, 1, 3):
+                hi = lo + 2 * width
+                want = _column_plan_by_cells(top, lo, hi, closed)
+                assert column_plan.__wrapped__(top, lo, hi, closed) == want, (top, lo, hi)

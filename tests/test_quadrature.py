@@ -1,3 +1,4 @@
+import heapq
 import math
 import warnings
 
@@ -88,6 +89,30 @@ class TestAdaptiveQuad:
         if vectorized:
             assert seen[0] == 15 and len(seen) > 1
             assert set(seen[1:]) == {30}
+
+    def test_heap_only_for_bisection(self, monkeypatch):
+        # a run whose initial partition converges builds no heap; one that
+        # bisects builds it once and still meets tol
+        from besselquad import quadrature
+
+        heaps = []
+        build = heapq.heapify
+
+        def heapify(heap):
+            heaps.append(len(heap))
+            return build(heap)
+
+        monkeypatch.setattr(quadrature.heapq, "heapify", heapify)
+        r = adaptive_quad(np.cos, 0.0, 40.0, vectorized=True, initial_max_width=1.0)
+        assert r.converged and r.evaluations == 15 * 40 and heaps == []
+        assert r.value == pytest.approx(math.sin(40.0), abs=1e-13)
+
+        tol = 1e-9
+        peak = lambda xs: 1.0 / (1e-3 + (xs - 0.3) * (xs - 0.3))
+        r = adaptive_quad(peak, 0.0, 1.0, tol=tol, vectorized=True, initial_max_width=0.25)
+        assert r.converged and r.evaluations > 15 * 4 and heaps == [4]
+        exact = (math.atan(0.7 / math.sqrt(1e-3)) + math.atan(0.3 / math.sqrt(1e-3))) / math.sqrt(1e-3)
+        assert abs(r.value - exact) <= tol * max(1.0, abs(exact))
 
     def test_max_evals_below_one_panel_is_domain_error(self):
         with pytest.raises(DomainError):
@@ -289,6 +314,21 @@ class TestDefiniteIntegral:
         assert r.segments == (("quadrature", 6.0, 20.0),)
         assert r.strategy.kind == "Quadrature"
         assert "recursion refused (NearDegenerateError" in r.strategy.reason
+        assert r.strategy.reason.endswith("; quadrature over the whole interval")
+
+    def test_refused_split_names_the_segment(self):
+        # the refused analytic segment [t, b] of a split plan gets its own
+        # quadrature run, and the reason names it
+        spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
+        t = oscillation_threshold(spec)
+        r = definite_integral(spec, 1.0, 20.0)
+        assert r.segments == (("quadrature", 1.0, t), ("quadrature", t, 20.0))
+        assert r.strategy.split_at == t
+        assert r.strategy.reason.startswith("recursion refused (NearDegenerateError")
+        assert r.strategy.reason.endswith(
+            f"; quadrature over [{t:.6g}, 20] as well as below the threshold"
+        )
+        assert "whole interval" not in r.strategy.reason
 
     def test_spent_budget_leaves_segment_unevaluated(self):
         # [1, t] takes the whole budget of one panel; the refused

@@ -5,6 +5,7 @@ entries that differ only in an error message are counted apart."""
 import importlib.util
 import json
 import os
+from collections import Counter
 
 import besselquad as bq
 
@@ -95,3 +96,33 @@ def test_weighted_grid_covers_the_routes():
     routes = {tuple(route for route, _, _ in v["segments"]) for v in entries.values()}
     assert {("quadrature",), ("recursion",), ("quadrature", "recursion")} <= routes
     assert any(v["strategy"][1].startswith("recursion refused") for v in entries.values())
+
+
+def test_quadrature_grid_reaches_both_walks(monkeypatch):
+    # the quadrature grid is deterministic, covers every family and scale
+    # relation, and its two-factor nodes reach the upward and the Miller
+    # walk of j_many with two orders in one call
+    from besselquad import sph_bessel
+
+    tool = _tool()
+    points, mixed = Counter(), Counter()
+    for name in ("_j_upward", "_j_miller"):
+        def counted(l, x, _walk=getattr(sph_bessel, name), _name=name):
+            points[_name] += len(x)
+            if not isinstance(l, int) and len(set(l.tolist())) > 1:
+                mixed[_name] += 1
+            return _walk(l, x)
+
+        monkeypatch.setattr(sph_bessel, name, counted)
+    entries = dict(tool.quadrature_entries(bq, 48, 16))
+    assert set(points) == set(mixed) == {"_j_upward", "_j_miller"}
+    monkeypatch.undo()
+    assert entries == dict(tool.quadrature_entries(bq, 48, 16))
+    assert len(entries) == 48
+    keys = " ".join(entries)
+    assert all(f"/{family} " in keys for family in "IHKL")
+    assert all(relation in keys for relation in tool.QUADRATURE_SCALES)
+    assert "[0.0, " in keys
+    fields = {"value", "error_estimate", "evaluations", "converged", "strategy", "segments"}
+    assert all(set(v) == fields for v in entries.values())
+    assert {v["strategy"][1] for v in entries.values()} == {"quadrature strategy requested"}

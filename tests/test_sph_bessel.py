@@ -179,6 +179,83 @@ class TestVectorized:
             j_extended(-1, 0.0)
 
 
+def _around_margin(l):
+    """Points on both sides of order l's margin, x = 0, the ascending
+    series and, at l = 40, the points near 1e-3 that pass the rescaling
+    threshold."""
+    top = l + sph_bessel.UPWARD_MARGIN
+    small = sph_bessel.SMALL_X_SERIES
+    return np.array([
+        0.0, 0.5 * small, np.nextafter(small, 0.0), small, 1e-3, 1.3e-3, 0.7,
+        0.5 * top, top - 1e-9, np.nextafter(top, 0.0), top, top + 1e-9, top + 3.7, 2.0 * top,
+    ])
+
+
+#: order pairs of a product integrand's two factors, reversed pairs included
+ORDER_PAIRS = sorted(
+    {(0, 1), (1, 0), (1, 2), (2, 1), (0, 0), (7, 7), (40, 40)}
+    | {(k, l) for k in range(41) for l in range(max(0, k - 3), min(40, k + 3) + 1)}
+)
+
+
+class TestPerPointOrders:
+    """j_many with one order per point: one walk for both factors of a
+    product, every value bitwise that of a call at its own order."""
+
+    def test_two_factors_in_one_call(self):
+        margin = sph_bessel.UPWARD_MARGIN
+        for k, l in ORDER_PAIRS:
+            xa, xb = _around_margin(k), 1.1 * _around_margin(l)
+            orders = np.concatenate([np.full(len(xa), k), np.full(len(xb), l)])
+            xs = np.concatenate([xa, xb])
+            got = j_many(orders, xs)
+            want = np.concatenate([j_many(k, xa), j_many(l, xb)])
+            assert got.tobytes() == want.tobytes(), (k, l)
+            # the tracer's count of points below the margin is the two calls'
+            below = int((xa < k + margin).sum()) + int((xb < l + margin).sum())
+            assert int((xs < orders + margin).sum()) == below
+
+    def test_below_margin_equals_j(self):
+        xs = np.concatenate([_around_margin(40), _around_margin(3), _around_margin(0)])
+        orders = np.repeat([40, 3, 0], len(xs) // 3)
+        below = xs < orders + sph_bessel.UPWARD_MARGIN
+        want = [j(int(l), x) for l, x in zip(orders[below], xs[below].tolist())]
+        assert j_many(orders, xs)[below].tobytes() == np.array(want).tobytes()
+
+    def test_orders_in_any_arrangement(self):
+        # mixed, unsorted orders and unsigned ints give the same bits
+        rng = np.random.default_rng(5)
+        orders = rng.integers(0, 45, 300)
+        xs = np.concatenate([rng.choice(_around_margin(int(l)), 1) for l in orders])
+        want = np.array([j_many(int(l), np.array([x]))[0] for l, x in zip(orders, xs)])
+        assert j_many(orders, xs).tobytes() == want.tobytes()
+        assert j_many(orders.astype(np.uint16), xs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            np.array([True, False, True]),
+            np.array([2, -1, 3]),
+            np.array([2.0, 1.0, 3.0]),
+            np.array([2, 1]),
+            np.array([[2, 1, 3]]),
+        ],
+        ids=["bool", "negative", "float", "short", "shape"],
+    )
+    def test_bad_order_arrays_are_domain_errors(self, orders):
+        with pytest.raises(DomainError, match="^l must"):
+            j_many(orders, np.array([1.0, 2.0, 3.0]))
+
+    def test_a_list_of_orders_is_refused(self):
+        with pytest.raises(DomainError, match="l must be an integer"):
+            j_many([2, 1, 3], np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -1.0])
+    def test_argument_message_is_unchanged(self, x):
+        with pytest.raises(DomainError, match="j_many requires 0 <= x < inf"):
+            j_many(np.array([2, 5, 1]), np.array([1.0, x, 2.0]))
+
+
 @pytest.mark.parametrize("l", [0, 3, 15, 40])
 def test_scipy_cross_check(l):
     ss = pytest.importorskip("scipy.special")

@@ -1,7 +1,8 @@
 """Write every output of the benchmark pools and of a seeded engine grid
 to JSON, or diff two such files: one command for "same numbers".
 
-    python3 tools/same_numbers.py OUT.json [--src DIR] [--grid N] [--weighted N] [--seed S]
+    python3 tools/same_numbers.py OUT.json [--src DIR] [--grid N] [--weighted N]
+                                  [--quadrature N] [--seed S]
     python3 tools/same_numbers.py --compare A.json B.json
 
 The first form imports besselquad from ``--src`` (default: this
@@ -25,7 +26,12 @@ measured with this one file.  It records
   prefactor, sampled from 0 to about 400, weight j_l or a product whose
   scales are unrelated, equal in magnitude (sign flips included), both
   negative or near-degenerate (the analytic route refuses some of
-  these); a third of the intervals straddle the first-zero threshold.
+  these); a third of the intervals straddle the first-zero threshold;
+* ``--quadrature`` seeded ``definite_integral(strategy="quadrature")``
+  calls of I, H, K and L, recorded like the pool inputs: orders 0 to 60,
+  |k - l| <= 3, two-factor scales unrelated, equal or sign-flipped, and
+  intervals that start at 0 or straddle each factor's upward margin, so
+  the nodes reach both walks of ``j_many``.
 
 Floats are written with ``float.hex``, so equal files mean bitwise equal
 numbers; an error is written as its type and message.  ``--compare``
@@ -225,12 +231,53 @@ def weighted_entries(bq, calls: int, seed: int):
         yield key, _outcome(fn)
 
 
-def write(out: str, src: str, calls: int, weighted: int, seed: int) -> None:
+#: the scales of the quadrature grid's two factors, drawn in turn
+QUADRATURE_SCALES = ("unrelated", "equal", "sign-flipped")
+
+
+def quadrature_entries(bq, calls: int, seed: int):
+    from besselquad.sph_bessel import UPWARD_MARGIN
+
+    rng = random.Random(seed)
+    for i in range(calls):
+        family = "IHKL"[i % 4]
+        relation = QUADRATURE_SCALES[i // 4 % len(QUADRATURE_SCALES)]
+        l = rng.randint(0, 60)
+        k = rng.randint(max(0, l - 3), l + 3) if family == "L" else None
+        alpha = rng.uniform(0.2, 3.0) * rng.choice((1, -1))
+        beta = None
+        if family in "KL":
+            beta = {
+                "unrelated": rng.uniform(0.2, 3.0) * rng.choice((1, -1)),
+                "equal": alpha,
+                "sign-flipped": -alpha,
+            }[relation]
+        spec = bq.IntegralSpec(family, 0, l, alpha, k=k, beta=beta)
+        # where each factor's nodes pass from the Miller to the upward walk
+        margins = [(order + UPWARD_MARGIN) / abs(scale) for order, scale in spec.factors]
+        if i % 2:
+            n = rng.randint(0, 4)
+            a, b = 0.0, max(margins) * rng.uniform(0.3, 1.6)
+        else:
+            n = rng.randint(-2, 4)
+            a, b = min(margins) * rng.uniform(0.5, 0.95), max(margins) * rng.uniform(1.05, 1.6)
+        key = (f"quadrature/{i}/{family} {relation} n={n} k={k} l={l} alpha={alpha!r} "
+               f"beta={beta!r} [{a!r}, {b!r}]")
+
+        def fn():
+            spec = bq.IntegralSpec(family, n, l, alpha, k=k, beta=beta)
+            return _result(bq.definite_integral(spec, a, b, strategy="quadrature"))
+
+        yield key, _outcome(fn)
+
+
+def write(out: str, src: str, calls: int, weighted: int, quadrature: int, seed: int) -> None:
     sys.path.insert(0, os.path.abspath(src))
     bq = importlib.import_module("besselquad")
     entries = dict(pool_entries(bq))
     entries.update(grid_entries(bq, calls, seed))
     entries.update(weighted_entries(bq, weighted, seed))
+    entries.update(quadrature_entries(bq, quadrature, seed))
     with open(out, "w") as fh:
         json.dump({"src": os.path.abspath(src), "seed": seed, "entries": entries}, fh)
     errors = sum(1 for v in entries.values() if isinstance(v, dict) and "error" in v)
@@ -270,14 +317,17 @@ def main(argv=None) -> int:
                         help="directory holding the besselquad package to import")
     parser.add_argument("--grid", type=int, default=20_000, help="engine grid calls")
     parser.add_argument("--weighted", type=int, default=3_000, help="weighted grid calls")
-    parser.add_argument("--seed", type=int, default=15, help="engine and weighted grid seed")
+    parser.add_argument("--quadrature", type=int, default=2_000,
+                        help="quadrature grid calls")
+    parser.add_argument("--seed", type=int, default=15, help="seed of the engine, weighted and "
+                        "quadrature grids")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="diff two files")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not args.out:
         parser.error("give OUT.json or --compare A B")
-    write(args.out, args.src, args.grid, args.weighted, args.seed)
+    write(args.out, args.src, args.grid, args.weighted, args.quadrature, args.seed)
     return 0
 
 
