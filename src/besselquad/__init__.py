@@ -32,7 +32,6 @@ from .mixed_order import (
     base_L01_equal,
     closed_L_equal,
     eval_L,
-    eval_L_equal_args,
     identity_residual,
 )
 from .ordinary_bessel import (
@@ -55,14 +54,13 @@ from .quadrature import (
     recursion_amplification,
 )
 from .same_order import DEGENERACY_GUARD, closed_K2, eval_K
-from .single_bessel import closed_I, eval_I, eval_I_scaled, truncates_early
+from .single_bessel import closed_I, eval_I, eval_I_scaled
 from .sph_bessel import (
     first_zero_estimate,
     j,
     j_array,
     j_extended,
     j_many,
-    j_parity_extend,
     small_x_leading,
 )
 from .squared_bessel import closed_H, eval_H, eval_H_scaled
@@ -132,7 +130,6 @@ __all__ = [
     "eval_I_scaled",
     "eval_K",
     "eval_L",
-    "eval_L_equal_args",
     "eval_pair",
     "eval_scaled_X_series",
     "eval_scaled_Y_series",
@@ -149,12 +146,10 @@ __all__ = [
     "j_array",
     "j_extended",
     "j_many",
-    "j_parity_extend",
     "oscillation_threshold",
     "recursion_amplification",
     "si",
     "small_x_leading",
-    "truncates_early",
     "verify_identity",
     "verify_suite",
     "weighted_integral",

@@ -439,18 +439,6 @@ class LEqualTable(PointTable):
                     row[m] = (2 * lam - 1) * below[m - 1] - below2[m]
 
 
-def eval_L_equal_args(
-    n: int, k: int, l: int, x: float, closed_forms: bool = True, constants: bool = True
-) -> AntiderivativeValue:
-    """L^n_{kl}(x) = int x^n j_k(x) j_l(x) dx (equal unit arguments).
-
-    Dispatch priority: printed closed form where the exponent pattern
-    matches, the adjacent-order rule through H when l = k + 1, plain
-    order lowering otherwise.  Symmetric under k <-> l.
-    """
-    return eval_L(n, k, l, x, 1.0, 1.0, closed_forms, constants)
-
-
 # ---------------------------------------------------------------------------
 # top-level dispatch
 # ---------------------------------------------------------------------------

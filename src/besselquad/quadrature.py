@@ -300,26 +300,29 @@ def recursion_amplification(spec: IntegralSpec) -> float:
 
 
 def _plan(spec: IntegralSpec, a: float, b: float, strategy: str) -> tuple:
-    """(threshold, planned segments, reason) for ``strategy`` on [a, b].
+    """(threshold t, split point, reason) for ``strategy`` on [a, b].
 
-    auto: quadrature below the first-zero threshold and over the whole
-    interval past AMPLIFICATION_GUARD, recursion above the threshold,
-    and a split there when the interval straddles it.
+    Quadrature covers [a, split] and the analytic route [split, b]: a
+    split of None is quadrature over [a, b], a split of a the analytic
+    route over [a, b].  auto: quadrature below the first-zero threshold
+    and over the whole interval past AMPLIFICATION_GUARD, the analytic
+    route above the threshold, and a split there when the interval
+    straddles it.
     """
     t = oscillation_threshold(spec)
     if strategy == "quadrature":
-        return t, [("quadrature", a, b)], "quadrature strategy requested"
+        return t, None, "quadrature strategy requested"
     if strategy == "recursion":
         if a == 0:
             raise QuadratureRecommendedError(
                 "the antiderivative value at 0 is not evaluated directly; "
                 "use auto strategy, which covers [0, threshold] by quadrature"
             )
-        return t, [("recursion", a, b)], "recursion strategy requested"
+        return t, a, "recursion strategy requested"
     if strategy != "auto":
         raise DomainError(f"unknown strategy {strategy!r}")
     if b <= t:
-        return t, [("quadrature", a, b)], f"interval entirely below the first-zero threshold {t:.6g}"
+        return t, None, f"interval entirely below the first-zero threshold {t:.6g}"
     amplification = recursion_amplification(spec)
     if amplification > AMPLIFICATION_GUARD:
         # widely separated scales: the recursion sheds too many digits
@@ -328,28 +331,29 @@ def _plan(spec: IntegralSpec, a: float, b: float, strategy: str) -> tuple:
             f"recursion amplification {amplification:.3g} exceeds "
             f"AMPLIFICATION_GUARD {AMPLIFICATION_GUARD:g}; quadrature over the whole interval"
         )
-        return t, [("quadrature", a, b)], reason
+        return t, None, reason
     if a >= t:
-        return t, [("recursion", a, b)], f"interval entirely above the first-zero threshold {t:.6g}"
+        return t, a, f"interval entirely above the first-zero threshold {t:.6g}"
     reason = (
         f"interval straddles the first-zero threshold {t:.6g}; "
         "quadrature below it, recursion above"
     )
-    return t, [("quadrature", a, t), ("recursion", t, b)], reason
+    return t, t, reason
 
 
-def _strategy(t: float, segments: list, reason: str) -> Strategy:
-    """The Strategy of the routes ``segments`` took: Recursion when any
-    segment is analytic (a plan's analytic segment is its last), and
-    split_at set when the segments meet at t."""
-    kind = "Recursion" if segments[-1][0] == "recursion" else "Quadrature"
-    return Strategy(kind, reason, t, t if len(segments) > 1 else None)
+def _strategy(a: float, t: float, split: float | None, reason: str) -> Strategy:
+    """The Strategy of a run on [a, b] that took the analytic route over
+    [split, b] (none when split is None): Recursion when it did, and
+    split_at set when quadrature covered [a, split] below it."""
+    kind = "Quadrature" if split is None else "Recursion"
+    return Strategy(kind, reason, t, None if split is None or split == a else split)
 
 
 def choose_strategy(spec: IntegralSpec, a: float, b: float) -> Strategy:
-    """The auto plan for ``spec`` over [a, b], before any analytic route
+    """The auto plan for ``spec`` over [a, b], before the analytic route
     runs (or refuses): see ``_plan``.  Its limits are definite_integral's."""
-    return _strategy(*_plan(spec, *check_limits(a, b, 0.0), "auto"))
+    a, b = check_limits(a, b, 0.0)
+    return _strategy(a, *_plan(spec, a, b, "auto"))
 
 
 def _zero_limit(spec: IntegralSpec) -> float:
@@ -496,15 +500,20 @@ def _run_routes(
     analytic,
     knots=(),
 ) -> DefiniteResult:
-    """Run ``_plan``'s segments for definite_integral and the weighted
-    integrator.  A recursion segment is ``analytic(lo, hi)``; where that
-    refuses (NearDegenerateError, QuadratureRecommendedError) or its walk
-    leaves the float range (DomainError: the inputs are checked before
-    the plan) auto falls back to quadrature.  A quadrature segment is one
+    """Run ``_plan``'s split for definite_integral and the weighted
+    integrator: one analytic attempt, then at most one quadrature run.
+
+    The analytic route over [split, b] is ``analytic(split, b)``; where
+    that refuses (NearDegenerateError, QuadratureRecommendedError) or its
+    walk leaves the float range (DomainError: the inputs are checked
+    before the plan), auto drops the split and quadrature covers the
+    whole interval.  The quadrature, over [a, split] or [a, b], is one
     adaptive_quad run of ``quad_integrand`` with the ``knots`` inside it
-    as breakpoints, on what is left of max_evals (none left: not
-    evaluated, not converged).
-    The Strategy and the record come from the segments actually taken.
+    as breakpoints and all of max_evals as its budget; a budget below one
+    panel per sub-interval between knots leaves it unevaluated (infinite
+    error estimate, not converged).  The value is the quadrature's plus
+    the analytic route's, and the Strategy and the segments are the
+    routes actually taken.
     """
     max_evals = check_integer("max_evals", max_evals, _PANEL_NODES)
     tol = check_real("tol", tol, 0.0, above=True)
@@ -514,49 +523,42 @@ def _run_routes(
             f"integral from 0 diverges: family {spec.family} requires "
             f"{spec.finiteness_condition} (got n={spec.n}, orders={spec.orders})"
         )
-    t, plan, reason = _plan(spec, a, b, strategy)
-    value = 0.0
-    err = 0.0
-    evals = 0
-    converged = True
-    done = []
-    for route, lo, hi in plan:
-        if route == "recursion":
-            try:
-                value += analytic(lo, hi)
-                done.append(("recursion", lo, hi))
-                continue
-            except (DomainError, NearDegenerateError, QuadratureRecommendedError) as exc:
-                if strategy == "recursion":
-                    raise
-                # a split plan's analytic segment [t, b] gets a run of its own
-                covered = (
-                    "the whole interval" if len(plan) == 1
-                    else f"[{lo:.6g}, {hi:.6g}] as well as below the threshold"
-                )
-                reason = f"recursion refused ({type(exc).__name__}: {exc}); quadrature over {covered}"
-        done.append(("quadrature", lo, hi))
-        inner = [p for p in knots if lo < p < hi]
-        if max_evals - evals < _PANEL_NODES * (len(inner) + 1):
-            # the budget is spent: the segment stays unevaluated
-            err = math.inf
-            converged = False
-            continue
-        q = adaptive_quad(
-            quad_integrand, lo, hi, tol=tol, max_evals=max_evals - evals, vectorized=True,
-            initial_max_width=math.pi / max(abs(s) for s in spec.scales), breakpoints=inner,
-        )
-        value += q.value
-        err += q.error_estimate
-        evals += q.evaluations
-        converged = converged and q.converged
+    t, split, reason = _plan(spec, a, b, strategy)
+    tail = 0.0
+    segments = ()
+    if split is not None:
+        try:
+            tail = analytic(split, b)
+            segments = (("recursion", split, b),)
+        except (DomainError, NearDegenerateError, QuadratureRecommendedError) as exc:
+            if strategy == "recursion":
+                raise
+            reason = (
+                f"recursion refused ({type(exc).__name__}: {exc}); "
+                "quadrature over the whole interval"
+            )
+            split = None
+    value, err, evals, converged = 0.0, 0.0, 0, True
+    hi = b if split is None else split
+    if hi > a:
+        segments = (("quadrature", a, hi), *segments)
+        inner = [p for p in knots if a < p < hi]
+        if max_evals < _PANEL_NODES * (len(inner) + 1):
+            # too few evaluations for one panel between each pair of knots
+            err, converged = math.inf, False
+        else:
+            q = adaptive_quad(
+                quad_integrand, a, hi, tol=tol, max_evals=max_evals, vectorized=True,
+                initial_max_width=math.pi / max(abs(s) for s in spec.scales), breakpoints=inner,
+            )
+            value, err, evals, converged = q.value, q.error_estimate, q.evaluations, q.converged
     result = DefiniteResult(
-        value=value,
+        value=value + tail,
         error_estimate=err,
         evaluations=evals,
         converged=converged,
-        strategy=_strategy(t, done, reason),
-        segments=tuple(done),
+        strategy=_strategy(a, t, split, reason),
+        segments=segments,
     )
     if raise_on_nonconverged and not converged:
         raise NotConvergedError(
@@ -585,11 +587,11 @@ def definite_integral(
     finiteness condition holds; auto evaluation then covers [0, t] by
     quadrature, so the antiderivative limit at 0 is never needed.
 
-    max_evals caps the quadrature nodes over all segments and must be at
-    least 15, one GK15 panel.  A quadrature segment left with less than
-    that is not evaluated: the result is then not converged and its
-    error estimate is infinite.  The route policy is ``_run_routes``,
-    which the weighted integrator shares.
+    A refused analytic route under auto drops the split: one quadrature
+    run covers [a, b] and meets ``tol`` on the whole.  max_evals caps the
+    nodes of the one quadrature run and must be at least 15, one GK15
+    panel.  The route policy is ``_run_routes``, which the weighted
+    integrator shares.
     """
 
     def difference(lo: float, hi: float) -> float:

@@ -28,12 +28,10 @@ NearDegenerateError so callers can fall back to quadrature.
 from __future__ import annotations
 
 from .errors import DomainError, NearDegenerateError
-from .sph_bessel import _j_extended, _j_list, parity_fold
+from .sph_bessel import _j_extended, _j_list
 from .squared_bessel import _path
 from .trig_primitives import TrigChain
-from .types import (
-    AntiderivativeValue, IntegralSpec, PointTable, check_point, column_plan, finite_result,
-)
+from .types import AntiderivativeValue, IntegralSpec, PointTable, column_plan, finite_result
 
 #: relative |alpha - beta| guard below which the base case is hazardous
 DEGENERACY_GUARD = 1e-6
@@ -164,14 +162,16 @@ class KTable(PointTable):
 
 
 def _table(spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True) -> KTable:
-    """The K table of eval_K and closed_K2 for their checked spec: equal
-    scale magnitudes belong to the squared family."""
-    (sa, a), (sb, b) = (parity_fold(spec.l, scale) for scale in spec.scales)
-    if a == b:
+    """point_table's K table for eval_K and closed_K2, which refuse equal
+    scale magnitudes: those belong to the squared family."""
+    alpha, beta = spec.scales
+    if abs(alpha) == abs(beta):
         raise DomainError(
             "equal scale magnitudes reduce to the squared family; use eval_H_scaled"
         )
-    return KTable(check_point(x), a, b, spec.l, closed_forms, constants, sa * sb)
+    from .mixed_order import point_table  # mixed_order imports this module
+
+    return point_table(spec, x, closed_forms, constants)
 
 
 def eval_K(

@@ -19,9 +19,7 @@ import math
 from .errors import DomainError
 from .sph_bessel import _j_list, j, parity_fold
 from .trig_primitives import TrigChain, _refuse_small_arg
-from .types import (
-    AntiderivativeValue, IntegralSpec, PointTable, check_integer, check_point, finite_result,
-)
+from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, finite_result
 
 
 class ITable(PointTable):
@@ -110,13 +108,6 @@ def eval_I_scaled(
     spec = IntegralSpec("I", n, l, alpha)
     table = ITable(spec.l, check_point(x), spec.alpha, constants=constants)
     return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
-
-
-def truncates_early(n: int, l: int) -> bool:
-    """True when the I^n_l recursion terminates before reaching l = 0.
-    n must be an integer and l an integer >= 0, or it is a DomainError."""
-    n, l = check_integer("n", n), check_integer("l", l, 0)
-    return (l + n) % 2 == 1 and 1 - l <= n <= l - 1
 
 
 @finite_result

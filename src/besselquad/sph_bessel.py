@@ -77,7 +77,9 @@ def _j_list(lmax: int, x: float) -> list:
     numpy scalar's.  x is taken as float(x).
     """
     if not 0 <= x < math.inf:
-        raise DomainError(f"j_array requires 0 <= x < inf, got {x}; use j_parity_extend for x < 0")
+        raise DomainError(
+            f"j_array requires 0 <= x < inf, got {x}; fold x < 0 by j_l(-x) = (-1)^l j_l(x)"
+        )
     x = float(x)
     if x < SMALL_X_SERIES:
         return [_series_value(l, x) for l in range(lmax + 1)]
@@ -140,14 +142,6 @@ def parity_fold(order: int, scale: float) -> tuple:
     if scale < 0:
         return (-1.0 if order % 2 else 1.0), -scale
     return 1.0, scale
-
-
-def j_parity_extend(l: int, x: float) -> float:
-    """j_l extended to negative arguments via j_l(-x) = (-1)^l j_l(x)."""
-    l = check_integer("l", l, 0)
-    sign, u = parity_fold(l, check_real("x", x))
-    v = _j_list(l, u)[l]
-    return -v if sign < 0 else v
 
 
 def j_many(l, xs) -> np.ndarray:

@@ -205,13 +205,14 @@ def weighted_integral(
     over the pieces and the monomials x^m with nonzero coefficient.  Each
     breakpoint builds one per-point table (point_table, kept in
     antiderivative's tables), whose value(m) serves every monomial, and
-    adjacent pieces share the breakpoint between them.  A quadrature segment is one adaptive run with the
-    interpolant's knots inside it as breakpoints: no panel straddles a
-    knot, each node takes the polynomial of its own piece, and the
-    tolerance applies to the segment, not to each piece.
+    adjacent pieces share the breakpoint between them.  The quadrature,
+    below the threshold or over the whole interval, is one adaptive run
+    with the interpolant's knots inside it as breakpoints: no panel
+    straddles a knot, each node takes the polynomial of its own piece,
+    and the tolerance applies to the run, not to each piece.
 
     The record carries the quadrature run's error estimate and node count
-    (the recursion pieces add neither), the strategy and the segments
+    (the analytic route adds neither), the strategy and the segments
     each route covered.  Raises NotConvergedError, carrying the record,
     when the quadrature misses ``tol``.
     """

@@ -39,6 +39,12 @@ def assert_derivative_matches(F, target, x, rel=1e-6):
     )
 
 
+def truncates_early(n, l):
+    """True when the I^n_l recursion terminates before reaching l = 0:
+    l + n odd and 1 - l <= n <= l - 1."""
+    return (l + n) % 2 == 1 and 1 - l <= n <= l - 1
+
+
 def rel_err(got, want):
     return abs(got - want) / max(1.0, abs(want))
 

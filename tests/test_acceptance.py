@@ -25,16 +25,15 @@ from besselquad import (
     eval_H,
     eval_I,
     eval_K,
-    eval_L_equal_args,
+    eval_L,
     first_zero_estimate,
     identity_residual,
     integrand,
     oscillation_threshold,
-    truncates_early,
     verify_identity,
 )
 from besselquad.ordinary_bessel import default_suite
-from helpers import richardson_derivative
+from helpers import richardson_derivative, truncates_early
 
 
 def report(criterion, ok, detail=""):
@@ -231,8 +230,8 @@ class TestCriterion6ClosedFormAgreement:
                 c = closed_L_equal(kind, k, l, b).value - closed_L_equal(kind, k, l, a).value
                 n = n_of_kl[kind](k, l)
                 r = (
-                    eval_L_equal_args(n, k, l, b, closed_forms=False, constants=False).value
-                    - eval_L_equal_args(n, k, l, a, closed_forms=False, constants=False).value
+                    eval_L(n, k, l, b, 1.0, 1.0, closed_forms=False, constants=False).value
+                    - eval_L(n, k, l, a, 1.0, 1.0, closed_forms=False, constants=False).value
                 )
                 self._check(c, r, (kind, k, l))
                 cases += 1

@@ -33,7 +33,6 @@ from besselquad import (
     eval_I_scaled,
     eval_K,
     eval_L,
-    eval_L_equal_args,
     integrand,
     oscillation_threshold,
     weighted_integral,
@@ -94,7 +93,7 @@ AT_POINT = {
     "eval_H_scaled": lambda x: eval_H_scaled(0, 2, x, 1.3),
     "eval_K": lambda x: eval_K(0, 1, x, 1.0, 2.0),
     "eval_L": lambda x: eval_L(0, 1, 2, x, 1.0, 2.0),
-    "eval_L_equal_args": lambda x: eval_L_equal_args(0, 1, 2, x),
+    "eval_L equal scales": lambda x: eval_L(0, 1, 2, x, 1.0, 1.0),
     "closed_I": lambda x: closed_I("I1", 2, x),
     "closed_H": lambda x: closed_H("H3", 1, x),
     "closed_K2": lambda x: closed_K2(1, x, 1.0, 2.0),

@@ -135,19 +135,18 @@ def test_finite_values_are_untouched():
         lambda: bq.first_zero_estimate(-1),
         lambda: bq.first_zero_estimate(2.5),
         lambda: bq.first_zero_estimate(True),
-        lambda: bq.truncates_early(1.5, 2),
-        lambda: bq.truncates_early(True, 2),
-        lambda: bq.truncates_early(1, -1),
-        lambda: bq.truncates_early(1, 2.0),
-        lambda: bq.truncates_early(0, False),
+        lambda: bq.eval_I(1.5, 2, 1.0),
+        lambda: bq.eval_I(True, 2, 1.0),
+        lambda: bq.j_array(-1, 1.0),
+        lambda: bq.eval_I(1, 2.0, 1.0),
+        lambda: bq.eval_I(0, False, 1.0),
     ],
     ids=[
         "j_many-neg1", "j_many-neg2", "j_many-neg1-at-0", "j_many-neg1-small", "j-bool",
         "j_array-bool", "j_many-bool", "j_array-float", "j_extended-float", "leading-float",
         "pair-float", "X-float", "int_pow_sin-float", "scaled_X-float", "besselJ-float",
         "besselJ-bool", "first_zero-neg1", "first_zero-float", "first_zero-bool",
-        "truncates-n-float", "truncates-n-bool", "truncates-l-neg1", "truncates-l-float",
-        "truncates-l-bool",
+        "eval_I-n-float", "eval_I-n-bool", "j_array-neg1", "eval_I-l-float", "eval_I-l-bool",
     ],
 )
 def test_orders_and_exponents_are_integers(call):

@@ -14,7 +14,6 @@ from besselquad import (
     eval_H,
     eval_K,
     eval_L,
-    eval_L_equal_args,
     first_zero_estimate,
     identity_residual,
     int_pow_cos,
@@ -42,7 +41,7 @@ def diff(n, k, l, a, b, alpha, beta, **kw):
 
 def diff_eq(n, k, l, a, b, **kw):
     kw.setdefault("constants", False)
-    return eval_L_equal_args(n, k, l, b, **kw).value - eval_L_equal_args(n, k, l, a, **kw).value
+    return eval_L(n, k, l, b, 1.0, 1.0, **kw).value - eval_L(n, k, l, a, 1.0, 1.0, **kw).value
 
 
 class TestGeneralEvaluation:
@@ -176,7 +175,7 @@ class TestTablesDieWithTheirCall:
             lambda: eval_K(0, 6, 20.0, 1.0, 1.6),
             lambda: eval_L(0, 2, 6, 20.0, 1.0, 1.6),
             lambda: eval_L(1, 2, 6, 20.0, 1.0, 1.6),
-            lambda: eval_L_equal_args(1, 2, 6, 20.0, closed_forms=False),
+            lambda: eval_L(1, 2, 6, 20.0, 1.0, 1.0, closed_forms=False),
         ],
         ids=["H", "K", "L-closure", "L-ladder", "L-equal-args"],
     )
@@ -242,7 +241,7 @@ class TestEqualArguments:
 
     def test_L5_pattern_vanishes_at_zero(self):
         n = 0 + 1 + 3
-        assert eval_L_equal_args(n, 0, 1, 1e-6).value == pytest.approx(0.0, abs=1e-20)
+        assert eval_L(n, 0, 1, 1e-6, 1.0, 1.0).value == pytest.approx(0.0, abs=1e-20)
 
     def test_n1_k0_l1_base_against_oracle(self):
         got = diff_eq(1, 0, 1, 1.0, 10.0)
@@ -257,7 +256,7 @@ class TestEqualArguments:
         assert got == pytest.approx(oracle(2, 0, 1, 2.0, 9.0, 1.0, 1.0), rel=1e-10)
 
     def test_symmetry(self):
-        assert eval_L_equal_args(1, 0, 3, 8.0).value == eval_L_equal_args(1, 3, 0, 8.0).value
+        assert eval_L(1, 0, 3, 8.0, 1.0, 1.0).value == eval_L(1, 3, 0, 8.0, 1.0, 1.0).value
 
     def test_scaled_reduction(self):
         # eval_L at alpha = beta reduces through alpha^(-1-n) L(alpha x)
@@ -265,8 +264,8 @@ class TestEqualArguments:
             a, b = 2.0, 9.0
             v1 = diff(n, k, l, a, b, alpha, alpha)
             v2 = alpha ** (-1 - n) * (
-                eval_L_equal_args(n, k, l, alpha * b).value
-                - eval_L_equal_args(n, k, l, alpha * a).value
+                eval_L(n, k, l, alpha * b, 1.0, 1.0).value
+                - eval_L(n, k, l, alpha * a, 1.0, 1.0).value
             )
             assert v1 == pytest.approx(v2, rel=1e-11)
 
@@ -329,7 +328,7 @@ class TestDerivativeProperty:
         for (n, k, l) in [(0, 0, 3), (2, 1, 2), (-1, 2, 5)]:
             x = first_zero_estimate(l) + 5.0
             assert_derivative_matches(
-                lambda t: eval_L_equal_args(n, k, l, t).value,
+                lambda t: eval_L(n, k, l, t, 1.0, 1.0).value,
                 x**n * j(k, x) * j(l, x),
                 x,
             )

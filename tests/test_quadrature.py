@@ -18,6 +18,7 @@ from besselquad import (
     oscillation_threshold,
     recursion_amplification,
 )
+from besselquad import build_interpolant, quadrature, weighted_integral
 from besselquad.quadrature import PANEL_CHUNK
 from helpers import si_series
 
@@ -316,29 +317,36 @@ class TestDefiniteIntegral:
         assert "recursion refused (NearDegenerateError" in r.strategy.reason
         assert r.strategy.reason.endswith("; quadrature over the whole interval")
 
-    def test_refused_split_names_the_segment(self):
-        # the refused analytic segment [t, b] of a split plan gets its own
-        # quadrature run, and the reason names it
+    def test_refused_split_quadrature_covers_the_whole_interval(self):
+        # a split plan whose analytic segment [t, b] refuses drops the
+        # split: one quadrature segment over [a, b], with its reason
         spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
-        t = oscillation_threshold(spec)
         r = definite_integral(spec, 1.0, 20.0)
-        assert r.segments == (("quadrature", 1.0, t), ("quadrature", t, 20.0))
-        assert r.strategy.split_at == t
+        assert r.segments == (("quadrature", 1.0, 20.0),)
+        assert (r.strategy.kind, r.strategy.split_at) == ("Quadrature", None)
+        assert r.strategy.threshold_x == oscillation_threshold(spec)
         assert r.strategy.reason.startswith("recursion refused (NearDegenerateError")
-        assert r.strategy.reason.endswith(
-            f"; quadrature over [{t:.6g}, 20] as well as below the threshold"
-        )
-        assert "whole interval" not in r.strategy.reason
+        assert r.strategy.reason.endswith("; quadrature over the whole interval")
 
-    def test_spent_budget_leaves_segment_unevaluated(self):
-        # [1, t] takes the whole budget of one panel; the refused
-        # recursion above t falls back to quadrature with none left
+    def test_refused_split_meets_tol_on_the_whole(self):
+        # one run over [1, 20] meets tol on the sum, like adaptive_quad
+        spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
+        tol = 1e-14
+        r = definite_integral(spec, 1.0, 20.0, tol=tol)
+        assert r.converged and r.error_estimate <= tol
+        want = adaptive_quad(integrand(spec), 1.0, 20.0, tol=tol, vectorized=True)
+        assert want.converged
+        assert abs(r.value - want.value) <= tol
+
+    def test_one_panel_budget_covers_the_refused_split(self):
+        # the refused split's one run over [1, 20] gets the whole budget:
+        # one panel of 15 evaluations, not converged
         spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
         r = definite_integral(spec, 1.0, 20.0, max_evals=15)
-        assert [route for route, _, _ in r.segments] == ["quadrature", "quadrature"]
+        assert r.segments == (("quadrature", 1.0, 20.0),)
         assert r.evaluations == 15
         assert not r.converged
-        assert r.error_estimate == math.inf
+        assert math.isfinite(r.error_estimate) and r.error_estimate > 0
         with pytest.raises(DomainError):
             definite_integral(spec, 1.0, 20.0, max_evals=14)
 
@@ -368,11 +376,15 @@ class TestDefiniteIntegral:
         r = definite_integral(IntegralSpec("K", 0, 10, 1.0, beta=20.0), 5.0, 30.0)
         assert r.segments == (("quadrature", 5.0, 30.0),)
         assert r.strategy.split_at is None
-        # a refused recursion above the split keeps the split
+        # a refused recursion above the split drops the split
         r = definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8), 1.0, 20.0)
+        assert r.segments == (("quadrature", 1.0, 20.0),)
+        assert (r.strategy.kind, r.strategy.split_at) == ("Quadrature", None)
+        # a split that ran keeps split_at at the threshold
+        r = definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=2.0), 1.0, 20.0)
         t = r.strategy.threshold_x
-        assert r.segments == (("quadrature", 1.0, t), ("quadrature", t, 20.0))
-        assert (r.strategy.kind, r.strategy.split_at) == ("Quadrature", t)
+        assert r.segments == (("quadrature", 1.0, t), ("recursion", t, 20.0))
+        assert (r.strategy.kind, r.strategy.split_at) == ("Recursion", t)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_nonpositive_tolerance_is_a_domain_error(self, tol):
@@ -400,6 +412,53 @@ class TestDefiniteIntegral:
         r1 = definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=1.0), 5.0, 40.0)
         r2 = definite_integral(IntegralSpec("H", 0, 1, 1.0), 5.0, 40.0)
         assert r1.value == pytest.approx(r2.value, rel=1e-12)
+
+
+#: every route shape of the runner: (factors (k, l, alpha, beta), [a, b],
+#: strategy, the routes taken); k and beta are None for one factor
+ROUTE_SHAPES = {
+    "below": ((None, 2, 1.3, None), (0.5, 4.0), "auto", ("quadrature",)),
+    "above": ((None, 2, 1.3, None), (10.0, 60.0), "auto", ("recursion",)),
+    "split": ((None, 2, 1.3, None), (1.0, 60.0), "auto", ("quadrature", "recursion")),
+    "split from 0": ((1, 3, 1.0, 2.0), (0.0, 90.0), "auto", ("quadrature", "recursion")),
+    "guard": ((10, 10, 1.0, 20.0), (5.0, 30.0), "auto", ("quadrature",)),
+    "refused": ((1, 1, 1.0, 1.0 + 1e-8), (6.0, 20.0), "auto", ("quadrature",)),
+    "refused split": ((1, 1, 1.0, 1.0 + 1e-8), (1.0, 20.0), "auto", ("quadrature",)),
+    "quadrature": ((None, 2, 1.3, None), (1.0, 60.0), "quadrature", ("quadrature",)),
+    "recursion": ((None, 2, 1.3, None), (1.0, 60.0), "recursion", ("recursion",)),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, weighted",
+    [(shape, False) for shape in ROUTE_SHAPES]
+    # the weighted integrator takes the auto strategy only
+    + [(shape, True) for shape, case in ROUTE_SHAPES.items() if case[2] == "auto"],
+)
+def test_one_quadrature_run_per_integral(shape, weighted, monkeypatch):
+    # the runner calls adaptive_quad once when quadrature covers any
+    # part of [a, b], a refused split included, and never otherwise
+    (k, l, alpha, beta), (a, b), strategy, routes = ROUTE_SHAPES[shape]
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[1:3])
+        return adaptive_quad(*args, **kw)
+
+    monkeypatch.setattr(quadrature, "adaptive_quad", counted)
+    if weighted:
+        pp = build_interpolant([(0.0, 1.5), (50.0, 0.5), (100.0, 1.0)], degree=1)
+        r = weighted_integral(pp, l, alpha, a, b, k=k, beta=beta)
+    else:
+        if k is None:
+            spec = IntegralSpec("I", 0, l, alpha)
+        else:
+            spec = IntegralSpec("L", 0, l, alpha, k=k, beta=beta)
+        r = definite_integral(spec, a, b, strategy=strategy)
+    assert len(calls) == routes.count("quadrature")
+    assert tuple(route for route, _, _ in r.segments) == routes
+    if calls:
+        assert calls == [r.segments[0][1:]]
 
 
 class TestIntegrandBuilder:

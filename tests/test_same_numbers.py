@@ -1,6 +1,8 @@
 """tools/same_numbers.py, the bitwise gate between two checkouts: a seeded
-grid written twice compares equal, one changed entry is reported, and
-entries that differ only in an error message are counted apart."""
+grid written twice compares equal, one changed entry is reported,
+entries that differ only in an error message or only in the strategy
+reason are counted apart, and the largest relative value change is
+printed."""
 
 import importlib.util
 import json
@@ -64,12 +66,90 @@ def test_compare_counts_message_only_differences(tmp_path, capsys):
     # message-only differences still fail the comparison
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    assert "4 of 4 entries differ: 2 only in an error message, 2 otherwise" in out
+    assert ("4 of 4 entries differ: 2 only in an error message, 0 only in the strategy reason, "
+            "2 otherwise") in out
 
     _write(b, {**first, "error": second["error"]})
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    assert "1 of 4 entries differ: 1 only in an error message, 0 otherwise" in out
+    assert ("1 of 4 entries differ: 1 only in an error message, 0 only in the strategy reason, "
+            "0 otherwise") in out
+
+
+def _record(value="0x1.0p+0", reason="interval entirely above the first-zero threshold 10",
+            evaluations=0, segments=(("recursion", "0x1.4p+3", "0x1.9p+5"),)):
+    """A hand-built result entry as the tool writes one."""
+    return {
+        "value": value, "error_estimate": "0x0.0p+0", "evaluations": evaluations,
+        "converged": True, "strategy": ["Recursion", reason, "0x1.4p+3", None],
+        "segments": [list(s) for s in segments],
+    }
+
+
+def test_compare_counts_reason_only_differences(tmp_path, capsys):
+    tool = _tool()
+    first = {"same": _record(), "reason": _record(), "value": _record(), "both": _record()}
+    second = {
+        "same": _record(),
+        "reason": _record(reason="recursion strategy requested"),
+        "value": _record(value="0x1.0000000000001p+0"),
+        "both": _record(value="0x1.8p+0", reason="recursion strategy requested"),
+    }
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write(a, first)
+    _write(b, second)
+    # a reworded reason still fails the comparison, but is not counted
+    # with the entries whose numbers changed
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert ("3 of 4 entries differ: 0 only in an error message, 1 only in the strategy reason, "
+            "2 otherwise") in out
+
+    _write(b, {**first, "reason": second["reason"]})
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert ("1 of 4 entries differ: 0 only in an error message, 1 only in the strategy reason, "
+            "0 otherwise") in out
+    assert "values moved" not in out
+
+    # a segment or an evaluation count that changes is not a rewording
+    _write(b, {**first, "reason": _record(reason="other", evaluations=15)})
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    assert "0 only in the strategy reason, 1 otherwise" in capsys.readouterr().out
+
+
+def test_compare_prints_the_largest_value_change(tmp_path, capsys):
+    tool = _tool()
+    first = {
+        "small": _record(value=(1.0).hex()),
+        "large": _record(value=(-4.0).hex()),
+        "table": [(2.0).hex(), {"error": "DomainError", "message": "n"}, (8.0).hex()],
+        "antiderivative": {"value": (3.0).hex(), "path": "recursion"},
+        "error": {"error": "DomainError", "message": "x"},
+    }
+    second = {
+        "small": _record(value=(1.0 + 2**-40).hex()),
+        "large": _record(value=(-4.5).hex()),
+        "table": [(2.0).hex(), (1.0).hex(), (8.5).hex()],
+        "antiderivative": {"value": (3.0).hex(), "path": "closed:K2"},
+        "error": _record(),
+    }
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write(a, first)
+    _write(b, second)
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    # small, large and the table's last value moved; a path change, an
+    # error that became a value and a table error that did are no move
+    assert "3 values moved, the largest by 0.125 relative to the first: large" in out
+
+    # a value that leaves 0 moves infinitely far relative to it
+    _write(a, {"zero": _record(value=(0.0).hex())})
+    _write(b, {"zero": _record(value=(1e-300).hex())})
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    assert "1 values moved, the largest by inf relative to the first: zero" in (
+        capsys.readouterr().out
+    )
 
 
 def test_grid_covers_every_engine():

@@ -12,9 +12,8 @@ from besselquad import (
     j,
     j_many,
     si,
-    truncates_early,
 )
-from helpers import assert_derivative_matches
+from helpers import assert_derivative_matches, truncates_early
 
 SI_PI = 1.8519370519824663
 THREE_PI = 9.42477796076938  # int_0^pi x^3 j_1 dx = pi^3 j_2(pi) = 3 pi

@@ -292,6 +292,18 @@ class TestOneQuadratureRun:
         assert (r.evaluations, r.error_estimate) == (0, 0.0)
         assert r.segments == (("recursion", 12.0, 30.0),)
 
+    def test_run_below_one_panel_per_piece_stays_unevaluated(self):
+        # MAX_EVALS covers one 15-node panel for at most 66 666 pieces;
+        # past that the run is left out, not converged, rather than an
+        # adaptive_quad error about a max_evals the caller never passed
+        xs = np.linspace(0.0, 1.0, quadrature.MAX_EVALS // 15 + 2)
+        pp = build_interpolant(np.column_stack([xs, 1.0 + xs]), degree=1)
+        with pytest.raises(NotConvergedError) as err:
+            weighted.weighted_integral(pp, 10, 1.0, 0.0, 1.0)
+        r = err.value.result
+        assert (r.value, r.error_estimate, r.evaluations, r.converged) == (0.0, math.inf, 0, False)
+        assert r.segments == (("quadrature", 0.0, 1.0),)
+
     def test_record_reports_the_quadrature_run(self):
         pp = build_interpolant([(0.0, 1.0), (2.0, 0.8), (4.0, 0.9), (40.0, 0.2)], degree=3)
         r = weighted.weighted_integral(pp, 0, 1.0, 0.0, 40.0, tol=1e-10)

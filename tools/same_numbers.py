@@ -36,8 +36,10 @@ measured with this one file.  It records
 Floats are written with ``float.hex``, so equal files mean bitwise equal
 numbers; an error is written as its type and message.  ``--compare``
 prints the entries that differ, then how many of them differ only in an
-error message (same error types, every value equal) and how many
-otherwise, and exits 1 when any entry differs.
+error message (same error types, every value equal), how many only in
+the strategy reason and how many otherwise, then how many values moved
+and the largest relative change among them, and exits 1 when any entry
+differs.
 """
 
 from __future__ import annotations
@@ -293,6 +295,35 @@ def _without_messages(v):
     return v
 
 
+def _without_reason(v):
+    """A result entry with its strategy reason dropped."""
+    if isinstance(v, dict) and "strategy" in v:
+        kind, _, *rest = v["strategy"]
+        return {**v, "strategy": [kind, *rest]}
+    return v
+
+
+def _values(v) -> list:
+    """The numbers of an entry: its value, or a table's values in order
+    (None for an error)."""
+    if isinstance(v, list):
+        return [float.fromhex(e) if isinstance(e, str) else None for e in v]
+    if isinstance(v, dict) and "value" in v:
+        return [float.fromhex(v["value"])]
+    return [None]
+
+
+def _moves(a, b):
+    """|b - a| / |a| for each value that both entries hold and that moved
+    (inf where a is 0)."""
+    va, vb = _values(a), _values(b)
+    if len(va) != len(vb):
+        return
+    for x, y in zip(va, vb):
+        if x is not None and y is not None and x != y:
+            yield abs(y - x) / abs(x) if x else math.inf
+
+
 def compare(first: str, second: str) -> int:
     with open(first) as fh:
         a = json.load(fh)["entries"]
@@ -301,12 +332,16 @@ def compare(first: str, second: str) -> int:
     differ = [key for key in a.keys() | b.keys() if a.get(key) != b.get(key)]
     for key in sorted(differ):
         print(f"{key}\n  {a.get(key)}\n  {b.get(key)}")
-    messages = sum(
-        1 for key in differ
-        if key in a and key in b and _without_messages(a[key]) == _without_messages(b[key])
-    )
+    both = [key for key in differ if key in a and key in b]
+    messages = sum(1 for key in both if _without_messages(a[key]) == _without_messages(b[key]))
+    reasons = sum(1 for key in both if _without_reason(a[key]) == _without_reason(b[key]))
     print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ: "
-          f"{messages} only in an error message, {len(differ) - messages} otherwise")
+          f"{messages} only in an error message, {reasons} only in the strategy reason, "
+          f"{len(differ) - messages - reasons} otherwise")
+    moved = [(move, key) for key in both for move in _moves(a[key], b[key])]
+    if moved:
+        move, key = max(moved)
+        print(f"{len(moved)} values moved, the largest by {move:.3g} relative to the first: {key}")
     return 1 if differ else 0
 
 
