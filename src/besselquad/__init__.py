@@ -8,6 +8,12 @@ small-argument regime where the recursions cancel catastrophically, and
 a piecewise-polynomial weighted integrator handles tabulated slowly
 varying prefactors.
 
+Each quantity has one public route: ``eval_pair`` for X_n and Y_n,
+``int_pow_sin`` and ``int_pow_cos`` for the scaled trig primitives, and
+``eval_I``, ``eval_H``, ``eval_K`` and ``eval_L`` (adjacent orders and
+the L01 base included) for the four families.  The ``closed_*``
+functions and ``base_L01_equal`` evaluate one printed formula by name.
+
 numpy is loaded on first use by the quadrature and array routes: a
 quadrature segment, ``j_array``, ``j_many``, ``build_interpolant`` and
 a ``PiecewisePolynomial``.  Importing the package, the
@@ -26,9 +32,6 @@ from .errors import (
     QuadratureRecommendedError,
 )
 from .mixed_order import (
-    adjacent_by_recursion,
-    adjacent_closure,
-    base_L01,
     base_L01_equal,
     closed_L_equal,
     eval_L,
@@ -68,10 +71,6 @@ from .trig_primitives import (
     EULER_GAMMA,
     ci,
     eval_pair,
-    eval_scaled_X_series,
-    eval_scaled_Y_series,
-    eval_X,
-    eval_Y,
     int_pow_cos,
     int_pow_sin,
     si,
@@ -109,10 +108,7 @@ __all__ = [
     "Strategy",
     "TrigPrimitive",
     "adaptive_quad",
-    "adjacent_by_recursion",
-    "adjacent_closure",
     "antiderivative",
-    "base_L01",
     "base_L01_equal",
     "besselJ",
     "build_interpolant",
@@ -131,10 +127,6 @@ __all__ = [
     "eval_K",
     "eval_L",
     "eval_pair",
-    "eval_scaled_X_series",
-    "eval_scaled_Y_series",
-    "eval_X",
-    "eval_Y",
     "first_zero_estimate",
     "identity_residual",
     "int_pow_cos",

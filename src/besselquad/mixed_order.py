@@ -15,11 +15,13 @@ trigonometric base
     L^n_{01}(x; a, b) = [int x^{n-3} cos((a-b)x) - int x^{n-3} cos((a+b)x)] / (2ab^2)
                       - [int x^{n-2} sin((a-b)x) + int x^{n-2} sin((a+b)x)] / (2ab)
 
-(the same ladder also serves as the pure-recursion reference path for
-the closure).  One evaluation point builds one ``LTable``, which holds
-one K table for its (x, a, b) (see same_order.KTable): every K cell, the
-adjacent closure and the n = 1 ladder read it, and the L01 base reads
-its two trig chains, so the point walks each chain once.  Equal
+(with ``closed_forms=False`` every adjacent cell takes the ladder, so
+``eval_L(n, l - 1, l, x, a, b, closed_forms=False)`` is the
+pure-recursion reference for the closure).  One evaluation point builds
+one ``LTable``, which holds one K table for its (x, a, b) (see
+same_order.KTable): every K cell, the adjacent closure and the n = 1
+ladder read it, and the L01 base reads its two trig chains, so the point
+walks each chain once.  Equal
 arguments a = b get their own engine, ``LEqualTable``, with five printed
 closed forms, the simpler adjacent-order rule through the squared
 family, and the equal-argument base; it shares one H table in the same
@@ -47,7 +49,7 @@ from .sph_bessel import _j_extended, _j_list, j_extended, parity_fold
 from .squared_bessel import HTable
 from .trig_primitives import TrigChain, _refuse_small_arg
 from .types import (
-    AntiderivativeValue, IntegralSpec, PointTable, check_integer, check_limits, check_point,
+    AntiderivativeValue, IntegralSpec, PointTable, check_limits, check_point,
     finite_result, sweep,
 )
 
@@ -61,67 +63,18 @@ _STEP = ((-1, 1), (0, 2))
 # ---------------------------------------------------------------------------
 
 def _base_L01(n: int, x: float, a: float, b: float, near: TrigChain, far: TrigChain) -> float:
-    """L^n_{01}(x; a, b) from the chains of |a - b| x (near) and |a + b| x
-    (far); int x^m sin(c x) dx is odd in c, so the sine terms take the
-    signs of a - b and a + b."""
-    for c in (a - b, a + b):
-        if c == 0:
-            raise DomainError("base_L01 requires |alpha| != |beta|; use the equal-argument path")
-        if abs(c) < DEGENERACY_GUARD * (abs(a) + abs(b)) and n - 3 < 0:
-            raise NearDegenerateError(
-                f"scale combination {c:.3g} under the degeneracy guard with "
-                f"n = {n} < 3; evaluate by quadrature"
-            )
+    """L^n_{01}(x; a, b) for positive distinct scales, from the chains of
+    |a - b| x (near) and (a + b) x (far); int x^m sin(c x) dx is odd in c,
+    so the near sine term takes the sign of a - b."""
+    if abs(a - b) < DEGENERACY_GUARD * (a + b) and n - 3 < 0:
+        raise NearDegenerateError(
+            f"scale combination {a - b:.3g} under the degeneracy guard with "
+            f"n = {n} < 3; evaluate by quadrature"
+        )
     cos_part = (near.int_cos(n - 3) - far.int_cos(n - 3)) / (2.0 * a * b * b)
     sin_near = near.int_sin(n - 2)
-    sin_far = far.int_sin(n - 2)
-    sin_part = (
-        (sin_near if a > b else -sin_near) + (sin_far if a + b > 0 else -sin_far)
-    ) / (2.0 * a * b)
+    sin_part = ((sin_near if a > b else -sin_near) + far.int_sin(n - 2)) / (2.0 * a * b)
     return cos_part - sin_part
-
-
-@finite_result
-def base_L01(n: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:
-    """The terminal case L^n_{01}(x; alpha, beta) = int x^n j_0(ax) j_1(bx) dx.
-
-    Derived purely from product-to-sum trig identities, so any nonzero
-    scales with |alpha| != |beta| are accepted.
-    """
-    spec = IntegralSpec("L", n, 1, alpha, k=0, beta=beta)  # checks n and the scales
-    alpha, beta = spec.scales
-    x = check_point(x)
-    near = TrigChain(abs(alpha - beta), x)
-    far = TrigChain(abs(alpha + beta), x)
-    return AntiderivativeValue(_base_L01(spec.n, x, alpha, beta, near, far), "base")
-
-
-def _adjacent_table(n, l, x, alpha, beta, closed_forms: bool) -> tuple:
-    """(n, LTable) of the adjacent-order evaluators, for l >= 1 and positive
-    distinct scales (eval_L folds parity and sends equal scales elsewhere)."""
-    l = check_integer("l", l)
-    spec = IntegralSpec("L", n, l, alpha, k=l - 1, beta=beta)  # checks n, the orders and scales
-    alpha, beta = spec.scales
-    if alpha < 0 or beta < 0:
-        raise DomainError("the adjacent-order evaluators expect positive scales")
-    if alpha == beta:
-        raise DomainError(
-            "the adjacent-order evaluators require alpha != beta; use the equal-argument path"
-        )
-    return spec.n, LTable(check_point(x), spec.l - 1, spec.l, alpha, beta, closed_forms)
-
-
-def adjacent_closure(n: int, l: int, x: float, alpha: float, beta: float) -> AntiderivativeValue:
-    """Closure for adjacent orders, L^n_{l-1,l}(x; alpha, beta), n != 1.
-
-    Requires positive distinct scales (eval_L folds parity before
-    landing here) and l >= 1.  The value is the general table's adjacent
-    cell, so at l = 1 it is the L01 base.
-    """
-    if n == 1:
-        raise DomainError("adjacent closure divides by n - 1; use the n = 1 ladder")
-    n, table = _adjacent_table(n, l, x, alpha, beta, True)
-    return AntiderivativeValue(table.value(n), "closure")
 
 
 def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -> float:
@@ -140,15 +93,6 @@ def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -
         p, q = q, p
         v = (2 * j + 1) / q * cells[k - j] - v
     return v
-
-
-def adjacent_by_recursion(
-    n: int, l: int, x: float, alpha: float, beta: float
-) -> AntiderivativeValue:
-    """Pure-recursion reference for the adjacent-order case (no closure,
-    no closed forms inside K); used to validate adjacent_closure."""
-    n, table = _adjacent_table(n, l, x, alpha, beta, False)
-    return AntiderivativeValue(table.value(n), "ladder")
 
 
 def _closure(

@@ -135,7 +135,7 @@ def _initial_edges(knots: list, width: float | None, cap: int) -> np.ndarray:
     parts = []
     for lo, hi in zip(knots[:-1], knots[1:]):
         n = 1
-        if width is not None and width > 0:
+        if width is not None:
             # capped before ceil: a width far below the interval gives inf
             n = math.ceil(min((hi - lo) / width, cap))
         parts.append(np.linspace(lo, hi, n + 1))
@@ -149,7 +149,6 @@ def adaptive_quad(
     a: float,
     b: float,
     tol: float = DEFAULT_TOL,
-    rtol: float | None = None,
     max_evals: int = MAX_EVALS,
     vectorized: bool = False,
     initial_max_width: float | None = None,
@@ -166,16 +165,15 @@ def adaptive_quad(
     a, b : float
         Interval, a < b, both finite.
     tol : float
-        Absolute tolerance target, tol > 0.
-    rtol : float, optional
-        Relative tolerance, rtol >= 0; defaults to ``tol`` (mixed
-        criterion err <= max(tol, rtol |value|)).
+        Tolerance target, tol > 0, absolute and relative: the run stops
+        once its error estimate is at most max(tol, tol |value|).
     max_evals : int
         Cap on integrand evaluations, an integer at least 15 (one
         panel); on hitting it the best estimate is returned with
         converged=False (no exception).
     initial_max_width : float, optional
-        Pre-split [a, b] into pieces no wider than this before adapting.
+        Pre-split [a, b] into pieces no wider than this, a width > 0,
+        before adapting.
         For oscillatory integrands a width of pi over the fastest scale
         keeps each half-oscillation resolved by the base rule.
     breakpoints : sequence of float, optional
@@ -217,7 +215,6 @@ def adaptive_quad(
             f"breakpoints must be finite and strictly increasing inside ({a}, {b}), got {inner}"
         )
     tol = check_real("tol", tol, 0.0, above=True)
-    rtol = tol if rtol is None else check_real("rtol", rtol, 0.0)
     nsub = len(knots) - 1
     if check_integer("max_evals", max_evals) < _PANEL_NODES * nsub:
         raise DomainError(
@@ -225,7 +222,7 @@ def adaptive_quad(
             f"each ({_PANEL_NODES * nsub} for {nsub}; got {max_evals})"
         )
     if initial_max_width is not None:
-        initial_max_width = check_real("initial_max_width", initial_max_width)
+        initial_max_width = check_real("initial_max_width", initial_max_width, 0.0, above=True)
     edges = _initial_edges(knots, initial_max_width, max(1, max_evals // (30 * nsub)))
     npieces = len(edges) - 1
     chunks = []  # (edges, values, errors) of each integrand call
@@ -243,7 +240,7 @@ def adaptive_quad(
         chunks.append((chunk, vs, es))
     heap = None  # built before the first bisection: most runs need none
     min_width = 1e-14 * max(1.0, abs(a), abs(b))
-    while total_err > max(tol, rtol * abs(total)) and evals + 30 <= max_evals:
+    while total_err > max(tol, tol * abs(total)) and evals + 30 <= max_evals:
         if heap is None:
             heap = [
                 (-e, lo, hi, v, e)
@@ -263,7 +260,7 @@ def adaptive_quad(
         total_err += (e1 + e2) - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    converged = total_err <= max(tol, rtol * abs(total))
+    converged = total_err <= max(tol, tol * abs(total))
     return QuadratureResult(total, total_err, evals, converged)
 
 

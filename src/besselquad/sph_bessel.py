@@ -68,6 +68,13 @@ def _series_value(l: int, x: float) -> float:
     return _leading(l, x) * (1.0 + c1 + c2)
 
 
+def _miller_start(order: int) -> int:
+    """The order a downward (Miller) walk for j_0..j_order starts from: a
+    safety margin above ``order``.  ``_j_list`` and ``_j_miller`` share it,
+    so their values agree bitwise."""
+    return order + max(20, math.ceil(1.5 * order))
+
+
 def _j_list(lmax: int, x: float) -> list:
     """j_0(x) .. j_lmax(x) as a list of Python floats: the one j table.
 
@@ -96,11 +103,10 @@ def _j_list(lmax: int, x: float) -> list:
             out.append(j1)
         return out
     # downward (Miller) from a safety margin above lmax
-    lstart = lmax + max(20, math.ceil(1.5 * lmax))
     out = [0.0] * (lmax + 1)
     jp = 0.0  # j_{m+1}, unnormalized
     jc = 1.0  # j_m, unnormalized
-    for m in range(lstart, 0, -1):
+    for m in range(_miller_start(lmax), 0, -1):
         jm = (2 * m + 1) / x * jc - jp
         jp, jc = jc, jm
         idx = m - 1
@@ -323,7 +329,7 @@ def _j_miller(l, x: np.ndarray) -> np.ndarray:
     # keep their values, and the run whose start is m - 1 joins; a run's
     # start rises with its order, so the points joined are a prefix
     keep_at = {order + 1: (lo, hi) for order, lo, hi in runs}
-    join_at = {order + max(20, math.ceil(1.5 * order)) + 1: hi for order, _, hi in runs}
+    join_at = {_miller_start(order) + 1: hi for order, _, hi in runs}
     top = max(join_at) - 1
     k = join_at.pop(top + 1)
     marks = {*keep_at, *join_at, 2, 1}

@@ -28,12 +28,13 @@ Si and Ci are implemented locally: a convergent power series below
 ``SI_CI_SWITCH`` and rational approximations of the auxiliary functions
 f, g above it, with Si = pi/2 - f cos - g sin and Ci = f sin - g cos.
 
-For scaled arguments, X_n(a x)/a^{n+1} = int x^n sin(a x) dx admits a
-power series for n >= 0 that is preferred at small |a x|, where the
-plain recursion would bury the x dependence under the integration
-constant.  No comparable expansion exists for n < -1, so arguments below
-``SMALL_ARG_HAZARD`` with n < -1 raise QuadratureRecommendedError rather
-than return a value of unknown quality.
+For scaled arguments, int x^n sin(a x) dx = X_n(a x)/a^{n+1} admits a
+power series for n >= 0 that ``int_pow_sin`` and ``int_pow_cos`` take
+at |a x| <= ``SERIES_ARG_MAX``, where the plain recursion would bury the
+x dependence under the integration constant.  No comparable expansion
+exists for n < -1, so arguments below ``SMALL_ARG_HAZARD`` with n < -1
+raise QuadratureRecommendedError rather than return a value of unknown
+quality.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ SI_CI_SWITCH = 6.0
 
 #: scaled series is used for |alpha x| at or below this
 SERIES_ARG_MAX = 0.5
-
-#: the scaled series refuses |alpha x| above this (the engines stay at or
-#: below SERIES_ARG_MAX): past |alpha x| ~ 10 the alternating sum cancels
-#: catastrophically
-SERIES_ARG_LIMIT = 2 * SERIES_ARG_MAX
 
 #: below this argument, primitives with n < -1 refuse to evaluate
 SMALL_ARG_HAZARD = 0.1
@@ -330,35 +326,15 @@ def _pair(n: int, x: float, constants: bool = True) -> tuple:
     return TrigChain(1.0, x, constants).pair(n)
 
 
-@finite_result
-def eval_X(n: int, x: float) -> float:
-    """X_n(x) = int x^n sin(x) dx under the frozen constant convention."""
-    n, x = check_integer("n", n), check_real("x", x, 0.0)
-    if x == 0 and n == -1:
-        return 0.0  # Si(0)
-    if x == 0 and n < -1:
-        raise DomainError(f"X_{n}(0) is divergent")
-    return _pair(n, x)[0]
-
-
-@finite_result
-def eval_Y(n: int, x: float) -> float:
-    """Y_n(x) = int x^n cos(x) dx under the frozen constant convention."""
-    return _pair(check_integer("n", n), check_real("x", x, 0.0))[1]
-
-
 def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) -> float:
     """The series of X_n (odd = 1, sin) or Y_n (odd = 0, cos) at alpha x
     over alpha^(n+1): the constant, then
 
         alpha^odd x^(n+1+odd) sum_m (-(alpha x)^2)^m / ((2m+odd)! (n+2m+1+odd))
 
-    for n >= 0, alpha != 0 and finite x, as the callers check."""
-    if not abs(alpha * x) <= SERIES_ARG_LIMIT:
-        raise DomainError(
-            f"scaled series at |alpha x| = {abs(alpha * x):g}: "
-            f"it is accurate only up to SERIES_ARG_LIMIT = {SERIES_ARG_LIMIT:g}"
-        )
+    for n >= 0, alpha != 0 and |alpha x| <= SERIES_ARG_MAX, the one range
+    where TrigChain takes it (past |alpha x| ~ 10 the alternating sum
+    cancels catastrophically)."""
     u2 = (alpha * x) ** 2
     half = -_COS_HALF[n % 4] if odd else _SIN_HALF[n % 4]
     const = 0.0
@@ -379,41 +355,6 @@ def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) ->
             break
     lead = alpha * x ** (n + 2) if odd else x ** (n + 1)
     return const + lead * acc
-
-
-@finite_result
-def eval_scaled_X_series(n: int, alpha: float, x: float, constants: bool = True) -> float:
-    """Series evaluation of X_n(alpha x) / alpha^(n+1) for n >= 0.
-
-    Returns the same antiderivative of x^n sin(alpha x) as the recursion
-    route, constant of integration included:
-
-        -Gamma(n+1) cos(n pi/2) / alpha^(n+1)
-        + alpha x^(n+2) sum_m (-(alpha x)^2)^m / ((2m+1)! (n+2m+2))
-
-    Intended for |alpha x| <= SERIES_ARG_MAX, where the engines use it;
-    the sum is taken to convergence at machine precision, so it stays
-    accurate slightly beyond that.  |alpha x| above SERIES_ARG_LIMIT
-    (= 2 SERIES_ARG_MAX), where the alternating sum starts to cancel, is
-    a DomainError, and so is a value that overflows a float.
-    constants=False drops the Gamma term (see eval_pair).
-    """
-    return _scaled_series(1, *_series_args(n, alpha, x), constants)
-
-
-@finite_result
-def eval_scaled_Y_series(n: int, alpha: float, x: float, constants: bool = True) -> float:
-    """Series evaluation of Y_n(alpha x) / alpha^(n+1) for n >= 0.
-
-    Constant term +Gamma(n+1) sin(n pi/2) / alpha^(n+1); the domain is
-    eval_scaled_X_series's.
-    """
-    return _scaled_series(0, *_series_args(n, alpha, x), constants)
-
-
-def _series_args(n, alpha, x) -> tuple:
-    """The checked (n >= 0, alpha != 0, x) of the public scaled series."""
-    return check_integer("n", n, 0), check_real("alpha", alpha, nonzero=True), check_real("x", x)
 
 
 @finite_result

@@ -16,10 +16,7 @@ import pytest
 from besselquad import (
     DomainError,
     IntegralSpec,
-    adjacent_by_recursion,
-    adjacent_closure,
     antiderivative,
-    base_L01,
     base_L01_equal,
     build_interpolant,
     closed_H,
@@ -98,10 +95,9 @@ AT_POINT = {
     "closed_H": lambda x: closed_H("H3", 1, x),
     "closed_K2": lambda x: closed_K2(1, x, 1.0, 2.0),
     "closed_L_equal": lambda x: closed_L_equal("L4", 1, 2, x),
-    "base_L01": lambda x: base_L01(0, x, 1.0, 2.0),
+    "eval_L L01 base": lambda x: eval_L(0, 0, 1, x, 1.0, 2.0),
     "base_L01_equal": lambda x: base_L01_equal(0, x),
-    "adjacent_closure": lambda x: adjacent_closure(0, 2, x, 1.0, 2.0),
-    "adjacent_by_recursion": lambda x: adjacent_by_recursion(0, 2, x, 1.0, 2.0),
+    "eval_L ladder": lambda x: eval_L(0, 1, 2, x, 1.0, 2.0, closed_forms=False),
     **{
         f"antiderivative {spec.family}": (lambda x, spec=spec: antiderivative(spec, x))
         for spec in (
@@ -122,9 +118,8 @@ WITH_SCALE = {
     "eval_L alpha": lambda s: eval_L(0, 1, 2, 3.0, s, 2.0),
     "eval_L beta": lambda s: eval_L(0, 1, 2, 3.0, 1.0, s),
     "closed_K2": lambda s: closed_K2(1, 3.0, s, 2.0),
-    "base_L01": lambda s: base_L01(0, 3.0, 1.0, s),
-    "adjacent_closure": lambda s: adjacent_closure(0, 2, 3.0, s, 2.0),
-    "adjacent_by_recursion": lambda s: adjacent_by_recursion(0, 2, 3.0, 1.0, s),
+    "eval_L L01 base": lambda s: eval_L(0, 0, 1, 3.0, 1.0, s),
+    "eval_L ladder": lambda s: eval_L(0, 1, 2, 3.0, 1.0, s, closed_forms=False),
 }
 
 
@@ -244,11 +239,11 @@ class TestDeepRecursions:
         assert got.segments == (("recursion", a, b),)
         assert abs(got.value - ref) <= 1e-12 * abs(ref)
 
-    @pytest.mark.parametrize("evaluator", [adjacent_closure, adjacent_by_recursion])
-    def test_adjacent_evaluators_overflow(self, evaluator):
+    @pytest.mark.parametrize("closed_forms", [True, False], ids=["closure", "ladder"])
+    def test_adjacent_orders_overflow(self, closed_forms):
         # x^(n+1) = 50^401 alone passes the float range
         with pytest.raises(DomainError, match=r"L .*n = 400, orders \(1, 2\) at x = 50: .*overflow"):
-            evaluator(400, 2, 50.0, 1.0, 2.0)
+            eval_L(400, 1, 2, 50.0, 1.0, 2.0, closed_forms=closed_forms)
 
     def test_scale_power_overflow(self):
         # alpha^(-n-1) alone passes the float range

@@ -30,14 +30,10 @@ EVALUATORS = {
         for k in ("L1", "L2", "L3", "L4", "L5")
     },
     "closed_K2": lambda n, x: bq.closed_K2(n, x, 1.3, 0.7),
-    "base_L01": lambda n, x: bq.base_L01(n, x, 1.3, 0.7),
+    "eval_L[L01]": lambda n, x: bq.eval_L(n, 0, 1, x, 1.3, 0.7),
     "base_L01_equal": bq.base_L01_equal,
     "int_pow_sin": lambda n, x: bq.int_pow_sin(n, 1.3, x),
     "int_pow_cos": lambda n, x: bq.int_pow_cos(n, -0.7, x),
-    "eval_scaled_X_series": lambda n, x: bq.eval_scaled_X_series(n, 1.3, x),
-    "eval_scaled_Y_series": lambda n, x: bq.eval_scaled_Y_series(n, 1.3, x),
-    "eval_X": bq.eval_X,
-    "eval_Y": bq.eval_Y,
     "eval_pair": lambda n, x: (lambda p: (p.X, p.Y))(bq.eval_pair(n, x)),
 }
 
@@ -82,19 +78,18 @@ def test_error_names_the_call(call, text):
     [
         (lambda: bq.eval_K(37, 0, 5.0, 1.0, 1.000000001), "K antiderivative with n = 37"),
         (lambda: bq.eval_L(76, 0, 1, 8606.03, 1.0, 1.000000001), "L antiderivative with n = 76"),
-        (lambda: bq.base_L01(76, 8606.03, 1.0, 1.000000001), r"base_L01\(76, 8606.03"),
         (
-            lambda: bq.adjacent_closure(218, 59, 0.0383, 1.0, 1.000000001),
+            lambda: bq.eval_L(218, 58, 59, 0.0383, 1.0, 1.000000001),
             "L antiderivative with n = 218",
         ),
         (
-            lambda: bq.adjacent_by_recursion(218, 59, 0.0383, 1.0, 1.000000001),
+            lambda: bq.eval_L(218, 58, 59, 0.0383, 1.0, 1.000000001, closed_forms=False),
             "L antiderivative with n = 218",
         ),
-        (lambda: bq.eval_scaled_Y_series(35, 1e-9, 1.0), r"eval_scaled_Y_series\(35, 1e-09"),
-        (lambda: bq.eval_scaled_X_series(40, 1e-9, 1.0), r"eval_scaled_X_series\(40, 1e-09"),
+        (lambda: bq.int_pow_cos(35, 1e-9, 1.0), r"int_pow_cos\(35, 1e-09"),
+        (lambda: bq.int_pow_sin(40, 1e-9, 1.0), r"int_pow_sin\(40, 1e-09"),
     ],
-    ids=["K", "L", "base_L01", "closure", "ladder", "scaled_Y", "scaled_X"],
+    ids=["K", "L", "closure", "ladder", "scaled_Y", "scaled_X"],
 )
 def test_underflowing_series_constant(call, text):
     # near-degenerate scales take the scaled trig series, whose constant
@@ -107,7 +102,7 @@ def test_underflowing_series_constant(call, text):
 
 def test_finite_values_are_untouched():
     # finite neighbours of the refused calls keep their values
-    assert bq.eval_Y(400, 0.0) == 0.0  # Y_400(0) = 400! sin(200 pi), though X_400(0) overflows
+    assert bq.int_pow_cos(400, 1.0, 0.0) == 0.0  # Y_400(0) = 400! sin(200 pi), though X_400(0) overflows
     assert bq.small_x_leading(0, 1e300) == 1.0
     assert bq.j_extended(-1, 2.0) == math.cos(2.0) / 2.0
     assert bq.si(0.0) == 0.0
@@ -127,9 +122,7 @@ def test_finite_values_are_untouched():
         lambda: bq.j_extended(1.5, 1.0),
         lambda: bq.small_x_leading(2.5, 1.0),
         lambda: bq.eval_pair(2.5, 1.0),
-        lambda: bq.eval_X(1.5, 1.0),
         lambda: bq.int_pow_sin(1.5, 1.0, 1.0),
-        lambda: bq.eval_scaled_X_series(1.5, 1.0, 0.1),
         lambda: bq.besselJ(2.5, 1.0),
         lambda: bq.besselJ(True, 1.0),
         lambda: bq.first_zero_estimate(-1),
@@ -144,7 +137,7 @@ def test_finite_values_are_untouched():
     ids=[
         "j_many-neg1", "j_many-neg2", "j_many-neg1-at-0", "j_many-neg1-small", "j-bool",
         "j_array-bool", "j_many-bool", "j_array-float", "j_extended-float", "leading-float",
-        "pair-float", "X-float", "int_pow_sin-float", "scaled_X-float", "besselJ-float",
+        "pair-float", "int_pow_sin-float", "besselJ-float",
         "besselJ-bool", "first_zero-neg1", "first_zero-float", "first_zero-bool",
         "eval_I-n-float", "eval_I-n-bool", "j_array-neg1", "eval_I-l-float", "eval_I-l-bool",
     ],
@@ -177,14 +170,21 @@ def _limits_calls():
     }
     arguments = {
         "definite_integral": ("a", "b", "tol", "max_evals"),
-        "adaptive_quad": ("a", "b", "tol", "rtol", "max_evals"),
+        "adaptive_quad": ("a", "b", "tol", "initial_max_width", "max_evals"),
         "choose_strategy": ("a", "b"),
     }
-    # rtol=None is its default, rtol = tol
+    # initial_max_width=None is its default, one panel per interval; a
+    # width that is not positive is refused too
+    bad = {
+        "initial_max_width": [
+            *((v, vid) for v, vid in zip(NOT_REAL, NOT_REAL_IDS) if v is not None),
+            (0, "zero"), (-1.0, "negative"),
+        ],
+    }
     return [
         pytest.param(arg, calls[f], value, id=f"{f}-{arg}-{vid}")
-        for f in calls for arg in arguments[f] for value, vid in zip(NOT_REAL, NOT_REAL_IDS)
-        if not (arg == "rtol" and value is None)
+        for f in calls for arg in arguments[f]
+        for value, vid in bad.get(arg, zip(NOT_REAL, NOT_REAL_IDS))
     ]
 
 

@@ -6,9 +6,6 @@ import pytest
 from besselquad import (
     DomainError,
     adaptive_quad,
-    adjacent_by_recursion,
-    adjacent_closure,
-    base_L01,
     base_L01_equal,
     closed_L_equal,
     eval_H,
@@ -94,43 +91,28 @@ class TestGeneralEvaluation:
 
 class TestAdjacentClosure:
     def test_against_oracle(self):
-        got = (
-            adjacent_closure(0, 1, 20.0, 1.0, 2.0).value
-            - adjacent_closure(0, 1, 1.0, 1.0, 2.0).value
-        )
+        got = eval_L(0, 0, 1, 20.0, 1.0, 2.0).value - eval_L(0, 0, 1, 1.0, 1.0, 2.0).value
         assert got == pytest.approx(oracle(0, 0, 1, 1.0, 20.0, 1.0, 2.0), rel=1e-9)
 
     def test_derivative(self):
         x = 15.0
         assert_derivative_matches(
-            lambda t: adjacent_closure(2, 3, t, 1.3, 0.7).value,
+            lambda t: eval_L(2, 2, 3, t, 1.3, 0.7).value,
             x**2 * j(2, 1.3 * x) * j(3, 0.7 * x),
             x,
         )
-
-    def test_n_one_rejected(self):
-        with pytest.raises(DomainError):
-            adjacent_closure(1, 2, 5.0, 1.0, 2.0)
-
-    @pytest.mark.parametrize("evaluator", [adjacent_closure, adjacent_by_recursion])
-    @pytest.mark.parametrize("l", [1, 2, 5])
-    def test_equal_scales_refused_at_every_order(self, evaluator, l):
-        # equal scales belong to the equal-argument path at every order,
-        # not to quadrature through the degeneracy guard
-        with pytest.raises(DomainError, match="use the equal-argument path"):
-            evaluator(2, l, 10.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("n,l,alpha,beta", [
         (0, 1, 1.0, 2.0), (2, 3, 1.3, 0.7), (4, 2, 2.0, 1.1), (-1, 4, 0.9, 1.8),
     ])
     def test_agrees_with_ladder(self, n, l, alpha, beta):
+        # the closure against the pure-recursion ladder of closed_forms=False
         a, b = 2.0, 40.0
-        c = adjacent_closure(n, l, b, alpha, beta).value - adjacent_closure(
-            n, l, a, alpha, beta
-        ).value
-        r = adjacent_by_recursion(n, l, b, alpha, beta).value - adjacent_by_recursion(
-            n, l, a, alpha, beta
-        ).value
+        c = eval_L(n, l - 1, l, b, alpha, beta).value - eval_L(n, l - 1, l, a, alpha, beta).value
+        r = (
+            eval_L(n, l - 1, l, b, alpha, beta, closed_forms=False).value
+            - eval_L(n, l - 1, l, a, alpha, beta, closed_forms=False).value
+        )
         assert c == pytest.approx(r, rel=1e-10, abs=1e-14)
 
 
@@ -138,7 +120,7 @@ class TestBaseL01:
     def test_derivative(self):
         x = 9.0
         assert_derivative_matches(
-            lambda t: base_L01(2, t, 1.0, 2.0).value,
+            lambda t: eval_L(2, 0, 1, t, 1.0, 2.0).value,
             x**2 * j(0, x) * j(1, 2.0 * x),
             x,
         )
@@ -146,11 +128,11 @@ class TestBaseL01:
     def test_order_swap_consistency(self):
         # L^n_{10}(x; alpha, beta) = L^n_{01}(x; beta, alpha)
         v1 = eval_L(2, 1, 0, 7.0, 2.0, 1.0).value
-        v2 = base_L01(2, 7.0, 1.0, 2.0).value
+        v2 = eval_L(2, 0, 1, 7.0, 1.0, 2.0).value
         assert v1 == v2
 
     def test_against_oracle(self):
-        got = base_L01(0, 10.0, 2.0, 3.0).value - base_L01(0, 1.0, 2.0, 3.0).value
+        got = eval_L(0, 0, 1, 10.0, 2.0, 3.0).value - eval_L(0, 0, 1, 1.0, 2.0, 3.0).value
         assert got == pytest.approx(oracle(0, 0, 1, 1.0, 10.0, 2.0, 3.0), rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -158,13 +140,13 @@ class TestBaseL01:
     )
     @pytest.mark.parametrize("n", [0, 4])
     def test_equals_product_to_sum_formula(self, n, alpha, beta):
-        # the shared |a - b| and |a + b| chains carry the signs of the
-        # odd sine terms exactly
+        # the parity fold of negative scales and the shared |a - b| and
+        # a + b chains carry the signs of the odd sine terms exactly
         x, a, b = 5.0, alpha, beta
         want = (int_pow_cos(n - 3, a - b, x) - int_pow_cos(n - 3, a + b, x)) / (2.0 * a * b * b) - (
             int_pow_sin(n - 2, a - b, x) + int_pow_sin(n - 2, a + b, x)
         ) / (2.0 * a * b)
-        assert base_L01(n, x, alpha, beta).value == want
+        assert eval_L(n, 0, 1, x, alpha, beta).value == want
 
 
 class TestTablesDieWithTheirCall:
@@ -205,15 +187,15 @@ class TestSharedKTable:
         monkeypatch.undo()
         assert eval_L(n, 2, 5, 30.0, 1.0, 1.6).value == want
 
-    @pytest.mark.parametrize("evaluator", [adjacent_closure, adjacent_by_recursion])
-    def test_adjacent_evaluators_build_one_j_table_per_scale(self, evaluator, monkeypatch):
+    @pytest.mark.parametrize("closed_forms", [True, False], ids=["closure", "ladder"])
+    def test_adjacent_orders_build_one_j_table_per_scale(self, closed_forms, monkeypatch):
         calls = []
         for mod in (mixed_order, same_order):
             fn = mod._j_list
             monkeypatch.setattr(
                 mod, "_j_list", lambda l, x, fn=fn: calls.append((l, x)) or fn(l, x)
             )
-        evaluator(0, 4, 30.0, 1.0, 1.6)
+        eval_L(0, 3, 4, 30.0, 1.0, 1.6, closed_forms=closed_forms)
         assert sorted(x for _, x in calls) == [30.0, 48.0]
 
 

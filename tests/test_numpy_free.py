@@ -40,13 +40,13 @@ def analytic():
         bq.eval_H(0, 4, x).value, bq.eval_H_scaled(-1, 4, x, 0.9, False, False).value,
         bq.eval_K(1, 3, x, 1.3, 0.7).value, bq.eval_L(0, 1, 4, x, 1.3, 0.7).value,
         bq.eval_L(0, 1, 4, x, 1.0, 1.0).value,
-        bq.adjacent_closure(0, 3, x, 1.3, 0.7).value,
-        bq.adjacent_by_recursion(0, 3, x, 1.3, 0.7).value,
+        bq.eval_L(0, 2, 3, x, 1.3, 0.7).value,
+        bq.eval_L(0, 2, 3, x, 1.3, 0.7, closed_forms=False).value,
         bq.closed_I("I1", 3, x).value, bq.closed_H("H3", 2, x).value,
         bq.closed_K2(2, x, 1.3, 0.7).value, bq.closed_L_equal("L4", 1, 3, x).value,
-        bq.base_L01(2, x, 1.3, 0.7).value, bq.base_L01_equal(3, x).value,
-        bq.eval_X(3, x), bq.eval_Y(-2, x), bq.eval_pair(-3, x).X,
-        bq.eval_scaled_X_series(2, 1.0, 0.4), bq.eval_scaled_Y_series(2, 1.0, 0.4),
+        bq.eval_L(2, 0, 1, x, 1.3, 0.7).value, bq.base_L01_equal(3, x).value,
+        bq.eval_pair(3, x).X, bq.eval_pair(-2, x).Y, bq.eval_pair(-3, x).X,
+        bq.int_pow_sin(2, 1.0, 0.4), bq.int_pow_cos(2, 1.0, 0.4),
         bq.int_pow_sin(-2, 1.3, x), bq.int_pow_cos(3, -0.7, x), bq.si(x), bq.ci(x),
         bq.j(5, x), bq.j_extended(-1, x),
         bq.small_x_leading(3, 0.1), bq.identity_residual(1, 3, 8.0, 12.0, 1.3, 0.7),

@@ -461,6 +461,41 @@ def test_one_quadrature_run_per_integral(shape, weighted, monkeypatch):
         assert calls == [r.segments[0][1:]]
 
 
+#: high orders where the auto strategy's recursion misses tol=1e-10 while
+#: reporting converged=True and error_estimate=0.0: the n < 0 trig chain
+#: walks away from its Si/Ci anchor and loses digits like u^m / m!
+#: (ROADMAP item 1).  (family, k, l, alpha, beta) -> measured relative error
+SILENT_MISSES = {
+    ("H", None, 100, 1.3, None): 7.9e26,
+    ("K", None, 60, 1.0, 1.7): 2.2e3,
+    ("L", 58, 60, 1.0, 1.7): 195,
+    ("H", None, 60, 1.3, None): 3.2e-4,
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(case, id=f"{case[0]}-l{case[2]}", marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True,
+            reason=f"silent miss, relative error {error:.2g} (ROADMAP item 1)"))
+        for case, error in SILENT_MISSES.items()
+    ],
+)
+def test_high_order_auto_meets_tol_or_says_so(case):
+    # converged=True must mean within tol of a tight quadrature reference
+    family, k, l, alpha, beta = case
+    spec = IntegralSpec(family, 0, l, alpha, k=k, beta=beta)
+    a = 1.01 * oscillation_threshold(spec)
+    tol = 1e-10
+    got = definite_integral(spec, a, a + 200.0, tol=tol)
+    ref = definite_integral(spec, a, a + 200.0, tol=1e-13, strategy="quadrature")
+    assert ref.converged
+    if got.converged:
+        error = abs(got.value - ref.value)
+        assert error <= max(tol, tol * abs(ref.value)) + ref.error_estimate, error / abs(ref.value)
+
+
 class TestIntegrandBuilder:
     def test_finite_at_zero_when_condition_holds(self):
         f = integrand(IntegralSpec("L", -2, 2, 1.0, k=1, beta=2.0))

@@ -1,8 +1,8 @@
 """tools/same_numbers.py, the bitwise gate between two checkouts: a seeded
 grid written twice compares equal, one changed entry is reported,
 entries that differ only in an error message or only in the strategy
-reason are counted apart, and the largest relative value change is
-printed."""
+reason are counted apart, the largest relative value change is printed,
+and changed pool entries are sorted against their pool ref."""
 
 import importlib.util
 import json
@@ -150,6 +150,57 @@ def test_compare_prints_the_largest_value_change(tmp_path, capsys):
     assert "1 values moved, the largest by inf relative to the first: zero" in (
         capsys.readouterr().out
     )
+
+
+def test_compare_sorts_pool_entries_against_their_ref(tmp_path, capsys):
+    # changed pool entries are sorted by their distance from the pool's
+    # ref, in units of its check bound; the farthest that moved away are
+    # listed, and the exit status still counts every difference
+    tool = _tool()
+    items = list(tool.pool_items())[:6]
+    keys = [key for key, _, _ in items]
+
+    def at(i, bounds):
+        """A result entry at ``bounds`` check bounds above item i's ref."""
+        _, item, pool = items[i]
+        tol = pool["check_tol"]
+        bound = pool["check_c"] * max(tol, tol * abs(item["ref"]))
+        return _record(value=(item["ref"] + bounds * bound).hex())
+
+    first = {
+        keys[0]: at(0, 3.0), keys[1]: at(1, 0.5), keys[2]: at(2, 0.2), keys[3]: at(3, 0.5),
+        keys[4]: at(4, 0.5), keys[5]: {"error": "DomainError", "message": "x"},
+        "grid/0": _record(),
+    }
+    second = {
+        keys[0]: at(0, 0.5),  # closer: into the bound
+        keys[1]: at(1, 7.0),  # farther: out of the bound
+        keys[2]: at(2, 0.9),  # moved, but within the bound on both sides
+        keys[3]: at(3, 2.0),  # farther
+        keys[4]: at(4, 0.5),  # unchanged
+        keys[5]: at(5, 0.0),  # an error became a value
+        "grid/0": _record(value=(2.0).hex()),  # not a pool entry
+    }
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write(a, first)
+    _write(b, second)
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert ("changed pool entries against their ref: 1 closer, 2 farther, 1 within the check "
+            "bound on both sides, 1 otherwise") in out
+    farther = [line for line in out.splitlines() if line.startswith("  farther: ")]
+    assert len(farther) == 2
+    assert farther[0].startswith(f"  farther: {keys[1]}: 0.5 -> 7 check bounds")
+    assert farther[1].startswith(f"  farther: {keys[3]}: 0.5 -> 2 check bounds")
+
+    sorted_ = tool.against_refs(first, second, [keys[1], keys[4]])
+    assert [k for k, _, _ in sorted_["farther"]] == [keys[1]]
+    assert [k for k, _, _ in sorted_["within"]] == [keys[4]]
+
+    # a file with no changed pool entry prints no sorting
+    _write(b, {**first, "grid/0": second["grid/0"]})
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    assert "against their ref" not in capsys.readouterr().out
 
 
 def test_grid_covers_every_engine():

@@ -10,10 +10,6 @@ from besselquad import (
     adaptive_quad,
     ci,
     eval_pair,
-    eval_scaled_X_series,
-    eval_scaled_Y_series,
-    eval_X,
-    eval_Y,
     int_pow_cos,
     int_pow_sin,
     si,
@@ -75,64 +71,62 @@ class TestSiCi:
 
 class TestAnchorsAndSpecialValues:
     def test_X0_at_pi(self):
-        assert eval_X(0, math.pi) == pytest.approx(1.0, abs=1e-15)
-
-    def test_X_minus1_at_zero(self):
-        assert eval_X(-1, 0.0) == 0.0
+        assert eval_pair(0, math.pi).X == pytest.approx(1.0, abs=1e-15)
 
     def test_X1_at_pi(self):
         # X_1 = sin x - x cos x, and int_0^pi t sin t dt = pi with X_1(0) = 0
-        assert eval_X(1, math.pi) == pytest.approx(math.pi, rel=1e-14)
+        assert eval_pair(1, math.pi).X == pytest.approx(math.pi, rel=1e-14)
         r = adaptive_quad(lambda t: t * math.sin(t), 1e-300, math.pi, tol=1e-13)
-        assert eval_X(1, math.pi) - eval_X(1, 1e-300) == pytest.approx(r.value, rel=1e-12)
+        got = eval_pair(1, math.pi).X - eval_pair(1, 1e-300).X
+        assert got == pytest.approx(r.value, rel=1e-12)
 
     def test_Y0_at_half_pi(self):
-        assert eval_Y(0, math.pi / 2) == pytest.approx(1.0, rel=1e-15)
+        assert eval_pair(0, math.pi / 2).Y == pytest.approx(1.0, rel=1e-15)
 
     def test_Y2_at_zero(self):
-        assert eval_Y(2, 0.0) == 0.0
+        assert eval_pair(2, 0.0).Y == 0.0
 
     def test_Y_minus1_is_ci(self):
-        assert eval_Y(-1, 1.0) == pytest.approx(CI_1, abs=1e-13)
+        assert eval_pair(-1, 1.0).Y == pytest.approx(CI_1, abs=1e-13)
 
     def test_X0_value_at_zero(self):
-        assert eval_X(0, 0.0) == -1.0
+        assert eval_pair(0, 0.0).X == -1.0
 
     def test_constant_propagation_at_zero(self):
         # the recursion relations applied at x = 0 generate the
         # Gamma(n+1) cos/sin constants; odd n kills X's, even n kills Y's
-        assert eval_X(1, 0.0) == 0.0
-        assert eval_Y(2, 0.0) == 0.0
-        assert eval_X(2, 0.0) == pytest.approx(2.0)
-        assert eval_Y(1, 0.0) == pytest.approx(1.0)
+        assert eval_pair(1, 0.0).X == 0.0
+        assert eval_pair(2, 0.0).Y == 0.0
+        assert eval_pair(2, 0.0).X == pytest.approx(2.0)
+        assert eval_pair(1, 0.0).Y == pytest.approx(1.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            eval_X(-2, 0.0)
+            eval_pair(-2, 0.0)
         with pytest.raises(DomainError):
-            eval_Y(-1, 0.0)
+            eval_pair(-1, 0.0)
         with pytest.raises(DomainError):
-            eval_X(0, -1.0)
+            eval_pair(0, -1.0)
 
     def test_small_argument_hazard_signal(self):
         with pytest.raises(QuadratureRecommendedError):
-            eval_X(-2, 0.05)
+            eval_pair(-2, 0.05)
         with pytest.raises(QuadratureRecommendedError):
-            eval_Y(-3, 0.099)
+            eval_pair(-3, 0.099)
         # boundary: allowed at exactly 0.1
-        eval_X(-2, 0.1)
+        eval_pair(-2, 0.1)
 
 
 class TestDerivativeProperty:
     @pytest.mark.parametrize("n", range(-6, 9))
     @pytest.mark.parametrize("x", [0.5, 1.7, 7.7, 23.0, 50.0])
     def test_X_derivative(self, n, x):
-        assert_derivative_matches(lambda t: eval_X(n, t), x**n * math.sin(x), x)
+        assert_derivative_matches(lambda t: eval_pair(n, t).X, x**n * math.sin(x), x)
 
     @pytest.mark.parametrize("n", range(-6, 9))
     @pytest.mark.parametrize("x", [0.5, 1.7, 7.7, 23.0, 50.0])
     def test_Y_derivative(self, n, x):
-        assert_derivative_matches(lambda t: eval_Y(n, t), x**n * math.cos(x), x)
+        assert_derivative_matches(lambda t: eval_pair(n, t).Y, x**n * math.cos(x), x)
 
 
 class TestRecursionCycleConsistency:
@@ -153,37 +147,20 @@ class TestRecursionCycleConsistency:
 
 
 class TestScaledSeries:
+    # int_pow_sin and int_pow_cos take the series at |c x| <= SERIES_ARG_MAX
+
     def test_X_series_constant_dominates_at_zero(self):
-        assert eval_scaled_X_series(0, 1.0, 1e-12) == pytest.approx(-1.0, rel=1e-12)
+        assert int_pow_sin(0, 1.0, 1e-12) == pytest.approx(-1.0, rel=1e-12)
 
     def test_Y_series_agrees_with_recursion(self):
-        a = eval_scaled_Y_series(1, 1.0, 0.01)
-        b = eval_Y(1, 0.01) / 1.0
+        a = int_pow_cos(1, 1.0, 0.01)
+        b = eval_pair(1, 0.01).Y / 1.0
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_X_series_agrees_with_scaled_recursion(self):
-        a = eval_scaled_X_series(2, 2.0, 0.1)
-        b = eval_X(2, 0.2) / 2.0**3
+        a = int_pow_sin(2, 2.0, 0.1)
+        b = eval_pair(2, 0.2).X / 2.0**3
         assert a == pytest.approx(b, rel=1e-12)
-
-    def test_series_requires_nonneg_n(self):
-        with pytest.raises(DomainError):
-            eval_scaled_X_series(-1, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            eval_scaled_Y_series(-2, 1.0, 0.1)
-
-    @pytest.mark.parametrize("x", [50.0, 30.0, -50.0, math.nan])
-    @pytest.mark.parametrize("series", [eval_scaled_X_series, eval_scaled_Y_series])
-    def test_series_refuses_past_its_limit(self, series, x):
-        # 60 terms at |alpha x| = 50 gave -12040.69 for X_0 (-cos 50 = -0.965);
-        # a NaN x or alpha is refused by the argument check first
-        finite = math.isfinite(x)
-        with pytest.raises(DomainError, match="SERIES_ARG_LIMIT" if finite else
-                           "x must be a finite real number, got nan"):
-            series(1, 1.0, x)
-        with pytest.raises(DomainError, match="SERIES_ARG_LIMIT" if finite else
-                           "alpha must be a finite nonzero real number, got nan"):
-            series(0, 0.5 * x, 2.0)
 
     # (n, alpha, x, constants) -> (X series, Y series), as float.hex
     SERIES_AT_ENGINE_BOUND = {
@@ -195,11 +172,8 @@ class TestScaledSeries:
 
     @pytest.mark.parametrize("args", SERIES_AT_ENGINE_BOUND, ids=str)
     def test_series_values_at_the_engine_bound_unchanged(self, args):
-        # |alpha x| = SERIES_ARG_MAX, the largest argument the engines send
-        assert bits(
-            eval_scaled_X_series(*args), eval_scaled_Y_series(*args)
-        ) == self.SERIES_AT_ENGINE_BOUND[args]
-        assert tp.SERIES_ARG_LIMIT >= tp.SERIES_ARG_MAX
+        # |alpha x| = SERIES_ARG_MAX, the largest argument that takes the series
+        assert bits(int_pow_sin(*args), int_pow_cos(*args)) == self.SERIES_AT_ENGINE_BOUND[args]
 
     @pytest.mark.parametrize("n", range(0, 7))
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0])
@@ -207,11 +181,11 @@ class TestScaledSeries:
         # compare increments, removing the shared constant term
         x1 = 0.2 / alpha
         x2 = 0.5 / alpha
-        ds = eval_scaled_X_series(n, alpha, x2) - eval_scaled_X_series(n, alpha, x1)
-        dr = (eval_X(n, alpha * x2) - eval_X(n, alpha * x1)) / alpha ** (n + 1)
+        ds = int_pow_sin(n, alpha, x2) - int_pow_sin(n, alpha, x1)
+        dr = (eval_pair(n, alpha * x2).X - eval_pair(n, alpha * x1).X) / alpha ** (n + 1)
         assert ds == pytest.approx(dr, rel=1e-10, abs=1e-18)
-        ds = eval_scaled_Y_series(n, alpha, x2) - eval_scaled_Y_series(n, alpha, x1)
-        dr = (eval_Y(n, alpha * x2) - eval_Y(n, alpha * x1)) / alpha ** (n + 1)
+        ds = int_pow_cos(n, alpha, x2) - int_pow_cos(n, alpha, x1)
+        dr = (eval_pair(n, alpha * x2).Y - eval_pair(n, alpha * x1).Y) / alpha ** (n + 1)
         assert ds == pytest.approx(dr, rel=1e-10, abs=1e-18)
 
 
@@ -233,10 +207,17 @@ class TestScaledHelpers:
         )
 
     @pytest.mark.parametrize("helper", [int_pow_sin, int_pow_cos])
+    def test_nan_arguments_are_refused(self, helper):
+        with pytest.raises(DomainError, match="x must be a real number with 0 <= x < inf, got nan"):
+            helper(1, 1.0, math.nan)
+        with pytest.raises(DomainError, match="c must be a finite nonzero real number, got nan"):
+            helper(0, math.nan, 2.0)
+
+    @pytest.mark.parametrize("helper", [int_pow_sin, int_pow_cos])
     @pytest.mark.parametrize("m", [-2, 0, 2])
     @pytest.mark.parametrize("x", [-0.3, -5.0])
     def test_negative_x_refused(self, helper, m, x):
-        # the series route takes small |c x| only at x >= 0, as eval_X does
+        # the series route takes small |c x| only at x >= 0, as eval_pair does
         with pytest.raises(DomainError, match=rf"x must be a real number with 0 <= x < inf, got {x}"):
             helper(m, 1.0, x)
 
@@ -292,10 +273,7 @@ def plain_scaled(m, c, x, constants):
     """Reference for int x^m sin(c x) dx and int x^m cos(c x) dx."""
     u = abs(c) * x
     if m >= 0 and u <= tp.SERIES_ARG_MAX:
-        return (
-            eval_scaled_X_series(m, c, x, constants),
-            eval_scaled_Y_series(m, c, x, constants),
-        )
+        return tp._scaled_series(1, m, c, x, constants), tp._scaled_series(0, m, c, x, constants)
     X, Y = plain_pair(m, u, constants)
     v = abs(c) ** (-m - 1) * X
     return (v if c > 0 else -v), abs(c) ** (-m - 1) * Y

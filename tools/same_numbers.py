@@ -14,9 +14,10 @@ measured with this one file.  It records
   error estimate, evaluations, convergence, strategy and segments;
 * ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``,
   ``eval_K`` and ``eval_L`` (equal and near-degenerate scales included)
-  in every ``closed_forms`` x ``constants`` mode, of
-  ``adjacent_closure`` and ``adjacent_by_recursion``, and of per-point
-  tables asked several exponents in a random order.  About a fifth of
+  in every ``closed_forms`` x ``constants`` mode, of ``eval_L`` at
+  adjacent orders and positive scales with ``closed_forms`` True (the
+  closure) and False (the ladder), and of per-point tables asked
+  several exponents in a random order.  About a fifth of
   the calls draw n relative to the order, from -2l-5 to 2l+5, where the
   closed forms of the deep levels sit.  One call in ten passes x and the
   scales as ``numpy.float64``, and another one in ten as ints, rounded to
@@ -38,8 +39,11 @@ numbers; an error is written as its type and message.  ``--compare``
 prints the entries that differ, then how many of them differ only in an
 error message (same error types, every value equal), how many only in
 the strategy reason and how many otherwise, then how many values moved
-and the largest relative change among them, and exits 1 when any entry
-differs.
+and the largest relative change among them.  It then sorts the changed
+pool entries against their pool ``ref`` into closer, farther, and
+within the pool's check bound (``check_c * max(check_tol, check_tol
+|ref|)``) on both sides, and lists the farthest of those that moved
+away.  It exits 1 when any entry differs.
 """
 
 from __future__ import annotations
@@ -91,25 +95,30 @@ def _antiderivative(v) -> dict:
     return {"value": _hex(v.value), "path": v.path}
 
 
-def pool_entries(bq):
+def pool_items():
+    """(key, item, pool) of every pool input, workload after workload."""
     for workload in WORKLOADS:
         with open(os.path.join(POOLS, f"{workload}.json")) as fh:
             pool = json.load(fh)
         for i, item in enumerate(pool["items"]):
-            key = f"{workload}/{i}/{item['cell']}"
-            if item["op"] == "definite":
-                spec = bq.IntegralSpec(
-                    item["family"], item["n"], item["l"], item["alpha"], k=item["k"],
-                    beta=item["beta"],
-                )
-                a, b = item["a"], item["b"]
-                yield key, _outcome(lambda: _result(bq.definite_integral(spec, a, b)))
-                continue
-            pp = bq.build_interpolant(item["samples"], degree=item["degree"])
-            k, beta = (item["k"], item["beta"]) if item["op"] == "product" else (None, None)
-            yield key, _outcome(lambda: _result(bq.weighted_integral(
-                pp, item["l"], item["alpha"], item["a"], item["b"], k=k, beta=beta,
-            )))
+            yield f"{workload}/{i}/{item['cell']}", item, pool
+
+
+def pool_entries(bq):
+    for key, item, _ in pool_items():
+        if item["op"] == "definite":
+            spec = bq.IntegralSpec(
+                item["family"], item["n"], item["l"], item["alpha"], k=item["k"],
+                beta=item["beta"],
+            )
+            a, b = item["a"], item["b"]
+            yield key, _outcome(lambda: _result(bq.definite_integral(spec, a, b)))
+            continue
+        pp = bq.build_interpolant(item["samples"], degree=item["degree"])
+        k, beta = (item["k"], item["beta"]) if item["op"] == "product" else (None, None)
+        yield key, _outcome(lambda: _result(bq.weighted_integral(
+            pp, item["l"], item["alpha"], item["a"], item["b"], k=k, beta=beta,
+        )))
 
 
 def _scales(rng: random.Random) -> tuple:
@@ -164,10 +173,10 @@ def grid_entries(bq, calls: int, seed: int):
             fn = lambda: _antiderivative(  # noqa: E731
                 bq.eval_L(n, k, l, x, alpha, beta, closed_forms, constants))
         elif family in "AR":
-            # the adjacent-order evaluators take positive scales
-            adjacent = bq.adjacent_closure if family == "A" else bq.adjacent_by_recursion
+            # adjacent orders at positive scales: the closure (A) and the
+            # ladder (R)
             fn = lambda: _antiderivative(  # noqa: E731
-                adjacent(n, l, x, abs(alpha), abs(beta)))
+                bq.eval_L(n, l - 1, l, x, abs(alpha), abs(beta), family == "A"))
         else:
             # one table, several exponents in a random order
             exps = rng.sample(range(-6, 10), rng.randint(2, 5))
@@ -324,6 +333,38 @@ def _moves(a, b):
             yield abs(y - x) / abs(x) if x else math.inf
 
 
+#: how many of the changed pool entries that moved away from their ref
+#: ``--compare`` lists
+WORST = 5
+
+
+def against_refs(a: dict, b: dict, keys) -> dict:
+    """The pool entries among ``keys`` sorted against their pool ``ref``:
+    "within" when both values lie within the pool's check bound,
+    check_c * max(check_tol, check_tol |ref|), else "closer" or "farther"
+    by which value lies nearer the ref, or "other" (an error on either
+    side, or the same distance).  Each holds (key, |a - ref| / bound,
+    |b - ref| / bound) tuples."""
+    keys = set(keys)
+    out = {"closer": [], "farther": [], "within": [], "other": []}
+    for key, item, pool in pool_items():
+        if key not in keys:
+            continue
+        ref, tol = item["ref"], pool["check_tol"]
+        bound = pool["check_c"] * max(tol, tol * abs(ref))
+        (va,), (vb,) = _values(a[key]), _values(b[key])
+        if va is None or vb is None:
+            out["other"].append((key, None, None))
+            continue
+        da, db = abs(va - ref) / bound, abs(vb - ref) / bound
+        if da <= 1 and db <= 1:
+            kind = "within"
+        else:
+            kind = "closer" if db < da else "farther" if db > da else "other"
+        out[kind].append((key, da, db))
+    return out
+
+
 def compare(first: str, second: str) -> int:
     with open(first) as fh:
         a = json.load(fh)["entries"]
@@ -342,6 +383,13 @@ def compare(first: str, second: str) -> int:
     if moved:
         move, key = max(moved)
         print(f"{len(moved)} values moved, the largest by {move:.3g} relative to the first: {key}")
+    pools = against_refs(a, b, both)
+    if any(pools.values()):
+        print(f"changed pool entries against their ref: {len(pools['closer'])} closer, "
+              f"{len(pools['farther'])} farther, {len(pools['within'])} within the check bound "
+              f"on both sides, {len(pools['other'])} otherwise")
+        for key, da, db in sorted(pools["farther"], key=lambda e: -e[2])[:WORST]:
+            print(f"  farther: {key}: {da:.3g} -> {db:.3g} check bounds from the ref")
     return 1 if differ else 0
 
 
