@@ -30,6 +30,15 @@ EVALUATORS = {
         for k in ("L1", "L2", "L3", "L4", "L5")
     },
     "closed_K2": lambda n, x: bq.closed_K2(n, x, 1.3, 0.7),
+    "eval_I": lambda n, x: bq.eval_I(n, 3, x),
+    "eval_I_scaled": lambda n, x: bq.eval_I_scaled(n, 3, x, 1.3),
+    "eval_H": lambda n, x: bq.eval_H(n, 3, x),
+    "eval_H_scaled": lambda n, x: bq.eval_H_scaled(n, 3, x, 1.3),
+    "eval_K": lambda n, x: bq.eval_K(n, 2, x, 1.3, 0.7),
+    "eval_L": lambda n, x: bq.eval_L(n, 1, 3, x, 1.3, 0.7),
+    "eval_L[closure]": lambda n, x: bq.eval_L(n, 1, 2, x, 1.3, 0.7),
+    "eval_L[ladder]": lambda n, x: bq.eval_L(n, 1, 2, x, 1.3, 0.7, closed_forms=False),
+    "eval_L[equal]": lambda n, x: bq.eval_L(n, 1, 2, x, 1.3, 1.3),
     "eval_L[L01]": lambda n, x: bq.eval_L(n, 0, 1, x, 1.3, 0.7),
     "base_L01_equal": bq.base_L01_equal,
     "int_pow_sin": lambda n, x: bq.int_pow_sin(n, 1.3, x),

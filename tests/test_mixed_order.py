@@ -102,6 +102,20 @@ class TestAdjacentClosure:
             x,
         )
 
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_n_one_against_oracle(self, l):
+        # n = 1 has no closure of its own; eval_L serves it from the table
+        got = diff(1, l - 1, l, 2.0, 30.0, 1.0, 2.0)
+        assert got == pytest.approx(oracle(1, l - 1, l, 2.0, 30.0, 1.0, 2.0), rel=1e-9)
+
+    @pytest.mark.parametrize("closed_forms", [True, False], ids=["closure", "ladder"])
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_equal_scales_take_the_equal_argument_value(self, l, closed_forms):
+        # equal scales go to the equal-argument table at every order, not
+        # to quadrature through the degeneracy guard
+        got = diff(2, l - 1, l, 2.0, 10.0, 1.0, 1.0, closed_forms=closed_forms)
+        assert got == pytest.approx(oracle(2, l - 1, l, 2.0, 10.0, 1.0, 1.0), rel=1e-9)
+
     @pytest.mark.parametrize("n,l,alpha,beta", [
         (0, 1, 1.0, 2.0), (2, 3, 1.3, 0.7), (4, 2, 2.0, 1.1), (-1, 4, 0.9, 1.8),
     ])

@@ -73,6 +73,11 @@ class TestAnchorsAndSpecialValues:
     def test_X0_at_pi(self):
         assert eval_pair(0, math.pi).X == pytest.approx(1.0, abs=1e-15)
 
+    def test_X_minus1_is_si(self):
+        # X_{-1} = Si, which also gives the value at 0 that eval_pair refuses
+        assert si(0.0) == 0.0
+        assert eval_pair(-1, 1e-3).X == pytest.approx(si(1e-3), rel=1e-14)
+
     def test_X1_at_pi(self):
         # X_1 = sin x - x cos x, and int_0^pi t sin t dt = pi with X_1(0) = 0
         assert eval_pair(1, math.pi).X == pytest.approx(math.pi, rel=1e-14)
@@ -161,6 +166,20 @@ class TestScaledSeries:
         a = int_pow_sin(2, 2.0, 0.1)
         b = eval_pair(2, 0.2).X / 2.0**3
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [30.0, 50.0])
+    def test_recursion_past_the_series_bound(self, x):
+        # 60 series terms at |alpha x| = 50 gave -12040.69 for X_0
+        # (-cos 50 = -0.965); past SERIES_ARG_MAX the pair recursion runs
+        p = eval_pair(1, x)
+        assert (int_pow_sin(1, 1.0, x), int_pow_cos(1, 1.0, x)) == (p.X, p.Y)
+        assert int_pow_sin(0, 0.5 * x, 2.0) == pytest.approx(-math.cos(x) / (0.5 * x), rel=1e-14)
+        assert int_pow_cos(0, 0.5 * x, 2.0) == pytest.approx(math.sin(x) / (0.5 * x), rel=1e-14)
+
+    def test_negative_order_takes_the_pair_route(self):
+        # the series holds for n >= 0 only; small |c x| at n < 0 runs the pair
+        assert int_pow_sin(-1, 1.0, 0.1) == eval_pair(-1, 0.1).X
+        assert int_pow_cos(-2, 1.0, 0.1) == eval_pair(-2, 0.1).Y
 
     # (n, alpha, x, constants) -> (X series, Y series), as float.hex
     SERIES_AT_ENGINE_BOUND = {
