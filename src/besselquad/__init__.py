@@ -6,7 +6,9 @@ closed forms, with all constants of integration frozen so values are
 reproducible.  Adaptive Gauss-Kronrod quadrature covers the
 small-argument regime where the recursions cancel catastrophically, and
 a piecewise-polynomial weighted integrator handles tabulated slowly
-varying prefactors.
+varying prefactors.  Every integral returns a value that meets its
+tolerance or raises a BesselQuadError subclass, one per kind of
+failure (see ``errors``).
 
 Each quantity has one public route: ``eval_pair`` for X_n and Y_n,
 ``int_pow_sin`` and ``int_pow_cos`` for the scaled trig primitives, and

@@ -12,10 +12,11 @@ product-diff, weighted, and each table row after its parameters)
 carries the fields value, abs_error_est, strategy, nodes and seconds,
 built by ``_record``; json, csv and plain print the same fields.
 
-Exit codes: 0 success, 2 usage or domain error, 3 a degenerate or
-hazardous analytic path with fallback disallowed, 4 quadrature did not
-converge.  The environment variable BESSELQUAD_TOL overrides the
-default tolerance.
+Exit codes, one per kind of failure: 0 success, 2 usage or domain
+error, 3 an analytic refusal with fallback disallowed (labelled
+"near-degenerate" or "quadrature-recommended"), 4 quadrature did not
+converge (with the run's value and error estimate).  The environment
+variable BESSELQUAD_TOL overrides the default tolerance.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ import os
 import sys
 import time
 
-from .errors import (
-    DomainError,
-    NearDegenerateError,
-    NotConvergedError,
-    QuadratureRecommendedError,
-)
+from .errors import DomainError, NearDegenerateError, NotConvergedError, QuadratureRecommendedError
 from .ordinary_bessel import verify_suite
 from .quadrature import DEFAULT_TOL, MAX_EVALS, definite_integral
 from .types import IntegralSpec, check_real
@@ -137,8 +133,7 @@ def _record(evaluate, *args, **kwargs) -> dict:
 
 def _definite(args, spec: IntegralSpec, a: float, b: float, tol: float) -> dict:
     return _record(
-        definite_integral, spec, a, b, tol=tol, strategy=args.strategy,
-        max_evals=args.max_evals, raise_on_nonconverged=True,
+        definite_integral, spec, a, b, tol=tol, strategy=args.strategy, max_evals=args.max_evals
     )
 
 
@@ -249,13 +244,11 @@ def run(args) -> tuple:
         return (0 if ok else 1), rows
     except DomainError as exc:
         return 2, {"error": "domain", "message": str(exc)}
-    except (NearDegenerateError, QuadratureRecommendedError) as exc:
-        return 3, {"error": "near-degenerate", "message": str(exc)}
+    except QuadratureRecommendedError as exc:
+        label = "near-degenerate" if isinstance(exc, NearDegenerateError) else "quadrature-recommended"
+        return 3, {"error": label, "message": str(exc)}
     except NotConvergedError as exc:
-        payload = {"error": "not-converged", "message": str(exc)}
-        if exc.result is not None:
-            payload.update(_estimate(exc.result))
-        return 4, payload
+        return 4, {"error": "not-converged", "message": str(exc), **_estimate(exc.result)}
     except OSError as exc:
         return 2, {"error": "io", "message": str(exc)}
     except (ValueError, KeyError) as exc:

@@ -11,7 +11,8 @@ relations by evaluating both sides with quadrature plus boundary terms.
 
 verify_identity returns the relative residual; anything structurally
 wrong in a formula shows up many orders of magnitude above the 1e-8
-acceptance threshold.
+acceptance threshold, and a quadrature that misses its tolerance raises
+NotConvergedError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad, require_converged
 from .sph_bessel import _RESCALE_AT
 from .types import check_integer, check_limits, check_real
 
@@ -105,7 +106,8 @@ def _integral(n: int, factors, a: float, b: float, tol: float) -> float:
         return out
 
     width = math.pi / max(max(abs(scale) for _, scale in factors), 1e-6)
-    return adaptive_quad(f, a, b, tol=tol, vectorized=True, initial_max_width=width).value
+    q = adaptive_quad(f, a, b, tol=tol, vectorized=True, initial_max_width=width)
+    return require_converged(q, tol).value
 
 
 def _rel(lhs: float, rhs: float) -> float:
@@ -393,7 +395,8 @@ def verify_identity(identity: AppendixIdentity, a: float, b: float, tol: float =
     Closed forms are differenced against quadrature of their integrand;
     recursion-type relations have every integral evaluated by quadrature
     and the two sides compared.  Expected below 1e-8 for valid
-    parameters.
+    parameters.  A quadrature that misses ``tol`` raises
+    NotConvergedError instead of giving a residual.
     """
     a, b = check_limits(a, b, 0.0, above=True)
     if identity.id not in IDENTITY_REGISTRY:

@@ -13,6 +13,10 @@ suffer cancellation; above it the recursion differences are exact and
 fast while quadrature cost grows with the number of oscillations.
 Intervals straddling the threshold are split there.  ``_run_routes``,
 shared by definite_integral and the weighted integrator, owns the policy.
+
+adaptive_quad is the one primitive that returns a run that missed its
+tolerance (converged=False); ``require_converged`` raises
+NotConvergedError for every integral built on it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, NearDegenerateError, NotConvergedError, QuadratureRecommendedError
+from .errors import DomainError, NotConvergedError, QuadratureRecommendedError
 from .mixed_order import point_table
 from .sph_bessel import first_zero_estimate, j_many, parity_fold, small_x_leading
 from .types import (
@@ -264,6 +268,14 @@ def adaptive_quad(
     return QuadratureResult(total, total_err, evals, converged)
 
 
+def require_converged(result, tol: float):
+    """``result`` if it met ``tol``, else NotConvergedError carrying it."""
+    if not result.converged:
+        message = f"quadrature error estimate {result.error_estimate:.3g} above tolerance {tol:.3g}"
+        raise NotConvergedError(message, result)
+    return result
+
+
 def oscillation_threshold(spec: IntegralSpec) -> float:
     """Argument below which the slowest factor of the integrand has not
     yet crossed its first zero: first_zero(max order) / min |scale|,
@@ -492,7 +504,6 @@ def _run_routes(
     tol: float,
     strategy: str,
     max_evals: int,
-    raise_on_nonconverged: bool,
     quad_integrand,
     analytic,
     knots=(),
@@ -501,16 +512,17 @@ def _run_routes(
     integrator: one analytic attempt, then at most one quadrature run.
 
     The analytic route over [split, b] is ``analytic(split, b)``; where
-    that refuses (NearDegenerateError, QuadratureRecommendedError) or its
-    walk leaves the float range (DomainError: the inputs are checked
-    before the plan), auto drops the split and quadrature covers the
-    whole interval.  The quadrature, over [a, split] or [a, b], is one
-    adaptive_quad run of ``quad_integrand`` with the ``knots`` inside it
-    as breakpoints and all of max_evals as its budget; a budget below one
-    panel per sub-interval between knots leaves it unevaluated (infinite
-    error estimate, not converged).  The value is the quadrature's plus
-    the analytic route's, and the Strategy and the segments are the
-    routes actually taken.
+    that refuses (QuadratureRecommendedError, NearDegenerateError
+    included) or its walk leaves the float range (DomainError: the inputs
+    are checked before the plan), auto drops the split and quadrature
+    covers the whole interval.  The quadrature, over [a, split] or
+    [a, b], is one adaptive_quad run of ``quad_integrand`` with the
+    ``knots`` inside it as breakpoints and all of max_evals as its
+    budget; a budget below one panel per sub-interval between knots
+    leaves it unevaluated (infinite error estimate).  The record's value
+    is the quadrature's plus the analytic route's, and its Strategy and
+    segments are the routes actually taken; it is returned if it meets
+    ``tol`` and carried by NotConvergedError otherwise.
     """
     max_evals = check_integer("max_evals", max_evals, _PANEL_NODES)
     tol = check_real("tol", tol, 0.0, above=True)
@@ -527,7 +539,7 @@ def _run_routes(
         try:
             tail = analytic(split, b)
             segments = (("recursion", split, b),)
-        except (DomainError, NearDegenerateError, QuadratureRecommendedError) as exc:
+        except (DomainError, QuadratureRecommendedError) as exc:
             if strategy == "recursion":
                 raise
             reason = (
@@ -557,12 +569,7 @@ def _run_routes(
         strategy=_strategy(a, t, split, reason),
         segments=segments,
     )
-    if raise_on_nonconverged and not converged:
-        raise NotConvergedError(
-            f"quadrature error estimate {err:.3g} above tolerance {tol:.3g}",
-            result=result,
-        )
-    return result
+    return require_converged(result, tol)
 
 
 def definite_integral(
@@ -572,7 +579,6 @@ def definite_integral(
     tol: float = DEFAULT_TOL,
     strategy: str = "auto",
     max_evals: int = MAX_EVALS,
-    raise_on_nonconverged: bool = False,
 ) -> DefiniteResult:
     """Definite integral of ``spec`` over [a, b] with strategy dispatch.
 
@@ -587,13 +593,12 @@ def definite_integral(
     A refused analytic route under auto drops the split: one quadrature
     run covers [a, b] and meets ``tol`` on the whole.  max_evals caps the
     nodes of the one quadrature run and must be at least 15, one GK15
-    panel.  The route policy is ``_run_routes``, which the weighted
-    integrator shares.
+    panel; a run that misses ``tol`` within it raises NotConvergedError,
+    whose ``result`` is the record.  The route policy is ``_run_routes``,
+    which the weighted integrator shares.
     """
 
     def difference(lo: float, hi: float) -> float:
         return antiderivative(spec, hi, constants=False) - antiderivative(spec, lo, constants=False)
 
-    return _run_routes(
-        spec, a, b, tol, strategy, max_evals, raise_on_nonconverged, integrand(spec), difference
-    )
+    return _run_routes(spec, a, b, tol, strategy, max_evals, integrand(spec), difference)

@@ -92,22 +92,12 @@ class QuadratureResult:
 
 
 @dataclass(frozen=True)
-class DefiniteResult:
-    """Outcome of a strategy-dispatched definite integral."""
+class DefiniteResult(QuadratureResult):
+    """Outcome of a strategy-dispatched definite integral: the quadrature
+    run's fields, plus the routes that ran."""
 
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
     strategy: Strategy
     segments: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "error_estimate", float(self.error_estimate))
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ piecewise polynomial (linear or cubic spline) and
 reduce, piece by piece, to sums of monomial antiderivative differences
 from the I/H/K/L engines.  weighted_integral states the route policy;
 this module supplies what the routes integrate: the quadrature integrand
-and the analytic difference over a segment.
+and the analytic difference over a segment.  A quadrature that misses
+``tol`` raises NotConvergedError carrying the record.
 
 Local bases: each interval stores coefficients of (x - x_left)^d, which
 keeps interpolation well conditioned; the expansion to global monomials
@@ -261,19 +262,15 @@ def weighted_integral(
         return total
 
     return _run_routes(
-        spec, a, b, tol, "auto", MAX_EVALS, True, _integrand(f, spec.factors), difference,
-        f.breakpoints,
+        spec, a, b, tol, "auto", MAX_EVALS, _integrand(f, spec.factors), difference, f.breakpoints
     )
 
 
 def integrate_single(
     f: PiecewisePolynomial, l: int, alpha: float, a: float, b: float, tol: float = DEFAULT_TOL
 ) -> float:
-    """int_a^b f(x) j_l(alpha x) dx for an interpolated prefactor f, by
-    weighted_integral's routes.  Raises NotConvergedError, which carries
-    the result record, when a quadrature run misses ``tol``;
-    weighted_integral returns the record.
-    """
+    """int_a^b f(x) j_l(alpha x) dx for an interpolated prefactor f: the
+    value of weighted_integral's record."""
     return weighted_integral(f, l, alpha, a, b, tol).value
 
 
@@ -287,10 +284,7 @@ def integrate_product(
     b: float,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """int_a^b f(x) j_k(alpha x) j_l(beta x) dx for an interpolated f, by
-    weighted_integral's routes; the per-point tables take the squared
-    (k = l, alpha = beta), same-order (k = l) or mixed family.  Raises
-    NotConvergedError, which carries the result record, when a quadrature
-    run misses ``tol``; weighted_integral returns the record.
-    """
+    """int_a^b f(x) j_k(alpha x) j_l(beta x) dx for an interpolated f: the
+    value of weighted_integral's record, whose per-point tables take the
+    squared (k = l, alpha = beta), same-order (k = l) or mixed family."""
     return weighted_integral(f, l, alpha, a, b, tol, k=k, beta=beta).value

@@ -132,6 +132,19 @@ class TestErrors:
         assert code == 3
         assert json.loads(out)["error"] == "near-degenerate"
 
+    @pytest.mark.parametrize("interval", [
+        # the antiderivative at 0 is not evaluated
+        ["--n", "0", "--l", "0", "--a", "0", "--b", "10"],
+        # the small-argument rule refuses X_-3/Y_-3 below 0.1
+        ["--n", "-3", "--l", "0", "--a", "0.01", "--b", "0.05"],
+    ])
+    def test_refusal_without_degeneracy_exit_3(self, interval, capsys):
+        code, out = invoke(
+            ["single", *interval, "--strategy", "recursion", "--format", "json"], capsys
+        )
+        assert code == 3
+        assert json.loads(out)["error"] == "quadrature-recommended"
+
     def test_not_converged_exit_4(self, capsys):
         code, out = invoke(
             ["single", "--n", "0", "--l", "0", "--a", "0", "--b", "400",

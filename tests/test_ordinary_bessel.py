@@ -10,6 +10,7 @@ from besselquad import (
     AppendixIdentity,
     DomainError,
     IDENTITY_REGISTRY,
+    NotConvergedError,
     besselJ,
     default_suite,
     j,
@@ -88,6 +89,21 @@ class TestVerifyIdentity:
             AppendixIdentity("same-x", l=1, alpha=1.0, beta=2.0), 1.0, 10.0
         )
         assert r < 1e-8
+
+    def test_capped_quadrature_raises(self, monkeypatch):
+        # a quadrature that misses tol gives no residual: it raises with
+        # the run's record, like every other integral
+        from besselquad import ordinary_bessel
+
+        quad = ordinary_bessel.adaptive_quad
+        monkeypatch.setattr(
+            ordinary_bessel, "adaptive_quad", lambda *args, **kw: quad(*args, **kw, max_evals=15)
+        )
+        with pytest.raises(NotConvergedError) as err:
+            verify_identity(AppendixIdentity("single-x^(l+1)", l=1), 1.0, 10.0)
+        r = err.value.result
+        assert (r.evaluations, r.converged) == (15, False)
+        assert r.error_estimate > 1e-11
 
     def test_unknown_identity(self):
         with pytest.raises(DomainError):

@@ -7,10 +7,12 @@ import pytest
 
 from besselquad import (
     AMPLIFICATION_GUARD,
+    DefiniteResult,
     DomainError,
     IntegralSpec,
     NotConvergedError,
     QuadratureRecommendedError,
+    Strategy,
     adaptive_quad,
     choose_strategy,
     definite_integral,
@@ -282,16 +284,19 @@ class TestDefiniteIntegral:
         ref = definite_integral(IntegralSpec("H", 0, 1), 6.0, 20.0)
         assert r.value == pytest.approx(ref.value, rel=1e-4)
 
-    def test_nonconverged_raises_when_asked(self):
-        # a long oscillatory stretch with a tiny evaluation budget
+    def test_nonconverged_raises_with_its_record(self):
+        # a long oscillatory stretch with a tiny evaluation budget: Si(400)
+        # is 1.5721148692738116, and the run's record travels in the error
         spec = IntegralSpec("I", 0, 0)
-        with pytest.raises(NotConvergedError) as err:
-            definite_integral(
-                spec, 0.0, 400.0, tol=1e-12, max_evals=300,
-                strategy="quadrature", raise_on_nonconverged=True,
-            )
-        assert err.value.result is not None
-        assert not err.value.result.converged
+        with pytest.raises(NotConvergedError, match="above tolerance 1e-12") as err:
+            definite_integral(spec, 0.0, 400.0, tol=1e-12, max_evals=300, strategy="quadrature")
+        r = err.value.result
+        assert isinstance(r, DefiniteResult)
+        assert (r.value, r.error_estimate, r.evaluations, r.converged) == (
+            1.572309425564535, 1.2145480728716014, 300, False
+        )
+        assert r.strategy == Strategy("Quadrature", "quadrature strategy requested", math.pi)
+        assert r.segments == (("quadrature", 0.0, 400.0),)
 
     def test_extreme_scale_ratio_diverts_to_quadrature(self):
         # the two-scale recursions lose ~max_order * log10 of
@@ -340,13 +345,16 @@ class TestDefiniteIntegral:
 
     def test_one_panel_budget_covers_the_refused_split(self):
         # the refused split's one run over [1, 20] gets the whole budget:
-        # one panel of 15 evaluations, not converged
+        # one panel of 15 evaluations, not converged, so it raises
         spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
-        r = definite_integral(spec, 1.0, 20.0, max_evals=15)
+        with pytest.raises(NotConvergedError) as err:
+            definite_integral(spec, 1.0, 20.0, max_evals=15)
+        r = err.value.result
         assert r.segments == (("quadrature", 1.0, 20.0),)
-        assert r.evaluations == 15
-        assert not r.converged
-        assert math.isfinite(r.error_estimate) and r.error_estimate > 0
+        assert (r.value, r.error_estimate, r.evaluations, r.converged) == (
+            0.4661502107120101, 0.6129108679761718, 15, False
+        )
+        assert r.strategy.reason.startswith("recursion refused (NearDegenerateError")
         with pytest.raises(DomainError):
             definite_integral(spec, 1.0, 20.0, max_evals=14)
 
@@ -464,12 +472,17 @@ def test_one_quadrature_run_per_integral(shape, weighted, monkeypatch):
 #: high orders where the auto strategy's recursion misses tol=1e-10 while
 #: reporting converged=True and error_estimate=0.0: the n < 0 trig chain
 #: walks away from its Si/Ci anchor and loses digits like u^m / m!
-#: (ROADMAP item 1).  (family, k, l, alpha, beta) -> measured relative error
+#: (ROADMAP item 1).  (family, k, l, alpha, beta) -> measured relative error.
+#: At l = 150 the ratio is 1.3: at 1.7, K and L pass AMPLIFICATION_GUARD
+#: and quadrature gets them right
 SILENT_MISSES = {
     ("H", None, 100, 1.3, None): 7.9e26,
     ("K", None, 60, 1.0, 1.7): 2.2e3,
     ("L", 58, 60, 1.0, 1.7): 195,
     ("H", None, 60, 1.3, None): 3.2e-4,
+    ("H", None, 150, 1.3, None): 4.5e59,
+    ("K", None, 150, 1.0, 1.3): 2.2e63,
+    ("L", 148, 150, 1.0, 1.3): 2.0e65,
 }
 
 
@@ -483,17 +496,19 @@ SILENT_MISSES = {
     ],
 )
 def test_high_order_auto_meets_tol_or_says_so(case):
-    # converged=True must mean within tol of a tight quadrature reference
+    # a returned record must lie within tol of a tight quadrature
+    # reference; saying so is NotConvergedError
     family, k, l, alpha, beta = case
     spec = IntegralSpec(family, 0, l, alpha, k=k, beta=beta)
     a = 1.01 * oscillation_threshold(spec)
     tol = 1e-10
-    got = definite_integral(spec, a, a + 200.0, tol=tol)
+    try:
+        got = definite_integral(spec, a, a + 200.0, tol=tol)
+    except NotConvergedError:
+        return
     ref = definite_integral(spec, a, a + 200.0, tol=1e-13, strategy="quadrature")
-    assert ref.converged
-    if got.converged:
-        error = abs(got.value - ref.value)
-        assert error <= max(tol, tol * abs(ref.value)) + ref.error_estimate, error / abs(ref.value)
+    error = abs(got.value - ref.value)
+    assert error <= max(tol, tol * abs(ref.value)) + ref.error_estimate, error / abs(ref.value)
 
 
 class TestIntegrandBuilder:

@@ -4,6 +4,7 @@ entries that differ only in an error message or only in the strategy
 reason are counted apart, the largest relative value change is printed,
 and changed pool entries are sorted against their pool ref."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -257,3 +258,66 @@ def test_quadrature_grid_reaches_both_walks(monkeypatch):
     fields = {"value", "error_estimate", "evaluations", "converged", "strategy", "segments"}
     assert all(set(v) == fields for v in entries.values())
     assert {v["strategy"][1] for v in entries.values()} == {"quadrature strategy requested"}
+
+
+def test_adjacent_order_keys_name_the_call(monkeypatch):
+    # an A or R key prints the eval_L call it records, at orders
+    # max(l, 1) - 1 and max(l, 1), so a draw of l = 0 asks for orders 0, 1
+    tool = _tool()
+    calls = []
+    eval_L = bq.eval_L
+
+    def recorded(*args):
+        calls.append(args)
+        return eval_L(*args)
+
+    monkeypatch.setattr(bq, "eval_L", recorded)
+    adjacent = 0
+    for key, entry in tool.grid_entries(bq, 400, 16):
+        made, calls[:] = list(calls), []
+        family, _, rest = key.split("/", 2)[2].partition("(")
+        if family not in "AR":
+            continue
+        adjacent += 1
+        args = ast.literal_eval("(" + rest.split(" as ")[0])
+        assert made == [args], key
+        n, k, l, x, alpha, beta, closed_forms = args
+        assert (k, closed_forms) == (l - 1, family == "A") and l >= 1
+        assert alpha > 0 and beta > 0
+        assert "error" not in entry or "nonnegative" not in entry["message"], (key, entry)
+    assert adjacent > 50
+    # draws 138 and 398 have l = 0; their keys kept everything but the orders
+    entries = dict(tool.grid_entries(bq, 400, 16))
+    for key in ("grid/138/R(83, 0, 1, 0.07661432913187334, 0.4375991586555682, "
+                "1.9134472890930443, False)",
+                "grid/398/A(12, 0, 1, 229.12390206171347, 0.45407113279309697, "
+                "0.2572340284349094, True)"):
+        assert entries[key]["path"] == "recursion"
+
+
+def test_not_converged_entry_keeps_its_numbers(tmp_path, capsys):
+    # an integral that misses its tolerance raises, and its entry still
+    # carries the record's value, error estimate and evaluations
+    tool = _tool()
+    spec = bq.IntegralSpec("I", 0, 0)
+    entry = tool._outcome(lambda: tool._result(bq.definite_integral(
+        spec, 0.0, 400.0, tol=1e-12, max_evals=300, strategy="quadrature")))
+    assert entry == {
+        "error": "NotConvergedError",
+        "message": "quadrature error estimate 1.21 above tolerance 1e-12",
+        "value": (1.572309425564535).hex(),
+        "error_estimate": (1.2145480728716014).hex(),
+        "evaluations": 300,
+    }
+    # an error without a record is written as before
+    assert tool._outcome(lambda: bq.j(-1, 1.0)).keys() == {"error", "message"}
+
+    # a carried value that moves is a moved value, not a reworded message
+    moved = {**entry, "value": (1.5).hex()}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write(a, {"e": entry})
+    _write(b, {"e": moved})
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "1 of 1 entries differ: 0 only in an error message" in out
+    assert "1 values moved" in out

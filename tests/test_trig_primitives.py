@@ -121,6 +121,23 @@ class TestAnchorsAndSpecialValues:
         # boundary: allowed at exactly 0.1
         eval_pair(-2, 0.1)
 
+    def test_public_routes_refuse_differently(self):
+        # the scaled primitives take the hazardous range that eval_pair
+        # refuses, and there they agree with mpmath
+        mpmath = pytest.importorskip("mpmath")
+        assert int_pow_sin(-3, 1.0, 0.01) == -100.0016666638889
+        with pytest.raises(QuadratureRecommendedError):
+            eval_pair(-3, 0.01)
+        with mpmath.workdps(30):
+            for route, trig in ((int_pow_sin, mpmath.sin), (int_pow_cos, mpmath.cos)):
+                want = mpmath.quad(lambda t: trig(t) / t**3, [1, 0.1, 0.01])
+                got = route(-3, 1.0, 0.01) - route(-3, 1.0, 1.0)
+                assert abs(got - float(want)) <= 1e-15 * abs(float(want))
+        # the pair refuses as a whole: X_400(0) = -400! overflows, though
+        # Y_400(0) = 0
+        with pytest.raises(DomainError, match="overflow"):
+            eval_pair(400, 0.0)
+
 
 class TestDerivativeProperty:
     @pytest.mark.parametrize("n", range(-6, 9))

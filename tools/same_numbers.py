@@ -15,11 +15,13 @@ measured with this one file.  It records
 * ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``,
   ``eval_K`` and ``eval_L`` (equal and near-degenerate scales included)
   in every ``closed_forms`` x ``constants`` mode, of ``eval_L`` at
-  adjacent orders and positive scales with ``closed_forms`` True (the
-  closure) and False (the ladder), and of per-point tables asked
-  several exponents in a random order.  About a fifth of
-  the calls draw n relative to the order, from -2l-5 to 2l+5, where the
-  closed forms of the deep levels sit.  One call in ten passes x and the
+  adjacent orders ``max(l, 1) - 1`` and ``max(l, 1)`` and positive
+  scales with ``closed_forms`` True (the closure, key ``A``) and False
+  (the ladder, key ``R``), and of per-point tables asked several
+  exponents in a random order.  Each key names the arguments of the
+  call it records.  About a fifth of the calls draw n relative to the
+  order, from -2l-5 to 2l+5, where the closed forms of the deep levels
+  sit.  One call in ten passes x and the
   scales as ``numpy.float64``, and another one in ten as ints, rounded to
   integral values first; their keys end in " as float64" and " as int";
 * ``--weighted`` seeded ``weighted_integral`` calls, recorded like the
@@ -35,15 +37,17 @@ measured with this one file.  It records
   the nodes reach both walks of ``j_many``.
 
 Floats are written with ``float.hex``, so equal files mean bitwise equal
-numbers; an error is written as its type and message.  ``--compare``
-prints the entries that differ, then how many of them differ only in an
-error message (same error types, every value equal), how many only in
-the strategy reason and how many otherwise, then how many values moved
-and the largest relative change among them.  It then sorts the changed
-pool entries against their pool ``ref`` into closer, farther, and
-within the pool's check bound (``check_c * max(check_tol, check_tol
-|ref|)``) on both sides, and lists the farthest of those that moved
-away.  It exits 1 when any entry differs.
+numbers; an error is written as its type and message, and a
+``NotConvergedError`` also with its record's value, error estimate and
+evaluations, so an integral that missed its tolerance still shows its
+numbers.  ``--compare`` prints the entries that differ, then how many of
+them differ only in an error message (same error types, every value
+equal), how many only in the strategy reason and how many otherwise,
+then how many values moved and the largest relative change among them.
+It then sorts the changed pool entries against their pool ``ref`` into
+closer, farther, and within the pool's check bound (``check_c *
+max(check_tol, check_tol |ref|)``) on both sides, and lists the
+farthest of those that moved away.  It exits 1 when any entry differs.
 """
 
 from __future__ import annotations
@@ -72,11 +76,17 @@ def _hex(v) -> str:
 
 
 def _outcome(fn) -> dict:
-    """fn()'s record, or its error's type and message."""
+    """fn()'s record, or its error's type and message, with the numbers
+    of the record a NotConvergedError carries."""
     try:
         return fn()
     except Exception as exc:  # every failure is part of the record
-        return {"error": type(exc).__name__, "message": str(exc)}
+        out = {"error": type(exc).__name__, "message": str(exc)}
+        r = getattr(exc, "result", None)
+        if r is not None:
+            out.update(value=_hex(r.value), error_estimate=_hex(r.error_estimate),
+                       evaluations=r.evaluations)
+        return out
 
 
 def _result(r) -> dict:
@@ -158,6 +168,11 @@ def grid_entries(bq, calls: int, seed: int):
         if converted == "int":
             x, alpha, beta = map(_integral, (x, alpha, beta))
         args = (n, k, l, x, alpha, beta, closed_forms, constants)
+        if family in "AR":
+            # adjacent orders at positive scales: the closure (A) and the
+            # ladder (R), from order 0 up
+            top = max(l, 1)
+            args = (n, top - 1, top, x, abs(alpha), abs(beta), family == "A")
         key = f"grid/{i}/{family}{args!r}"
         if converted:
             key += f" as {converted}"
@@ -173,10 +188,8 @@ def grid_entries(bq, calls: int, seed: int):
             fn = lambda: _antiderivative(  # noqa: E731
                 bq.eval_L(n, k, l, x, alpha, beta, closed_forms, constants))
         elif family in "AR":
-            # adjacent orders at positive scales: the closure (A) and the
-            # ladder (R)
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_L(n, l - 1, l, x, abs(alpha), abs(beta), family == "A"))
+                bq.eval_L(n, top - 1, top, x, abs(alpha), abs(beta), family == "A"))
         else:
             # one table, several exponents in a random order
             exps = rng.sample(range(-6, 10), rng.randint(2, 5))
@@ -296,11 +309,12 @@ def write(out: str, src: str, calls: int, weighted: int, quadrature: int, seed: 
 
 
 def _without_messages(v):
-    """An entry with each error's message dropped, its type kept."""
+    """An entry with each error's message dropped, its type and numbers
+    kept."""
     if isinstance(v, list):
         return [_without_messages(e) for e in v]
     if isinstance(v, dict) and "error" in v:
-        return {"error": v["error"]}
+        return {key: e for key, e in v.items() if key != "message"}
     return v
 
 
@@ -313,8 +327,8 @@ def _without_reason(v):
 
 
 def _values(v) -> list:
-    """The numbers of an entry: its value, or a table's values in order
-    (None for an error)."""
+    """The numbers of an entry: its value (a NotConvergedError's too), or
+    a table's values in order (None for an error without one)."""
     if isinstance(v, list):
         return [float.fromhex(e) if isinstance(e, str) else None for e in v]
     if isinstance(v, dict) and "value" in v:
@@ -353,7 +367,7 @@ def against_refs(a: dict, b: dict, keys) -> dict:
         ref, tol = item["ref"], pool["check_tol"]
         bound = pool["check_c"] * max(tol, tol * abs(ref))
         (va,), (vb,) = _values(a[key]), _values(b[key])
-        if va is None or vb is None:
+        if "error" in a[key] or "error" in b[key]:
             out["other"].append((key, None, None))
             continue
         da, db = abs(va - ref) / bound, abs(vb - ref) / bound
