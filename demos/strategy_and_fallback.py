@@ -1,27 +1,29 @@
 """
-Strategy selection and the small-argument fallback
-==================================================
+Route selection and the small-argument fallback
+===============================================
 
 The recursion engine and plain quadrature are complementary.  Above the
 first zero of the highest-order factor the integrand oscillates and
 antiderivative differences are fast and exact; below it the recursion's
 formally canceling terms destroy precision while quadrature is cheap.
-The dispatcher splits intervals at the threshold automatically.
+The dispatcher splits intervals at the threshold automatically, and each
+result records the routes that ran (segments) and why (reason).
 """
 
 from besselquad import (
     IntegralSpec,
-    choose_strategy,
     definite_integral,
     eval_H,
     first_zero_estimate,
+    oscillation_threshold,
 )
 
 spec = IntegralSpec("H", 2, 5)
 print("first zero estimate for l=5:", first_zero_estimate(5))
+print("threshold of the spec:", oscillation_threshold(spec))
 for (a, b) in ((0.0, 2.0), (20.0, 100.0), (1.0, 50.0)):
-    s = choose_strategy(spec, a, b)
-    print(f"[{a:5.1f}, {b:5.1f}] -> {s.kind:10s} split_at={s.split_at}  ({s.reason})")
+    r = definite_integral(spec, a, b)
+    print(f"[{a:5.1f}, {b:5.1f}] -> {r.segments}  ({r.reason})")
 
 # The auto strategy composes both routes:
 r = definite_integral(spec, 0.0, 100.0)

@@ -52,7 +52,6 @@ from .quadrature import (
     DEFAULT_TOL,
     adaptive_quad,
     antiderivative,
-    choose_strategy,
     definite_integral,
     integrand,
     oscillation_threshold,
@@ -83,7 +82,6 @@ from .types import (
     IntegralSpec,
     PiecewisePolynomial,
     QuadratureResult,
-    Strategy,
     TrigPrimitive,
 )
 from .weighted import build_interpolant, integrate_product, integrate_single, weighted_integral
@@ -107,14 +105,12 @@ __all__ = [
     "PiecewisePolynomial",
     "QuadratureRecommendedError",
     "QuadratureResult",
-    "Strategy",
     "TrigPrimitive",
     "adaptive_quad",
     "antiderivative",
     "base_L01_equal",
     "besselJ",
     "build_interpolant",
-    "choose_strategy",
     "ci",
     "closed_H",
     "closed_I",

@@ -16,7 +16,8 @@ Exit codes, one per kind of failure: 0 success, 2 usage or domain
 error, 3 an analytic refusal with fallback disallowed (labelled
 "near-degenerate" or "quadrature-recommended"), 4 quadrature did not
 converge (with the run's value and error estimate).  The environment
-variable BESSELQUAD_TOL overrides the default tolerance.
+variable BESSELQUAD_TOL sets the default tolerance of the integral
+subcommands only; verify takes --tol alone, with default 1e-11.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the translated-identity suite")
     p.add_argument("--suite", choices=("appendix",), default="appendix")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-11, help="tolerance (default 1e-11, not BESSELQUAD_TOL)")
     return ap
 
 
@@ -196,10 +197,9 @@ def _table(args) -> list:
 
 
 def _verify(args) -> tuple:
-    tol = args.tol if args.tol is not None else 1e-11
     rows = [{"identity": i.id, "n": i.n, "k": i.k, "l": i.l, "alpha": i.alpha, "beta": i.beta,
              "a": a, "b": b, "residual": r, "pass": r < RESIDUAL_THRESHOLD}
-            for i, (a, b), r in verify_suite(tol)]
+            for i, (a, b), r in verify_suite(args.tol)]
     return all(row["pass"] for row in rows), rows
 
 

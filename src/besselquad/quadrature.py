@@ -6,13 +6,15 @@ honest fallback where the recursion engine loses precision (few or no
 oscillations, small arguments), and the independent brute-force oracle
 the analytic paths are tested against.
 
-Strategy selection follows the first-zero heuristic: below roughly
+Route selection follows the first-zero heuristic: below roughly
 4.75 + 1.05 l (pi exactly for l = 0) the integrand of order l has not
 started oscillating, quadrature is cheap and the recursion values
 suffer cancellation; above it the recursion differences are exact and
 fast while quadrature cost grows with the number of oscillations.
 Intervals straddling the threshold are split there.  ``_run_routes``,
-shared by definite_integral and the weighted integrator, owns the policy.
+shared by definite_integral and the weighted integrator, owns the policy,
+and its record says how each integral ran: ``segments``, the routes in
+order with their intervals, and ``reason``, why.
 
 adaptive_quad is the one primitive that returns a run that missed its
 tolerance (converged=False); ``require_converged`` raises
@@ -30,7 +32,7 @@ from .errors import DomainError, NotConvergedError, QuadratureRecommendedError
 from .mixed_order import point_table
 from .sph_bessel import first_zero_estimate, j_many, parity_fold, small_x_leading
 from .types import (
-    DefiniteResult, IntegralSpec, QuadratureResult, Strategy, check_integer, check_limits, check_real,
+    DefiniteResult, IntegralSpec, QuadratureResult, check_integer, check_limits, check_real,
     check_real_array,
 )
 
@@ -309,29 +311,28 @@ def recursion_amplification(spec: IntegralSpec) -> float:
 
 
 def _plan(spec: IntegralSpec, a: float, b: float, strategy: str) -> tuple:
-    """(threshold t, split point, reason) for ``strategy`` on [a, b].
+    """(split point, reason) for ``strategy`` on [a, b].
 
     Quadrature covers [a, split] and the analytic route [split, b]: a
     split of None is quadrature over [a, b], a split of a the analytic
     route over [a, b].  auto: quadrature below the first-zero threshold
-    and over the whole interval past AMPLIFICATION_GUARD, the analytic
-    route above the threshold, and a split there when the interval
-    straddles it.
+    t and over the whole interval past AMPLIFICATION_GUARD, the analytic
+    route above t, and a split at t when the interval straddles it.
     """
-    t = oscillation_threshold(spec)
     if strategy == "quadrature":
-        return t, None, "quadrature strategy requested"
+        return None, "quadrature strategy requested"
     if strategy == "recursion":
         if a == 0:
             raise QuadratureRecommendedError(
                 "the antiderivative value at 0 is not evaluated directly; "
                 "use auto strategy, which covers [0, threshold] by quadrature"
             )
-        return t, a, "recursion strategy requested"
+        return a, "recursion strategy requested"
     if strategy != "auto":
         raise DomainError(f"unknown strategy {strategy!r}")
+    t = oscillation_threshold(spec)
     if b <= t:
-        return t, None, f"interval entirely below the first-zero threshold {t:.6g}"
+        return None, f"interval entirely below the first-zero threshold {t:.6g}"
     amplification = recursion_amplification(spec)
     if amplification > AMPLIFICATION_GUARD:
         # widely separated scales: the recursion sheds too many digits
@@ -340,29 +341,14 @@ def _plan(spec: IntegralSpec, a: float, b: float, strategy: str) -> tuple:
             f"recursion amplification {amplification:.3g} exceeds "
             f"AMPLIFICATION_GUARD {AMPLIFICATION_GUARD:g}; quadrature over the whole interval"
         )
-        return t, None, reason
+        return None, reason
     if a >= t:
-        return t, a, f"interval entirely above the first-zero threshold {t:.6g}"
+        return a, f"interval entirely above the first-zero threshold {t:.6g}"
     reason = (
         f"interval straddles the first-zero threshold {t:.6g}; "
         "quadrature below it, recursion above"
     )
-    return t, t, reason
-
-
-def _strategy(a: float, t: float, split: float | None, reason: str) -> Strategy:
-    """The Strategy of a run on [a, b] that took the analytic route over
-    [split, b] (none when split is None): Recursion when it did, and
-    split_at set when quadrature covered [a, split] below it."""
-    kind = "Quadrature" if split is None else "Recursion"
-    return Strategy(kind, reason, t, None if split is None or split == a else split)
-
-
-def choose_strategy(spec: IntegralSpec, a: float, b: float) -> Strategy:
-    """The auto plan for ``spec`` over [a, b], before the analytic route
-    runs (or refuses): see ``_plan``.  Its limits are definite_integral's."""
-    a, b = check_limits(a, b, 0.0)
-    return _strategy(a, *_plan(spec, a, b, "auto"))
+    return t, reason
 
 
 def _zero_limit(spec: IntegralSpec) -> float:
@@ -520,9 +506,9 @@ def _run_routes(
     ``knots`` inside it as breakpoints and all of max_evals as its
     budget; a budget below one panel per sub-interval between knots
     leaves it unevaluated (infinite error estimate).  The record's value
-    is the quadrature's plus the analytic route's, and its Strategy and
-    segments are the routes actually taken; it is returned if it meets
-    ``tol`` and carried by NotConvergedError otherwise.
+    is the quadrature's plus the analytic route's, its segments are the
+    routes actually taken and its reason says why; it is returned if it
+    meets ``tol`` and carried by NotConvergedError otherwise.
     """
     max_evals = check_integer("max_evals", max_evals, _PANEL_NODES)
     tol = check_real("tol", tol, 0.0, above=True)
@@ -532,9 +518,8 @@ def _run_routes(
             f"integral from 0 diverges: family {spec.family} requires "
             f"{spec.finiteness_condition} (got n={spec.n}, orders={spec.orders})"
         )
-    t, split, reason = _plan(spec, a, b, strategy)
-    tail = 0.0
-    segments = ()
+    split, reason = _plan(spec, a, b, strategy)
+    tail, segments = 0.0, ()
     if split is not None:
         try:
             tail = analytic(split, b)
@@ -561,14 +546,7 @@ def _run_routes(
                 initial_max_width=math.pi / max(abs(s) for s in spec.scales), breakpoints=inner,
             )
             value, err, evals, converged = q.value, q.error_estimate, q.evaluations, q.converged
-    result = DefiniteResult(
-        value=value + tail,
-        error_estimate=err,
-        evaluations=evals,
-        converged=converged,
-        strategy=_strategy(a, t, split, reason),
-        segments=segments,
-    )
+    result = DefiniteResult(value + tail, err, evals, converged, segments, reason)
     return require_converged(result, tol)
 
 
@@ -594,8 +572,10 @@ def definite_integral(
     run covers [a, b] and meets ``tol`` on the whole.  max_evals caps the
     nodes of the one quadrature run and must be at least 15, one GK15
     panel; a run that misses ``tol`` within it raises NotConvergedError,
-    whose ``result`` is the record.  The route policy is ``_run_routes``,
-    which the weighted integrator shares.
+    whose ``result`` is the record.  The record's ``segments`` and
+    ``reason`` say which routes ran and why; beforehand,
+    ``oscillation_threshold(spec)`` gives the threshold t.  The route
+    policy is ``_run_routes``, which the weighted integrator shares.
     """
 
     def difference(lo: float, hi: float) -> float:

@@ -1,4 +1,5 @@
-"""Shared value types: integral specifications, evaluation results, strategies."""
+"""Shared value types: integral specifications, evaluation results and the
+record of the routes a definite integral ran."""
 
 from __future__ import annotations
 
@@ -58,23 +59,6 @@ class AntiderivativeValue:
 
 
 @dataclass(frozen=True)
-class Strategy:
-    """How a definite integral was evaluated.
-
-    kind is "Recursion" when an antiderivative difference covered a
-    segment, "Quadrature" when quadrature covered them all; reason says
-    why.  threshold_x is the argument below which the integrand has not
-    yet started oscillating (first-zero heuristic divided by the slowest
-    scale); split_at is threshold_x when the evaluation split there.
-    """
-
-    kind: str
-    reason: str = ""
-    threshold_x: float = 0.0
-    split_at: float | None = None
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """Outcome of an adaptive quadrature run."""
 
@@ -94,19 +78,23 @@ class QuadratureResult:
 @dataclass(frozen=True)
 class DefiniteResult(QuadratureResult):
     """Outcome of a strategy-dispatched definite integral: the quadrature
-    run's fields, plus the routes that ran."""
+    run's fields, plus ``segments``, one (route, lo, hi) per route that
+    ran, "quadrature" or "recursion", in order along [a, b], and
+    ``reason``, why those routes ran."""
 
-    strategy: Strategy
-    segments: tuple = ()
+    segments: tuple
+    reason: str
 
 
 @dataclass(frozen=True)
 class IntegralSpec:
     """Identifies one integral of the family ``x^n * (product of j's)``.
 
-    For families I and H only ``l`` and ``alpha`` are used.  K uses equal
-    orders ``l`` with two scales.  L uses orders ``k`` and ``l`` with
-    scales ``alpha`` and ``beta`` attached respectively.
+    For families I and H only ``l`` and ``alpha`` are used: I ignores
+    ``k`` and ``beta``, and H refuses a ``beta`` other than ``alpha``.  K
+    uses equal orders ``l`` with two scales, and refuses a ``k`` other
+    than ``l``.  L uses orders ``k`` and ``l`` with scales ``alpha`` and
+    ``beta`` attached respectively.
 
     The canonical form is ``factors``, one (order, scale) pair per Bessel
     factor: I has one, H two equal ones, K and L two.  Orders, scales,
@@ -130,13 +118,19 @@ class IntegralSpec:
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         for name in ("alpha", "beta") if self.family in "KL" else ("alpha",):
             object.__setattr__(self, name, check_real(name, getattr(self, name), nonzero=True))
+        # K has one order and H one scale: a second one that differs would be dropped
+        if self.family == "K" and self.k not in (None, self.l):
+            raise DomainError(f"k must be None or l in family K, got {self.k!r}: L takes two orders")
+        if self.family == "H" and self.beta is not None and check_real("beta", self.beta) != self.alpha:
+            raise DomainError(
+                f"beta must be None or alpha in family H, got {self.beta!r}: K takes two scales")
         first = (self.l, self.alpha)
         if self.family == "I":
             factors = (first,)
         elif self.family == "H":
             factors = (first, first)
         else:
-            k = self.l if self.k is None or self.family == "K" else self.k
+            k = self.l if self.k is None else self.k
             factors = ((k, self.alpha), (self.l, self.beta))
         object.__setattr__(self, "factors", factors)
         if min(order for order, _ in factors) < 0:
@@ -444,12 +438,12 @@ class PiecewisePolynomial:
 
     breakpoints (two or more) are finite and strictly increasing; interval
     i carries a non-empty tuple of finite coefficients, coefficients[i][d]
-    of (x - breakpoints[i])**d for d = 0..degree: checked on construction.
+    of (x - breakpoints[i])**d: checked on construction.  The degree is
+    that of the longest tuple.
     """
 
     breakpoints: tuple
     coefficients: tuple
-    degree: int = field(default=1)
 
     def __post_init__(self):
         try:
@@ -464,7 +458,11 @@ class PiecewisePolynomial:
             raise DomainError(f"{len(bps) - 1} intervals need a coefficient tuple each, got {lengths}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "degree", check_integer("degree", self.degree, 0))
+
+    @property
+    def degree(self) -> int:
+        """The length of the longest coefficient tuple, less one."""
+        return max(len(c) for c in self.coefficients) - 1
 
     @property
     def span(self) -> tuple:
@@ -477,7 +475,7 @@ class PiecewisePolynomial:
         ``values`` reads them on every call."""
         import numpy as np
 
-        width = max(len(c) for c in self.coefficients)
+        width = self.degree + 1
         coeffs = np.array([tuple(c) + (0.0,) * (width - len(c)) for c in self.coefficients])
         return np.array(self.breakpoints[:-1]), coeffs.T
 

@@ -143,11 +143,7 @@ def build_interpolant(samples, degree: int = 3) -> PiecewisePolynomial:
             c3 = (M[i + 1] - M[i]) / (6.0 * h)
             c1 = (y[i + 1] - y[i]) / h - h * (2.0 * M[i] + M[i + 1]) / 6.0
             coeffs.append((float(c0), float(c1), float(c2), float(c3)))
-    return PiecewisePolynomial(
-        breakpoints=tuple(float(v) for v in x),
-        coefficients=tuple(coeffs),
-        degree=degree,
-    )
+    return PiecewisePolynomial(tuple(float(v) for v in x), tuple(coeffs))
 
 
 def _global_coeffs(local, x_left: float):
@@ -200,7 +196,7 @@ def weighted_integral(
     near-degenerate scales, a walk that overflows, and a sum whose
     rounding, eps times the sum of |c_m (F_m(hi) - F_m(lo))|, passes the
     tolerance: the global monomials cancel far from the origin.  The
-    strategy's reason names the refusal.
+    record's reason names the refusal.
 
     The analytic route over [lo, hi] is the sum of c_m (F_m(hi) - F_m(lo))
     over the pieces and the monomials x^m with nonzero coefficient.  Each
@@ -213,8 +209,8 @@ def weighted_integral(
     and the tolerance applies to the run, not to each piece.
 
     The record carries the quadrature run's error estimate and node count
-    (the analytic route adds neither), the strategy and the segments
-    each route covered.  Raises NotConvergedError, carrying the record,
+    (the analytic route adds neither), the segments each route covered
+    and the reason they ran.  Raises NotConvergedError, carrying the record,
     when the quadrature misses ``tol``.
     """
     if (k is None) != (beta is None):
@@ -235,7 +231,7 @@ def weighted_integral(
         raise DomainError(f"[{a}, {b}] exceeds the interpolant span [{first}, {last}]")
     # the monomial x^m's spec, and one table per breakpoint (antiderivative's
     # tables) serving every monomial and both pieces that meet there
-    specs = [replace(spec, n=m) for m in range(max(len(c) for c in f.coefficients))]
+    specs = [replace(spec, n=m) for m in range(f.degree + 1)]
     tables: dict = {}
 
     def F(m: int, x: float) -> float:

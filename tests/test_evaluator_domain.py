@@ -175,12 +175,10 @@ def _limits_calls():
     calls = {
         "definite_integral": lambda **kw: bq.definite_integral(spec, **{"a": 1.0, "b": 20.0, **kw}),
         "adaptive_quad": lambda **kw: bq.adaptive_quad(math.sin, **{"a": 0.0, "b": 1.0, **kw}),
-        "choose_strategy": lambda **kw: bq.choose_strategy(spec, **{"a": 1.0, "b": 20.0, **kw}),
     }
     arguments = {
         "definite_integral": ("a", "b", "tol", "max_evals"),
         "adaptive_quad": ("a", "b", "tol", "initial_max_width", "max_evals"),
-        "choose_strategy": ("a", "b"),
     }
     # initial_max_width=None is its default, one panel per interval; a
     # width that is not positive is refused too
@@ -209,23 +207,6 @@ def test_limit_or_tolerance_that_is_not_real_is_named(argument, call, value):
 def test_j_many_refuses_arrays_that_are_not_real(xs):
     with pytest.raises(DomainError, match="xs must be an array of real numbers"):
         bq.j_many(2, xs)
-
-
-@pytest.mark.parametrize(
-    "a, b",
-    [(-5.0, 10.0), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
-     (2.0, 1.0), (0.0, 10.0), (1.0, 20.0), (0, 10), (np.float64(30.0), np.float64(40.0))],
-)
-def test_choose_strategy_refuses_what_definite_integral_refuses(a, b):
-    spec = bq.IntegralSpec("H", 0, 3)
-    try:
-        plan = bq.choose_strategy(spec, a, b)
-    except DomainError as exc:
-        with pytest.raises(DomainError) as caught:
-            bq.definite_integral(spec, a, b)
-        assert str(caught.value) == str(exc)
-        return
-    assert bq.definite_integral(spec, a, b).strategy == plan
 
 
 def test_check_real_converts_and_refuses():

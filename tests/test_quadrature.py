@@ -12,9 +12,7 @@ from besselquad import (
     IntegralSpec,
     NotConvergedError,
     QuadratureRecommendedError,
-    Strategy,
     adaptive_quad,
-    choose_strategy,
     definite_integral,
     integrand,
     oscillation_threshold,
@@ -216,33 +214,45 @@ class TestBreakpoints:
             adaptive_quad(self.f, 0.0, 6.5, vectorized=True, breakpoints=bps)
 
 
-class TestChooseStrategy:
+class TestRoutePlan:
+    """The auto plan, read off the record: oscillation_threshold(spec) is
+    the threshold, and segments and reason say where and why each route
+    ran."""
+
     def test_below_threshold_goes_quadrature(self):
-        s = choose_strategy(IntegralSpec("I", 0, 10), 0.0, 2.0)
-        assert s.kind == "Quadrature"
-        assert s.threshold_x == pytest.approx(15.25)
+        spec = IntegralSpec("I", 0, 10)
+        assert oscillation_threshold(spec) == pytest.approx(15.25)
+        r = definite_integral(spec, 0.0, 2.0)
+        assert r.segments == (("quadrature", 0.0, 2.0),)
+        assert r.reason == "interval entirely below the first-zero threshold 15.25"
 
     def test_above_threshold_goes_recursion(self):
-        s = choose_strategy(IntegralSpec("I", 0, 0), 10.0, 100.0)
-        assert s.kind == "Recursion"
-        assert s.split_at is None
+        # no split: one recursion segment over the whole interval
+        r = definite_integral(IntegralSpec("I", 0, 0), 10.0, 100.0)
+        assert r.segments == (("recursion", 10.0, 100.0),)
 
     def test_straddling_splits_at_threshold(self):
-        s = choose_strategy(IntegralSpec("H", 2, 5), 1.0, 50.0)
-        assert s.split_at == pytest.approx(10.0)
+        r = definite_integral(IntegralSpec("H", 2, 5), 1.0, 50.0)
+        (_, _, t), recursion = r.segments
+        assert t == pytest.approx(10.0)
+        assert recursion == ("recursion", t, 50.0)
 
     def test_order_zero_threshold_is_pi(self):
-        s = choose_strategy(IntegralSpec("I", 0, 0), 0.0, 1.0)
-        assert s.threshold_x == pytest.approx(math.pi)
+        spec = IntegralSpec("I", 0, 0)
+        assert oscillation_threshold(spec) == pytest.approx(math.pi)
+        assert definite_integral(spec, 0.0, 1.0).reason.endswith(f"threshold {math.pi:.6g}")
 
     def test_scales_shift_threshold(self):
-        s = choose_strategy(IntegralSpec("K", 0, 4, 2.0, beta=0.5), 1.0, 100.0)
-        assert s.threshold_x == pytest.approx((4.75 + 1.05 * 4) / 0.5)
+        spec = IntegralSpec("K", 0, 4, 2.0, beta=0.5)
+        t = oscillation_threshold(spec)
+        assert t == pytest.approx((4.75 + 1.05 * 4) / 0.5)
+        r = definite_integral(spec, 1.0, 100.0)
+        assert r.segments == (("quadrature", 1.0, t), ("recursion", t, 100.0))
 
     def test_guard_plans_quadrature(self):
-        s = choose_strategy(IntegralSpec("K", 0, 10, 1.0, beta=20.0), 5.0, 260.0)
-        assert (s.kind, s.split_at) == ("Quadrature", None)
-        assert "AMPLIFICATION_GUARD" in s.reason
+        r = definite_integral(IntegralSpec("K", 0, 10, 1.0, beta=20.0), 5.0, 260.0)
+        assert r.segments == (("quadrature", 5.0, 260.0),)
+        assert "AMPLIFICATION_GUARD" in r.reason
 
 
 class TestDefiniteIntegral:
@@ -256,7 +266,7 @@ class TestDefiniteIntegral:
         r_auto = definite_integral(spec, a, b)
         assert r_rec.value == pytest.approx(r_quad.value, rel=1e-9)
         assert r_auto.value == pytest.approx(r_quad.value, rel=1e-9)
-        assert r_quad.strategy.kind == "Quadrature"
+        assert r_quad.segments == (("quadrature", a, b),)
 
     def test_auto_splits_interval(self):
         spec = IntegralSpec("H", 0, 5)
@@ -295,8 +305,9 @@ class TestDefiniteIntegral:
         assert (r.value, r.error_estimate, r.evaluations, r.converged) == (
             1.572309425564535, 1.2145480728716014, 300, False
         )
-        assert r.strategy == Strategy("Quadrature", "quadrature strategy requested", math.pi)
         assert r.segments == (("quadrature", 0.0, 400.0),)
+        assert r.reason == "quadrature strategy requested"
+        assert oscillation_threshold(spec) == math.pi
 
     def test_extreme_scale_ratio_diverts_to_quadrature(self):
         # the two-scale recursions lose ~max_order * log10 of
@@ -318,9 +329,8 @@ class TestDefiniteIntegral:
         spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
         r = definite_integral(spec, 6.0, 20.0)
         assert r.segments == (("quadrature", 6.0, 20.0),)
-        assert r.strategy.kind == "Quadrature"
-        assert "recursion refused (NearDegenerateError" in r.strategy.reason
-        assert r.strategy.reason.endswith("; quadrature over the whole interval")
+        assert "recursion refused (NearDegenerateError" in r.reason
+        assert r.reason.endswith("; quadrature over the whole interval")
 
     def test_refused_split_quadrature_covers_the_whole_interval(self):
         # a split plan whose analytic segment [t, b] refuses drops the
@@ -328,10 +338,9 @@ class TestDefiniteIntegral:
         spec = IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8)
         r = definite_integral(spec, 1.0, 20.0)
         assert r.segments == (("quadrature", 1.0, 20.0),)
-        assert (r.strategy.kind, r.strategy.split_at) == ("Quadrature", None)
-        assert r.strategy.threshold_x == oscillation_threshold(spec)
-        assert r.strategy.reason.startswith("recursion refused (NearDegenerateError")
-        assert r.strategy.reason.endswith("; quadrature over the whole interval")
+        assert 1.0 < oscillation_threshold(spec) < 20.0
+        assert r.reason.startswith("recursion refused (NearDegenerateError")
+        assert r.reason.endswith("; quadrature over the whole interval")
 
     def test_refused_split_meets_tol_on_the_whole(self):
         # one run over [1, 20] meets tol on the sum, like adaptive_quad
@@ -354,7 +363,7 @@ class TestDefiniteIntegral:
         assert (r.value, r.error_estimate, r.evaluations, r.converged) == (
             0.4661502107120101, 0.6129108679761718, 15, False
         )
-        assert r.strategy.reason.startswith("recursion refused (NearDegenerateError")
+        assert r.reason.startswith("recursion refused (NearDegenerateError")
         with pytest.raises(DomainError):
             definite_integral(spec, 1.0, 20.0, max_evals=14)
 
@@ -362,37 +371,32 @@ class TestDefiniteIntegral:
         spec = IntegralSpec("K", 0, 10, 1.0, beta=20.0)
         r = definite_integral(spec, 200.0, 260.0)
         assert r.segments == (("quadrature", 200.0, 260.0),)
-        assert r.strategy.kind == "Quadrature"
-        assert "AMPLIFICATION_GUARD" in r.strategy.reason
+        assert "AMPLIFICATION_GUARD" in r.reason
 
     @pytest.mark.parametrize("a, b", [(1.0, 5.0), (1.0, 50.0), (20.0, 50.0)])
     def test_strategy_names_the_route_that_ran(self, a, b):
         # I, n = 2, l = 5: threshold 10
         spec = IntegralSpec("I", 2, 5)
+        assert oscillation_threshold(spec) == pytest.approx(10.0)
         r = definite_integral(spec, a, b, strategy="recursion")
         assert r.segments == (("recursion", a, b),)
-        assert (r.strategy.kind, r.strategy.split_at) == ("Recursion", None)
-        assert r.strategy.reason == "recursion strategy requested"
-        assert r.strategy.threshold_x == pytest.approx(10.0)
+        assert r.reason == "recursion strategy requested"
         r = definite_integral(spec, a, b, strategy="quadrature")
         assert r.segments == (("quadrature", a, b),)
-        assert (r.strategy.kind, r.strategy.split_at) == ("Quadrature", None)
-        assert r.strategy.reason == "quadrature strategy requested"
+        assert r.reason == "quadrature strategy requested"
 
-    def test_split_at_only_where_the_evaluation_split(self):
+    def test_segments_split_only_where_the_evaluation_split(self):
         # past the guard a straddling interval runs as one quadrature segment
         r = definite_integral(IntegralSpec("K", 0, 10, 1.0, beta=20.0), 5.0, 30.0)
         assert r.segments == (("quadrature", 5.0, 30.0),)
-        assert r.strategy.split_at is None
         # a refused recursion above the split drops the split
         r = definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=1.0 + 1e-8), 1.0, 20.0)
         assert r.segments == (("quadrature", 1.0, 20.0),)
-        assert (r.strategy.kind, r.strategy.split_at) == ("Quadrature", None)
-        # a split that ran keeps split_at at the threshold
-        r = definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=2.0), 1.0, 20.0)
-        t = r.strategy.threshold_x
+        # a split that ran puts the segments' boundary at the threshold
+        spec = IntegralSpec("K", 0, 1, 1.0, beta=2.0)
+        r = definite_integral(spec, 1.0, 20.0)
+        t = oscillation_threshold(spec)
         assert r.segments == (("quadrature", 1.0, t), ("recursion", t, 20.0))
-        assert (r.strategy.kind, r.strategy.split_at) == ("Recursion", t)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_nonpositive_tolerance_is_a_domain_error(self, tol):
@@ -412,7 +416,7 @@ class TestDefiniteIntegral:
         with pytest.raises(DomainError, match="overflow"):
             definite_integral(spec, 300.0, 400.0, strategy="recursion")
         r = definite_integral(spec, 300.0, 400.0)
-        assert r.converged and "overflow" in r.strategy.reason
+        assert r.converged and "overflow" in r.reason
         assert r.value == definite_integral(spec, 300.0, 400.0, strategy="quadrature").value
         assert r.value == pytest.approx(0.0019413776962425588, rel=0, abs=1e-10)  # mpmath
 
@@ -511,6 +515,22 @@ def test_high_order_auto_meets_tol_or_says_so(case):
     assert error <= max(tol, tol * abs(ref.value)) + ref.error_estimate, error / abs(ref.value)
 
 
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="error estimate below rounding: converged=True with error_estimate 9.39e-21 after 180 "
+    "evaluations, for the value 0.22187016765202044 whose ulp is 2.8e-17; adaptive_quad's "
+    "estimate has no rounding floor (ROADMAP items 3 and 4)",
+)
+def test_estimate_is_not_below_rounding():
+    # a tolerance no float sum can meet raises NotConvergedError, or the
+    # record's estimate is at least half an ulp of its value
+    try:
+        r = definite_integral(IntegralSpec("H", 0, 2), 0.0, 5.0, tol=1e-20)
+    except NotConvergedError:
+        return
+    assert r.error_estimate >= 0.5 * math.ulp(r.value), (r.value, r.error_estimate, r.evaluations)
+
+
 class TestIntegrandBuilder:
     def test_finite_at_zero_when_condition_holds(self):
         f = integrand(IntegralSpec("L", -2, 2, 1.0, k=1, beta=2.0))
@@ -589,6 +609,25 @@ class TestIntegralSpecValidation:
         # the spec used to be accepted and the integral came back nan
         with pytest.raises(DomainError):
             definite_integral(IntegralSpec("K", 0, 1, 1.0, beta=math.inf), 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(family="K", k=7, beta=2.0), r"k must be None or l in family K, got 7: L takes"),
+            (dict(family="K", k=np.int64(0), beta=2.0), r"k must be None or l in family K, got 0: L"),
+            (dict(family="H", beta=-1.0), r"beta must be None or alpha in family H, got -1.0: K"),
+            (dict(family="H", alpha=2.0, beta=1.0), r"beta must be None or alpha in family H"),
+            (dict(family="H", beta=math.nan), r"beta must be a finite real number, got nan"),
+            (dict(family="H", beta="1.0"), r"beta must be a finite real number, got '1.0'"),
+        ],
+        ids=["K-k-7", "K-k-0", "H-beta-minus-alpha", "H-beta-half-alpha", "H-beta-nan",
+             "H-beta-str"],
+    )
+    def test_second_order_or_scale_the_family_contradicts(self, kwargs, message):
+        # K has one order and H one scale: a second one that differs used
+        # to be dropped (j_3(x) j_3(2x) for k = 7, j_3(x)^2 for beta = -1)
+        with pytest.raises(DomainError, match=f"^{message}"):
+            IntegralSpec(n=0, l=3, **kwargs)
 
     def test_integer_like_values_become_int(self):
         spec = IntegralSpec("L", np.int64(2), np.int32(3), k=np.int64(1), beta=2.0)

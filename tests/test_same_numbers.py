@@ -1,7 +1,7 @@
 """tools/same_numbers.py, the bitwise gate between two checkouts: a seeded
 grid written twice compares equal, one changed entry is reported,
-entries that differ only in an error message or only in the strategy
-reason are counted apart, the largest relative value change is printed,
+entries that differ only in an error message or only in the reason
+are counted apart, the largest relative value change is printed,
 and changed pool entries are sorted against their pool ref."""
 
 import ast
@@ -67,13 +67,13 @@ def test_compare_counts_message_only_differences(tmp_path, capsys):
     # message-only differences still fail the comparison
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    assert ("4 of 4 entries differ: 2 only in an error message, 0 only in the strategy reason, "
+    assert ("4 of 4 entries differ: 2 only in an error message, 0 only in the reason, "
             "2 otherwise") in out
 
     _write(b, {**first, "error": second["error"]})
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    assert ("1 of 4 entries differ: 1 only in an error message, 0 only in the strategy reason, "
+    assert ("1 of 4 entries differ: 1 only in an error message, 0 only in the reason, "
             "0 otherwise") in out
 
 
@@ -82,7 +82,7 @@ def _record(value="0x1.0p+0", reason="interval entirely above the first-zero thr
     """A hand-built result entry as the tool writes one."""
     return {
         "value": value, "error_estimate": "0x0.0p+0", "evaluations": evaluations,
-        "converged": True, "strategy": ["Recursion", reason, "0x1.4p+3", None],
+        "converged": True, "reason": reason,
         "segments": [list(s) for s in segments],
     }
 
@@ -103,20 +103,20 @@ def test_compare_counts_reason_only_differences(tmp_path, capsys):
     # with the entries whose numbers changed
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    assert ("3 of 4 entries differ: 0 only in an error message, 1 only in the strategy reason, "
+    assert ("3 of 4 entries differ: 0 only in an error message, 1 only in the reason, "
             "2 otherwise") in out
 
     _write(b, {**first, "reason": second["reason"]})
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    assert ("1 of 4 entries differ: 0 only in an error message, 1 only in the strategy reason, "
+    assert ("1 of 4 entries differ: 0 only in an error message, 1 only in the reason, "
             "0 otherwise") in out
     assert "values moved" not in out
 
     # a segment or an evaluation count that changes is not a rewording
     _write(b, {**first, "reason": _record(reason="other", evaluations=15)})
     assert tool.main(["--compare", str(a), str(b)]) == 1
-    assert "0 only in the strategy reason, 1 otherwise" in capsys.readouterr().out
+    assert "0 only in the reason, 1 otherwise" in capsys.readouterr().out
 
 
 def test_compare_prints_the_largest_value_change(tmp_path, capsys):
@@ -223,11 +223,11 @@ def test_weighted_grid_covers_the_routes():
     keys = " ".join(entries)
     assert all(kind in keys for kind in tool.WEIGHTED_KINDS)
     assert "degree=1" in keys and "degree=3" in keys
-    fields = {"value", "error_estimate", "evaluations", "converged", "strategy", "segments"}
+    fields = {"value", "error_estimate", "evaluations", "converged", "reason", "segments"}
     assert all(set(v) == fields for v in entries.values())
     routes = {tuple(route for route, _, _ in v["segments"]) for v in entries.values()}
     assert {("quadrature",), ("recursion",), ("quadrature", "recursion")} <= routes
-    assert any(v["strategy"][1].startswith("recursion refused") for v in entries.values())
+    assert any(v["reason"].startswith("recursion refused") for v in entries.values())
 
 
 def test_quadrature_grid_reaches_both_walks(monkeypatch):
@@ -255,9 +255,9 @@ def test_quadrature_grid_reaches_both_walks(monkeypatch):
     assert all(f"/{family} " in keys for family in "IHKL")
     assert all(relation in keys for relation in tool.QUADRATURE_SCALES)
     assert "[0.0, " in keys
-    fields = {"value", "error_estimate", "evaluations", "converged", "strategy", "segments"}
+    fields = {"value", "error_estimate", "evaluations", "converged", "reason", "segments"}
     assert all(set(v) == fields for v in entries.values())
-    assert {v["strategy"][1] for v in entries.values()} == {"quadrature strategy requested"}
+    assert {v["reason"] for v in entries.values()} == {"quadrature strategy requested"}
 
 
 def test_adjacent_order_keys_name_the_call(monkeypatch):

@@ -11,7 +11,7 @@ measured with this one file.  It records
 
 * every input of the four pools in ``perfbench/reference/*.json`` (only
   read), through ``definite_integral`` or ``weighted_integral``: value,
-  error estimate, evaluations, convergence, strategy and segments;
+  error estimate, evaluations, convergence, reason and segments;
 * ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``,
   ``eval_K`` and ``eval_L`` (equal and near-degenerate scales included)
   in every ``closed_forms`` x ``constants`` mode, of ``eval_L`` at
@@ -42,7 +42,7 @@ numbers; an error is written as its type and message, and a
 evaluations, so an integral that missed its tolerance still shows its
 numbers.  ``--compare`` prints the entries that differ, then how many of
 them differ only in an error message (same error types, every value
-equal), how many only in the strategy reason and how many otherwise,
+equal), how many only in the reason and how many otherwise,
 then how many values moved and the largest relative change among them.
 It then sorts the changed pool entries against their pool ``ref`` into
 closer, farther, and within the pool's check bound (``check_c *
@@ -95,8 +95,8 @@ def _result(r) -> dict:
         "error_estimate": _hex(r.error_estimate),
         "evaluations": r.evaluations,
         "converged": r.converged,
-        "strategy": [r.strategy.kind, r.strategy.reason, _hex(r.strategy.threshold_x),
-                     None if r.strategy.split_at is None else _hex(r.strategy.split_at)],
+        # an older tree keeps the reason in r.strategy, so one tool records both
+        "reason": r.reason if hasattr(r, "reason") else r.strategy.reason,
         "segments": [[route, _hex(lo), _hex(hi)] for route, lo, hi in r.segments],
     }
 
@@ -319,10 +319,9 @@ def _without_messages(v):
 
 
 def _without_reason(v):
-    """A result entry with its strategy reason dropped."""
-    if isinstance(v, dict) and "strategy" in v:
-        kind, _, *rest = v["strategy"]
-        return {**v, "strategy": [kind, *rest]}
+    """A result entry with its reason dropped."""
+    if isinstance(v, dict) and "reason" in v:
+        return {key: e for key, e in v.items() if key != "reason"}
     return v
 
 
@@ -391,7 +390,7 @@ def compare(first: str, second: str) -> int:
     messages = sum(1 for key in both if _without_messages(a[key]) == _without_messages(b[key]))
     reasons = sum(1 for key in both if _without_reason(a[key]) == _without_reason(b[key]))
     print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ: "
-          f"{messages} only in an error message, {reasons} only in the strategy reason, "
+          f"{messages} only in an error message, {reasons} only in the reason, "
           f"{len(differ) - messages - reasons} otherwise")
     moved = [(move, key) for key in both for move in _moves(a[key], b[key])]
     if moved:
