@@ -170,15 +170,23 @@ def test_point_that_is_not_real_is_named(name, x):
         EVALUATORS[name](2, x)
 
 
+#: f = 1 on [0, 40], the prefactor of the weighted_integral calls below
+_ONE = bq.build_interpolant([(0.0, 1.0), (40.0, 1.0)], degree=1)
+
+
 def _limits_calls():
     spec = bq.IntegralSpec("I", 0, 2)
     calls = {
         "definite_integral": lambda **kw: bq.definite_integral(spec, **{"a": 1.0, "b": 20.0, **kw}),
         "adaptive_quad": lambda **kw: bq.adaptive_quad(math.sin, **{"a": 0.0, "b": 1.0, **kw}),
+        "weighted_integral": lambda **kw: bq.weighted_integral(
+            _ONE, 2, 1.0, **{"a": 1.0, "b": 20.0, **kw}
+        ),
     }
     arguments = {
         "definite_integral": ("a", "b", "tol", "max_evals"),
         "adaptive_quad": ("a", "b", "tol", "initial_max_width", "max_evals"),
+        "weighted_integral": ("a", "b", "tol"),
     }
     # initial_max_width=None is its default, one panel per interval; a
     # width that is not positive is refused too
@@ -207,6 +215,28 @@ def test_limit_or_tolerance_that_is_not_real_is_named(argument, call, value):
 def test_j_many_refuses_arrays_that_are_not_real(xs):
     with pytest.raises(DomainError, match="xs must be an array of real numbers"):
         bq.j_many(2, xs)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(-5.0, 10.0), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+     (2.0, 1.0), (0.0, 10.0), (1.0, 20.0), (0, 10), (np.float64(30.0), np.float64(40.0))],
+)
+def test_weighted_integral_refuses_what_definite_integral_refuses(a, b):
+    # f = 1 makes weighted_integral the definite integral of j_3 through the
+    # same route runner: the same refusal, or the same routes and value
+    spec = bq.IntegralSpec("I", 0, 3)
+    try:
+        got = bq.weighted_integral(_ONE, 3, 1.0, a, b)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as caught:
+            bq.definite_integral(spec, a, b)
+        assert str(caught.value) == str(exc)
+        return
+    want = bq.definite_integral(spec, a, b)
+    assert got.segments == want.segments
+    assert got.reason == want.reason
+    assert abs(got.value - want.value) <= 1e-10 * max(1.0, abs(want.value))
 
 
 def test_check_real_converts_and_refuses():
