@@ -3,8 +3,9 @@
 Antiderivatives of x^n j_l(a x), x^n j_l(a x)^2, x^n j_l(a x) j_l(b x)
 and x^n j_k(a x) j_l(b x) through terminating recursion relations and
 closed forms, with all constants of integration frozen so values are
-reproducible.  Adaptive Gauss-Kronrod quadrature covers the
-small-argument regime where the recursions cancel catastrophically, and
+reproducible.  Adaptive Gauss-Kronrod quadrature (QUADPACK's GK15 on
+short pieces, GK61 on long oscillatory runs) covers the small-argument
+regime where the recursions cancel catastrophically, and
 a piecewise-polynomial weighted integrator handles tabulated slowly
 varying prefactors.  Every integral returns a value that meets its
 tolerance or raises a BesselQuadError subclass, one per kind of

@@ -95,8 +95,8 @@ class AppendixIdentity:
 
 def _integral(n: int, factors, a: float, b: float, tol: float) -> float:
     """int_a^b x^n prod J_order(scale x) dx by adaptive quadrature, over
-    the (order, scale) factors, as in IntegralSpec.factors.  The first
-    panels are pi over the fastest scale wide."""
+    the (order, scale) factors, as in IntegralSpec.factors, with pi over
+    the fastest scale as adaptive_quad's initial_max_width."""
     import numpy as np
 
     def f(xs):

@@ -1,7 +1,8 @@
 """Adaptive quadrature and strategy selection for definite integrals.
 
-The quadrature is a nested Gauss-Kronrod 7/15 rule with bisection of the
-interval carrying the largest error estimate.  It serves two roles: the
+The quadrature uses QUADPACK's nested Gauss-Kronrod rules, 7/15 on short
+pieces and 30/61 on long oscillatory runs, with bisection of the panel
+carrying the largest error estimate.  It serves two roles: the
 honest fallback where the recursion engine loses precision (few or no
 oscillations, small arguments), and the independent brute-force oracle
 the analytic paths are tested against.
@@ -46,7 +47,8 @@ DEFAULT_TOL = 1e-10
 MAX_EVALS = 10**6
 
 # 15-point Kronrod nodes (positive half) and weights, with the embedded
-# 7-point Gauss weights on the odd-indexed nodes.  QUADPACK dqk15 values.
+# 7-point Gauss weights on the odd-indexed nodes.  QUADPACK dqk15 values,
+# which ``python3 tools/kronrod.py 7`` prints.
 _XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
@@ -74,80 +76,250 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
+# 61-point Kronrod nodes and weights with the embedded 30-point Gauss
+# weights, laid out as above: QUADPACK dqk61 values, which
+# ``python3 tools/kronrod.py 30 --suffix 61`` prints.
+_XGK61 = (
+    0.999484410050490637571325895705811,
+    0.996893484074649540271630050918695,
+    0.991630996870404594858628366109486,
+    0.983668123279747209970032581605663,
+    0.973116322501126268374693868423707,
+    0.960021864968307512216871025581798,
+    0.944374444748559979415831324037439,
+    0.926200047429274325879324277080474,
+    0.905573307699907798546522558925958,
+    0.882560535792052681543116462530226,
+    0.857205233546061098958658510658944,
+    0.829565762382768397442898119732502,
+    0.799727835821839083013668942322683,
+    0.767777432104826194917977340974503,
+    0.733790062453226804726171131369528,
+    0.697850494793315796932292388026640,
+    0.660061064126626961370053668149271,
+    0.620526182989242861140477556431189,
+    0.579345235826361691756024932172540,
+    0.536624148142019899264169793311073,
+    0.492480467861778574993693061207709,
+    0.447033769538089176780609900322854,
+    0.400401254830394392535476211542661,
+    0.352704725530878113471037207089374,
+    0.304073202273625077372677107199257,
+    0.254636926167889846439805129817805,
+    0.204525116682309891438957671002025,
+    0.153869913608583546963794672743256,
+    0.102806937966737030147096751318001,
+    0.051471842555317695833025213166723,
+    0.0,
+)
+_WGK61 = (
+    0.001389013698677007624551591226760,
+    0.003890461127099884051267201844516,
+    0.006630703915931292173319826369750,
+    0.009273279659517763428441146892024,
+    0.011823015253496341742232898853251,
+    0.014369729507045804812451432443580,
+    0.016920889189053272627572289420322,
+    0.019414141193942381173408951050128,
+    0.021828035821609192297167485738339,
+    0.024191162078080601365686370725232,
+    0.026509954882333101610601709335075,
+    0.028754048765041292843978785354334,
+    0.030907257562387762472884252943092,
+    0.032981447057483726031814191016854,
+    0.034979338028060024137499670731468,
+    0.036882364651821229223911065617136,
+    0.038678945624727592950348651532281,
+    0.040374538951535959111995279752468,
+    0.041969810215164246147147541285970,
+    0.043452539701356069316831728117073,
+    0.044814800133162663192355551616723,
+    0.046059238271006988116271735559374,
+    0.047185546569299153945261478181099,
+    0.048185861757087129140779492298305,
+    0.049055434555029778887528165367238,
+    0.049795683427074206357811569379942,
+    0.050405921402782346840893085653585,
+    0.050881795898749606492297473049805,
+    0.051221547849258772170656282604944,
+    0.051426128537459025933862879215781,
+    0.051494729429451567558340433647099,
+)
+_WG61 = (
+    0.007968192496166605615465883474674,
+    0.018466468311090959142302131912047,
+    0.028784707883323369349719179611292,
+    0.038799192569627049596801936446348,
+    0.048402672830594052902938140422808,
+    0.057493156217619066481721689402056,
+    0.065974229882180495128128515115962,
+    0.073755974737705206268243850022191,
+    0.080755895229420215354694938460530,
+    0.086899787201082979802387530715126,
+    0.092122522237786128717632707087619,
+    0.096368737174644259639468626351810,
+    0.099593420586795267062780282103569,
+    0.101762389748405504596428952168554,
+    0.102852652893558840341285636705415,
+)
+
+
+#: integrand evaluations of one GK15 panel, the smallest
+_PANEL_NODES = 15
+
+#: integrand evaluations of one GK61 panel
+_WIDE_NODES = 61
+
+#: widest GK61 panel, in multiples of initial_max_width, which is meant
+#: to be a half-period of the fastest factor: a panel spans W half-periods
+#: of one factor, and up to 2W of a product (H, or two close scales).
+#: Measured on cos over m half-periods (the 30/61 rule on [-1, 1], worst
+#: phase), K61's error stays at rounding, below 6e-16 of the panel's
+#: integral of |f|, up to m = 32, and G30's up to m = 17; at m = 24 G30
+#: is off by 2e-8 of it.  So at W = 12 the estimate |K - G| of a
+#: one-factor panel, or of a product whose scales differ by 2.4 or more,
+#: is already at rounding; for H it is 1e-8 of |f|, honest and far above
+#: K61's error, and bisects the panels where that passes the tolerance.
+#: At W = 16 it would bisect every H panel (G30 off by 4e-3 at m = 32).
+WIDE_PANEL = 12
+
+#: GK15 panels per integrand call in the initial partition: a call holds
+#: at most PANEL_CHUNK * 15 nodes, whatever its mix of rules and however
+#: long the interval
+PANEL_CHUNK = 256
+
+_CALL_NODES = PANEL_CHUNK * _PANEL_NODES
+
+_TABLES = {_PANEL_NODES: (_XGK, _WGK, _WG), _WIDE_NODES: (_XGK61, _WGK61, _WG61)}
+
 
 @cache
-def _gk15_rule() -> tuple:
-    """(nodes, Kronrod weights, Gauss weights) as read-only 15-point
-    arrays on [-1, 1], nodes ascending and the Gauss weights zero on the
-    Kronrod-only nodes.  Built on first use, so a process that runs no
-    quadrature never imports numpy."""
+def _rule(size: int) -> tuple:
+    """(nodes, Kronrod weights, Gauss weights) of the GK rule with
+    ``size`` nodes, 15 or 61, as read-only arrays on [-1, 1], nodes
+    ascending and the Gauss weights zero on the Kronrod-only nodes.
+    Built on first use, so a process that runs no quadrature never
+    imports numpy."""
     import numpy as np
 
-    xgk, wgk, wg = np.array(_XGK), np.array(_WGK), np.array(_WG)
-    nodes = np.concatenate([-xgk[:7], xgk[::-1]])
-    k_weights = np.concatenate([wgk[:7], wgk[::-1]])
-    g_full = np.zeros(15)
-    g_full[1:14:2] = np.concatenate([wg[:3], wg[::-1]])
+    xgk, wgk, wg = (np.array(t) for t in _TABLES[size])
+    n = size // 2  # Gauss points
+    nodes = np.concatenate([-xgk[:n], xgk[::-1]])
+    k_weights = np.concatenate([wgk[:n], wgk[::-1]])
+    g_full = np.zeros(size)
+    odd = np.arange(1, n + 1, 2)  # the Gauss nodes among xgk
+    g_full[odd] = wg
+    g_full[size - 1 - odd] = wg
     for a in (nodes, k_weights, g_full):
         a.flags.writeable = False
     return nodes, k_weights, g_full
 
 
-#: integrand evaluations of one GK15 panel
-_PANEL_NODES = 15
-
-#: panels per integrand call in the initial partition; caps the node
-#: array at PANEL_CHUNK * 15 points whatever the length of the interval
-PANEL_CHUNK = 256
+#: relative rounding floor of a panel's error estimate, QUADPACK's 50 eps
+_FLOOR = 50.0 * 2.0**-52
 
 
-def _gk15_panels(f, edges: np.ndarray, vectorized: bool):
-    """GK15 values and error estimates of the panels between consecutive
-    ``edges``, from one integrand call on all their nodes (a flat array,
-    panel after panel).  A scalar integrand is mapped over the same nodes.
-    Returns (values, errors, nodes evaluated) with Python-float lists."""
+def _panels(f, runs: list, vectorized: bool):
+    """Values, error estimates and rounding floors of the panels of
+    ``runs``, a list of (size, edges) pairs: the panels between
+    consecutive ``edges`` under the GK rule of ``size`` nodes.  One
+    integrand call takes all their nodes (a flat array, panel after
+    panel, run after run); a scalar integrand is mapped over the same
+    nodes.  Returns ([(values, errors, floors) per run], nodes evaluated)
+    with Python-float lists.
+
+    QUADPACK's error model for both rules: |K - G| scaled by the
+    smoothness measure resasc, and never below 50 eps times the panel's
+    integral of |f|, the rounding of its sum."""
     import numpy as np
 
-    nodes, k_weights, g_full = _gk15_rule()
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    center = 0.5 * (lo + hi)
-    xs = (center[:, None] + half[:, None] * nodes).ravel()
+    panels = []
+    for size, edges in runs:
+        lo, hi = edges[:-1], edges[1:]
+        half = 0.5 * (hi - lo)
+        center = 0.5 * (lo + hi)
+        xs = (center[:, None] + half[:, None] * _rule(size)[0]).ravel()
+        panels.append((size, lo, hi, half, xs))
+    xs = panels[0][4] if len(panels) == 1 else np.concatenate([p[4] for p in panels])
     if vectorized:
         fs = np.asarray(f(xs), dtype=float)
     else:
         fs = np.array([f(x) for x in xs.tolist()], dtype=float)
-    fs = fs.reshape(len(half), _PANEL_NODES)
-    # elementwise products and row sums, not a BLAS matrix product: the
-    # first 2-D matmul of a process allocates a multi-megabyte buffer
-    vk = half * (fs * k_weights).sum(axis=1)
-    vg = half * (fs * g_full).sum(axis=1)
-    # QUADPACK-style error model: scale |K - G| by the smoothness measure
-    mean = vk / (hi - lo)
-    resasc = half * (np.abs(fs - mean[:, None]) * k_weights).sum(axis=1)
-    err = np.abs(vk - vg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return vk.tolist(), err.tolist(), xs.size
+    out, start = [], 0
+    for size, lo, hi, half, part in panels:
+        _, k_weights, g_full = _rule(size)
+        rows = fs[start : start + part.size].reshape(len(half), size)
+        start += part.size
+        # elementwise products and row sums, not a BLAS matrix product: the
+        # first 2-D matmul of a process allocates a multi-megabyte buffer,
+        # and the sums stay those of numpy whatever BLAS is installed.  The
+        # floor needs no exact bits: a matrix-vector np.dot (BLAS gemv,
+        # no buffer) is its cheaper sum
+        vk = half * (rows * k_weights).sum(axis=1)
+        vg = half * (rows * g_full).sum(axis=1)
+        mean = vk / (hi - lo)
+        resasc = half * (np.abs(rows - mean[:, None]) * k_weights).sum(axis=1)
+        floor = (_FLOOR * half) * np.dot(np.abs(rows), k_weights)
+        err = np.abs(vk - vg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.maximum(np.where((resasc != 0.0) & (err != 0.0), scaled, err), floor)
+        out.append((vk.tolist(), err.tolist(), floor.tolist()))
+    return out, xs.size
 
 
-def _initial_edges(knots: list, width: float | None, cap: int) -> np.ndarray:
-    """Panel edges of the initial partition: each interval between
-    consecutive knots split into at most ``cap`` equal panels no wider
-    than ``width`` where the cap allows (one panel when width is None)."""
+def _initial_calls(knots: list, width: float | None, budget: int) -> list:
+    """The initial partition as integrand calls, each a list of (size,
+    edges) runs for ``_panels``.
+
+    Each sub-interval between consecutive knots spans H = (hi - lo) /
+    width widths.  It takes ceil(H / WIDE_PANEL) equal GK61 panels where
+    that costs fewer nodes than ceil(H) GK15 panels and at most
+    ``budget`` nodes; else at most budget // 15 equal GK15 panels no
+    wider than ``width`` where that cap allows (one GK15 panel when
+    width is None).  The panels are packed in order into calls of at
+    most PANEL_CHUNK * 15 nodes, adjacent panels of one rule in one run."""
     import numpy as np
 
-    parts = []
+    sizes, counts = [], []
     for lo, hi in zip(knots[:-1], knots[1:]):
-        n = 1
+        size, n = _PANEL_NODES, 1
         if width is not None:
             # capped before ceil: a width far below the interval gives inf
-            n = math.ceil(min((hi - lo) / width, cap))
-        parts.append(np.linspace(lo, hi, n + 1))
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate([p[:-1] for p in parts[:-1]] + parts[-1:])
+            spans = min((hi - lo) / width, budget)
+            n = math.ceil(min(spans, max(1, budget // _PANEL_NODES)))
+            wide = math.ceil(spans / WIDE_PANEL)
+            if wide * _WIDE_NODES < math.ceil(spans) * _PANEL_NODES and wide * _WIDE_NODES <= budget:
+                size, n = _WIDE_NODES, wide
+        sizes.append(size)
+        counts.append(n)
+    # each sub-interval's np.linspace(lo, hi, n + 1) without its overhead,
+    # the same bits while (hi - lo) / n does not underflow: lo + k * step
+    # for k < n, then the next knot
+    if len(counts) == 1:
+        edges = knots[0] + np.arange(counts[0] + 1) * ((knots[1] - knots[0]) / counts[0])
+    else:
+        ends, ns = np.array(knots), np.array(counts)
+        k = np.arange(sum(counts)) - np.repeat(np.cumsum(ns) - ns, ns)
+        edges = np.empty(len(k) + 1)
+        edges[:-1] = np.repeat(ends[:-1], ns) + k * np.repeat((ends[1:] - ends[:-1]) / ns, ns)
+    edges[-1] = knots[-1]
+    calls, call, room, first = [], [], _CALL_NODES, 0
+    for size, n in zip(sizes, counts):
+        last = first + n  # this sub-interval's panels are first .. last - 1
+        while first < last:
+            take = min(last - first, room // size)
+            if take == 0:
+                calls.append(call)
+                call, room = [], _CALL_NODES
+                continue
+            if call and call[-1][0] == size:  # the run of this rule goes on
+                call[-1][2] += take
+            else:
+                call.append([size, first, first + take])
+            room -= take * size
+            first += take
+    return [[(size, edges[i : j + 1]) for size, i, j in c] for c in [*calls, call]]
 
 
 def adaptive_quad(
@@ -174,39 +346,52 @@ def adaptive_quad(
         Tolerance target, tol > 0, absolute and relative: the run stops
         once its error estimate is at most max(tol, tol |value|).
     max_evals : int
-        Cap on integrand evaluations, an integer at least 15 (one
+        Cap on integrand evaluations, an integer at least 15 (one GK15
         panel); on hitting it the best estimate is returned with
         converged=False (no exception).
     initial_max_width : float, optional
-        Pre-split [a, b] into pieces no wider than this, a width > 0,
-        before adapting.
-        For oscillatory integrands a width of pi over the fastest scale
-        keeps each half-oscillation resolved by the base rule.
+        A width > 0, the unit of the initial partition.  For oscillatory
+        integrands pi over the fastest scale, a half-period, is the
+        intended width.  A sub-interval between knots that spans H
+        widths takes ceil(H / WIDE_PANEL) equal GK61 panels when they
+        cost fewer nodes than ceil(H) GK15 panels (so from about 4
+        widths up) and fit in its share of the budget; otherwise it takes
+        equal GK15 panels no wider than this, as many as the budget
+        allows.  Without a width each sub-interval starts as one GK15
+        panel.
     breakpoints : sequence of float, optional
         Interior points a < p_1 < ... < p_k < b where the integrand may
         change form (a kink, or a switch between pieces).  No panel
         straddles one: each sub-interval between consecutive points gets
-        its own equal panels no wider than initial_max_width, so its
-        edges are those of a separate call on it.  One adaptive run then
-        bisects whichever panel carries the largest error, and the
-        tolerance applies to the sum over [a, b], not to each
-        sub-interval.  The cap on the initial panels, max_evals // 30, is
-        shared evenly between the sub-intervals, and max_evals must allow
-        at least one panel (15 evaluations) for each.
+        its own equal panels, so its edges are those of a separate call
+        on it.  One adaptive run then bisects whichever panel carries the
+        largest error, and the tolerance applies to the sum over [a, b],
+        not to each sub-interval.  The initial panels take at most
+        max_evals // 2 nodes, shared evenly between the sub-intervals,
+        and max_evals must allow at least one GK15 panel (15
+        evaluations) for each.
 
     Notes
     -----
+    Both rules share QUADPACK's error model: |K - G| scaled by the
+    panel's smoothness, and never below 50 eps times the panel's
+    integral of |f|, which bounds the rounding of its sum.  When those
+    floors alone exceed max(tol, tol |value|), no bisection can meet the
+    tolerance: the run stops there and returns converged=False.
+
     The panels are evaluated in batches: the initial partition with one
-    integrand call per PANEL_CHUNK panels, each bisection with one call
-    on the 30 nodes of both halves.  So the node arrays, and the memory
-    they take, stay below PANEL_CHUNK * 15 points however long [a, b]
-    is.  (A two-factor integrand passes both factors' arguments to one
-    j_many call, 2 * PANEL_CHUNK * 15 points.)  The panels' values and
-    errors are summed in partition order; the heap that picks the panel
-    to bisect is built before the first bisection, so a run whose initial
-    partition meets the tolerance, the common case, builds none.  A
-    scalar integrand goes through the same rule, node by node, and gives
-    the same result as its vectorized form.
+    integrand call per PANEL_CHUNK * 15 nodes (PANEL_CHUNK GK15 panels,
+    fewer GK61 ones, in any mix), each bisection with one call on the
+    nodes of both halves, which keep their panel's rule (30 or 122
+    nodes).  So the node arrays, and the memory they take, stay below
+    PANEL_CHUNK * 15 points however long [a, b] is.  (A two-factor
+    integrand passes both factors' arguments to one j_many call, 2 *
+    PANEL_CHUNK * 15 points.)  The panels' values and errors are summed
+    in partition order; the heap that picks the panel to bisect is built
+    before the first bisection, so a run whose initial partition meets
+    the tolerance, the common case, builds none.  A scalar integrand
+    goes through the same rules, node by node, and gives the same result
+    as its vectorized form.  ``evaluations`` counts the nodes.
 
     Pure function; when the caller runs it from several threads the
     integrand must itself be safe to call concurrently.
@@ -229,43 +414,48 @@ def adaptive_quad(
         )
     if initial_max_width is not None:
         initial_max_width = check_real("initial_max_width", initial_max_width, 0.0, above=True)
-    edges = _initial_edges(knots, initial_max_width, max(1, max_evals // (30 * nsub)))
-    npieces = len(edges) - 1
-    chunks = []  # (edges, values, errors) of each integrand call
-    total = 0.0
-    total_err = 0.0
+    calls = _initial_calls(knots, initial_max_width, max_evals // (2 * nsub))
+    panels = []  # (values, errors, floors) of each run of each call
+    total = total_err = total_floor = 0.0
     evals = 0
-    for first in range(0, npieces, PANEL_CHUNK):
-        chunk = edges[first : first + PANEL_CHUNK + 1]
-        vs, es, n = _gk15_panels(integrand, chunk, vectorized)
+    for call in calls:
+        runs, n = _panels(integrand, call, vectorized)
         evals += n
-        for v in vs:
-            total += v
-        for e in es:
-            total_err += e
-        chunks.append((chunk, vs, es))
+        for vs, es, fl in runs:
+            for v in vs:
+                total += v
+            for e in es:
+                total_err += e
+            total_floor += sum(fl)
+        panels.append(runs)
     heap = None  # built before the first bisection: most runs need none
     min_width = 1e-14 * max(1.0, abs(a), abs(b))
-    while total_err > max(tol, tol * abs(total)) and evals + 30 <= max_evals:
+    while (
+        total_err > max(tol, tol * abs(total))
+        and total_floor <= max(tol, tol * abs(total))  # else no bisection can meet tol
+        and evals + 2 * _PANEL_NODES <= max_evals
+    ):
         if heap is None:
             heap = [
-                (-e, lo, hi, v, e)
-                for chunk, vs, es in chunks
-                for lo, hi, v, e in zip(chunk[:-1].tolist(), chunk[1:].tolist(), vs, es)
+                (-e, lo, hi, v, e, fl, size)
+                for call, runs in zip(calls, panels)
+                for (size, edges), (vs, es, fls) in zip(call, runs)
+                for lo, hi, v, e, fl in zip(edges[:-1].tolist(), edges[1:].tolist(), vs, es, fls)
             ]
             heapq.heapify(heap)
-        neg_e, lo, hi, v, e = heapq.heappop(heap)
-        if hi - lo < min_width:
-            # cannot refine further; put it back and stop
-            heapq.heappush(heap, (neg_e, lo, hi, v, e))
-            break
+        _, lo, hi, v, e, fl, size = heapq.heappop(heap)
+        if hi - lo < min_width or evals + 2 * size > max_evals:
+            break  # the panel is too narrow, or its halves too costly
         mid = 0.5 * (lo + hi)
-        (v1, v2), (e1, e2), n = _gk15_panels(integrand, np.array([lo, mid, hi]), vectorized)
+        [((v1, v2), (e1, e2), (f1, f2))], n = _panels(
+            integrand, [(size, np.array([lo, mid, hi]))], vectorized
+        )
         evals += n
         total += (v1 + v2) - v
         total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
+        total_floor += (f1 + f2) - fl
+        heapq.heappush(heap, (-e1, lo, mid, v1, e1, f1, size))
+        heapq.heappush(heap, (-e2, mid, hi, v2, e2, f2, size))
     converged = total_err <= max(tol, tol * abs(total))
     return QuadratureResult(total, total_err, evals, converged)
 

@@ -91,10 +91,10 @@ class IntegralSpec:
     """Identifies one integral of the family ``x^n * (product of j's)``.
 
     For families I and H only ``l`` and ``alpha`` are used: I ignores
-    ``k`` and ``beta``, and H refuses a ``beta`` other than ``alpha``.  K
-    uses equal orders ``l`` with two scales, and refuses a ``k`` other
-    than ``l``.  L uses orders ``k`` and ``l`` with scales ``alpha`` and
-    ``beta`` attached respectively.
+    ``k`` and ``beta``, and H refuses a ``k`` other than ``l`` and a
+    ``beta`` other than ``alpha``.  K uses equal orders ``l`` with two
+    scales, and refuses a ``k`` other than ``l``.  L uses orders ``k``
+    and ``l`` with scales ``alpha`` and ``beta`` attached respectively.
 
     The canonical form is ``factors``, one (order, scale) pair per Bessel
     factor: I has one, H two equal ones, K and L two.  Orders, scales,
@@ -118,9 +118,10 @@ class IntegralSpec:
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         for name in ("alpha", "beta") if self.family in "KL" else ("alpha",):
             object.__setattr__(self, name, check_real(name, getattr(self, name), nonzero=True))
-        # K has one order and H one scale: a second one that differs would be dropped
-        if self.family == "K" and self.k not in (None, self.l):
-            raise DomainError(f"k must be None or l in family K, got {self.k!r}: L takes two orders")
+        # K and H have one order, H one scale: a second one that differs would be dropped
+        if self.family in "KH" and self.k not in (None, self.l):
+            raise DomainError(
+                f"k must be None or l in family {self.family}, got {self.k!r}: L takes two orders")
         if self.family == "H" and self.beta is not None and check_real("beta", self.beta) != self.alpha:
             raise DomainError(
                 f"beta must be None or alpha in family H, got {self.beta!r}: K takes two scales")

@@ -53,6 +53,7 @@ class TestFactors:
             # a second order or scale that repeats the first is the same integral
             (IntegralSpec("K", 1, 3, -1.5, k=3, beta=2.0), ((3, -1.5), (3, 2.0))),
             (IntegralSpec("H", 1, 3, -1.5, beta=np.float64(-1.5)), ((3, -1.5), (3, -1.5))),
+            (IntegralSpec("H", 1, 3, -1.5, k=np.int64(3)), ((3, -1.5), (3, -1.5))),
         ],
     )
     def test_one_pair_per_factor(self, spec, factors):

@@ -1,5 +1,6 @@
 import heapq
 import math
+import time
 import warnings
 
 import numpy as np
@@ -18,8 +19,10 @@ from besselquad import (
     oscillation_threshold,
     recursion_amplification,
 )
-from besselquad import build_interpolant, quadrature, weighted_integral
-from besselquad.quadrature import PANEL_CHUNK
+from besselquad import (
+    AppendixIdentity, build_interpolant, quadrature, verify_identity, weighted_integral,
+)
+from besselquad.quadrature import PANEL_CHUNK, WIDE_PANEL
 from helpers import si_series
 
 SI_PI = 1.8519370519824663
@@ -62,19 +65,33 @@ class TestAdaptiveQuad:
             assert r1 == r2
 
     def test_initial_partition_is_batched(self):
+        # at most PANEL_CHUNK * 15 nodes per call: 62 GK61 panels (3 782
+        # nodes), then the other 3, for 65 * WIDE_PANEL widths
         seen = []
 
         def f(xs):
             seen.append(len(xs))
             return np.cos(xs)
 
-        panels = 2 * PANEL_CHUNK + 3
-        r = adaptive_quad(f, 0.0, float(panels), vectorized=True, initial_max_width=1.0)
+        assert 62 * 61 <= 15 * PANEL_CHUNK < 63 * 61
+        b = 65.0 * WIDE_PANEL
+        r = adaptive_quad(f, 0.0, b, vectorized=True, initial_max_width=1.0)
         assert r.converged
-        assert len(seen) == math.ceil(panels / PANEL_CHUNK)
+        assert seen == [61 * 62, 61 * 3]
+        assert r.evaluations == sum(seen)
+        assert r.value == pytest.approx(math.sin(b), abs=1e-12)
+
+        # pieces of 4 widths keep GK15: 256 panels per call, across pieces
+        seen.clear()
+        b = 2.0 * PANEL_CHUNK + 3.0
+        r = adaptive_quad(
+            f, 0.0, b, vectorized=True, initial_max_width=1.0,
+            breakpoints=[float(p) for p in range(4, int(b), 4)],
+        )
+        assert r.converged
         assert seen == [15 * PANEL_CHUNK, 15 * PANEL_CHUNK, 15 * 3]
         assert r.evaluations == sum(seen)
-        assert r.value == pytest.approx(math.sin(panels), abs=1e-12)
+        assert r.value == pytest.approx(math.sin(b), abs=1e-12)
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_bisection_is_one_call(self, vectorized):
@@ -105,7 +122,7 @@ class TestAdaptiveQuad:
 
         monkeypatch.setattr(quadrature.heapq, "heapify", heapify)
         r = adaptive_quad(np.cos, 0.0, 40.0, vectorized=True, initial_max_width=1.0)
-        assert r.converged and r.evaluations == 15 * 40 and heaps == []
+        assert r.converged and r.evaluations == 61 * 4 and heaps == []  # 40 widths, 4 GK61 panels
         assert r.value == pytest.approx(math.sin(40.0), abs=1e-13)
 
         tol = 1e-9
@@ -177,6 +194,8 @@ class TestBreakpoints:
         want = np.concatenate(pieces)
         assert len(nodes) == r.evaluations == len(want)  # no bisection either way
         assert np.array_equal(nodes, want)
+        # the last piece, 5.6 widths, takes one GK61 panel, the others GK15
+        assert len(nodes) == 15 * (1 + 2 + 1) + 61
 
     def test_value_is_the_sum_of_the_pieces(self):
         r = adaptive_quad(
@@ -212,6 +231,86 @@ class TestBreakpoints:
     def test_bad_breakpoints_are_domain_errors(self, bps):
         with pytest.raises(DomainError):
             adaptive_quad(self.f, 0.0, 6.5, vectorized=True, breakpoints=bps)
+
+
+class TestRuleChoice:
+    """Each sub-interval between knots takes GK61 panels no wider than
+    WIDE_PANEL widths where they cost fewer nodes than one GK15 panel
+    per width and fit in its share of the budget, else GK15 panels."""
+
+    @staticmethod
+    def _calls(b, **kw):
+        seen = []
+
+        def f(xs):
+            seen.append(len(xs))
+            return np.cos(xs) + 1.0 / (1e-2 + (xs - 13.3) ** 2)
+
+        return adaptive_quad(f, 0.0, b, vectorized=True, initial_max_width=1.0, **kw), seen
+
+    @pytest.mark.parametrize("widths, nodes", [(1.0, 15), (2.5, 45), (4.0, 60), (4.01, 61),
+                                               (12.0, 61), (12.5, 122), (40.0, 244)])
+    def test_initial_nodes_per_piece(self, widths, nodes):
+        # up to 4 widths, ceil(H) GK15 panels cost no more than one GK61
+        calls = quadrature._initial_calls([0.0, widths], 1.0, 10**6)
+        assert sum(size * (len(edges) - 1) for call in calls for size, edges in call) == nodes
+
+    def test_bisected_halves_keep_the_rule(self):
+        r, seen = self._calls(40.0)
+        assert r.converged and seen[0] == 4 * 61 and len(seen) > 1
+        assert set(seen[1:]) == {2 * 61}
+        assert r.evaluations == sum(seen)
+
+    def test_budget_too_small_for_gk61_is_the_gk15_run(self, monkeypatch):
+        # 4 GK61 panels need 244 nodes, above max_evals // 2 = 240: the run
+        # is the GK15-only one bit for bit, 16 panels and 10 bisections
+        r, seen = self._calls(40.0, max_evals=480)
+        assert seen[0] == 15 * 16 and set(seen[1:]) == {30}
+        assert (r.value, r.evaluations, r.converged) == (32.04840013485588, 480, False)
+        assert self._calls(40.0, max_evals=488)[1][0] == 4 * 61  # 244 fits
+        monkeypatch.setattr(quadrature, "WIDE_PANEL", 1)  # GK61 never pays
+        assert r == self._calls(40.0, max_evals=480)[0]
+
+
+def _mpmath_integral(spec, a, b, pieces):
+    """spec's integral over [a, b] in mpmath at 20 digits: a 20-point
+    Gauss-Legendre sum over each of ``pieces`` equal pieces, with j_l(z)
+    as sqrt(pi / 2z) J_{l+1/2}(z)."""
+    import mpmath as mp
+
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    with mp.workdps(20):
+        def f(x):
+            x = mp.mpf(x)
+            out = x**spec.n
+            for order, scale in spec.factors:
+                z = scale * x
+                out *= mp.sqrt(mp.pi / (2 * z)) * mp.besselj(order + mp.mpf(1) / 2, z)
+            return out
+
+        total = mp.mpf(0)
+        edges = np.linspace(a, b, pieces + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            c, h = (lo + hi) / 2, (hi - lo) / 2
+            total += h * mp.fsum(w * f(c + h * x) for x, w in zip(nodes, weights))
+        return float(total)
+
+
+@pytest.mark.parametrize("family", ["K", "L"])
+@pytest.mark.parametrize("l", [10, 30, 60])
+def test_wide_panels_agree_with_mpmath(family, l):
+    # scales 1 and 20, past AMPLIFICATION_GUARD: auto runs quadrature over
+    # 36 widths of pi / 20, three GK61 panels; the reference puts 20 Gauss
+    # nodes on each of 18 pieces two widths long, which resolves them
+    spec = IntegralSpec(family, 2, l, 1.0, k=l - 2 if family == "L" else None, beta=20.0)
+    a = 1.1 * oscillation_threshold(spec)
+    b = a + 36 * math.pi / 20.0
+    tol = 1e-12
+    r = definite_integral(spec, a, b, tol=tol)
+    assert r.segments == (("quadrature", a, b),)
+    assert r.evaluations % 61 == 0 and r.evaluations < 15 * 36
+    ref = _mpmath_integral(spec, a, b, 18)
+    assert abs(r.value - ref) <= max(tol, tol * abs(ref)), (r.value, ref)
 
 
 class TestRoutePlan:
@@ -515,12 +614,6 @@ def test_high_order_auto_meets_tol_or_says_so(case):
     assert error <= max(tol, tol * abs(ref.value)) + ref.error_estimate, error / abs(ref.value)
 
 
-@pytest.mark.xfail(
-    raises=AssertionError, strict=True,
-    reason="error estimate below rounding: converged=True with error_estimate 9.39e-21 after 180 "
-    "evaluations, for the value 0.22187016765202044 whose ulp is 2.8e-17; adaptive_quad's "
-    "estimate has no rounding floor (ROADMAP items 3 and 4)",
-)
 def test_estimate_is_not_below_rounding():
     # a tolerance no float sum can meet raises NotConvergedError, or the
     # record's estimate is at least half an ulp of its value
@@ -529,6 +622,18 @@ def test_estimate_is_not_below_rounding():
     except NotConvergedError:
         return
     assert r.error_estimate >= 0.5 * math.ulp(r.value), (r.value, r.error_estimate, r.evaluations)
+
+
+def test_unreachable_tolerance_gives_up_at_once():
+    # the panels' rounding floors, 50 eps times the integral of |f|, pass
+    # tol = 1e-30 on the initial partition: no bisection can meet it, so
+    # the run stops there instead of bisecting to max_evals, 10^6 nodes
+    t0 = time.perf_counter()
+    with pytest.raises(NotConvergedError) as err:
+        verify_identity(AppendixIdentity("single-x^(l+1)", l=1), 1.0, 10.0, tol=1e-30)
+    assert time.perf_counter() - t0 < 1.0
+    r = err.value.result
+    assert not r.converged and r.evaluations == 45 and r.error_estimate > 1e-14
 
 
 class TestIntegrandBuilder:
@@ -615,17 +720,18 @@ class TestIntegralSpecValidation:
         [
             (dict(family="K", k=7, beta=2.0), r"k must be None or l in family K, got 7: L takes"),
             (dict(family="K", k=np.int64(0), beta=2.0), r"k must be None or l in family K, got 0: L"),
+            (dict(family="H", k=5), r"k must be None or l in family H, got 5: L takes two orders"),
             (dict(family="H", beta=-1.0), r"beta must be None or alpha in family H, got -1.0: K"),
             (dict(family="H", alpha=2.0, beta=1.0), r"beta must be None or alpha in family H"),
             (dict(family="H", beta=math.nan), r"beta must be a finite real number, got nan"),
             (dict(family="H", beta="1.0"), r"beta must be a finite real number, got '1.0'"),
         ],
-        ids=["K-k-7", "K-k-0", "H-beta-minus-alpha", "H-beta-half-alpha", "H-beta-nan",
+        ids=["K-k-7", "K-k-0", "H-k-5", "H-beta-minus-alpha", "H-beta-half-alpha", "H-beta-nan",
              "H-beta-str"],
     )
     def test_second_order_or_scale_the_family_contradicts(self, kwargs, message):
-        # K has one order and H one scale: a second one that differs used
-        # to be dropped (j_3(x) j_3(2x) for k = 7, j_3(x)^2 for beta = -1)
+        # K and H have one order, H one scale: a second one that differs used
+        # to be dropped (j_3(x) j_3(2x) for k = 7, j_3(x)^2 for k = 5 or beta = -1)
         with pytest.raises(DomainError, match=f"^{message}"):
             IntegralSpec(n=0, l=3, **kwargs)
 

@@ -7,7 +7,9 @@ and changed pool entries are sorted against their pool ref."""
 import ast
 import importlib.util
 import json
+import math
 import os
+import re
 from collections import Counter
 
 import besselquad as bq
@@ -258,6 +260,14 @@ def test_quadrature_grid_reaches_both_walks(monkeypatch):
     fields = {"value", "error_estimate", "evaluations", "converged", "reason", "segments"}
     assert all(set(v) == fields for v in entries.values())
     assert {v["reason"] for v in entries.values()} == {"quadrature strategy requested"}
+    # one block of four draws in four spans at least 50 half-periods of
+    # its fastest factor, and those runs take GK61 panels (61 nodes each)
+    long = [(key, v) for i, (key, v) in enumerate(entries.items()) if i // 4 % 4 == 3]
+    assert len(long) == 12
+    for key, v in long:
+        scales = [abs(float(s)) for s in re.findall(r"(?:alpha|beta)=(-?[\d.e+-]+)", key)]
+        a, b = (float(x) for x in re.search(r"\[(.*), (.*)\]$", key).groups())
+        assert (b - a) * max(scales) / math.pi >= 50 and v["evaluations"] % 61 == 0, key
 
 
 def test_adjacent_order_keys_name_the_call(monkeypatch):

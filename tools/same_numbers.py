@@ -34,7 +34,10 @@ measured with this one file.  It records
   calls of I, H, K and L, recorded like the pool inputs: orders 0 to 60,
   |k - l| <= 3, two-factor scales unrelated, equal or sign-flipped, and
   intervals that start at 0 or straddle each factor's upward margin, so
-  the nodes reach both walks of ``j_many``.
+  the nodes reach both walks of ``j_many``.  One block of four calls
+  (one per family) in four is a long oscillatory run past both margins
+  instead, 50 to 150 half-periods of the fastest factor, so the wide
+  GK61 panels of ``adaptive_quad`` are covered too.
 
 Floats are written with ``float.hex``, so equal files mean bitwise equal
 numbers; an error is written as its type and message, and a
@@ -279,7 +282,13 @@ def quadrature_entries(bq, calls: int, seed: int):
         spec = bq.IntegralSpec(family, 0, l, alpha, k=k, beta=beta)
         # where each factor's nodes pass from the Miller to the upward walk
         margins = [(order + UPWARD_MARGIN) / abs(scale) for order, scale in spec.factors]
-        if i % 2:
+        if i // 4 % 4 == 3:
+            # a long oscillatory run, as on guarded_fallback: 50 to 150
+            # half-periods of the fastest factor, past both margins
+            n = rng.randint(-2, 2)
+            a = max(margins) * rng.uniform(1.0, 1.5)
+            b = a + rng.uniform(50.0, 150.0) * math.pi / max(abs(s) for s in spec.scales)
+        elif i % 2:
             n = rng.randint(0, 4)
             a, b = 0.0, max(margins) * rng.uniform(0.3, 1.6)
         else:
