@@ -18,9 +18,10 @@ from besselquad import (
     si,
 )
 
-# The order-zero base case is the sine integral: int j_0 = Si.
+# The order-zero base case is the sine integral less its limit:
+# int j_0 = Si - pi/2, which vanishes at infinity.
 print("I^0_0(pi)  =", eval_I(0, 0, math.pi).value)
-print("Si(pi)     =", si(math.pi))
+print("Si(pi)-pi/2 =", si(math.pi) - math.pi / 2)
 
 # For positive orders the recursion walks (n, l) -> (n-1, l-1) down to
 # the trigonometric base, collecting boundary terms along the way.
@@ -28,8 +29,8 @@ v = eval_I(3, 1, math.pi).value
 print("\nint_0^pi x^3 j_1 dx =", v, " (= 3 pi =", 3 * math.pi, ")")
 
 # Two of the printed closed forms, checked against the recursion on a
-# definite integral (antiderivative constants differ per route, so only
-# differences are comparable):
+# definite integral (each route fixes its own constant of integration,
+# so values of two routes are compared by differences only):
 a, b = 2.0, 40.0
 for kind, n_of_l, l in (("I1", lambda l: 2 + l, 4), ("I3", lambda l: 1 - l, 4)):
     n = n_of_l(l)

@@ -38,8 +38,8 @@ print("quadrature error estimate:", r.error_estimate, "evaluations:", r.evaluati
 deep = IntegralSpec("H", 1 - 2 * 8, 8)
 lo, hi = 2.0, 40.0
 raw = (
-    eval_H(1 - 2 * 8, 8, hi, closed_forms=False, constants=False).value
-    - eval_H(1 - 2 * 8, 8, lo, closed_forms=False, constants=False).value
+    eval_H(1 - 2 * 8, 8, hi, closed_forms=False).value
+    - eval_H(1 - 2 * 8, 8, lo, closed_forms=False).value
 )
 quad = definite_integral(deep, lo, hi, strategy="quadrature")
 print(f"\nbelow threshold, raw recursion difference: {raw:.6e}")

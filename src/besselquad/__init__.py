@@ -2,11 +2,12 @@
 
 Antiderivatives of x^n j_l(a x), x^n j_l(a x)^2, x^n j_l(a x) j_l(b x)
 and x^n j_k(a x) j_l(b x) through terminating recursion relations and
-closed forms, with all constants of integration frozen so values are
-reproducible.  Adaptive Gauss-Kronrod quadrature (QUADPACK's GK15 on
-short pieces, GK61 on long oscillatory runs) covers the small-argument
-regime where the recursions cancel catastrophically, and
-a piecewise-polynomial weighted integrator handles tabulated slowly
+closed forms.  Each route fixes its constant of integration, so a
+difference of two values of one route is a definite integral (see
+``AntiderivativeValue``).  Adaptive Gauss-Kronrod quadrature
+(QUADPACK's GK15 on short pieces, GK61 on long oscillatory runs) covers
+the small-argument regime where the recursions cancel catastrophically,
+and a piecewise-polynomial weighted integrator handles tabulated slowly
 varying prefactors.  Every integral returns a value that meets its
 tolerance or raises a BesselQuadError subclass, one per kind of
 failure (see ``errors``).
@@ -58,7 +59,7 @@ from .quadrature import (
     oscillation_threshold,
     recursion_amplification,
 )
-from .same_order import DEGENERACY_GUARD, closed_K2, eval_K
+from .same_order import closed_K2, eval_K
 from .single_bessel import closed_I, eval_I, eval_I_scaled
 from .sph_bessel import (
     first_zero_estimate,
@@ -83,7 +84,6 @@ from .types import (
     IntegralSpec,
     PiecewisePolynomial,
     QuadratureResult,
-    TrigPrimitive,
 )
 from .weighted import build_interpolant, integrate_product, integrate_single, weighted_integral
 
@@ -95,7 +95,6 @@ __all__ = [
     "BesselQuadError",
     "AMPLIFICATION_GUARD",
     "DEFAULT_TOL",
-    "DEGENERACY_GUARD",
     "DefiniteResult",
     "DomainError",
     "EULER_GAMMA",
@@ -106,7 +105,6 @@ __all__ = [
     "PiecewisePolynomial",
     "QuadratureRecommendedError",
     "QuadratureResult",
-    "TrigPrimitive",
     "adaptive_quad",
     "antiderivative",
     "base_L01_equal",

@@ -130,14 +130,13 @@ class LTable(PointTable):
         a: float,
         b: float,
         closed_forms: bool = True,
-        constants: bool = True,
         sign: float = 1.0,
     ):
         self.x, self.k, self.a, self.b = x, k, a, b
         self.orders = (k, l)
         self.sign = sign
         self.closed_forms = closed_forms
-        self.kt = kt = KTable(x, a, b, l, closed_forms, constants)
+        self.kt = kt = KTable(x, a, b, l, closed_forms)
         self.jta, self.jtb = (kt.jta, kt.jtb) if a >= b else (kt.jtb, kt.jta)
         self.rows = rows = [None] * (l + 1)
         rows[k] = kt.level(k)
@@ -212,7 +211,7 @@ def _plan(lo: int, hi: int, l: int, k: int, closed_forms: bool) -> tuple:
 # ---------------------------------------------------------------------------
 
 @finite_result
-def base_L01_equal(n: int, x: float, constants: bool = True) -> AntiderivativeValue:
+def base_L01_equal(n: int, x: float) -> AntiderivativeValue:
     """Equal-argument base L^n_{01}(x) = int x^n j_0(x) j_1(x) dx,
 
         (1/2) int x^{n-3} dx - 2^{1-n} Y_{n-3}(2x) - 2^{-n} X_{n-2}(2x)
@@ -225,13 +224,13 @@ def base_L01_equal(n: int, x: float, constants: bool = True) -> AntiderivativeVa
         poly = 0.5 * math.log(x)
     else:
         poly = 0.5 * x ** (n - 2) / (n - 2)
-    chain = TrigChain(1.0, 2.0 * x, constants)
+    chain = TrigChain(1.0, 2.0 * x)
     _refuse_small_arg(n - 3, chain.u)
     v = poly - 2.0 ** (1 - n) * chain.pair(n - 3)[1] - 2.0 ** (-n) * chain.pair(n - 2)[0]
     return AntiderivativeValue(v, "base")
 
 
-def _closed_L_equal(kind: str, k: int, l: int, x: float, jt, constants: bool = True) -> float:
+def _closed_L_equal(kind: str, k: int, l: int, x: float, jt) -> float:
     """Printed equal-argument closed forms; cells assume k <= l."""
     jk, jl = jt[k], jt[l]
     jkm = jt[k - 1] if k >= 1 else _j_extended(-1, x)
@@ -261,12 +260,7 @@ def _closed_L_equal(kind: str, k: int, l: int, x: float, jt, constants: bool = T
     if kind == "L3":  # n = 1 - k - l
         if k + l == 0:
             raise DomainError("L3 requires k + l >= 1")
-        const = 0.0
-        if constants:
-            const = math.pi / (
-                2.0 ** (k + l + 1) * (k + l) * math.gamma(k + 0.5) * math.gamma(l + 0.5)
-            )
-        return const - x ** (2 - k - l) * (jkm * jlm + jk * jl) / (2.0 * (k + l))
+        return -x ** (2 - k - l) * (jkm * jlm + jk * jl) / (2.0 * (k + l))
     if kind == "L4":  # n = l - k + 2
         return x ** (l - k + 3) / (2.0 * (k - l - 1)) * (jkm * jlp - jk * jl)
     if kind == "L5":  # n = k + l + 3
@@ -325,7 +319,7 @@ class LEqualTable(PointTable):
     """
 
     __slots__ = (
-        "x", "orders", "k", "scale", "sign", "closed_forms", "constants", "ht", "rows",
+        "x", "orders", "k", "scale", "sign", "closed_forms", "ht", "rows",
     )
     family = "L"
 
@@ -335,7 +329,6 @@ class LEqualTable(PointTable):
         k: int,
         l: int,
         closed_forms: bool = True,
-        constants: bool = True,
         alpha: float = 1.0,
         sign: float = 1.0,
     ):
@@ -344,8 +337,7 @@ class LEqualTable(PointTable):
         self.k = k
         self.sign = sign
         self.closed_forms = closed_forms
-        self.constants = constants
-        self.ht = HTable(x, l, closed_forms, constants, alpha)
+        self.ht = HTable(x, l, closed_forms, alpha)
         self.scale = self.ht.scale
         self.rows = rows = [None] * (l + 1)
         rows[k] = self.ht.level(k)
@@ -358,7 +350,7 @@ class LEqualTable(PointTable):
         equal-argument recursion: the order-k H cells in one H walk, then
         the levels k + 1..top upwards, closed cells by their closed forms."""
         k, ht, rows, closed = self.k, self.ht, self.rows, self.closed_forms
-        u, jt, constants = ht.u, ht.jt, self.constants
+        u, jt = ht.u, ht.jt
         # down to order k, as an adjacent cell needs the H cell H^{m-1}_k
         # (the run the sweep leaves at order k - 1 is not read)
         runs = sweep(top, lo, hi, _equal_closed(k) if closed else None, _STEP, k)
@@ -375,7 +367,7 @@ class LEqualTable(PointTable):
                     continue
                 kind = _equal_closed_kind(m, k, lam) if closed else None
                 if kind is not None:
-                    row[m] = _closed_L_equal(kind, k, lam, u, jt, constants)
+                    row[m] = _closed_L_equal(kind, k, lam, u, jt)
                 elif lam == k + 1:
                     # adjacent orders through the squared family
                     row[m] = (k + 0.5 * m) * below[m - 1] - 0.5 * u**m * jk**2
@@ -387,7 +379,7 @@ class LEqualTable(PointTable):
 # top-level dispatch
 # ---------------------------------------------------------------------------
 
-def point_table(spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True):
+def point_table(spec: IntegralSpec, x: float, closed_forms: bool = True):
     """The per-point table of spec's Bessel factors at x: the one
     antiderivative dispatch.
 
@@ -405,7 +397,7 @@ def point_table(spec: IntegralSpec, x: float, closed_forms: bool = True, constan
     x = check_point(x)
     (k, alpha), *rest = spec.factors
     if not rest:
-        return ITable(k, x, alpha, closed_forms, constants)
+        return ITable(k, x, alpha, closed_forms)
     (l, beta), = rest
     sign_a, alpha = parity_fold(k, alpha)
     sign_b, beta = parity_fold(l, beta)
@@ -414,12 +406,12 @@ def point_table(spec: IntegralSpec, x: float, closed_forms: bool = True, constan
         k, l = l, k
         alpha, beta = beta, alpha
     if alpha == beta and k == l:
-        return HTable(x, k, closed_forms, constants, alpha, sign)
+        return HTable(x, k, closed_forms, alpha, sign)
     if alpha == beta:
-        return LEqualTable(x, k, l, closed_forms, constants, alpha, sign)
+        return LEqualTable(x, k, l, closed_forms, alpha, sign)
     if k == l:
-        return KTable(x, alpha, beta, k, closed_forms, constants, sign)
-    return LTable(x, k, l, alpha, beta, closed_forms, constants, sign)
+        return KTable(x, alpha, beta, k, closed_forms, sign)
+    return LTable(x, k, l, alpha, beta, closed_forms, sign)
 
 
 #: eval_L's path for each kind of table point_table returns
@@ -439,7 +431,6 @@ def eval_L(
     alpha: float,
     beta: float,
     closed_forms: bool = True,
-    constants: bool = True,
 ) -> AntiderivativeValue:
     """L^n_{kl}(x; alpha, beta) = int x^n j_k(alpha x) j_l(beta x) dx.
 
@@ -458,7 +449,7 @@ def eval_L(
         admit no series route.
     """
     spec = IntegralSpec("L", n, l, alpha, k=k, beta=beta)
-    table = point_table(spec, x, closed_forms, constants)
+    table = point_table(spec, x, closed_forms)
     return AntiderivativeValue(table.value(spec.n), _L_PATHS[type(table)])
 
 

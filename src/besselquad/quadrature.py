@@ -274,8 +274,9 @@ def _initial_calls(knots: list, width: float | None, budget: int) -> list:
 
     Each sub-interval between consecutive knots spans H = (hi - lo) /
     width widths.  It takes ceil(H / WIDE_PANEL) equal GK61 panels where
-    that costs fewer nodes than ceil(H) GK15 panels and at most
-    ``budget`` nodes; else at most budget // 15 equal GK15 panels no
+    that costs fewer nodes than ceil(H) GK15 panels and, with the two
+    halves of one bisected GK61 panel, at most ``budget`` nodes; else at
+    most budget // 15 equal GK15 panels no
     wider than ``width`` where that cap allows (one GK15 panel when
     width is None).  The panels are packed in order into calls of at
     most PANEL_CHUNK * 15 nodes, adjacent panels of one rule in one run."""
@@ -289,7 +290,10 @@ def _initial_calls(knots: list, width: float | None, budget: int) -> list:
             spans = min((hi - lo) / width, budget)
             n = math.ceil(min(spans, max(1, budget // _PANEL_NODES)))
             wide = math.ceil(spans / WIDE_PANEL)
-            if wide * _WIDE_NODES < math.ceil(spans) * _PANEL_NODES and wide * _WIDE_NODES <= budget:
+            if (
+                wide * _WIDE_NODES < math.ceil(spans) * _PANEL_NODES
+                and (wide + 2) * _WIDE_NODES <= budget
+            ):
                 size, n = _WIDE_NODES, wide
         sizes.append(size)
         counts.append(n)
@@ -355,7 +359,8 @@ def adaptive_quad(
         intended width.  A sub-interval between knots that spans H
         widths takes ceil(H / WIDE_PANEL) equal GK61 panels when they
         cost fewer nodes than ceil(H) GK15 panels (so from about 4
-        widths up) and fit in its share of the budget; otherwise it takes
+        widths up) and fit in its share of the budget with room to bisect
+        one of them; otherwise it takes
         equal GK15 panels no wider than this, as many as the budget
         allows.  Without a width each sub-interval starts as one GK15
         panel.
@@ -648,28 +653,24 @@ def antiderivative(
     spec: IntegralSpec,
     x: float,
     closed_forms: bool = True,
-    constants: bool = True,
     tables: dict | None = None,
 ) -> float:
     """Antiderivative value of the spec's integrand at x, by recursion:
-    ``point_table(spec, x, closed_forms, constants).value(spec.n)``.
-
-    constants=False drops the x-independent constants of integration
-    (definite differences are unchanged, but conditioned on the genuine
-    oscillation scale rather than the constants; the definite evaluators
-    difference in that mode).
+    ``point_table(spec, x, closed_forms).value(spec.n)``.  Its constant
+    of integration is fixed per route (see AntiderivativeValue), so the
+    definite evaluators difference two values of one route.
 
     tables, when given, keeps the per-point tables across calls, keyed by
     x: a caller that needs several exponents of one family, orders and
     scales at the same points (the weighted integrator) passes one dict
-    for all of them, with the same closed_forms and constants, so each
-    point builds one table.
+    for all of them, with the same closed_forms, so each point builds
+    one table.
     """
     if tables is None:
-        return point_table(spec, x, closed_forms, constants).value(spec.n)
+        return point_table(spec, x, closed_forms).value(spec.n)
     table = tables.get(x)
     if table is None:
-        table = tables[x] = point_table(spec, x, closed_forms, constants)
+        table = tables[x] = point_table(spec, x, closed_forms)
     return table.value(spec.n)
 
 
@@ -769,6 +770,6 @@ def definite_integral(
     """
 
     def difference(lo: float, hi: float) -> float:
-        return antiderivative(spec, hi, constants=False) - antiderivative(spec, lo, constants=False)
+        return antiderivative(spec, hi) - antiderivative(spec, lo)
 
     return _run_routes(spec, a, b, tol, strategy, max_evals, integrand(spec), difference)

@@ -77,7 +77,6 @@ class KTable(PointTable):
         b: float,
         lmax: int,
         closed_forms: bool = True,
-        constants: bool = True,
         sign: float = 1.0,
     ):
         if a < b:
@@ -92,8 +91,8 @@ class KTable(PointTable):
         # scales under the degeneracy guard: base terms with a negative
         # trig index admit no series
         self._tight = abs(a - b) < DEGENERACY_GUARD * (abs(a) + abs(b))
-        self.near = TrigChain(a - b, x, constants)
-        self.far = TrigChain(a + b, x, constants)
+        self.near = TrigChain(a - b, x)
+        self.far = TrigChain(a + b, x)
         self.closed_forms = closed_forms
         self.used_closed = False
         self.rows = []  # the stored cells of each level, keyed by exponent; see level
@@ -161,7 +160,7 @@ class KTable(PointTable):
                 ) / d
 
 
-def _table(spec: IntegralSpec, x: float, closed_forms: bool = True, constants: bool = True) -> KTable:
+def _table(spec: IntegralSpec, x: float, closed_forms: bool = True) -> KTable:
     """point_table's K table for eval_K and closed_K2, which refuse equal
     scale magnitudes: those belong to the squared family."""
     alpha, beta = spec.scales
@@ -171,7 +170,7 @@ def _table(spec: IntegralSpec, x: float, closed_forms: bool = True, constants: b
         )
     from .mixed_order import point_table  # mixed_order imports this module
 
-    return point_table(spec, x, closed_forms, constants)
+    return point_table(spec, x, closed_forms)
 
 
 def eval_K(
@@ -181,7 +180,6 @@ def eval_K(
     alpha: float,
     beta: float,
     closed_forms: bool = True,
-    constants: bool = True,
 ) -> AntiderivativeValue:
     """K^n_l(x; alpha, beta) = int x^n j_l(alpha x) j_l(beta x) dx.
 
@@ -197,7 +195,7 @@ def eval_K(
         Scales under the degeneracy guard with no series route.
     """
     spec = IntegralSpec("K", n, l, alpha, beta=beta)
-    table = _table(spec, x, closed_forms, constants)
+    table = _table(spec, x, closed_forms)
     return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))
 
 

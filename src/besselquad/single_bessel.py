@@ -34,17 +34,14 @@ class ITable(PointTable):
     __slots__ = ("x", "orders", "l", "a", "sign", "u", "jt", "chain", "closed_forms")
     family = "I"
 
-    def __init__(
-        self, l: int, x: float, alpha: float = 1.0, closed_forms: bool = True,
-        constants: bool = True,
-    ):
+    def __init__(self, l: int, x: float, alpha: float = 1.0, closed_forms: bool = True):
         self.x = x
         self.orders = (l,)
         self.l = l
         self.sign, self.a = parity_fold(l, alpha)
         self.u = u = self.a * x
         self.jt = _j_list(l - 1, u) if l else None
-        self.chain = TrigChain(1.0, u, constants)
+        self.chain = TrigChain(1.0, u)
         self.closed_forms = closed_forms
 
     def _X(self, m: int) -> float:
@@ -69,10 +66,9 @@ class ITable(PointTable):
         return total + coef * self._X(n - l - 1)
 
 
-def eval_I(
-    n: int, l: int, x: float, closed_forms: bool = True, constants: bool = True
-) -> AntiderivativeValue:
-    """I^n_l(x) = int x^n j_l(x) dx under the frozen constant convention.
+def eval_I(n: int, l: int, x: float, closed_forms: bool = True) -> AntiderivativeValue:
+    """I^n_l(x) = int x^n j_l(x) dx (see AntiderivativeValue for the
+    constant of integration).
 
     Parameters
     ----------
@@ -88,25 +84,19 @@ def eval_I(
         first step is I3.  With closed_forms=False the walk always
         reaches the trigonometric base; the two paths agree because the
         skipped terms carry an exact zero factor.
-    constants : bool
-        constants=False drops the x-independent constants of
-        integration; differences over an interval are unchanged but
-        better conditioned.
     """
     spec = IntegralSpec("I", n, l)
-    table = ITable(spec.l, check_point(x), 1.0, closed_forms, constants)
+    table = ITable(spec.l, check_point(x), 1.0, closed_forms)
     return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
 
 
-def eval_I_scaled(
-    n: int, l: int, x: float, alpha: float, constants: bool = True
-) -> AntiderivativeValue:
+def eval_I_scaled(n: int, l: int, x: float, alpha: float) -> AntiderivativeValue:
     """int x^n j_l(alpha x) dx = alpha^(-n-1) I^n_l(alpha x).
 
     Negative alpha folds through parity, j_l(-u) = (-1)^l j_l(u).
     """
     spec = IntegralSpec("I", n, l, alpha)
-    table = ITable(spec.l, check_point(x), spec.alpha, constants=constants)
+    table = ITable(spec.l, check_point(x), spec.alpha)
     return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
 
 

@@ -12,9 +12,11 @@ level down.  The l = 0 bases follow from j_0 = sin(x)/x:
     H^1_0 = (ln x - Ci(2x)) / 2
 
 Five printed closed forms short-circuit the recursion when an exponent
-pattern matches mid-walk.  Their constants of integration differ from
-the recursion convention in general; every route is deterministic in
-(n, l), so differences of values taken along one route are unaffected.
+pattern matches mid-walk.  They carry no constant of their own, so a
+closed cell's constant of integration can differ from the one the walk
+to the base gives: H1 at n = -1 sits 1 / (2l (l + 1)) above it.  Every
+route is deterministic in (n, l) and closed_forms, so differences of
+values taken along one route are unaffected.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _closed_kind(m: int, lam: int) -> str | None:
 _CLOSED = (None, _closed_kind)
 
 
-def _closed_H(kind: str, l: int, x: float, jt=None, constants: bool = True) -> float:
+def _closed_H(kind: str, l: int, x: float, jt=None) -> float:
     """Float core of the printed closed forms; j_{-1} = cos(x)/x at l = 0."""
     if jt is None:
         jt = _j_list(l + 1, x)
@@ -75,10 +77,7 @@ def _closed_H(kind: str, l: int, x: float, jt=None, constants: bool = True) -> f
     if kind == "H2":
         if l < 1:
             raise DomainError("H2 requires l >= 1")
-        const = 0.0
-        if constants:
-            const = math.pi / (4.0 ** (l + 1) * l * math.gamma(l + 0.5) ** 2)
-        return const - x ** (2 * (1 - l)) * (jm * jm + jl * jl) / (4.0 * l)
+        return -x ** (2 * (1 - l)) * (jm * jm + jl * jl) / (4.0 * l)
     if kind == "H3":
         return 0.5 * x**3 * (jl * jl - jm * jp)
     if kind == "H4":
@@ -126,8 +125,8 @@ class HTable(PointTable):
     """
 
     __slots__ = (
-        "x", "orders", "u", "scale", "sign", "jt", "chain", "closed_forms", "constants",
-        "used_closed", "rows",
+        "x", "orders", "u", "scale", "sign", "jt", "chain", "closed_forms", "used_closed",
+        "rows",
     )
     family = "H"
 
@@ -136,7 +135,6 @@ class HTable(PointTable):
         x: float,
         lmax: int,
         closed_forms: bool = True,
-        constants: bool = True,
         alpha: float = 1.0,
         sign: float = 1.0,
     ):
@@ -146,9 +144,8 @@ class HTable(PointTable):
         self.u = u = self.scale * x
         self.sign = sign
         self.jt = _j_list(lmax + 1, u)
-        self.chain = TrigChain(1.0, 2.0 * u, constants)
+        self.chain = TrigChain(1.0, 2.0 * u)
         self.closed_forms = closed_forms
-        self.constants = constants
         self.used_closed = False
         self.rows = []  # the stored cells of each level, keyed by exponent; see level
 
@@ -165,7 +162,7 @@ class HTable(PointTable):
         if lo > hi:
             return
         bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
-        u, jt, rows, constants = self.u, self.jt, self.rows, self.constants
+        u, jt, rows = self.u, self.jt, self.rows
         row, chain = rows[0], self.chain
         for m in bases:
             if m not in row:
@@ -175,7 +172,7 @@ class HTable(PointTable):
                 for lam in levels:
                     row = rows[lam]
                     if m not in row:
-                        row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt, constants)
+                        row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt)
                         self.used_closed = True
                 continue
             half = 0.5 * (m - 2)
@@ -185,7 +182,7 @@ class HTable(PointTable):
                 if m in row:
                     continue
                 if lam in closed_at:
-                    row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt, constants)
+                    row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt)
                     self.used_closed = True
                     continue
                 if power is None:
@@ -208,25 +205,23 @@ def _path(table, l: int) -> str:
     return "recursion+closed" if table.used_closed else "recursion"
 
 
-def eval_H(
-    n: int, l: int, x: float, closed_forms: bool = True, constants: bool = True
-) -> AntiderivativeValue:
-    """H^n_l(x) = int x^n j_l(x)^2 dx under the frozen convention.
+def eval_H(n: int, l: int, x: float, closed_forms: bool = True) -> AntiderivativeValue:
+    """H^n_l(x) = int x^n j_l(x)^2 dx (see AntiderivativeValue for the
+    constant of integration).
 
     closed_forms=False forces the pure recursion-to-base route, which is
     what the closed forms are validated against (on differences).
-    constants=False drops x-independent constants of integration.
     """
-    return eval_H_scaled(n, l, x, 1.0, closed_forms, constants)
+    return eval_H_scaled(n, l, x, 1.0, closed_forms)
 
 
 def eval_H_scaled(
-    n: int, l: int, x: float, alpha: float, closed_forms: bool = True, constants: bool = True
+    n: int, l: int, x: float, alpha: float, closed_forms: bool = True
 ) -> AntiderivativeValue:
     """int x^n j_l(alpha x)^2 dx = alpha^(-n-1) H^n_l(alpha x).
 
     The integrand is even in alpha, so only |alpha| matters.
     """
     spec = IntegralSpec("H", n, l, alpha)
-    table = HTable(check_point(x), spec.l, closed_forms, constants, spec.alpha)
+    table = HTable(check_point(x), spec.l, closed_forms, spec.alpha)
     return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))

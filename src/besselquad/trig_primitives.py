@@ -8,15 +8,17 @@ satisfies, by integration by parts,
 
     X_n = n Y_{n-1} - x^n cos(x)      Y_n = x^n sin(x) - n X_{n-1}
 
-stepping down to the anchors X_0 = -cos(x), Y_0 = sin(x).  For n < 0 the
-inverted relations
+stepping up from the anchors X_0 = 1 - cos(x), Y_0 = sin(x).  For n < 0
+the inverted relations
 
     X_n = (x^{n+1} sin(x) - Y_{n+1}) / (n+1)
     Y_n = (x^{n+1} cos(x) + X_{n+1}) / (n+1)
 
-step away from the anchors X_{-1} = Si(x), Y_{-1} = Ci(x).  Fixing these
-four anchors fixes every constant of integration, so the values returned
-here are reproducible, not merely correct up to a constant.
+step down from the anchors X_{-1} = Si(x) - pi/2, Y_{-1} = Ci(x).  These
+four anchors fix every constant of integration, and no constant is
+carried that the x dependence would have to be read against: for
+n >= 0, X_n(0) = Y_n(0) = 0, so X_n(x) = int_0^x t^n sin(t) dt; for
+n < 0, X_n and Y_n vanish as x -> inf, so X_n(x) = -int_x^inf t^n sin(t) dt.
 
 The engines need these pairs at many exponents but at few arguments: one
 evaluation point of H reads the argument 2x, one of K or L the arguments
@@ -30,11 +32,11 @@ f, g above it, with Si = pi/2 - f cos - g sin and Ci = f sin - g cos.
 
 For scaled arguments, int x^n sin(a x) dx = X_n(a x)/a^{n+1} admits a
 power series for n >= 0 that ``int_pow_sin`` and ``int_pow_cos`` take
-at |a x| <= ``SERIES_ARG_MAX``, where the plain recursion would bury the
-x dependence under the integration constant.  No comparable expansion
-exists for n < -1, so arguments below ``SMALL_ARG_HAZARD`` with n < -1
-raise QuadratureRecommendedError rather than return a value of unknown
-quality.
+at |a x| <= ``SERIES_ARG_MAX``, where the recursion would form a value
+of order (a x)^(n+1) from terms of order (a x)^n.  No comparable
+expansion exists for n < -1, so arguments below ``SMALL_ARG_HAZARD``
+with n < -1 raise QuadratureRecommendedError rather than return a value
+of unknown quality.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ SERIES_ARG_MAX = 0.5
 
 #: below this argument, primitives with n < -1 refuse to evaluate
 SMALL_ARG_HAZARD = 0.1
-
-# cos(n pi / 2) and sin(n pi / 2) for n mod 4 = 0, 1, 2, 3
-_COS_HALF = (1, 0, -1, 0)
-_SIN_HALF = (0, 1, 0, -1)
 
 # Rational (Pade) approximations for the auxiliary functions
 #   f(x) ~ int_0^inf sin(t)/(t + x) dt,  g(x) ~ int_0^inf cos(t)/(t + x) dt
@@ -157,25 +155,25 @@ def _ci_series(x: float) -> float:
             return acc
 
 
-def _si_ci(u: float, constants: bool = True) -> tuple:
-    """(Si(u), Ci(u)) for 0 < u < inf, or (Si(u) - pi/2, Ci(u)) with
-    constants=False: the two power series up to SI_CI_SWITCH, the
-    auxiliary functions f, g above it."""
+def _si_ci(u: float) -> tuple:
+    """(Si(u) - pi/2, Ci(u)) for 0 < u < inf: the two power series up to
+    SI_CI_SWITCH, the auxiliary functions f, g above it, where
+    Si(u) - pi/2 is formed without the near-pi/2 value Si(u)."""
     if u <= SI_CI_SWITCH:
-        X = _si_series(u)
-        return (X if constants else X - 0.5 * math.pi), _ci_series(u)
+        return _si_series(u) - 0.5 * math.pi, _ci_series(u)
     c, s = math.cos(u), math.sin(u)
     f, g = _aux_fg(u)
-    # constants=False: Si(u) - pi/2 without forming the near-pi/2 value first
-    X = 0.5 * math.pi - f * c - g * s if constants else -f * c - g * s
-    return X, f * s - g * c
+    return -f * c - g * s, f * s - g * c
 
 
 @finite_result
 def si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t)/t dt for finite x >= 0."""
     x = check_real("x", x, 0.0)
-    return _si_ci(x)[0] if x else 0.0
+    if x <= SI_CI_SWITCH:
+        return _si_series(x)
+    f, g = _aux_fg(x)
+    return 0.5 * math.pi - f * math.cos(x) - g * math.sin(x)
 
 
 @finite_result
@@ -209,18 +207,17 @@ class TrigChain:
 
     ``int_sin``/``int_cos`` return int x^m sin(c x) dx and
     int x^m cos(c x) dx at x; ``pair`` returns the unscaled
-    (X_k(u), Y_k(u)).  ``constants`` is as in ``eval_pair``.
+    (X_k(u), Y_k(u)).
     """
 
-    __slots__ = ("c", "x", "u", "constants", "_cos", "_sin", "_up", "_uk", "_down")
+    __slots__ = ("c", "x", "u", "_cos", "_sin", "_up", "_uk", "_down")
 
-    def __init__(self, c: float, x: float, constants: bool = True):
+    def __init__(self, c: float, x: float):
         self.c = c
         self.x = x
         self.u = abs(c) * x
         if not self.u < math.inf:
             raise DomainError(f"trig primitives require a finite argument, got |c| x = {self.u}")
-        self.constants = constants
         self._cos = math.cos(self.u)
         self._sin = math.sin(self.u)
         self._up = None  # [(X_0, Y_0), (X_1, Y_1), ...]
@@ -228,19 +225,19 @@ class TrigChain:
         self._down = None  # [(X_-1, Y_-1), (X_-2, Y_-2), ...]
 
     def _anchor(self) -> tuple:
-        """(X_-1, Y_-1) = (Si, Ci), or (Si - pi/2, Ci) with constants=False."""
+        """(X_-1, Y_-1) = (Si - pi/2, Ci)."""
         if self.u == 0:
             raise DomainError("Y_n(0) diverges for n < 0 (and X_n(0) for n < -1)")
-        return _si_ci(self.u, self.constants)
+        return _si_ci(self.u)
 
     def pair(self, n: int) -> tuple:
-        """(X_n(u), Y_n(u)) under the frozen convention (see eval_pair)."""
+        """(X_n(u), Y_n(u)) under the module's convention."""
         u, c, s = self.u, self._cos, self._sin
         if n >= 0:
             up = self._up
             if up is None:
-                X0 = -c if self.constants else 2.0 * math.sin(0.5 * u) ** 2
-                up = self._up = [(X0, s)]
+                # 1 - cos(u), without cancellation at small u
+                up = self._up = [(2.0 * math.sin(0.5 * u) ** 2, s)]
             if n >= len(up):
                 X, Y = up[-1]
                 uk = self._uk
@@ -266,28 +263,26 @@ class TrigChain:
         routed through the power series when m >= 0 and |c x| <=
         SERIES_ARG_MAX."""
         if m >= 0 and self.u <= SERIES_ARG_MAX:
-            return _scaled_series(1, m, self.c, self.x, self.constants)
-        if m == -1 and self.u == 0.0:
-            xv = 0.0 if self.constants else -0.5 * math.pi
-        else:
-            xv = self.pair(m)[0]
+            return _scaled_series(1, m, self.c, self.x)
+        xv = -0.5 * math.pi if m == -1 and self.u == 0.0 else self.pair(m)[0]
         v = abs(self.c) ** (-m - 1) * xv
         return v if self.c > 0 else -v
 
     def int_cos(self, m: int) -> float:
         """int x^m cos(c x) dx; equals |c|^(-m-1) Y_m(|c| x)."""
         if m >= 0 and self.u <= SERIES_ARG_MAX:
-            return _scaled_series(0, m, self.c, self.x, self.constants)
+            return _scaled_series(0, m, self.c, self.x)
         return abs(self.c) ** (-m - 1) * self.pair(m)[1]
 
 
-def eval_pair(n: int, x: float, constants: bool = True) -> TrigPrimitive:
+def eval_pair(n: int, x: float) -> TrigPrimitive:
     """Evaluate (X_n(x), Y_n(x)) jointly.
 
     The two sequences are coupled by the recursions, so computing them
     together costs the same as computing either one.  This walks a fresh
     ``TrigChain``; callers that need several exponents at one argument
-    keep the chain instead.
+    keep the chain instead.  The values follow the module's convention:
+    int_0^x for n >= 0, -int_x^inf for n < 0.
 
     Parameters
     ----------
@@ -295,43 +290,37 @@ def eval_pair(n: int, x: float, constants: bool = True) -> TrigPrimitive:
         Monomial exponent.
     x : float
         Argument; x > 0, or x = 0 when n >= 0.
-    constants : bool
-        With constants=False the x-independent parts of the frozen
-        convention are dropped: the downward chain is anchored at
-        X_0 + 1 = 1 - cos(x) (removing the Gamma(n+1) terms) and the
-        upward chain at Si(x) - pi/2.  Differences of such values equal
-        differences of the full values exactly, but without the large
-        constants swamping the x dependence, which is what the definite
-        integral evaluators need.
 
     Raises
     ------
     DomainError
         For x < 0, x = 0 with n < 0, a non-finite x, or an X_n or Y_n
-        that overflows a float; the pair refuses as a whole, so
-        eval_pair(400, 0.0) raises for X_400(0) = -400!, though
-        Y_400(0) = 0.
+        that overflows a float.  eval_pair(400, 0.0) returns (0.0, 0.0),
+        but the upward walk is unstable where 0 < x < n: its rounding
+        grows like n!, so eval_pair(20, 0.7).X reads 53.3 where
+        X_20(0.7) is 1.6e-5, and eval_pair(400, 0.7) raises, though
+        X_400(0.7) is about 1e-65.
     QuadratureRecommendedError
         For n < -1 with 0 < x < SMALL_ARG_HAZARD, where the value is one
         a caller should not difference (int_pow_sin and int_pow_cos
         take no such rule).
     """
     n, x = check_integer("n", n), check_real("x", x, 0.0)
-    X, Y = finite_value(lambda *args: f"eval_pair{args}", _pair, n, x, constants)
+    X, Y = finite_value(lambda *args: f"eval_pair{args}", _pair, n, x)
     return TrigPrimitive(n=n, x=x, X=X, Y=Y)
 
 
-def _pair(n: int, x: float, constants: bool = True) -> tuple:
+def _pair(n: int, x: float) -> tuple:
     """eval_pair's (X_n(x), Y_n(x)) at checked n, x, before the finiteness check."""
     if x == 0 and n < 0:
         raise DomainError("Y_n(0) diverges for n < 0 (and X_n(0) for n < -1)")
     _refuse_small_arg(n, x)
-    return TrigChain(1.0, x, constants).pair(n)
+    return TrigChain(1.0, x).pair(n)
 
 
-def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) -> float:
+def _scaled_series(odd: int, n: int, alpha: float, x: float) -> float:
     """The series of X_n (odd = 1, sin) or Y_n (odd = 0, cos) at alpha x
-    over alpha^(n+1): the constant, then
+    over alpha^(n+1),
 
         alpha^odd x^(n+1+odd) sum_m (-(alpha x)^2)^m / ((2m+odd)! (n+2m+1+odd))
 
@@ -339,14 +328,6 @@ def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) ->
     where TrigChain takes it (past |alpha x| ~ 10 the alternating sum
     cancels catastrophically)."""
     u2 = (alpha * x) ** 2
-    half = -_COS_HALF[n % 4] if odd else _SIN_HALF[n % 4]
-    const = 0.0
-    if half and constants:
-        power = alpha ** (n + 1)
-        if not power:
-            # the constant's quotient leaves the float range
-            raise OverflowError(f"alpha^{n + 1} underflows")
-        const = float(math.factorial(n)) * half / power
     acc = 0.0
     f = 1.0
     m = 0
@@ -357,28 +338,28 @@ def _scaled_series(odd: int, n: int, alpha: float, x: float, constants: bool) ->
         if abs(f) < 1e-18 * (abs(acc) + 1e-300) or m > 60:
             break
     lead = alpha * x ** (n + 2) if odd else x ** (n + 1)
-    return const + lead * acc
+    return lead * acc
 
 
 @finite_result
-def int_pow_sin(m: int, c: float, x: float, constants: bool = True) -> float:
-    """int x^m sin(c x) dx for c != 0 under the frozen convention.
+def int_pow_sin(m: int, c: float, x: float) -> float:
+    """int x^m sin(c x) dx for c != 0 under the module's convention.
 
     Equals sign(c) |c|^(-m-1) X_m(|c| x); routed through the power series
     when m >= 0 and |c x| <= SERIES_ARG_MAX.  Unlike eval_pair it takes
     m < -1 below SMALL_ARG_HAZARD: int_pow_sin(-3, 1.0, 0.01) differenced
     to x = 1 matches mpmath to 15 digits, while eval_pair(-3, 0.01) refuses.
     """
-    return _chain(c, x, constants).int_sin(check_integer("m", m))
+    return _chain(c, x).int_sin(check_integer("m", m))
 
 
 @finite_result
-def int_pow_cos(m: int, c: float, x: float, constants: bool = True) -> float:
+def int_pow_cos(m: int, c: float, x: float) -> float:
     """int x^m cos(c x) dx for c != 0; equals |c|^(-m-1) Y_m(|c| x).
     Like int_pow_sin, it takes m < -1 below SMALL_ARG_HAZARD."""
-    return _chain(c, x, constants).int_cos(check_integer("m", m))
+    return _chain(c, x).int_cos(check_integer("m", m))
 
 
-def _chain(c, x, constants: bool) -> TrigChain:
+def _chain(c, x) -> TrigChain:
     """The chain of int_pow_sin and int_pow_cos, at checked c != 0, x >= 0."""
-    return TrigChain(check_real("c", c, nonzero=True), check_real("x", x, 0.0), constants)
+    return TrigChain(check_real("c", c, nonzero=True), check_real("x", x, 0.0))

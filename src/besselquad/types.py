@@ -27,8 +27,9 @@ FAMILIES = ("I", "H", "K", "L")
 @dataclass(frozen=True)
 class TrigPrimitive:
     """The pair of antiderivatives X_n(x) = int x^n sin(x) dx and
-    Y_n(x) = int x^n cos(x) dx under the frozen constant convention
-    (X_0 = -cos, Y_0 = sin, X_{-1} = Si, Y_{-1} = Ci)."""
+    Y_n(x) = int x^n cos(x) dx from the anchors X_0 = 1 - cos,
+    Y_0 = sin, X_{-1} = Si - pi/2, Y_{-1} = Ci: int_0^x for n >= 0,
+    -int_x^inf for n < 0."""
 
     n: int
     x: float
@@ -38,14 +39,22 @@ class TrigPrimitive:
 
 @dataclass(frozen=True)
 class AntiderivativeValue:
-    """A real antiderivative value under the frozen constant convention,
-    together with the evaluation path that produced it.
+    """A real antiderivative value, together with the evaluation path
+    that produced it.
 
-    Definite integrals are differences of these values.  The ``path``
-    string records which route was taken ("recursion", "closed:H3",
-    "base", ...); values produced through different routes may differ by
-    a constant of integration, which always cancels in differences taken
-    along the same route.
+    The ``path`` string records which route was taken ("recursion",
+    "closed:H3", "base", ...).  Each route fixes its constant of
+    integration, the same at every x, and the route depends only on the
+    spec and ``closed_forms``: so definite integrals are differences of
+    two values taken with the same arguments.  The constants come from
+    the trig anchors (``trig_primitives``: X_m(0) = Y_m(0) = 0 for
+    m >= 0, X_m, Y_m -> 0 at infinity for m < 0) carried through the
+    recursions, and from the printed closed forms, which carry none of
+    their own.  They are not one rule for every spec: I^n_l is
+    int_0^x minus DLMF 10.22.43's int_0^inf in most cells, but int_0^x
+    where n > l and n - l is odd; H^0_l is int_0^x - pi / (2 (2l + 1));
+    and routes of one spec can differ by a constant, as the closed form
+    H1 sits 1 / (2l (l + 1)) above the recursion's -int_x^inf.
     """
 
     value: float

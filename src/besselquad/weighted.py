@@ -235,7 +235,7 @@ def weighted_integral(
     tables: dict = {}
 
     def F(m: int, x: float) -> float:
-        return antiderivative(specs[m], x, constants=False, tables=tables)
+        return antiderivative(specs[m], x, tables=tables)
 
     def difference(lo: float, hi: float) -> float:
         total = 0.0

@@ -10,7 +10,7 @@ def richardson_derivative(F, x, h=None):
 
     Returns (derivative, noise): noise is the finite-difference noise
     floor from F's own magnitude, which dominates wherever the
-    antiderivative's frozen constant dwarfs the local variation.
+    antiderivative's constant of integration dwarfs the local variation.
     """
     if h is None:
         # sqrt scaling keeps the O(h^4) truncation small for oscillatory

@@ -110,9 +110,7 @@ class TestCriterion4OracleEquivalence:
             spec = IntegralSpec(fam, n, l, alpha, k=k, beta=beta)
             a = oscillation_threshold(spec)
             b = a + 40.0
-            rec = antiderivative(spec, b, constants=False) - antiderivative(
-                spec, a, constants=False
-            )
+            rec = antiderivative(spec, b) - antiderivative(spec, a)
             orc = adaptive_quad(
                 integrand(spec), a, b, tol=1e-13, vectorized=True,
                 initial_max_width=math.pi / max(abs(s) for s in spec.scales),
@@ -144,7 +142,7 @@ class TestCriterion5DerivativeProperty:
                 fam, n, l, alpha, k=k, beta=beta if fam in ("K", "L") else None
             )
             f = integrand(spec)
-            F = lambda t: antiderivative(spec, t, constants=False)
+            F = lambda t: antiderivative(spec, t)
             x0 = oscillation_threshold(spec)
             # oversample, then keep the 10 points where the integrand is
             # largest so the relative criterion is meaningful
@@ -202,8 +200,8 @@ class TestCriterion6ClosedFormAgreement:
                     continue
                 c = closed_H(kind, l, b).value - closed_H(kind, l, a).value
                 r = (
-                    eval_H(n_of[kind](l), l, b, closed_forms=False, constants=False).value
-                    - eval_H(n_of[kind](l), l, a, closed_forms=False, constants=False).value
+                    eval_H(n_of[kind](l), l, b, closed_forms=False).value
+                    - eval_H(n_of[kind](l), l, a, closed_forms=False).value
                 )
                 self._check(c, r, (kind, l))
                 cases += 1
@@ -211,8 +209,8 @@ class TestCriterion6ClosedFormAgreement:
         for l in (1, 3, 6):
             c = closed_K2(l, b, 1.0, 2.0).value - closed_K2(l, a, 1.0, 2.0).value
             r = (
-                eval_K(2, l, b, 1.0, 2.0, closed_forms=False, constants=False).value
-                - eval_K(2, l, a, 1.0, 2.0, closed_forms=False, constants=False).value
+                eval_K(2, l, b, 1.0, 2.0, closed_forms=False).value
+                - eval_K(2, l, a, 1.0, 2.0, closed_forms=False).value
             )
             self._check(c, r, ("K2", l))
             cases += 1
@@ -228,8 +226,8 @@ class TestCriterion6ClosedFormAgreement:
                 c = closed_L_equal(kind, k, l, b).value - closed_L_equal(kind, k, l, a).value
                 n = n_of_kl[kind](k, l)
                 r = (
-                    eval_L(n, k, l, b, 1.0, 1.0, closed_forms=False, constants=False).value
-                    - eval_L(n, k, l, a, 1.0, 1.0, closed_forms=False, constants=False).value
+                    eval_L(n, k, l, b, 1.0, 1.0, closed_forms=False).value
+                    - eval_L(n, k, l, a, 1.0, 1.0, closed_forms=False).value
                 )
                 self._check(c, r, (kind, k, l))
                 cases += 1

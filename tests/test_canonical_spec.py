@@ -337,5 +337,5 @@ class TestNonFiniteWalkValues:
         _assert_quadrature_fallback(spec, a, a + 20.0)
 
     def test_eval_L(self):
-        with pytest.raises(DomainError, match=r"L .*n = 0, orders \(0, 600\) at x = 5000: .*overflow"):
-            eval_L(0, 0, 600, 5000.0, 1.0, 1.3)
+        with pytest.raises(DomainError, match=r"L .*n = 0, orders \(0, 700\) at x = 5000: .*overflow"):
+            eval_L(0, 0, 700, 5000.0, 1.0, 1.3)

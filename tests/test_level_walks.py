@@ -112,7 +112,7 @@ def _order_pairs(l):
 
 
 def check_h(n, l, closed):
-    table = HTable(X, l, closed, False, 1.3)
+    table = HTable(X, l, closed, 1.3)
     table.value(n)
     want = h_cells(n, l, closed)
     assert stored(table.rows) == want, (n, l)
@@ -120,7 +120,7 @@ def check_h(n, l, closed):
 
 
 def check_k(n, l, closed):
-    table = KTable(X, 1.3, 0.7, l, closed, False)
+    table = KTable(X, 1.3, 0.7, l, closed)
     table.value(n)
     want = k_cells(n, l, closed)
     assert stored(table.rows) == want, (n, l)
@@ -128,7 +128,7 @@ def check_k(n, l, closed):
 
 
 def check_l(n, k, l, closed):
-    table = LTable(X, k, l, 1.3, 0.7, closed, False)
+    table = LTable(X, k, l, 1.3, 0.7, closed)
     table.value(n)
     want_l, want_k = l_cells(n, k, l, closed)
     assert stored(table.rows, k) == want_l, (n, k, l)
@@ -137,7 +137,7 @@ def check_l(n, k, l, closed):
 
 
 def check_l_equal(n, k, l, closed):
-    table = LEqualTable(X, k, l, closed, False, 1.3)
+    table = LEqualTable(X, k, l, closed, 1.3)
     table.value(n)
     want_l, want_h = l_equal_cells(n, k, l, closed)
     assert stored(table.rows, k) == want_l, (n, k, l)
@@ -194,7 +194,7 @@ def test_deep_diagonals_two_orders(check, closed):
 
 def test_exponents_share_one_table():
     # later exponents reuse the cells of earlier ones and add their own
-    table = HTable(X, 12, True, False, 1.3)
+    table = HTable(X, 12, True, 1.3)
     want = set()
     for n in (0, 1, 2, 3, -4, 8):
         table.value(n)

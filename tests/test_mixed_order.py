@@ -29,7 +29,6 @@ def oracle(n, k, l, a, b, alpha, beta, tol=1e-12):
 
 
 def diff(n, k, l, a, b, alpha, beta, **kw):
-    kw.setdefault("constants", False)
     return (
         eval_L(n, k, l, b, alpha, beta, **kw).value
         - eval_L(n, k, l, a, alpha, beta, **kw).value
@@ -37,7 +36,6 @@ def diff(n, k, l, a, b, alpha, beta, **kw):
 
 
 def diff_eq(n, k, l, a, b, **kw):
-    kw.setdefault("constants", False)
     return eval_L(n, k, l, b, 1.0, 1.0, **kw).value - eval_L(n, k, l, a, 1.0, 1.0, **kw).value
 
 
@@ -315,7 +313,7 @@ class TestDerivativeProperty:
         x0 = max(first_zero_estimate(k) / alpha, first_zero_estimate(l) / beta)
         for x in (x0, x0 + 17.0):
             assert_derivative_matches(
-                lambda t: eval_L(n, k, l, t, alpha, beta, constants=False).value,
+                lambda t: eval_L(n, k, l, t, alpha, beta).value,
                 x**n * j(k, alpha * x) * j(l, beta * x),
                 x,
             )

@@ -48,30 +48,30 @@ def _outcome(fn):
         return type(exc)
 
 
-def _public(spec, x, closed_forms, constants):
+def _public(spec, x, closed_forms):
     """The family's own public evaluator, which builds a fresh table."""
     n = spec.n
     if spec.family == "I":
-        return eval_I_scaled(n, spec.l, x, spec.alpha, constants).value
+        return eval_I_scaled(n, spec.l, x, spec.alpha).value
     if spec.family == "H":
-        return eval_H_scaled(n, spec.l, x, spec.alpha, closed_forms, constants).value
+        return eval_H_scaled(n, spec.l, x, spec.alpha, closed_forms).value
     if spec.family == "K" and abs(spec.alpha) != abs(spec.beta):
-        return eval_K(n, spec.l, x, spec.alpha, spec.beta, closed_forms, constants).value
+        return eval_K(n, spec.l, x, spec.alpha, spec.beta, closed_forms).value
     k = spec.orders[0]
-    return eval_L(n, k, spec.l, x, spec.alpha, spec.beta, closed_forms, constants).value
+    return eval_L(n, k, spec.l, x, spec.alpha, spec.beta, closed_forms).value
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=repr)
 @pytest.mark.parametrize("x", [0.6, 7.3, 41.0])
 def test_shared_table_is_bitwise_the_fresh_one(spec, x):
-    for closed_forms, constants in itertools.product((True, False), repeat=2):
+    for closed_forms in (True, False):
         fresh = {}
         for n in EXPONENTS:
             s = IntegralSpec(spec.family, n, spec.l, spec.alpha, k=spec.k, beta=spec.beta)
-            fresh[n] = _outcome(lambda: antiderivative(s, x, closed_forms, constants))
-            assert fresh[n] == _outcome(lambda: _public(s, x, closed_forms, constants))
+            fresh[n] = _outcome(lambda: antiderivative(s, x, closed_forms))
+            assert fresh[n] == _outcome(lambda: _public(s, x, closed_forms))
         for order in (list(EXPONENTS), list(reversed(EXPONENTS))):
-            table = point_table(spec, x, closed_forms, constants)
+            table = point_table(spec, x, closed_forms)
             got = {n: _outcome(lambda: table.value(n)) for n in order}
             assert got == fresh
 
@@ -94,22 +94,21 @@ def test_equal_magnitude_K_gets_the_H_table_with_the_parity_sign():
         assert table.value(n) == -eval_H_scaled(n, 3, x, 1.2).value
 
 
-@pytest.mark.parametrize("constants", [True, False])
 @pytest.mark.parametrize("route", ["point_table", "antiderivative"])
-def test_closed_forms_off_walks_I_to_its_trig_base(route, constants, monkeypatch):
+def test_closed_forms_off_walks_I_to_its_trig_base(route, monkeypatch):
     # n = 0, l = 3 stops at the first vanishing coefficient (I's closed
     # form) and reads no X_m; closed_forms=False walks on to the base
     spec, x = IntegralSpec("I", 0, 3), 20.0
-    want = eval_I(0, 3, x, closed_forms=False, constants=constants).value
+    want = eval_I(0, 3, x, closed_forms=False).value
     calls = []
     read_X = ITable._X
     monkeypatch.setattr(ITable, "_X", lambda self, m: calls.append(m) or read_X(self, m))
-    point_table(spec, x, constants=constants).value(0)
+    point_table(spec, x).value(0)
     assert calls == []
     if route == "point_table":
-        got = point_table(spec, x, closed_forms=False, constants=constants).value(0)
+        got = point_table(spec, x, closed_forms=False).value(0)
     else:
-        got = antiderivative(spec, x, closed_forms=False, constants=constants)
+        got = antiderivative(spec, x, closed_forms=False)
     assert len(calls) == 1
     assert got.hex() == want.hex()
 

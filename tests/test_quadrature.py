@@ -236,7 +236,8 @@ class TestBreakpoints:
 class TestRuleChoice:
     """Each sub-interval between knots takes GK61 panels no wider than
     WIDE_PANEL widths where they cost fewer nodes than one GK15 panel
-    per width and fit in its share of the budget, else GK15 panels."""
+    per width and fit in its share of the budget with room to bisect one
+    of them, else GK15 panels."""
 
     @staticmethod
     def _calls(b, **kw):
@@ -262,14 +263,25 @@ class TestRuleChoice:
         assert r.evaluations == sum(seen)
 
     def test_budget_too_small_for_gk61_is_the_gk15_run(self, monkeypatch):
-        # 4 GK61 panels need 244 nodes, above max_evals // 2 = 240: the run
-        # is the GK15-only one bit for bit, 16 panels and 10 bisections
+        # 4 GK61 panels and the halves of one need 366 nodes, above
+        # max_evals // 2 = 240: the run is the GK15-only one bit for bit,
+        # 16 panels and 10 bisections
         r, seen = self._calls(40.0, max_evals=480)
         assert seen[0] == 15 * 16 and set(seen[1:]) == {30}
         assert (r.value, r.evaluations, r.converged) == (32.04840013485588, 480, False)
-        assert self._calls(40.0, max_evals=488)[1][0] == 4 * 61  # 244 fits
+        assert self._calls(40.0, max_evals=730)[1][0] == 15 * 24  # 366 > 365
+        assert self._calls(40.0, max_evals=732)[1][0] == 4 * 61  # 366 fits
         monkeypatch.setattr(quadrature, "WIDE_PANEL", 1)  # GK61 never pays
         assert r == self._calls(40.0, max_evals=480)[0]
+
+    def test_tight_budget_keeps_room_to_bisect(self):
+        # 4 GK61 panels (244 nodes) would fit max_evals // 2 = 300, but
+        # then only two GK61 bisections fit in 600 and the peak at 13.3
+        # stays unresolved; GK15's 20 panels and 10 bisections converge
+        r, seen = self._calls(40.0, tol=1e-10, max_evals=600)
+        assert seen[0] == 15 * 20 and set(seen[1:]) == {30}
+        assert r.converged and r.evaluations == 600
+        assert r.value == pytest.approx(32.04840013485588, rel=1e-12)
 
 
 def _mpmath_integral(spec, a, b, pieces):

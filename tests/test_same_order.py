@@ -27,7 +27,6 @@ def oracle(n, l, a, b, alpha, beta, tol=1e-12):
 
 
 def diff(n, l, a, b, alpha, beta, **kw):
-    kw.setdefault("constants", False)
     return eval_K(n, l, b, alpha, beta, **kw).value - eval_K(n, l, a, alpha, beta, **kw).value
 
 
@@ -150,7 +149,7 @@ class TestDerivativeProperty:
         x0 = first_zero_estimate(l) / min(alpha, beta)
         for x in (x0, x0 + 20.0, 50.0):
             assert_derivative_matches(
-                lambda t: eval_K(n, l, t, alpha, beta, constants=False).value,
+                lambda t: eval_K(n, l, t, alpha, beta).value,
                 x**n * j(l, alpha * x) * j(l, beta * x),
                 x,
             )

@@ -24,9 +24,6 @@ def oracle(n, l, a, b, alpha=1.0, tol=1e-12):
 
 
 def diff(n, l, a, b, **kw):
-    # definite differences use the conditioned constants-free mode, like
-    # the definite-integral layer does
-    kw.setdefault("constants", False)
     return eval_H(n, l, b, **kw).value - eval_H(n, l, a, **kw).value
 
 
@@ -149,11 +146,10 @@ class TestDerivativeProperty:
     @pytest.mark.parametrize("n", range(-2, 6))
     @pytest.mark.parametrize("l", [0, 1, 3, 6, 9, 12])
     def test_derivative_is_integrand(self, n, l):
-        # the derivative is blind to the constant convention; dropping
-        # the constants keeps the finite differences conditioned
+        # the derivative is blind to the constant of integration
         for x in (first_zero_estimate(l), 0.5 * (first_zero_estimate(l) + 100), 100.0):
             assert_derivative_matches(
-                lambda t: eval_H(n, l, t, constants=False).value,
+                lambda t: eval_H(n, l, t).value,
                 x**n * j(l, x) ** 2,
                 x,
             )

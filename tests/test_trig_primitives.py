@@ -71,12 +71,14 @@ class TestSiCi:
 
 class TestAnchorsAndSpecialValues:
     def test_X0_at_pi(self):
-        assert eval_pair(0, math.pi).X == pytest.approx(1.0, abs=1e-15)
+        # X_0 = 1 - cos x
+        assert eval_pair(0, math.pi).X == pytest.approx(2.0, abs=1e-15)
 
-    def test_X_minus1_is_si(self):
-        # X_{-1} = Si, which also gives the value at 0 that eval_pair refuses
-        assert si(0.0) == 0.0
-        assert eval_pair(-1, 1e-3).X == pytest.approx(si(1e-3), rel=1e-14)
+    @pytest.mark.parametrize("x", [1e-3, 1.0, tp.SI_CI_SWITCH, 6.5, 25.0, 1e3])
+    def test_X_minus1_is_si_less_half_pi(self, x):
+        # X_{-1} = Si - pi/2, which vanishes at infinity; si(x) - pi/2
+        # carries the rounding of a value near pi/2
+        assert eval_pair(-1, x).X == pytest.approx(si(x) - 0.5 * math.pi, rel=1e-14, abs=4.5e-16)
 
     def test_X1_at_pi(self):
         # X_1 = sin x - x cos x, and int_0^pi t sin t dt = pi with X_1(0) = 0
@@ -94,16 +96,12 @@ class TestAnchorsAndSpecialValues:
     def test_Y_minus1_is_ci(self):
         assert eval_pair(-1, 1.0).Y == pytest.approx(CI_1, abs=1e-13)
 
-    def test_X0_value_at_zero(self):
-        assert eval_pair(0, 0.0).X == -1.0
-
-    def test_constant_propagation_at_zero(self):
-        # the recursion relations applied at x = 0 generate the
-        # Gamma(n+1) cos/sin constants; odd n kills X's, even n kills Y's
-        assert eval_pair(1, 0.0).X == 0.0
-        assert eval_pair(2, 0.0).Y == 0.0
-        assert eval_pair(2, 0.0).X == pytest.approx(2.0)
-        assert eval_pair(1, 0.0).Y == pytest.approx(1.0)
+    def test_every_pair_vanishes_at_zero(self):
+        # the anchors X_0(0) = Y_0(0) = 0 carry no constant up the walk:
+        # X_m(x) = int_0^x t^m sin t dt for every m >= 0
+        chain = TrigChain(1.0, 0.0)
+        for m in range(401):
+            assert chain.pair(m) == (0.0, 0.0), m
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -125,7 +123,7 @@ class TestAnchorsAndSpecialValues:
         # the scaled primitives take the hazardous range that eval_pair
         # refuses, and there they agree with mpmath
         mpmath = pytest.importorskip("mpmath")
-        assert int_pow_sin(-3, 1.0, 0.01) == -100.0016666638889
+        assert int_pow_sin(-3, 1.0, 0.01) == -99.21626850049145
         with pytest.raises(QuadratureRecommendedError):
             eval_pair(-3, 0.01)
         with mpmath.workdps(30):
@@ -133,10 +131,10 @@ class TestAnchorsAndSpecialValues:
                 want = mpmath.quad(lambda t: trig(t) / t**3, [1, 0.1, 0.01])
                 got = route(-3, 1.0, 0.01) - route(-3, 1.0, 1.0)
                 assert abs(got - float(want)) <= 1e-15 * abs(float(want))
-        # the pair refuses as a whole: X_400(0) = -400! overflows, though
-        # Y_400(0) = 0
-        with pytest.raises(DomainError, match="overflow"):
-            eval_pair(400, 0.0)
+        # no constant to overflow at x = 0
+        p = eval_pair(400, 0.0)
+        assert (p.X, p.Y) == (0.0, 0.0)
+        assert int_pow_sin(400, 1.3, 0.0) == 0.0
 
 
 class TestDerivativeProperty:
@@ -162,7 +160,8 @@ class TestRecursionCycleConsistency:
         # reproduce the directly evaluated values
         pair = eval_pair(n, x)
         down = eval_pair(n - 1, x)
-        X_up = n * down.Y - x**n * math.cos(x)
+        # X_0 = 1 - cos x: the one step whose anchor adds a constant
+        X_up = n * down.Y - x**n * math.cos(x) + (n == 0)
         Y_up = x**n * math.sin(x) - n * down.X
         assert X_up == pytest.approx(pair.X, rel=1e-12, abs=1e-12)
         assert Y_up == pytest.approx(pair.Y, rel=1e-12, abs=1e-12)
@@ -171,8 +170,9 @@ class TestRecursionCycleConsistency:
 class TestScaledSeries:
     # int_pow_sin and int_pow_cos take the series at |c x| <= SERIES_ARG_MAX
 
-    def test_X_series_constant_dominates_at_zero(self):
-        assert int_pow_sin(0, 1.0, 1e-12) == pytest.approx(-1.0, rel=1e-12)
+    def test_X_series_keeps_the_x_dependence_at_tiny_x(self):
+        # X_0(x) = 1 - cos x = x^2 / 2 - ..., with no constant to bury it
+        assert int_pow_sin(0, 1.0, 1e-12) == pytest.approx(5e-25, rel=1e-15)
 
     def test_Y_series_agrees_with_recursion(self):
         a = int_pow_cos(1, 1.0, 0.01)
@@ -186,11 +186,12 @@ class TestScaledSeries:
 
     @pytest.mark.parametrize("x", [30.0, 50.0])
     def test_recursion_past_the_series_bound(self, x):
-        # 60 series terms at |alpha x| = 50 gave -12040.69 for X_0
-        # (-cos 50 = -0.965); past SERIES_ARG_MAX the pair recursion runs
+        # 60 series terms at |alpha x| = 50 gave -12039.69 for X_0
+        # (1 - cos 50 = 0.035); past SERIES_ARG_MAX the pair recursion runs
         p = eval_pair(1, x)
         assert (int_pow_sin(1, 1.0, x), int_pow_cos(1, 1.0, x)) == (p.X, p.Y)
-        assert int_pow_sin(0, 0.5 * x, 2.0) == pytest.approx(-math.cos(x) / (0.5 * x), rel=1e-14)
+        want = (1 - math.cos(x)) / (0.5 * x)
+        assert int_pow_sin(0, 0.5 * x, 2.0) == pytest.approx(want, rel=1e-14)
         assert int_pow_cos(0, 0.5 * x, 2.0) == pytest.approx(math.sin(x) / (0.5 * x), rel=1e-14)
 
     def test_negative_order_takes_the_pair_route(self):
@@ -198,12 +199,12 @@ class TestScaledSeries:
         assert int_pow_sin(-1, 1.0, 0.1) == eval_pair(-1, 0.1).X
         assert int_pow_cos(-2, 1.0, 0.1) == eval_pair(-2, 0.1).Y
 
-    # (n, alpha, x, constants) -> (X series, Y series), as float.hex
+    # (n, alpha, x) -> (X series, Y series), as float.hex
     SERIES_AT_ENGINE_BOUND = {
-        (0, 1.0, 0.5, True): ("-0x1.c1528065b7d50p-1", "0x1.eaee8744b05f0p-2"),
-        (1, 1.0, 0.5, True): ("0x1.4ce036f7c4502p-5", "0x1.1e07111b71f66p+0"),
-        (7, 1.0, 0.5, True): ("0x1.b7c25c1f862e5p-13", "-0x1.3afffe3251437p+12"),
-        (2, -1.3, 0.5 / 1.3, False): ("-0x1.c54393f44c2c0p-8", "0x1.1fc44cc0b7afcp-6"),
+        (0, 1.0, 0.5): ("0x1.f56bfcd241582p-4", "0x1.eaee8744b05f0p-2"),
+        (1, 1.0, 0.5): ("0x1.4ce036f7c4502p-5", "0x1.e07111b71f65cp-4"),
+        (7, 1.0, 0.5): ("0x1.b7c25c1f862e5p-13", "0x1.cdaebc8ac22acp-12"),
+        (2, -1.3, 0.5 / 1.3): ("-0x1.c54393f44c2c0p-8", "0x1.1fc44cc0b7afcp-6"),
     }
 
     @pytest.mark.parametrize("args", SERIES_AT_ENGINE_BOUND, ids=str)
@@ -264,36 +265,24 @@ class TestScaledHelpers:
         # recursion (larger x) supplies the endpoint values; the shared
         # constant term (huge for odd m at small c) is removed
         x1, x2 = 1.0, 2.0  # |c x| <= 0.1: series route
-        d_series = int_pow_cos(m, c, x2, constants=False) - int_pow_cos(
-            m, c, x1, constants=False
-        )
+        d_series = int_pow_cos(m, c, x2) - int_pow_cos(m, c, x1)
         r = adaptive_quad(lambda t: t**m * math.cos(c * t), x1, x2, tol=1e-13)
         assert d_series == pytest.approx(r.value, rel=1e-11)
 
-    def test_constants_mode_shifts_by_constant_only(self):
-        for m in (-4, -1, 0, 3):
-            d1 = int_pow_cos(m, 1.3, 9.0) - int_pow_cos(m, 1.3, 4.0)
-            d2 = int_pow_cos(m, 1.3, 9.0, constants=False) - int_pow_cos(
-                m, 1.3, 4.0, constants=False
-            )
-            assert d1 == pytest.approx(d2, rel=1e-11, abs=1e-16)
 
-
-def plain_pair(n, x, constants):
+def plain_pair(n, x):
     """Reference: a fresh walk from the anchors to (X_n(x), Y_n(x)), one
     plain loop per call."""
     c, s = math.cos(x), math.sin(x)
     if n >= 0:
-        X = -c if constants else 2.0 * math.sin(0.5 * x) ** 2
+        X = 2.0 * math.sin(0.5 * x) ** 2
         Y = s
         xk = 1.0
         for k in range(1, n + 1):
             xk *= x
             X, Y = k * Y - xk * c, xk * s - k * X
         return X, Y
-    if constants:
-        X = si(x)
-    elif x <= tp.SI_CI_SWITCH:
+    if x <= tp.SI_CI_SWITCH:
         X = si(x) - 0.5 * math.pi
     else:
         f, g = tp._aux_fg(x)
@@ -305,12 +294,12 @@ def plain_pair(n, x, constants):
     return X, Y
 
 
-def plain_scaled(m, c, x, constants):
+def plain_scaled(m, c, x):
     """Reference for int x^m sin(c x) dx and int x^m cos(c x) dx."""
     u = abs(c) * x
     if m >= 0 and u <= tp.SERIES_ARG_MAX:
-        return tp._scaled_series(1, m, c, x, constants), tp._scaled_series(0, m, c, x, constants)
-    X, Y = plain_pair(m, u, constants)
+        return tp._scaled_series(1, m, c, x), tp._scaled_series(0, m, c, x)
+    X, Y = plain_pair(m, u)
     v = abs(c) ** (-m - 1) * X
     return (v if c > 0 else -v), abs(c) ** (-m - 1) * Y
 
@@ -324,47 +313,44 @@ CHAIN_ARGS = [0.3, 0.5, 0.7, 3.0, 6.0, 6.5, 25.0]
 
 
 class TestTrigChain:
-    @pytest.mark.parametrize("constants", [True, False])
     @pytest.mark.parametrize("u", CHAIN_ARGS)
-    def test_pair_bitwise_equals_fresh_walk(self, u, constants):
-        chain = TrigChain(1.0, u, constants)
+    def test_pair_bitwise_equals_fresh_walk(self, u):
+        chain = TrigChain(1.0, u)
         # one chain serves every request, in an order that extends both
         # sides piecemeal and revisits values already walked
         order = [3, -2, 40, 0, -40, 17, -1, -17, 1, 39, -39]
         for m in order + list(range(-40, 41)):
-            assert bits(*chain.pair(m)) == bits(*plain_pair(m, u, constants)), m
+            assert bits(*chain.pair(m)) == bits(*plain_pair(m, u)), m
 
-    @pytest.mark.parametrize("constants", [True, False])
     @pytest.mark.parametrize("c", [-1.7, 1.7])
     @pytest.mark.parametrize("u", CHAIN_ARGS)
-    def test_scaled_bitwise_equals_fresh_walk(self, u, c, constants):
+    def test_scaled_bitwise_equals_fresh_walk(self, u, c):
         x = u / abs(c)
-        chain = TrigChain(c, x, constants)
+        chain = TrigChain(c, x)
         for m in range(-40, 41):
-            want = plain_scaled(m, c, x, constants)
+            want = plain_scaled(m, c, x)
             assert bits(chain.int_sin(m), chain.int_cos(m)) == bits(*want), m
-            assert bits(int_pow_sin(m, c, x, constants), int_pow_cos(m, c, x, constants)) == bits(
-                *want
-            ), m
+            assert bits(int_pow_sin(m, c, x), int_pow_cos(m, c, x)) == bits(*want), m
 
     @pytest.mark.parametrize("u", [3.0, 25.0])
     def test_eval_pair_reads_the_chain(self, u):
         for n in (-9, -1, 0, 9):
             p = eval_pair(n, u)
-            assert bits(p.X, p.Y) == bits(*plain_pair(n, u, True))
+            assert bits(p.X, p.Y) == bits(*plain_pair(n, u))
 
-    @pytest.mark.parametrize("constants", [True, False])
     @pytest.mark.parametrize(
         "u", [1e-3, 3.0, tp.SI_CI_SWITCH, math.nextafter(tp.SI_CI_SWITCH, 7.0), 6.5, 25.0]
     )
-    def test_anchor_is_si_ci(self, u, constants):
-        # one Si/Ci core: the anchor is (si, ci), or Si - pi/2 formed from
-        # f, g directly above the switch with constants=False
-        X, Y = TrigChain(1.0, u, constants)._anchor()
-        assert bits(X, Y) == bits(*plain_pair(-1, u, constants))
+    def test_anchor_is_si_ci(self, u):
+        # one Si/Ci core: the anchor is (si - pi/2, ci), Si - pi/2 formed
+        # from f, g directly above the switch
+        X, Y = TrigChain(1.0, u)._anchor()
+        assert bits(X, Y) == bits(*plain_pair(-1, u))
         assert bits(Y) == bits(ci(u))
-        if constants or u <= tp.SI_CI_SWITCH:
-            assert bits(X) == bits(si(u) - (0.0 if constants else 0.5 * math.pi))
+        if u <= tp.SI_CI_SWITCH:
+            assert bits(X) == bits(si(u) - 0.5 * math.pi)
+        else:
+            assert X == pytest.approx(si(u) - 0.5 * math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("u", [3.0, 25.0])
     def test_si_ci_anchor_computed_once(self, u, monkeypatch):

@@ -31,13 +31,13 @@ def test_h_walk_names_its_lowest_refused_base(closed):
     for l in range(1, 9):
         for n in range(-6, 9):
             # the bases a walk reaches do not depend on the point
-            safe = HTable(SAFE, l, closed, False)
+            safe = HTable(SAFE, l, closed)
             safe.value(n)
             refused = [m for m in safe.rows[0] if m < 1] if safe.rows else []
             if len(refused) < 2:
                 continue
             several += 1
-            assert _refusal(HTable(SMALL, l, closed, False), n).startswith(
+            assert _refusal(HTable(SMALL, l, closed), n).startswith(
                 _names(min(refused))
             ), (n, l)
     assert several > 40
@@ -49,19 +49,19 @@ def test_equal_argument_walk_names_its_lowest_refused_base(closed):
     for l in range(1, 9):
         for k in range(l):
             for n in range(-6, 9):
-                safe = LEqualTable(SAFE, k, l, closed, False)
+                safe = LEqualTable(SAFE, k, l, closed)
                 safe.value(n)
                 refused = [m for m in safe.ht.rows[0] if m < 1] if safe.ht.rows else []
                 if len(refused) < 2:
                     continue
                 several += 1
-                got = _refusal(LEqualTable(SMALL, k, l, closed, False), n)
+                got = _refusal(LEqualTable(SMALL, k, l, closed), n)
                 assert got.startswith(_names(min(refused))), (n, k, l)
                 if not closed:
                     # the lowest H cell reaches the lowest base, and the H
                     # table at that cell names it too
                     lowest = min(safe.ht.rows[k])
-                    assert got == _refusal(HTable(SMALL, k, closed, False), lowest), (n, k, l)
+                    assert got == _refusal(HTable(SMALL, k, closed), lowest), (n, k, l)
     assert several > 100
 
 

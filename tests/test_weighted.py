@@ -201,8 +201,8 @@ def per_piece_reference(pp, k, l, alpha, beta, a, b):
             else:
                 spec = IntegralSpec("L", m, l, alpha, k=k, beta=beta)
             total += cm * (
-                quadrature.antiderivative(spec, hi, constants=False)
-                - quadrature.antiderivative(spec, lo, constants=False)
+                quadrature.antiderivative(spec, hi)
+                - quadrature.antiderivative(spec, lo)
             )
     return total
 

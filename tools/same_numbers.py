@@ -14,7 +14,7 @@ measured with this one file.  It records
   error estimate, evaluations, convergence, reason and segments;
 * ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``,
   ``eval_K`` and ``eval_L`` (equal and near-degenerate scales included)
-  in every ``closed_forms`` x ``constants`` mode, of ``eval_L`` at
+  in both ``closed_forms`` modes, of ``eval_L`` at
   adjacent orders ``max(l, 1) - 1`` and ``max(l, 1)`` and positive
   scales with ``closed_forms`` True (the closure, key ``A``) and False
   (the ladder, key ``R``), and of per-point tables asked several
@@ -23,7 +23,10 @@ measured with this one file.  It records
   order, from -2l-5 to 2l+5, where the closed forms of the deep levels
   sit.  One call in ten passes x and the
   scales as ``numpy.float64``, and another one in ten as ints, rounded to
-  integral values first; their keys end in " as float64" and " as int";
+  integral values first; their keys end in " as float64" and " as int".
+  An older tree whose evaluators still take ``constants`` is called with
+  ``constants=False``, the one mode of today's values, under the same
+  keys;
 * ``--weighted`` seeded ``weighted_integral`` calls, recorded like the
   pool inputs.  Linear and cubic interpolants of a slowly varying
   prefactor, sampled from 0 to about 400, weight j_l or a product whose
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import json
 import math
 import os
@@ -68,7 +72,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POOLS = os.path.join(ROOT, "perfbench", "reference")
 WORKLOADS = ("oscillatory_tail", "from_zero", "weighted_tabulated", "guarded_fallback")
-MODES = ((True, True), (True, False), (False, True), (False, False))
+MODES = (True, False)
 
 #: grid calls i with i % 10 in CONVERTED pass x and the scales converted
 CONVERTED = {3: "float64", 7: "int"}
@@ -154,9 +158,11 @@ def _integral(v: float) -> int:
 def grid_entries(bq, calls: int, seed: int):
     from besselquad.quadrature import point_table
 
+    # an older tree's evaluators take constants; False is today's one mode
+    old = {"constants": False} if "constants" in inspect.signature(bq.eval_L).parameters else {}
     rng = random.Random(seed)
     for i in range(calls):
-        closed_forms, constants = MODES[i % len(MODES)]
+        closed_forms = MODES[i % len(MODES)]
         family = rng.choice("HKLLTAR")
         l = rng.randint(0, 30) if rng.random() < 0.9 else rng.randint(31, 60)
         spread = rng.random()
@@ -170,7 +176,7 @@ def grid_entries(bq, calls: int, seed: int):
         converted = CONVERTED.get(i % 10)
         if converted == "int":
             x, alpha, beta = map(_integral, (x, alpha, beta))
-        args = (n, k, l, x, alpha, beta, closed_forms, constants)
+        args = (n, k, l, x, alpha, beta, closed_forms)
         if family in "AR":
             # adjacent orders at positive scales: the closure (A) and the
             # ladder (R), from order 0 up
@@ -183,16 +189,16 @@ def grid_entries(bq, calls: int, seed: int):
             x, alpha, beta = map(np.float64, (x, alpha, beta))
         if family == "H":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_H_scaled(n, l, x, alpha, closed_forms, constants))
+                bq.eval_H_scaled(n, l, x, alpha, closed_forms, **old))
         elif family == "K":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_K(n, l, x, alpha, beta, closed_forms, constants))
+                bq.eval_K(n, l, x, alpha, beta, closed_forms, **old))
         elif family == "L":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_L(n, k, l, x, alpha, beta, closed_forms, constants))
+                bq.eval_L(n, k, l, x, alpha, beta, closed_forms, **old))
         elif family in "AR":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_L(n, top - 1, top, x, abs(alpha), abs(beta), family == "A"))
+                bq.eval_L(n, top - 1, top, x, abs(alpha), abs(beta), family == "A", **old))
         else:
             # one table, several exponents in a random order
             exps = rng.sample(range(-6, 10), rng.randint(2, 5))
@@ -200,7 +206,7 @@ def grid_entries(bq, calls: int, seed: int):
 
             def fn():
                 table = point_table(bq.IntegralSpec("L", 0, l, alpha, k=k, beta=beta), x,
-                                    closed_forms, constants)
+                                    closed_forms, **old)
                 return [_outcome(lambda: _hex(table.value(m))) for m in exps]
 
         yield key, _outcome(fn)
