@@ -20,6 +20,15 @@ carried that the x dependence would have to be read against: for
 n >= 0, X_n(0) = Y_n(0) = 0, so X_n(x) = int_0^x t^n sin(t) dt; for
 n < 0, X_n and Y_n vanish as x -> inf, so X_n(x) = -int_x^inf t^n sin(t) dt.
 
+That is the value the walks aim at, not always the one they reach.  The
+upward walk multiplies its rounding by k at step k, so X_n and Y_n carry
+an error of about eps n!, while at 0 < x < n they are of order
+x^(n+1) / (n+1).  Below about x = n / 2 the walk loses digits, and well
+below it returns its rounding as the value: eval_pair(20, 0.7).X reads
+53.3 where X_20(0.7) = 1.65e-5, X_40(10) keeps 3 digits and X_80(40)
+keeps 9 (against mpmath).  The scaled series below covers only
+|a x| <= SERIES_ARG_MAX.
+
 The engines need these pairs at many exponents but at few arguments: one
 evaluation point of H reads the argument 2x, one of K or L the arguments
 |a - b| x and (a + b) x.  ``TrigChain`` keeps the walked values of one
@@ -168,12 +177,10 @@ def _si_ci(u: float) -> tuple:
 
 @finite_result
 def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(t)/t dt for finite x >= 0."""
+    """Sine integral Si(x) = int_0^x sin(t)/t dt for finite x >= 0: the
+    series up to SI_CI_SWITCH, pi/2 plus _si_ci's Si - pi/2 above it."""
     x = check_real("x", x, 0.0)
-    if x <= SI_CI_SWITCH:
-        return _si_series(x)
-    f, g = _aux_fg(x)
-    return 0.5 * math.pi - f * math.cos(x) - g * math.sin(x)
+    return _si_series(x) if x <= SI_CI_SWITCH else 0.5 * math.pi + _si_ci(x)[0]
 
 
 @finite_result
@@ -296,8 +303,8 @@ def eval_pair(n: int, x: float) -> TrigPrimitive:
     DomainError
         For x < 0, x = 0 with n < 0, a non-finite x, or an X_n or Y_n
         that overflows a float.  eval_pair(400, 0.0) returns (0.0, 0.0),
-        but the upward walk is unstable where 0 < x < n: its rounding
-        grows like n!, so eval_pair(20, 0.7).X reads 53.3 where
+        but below about x = n / 2 the upward walk loses digits: its
+        rounding grows like n!, so eval_pair(20, 0.7).X reads 53.3 where
         X_20(0.7) is 1.6e-5, and eval_pair(400, 0.7) raises, though
         X_400(0.7) is about 1e-65.
     QuadratureRecommendedError
@@ -346,7 +353,11 @@ def int_pow_sin(m: int, c: float, x: float) -> float:
     """int x^m sin(c x) dx for c != 0 under the module's convention.
 
     Equals sign(c) |c|^(-m-1) X_m(|c| x); routed through the power series
-    when m >= 0 and |c x| <= SERIES_ARG_MAX.  Unlike eval_pair it takes
+    when m >= 0 and |c x| <= SERIES_ARG_MAX.  Past that, for m >= 0 and
+    |c x| below about m / 2, the upward walk loses digits, as in
+    eval_pair: int_pow_sin(20, 1.0, 0.7) reads 53.3 where the integral
+    int_0^0.7 t^20 sin t dt is 1.65e-5 (see the module docstring).
+    Unlike eval_pair it takes
     m < -1 below SMALL_ARG_HAZARD: int_pow_sin(-3, 1.0, 0.01) differenced
     to x = 1 matches mpmath to 15 digits, while eval_pair(-3, 0.01) refuses.
     """
@@ -356,7 +367,8 @@ def int_pow_sin(m: int, c: float, x: float) -> float:
 @finite_result
 def int_pow_cos(m: int, c: float, x: float) -> float:
     """int x^m cos(c x) dx for c != 0; equals |c|^(-m-1) Y_m(|c| x).
-    Like int_pow_sin, it takes m < -1 below SMALL_ARG_HAZARD."""
+    Like int_pow_sin, it takes m < -1 below SMALL_ARG_HAZARD, and for
+    m >= 0 it loses digits at SERIES_ARG_MAX < |c x| < m / 2 or so."""
     return _chain(c, x).int_cos(check_integer("m", m))
 
 

@@ -63,3 +63,17 @@ def si_series(x):
         k += 1
         term *= -(x * x) / ((2 * k) * (2 * k + 1))
     return acc
+
+
+def assert_refuses_or_meets(F, a, b, want, tol=1e-10):
+    """The failure contract of a public evaluator F on [a, b]: F refuses
+    at a or b with a typed error (DomainError or
+    QuadratureRecommendedError), or F(b) - F(a) meets tol against the
+    integral want."""
+    from besselquad import DomainError, QuadratureRecommendedError
+
+    try:
+        got = F(b) - F(a)
+    except (DomainError, QuadratureRecommendedError):
+        return
+    assert abs(got - want) <= max(tol, tol * abs(want)), (got, want)

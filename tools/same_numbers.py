@@ -158,7 +158,9 @@ def _integral(v: float) -> int:
 def grid_entries(bq, calls: int, seed: int):
     from besselquad.quadrature import point_table
 
-    # an older tree's evaluators take constants; False is today's one mode
+    # a tree from before the constants parameter went takes constants=False,
+    # today's one mode.  Once no comparison runs against such a tree, drop
+    # this check, the **old arguments below and the inspect import
     old = {"constants": False} if "constants" in inspect.signature(bq.eval_L).parameters else {}
     rng = random.Random(seed)
     for i in range(calls):
