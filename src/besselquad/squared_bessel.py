@@ -11,6 +11,24 @@ level down.  The l = 0 bases follow from j_0 = sin(x)/x:
     H^n_0 = x^{n-1} / (2(n-1)) - 2^{-n} Y_{n-2}(2x)       (n != 1)
     H^1_0 = (ln x - Ci(2x)) / 2
 
+Integrating by parts with the Bessel equation relates the exponents of
+one order: with j = j_l(x) and j' = (l/x) j - j_{l+1},
+
+    m (m^2 - (2l+1)^2) H^m_l + 4 (m+1) H^{m+2}_l
+        = 2 x^{m+3} j'^2 - 2 (m-1) x^{m+2} j j'
+          + (2x^2 + m(m-1) - 2l(l+1)) x^{m+1} j^2
+
+It holds on the cells of the recursion to the base for m <= -2; at
+m >= -1 the constants of the routes enter.  With closed forms on, an
+even n <= 0 takes it as a band walk: only H^n and H^{n-2} go up the
+levels, and the H^{n-4} the recursion needs one level down comes from
+H^{n-2} by the relation.  So the walk costs O(l) steps where the
+triangle of the recursion costs O(l^2), and its bases read the trig
+chain down to Y_{n-4}(2x) only, where the triangle's read it down to
+Y_{n-2l-2}(2x), a walk that loses digits while its index stays below
+2x in size.  closed_forms=False keeps the triangle, the reference the
+band is tested against.
+
 Five printed closed forms short-circuit the recursion when an exponent
 pattern matches mid-walk.  They carry no constant of their own, so a
 closed cell's constant of integration can differ from the one the walk
@@ -119,14 +137,15 @@ class HTable(PointTable):
     ``value(n)`` is the antiderivative int x^n j_lmax(alpha x)^2 dx =
     |alpha|^(-n-1) H^n_lmax(u) (times ``sign``, the parity sign of a K or
     L product whose factors meet), so every exponent asked of one table
-    shares its cells.  The equal-argument L engine shares one table
-    across every H cell it reaches.  The table lives only as long as the
-    evaluation that built it.
+    shares its cells (of a band walk, only its own cell and its bases).
+    The equal-argument L engine shares one table across every H cell it
+    reaches.  The table lives only as long as the evaluation that built
+    it.
     """
 
     __slots__ = (
         "x", "orders", "u", "scale", "sign", "jt", "chain", "closed_forms", "used_closed",
-        "rows",
+        "used_band", "rows",
     )
     family = "H"
 
@@ -147,22 +166,33 @@ class HTable(PointTable):
         self.chain = TrigChain(1.0, 2.0 * u)
         self.closed_forms = closed_forms
         self.used_closed = False
+        self.used_band = False
         self.rows = []  # the stored cells of each level, keyed by exponent; see level
 
     def fill(self, top: int, lo: int, hi: int) -> None:
         """Store the cells lo..hi (in steps of 2) of level ``top`` and every
-        cell they need, from the bottom, as ``types.column_plan`` plans it
-        for H's recursion.  Stored cells at the ends of lo..hi are dropped
-        first, and stored cells are skipped throughout: their needs are
-        stored too.  Level 0 fills first, lowest exponent first (where the
-        small-argument guard refuses bases, the refusal names the lowest),
-        then column by column, each column upwards, so the powers of u are
-        taken once per column."""
+        cell they need, from the bottom.  Stored cells at the ends of lo..hi
+        are dropped first, and stored cells are skipped throughout: their
+        needs are stored too.  With closed forms on and top >= 1, each even
+        cell <= 0 takes its own band walk (``_band``), lowest first.  The
+        rest go as ``types.column_plan`` plans them for H's recursion, which
+        then needs no even cell <= 0 above level 0: the closed forms H3 and
+        H4 fill the columns 2 and 4.  Level 0 fills first, lowest exponent
+        first (where the small-argument guard refuses bases, the refusal
+        names the lowest), then column by column, each column upwards, so
+        the powers of u are taken once per column."""
         lo, hi = self._unfilled(top, lo, hi)
+        rows = self.rows
+        if self.closed_forms and top and lo % 2 == 0:
+            row = rows[top]
+            for n in range(lo, min(hi, 0) + 1, 2):
+                if n not in row:
+                    self._band(top, n)
+            lo = max(lo, 2)
         if lo > hi:
             return
         bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
-        u, jt, rows = self.u, self.jt, self.rows
+        u, jt = self.u, self.jt
         row, chain = rows[0], self.chain
         for m in bases:
             if m not in row:
@@ -197,6 +227,44 @@ class HTable(PointTable):
                     - um * jm * jl
                 )
 
+    def _band(self, top: int, n: int) -> None:
+        """Store H^n_top, n even and <= 0, by the band walk: only the cells
+        (n, lam) and (n - 2, lam) go up the levels, and the cell
+        (n - 4, lam) that the order recursion needs for the second comes
+        from (n - 2, lam) by the exponent relation (see the module
+        docstring) at order lam, whose coefficient is nonzero for every
+        even n - 4 <= -4.  The bases H^{n-2}_0 and H^n_0, lowest first, go
+        to the level-0 row, which every walk shares bitwise; the cells
+        between stay in the walk, so each stored value is the one a fresh
+        walk gives."""
+        rows, u, jt = self.rows, self.u, self.jt
+        row = rows[0]
+        for m in (n - 2, n):
+            if m not in row:
+                row[m] = _H_base(m, u, self.chain)
+        cell, low = row[n], row[n - 2]
+        m = n - 4
+        u3, u2, u0 = u ** (n - 3), u ** (n - 2), u**n
+        # the coefficients of j_{lam-1}^2 in the steps of n and n - 2
+        c1, c3 = (1 - 0.5 * n) * u ** (n - 1), (2 - 0.5 * n) * u3
+        uu = u * u
+        for lam in range(1, top + 1):
+            order = lam - 1
+            j, jn = jt[order], jt[lam]
+            p = order * j - u * jn  # u j'_order
+            lower = (
+                u3 * (2 * p * p - 2 * (m - 1) * j * p
+                      + (2 * uu + m * (m - 1) - 2 * order * lam) * j * j)
+                - 4 * (m + 1) * low
+            ) / (m * (m * m - (2 * order + 1) ** 2))
+            jj, jjn = j * j, j * jn
+            cell, low = (
+                cell + 0.5 * (n - 2) * (2 * lam + n - 3) * low + c1 * jj - u0 * jjn,
+                low + 0.5 * m * (2 * lam + n - 5) * lower + c3 * jj - u2 * jjn,
+            )
+        rows[top][n] = cell
+        self.used_band = True
+
 
 def _path(table, l: int) -> str:
     """The route an engine's table took to its order-l value."""
@@ -224,4 +292,6 @@ def eval_H_scaled(
     """
     spec = IntegralSpec("H", n, l, alpha)
     table = HTable(check_point(x), spec.l, closed_forms, spec.alpha)
-    return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))
+    value = table.value(spec.n)
+    path = "recursion+exponent" if table.used_band else _path(table, spec.l)
+    return AntiderivativeValue(value, path)

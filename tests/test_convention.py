@@ -52,7 +52,7 @@ def test_public_differences_meet_tol(family, l, n):
             assert abs(got - want) <= max(TOL, TOL * abs(want)), (a, b, strategy, got, want)
 
 
-@pytest.mark.parametrize("l", [0, 1, 5, 20, 40])
+@pytest.mark.parametrize("l", [0, 1, 5, 20, 40, 60, 100, 150])
 def test_H0_is_the_integral_from_zero_less_its_limit(l):
     # H^0_l(x) = int_0^x j_l^2 - pi / (2 (2l + 1)) = -int_x^inf j_l^2
     spec = bq.IntegralSpec("H", 0, l)
@@ -60,7 +60,7 @@ def test_H0_is_the_integral_from_zero_less_its_limit(l):
     limit = math.pi / (2 * (2 * l + 1))
     for x in (t, 3 * t):
         head = bq.definite_integral(spec, 0.0, x, tol=1e-13).value
-        assert bq.eval_H(0, l, x).value == pytest.approx(head - limit, rel=1e-13)
+        assert bq.eval_H(0, l, x).value == pytest.approx(head - limit, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("l", [1, 2, 5, 10, 20, 40])
@@ -74,3 +74,17 @@ def test_H1_sits_a_constant_above_the_recursion(l):
         assert (closed.path, walked.path) == ("recursion+closed", "recursion")
         gap = closed.value - walked.value
         assert gap == pytest.approx(1 / (2 * l * (l + 1)), rel=1e-11), x
+
+
+@pytest.mark.parametrize("l", [1, 2, 5, 10, 20])
+def test_band_walk_names_itself_and_meets_the_triangle(l):
+    # even n <= 0 with closed forms walk the band of the exponent
+    # relation; closed_forms=False walks the triangle, the reference
+    t = bq.oscillation_threshold(bq.IntegralSpec("H", 0, l))
+    for n in (0, -2, -4):
+        for x in (t, 3 * t):
+            band = bq.eval_H(n, l, x)
+            walked = bq.eval_H(n, l, x, closed_forms=False)
+            assert (band.path, walked.path) == ("recursion+exponent", "recursion")
+            assert band.value == pytest.approx(walked.value, rel=1e-13, abs=0), (n, x)
+    assert bq.eval_H(0, 0, t).path == "base"

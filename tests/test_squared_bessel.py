@@ -4,6 +4,7 @@ import pytest
 
 from besselquad import (
     DomainError,
+    IntegralSpec,
     adaptive_quad,
     closed_H,
     eval_H,
@@ -11,6 +12,7 @@ from besselquad import (
     first_zero_estimate,
     j,
     j_many,
+    oscillation_threshold,
 )
 from helpers import assert_derivative_matches
 
@@ -153,3 +155,26 @@ class TestDerivativeProperty:
                 x**n * j(l, x) ** 2,
                 x,
             )
+
+
+class TestExponentRelation:
+    @pytest.mark.parametrize("l", range(13))
+    def test_relation_holds_on_the_triangle_cells(self, l):
+        # m (m^2 - (2l+1)^2) H^m_l + 4 (m+1) H^{m+2}_l equals the boundary
+        # terms at m <= -2 on the plain walk's cells: the band walk of
+        # even n <= 0 rests on it
+        t = oscillation_threshold(IntegralSpec("H", 0, l))
+        for u in (t, 1.7 * t, 3 * t):
+            jl = j(l, u)
+            dj = l / u * jl - j(l + 1, u)
+            for m in range(-12, -1, 2):
+                lhs = (
+                    m * (m * m - (2 * l + 1) ** 2) * eval_H(m, l, u, closed_forms=False).value
+                    + 4 * (m + 1) * eval_H(m + 2, l, u, closed_forms=False).value
+                )
+                rhs = (
+                    2 * u ** (m + 3) * dj * dj
+                    - 2 * (m - 1) * u ** (m + 2) * jl * dj
+                    + (2 * u * u + m * (m - 1) - 2 * l * (l + 1)) * u ** (m + 1) * jl * jl
+                )
+                assert lhs == pytest.approx(rhs, rel=1e-13, abs=0), (u, m)

@@ -23,10 +23,7 @@ measured with this one file.  It records
   order, from -2l-5 to 2l+5, where the closed forms of the deep levels
   sit.  One call in ten passes x and the
   scales as ``numpy.float64``, and another one in ten as ints, rounded to
-  integral values first; their keys end in " as float64" and " as int".
-  An older tree whose evaluators still take ``constants`` is called with
-  ``constants=False``, the one mode of today's values, under the same
-  keys;
+  integral values first; their keys end in " as float64" and " as int";
 * ``--weighted`` seeded ``weighted_integral`` calls, recorded like the
   pool inputs.  Linear and cubic interpolants of a slowly varying
   prefactor, sampled from 0 to about 400, weight j_l or a product whose
@@ -60,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import json
 import math
 import os
@@ -158,10 +154,6 @@ def _integral(v: float) -> int:
 def grid_entries(bq, calls: int, seed: int):
     from besselquad.quadrature import point_table
 
-    # a tree from before the constants parameter went takes constants=False,
-    # today's one mode.  Once no comparison runs against such a tree, drop
-    # this check, the **old arguments below and the inspect import
-    old = {"constants": False} if "constants" in inspect.signature(bq.eval_L).parameters else {}
     rng = random.Random(seed)
     for i in range(calls):
         closed_forms = MODES[i % len(MODES)]
@@ -191,16 +183,16 @@ def grid_entries(bq, calls: int, seed: int):
             x, alpha, beta = map(np.float64, (x, alpha, beta))
         if family == "H":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_H_scaled(n, l, x, alpha, closed_forms, **old))
+                bq.eval_H_scaled(n, l, x, alpha, closed_forms))
         elif family == "K":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_K(n, l, x, alpha, beta, closed_forms, **old))
+                bq.eval_K(n, l, x, alpha, beta, closed_forms))
         elif family == "L":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_L(n, k, l, x, alpha, beta, closed_forms, **old))
+                bq.eval_L(n, k, l, x, alpha, beta, closed_forms))
         elif family in "AR":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_L(n, top - 1, top, x, abs(alpha), abs(beta), family == "A", **old))
+                bq.eval_L(n, top - 1, top, x, abs(alpha), abs(beta), family == "A"))
         else:
             # one table, several exponents in a random order
             exps = rng.sample(range(-6, 10), rng.randint(2, 5))
@@ -208,7 +200,7 @@ def grid_entries(bq, calls: int, seed: int):
 
             def fn():
                 table = point_table(bq.IntegralSpec("L", 0, l, alpha, k=k, beta=beta), x,
-                                    closed_forms, **old)
+                                    closed_forms)
                 return [_outcome(lambda: _hex(table.value(m))) for m in exps]
 
         yield key, _outcome(fn)
