@@ -4,7 +4,8 @@ Antiderivatives of x^n j_l(a x), x^n j_l(a x)^2, x^n j_l(a x) j_l(b x)
 and x^n j_k(a x) j_l(b x) through terminating recursion relations and
 closed forms.  Each route fixes its constant of integration, so a
 difference of two values of one route is a definite integral (see
-``AntiderivativeValue``).  Adaptive Gauss-Kronrod quadrature
+``AntiderivativeValue``); ``definite_integral`` takes it from one walk
+across both limits (``antiderivative(spec, b, lower=a)``).  Adaptive Gauss-Kronrod quadrature
 (QUADPACK's GK15 on short pieces, GK61 on long oscillatory runs) covers
 the small-argument regime where the recursions cancel catastrophically,
 and a piecewise-polynomial weighted integrator handles tabulated slowly

@@ -17,17 +17,20 @@ trigonometric base
 
 (with ``closed_forms=False`` every adjacent cell takes the ladder, so
 ``eval_L(n, l - 1, l, x, a, b, closed_forms=False)`` is the
-pure-recursion reference for the closure).  One evaluation point builds
+pure-recursion reference for the closure).  A point or a pair builds
 one ``LTable``, which holds one K table for its (x, a, b) (see
 same_order.KTable): every K cell, the adjacent closure and the n = 1
-ladder read it, and the L01 base reads its two trig chains, so the point
-walks each chain once.  Equal
+ladder read it, and the L01 base reads its two trig chains, so each
+point walks each chain once.  Equal
 arguments a = b get their own engine, ``LEqualTable``, with five printed
 closed forms, the simpler adjacent-order rule through the squared
 family, and the equal-argument base; it shares one H table in the same
 way.  A table keeps the cells it has filled, one row per order, and
 they serve every exponent asked of it, so one table per point covers
-every monomial of a weighted integral.
+every monomial of a weighted integral.  A table across a pair (a, b)
+holds L(b) - L(a) from one walk: only the adjacent cells, the closed
+forms and the boundary terms read the points, each as its value at b
+less its value at a (see ``types.PointTable``).
 
 Canonicalization (``point_table``, the one table dispatch of every
 family, which quadrature imports): the parity sign of each negative
@@ -77,48 +80,55 @@ def _base_L01(n: int, x: float, a: float, b: float, near: TrigChain, far: TrigCh
     return cos_part - sin_part
 
 
-def _adjacent_ladder(m: int, k: int, x: float, a: float, b: float, kt: KTable) -> float:
+def _adjacent_ladder(m: int, k: int, a: float, b: float, kt: KTable) -> float:
     """L^m_{k,k+1}(x; a, b) by repeated order lowering down to L^m_{01}:
 
         L^m_{j,j+1}(x; p, q) = (2j+1)/q K^{m-1}_j(x) - L^m_{j-1,j}(x; q, p)
 
     each step swapping the scale order through L^m_{j,j-1}(x; p, q) =
     L^m_{j-1,j}(x; q, p).  The K cells come from the shared table kt,
-    asked from order k down; the steps then run up from the base.
+    asked from order k down; the steps then run up from the base, at
+    kt's point or across its pair.
     """
     cells = [kt.cell(m - 1, j) for j in range(k, 0, -1)]
     p, q = (a, b) if k % 2 == 0 else (b, a)
-    v = _base_L01(m, x, p, q, kt.near, kt.far)
+    v = _base_L01(m, kt.x, p, q, kt.near, kt.far)
+    lower = kt.lower
+    if lower is not None:
+        v -= _base_L01(m, lower.x, p, q, lower.near, lower.far)
     for j in range(1, k + 1):
         p, q = q, p
         v = (2 * j + 1) / q * cells[k - j] - v
     return v
 
 
-def _closure(
-    m: int, k: int, x: float, a: float, b: float, jk: float, jl: float, kt: KTable
-) -> float:
+def _closure(m: int, k: int, a: float, b: float, edge: float, kt: KTable) -> float:
     """L^m_{k,k+1}(x; a, b) by the adjacent-order closure, m != 1, from
-    jk = j_k(a x), jl = j_{k+1}(b x) and the K cells of kt."""
-    return (x ** (m + 1) * jk * jl + a * kt.cell(m + 1, k + 1) - b * kt.cell(m + 1, k)) / (m - 1)
+    edge = x^{m+1} j_k(a x) j_{k+1}(b x) (at the point, or across the
+    pair) and the K cells of kt."""
+    return (edge + a * kt.cell(m + 1, k + 1) - b * kt.cell(m + 1, k)) / (m - 1)
 
 
 class LTable(PointTable):
     """The cells L^m_{k,lam}(x; a, b), k < lam <= l, of one evaluation
-    point, for positive distinct scales and k < l.
+    point, or their differences from ``lower`` to x (see
+    ``types.PointTable``), for positive distinct scales and k < l.
 
     One K table serves every K cell, adjacent closure and ladder step of
-    the walk, and its j tables are the walk's own; its row of order k is
-    this table's row k.  ``value(n)`` is L^n_{kl} times ``sign``, the
-    parity sign of the caller's unfolded scales.
+    the walk, and its j tables, chains and lower point are the walk's
+    own; its row of order k is this table's row k.  ``value(n)`` is
+    L^n_{kl} times ``sign``, the parity sign of the caller's unfolded
+    scales.
 
     A walk is planned from L's recursion (see ``_plan``) and filled from
     the bottom: the K walks the adjacent cells at order k + 1 read, the
     adjacent cells, the K cells of order k, then the levels k + 2..l.
+    Only the adjacent cells read the points; the levels above them take
+    no term of their own.
     """
 
     __slots__ = (
-        "x", "orders", "k", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "rows",
+        "x", "lower", "orders", "k", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "rows",
     )
     family = "L"
 
@@ -131,26 +141,35 @@ class LTable(PointTable):
         b: float,
         closed_forms: bool = True,
         sign: float = 1.0,
+        lower: float | None = None,
     ):
         self.x, self.k, self.a, self.b = x, k, a, b
         self.orders = (k, l)
         self.sign = sign
         self.closed_forms = closed_forms
-        self.kt = kt = KTable(x, a, b, l, closed_forms)
+        self.kt = kt = KTable(x, a, b, l, closed_forms, 1.0, lower)
         self.jta, self.jtb = (kt.jta, kt.jtb) if a >= b else (kt.jtb, kt.jta)
+        self.lower = kt.lower
         self.rows = rows = [None] * (l + 1)
         rows[k] = kt.level(k)
         for lam in range(k + 1, l + 1):
             rows[lam] = {}
 
     def _adjacent(self, m: int) -> float:
-        """The adjacent cell L^m_{k,k+1}."""
-        x, k, a, b, kt = self.x, self.k, self.a, self.b, self.kt
+        """The adjacent cell L^m_{k,k+1}, at the point or across the pair."""
+        x, k, a, b, kt, lower = self.x, self.k, self.a, self.b, self.kt, self.lower
         if k == 0:
-            return _base_L01(m, x, a, b, kt.near, kt.far)
+            v = _base_L01(m, x, a, b, kt.near, kt.far)
+            if lower is not None:
+                v -= _base_L01(m, lower.x, a, b, lower.near, lower.far)
+            return v
         if m != 1 and self.closed_forms:
-            return _closure(m, k, x, a, b, self.jta[k], self.jtb[k + 1], kt)
-        return _adjacent_ladder(m, k, x, a, b, kt)
+            edge = x ** (m + 1) * self.jta[k] * self.jtb[k + 1]
+            if lower is not None:
+                jta, jtb = (lower.jta, lower.jtb) if a >= b else (lower.jtb, lower.jta)
+                edge -= lower.x ** (m + 1) * jta[k] * jtb[k + 1]
+            return _closure(m, k, a, b, edge, kt)
+        return _adjacent_ladder(m, k, a, b, kt)
 
     def fill(self, top: int, lo: int, hi: int) -> None:
         """Store the cells lo..hi (in steps of 2) of level ``top`` > k and
@@ -306,12 +325,13 @@ def _equal_closed(k: int):
 
 class LEqualTable(PointTable):
     """The cells L^m_{k,lam}(u), k < lam <= l, of one evaluation point at
-    equal unit scales, u = |alpha| x.
+    equal unit scales, u = |alpha| x, or their differences from
+    ``lower`` to x (see ``types.PointTable``).
 
     One H table at u serves every H cell the walk reaches, and its j
-    table is the walk's own; its row of order k is this table's row k.
-    ``value(n)`` is |alpha|^(-n-1) L^n_{kl}(u) times ``sign``, the parity
-    sign of the caller's unfolded scales.
+    table and lower point are the walk's own; its row of order k is this
+    table's row k.  ``value(n)`` is |alpha|^(-n-1) L^n_{kl}(u) times
+    ``sign``, the parity sign of the caller's unfolded scales.
 
     The walk is LTable's, planned from the same recursion with the cells
     of the five closed forms closed (``_equal_closed``); H cells stand in
@@ -319,7 +339,7 @@ class LEqualTable(PointTable):
     """
 
     __slots__ = (
-        "x", "orders", "k", "scale", "sign", "closed_forms", "ht", "rows",
+        "x", "lower", "orders", "k", "scale", "sign", "closed_forms", "ht", "rows",
     )
     family = "L"
 
@@ -331,13 +351,15 @@ class LEqualTable(PointTable):
         closed_forms: bool = True,
         alpha: float = 1.0,
         sign: float = 1.0,
+        lower: float | None = None,
     ):
         self.x = x
         self.orders = (k, l)
         self.k = k
         self.sign = sign
         self.closed_forms = closed_forms
-        self.ht = HTable(x, l, closed_forms, alpha)
+        self.ht = HTable(x, l, closed_forms, alpha, 1.0, lower)
+        self.lower = self.ht.lower
         self.scale = self.ht.scale
         self.rows = rows = [None] * (l + 1)
         rows[k] = self.ht.level(k)
@@ -350,7 +372,7 @@ class LEqualTable(PointTable):
         equal-argument recursion: the order-k H cells in one H walk, then
         the levels k + 1..top upwards, closed cells by their closed forms."""
         k, ht, rows, closed = self.k, self.ht, self.rows, self.closed_forms
-        u, jt = ht.u, ht.jt
+        u, jt, lower = ht.u, ht.jt, ht.lower
         # down to order k, as an adjacent cell needs the H cell H^{m-1}_k
         # (the run the sweep leaves at order k - 1 is not read)
         runs = sweep(top, lo, hi, _equal_closed(k) if closed else None, _STEP, k)
@@ -367,37 +389,47 @@ class LEqualTable(PointTable):
                     continue
                 kind = _equal_closed_kind(m, k, lam) if closed else None
                 if kind is not None:
-                    row[m] = _closed_L_equal(kind, k, lam, u, jt)
+                    v = _closed_L_equal(kind, k, lam, u, jt)
+                    if lower is not None:
+                        v -= _closed_L_equal(kind, k, lam, lower.u, lower.jt)
                 elif lam == k + 1:
                     # adjacent orders through the squared family
-                    row[m] = (k + 0.5 * m) * below[m - 1] - 0.5 * u**m * jk**2
+                    v = (k + 0.5 * m) * below[m - 1] - 0.5 * u**m * jk**2
+                    if lower is not None:
+                        v += 0.5 * lower.u**m * lower.jt[k] ** 2
                 else:
-                    row[m] = (2 * lam - 1) * below[m - 1] - below2[m]
+                    v = (2 * lam - 1) * below[m - 1] - below2[m]
+                row[m] = v
 
 
 # ---------------------------------------------------------------------------
 # top-level dispatch
 # ---------------------------------------------------------------------------
 
-def point_table(spec: IntegralSpec, x: float, closed_forms: bool = True):
-    """The per-point table of spec's Bessel factors at x: the one
-    antiderivative dispatch.
+def point_table(
+    spec: IntegralSpec, x: float, closed_forms: bool = True, lower: float | None = None
+):
+    """The per-point table of spec's Bessel factors at x, or across the
+    pair from ``lower`` to x: the one antiderivative dispatch.
 
     Its ``value(n)`` is the antiderivative of x^n times spec's Bessel
-    product at x for any exponent n; the exponents asked of one table
-    share its j tables, trig chains and recursion cells, and each value
-    is bitwise the one a fresh table returns.  One factor gets the I
-    table.  Two factors have the parity signs of negative scales folded
-    out front, and (k, alpha) swapped with (l, beta) when k > l; equal
-    scales then get the equal-argument table (the H table when the
-    orders meet too, so K with |alpha| = |beta| gets the H table with the
-    parity sign), equal orders the K table, and the rest the general
-    order-lowering table.  spec.n is not read.
+    product at x for any exponent n, or with ``lower`` its integral from
+    lower to x, from one walk (see ``types.PointTable``); the exponents
+    asked of one table share its j tables, trig chains and recursion
+    cells, and each value is bitwise the one a fresh table returns.  One
+    factor gets the I table.  Two factors have the parity signs of
+    negative scales folded out front, and (k, alpha) swapped with
+    (l, beta) when k > l; equal scales then get the equal-argument table
+    (the H table when the orders meet too, so K with |alpha| = |beta|
+    gets the H table with the parity sign), equal orders the K table,
+    and the rest the general order-lowering table.  spec.n is not read.
     """
     x = check_point(x)
+    if lower is not None:
+        lower = check_point(lower)
     (k, alpha), *rest = spec.factors
     if not rest:
-        return ITable(k, x, alpha, closed_forms)
+        return ITable(k, x, alpha, closed_forms, lower)
     (l, beta), = rest
     sign_a, alpha = parity_fold(k, alpha)
     sign_b, beta = parity_fold(l, beta)
@@ -406,12 +438,12 @@ def point_table(spec: IntegralSpec, x: float, closed_forms: bool = True):
         k, l = l, k
         alpha, beta = beta, alpha
     if alpha == beta and k == l:
-        return HTable(x, k, closed_forms, alpha, sign)
+        return HTable(x, k, closed_forms, alpha, sign, lower)
     if alpha == beta:
-        return LEqualTable(x, k, l, closed_forms, alpha, sign)
+        return LEqualTable(x, k, l, closed_forms, alpha, sign, lower)
     if k == l:
-        return KTable(x, alpha, beta, k, closed_forms, sign)
-    return LTable(x, k, l, alpha, beta, closed_forms, sign)
+        return KTable(x, alpha, beta, k, closed_forms, sign, lower)
+    return LTable(x, k, l, alpha, beta, closed_forms, sign, lower)
 
 
 #: eval_L's path for each kind of table point_table returns

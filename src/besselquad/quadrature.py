@@ -654,24 +654,53 @@ def antiderivative(
     x: float,
     closed_forms: bool = True,
     tables: dict | None = None,
+    *,
+    lower: float | None = None,
 ) -> float:
     """Antiderivative value of the spec's integrand at x, by recursion:
     ``point_table(spec, x, closed_forms).value(spec.n)``.  Its constant
     of integration is fixed per route (see AntiderivativeValue), so the
     definite evaluators difference two values of one route.
 
+    With ``lower``, the integral from lower to x instead: the value at x
+    less the value at lower, from one walk of one table across the pair
+    (``point_table(spec, x, closed_forms, lower)``), where two tables
+    would walk the recursion twice.  definite_integral takes this form.
+
     tables, when given, keeps the per-point tables across calls, keyed by
-    x: a caller that needs several exponents of one family, orders and
-    scales at the same points (the weighted integrator) passes one dict
-    for all of them, with the same closed_forms, so each point builds
-    one table.
+    x (by (lower, x) for a pair): a caller that needs several exponents
+    of one family, orders and scales at the same points (the weighted
+    integrator) passes one dict for all of them, with the same
+    closed_forms, so each point builds one table.
     """
     if tables is None:
-        return point_table(spec, x, closed_forms).value(spec.n)
-    table = tables.get(x)
+        return point_table(spec, x, closed_forms, lower).value(spec.n)
+    key = x if lower is None else (lower, x)
+    table = tables.get(key)
     if table is None:
-        table = tables[x] = point_table(spec, x, closed_forms)
+        table = tables[key] = point_table(spec, x, closed_forms, lower)
     return table.value(spec.n)
+
+
+#: relative room above the bound of ``_power_integral`` that an analytic
+#: segment's value may take, for the rounding of the bound and the value
+_ENVELOPE_MARGIN = 1e-8
+
+
+def _power_integral(n: int, a: float, b: float) -> float:
+    """int_a^b x^n dx for 0 < a <= b, inf where it overflows a float.
+
+    |j_l| <= 1 on the real line (DLMF 10.54.2 with |P_l| <= 1), so this
+    bounds |int_a^b x^n (product of j's) dx| for every family.  It is
+    taken as a^(n+1) expm1((n+1) log(b/a)) / (n+1), with log(b/a) =
+    log1p((b-a)/a), which keeps its digits when b is close to a."""
+    span = math.log1p((b - a) / a)
+    if n == -1:
+        return span
+    try:
+        return math.exp((n + 1) * math.log(a)) * math.expm1((n + 1) * span) / (n + 1)
+    except OverflowError:
+        return math.inf
 
 
 def _run_routes(
@@ -759,8 +788,13 @@ def definite_integral(
     finiteness condition holds; auto evaluation then covers [0, t] by
     quadrature, so the antiderivative limit at 0 is never needed.
 
-    A refused analytic route under auto drops the split: one quadrature
-    run covers [a, b] and meets ``tol`` on the whole.  max_evals caps the
+    The analytic segment is one walk across the pair of its limits
+    (``antiderivative(spec, hi, lower=lo)``).  Its value must lie within
+    int_lo^hi x^n dx, which bounds the integral as |j| <= 1; one above it
+    (by more than a rounding margin) is the walk's rounding, and the
+    segment refuses with QuadratureRecommendedError.  A refused analytic
+    route under auto drops the split: one quadrature run covers [a, b]
+    and meets ``tol`` on the whole.  max_evals caps the
     nodes of the one quadrature run and must be at least 15, one GK15
     panel; a run that misses ``tol`` within it raises NotConvergedError,
     whose ``result`` is the record.  The record's ``segments`` and
@@ -770,6 +804,13 @@ def definite_integral(
     """
 
     def difference(lo: float, hi: float) -> float:
-        return antiderivative(spec, hi) - antiderivative(spec, lo)
+        v = antiderivative(spec, hi, lower=lo)
+        bound = _power_integral(spec.n, lo, hi)
+        if abs(v) > bound * (1.0 + _ENVELOPE_MARGIN):
+            raise QuadratureRecommendedError(
+                f"the recursion's value {v:.3g} over [{lo:g}, {hi:g}] exceeds "
+                f"int x^{spec.n} dx = {bound:.3g}, which bounds the integral as |j| <= 1"
+            )
+        return v
 
     return _run_routes(spec, a, b, tol, strategy, max_evals, integrand(spec), difference)

@@ -13,11 +13,15 @@ and levels above it satisfy
 
 The only printed closed form is n = 2.
 
-One evaluation point shares one ``KTable``: the j tables at a x and b x,
+A point or a pair shares one ``KTable``: the j tables at a x and b x,
 one trig chain each for (a - b) x and (a + b) x, and one row of cells
 per level.  A walk fills the levels bottom-up, so its depth is bounded
-only by the order; the point walks each chain once, and the L family
-reuses the same table for every K cell its own recursion reaches.
+only by the order; each point walks each chain once, and the L family
+reuses the same table for every K cell its own recursion reaches.  The
+recursion is linear with coefficients free of x, so a pair (a, b), as
+definite_integral asks for, walks once with cells K(b) - K(a): the base
+cells, the closed form and the boundary terms enter as their values at
+b less their values at a (see ``types.PointTable``).
 
 When |a - b| shrinks, the base terms divide a nearly flat cosine
 primitive by a high power of (a - b); with n >= 2 the series route in
@@ -49,7 +53,8 @@ def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
 
 
 class KTable(PointTable):
-    """The cells K^m_lam(x; a, b), lam <= lmax, of one evaluation point.
+    """The cells K^m_lam(x; a, b), lam <= lmax, of one evaluation point,
+    or their differences from ``lower`` to x (see ``types.PointTable``).
 
     The scales are positive and distinct; the table orders them, a > b,
     since K is symmetric in its scales.  The table holds the j_0..j_lmax
@@ -65,8 +70,8 @@ class KTable(PointTable):
     """
 
     __slots__ = (
-        "x", "orders", "a", "b", "sign", "jta", "jtb", "near", "far", "closed_forms",
-        "used_closed", "rows", "_tight", "_s", "_d", "_t",
+        "x", "lower", "orders", "a", "b", "sign", "jta", "jtb", "near", "far",
+        "closed_forms", "used_closed", "rows", "_tight", "_s", "_d", "_t",
     )
     family = "K"
 
@@ -78,6 +83,7 @@ class KTable(PointTable):
         lmax: int,
         closed_forms: bool = True,
         sign: float = 1.0,
+        lower: float | None = None,
     ):
         if a < b:
             a, b = b, a
@@ -100,6 +106,7 @@ class KTable(PointTable):
         self._d = 2.0 * a * b
         # b j_{lam-1}(ax) j_lam(bx) + a j_lam(ax) j_{lam-1}(bx) for the levels lam >= 1 walked
         self._t = [0.0]
+        self.lower = None if lower is None else KTable(lower, a, b, lmax, closed_forms)
 
     def fill(self, top: int, lo: int, hi: int) -> None:
         """Store the cells lo..hi (in steps of 2) of level ``top`` and every
@@ -123,24 +130,34 @@ class KTable(PointTable):
             return
         rows = self.rows
         bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
-        d = self._d
+        d, lower = self._d, self.lower
+        pair = lower is not None
         row, near, far = rows[0], self.near, self.far
         for m in bases:
             if m not in row:
-                row[m] = (near.int_cos(m - 2) - far.int_cos(m - 2)) / d
+                v = (near.int_cos(m - 2) - far.int_cos(m - 2)) / d
+                if pair:
+                    v -= (lower.near.int_cos(m - 2) - lower.far.int_cos(m - 2)) / d
+                row[m] = v
         if not columns:
             return
         x, a, b, s = self.x, self.a, self.b, self._s
         jta, jtb, ts = self.jta, self.jtb, self._t
-        if len(ts) <= top:
-            for lam in range(len(ts), top + 1):
-                ts.append(b * jta[lam - 1] * jtb[lam] + a * jta[lam] * jtb[lam - 1])
+        for lam in range(len(ts), top + 1):
+            ts.append(b * jta[lam - 1] * jtb[lam] + a * jta[lam] * jtb[lam - 1])
+        if pair:
+            xl, jtal, jtbl, tsl = lower.x, lower.jta, lower.jtb, lower._t
+            for lam in range(len(tsl), top + 1):
+                tsl.append(b * jtal[lam - 1] * jtbl[lam] + a * jtal[lam] * jtbl[lam - 1])
         for m, levels, shut, _ in columns:  # K's closed cells fill whole columns
             if shut:
                 for lam in levels:
                     row = rows[lam]
                     if m not in row:
-                        row[m] = _closed_K2(lam, x, a, b, jta, jtb)
+                        v = _closed_K2(lam, x, a, b, jta, jtb)
+                        if pair:
+                            v -= _closed_K2(lam, xl, a, b, jtal, jtbl)
+                        row[m] = v
                         self.used_closed = True
                 continue
             power = None
@@ -151,13 +168,19 @@ class KTable(PointTable):
                 if power is None:
                     power = (2 - m) * x ** (m - 1)
                     xm = x**m
+                    if pair:
+                        powerl = (2 - m) * xl ** (m - 1)
+                        xml = xl**m
                 below = rows[lam - 1]
-                row[m] = (
+                v = (
                     s * below[m]
                     + (m - 2) * (m + 2 * lam - 3) * below[m - 2]
                     + power * jta[lam - 1] * jtb[lam - 1]
                     - xm * ts[lam]
-                ) / d
+                )
+                if pair:
+                    v -= powerl * jtal[lam - 1] * jtbl[lam - 1] - xml * tsl[lam]
+                row[m] = v / d
 
 
 def _table(spec: IntegralSpec, x: float, closed_forms: bool = True) -> KTable:

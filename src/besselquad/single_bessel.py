@@ -23,18 +23,26 @@ from .types import AntiderivativeValue, IntegralSpec, PointTable, check_point, f
 
 
 class ITable(PointTable):
-    """int x^n j_l(alpha x) dx at one evaluation point x, for any n.
+    """int x^n j_l(alpha x) dx at one evaluation point x, for any n, or
+    from ``lower`` to x.
 
     The table holds the j_0..j_{l-1} table at u = |alpha| x and the
     TrigChain of u that the l = 0 base reads, so exponents asked of one
     table share both.  ``value(n)`` is alpha^(-n-1) I^n_l(alpha x), with
     the parity sign of a negative alpha.  ``closed_forms`` is as in eval_I.
+    I takes no walk, so its pair is two sums: I^n_l at x less I^n_l at
+    the lower point, from the lower point's own table.
     """
 
-    __slots__ = ("x", "orders", "l", "a", "sign", "u", "jt", "chain", "closed_forms")
+    __slots__ = (
+        "x", "lower", "orders", "l", "a", "sign", "u", "jt", "chain", "closed_forms",
+    )
     family = "I"
 
-    def __init__(self, l: int, x: float, alpha: float = 1.0, closed_forms: bool = True):
+    def __init__(
+        self, l: int, x: float, alpha: float = 1.0, closed_forms: bool = True,
+        lower: float | None = None,
+    ):
         self.x = x
         self.orders = (l,)
         self.l = l
@@ -43,13 +51,17 @@ class ITable(PointTable):
         self.jt = _j_list(l - 1, u) if l else None
         self.chain = TrigChain(1.0, u)
         self.closed_forms = closed_forms
+        self.lower = None if lower is None else ITable(l, lower, alpha, closed_forms)
 
     def _X(self, m: int) -> float:
         _refuse_small_arg(m, self.u)
         return self.chain.pair(m)[0]
 
     def _value(self, n: int) -> float:
-        return self.sign * self.a ** (-n - 1) * self._I(n)
+        v = self._I(n)
+        if self.lower is not None:
+            v -= self.lower._I(n)
+        return self.sign * self.a ** (-n - 1) * v
 
     def _I(self, n: int) -> float:
         """I^n_l(u)."""

@@ -29,6 +29,13 @@ Y_{n-2l-2}(2x), a walk that loses digits while its index stays below
 2x in size.  closed_forms=False keeps the triangle, the reference the
 band is tested against.
 
+A point or a pair shares one ``HTable``: the j table, the trig chain of
+2x and the cells of every level walked.  Both relations are linear with
+coefficients free of x, so a pair (a, b), as definite_integral asks
+for, walks the triangle or the band once with cells H(b) - H(a), each
+base cell, closed form and boundary term entering as its value at b
+less its value at a (see ``types.PointTable``).
+
 Five printed closed forms short-circuit the recursion when an exponent
 pattern matches mid-walk.  They carry no constant of their own, so a
 closed cell's constant of integration can differ from the one the walk
@@ -129,7 +136,8 @@ def closed_H(kind: str, l: int, x: float) -> AntiderivativeValue:
 
 
 class HTable(PointTable):
-    """The cells H^m_lam(u), lam <= lmax, of one evaluation point.
+    """The cells H^m_lam(u), lam <= lmax, of one evaluation point, or
+    their differences from ``lower`` to x (see ``types.PointTable``).
 
     The cells are taken at u = |alpha| x.  The table holds j_0..j_{lmax+1}
     at u, the TrigChain of 2u that every l = 0 base cell reads, and one
@@ -144,8 +152,8 @@ class HTable(PointTable):
     """
 
     __slots__ = (
-        "x", "orders", "u", "scale", "sign", "jt", "chain", "closed_forms", "used_closed",
-        "used_band", "rows",
+        "x", "lower", "orders", "u", "scale", "sign", "jt", "chain", "closed_forms",
+        "used_closed", "used_band", "rows",
     )
     family = "H"
 
@@ -156,6 +164,7 @@ class HTable(PointTable):
         closed_forms: bool = True,
         alpha: float = 1.0,
         sign: float = 1.0,
+        lower: float | None = None,
     ):
         self.x = x
         self.orders = (lmax,)
@@ -168,6 +177,7 @@ class HTable(PointTable):
         self.used_closed = False
         self.used_band = False
         self.rows = []  # the stored cells of each level, keyed by exponent; see level
+        self.lower = None if lower is None else HTable(lower, lmax, closed_forms, alpha)
 
     def fill(self, top: int, lo: int, hi: int) -> None:
         """Store the cells lo..hi (in steps of 2) of level ``top`` and every
@@ -192,17 +202,26 @@ class HTable(PointTable):
         if lo > hi:
             return
         bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
-        u, jt = self.u, self.jt
+        u, jt, lower = self.u, self.jt, self.lower
+        pair = lower is not None
+        if pair:
+            ul, jtl = lower.u, lower.jt
         row, chain = rows[0], self.chain
         for m in bases:
             if m not in row:
                 row[m] = _H_base(m, u, chain)
+                if pair:
+                    row[m] -= _H_base(m, ul, lower.chain)
         for m, levels, shut, closed_at in columns:
             if shut:
                 for lam in levels:
                     row = rows[lam]
                     if m not in row:
-                        row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt)
+                        kind = _closed_kind(m, lam)
+                        v = _closed_H(kind, lam, u, jt)
+                        if pair:
+                            v -= _closed_H(kind, lam, ul, jtl)
+                        row[m] = v
                         self.used_closed = True
                 continue
             half = 0.5 * (m - 2)
@@ -212,12 +231,19 @@ class HTable(PointTable):
                 if m in row:
                     continue
                 if lam in closed_at:
-                    row[m] = _closed_H(_closed_kind(m, lam), lam, u, jt)
+                    kind = _closed_kind(m, lam)
+                    v = _closed_H(kind, lam, u, jt)
+                    if pair:
+                        v -= _closed_H(kind, lam, ul, jtl)
+                    row[m] = v
                     self.used_closed = True
                     continue
                 if power is None:
                     power = (1.0 - 0.5 * m) * u ** (m - 1)
                     um = u**m
+                    if pair:
+                        powerl = (1.0 - 0.5 * m) * ul ** (m - 1)
+                        uml = ul**m
                 below = rows[lam - 1]
                 jm, jl = jt[lam - 1], jt[lam]
                 row[m] = (
@@ -226,6 +252,9 @@ class HTable(PointTable):
                     + power * jm * jm
                     - um * jm * jl
                 )
+                if pair:
+                    jm, jl = jtl[lam - 1], jtl[lam]
+                    row[m] -= powerl * jm * jm - uml * jm * jl
 
     def _band(self, top: int, n: int) -> None:
         """Store H^n_top, n even and <= 0, by the band walk: only the cells
@@ -237,31 +266,48 @@ class HTable(PointTable):
         to the level-0 row, which every walk shares bitwise; the cells
         between stay in the walk, so each stored value is the one a fresh
         walk gives."""
-        rows, u, jt = self.rows, self.u, self.jt
+        rows, u, jt, lower = self.rows, self.u, self.jt, self.lower
+        pair = lower is not None
         row = rows[0]
         for m in (n - 2, n):
             if m not in row:
-                row[m] = _H_base(m, u, self.chain)
-        cell, low = row[n], row[n - 2]
+                v = _H_base(m, u, self.chain)
+                if pair:
+                    v -= _H_base(m, lower.u, lower.chain)
+                row[m] = v
+        cell, cell2 = row[n], row[n - 2]
         m = n - 4
+        # the powers of u, and the coefficients of j_{lam-1}^2 in the steps
+        # of n and n - 2, at the point and at the lower point of a pair
         u3, u2, u0 = u ** (n - 3), u ** (n - 2), u**n
-        # the coefficients of j_{lam-1}^2 in the steps of n and n - 2
         c1, c3 = (1 - 0.5 * n) * u ** (n - 1), (2 - 0.5 * n) * u3
         uu = u * u
+        if pair:
+            ul, jtl = lower.u, lower.jt
+            u3l, u2l, u0l = ul ** (n - 3), ul ** (n - 2), ul**n
+            c1l, c3l = (1 - 0.5 * n) * ul ** (n - 1), (2 - 0.5 * n) * u3l
+            uul = ul * ul
         for lam in range(1, top + 1):
             order = lam - 1
             j, jn = jt[order], jt[lam]
             p = order * j - u * jn  # u j'_order
-            lower = (
-                u3 * (2 * p * p - 2 * (m - 1) * j * p
-                      + (2 * uu + m * (m - 1) - 2 * order * lam) * j * j)
-                - 4 * (m + 1) * low
-            ) / (m * (m * m - (2 * order + 1) ** 2))
+            edge = u3 * (2 * p * p - 2 * (m - 1) * j * p
+                          + (2 * uu + m * (m - 1) - 2 * order * lam) * j * j)
+            if pair:
+                jl, jnl = jtl[order], jtl[lam]
+                p = order * jl - ul * jnl
+                edge -= u3l * (2 * p * p - 2 * (m - 1) * jl * p
+                               + (2 * uul + m * (m - 1) - 2 * order * lam) * jl * jl)
+            cell4 = (edge - 4 * (m + 1) * cell2) / (m * (m * m - (2 * order + 1) ** 2))
             jj, jjn = j * j, j * jn
-            cell, low = (
-                cell + 0.5 * (n - 2) * (2 * lam + n - 3) * low + c1 * jj - u0 * jjn,
-                low + 0.5 * m * (2 * lam + n - 5) * lower + c3 * jj - u2 * jjn,
+            cell, cell2 = (
+                cell + 0.5 * (n - 2) * (2 * lam + n - 3) * cell2 + c1 * jj - u0 * jjn,
+                cell2 + 0.5 * m * (2 * lam + n - 5) * cell4 + c3 * jj - u2 * jjn,
             )
+            if pair:
+                jj, jjn = jl * jl, jl * jnl
+                cell -= c1l * jj - u0l * jjn
+                cell2 -= c3l * jj - u2l * jjn
         rows[top][n] = cell
         self.used_band = True
 

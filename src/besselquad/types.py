@@ -54,7 +54,10 @@ class AntiderivativeValue:
     int_0^x minus DLMF 10.22.43's int_0^inf in most cells, but int_0^x
     where n > l and n - l is odd; H^0_l is int_0^x - pi / (2 (2l + 1));
     and routes of one spec can differ by a constant, as the closed form
-    H1 sits 1 / (2l (l + 1)) above the recursion's -int_x^inf.
+    H1 sits 1 / (2l (l + 1)) above the recursion's -int_x^inf.  The
+    constant cancels from a table across a pair of points (a, b), whose
+    value is F(b) - F(a) from one walk (``PointTable``); the
+    public evaluators that return this record take one point.
     """
 
     value: float
@@ -300,6 +303,18 @@ class PointTable:
     as the DomainError of ``finite_value``, naming the family, n, orders
     and x.
 
+    A table takes a point or a pair.  With ``lower``, a second point,
+    its cells are F(x) - F(lower), and ``value(n)`` is the integral from
+    lower to x.  The recursions are linear, and their coefficients hold
+    no x, so the differences satisfy them as the values do: the walk
+    runs once, and each term that reads a point (a base cell, a closed
+    form, a boundary term) enters as its value at x less its value at
+    lower.  ``lower`` then holds the one-point table at the lower point,
+    whose j tables and trig chains those terms read (its own cells stay
+    empty); for one point it is None, and each term is its value at x.
+    The upper point's terms are computed first, so where both points
+    would raise, x names the error, as F(x) - F(lower) does.
+
     The two-factor tables (H, K, L and equal-argument L) share one
     protocol.  They keep their cells in ``rows``, one dict per level
     keyed by exponent, and define only ``fill(top, lo, hi)``, which
@@ -307,8 +322,8 @@ class PointTable:
     cell they need.  ``cell`` and ``_value`` are defined here, once:
     the value is ``sign * scale ** (-n - 1)`` times the cell (n, top),
     top the higher order.  Subclasses set ``family``, ``orders``, ``x``,
-    ``sign`` and, where the cells are taken at |alpha| x, ``scale``.
-    The I table defines its own ``_value``.
+    ``lower``, ``sign`` and, where the cells are taken at |alpha| x,
+    ``scale``.  The I table defines its own ``_value``.
     """
 
     __slots__ = ()
@@ -316,14 +331,18 @@ class PointTable:
     scale = 1.0
 
     def value(self, n: int) -> float:
-        """int x^n (the table's Bessel product) dx at the table's point."""
+        """int x^n (the table's Bessel product) dx at the table's point,
+        or from its lower point to x."""
         return finite_value(self._describe, self._value, n)
 
     def _value(self, n: int) -> float:
         return self.sign * self.scale ** (-n - 1) * self.cell(n, self.orders[-1])
 
     def _describe(self, n: int) -> str:
-        return f"{self.family} antiderivative with n = {n}, orders {self.orders} at x = {self.x:g}"
+        at = f"x = {self.x:g}"
+        if self.lower is not None:
+            at += f" less its value at x = {self.lower.x:g}"
+        return f"{self.family} antiderivative with n = {n}, orders {self.orders} at {at}"
 
     def cell(self, m: int, lam: int) -> float:
         """The cell (m, lam), filled with the cells it needs on first

@@ -520,6 +520,53 @@ class TestDefiniteIntegral:
         with pytest.raises(DomainError):
             definite_integral(IntegralSpec("I", 0, 2), a, b)
 
+    def test_value_past_the_power_bound_refuses(self):
+        # |j| <= 1 bounds |int_a^b x^n j_k j_l dx| by int_a^b x^n dx = 20
+        # here; the walk of L^0_{0,600} reads 3.47e294
+        spec = IntegralSpec("L", 0, 600, 1.0, k=0, beta=1.3)
+        with pytest.raises(
+            QuadratureRecommendedError,
+            match=r"value 3\.47e\+294 over \[5000, 5020\] exceeds int x\^0 dx = 20,",
+        ):
+            definite_integral(spec, 5000.0, 5020.0, strategy="recursion")
+
+    def test_value_past_the_power_bound_falls_back_under_auto(self):
+        # K^0_150 at ratio 1.3 walks to 6.95e58 over 200 units: auto
+        # refuses the segment and quadrature meets the tight reference
+        spec = IntegralSpec("K", 0, 150, 1.0, beta=1.3)
+        a = 1.01 * oscillation_threshold(spec)
+        r = definite_integral(spec, a, a + 200.0)
+        assert r.segments == (("quadrature", a, a + 200.0),)
+        assert r.reason.startswith(
+            "recursion refused (QuadratureRecommendedError: the recursion's value 6.95e+58"
+        )
+        assert r.value == pytest.approx(3.163997813301858e-05, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize(
+        "n, a, b, want",
+        [
+            (0, 2.0, 5.0, 3.0),
+            (-1, 2.0, 6.0, math.log(3.0)),
+            (2, 1.0, 4.0, 21.0),
+            (-3, 1.0, 2.0, 0.375),
+            # close limits keep their digits: a^5 (b - a) (1 + 5 (b - a) / 2a)
+            (5, 100.0, 100.0 + 2**-30, 1e10 * 2**-30 * (1 + 2.5 * 2**-30 / 100.0)),
+        ],
+    )
+    def test_power_bound(self, n, a, b, want):
+        assert quadrature._power_integral(n, a, b) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_power_bound_that_overflows_refuses_nothing(self):
+        # 60^401 leaves the float range
+        assert quadrature._power_integral(400, 50.0, 60.0) == math.inf
+        assert quadrature._power_integral(-400, 1e-3, 2e-3) == math.inf
+
+    def test_power_bound_leaves_room_for_rounding(self):
+        # Si(2e-6) - Si(1e-6) reads 1.4e-10 above int dx = 1e-6, which
+        # it meets to rounding: the margin keeps the value
+        r = definite_integral(IntegralSpec("I", 0, 0), 1e-6, 2e-6, strategy="recursion")
+        assert r.value == pytest.approx(1e-6, rel=1e-9, abs=0)
+
     def test_overflowing_recursion_is_a_domain_error(self):
         # the exact integer coefficients of I^0_200 pass the float range:
         # the recursion strategy raises, auto falls back to quadrature
@@ -588,20 +635,23 @@ def test_one_quadrature_run_per_integral(shape, weighted, monkeypatch):
 #: reporting converged=True and error_estimate=0.0: the n < 0 trig chain
 #: walks away from its Si/Ci anchor and loses digits like u^m / m!
 #: (ROADMAP item 1).  (family, k, l, alpha, beta) -> measured relative error.
-#: At l = 150 the ratio is 1.3: at 1.7, K and L pass AMPLIFICATION_GUARD
-#: and quadrature gets them right
+#: The l = 60 values, 0.0039 and -0.0228 against -1.8e-6 and -1.2e-4, lie
+#: under the bound of int_a^b x^n dx that refuses the l = 150 ones below
 SILENT_MISSES = {
     ("K", None, 60, 1.0, 1.7): 2.2e3,
     ("L", 58, 60, 1.0, 1.7): 195,
-    ("K", None, 150, 1.0, 1.3): 2.2e63,
-    ("L", 148, 150, 1.0, 1.3): 2.0e65,
 }
 
-#: H at n = 0 takes the band walk, which keeps these within tol
+#: H at n = 0 takes the band walk, which keeps these within tol.  K and L
+#: at l = 150 (ratio 1.3: at 1.7 they pass AMPLIFICATION_GUARD) walk to
+#: 6.95e58 and -2.58e60, past int_a^b x^0 dx = 200, so the analytic
+#: segment refuses and quadrature covers the interval
 HIGH_ORDER_HITS = (
     ("H", None, 60, 1.3, None),
     ("H", None, 100, 1.3, None),
     ("H", None, 150, 1.3, None),
+    ("K", None, 150, 1.0, 1.3),
+    ("L", 148, 150, 1.0, 1.3),
 )
 
 

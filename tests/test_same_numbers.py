@@ -331,3 +331,51 @@ def test_not_converged_entry_keeps_its_numbers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 of 1 entries differ: 0 only in an error message" in out
     assert "1 values moved" in out
+
+
+def test_recursion_grid_reaches_every_table_kind(monkeypatch):
+    # the recursion draws are deterministic pairs (one table across both
+    # limits) and reach I, H's band and triangle, K, K at equal scale
+    # magnitudes, L's closure, ladder and L01 base, and equal-argument L
+    from besselquad import mixed_order, quadrature
+    from besselquad.squared_bessel import HTable
+
+    tool = _tool()
+    tables, reached = [], set()
+    point_table = quadrature.point_table
+
+    def made(spec, x, closed_forms=True, lower=None):
+        table = point_table(spec, x, closed_forms, lower)
+        tables.append((spec, table, lower))
+        return table
+
+    monkeypatch.setattr(quadrature, "point_table", made)
+    for name in ("_closure", "_adjacent_ladder", "_base_L01"):
+        def counted(*args, _fn=getattr(mixed_order, name), _name=name):
+            reached.add(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(mixed_order, name, counted)
+    entries = dict(tool.recursion_entries(bq, 200, 16))
+    monkeypatch.undo()
+    assert entries == dict(tool.recursion_entries(bq, 200, 16))
+    assert len(entries) == 200
+    assert all(lower is not None for _, _, lower in tables)
+    for spec, table, _ in tables:
+        kind = type(table).__name__
+        if isinstance(table, HTable):
+            kind += " band" if table.used_band else " triangle"
+            if spec.family == "K":
+                kind = "K on HTable"
+        reached.add(kind)
+    assert reached >= {
+        "ITable", "HTable band", "HTable triangle", "KTable", "K on HTable", "LTable",
+        "LEqualTable", "_closure", "_adjacent_ladder", "_base_L01",
+    }
+    keys = " ".join(entries)
+    assert all(f"/{family} " in keys for family in "IHKL")
+    assert all(relation in keys for relation in tool.RECURSION_SCALES)
+    assert {v["reason"] for v in entries.values() if "reason" in v} == {
+        "recursion strategy requested"
+    }
+    assert max(int(key.split(" l=")[1].split()[0]) for key in entries) > 50

@@ -2,7 +2,7 @@
 to JSON, or diff two such files: one command for "same numbers".
 
     python3 tools/same_numbers.py OUT.json [--src DIR] [--grid N] [--weighted N]
-                                  [--quadrature N] [--seed S]
+                                  [--quadrature N] [--recursion N] [--seed S]
     python3 tools/same_numbers.py --compare A.json B.json
 
 The first form imports besselquad from ``--src`` (default: this
@@ -37,7 +37,16 @@ measured with this one file.  It records
   the nodes reach both walks of ``j_many``.  One block of four calls
   (one per family) in four is a long oscillatory run past both margins
   instead, 50 to 150 half-periods of the fastest factor, so the wide
-  GK61 panels of ``adaptive_quad`` are covered too.
+  GK61 panels of ``adaptive_quad`` are covered too;
+* ``--recursion`` seeded ``definite_integral(strategy="recursion")``
+  calls, recorded like the pool inputs, so the one walk of each
+  analytic segment across its two limits is compared beyond the pools'
+  orders (K and L stop at l = 25 there): I, H, K and L in turn, orders 0
+  to 60, n from -4 to 6, two-factor scales unrelated, equal,
+  sign-flipped or near-degenerate, and intervals that start at the
+  first-zero threshold or up to three times above it.  The draws reach
+  every table kind: I, H's band and triangle, K, K at equal scale
+  magnitudes, L's closure, ladder and L01 base, and equal-argument L.
 
 Floats are written with ``float.hex``, so equal files mean bitwise equal
 numbers; an error is written as its type and message, and a
@@ -304,13 +313,51 @@ def quadrature_entries(bq, calls: int, seed: int):
         yield key, _outcome(fn)
 
 
-def write(out: str, src: str, calls: int, weighted: int, quadrature: int, seed: int) -> None:
+#: the scales of the recursion grid's two factors, drawn in turn
+RECURSION_SCALES = ("unrelated", "equal", "sign-flipped", "near-degenerate")
+
+
+def recursion_entries(bq, calls: int, seed: int):
+    rng = random.Random(seed)
+    for i in range(calls):
+        family = "IHKL"[i % 4]
+        relation = RECURSION_SCALES[i // 4 % len(RECURSION_SCALES)]
+        l = rng.randint(0, 60)
+        # adjacent orders (the closure and ladder), k = 0 (the L01 base), or a walk of levels
+        k = rng.choice((max(l - 1, 0), 0, rng.randint(0, l))) if family == "L" else None
+        n = rng.randint(-4, 6)
+        alpha = rng.uniform(0.2, 3.0) * rng.choice((1, -1))
+        beta = None
+        if family in "KL":
+            beta = {
+                "unrelated": rng.uniform(0.2, 3.0) * rng.choice((1, -1)),
+                "equal": alpha,
+                "sign-flipped": -alpha,
+                "near-degenerate": alpha * (1 + rng.choice((1e-9, 1e-7, 1e-5))),
+            }[relation]
+        t = bq.oscillation_threshold(bq.IntegralSpec(family, n, l, alpha, k=k, beta=beta))
+        a = t if rng.random() < 0.3 else t * rng.uniform(1.0, 3.0)
+        b = a + rng.uniform(1.0, 100.0)
+        key = (f"recursion/{i}/{family} {relation} n={n} k={k} l={l} alpha={alpha!r} "
+               f"beta={beta!r} [{a!r}, {b!r}]")
+
+        def fn():
+            spec = bq.IntegralSpec(family, n, l, alpha, k=k, beta=beta)
+            return _result(bq.definite_integral(spec, a, b, strategy="recursion"))
+
+        yield key, _outcome(fn)
+
+
+def write(
+    out: str, src: str, calls: int, weighted: int, quadrature: int, recursion: int, seed: int,
+) -> None:
     sys.path.insert(0, os.path.abspath(src))
     bq = importlib.import_module("besselquad")
     entries = dict(pool_entries(bq))
     entries.update(grid_entries(bq, calls, seed))
     entries.update(weighted_entries(bq, weighted, seed))
     entries.update(quadrature_entries(bq, quadrature, seed))
+    entries.update(recursion_entries(bq, recursion, seed))
     with open(out, "w") as fh:
         json.dump({"src": os.path.abspath(src), "seed": seed, "entries": entries}, fh)
     errors = sum(1 for v in entries.values() if isinstance(v, dict) and "error" in v)
@@ -424,15 +471,18 @@ def main(argv=None) -> int:
     parser.add_argument("--weighted", type=int, default=3_000, help="weighted grid calls")
     parser.add_argument("--quadrature", type=int, default=2_000,
                         help="quadrature grid calls")
-    parser.add_argument("--seed", type=int, default=15, help="seed of the engine, weighted and "
-                        "quadrature grids")
+    parser.add_argument("--recursion", type=int, default=2_000,
+                        help="recursion grid calls")
+    parser.add_argument("--seed", type=int, default=15, help="seed of the engine, weighted, "
+                        "quadrature and recursion grids")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="diff two files")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not args.out:
         parser.error("give OUT.json or --compare A B")
-    write(args.out, args.src, args.grid, args.weighted, args.quadrature, args.seed)
+    write(args.out, args.src, args.grid, args.weighted, args.quadrature, args.recursion,
+          args.seed)
     return 0
 
 
