@@ -14,7 +14,6 @@ from besselquad import (
     closed_I,
     definite_integral,
     eval_I,
-    eval_I_scaled,
     si,
 )
 
@@ -40,7 +39,7 @@ for kind, n_of_l, l in (("I1", lambda l: 2 + l, 4), ("I3", lambda l: 1 - l, 4)):
 
 # Scaled arguments reduce by substitution: int x^n j_l(a x) dx
 #   = a^(-n-1) I^n_l(a x).
-v = eval_I_scaled(0, 0, math.pi / 2, 2.0).value - eval_I_scaled(0, 0, 1e-300, 2.0).value
+v = eval_I(0, 0, math.pi / 2, 2.0).value - eval_I(0, 0, 1e-300, 2.0).value
 print("\nint_0^{pi/2} j_0(2x) dx =", v, " (= Si(pi)/2 =", si(math.pi) / 2, ")")
 
 # The recursion shines over many oscillations.  The classic infinite

@@ -15,9 +15,12 @@ failure (see ``errors``).
 
 Each quantity has one public route: ``eval_pair`` for X_n and Y_n,
 ``int_pow_sin`` and ``int_pow_cos`` for the scaled trig primitives, and
-``eval_I``, ``eval_H``, ``eval_K`` and ``eval_L`` (adjacent orders and
-the L01 base included) for the four families.  The ``closed_*``
-functions and ``base_L01_equal`` evaluate one printed formula by name.
+``eval_I``, ``eval_H``, ``eval_K`` and ``eval_L`` (scales, equal scale
+magnitudes, adjacent orders and the L01 base included) for the four
+families, whose ``path`` is the route of the table they read
+(``PointTable.path``).  ``eval_I_scaled`` and ``eval_H_scaled`` are
+other names of ``eval_I`` and ``eval_H``.  The ``closed_*`` functions
+and ``base_L01_equal`` evaluate one printed formula by name.
 
 numpy is loaded on first use by the quadrature and array routes: a
 quadrature segment, ``j_array``, ``j_many``, ``build_interpolant`` and

@@ -156,14 +156,10 @@ class LTable(PointTable):
             rows[lam] = {}
 
     def _adjacent(self, m: int) -> float:
-        """The adjacent cell L^m_{k,k+1}, at the point or across the pair."""
+        """The adjacent cell L^m_{k,k+1}, at the point or across the pair:
+        the closure, or the ladder, whose k = 0 case is the L01 base."""
         x, k, a, b, kt, lower = self.x, self.k, self.a, self.b, self.kt, self.lower
-        if k == 0:
-            v = _base_L01(m, x, a, b, kt.near, kt.far)
-            if lower is not None:
-                v -= _base_L01(m, lower.x, a, b, lower.near, lower.far)
-            return v
-        if m != 1 and self.closed_forms:
+        if k and m != 1 and self.closed_forms:
             edge = x ** (m + 1) * self.jta[k] * self.jtb[k + 1]
             if lower is not None:
                 jta, jtb = (lower.jta, lower.jtb) if a >= b else (lower.jtb, lower.jta)
@@ -342,6 +338,7 @@ class LEqualTable(PointTable):
         "x", "lower", "orders", "k", "scale", "sign", "closed_forms", "ht", "rows",
     )
     family = "L"
+    path = "equal-args"
 
     def __init__(
         self,
@@ -446,15 +443,6 @@ def point_table(
     return LTable(x, k, l, alpha, beta, closed_forms, sign, lower)
 
 
-#: eval_L's path for each kind of table point_table returns
-_L_PATHS = {
-    HTable: "equal-args",
-    LEqualTable: "equal-args",
-    KTable: "same-order",
-    LTable: "recursion",
-}
-
-
 def eval_L(
     n: int,
     k: int,
@@ -468,8 +456,9 @@ def eval_L(
 
     Handles every order/scale combination: equal scales route through
     the equal-argument engine (scaled by alpha^{-1-n}), equal orders
-    route through K, and the general case runs the order-lowering
-    recursion down to K, the adjacent closure, or the L01 base.
+    route through K (H when the scales meet too), and the general case
+    runs the order-lowering recursion down to K, the adjacent closure,
+    or the L01 base.  The path is that table's (``PointTable.path``).
 
     Raises
     ------
@@ -482,7 +471,7 @@ def eval_L(
     """
     spec = IntegralSpec("L", n, l, alpha, k=k, beta=beta)
     table = point_table(spec, x, closed_forms)
-    return AntiderivativeValue(table.value(spec.n), _L_PATHS[type(table)])
+    return AntiderivativeValue(table.value(spec.n), table.path)
 
 
 def identity_residual(
@@ -505,14 +494,12 @@ def identity_residual(
     c2 = alpha * alpha - beta * beta
     c0 = l * (l + 1) - k * (k + 1)
     lhs = 0.0
-    if c2 != 0.0:
-        lhs += c2 * (
-            eval_L(2, k, l, b, alpha, beta).value - eval_L(2, k, l, a, alpha, beta).value
-        )
-    if c0 != 0:
-        lhs += c0 * (
-            eval_L(0, k, l, b, alpha, beta).value - eval_L(0, k, l, a, alpha, beta).value
-        )
+    if c2 or c0:
+        table = point_table(spec, b, lower=a)  # one walk serves both exponents
+        if c2:
+            lhs += c2 * table.value(2)
+        if c0:
+            lhs += c0 * table.value(0)
 
     def boundary(x: float) -> float:
         jk = _j_list(k, alpha * x)[k]

@@ -682,8 +682,8 @@ def antiderivative(
     return table.value(spec.n)
 
 
-#: relative room above the bound of ``_power_integral`` that an analytic
-#: segment's value may take, for the rounding of the bound and the value
+#: relative room above a bound of the integral (``_check_envelope``) that an
+#: analytic segment's value may take, for the rounding of the bound and the value
 _ENVELOPE_MARGIN = 1e-8
 
 
@@ -701,6 +701,18 @@ def _power_integral(n: int, a: float, b: float) -> float:
         return math.exp((n + 1) * math.log(a)) * math.expm1((n + 1) * span) / (n + 1)
     except OverflowError:
         return math.inf
+
+
+def _check_envelope(v: float, bound: float, lo: float, hi: float, name: str, room=0.0) -> float:
+    """v, an analytic segment's value over [lo, hi]; QuadratureRecommendedError
+    where it passes ``bound`` (``name``), which bounds it as |j| <= 1, by
+    more than the margin and ``room``: the walk's rounding, not a value."""
+    if abs(v) > bound * (1.0 + _ENVELOPE_MARGIN) + room:
+        raise QuadratureRecommendedError(
+            f"the recursion's value {v:.3g} over [{lo:g}, {hi:g}] exceeds "
+            f"{name} = {bound:.3g}, which bounds the integral as |j| <= 1"
+        )
+    return v
 
 
 def _run_routes(
@@ -805,12 +817,6 @@ def definite_integral(
 
     def difference(lo: float, hi: float) -> float:
         v = antiderivative(spec, hi, lower=lo)
-        bound = _power_integral(spec.n, lo, hi)
-        if abs(v) > bound * (1.0 + _ENVELOPE_MARGIN):
-            raise QuadratureRecommendedError(
-                f"the recursion's value {v:.3g} over [{lo:g}, {hi:g}] exceeds "
-                f"int x^{spec.n} dx = {bound:.3g}, which bounds the integral as |j| <= 1"
-            )
-        return v
+        return _check_envelope(v, _power_integral(spec.n, lo, hi), lo, hi, f"int x^{spec.n} dx")
 
     return _run_routes(spec, a, b, tol, strategy, max_evals, integrand(spec), difference)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from .errors import DomainError, NearDegenerateError
 from .sph_bessel import _j_extended, _j_list
-from .squared_bessel import _path
 from .trig_primitives import TrigChain
 from .types import AntiderivativeValue, IntegralSpec, PointTable, column_plan, finite_result
 
@@ -183,19 +182,6 @@ class KTable(PointTable):
                 row[m] = v / d
 
 
-def _table(spec: IntegralSpec, x: float, closed_forms: bool = True) -> KTable:
-    """point_table's K table for eval_K and closed_K2, which refuse equal
-    scale magnitudes: those belong to the squared family."""
-    alpha, beta = spec.scales
-    if abs(alpha) == abs(beta):
-        raise DomainError(
-            "equal scale magnitudes reduce to the squared family; use eval_H_scaled"
-        )
-    from .mixed_order import point_table  # mixed_order imports this module
-
-    return point_table(spec, x, closed_forms)
-
-
 def eval_K(
     n: int,
     l: int,
@@ -207,19 +193,22 @@ def eval_K(
     """K^n_l(x; alpha, beta) = int x^n j_l(alpha x) j_l(beta x) dx.
 
     Symmetric in (alpha, beta); the table orders the scales, so swapped
-    calls return bit-identical values.  Equal scales (after parity
-    folding) belong to the squared family and are rejected.
+    calls return bit-identical values.  Equal scale magnitudes take the
+    squared family's table (``mixed_order.point_table``): the value is
+    eval_H's times the parity sign (-1)^l of alpha = -beta.
 
     Raises
     ------
     DomainError
-        x outside (0, inf), a zero or non-finite scale, or |alpha| = |beta|.
+        x outside (0, inf), or a zero or non-finite scale.
     NearDegenerateError
         Scales under the degeneracy guard with no series route.
     """
+    from .mixed_order import point_table  # mixed_order imports this module
+
     spec = IntegralSpec("K", n, l, alpha, beta=beta)
-    table = _table(spec, x, closed_forms)
-    return AntiderivativeValue(table.value(spec.n), _path(table, spec.l))
+    table = point_table(spec, x, closed_forms)
+    return AntiderivativeValue(table.value(spec.n), table.path)
 
 
 @finite_result
@@ -229,9 +218,15 @@ def closed_K2(l: int, x: float, alpha: float, beta: float) -> AntiderivativeValu
         K^2_l = x^2 / (a^2 - b^2) [b j_l(ax) j_{l-1}(bx) - a j_{l-1}(ax) j_l(bx)]
 
     valid for l >= 1 directly and for l = 0 with j_{-1}(x) = cos(x)/x.
+    Its denominator vanishes at equal scale magnitudes, which it refuses.
     """
+    from .mixed_order import point_table  # mixed_order imports this module
+
     spec = IntegralSpec("K", 2, l, alpha, beta=beta)
-    t = _table(spec, x)
+    if abs(spec.alpha) == abs(spec.beta):
+        raise DomainError("K2 divides by alpha^2 - beta^2, which vanishes at equal "
+                          "scale magnitudes; use eval_H")
+    t = point_table(spec, x)
     return AntiderivativeValue(
         t.sign * _closed_K2(spec.l, t.x, t.a, t.b, t.jta, t.jtb), "closed:K2"
     )

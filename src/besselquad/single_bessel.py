@@ -78,38 +78,28 @@ class ITable(PointTable):
         return total + coef * self._X(n - l - 1)
 
 
-def eval_I(n: int, l: int, x: float, closed_forms: bool = True) -> AntiderivativeValue:
-    """I^n_l(x) = int x^n j_l(x) dx (see AntiderivativeValue for the
-    constant of integration).
+def eval_I(
+    n: int, l: int, x: float, alpha: float = 1.0, closed_forms: bool = True
+) -> AntiderivativeValue:
+    """int x^n j_l(alpha x) dx = alpha^(-n-1) I^n_l(alpha x) (see
+    AntiderivativeValue for the constant of integration), for l >= 0,
+    0 < x < inf and nonzero alpha; a negative alpha folds through
+    parity, j_l(-u) = (-1)^l j_l(u).
 
-    Parameters
-    ----------
-    n : int
-        Monomial exponent.
-    l : int
-        Bessel order, l >= 0.
-    x : float
-        Evaluation point, 0 < x < inf.
-    closed_forms : bool
-        Stop the recursion once a vanishing coefficient kills every
-        deeper term (the default): I's closed form, as a stop at the
-        first step is I3.  With closed_forms=False the walk always
-        reaches the trigonometric base; the two paths agree because the
-        skipped terms carry an exact zero factor.
-    """
-    spec = IntegralSpec("I", n, l)
-    table = ITable(spec.l, check_point(x), 1.0, closed_forms)
-    return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
-
-
-def eval_I_scaled(n: int, l: int, x: float, alpha: float) -> AntiderivativeValue:
-    """int x^n j_l(alpha x) dx = alpha^(-n-1) I^n_l(alpha x).
-
-    Negative alpha folds through parity, j_l(-u) = (-1)^l j_l(u).
+    closed_forms stops the recursion once a vanishing coefficient kills
+    every deeper term (the default): I's closed form, as a stop at the
+    first step is I3.  With closed_forms=False the walk always reaches
+    the trigonometric base; the two paths agree because the skipped
+    terms carry an exact zero factor.
     """
     spec = IntegralSpec("I", n, l, alpha)
-    table = ITable(spec.l, check_point(x), spec.alpha)
-    return AntiderivativeValue(table.value(spec.n), "recursion" if spec.l else "base")
+    table = ITable(spec.l, check_point(x), spec.alpha, closed_forms)
+    return AntiderivativeValue(table.value(spec.n), table.path)
+
+
+#: the former name of the scaled evaluator: perfbench/spans.py traces it,
+#: until ROADMAP item 5a retires it with those spans
+eval_I_scaled = eval_I
 
 
 @finite_result

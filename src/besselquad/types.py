@@ -42,22 +42,26 @@ class AntiderivativeValue:
     """A real antiderivative value, together with the evaluation path
     that produced it.
 
-    The ``path`` string records which route was taken ("recursion",
-    "closed:H3", "base", ...).  Each route fixes its constant of
-    integration, the same at every x, and the route depends only on the
-    spec and ``closed_forms``: so definite integrals are differences of
-    two values taken with the same arguments.  The constants come from
-    the trig anchors (``trig_primitives``: X_m(0) = Y_m(0) = 0 for
-    m >= 0, X_m, Y_m -> 0 at infinity for m < 0) carried through the
-    recursions, and from the printed closed forms, which carry none of
-    their own.  They are not one rule for every spec: I^n_l is
-    int_0^x minus DLMF 10.22.43's int_0^inf in most cells, but int_0^x
-    where n > l and n - l is odd; H^0_l is int_0^x - pi / (2 (2l + 1));
-    and routes of one spec can differ by a constant, as the closed form
-    H1 sits 1 / (2l (l + 1)) above the recursion's -int_x^inf.  The
-    constant cancels from a table across a pair of points (a, b), whose
-    value is F(b) - F(a) from one walk (``PointTable``); the
-    public evaluators that return this record take one point.
+    The ``path`` string records which route was taken.  A family
+    evaluator reports its table's route (``PointTable.path``): "base",
+    "recursion", "recursion+closed", "recursion+exponent" or
+    "equal-args"; a printed formula reports "closed:<name>", as
+    "closed:H3", and ``base_L01_equal`` "base".  Each route fixes its
+    constant of integration, the same at every x, and the route depends
+    only on the spec and ``closed_forms``: so definite integrals are
+    differences of two values taken with the same arguments.  The
+    constants come from the trig anchors (``trig_primitives``: X_m(0) =
+    Y_m(0) = 0 for m >= 0, X_m, Y_m -> 0 at infinity for m < 0) carried
+    through the recursions, and from the printed closed forms, which
+    carry none of their own.  They are not one rule for every spec:
+    I^n_l is int_0^x minus DLMF 10.22.43's int_0^inf in most cells, but
+    int_0^x where n > l and n - l is odd; H^0_l is
+    int_0^x - pi / (2 (2l + 1)); and routes of one spec can differ by a
+    constant, as the closed form H1 sits 1 / (2l (l + 1)) above the
+    recursion's -int_x^inf.  The constant cancels from a table across a
+    pair of points (a, b), whose value is F(b) - F(a) from one walk
+    (``PointTable``); the public evaluators that return this record take
+    one point.
     """
 
     value: float
@@ -329,6 +333,18 @@ class PointTable:
     __slots__ = ()
     family = ""
     scale = 1.0
+    used_closed = used_band = False  # set by the H and K walks
+
+    @property
+    def path(self) -> str:
+        """The route of the walk so far, which every family evaluator
+        reports: "base" at order 0, "recursion+exponent" after H's band,
+        "recursion+closed" after a closed cell, else "recursion"."""
+        if not self.orders[-1]:
+            return "base"
+        if self.used_band:
+            return "recursion+exponent"
+        return "recursion+closed" if self.used_closed else "recursion"
 
     def value(self, n: int) -> float:
         """int x^n (the table's Bessel product) dx at the table's point,

@@ -26,7 +26,9 @@ import math
 from dataclasses import replace
 
 from .errors import DomainError, QuadratureRecommendedError
-from .quadrature import DEFAULT_TOL, MAX_EVALS, _run_routes, antiderivative, bessel_product
+from .quadrature import (
+    DEFAULT_TOL, MAX_EVALS, _check_envelope, _run_routes, antiderivative, bessel_product,
+)
 from .types import (
     DefiniteResult, IntegralSpec, PiecewisePolynomial, check_integer, check_limits, check_real_array,
 )
@@ -193,9 +195,10 @@ def weighted_integral(
     factors: quadrature below the first-zero threshold, the analytic sum
     above it, quadrature over the whole interval past AMPLIFICATION_GUARD,
     and quadrature where the analytic route refuses.  It refuses
-    near-degenerate scales, a walk that overflows, and a sum whose
-    rounding, eps times the sum of |c_m (F_m(hi) - F_m(lo))|, passes the
-    tolerance: the global monomials cancel far from the origin.  The
+    near-degenerate scales, a walk that overflows, a sum whose rounding,
+    eps times the sum of |c_m (F_m(hi) - F_m(lo))|, passes the tolerance
+    (the global monomials cancel far from the origin), and, as
+    definite_integral does, a sum past a bound of int |f| dx.  The
     record's reason names the refusal.
 
     The analytic route over [lo, hi] is the sum of c_m (F_m(hi) - F_m(lo))
@@ -240,8 +243,14 @@ def weighted_integral(
     def difference(lo: float, hi: float) -> float:
         total = 0.0
         spread = 0.0  # the sum of |c_m (F_m(hi) - F_m(lo))|
+        envelope = 0.0  # a bound of int_lo^hi |f| dx: width times max |f| per piece
         for i, p_lo, p_hi in _pieces(f, lo, hi):
-            for m, cm in enumerate(_global_coeffs(f.coefficients[i], f.breakpoints[i])):
+            local, left = f.coefficients[i], f.breakpoints[i]
+            h, size = p_hi - left, 0.0  # sum_d |c_d| h^d >= |f| on the piece, by Horner
+            for c in reversed(local):
+                size = size * h + abs(c)
+            envelope += (p_hi - p_lo) * size
+            for m, cm in enumerate(_global_coeffs(local, left)):
                 if cm == 0.0:
                     continue
                 term = cm * (F(m, p_hi) - F(m, p_lo))
@@ -255,7 +264,8 @@ def weighted_integral(
                 f"the monomial sum over [{lo:g}, {hi:g}] cancels: its rounding, eps times the "
                 f"sum of |c_m (F_m(hi) - F_m(lo))|, is {rounding:.3g}, above the tolerance {bound:.3g}"
             )
-        return total
+        # |j| <= 1 bounds the sum by int |f| dx, up to the rounding allowed above
+        return _check_envelope(total, envelope, lo, hi, "a bound of int |f| dx", bound)
 
     return _run_routes(
         spec, a, b, tol, "auto", MAX_EVALS, _integrand(f, spec.factors), difference, f.breakpoints

@@ -25,9 +25,7 @@ from besselquad import (
     closed_L_equal,
     definite_integral,
     eval_H,
-    eval_H_scaled,
     eval_I,
-    eval_I_scaled,
     eval_K,
     eval_L,
     integrand,
@@ -90,9 +88,9 @@ BAD_POINTS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 #: every public evaluator that takes a point, as a function of it
 AT_POINT = {
     "eval_I": lambda x: eval_I(0, 2, x),
-    "eval_I_scaled": lambda x: eval_I_scaled(0, 2, x, 1.3),
+    "eval_I scaled": lambda x: eval_I(0, 2, x, 1.3),
     "eval_H": lambda x: eval_H(0, 2, x),
-    "eval_H_scaled": lambda x: eval_H_scaled(0, 2, x, 1.3),
+    "eval_H scaled": lambda x: eval_H(0, 2, x, 1.3),
     "eval_K": lambda x: eval_K(0, 1, x, 1.0, 2.0),
     "eval_L": lambda x: eval_L(0, 1, 2, x, 1.0, 2.0),
     "eval_L equal scales": lambda x: eval_L(0, 1, 2, x, 1.0, 1.0),
@@ -116,8 +114,8 @@ AT_POINT = {
 
 #: every public evaluator that takes a scale, as a function of one
 WITH_SCALE = {
-    "eval_I_scaled": lambda s: eval_I_scaled(0, 2, 3.0, s),
-    "eval_H_scaled": lambda s: eval_H_scaled(0, 2, 3.0, s),
+    "eval_I": lambda s: eval_I(0, 2, 3.0, s),
+    "eval_H": lambda s: eval_H(0, 2, 3.0, s),
     "eval_K alpha": lambda s: eval_K(0, 1, 3.0, s, 2.0),
     "eval_K beta": lambda s: eval_K(0, 1, 3.0, 1.0, s),
     "eval_L alpha": lambda s: eval_L(0, 1, 2, 3.0, s, 2.0),
@@ -154,9 +152,9 @@ class TestNonFiniteArgument:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: eval_I_scaled(0, 2, 1e300, 1e10),
+            lambda: eval_I(0, 2, 1e300, 1e10),
             lambda: eval_K(0, 1, 1e300, 1e10, 2.0),
-            lambda: eval_H_scaled(0, 1, 1e308, 1.0),
+            lambda: eval_H(0, 1, 1e308, 1.0),
             lambda: eval_K(0, 1, 1e308, 1.0, 1.5),
         ],
         ids=["I u", "K alpha x", "H 2u", "K (a+b) x"],
@@ -252,7 +250,7 @@ class TestDeepRecursions:
     def test_scale_power_overflow(self):
         # alpha^(-n-1) alone passes the float range
         with pytest.raises(DomainError, match=r"I .*n = 50, orders \(0,\)"):
-            eval_I_scaled(50, 0, 1.0, 1e-10)
+            eval_I(50, 0, 1.0, 1e-10)
 
 
 def _count_j_many(monkeypatch):

@@ -32,9 +32,9 @@ EVALUATORS = {
     },
     "closed_K2": lambda n, x: bq.closed_K2(n, x, 1.3, 0.7),
     "eval_I": lambda n, x: bq.eval_I(n, 3, x),
-    "eval_I_scaled": lambda n, x: bq.eval_I_scaled(n, 3, x, 1.3),
+    "eval_I[scaled]": lambda n, x: bq.eval_I(n, 3, x, 1.3),
     "eval_H": lambda n, x: bq.eval_H(n, 3, x),
-    "eval_H_scaled": lambda n, x: bq.eval_H_scaled(n, 3, x, 1.3),
+    "eval_H[scaled]": lambda n, x: bq.eval_H(n, 3, x, 1.3),
     "eval_K": lambda n, x: bq.eval_K(n, 2, x, 1.3, 0.7),
     "eval_L": lambda n, x: bq.eval_L(n, 1, 3, x, 1.3, 0.7),
     "eval_L[closure]": lambda n, x: bq.eval_L(n, 1, 2, x, 1.3, 0.7),

@@ -74,9 +74,12 @@ class TestGeneralEvaluation:
         assert v1 == v2
 
     def test_k_equals_l_delegates(self):
-        # same order goes through the K engine, equal scales through H
-        assert eval_L(2, 3, 3, 8.0, 1.0, 2.0).path == "same-order"
-        assert eval_L(2, 3, 3, 8.0, 1.5, 1.5).path == "equal-args"
+        # same order goes through the K engine, equal scales through H,
+        # and the path is the route of that engine's table (K2, H3)
+        assert eval_L(2, 3, 3, 8.0, 1.0, 2.0) == eval_K(2, 3, 8.0, 1.0, 2.0)
+        assert eval_L(2, 3, 3, 8.0, 1.5, 1.5) == eval_H(2, 3, 8.0, 1.5)
+        assert eval_L(2, 3, 3, 8.0, 1.0, 2.0).path == "recursion+closed"
+        assert eval_L(2, 3, 3, 8.0, 1.5, 1.5).path == "recursion+closed"
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

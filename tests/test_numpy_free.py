@@ -36,8 +36,8 @@ def analytic():
         out.append(r.value)
     x = 7.5
     out += [
-        bq.eval_I(2, 3, x).value, bq.eval_I_scaled(2, 3, x, -1.3).value,
-        bq.eval_H(0, 4, x).value, bq.eval_H_scaled(-1, 4, x, 0.9, False).value,
+        bq.eval_I(2, 3, x).value, bq.eval_I(2, 3, x, -1.3).value,
+        bq.eval_H(0, 4, x).value, bq.eval_H(-1, 4, x, 0.9, False).value,
         bq.eval_K(1, 3, x, 1.3, 0.7).value, bq.eval_L(0, 1, 4, x, 1.3, 0.7).value,
         bq.eval_L(0, 1, 4, x, 1.0, 1.0).value,
         bq.eval_L(0, 2, 3, x, 1.3, 0.7).value,

@@ -9,9 +9,8 @@ import pytest
 from besselquad import (
     BesselQuadError,
     IntegralSpec,
-    eval_H_scaled,
+    eval_H,
     eval_I,
-    eval_I_scaled,
     eval_K,
     eval_L,
 )
@@ -52,10 +51,10 @@ def _public(spec, x, closed_forms):
     """The family's own public evaluator, which builds a fresh table."""
     n = spec.n
     if spec.family == "I":
-        return eval_I_scaled(n, spec.l, x, spec.alpha).value
+        return eval_I(n, spec.l, x, spec.alpha).value
     if spec.family == "H":
-        return eval_H_scaled(n, spec.l, x, spec.alpha, closed_forms).value
-    if spec.family == "K" and abs(spec.alpha) != abs(spec.beta):
+        return eval_H(n, spec.l, x, spec.alpha, closed_forms).value
+    if spec.family == "K":
         return eval_K(n, spec.l, x, spec.alpha, spec.beta, closed_forms).value
     k = spec.orders[0]
     return eval_L(n, k, spec.l, x, spec.alpha, spec.beta, closed_forms).value
@@ -91,7 +90,36 @@ def test_equal_magnitude_K_gets_the_H_table_with_the_parity_sign():
     table = point_table(IntegralSpec("K", 0, 3, 1.2, beta=-1.2), x)
     assert isinstance(table, HTable) and table.sign == -1.0
     for n in EXPONENTS:
-        assert table.value(n) == -eval_H_scaled(n, 3, x, 1.2).value
+        assert table.value(n) == -eval_H(n, 3, x, 1.2).value
+
+
+@pytest.mark.parametrize(
+    "spec, path",
+    [
+        (IntegralSpec("H", 0, 3, 1.2), "recursion+exponent"),  # the band
+        (IntegralSpec("H", 2, 3, 1.2), "recursion+closed"),  # H3
+        (IntegralSpec("H", -3, 3, 1.2), "recursion+closed"),  # the triangle, H2 at l = 2
+        (IntegralSpec("H", -7, 3, 1.2), "recursion"),  # the triangle
+        (IntegralSpec("H", 0, 0, 1.2), "base"),
+        (IntegralSpec("K", 0, 3, 1.2, beta=-1.2), "recursion+exponent"),  # H's table
+        (IntegralSpec("K", 2, 3, 1.2, beta=0.7), "recursion+closed"),  # K2
+        (IntegralSpec("K", 1, 3, 1.2, beta=0.7), "recursion"),
+        (IntegralSpec("L", 1, 3, 1.2, k=1, beta=0.7), "recursion"),
+        (IntegralSpec("L", 1, 3, 1.2, k=1, beta=1.2), "equal-args"),
+    ],
+    ids=repr,
+)
+def test_one_table_one_route(spec, path):
+    # each evaluator that reaches a table reports that table's route
+    x, n, (k, alpha), (l, beta) = 9.0, spec.n, *spec.factors[-2:]
+    table = point_table(spec, x)
+    table.value(n)
+    paths = {table.path, eval_L(n, k, l, x, alpha, beta).path}
+    if spec.family == "H":
+        paths.add(eval_H(n, l, x, alpha).path)
+    if k == l:
+        paths.add(eval_K(n, l, x, alpha, beta).path)
+    assert paths == {path}
 
 
 @pytest.mark.parametrize("route", ["point_table", "antiderivative"])

@@ -10,8 +10,9 @@ from besselquad import (
     NearDegenerateError,
     adaptive_quad,
     closed_K2,
-    eval_H_scaled,
+    eval_H,
     eval_K,
+    eval_L,
     first_zero_estimate,
     j,
     j_many,
@@ -86,12 +87,16 @@ class TestBaseCase:
 
 
 class TestDegeneracy:
-    def test_equal_scales_rejected(self):
-        with pytest.raises(DomainError):
-            eval_K(0, 0, 1.0, 2.0, 2.0)
-        # alpha = -beta has equal magnitudes after parity folding
-        with pytest.raises(DomainError):
-            eval_K(0, 2, 1.0, 2.0, -2.0)
+    @pytest.mark.parametrize("l", [2, 3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_equal_magnitudes_take_the_squared_table(self, l, sign):
+        # alpha = -beta has equal magnitudes after parity folding: eval_H
+        # times (-1)^l, bitwise, as eval_L at equal orders gives
+        parity = sign ** l
+        for n in (-3, 0, 2):
+            got = eval_K(n, l, 8.0, 1.5, sign * 1.5).value
+            assert got == parity * eval_H(n, l, 8.0, 1.5).value
+            assert got == eval_L(n, l, l, 8.0, 1.5, sign * 1.5).value
 
     def test_guard_with_no_series_route(self):
         with pytest.raises(NearDegenerateError):
@@ -109,8 +114,8 @@ class TestDegeneracy:
             a, b = 1.0, 10.0
             kv = diff(n, l, a, b, alpha, alpha * (1 + eps))
             hv = (
-                eval_H_scaled(n, l, b, alpha).value
-                - eval_H_scaled(n, l, a, alpha).value
+                eval_H(n, l, b, alpha).value
+                - eval_H(n, l, a, alpha).value
             )
             assert abs(kv - hv) / abs(hv) < 5e-3
 

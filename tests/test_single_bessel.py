@@ -2,12 +2,12 @@ import math
 
 import pytest
 
+import besselquad as bq
 from besselquad import (
     DomainError,
     adaptive_quad,
     closed_I,
     eval_I,
-    eval_I_scaled,
     first_zero_estimate,
     j,
     j_many,
@@ -57,39 +57,43 @@ class TestBaseCases:
 class TestScaled:
     def test_substitution_identity(self):
         # int_0^{pi/2} j_0(2x) dx = Si(pi)/2
-        got = eval_I_scaled(0, 0, math.pi / 2, 2.0).value - eval_I_scaled(0, 0, 1e-12, 2.0).value
+        got = eval_I(0, 0, math.pi / 2, 2.0).value - eval_I(0, 0, 1e-12, 2.0).value
         assert got == pytest.approx(SI_PI / 2, rel=1e-10)
 
     def test_alpha_one_is_identity(self):
         for (n, l, x) in [(0, 0, 3.0), (2, 4, 11.0), (-1, 2, 7.0)]:
-            assert eval_I_scaled(n, l, x, 1.0).value == eval_I(n, l, x).value
+            assert eval_I(n, l, x, 1.0).value == eval_I(n, l, x).value
 
     def test_negative_alpha_even_order(self):
         # x^2 j_0(-x) = x^2 j_0(x)
-        got = eval_I_scaled(2, 0, 5.0, -1.0).value - eval_I_scaled(2, 0, 1.0, -1.0).value
+        got = eval_I(2, 0, 5.0, -1.0).value - eval_I(2, 0, 1.0, -1.0).value
         assert got == pytest.approx(oracle(2, 0, 1.0, 5.0), rel=1e-10)
 
     def test_negative_alpha_odd_order(self):
-        got = eval_I_scaled(1, 1, 6.0, -1.0).value - eval_I_scaled(1, 1, 2.0, -1.0).value
+        got = eval_I(1, 1, 6.0, -1.0).value - eval_I(1, 1, 2.0, -1.0).value
         assert got == pytest.approx(-oracle(1, 1, 2.0, 6.0), rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.7])
     @pytest.mark.parametrize("n,l", [(0, 0), (1, 2), (-1, 3), (3, 5)])
     def test_scaled_against_oracle(self, alpha, n, l):
         a, b = 1.0, 30.0
-        got = eval_I_scaled(n, l, b, alpha).value - eval_I_scaled(n, l, a, alpha).value
+        got = eval_I(n, l, b, alpha).value - eval_I(n, l, a, alpha).value
         want = oracle(n, l, a, b, alpha)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, -1.3])
     def test_order_zero_path_is_base(self, alpha):
         # the l = 0 value is the trig base itself, as in eval_I
-        assert eval_I_scaled(0, 0, 2.0, alpha).path == eval_I(0, 0, 2.0).path == "base"
-        assert eval_I_scaled(0, 1, 2.0, alpha).path == "recursion"
+        assert eval_I(0, 0, 2.0, alpha).path == eval_I(0, 0, 2.0).path == "base"
+        assert eval_I(0, 1, 2.0, alpha).path == "recursion"
+
+    def test_former_name_is_the_evaluator(self):
+        assert bq.eval_I_scaled is eval_I
+        assert bq.eval_H_scaled is bq.eval_H
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(DomainError):
-            eval_I_scaled(0, 0, 1.0, 0.0)
+            eval_I(0, 0, 1.0, 0.0)
 
 
 class TestClosedForms:
@@ -158,13 +162,14 @@ class TestTruncation:
         assert not truncates_early(2, 1)  # l+n odd required
         assert not truncates_early(3, 2)  # n <= l-1 required
 
+    @pytest.mark.parametrize("alpha", [1.0, -1.7])
     @pytest.mark.parametrize(
         "n,l",
         [(n, l) for l in range(0, 9) for n in range(-10, 11) if truncates_early(n, l)],
     )
-    def test_truncated_equals_full_path(self, n, l):
-        a = first_zero_estimate(l)
+    def test_truncated_equals_full_path(self, n, l, alpha):
+        a = first_zero_estimate(l) / abs(alpha)
         b = a + 20.0
-        t = eval_I(n, l, b, closed_forms=True).value - eval_I(n, l, a, closed_forms=True).value
-        f = eval_I(n, l, b, closed_forms=False).value - eval_I(n, l, a, closed_forms=False).value
+        t = eval_I(n, l, b, alpha, True).value - eval_I(n, l, a, alpha, True).value
+        f = eval_I(n, l, b, alpha, False).value - eval_I(n, l, a, alpha, False).value
         assert abs(t - f) <= 1e-11 * max(1.0, abs(f))

@@ -8,7 +8,6 @@ from besselquad import (
     adaptive_quad,
     closed_H,
     eval_H,
-    eval_H_scaled,
     first_zero_estimate,
     j,
     j_many,
@@ -55,23 +54,23 @@ class TestBaseCases:
 class TestScaled:
     def test_alpha_one_identity(self):
         for (n, l, x) in [(1, 0, 2.0), (2, 3, 9.0), (-1, 2, 14.0)]:
-            assert eval_H_scaled(n, l, x, 1.0).value == eval_H(n, l, x).value
+            assert eval_H(n, l, x, 1.0).value == eval_H(n, l, x).value
 
     def test_scaled_against_oracle(self):
         got = (
-            eval_H_scaled(2, 1, 10.0, 2.0).value - eval_H_scaled(2, 1, 0.5, 2.0).value
+            eval_H(2, 1, 10.0, 2.0).value - eval_H(2, 1, 0.5, 2.0).value
         )
         assert got == pytest.approx(oracle(2, 1, 0.5, 10.0, 2.0), rel=1e-9)
 
     def test_even_in_alpha(self):
         for x in (0.7, 4.0, 22.0):
-            plus = eval_H_scaled(2, 3, x, 2.0).value
-            minus = eval_H_scaled(2, 3, x, -2.0).value
+            plus = eval_H(2, 3, x, 2.0).value
+            minus = eval_H(2, 3, x, -2.0).value
             assert plus == minus
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(DomainError):
-            eval_H_scaled(0, 0, 1.0, 0.0)
+            eval_H(0, 0, 1.0, 0.0)
 
 
 class TestClosedForms:

@@ -369,6 +369,25 @@ class TestFarFromTheOrigin:
         assert r.segments == (("recursion", x0, x0 + 40.0),)
 
 
+class TestMagnitudeBound:
+    """|j| <= 1 bounds the analytic sum by int |f| dx; a walk that loses
+    its digits past that bound refuses, and quadrature covers the
+    interval, as definite_integral's segment does under int x^n dx."""
+
+    @pytest.mark.parametrize("k, want", [(150, 3.163997813301858e-05), (148, -1.3120921616819945e-05)])
+    def test_sum_past_the_bound_falls_back_to_quadrature(self, k, want):
+        a, b = 163.8725, 363.8725
+        pp = build_interpolant([(a, 1.0), (a + 100.0, 1.0), (b, 1.0)], degree=1)
+        r = weighted.weighted_integral(pp, 150, 1.0, a, b, k=k, beta=1.3)
+        family, order = ("K", None) if k == 150 else ("L", k)
+        ref = definite_integral(IntegralSpec(family, 0, 150, 1.0, k=order, beta=1.3), a, b)
+        assert ref.value == want
+        assert abs(r.value - ref.value) <= 1e-10
+        assert r.segments == (("quadrature", a, b),)
+        assert "recursion refused (QuadratureRecommendedError: the recursion's value" in r.reason
+        assert "exceeds a bound of int |f| dx = 200" in r.reason
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_samples(self, bad):

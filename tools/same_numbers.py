@@ -12,8 +12,9 @@ measured with this one file.  It records
 * every input of the four pools in ``perfbench/reference/*.json`` (only
   read), through ``definite_integral`` or ``weighted_integral``: value,
   error estimate, evaluations, convergence, reason and segments;
-* ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``,
-  ``eval_K`` and ``eval_L`` (equal and near-degenerate scales included)
+* ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``
+  (``eval_H``'s former name, the one both trees of a compare across the
+  merge of the two have), ``eval_K`` and ``eval_L`` (equal and near-degenerate scales included)
   in both ``closed_forms`` modes, of ``eval_L`` at
   adjacent orders ``max(l, 1) - 1`` and ``max(l, 1)`` and positive
   scales with ``closed_forms`` True (the closure, key ``A``) and False
@@ -107,8 +108,7 @@ def _result(r) -> dict:
         "error_estimate": _hex(r.error_estimate),
         "evaluations": r.evaluations,
         "converged": r.converged,
-        # an older tree keeps the reason in r.strategy, so one tool records both
-        "reason": r.reason if hasattr(r, "reason") else r.strategy.reason,
+        "reason": r.reason,
         "segments": [[route, _hex(lo), _hex(hi)] for route, lo, hi in r.segments],
     }
 
