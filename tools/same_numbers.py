@@ -13,9 +13,9 @@ measured with this one file.  It records
   read), through ``definite_integral`` or ``weighted_integral``: value,
   error estimate, evaluations, convergence, reason and segments;
 * ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``
-  (``eval_H``'s former name, the one both trees of a compare across the
-  merge of the two have), ``eval_K`` and ``eval_L`` (equal and near-degenerate scales included)
-  in both ``closed_forms`` modes, of ``eval_L`` at
+  (``eval_H``'s former name, which trees on both sides of the merge of
+  the two have), ``eval_K`` and ``eval_L`` (equal and near-degenerate
+  scales included) in both ``closed_forms`` modes, of ``eval_L`` at
   adjacent orders ``max(l, 1) - 1`` and ``max(l, 1)`` and positive
   scales with ``closed_forms`` True (the closure, key ``A``) and False
   (the ladder, key ``R``), and of per-point tables asked several
