@@ -124,11 +124,13 @@ class LTable(PointTable):
     the bottom: the K walks the adjacent cells at order k + 1 read, the
     adjacent cells, the K cells of order k, then the levels k + 2..l.
     Only the adjacent cells read the points; the levels above them take
-    no term of their own.
+    no term of their own.  The path is "recursion+closed" once the walk
+    has read an adjacent closure or a K2 cell.
     """
 
     __slots__ = (
         "x", "lower", "orders", "k", "a", "b", "sign", "closed_forms", "kt", "jta", "jtb", "rows",
+        "used_closed",
     )
     family = "L"
 
@@ -147,6 +149,7 @@ class LTable(PointTable):
         self.orders = (k, l)
         self.sign = sign
         self.closed_forms = closed_forms
+        self.used_closed = False
         self.kt = kt = KTable(x, a, b, l, closed_forms, 1.0, lower)
         self.jta, self.jtb = (kt.jta, kt.jtb) if a >= b else (kt.jtb, kt.jta)
         self.lower = kt.lower
@@ -164,6 +167,7 @@ class LTable(PointTable):
             if lower is not None:
                 jta, jtb = (lower.jta, lower.jtb) if a >= b else (lower.jtb, lower.jta)
                 edge -= lower.x ** (m + 1) * jta[k] * jtb[k + 1]
+            self.used_closed = True
             return _closure(m, k, a, b, edge, kt)
         return _adjacent_ladder(m, k, a, b, kt)
 
@@ -185,6 +189,7 @@ class LTable(PointTable):
                 adjacent[m] = self._adjacent(m)
         if k in runs:
             kt.fill(k, *runs[k])
+        self.used_closed = self.used_closed or kt.used_closed
         b = self.b
         for lam in range(k + 2, top + 1):
             row, below, below2 = rows[lam], rows[lam - 1], rows[lam - 2]
@@ -208,7 +213,7 @@ def _plan(lo: int, hi: int, l: int, k: int, closed_forms: bool) -> tuple:
     orders; each run of these is one walk.  At k = 0 the adjacent cells
     are L01 bases, which read no K cell.
     """
-    runs = sweep.__wrapped__(l, lo, hi, None, _STEP, k + 1)  # the plan is kept
+    runs = sweep(l, lo, hi, None, _STEP, k + 1)
     a, b = runs[k + 1]
     cells = range(a, b + 1, 2)
     asks = []
@@ -297,7 +302,7 @@ def closed_L_equal(kind: str, k: int, l: int, x: float) -> AntiderivativeValue:
     return AntiderivativeValue(_closed_L_equal(kind, k, l, x, jt), f"closed:{kind}")
 
 
-def _equal_closed_kind(m: int, k: int, lam: int) -> str | None:
+def _closed_kind_equal(m: int, k: int, lam: int) -> str | None:
     if m == 0 and k != lam:
         return "L1"
     if m == -1 and k + lam >= 1 and abs(k - lam) != 1:
@@ -311,12 +316,28 @@ def _equal_closed_kind(m: int, k: int, lam: int) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=64)
-def _equal_closed(k: int):
-    """The closed cells of the equal-argument walks above order k, those
-    of the five printed closed forms.  One predicate per k, so that plans
-    are cached by it."""
-    return lambda m, lam: _equal_closed_kind(m, k, lam) is not None
+@functools.lru_cache(maxsize=256)
+def _equal_plan(lo: int, hi: int, l: int, k: int, closed_forms: bool) -> tuple:
+    """(run, closed_cells, cells): the plan of LEqualTable's fill of the
+    cells lo..hi of level l > k, from the sweep of the equal-argument
+    recursion down to order k (an adjacent cell needs H^{m-1}_k).  ``run``
+    is the sweep's run of order k, None when it has none; ``closed_cells``
+    holds (m, lam, kind) for each cell above order k that one of the five
+    printed closed forms gives, and ``cells`` (m, lam) for the rest, which
+    the recursion computes; both level by level, lowest exponent first.
+    """
+    closed = (lambda m, lam: _closed_kind_equal(m, k, lam)) if closed_forms else None
+    runs = sweep(l, lo, hi, closed, _STEP, k)
+    closed_cells, cells = [], []
+    for lam in range(k + 1, l + 1):
+        a, b = runs.get(lam, (0, -2))
+        for m in range(a, b + 1, 2):
+            kind = closed(m, lam) if closed else None
+            if kind:
+                closed_cells.append((m, lam, kind))
+            else:
+                cells.append((m, lam))
+    return runs.get(k), tuple(closed_cells), tuple(cells)
 
 
 class LEqualTable(PointTable):
@@ -330,7 +351,7 @@ class LEqualTable(PointTable):
     ``sign``, the parity sign of the caller's unfolded scales.
 
     The walk is LTable's, planned from the same recursion with the cells
-    of the five closed forms closed (``_equal_closed``); H cells stand in
+    of the five closed forms closed (``_equal_plan``); H cells stand in
     for the K cells.
     """
 
@@ -365,38 +386,32 @@ class LEqualTable(PointTable):
 
     def fill(self, top: int, lo: int, hi: int) -> None:
         """Store the cells lo..hi (in steps of 2) of level ``top`` > k and
-        every cell they need, as ``types.sweep`` plans them for the
-        equal-argument recursion: the order-k H cells in one H walk, then
-        the levels k + 1..top upwards, closed cells by their closed forms."""
-        k, ht, rows, closed = self.k, self.ht, self.rows, self.closed_forms
+        every cell they need, as ``_equal_plan`` plans them: the order-k H
+        cells in one H walk, the closed cells by their closed forms, then
+        the levels k + 1..top upwards by the recursion."""
+        k, ht, rows = self.k, self.ht, self.rows
         u, jt, lower = ht.u, ht.jt, ht.lower
-        # down to order k, as an adjacent cell needs the H cell H^{m-1}_k
-        # (the run the sweep leaves at order k - 1 is not read)
-        runs = sweep(top, lo, hi, _equal_closed(k) if closed else None, _STEP, k)
-        if k in runs:
-            ht.fill(k, *runs[k])
-        jk = jt[k]
-        for lam in range(k + 1, top + 1):
-            if lam not in runs:
-                continue
-            lo, hi = runs[lam]
-            row, below, below2 = rows[lam], rows[lam - 1], rows[lam - 2]
-            for m in range(lo, hi + 1, 2):
-                if m in row:
-                    continue
-                kind = _equal_closed_kind(m, k, lam) if closed else None
-                if kind is not None:
-                    v = _closed_L_equal(kind, k, lam, u, jt)
-                    if lower is not None:
-                        v -= _closed_L_equal(kind, k, lam, lower.u, lower.jt)
-                elif lam == k + 1:
-                    # adjacent orders through the squared family
-                    v = (k + 0.5 * m) * below[m - 1] - 0.5 * u**m * jk**2
-                    if lower is not None:
-                        v += 0.5 * lower.u**m * lower.jt[k] ** 2
-                else:
-                    v = (2 * lam - 1) * below[m - 1] - below2[m]
+        run, closed_cells, cells = _equal_plan(lo, hi, top, k, self.closed_forms)
+        if run is not None:
+            ht.fill(k, *run)
+        for m, lam, kind in closed_cells:
+            row = rows[lam]
+            if m not in row:
+                v = _closed_L_equal(kind, k, lam, u, jt)
+                if lower is not None:
+                    v -= _closed_L_equal(kind, k, lam, lower.u, lower.jt)
                 row[m] = v
+        for m, lam in cells:
+            row = rows[lam]
+            if m in row:
+                continue
+            if lam == k + 1:  # adjacent orders through the squared family
+                v = (k + 0.5 * m) * rows[k][m - 1] - 0.5 * u**m * jt[k] ** 2
+                if lower is not None:
+                    v += 0.5 * lower.u**m * lower.jt[k] ** 2
+            else:
+                v = (2 * lam - 1) * rows[lam - 1][m - 1] - rows[lam - 2][m]
+            row[m] = v
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +434,16 @@ def point_table(
     (l, beta) when k > l; equal scales then get the equal-argument table
     (the H table when the orders meet too, so K with |alpha| = |beta|
     gets the H table with the parity sign), equal orders the K table,
-    and the rest the general order-lowering table.  spec.n is not read.
+    and the rest the general order-lowering table.  ``closed_forms``
+    reaches the two-factor tables only (I has one route); spec.n is not
+    read.
     """
     x = check_point(x)
     if lower is not None:
         lower = check_point(lower)
     (k, alpha), *rest = spec.factors
     if not rest:
-        return ITable(k, x, alpha, closed_forms, lower)
+        return ITable(k, x, alpha, lower)
     (l, beta), = rest
     sign_a, alpha = parity_fold(k, alpha)
     sign_b, beta = parity_fold(l, beta)

@@ -39,8 +39,8 @@ from .types import AntiderivativeValue, IntegralSpec, PointTable, column_plan, f
 #: relative |alpha - beta| guard below which the base case is hazardous
 DEGENERACY_GUARD = 1e-6
 
-#: the closed cells of K's walks without and with its closed form K^2_lam
-_CLOSED = (None, lambda m, lam: m == 2)
+#: the closed form giving a cell of K's walks, K^2_lam, without and with closed forms
+_CLOSED = (None, lambda m, lam: "K2" if m == 2 else None)
 
 
 def _closed_K2(lam: int, x: float, a: float, b: float, jta, jtb) -> float:
@@ -114,9 +114,9 @@ class KTable(PointTable):
         the walk reaches a base term with a negative trig index, which
         admits no series.  Stored cells at the ends of lo..hi are dropped,
         and stored cells are skipped throughout: their needs are stored
-        too.  Level 0 fills first, lowest exponent first; the levels above
-        fill column by column, each column upwards, so the powers of x are
-        taken once per column."""
+        too: level 0, lowest exponent first; the closed cells, by K2; the
+        recursion column by column, each upwards, taking the powers of x
+        once per column."""
         # base cells reach exponent lo - 2 top, trig index lo - 2 top - 2
         if self._tight and lo - 2 * top - 2 < 0:
             raise NearDegenerateError(
@@ -128,7 +128,7 @@ class KTable(PointTable):
         if lo > hi:
             return
         rows = self.rows
-        bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
+        bases, closed_cells, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
         d, lower = self._d, self.lower
         pair = lower is not None
         row, near, far = rows[0], self.near, self.far
@@ -138,27 +138,25 @@ class KTable(PointTable):
                 if pair:
                     v -= (lower.near.int_cos(m - 2) - lower.far.int_cos(m - 2)) / d
                 row[m] = v
-        if not columns:
-            return
-        x, a, b, s = self.x, self.a, self.b, self._s
-        jta, jtb, ts = self.jta, self.jtb, self._t
+        x, a, b, jta, jtb = self.x, self.a, self.b, self.jta, self.jtb
+        if pair:
+            xl, jtal, jtbl = lower.x, lower.jta, lower.jtb
+        for m, lam, _ in closed_cells:
+            row = rows[lam]
+            if m not in row:
+                v = _closed_K2(lam, x, a, b, jta, jtb)
+                if pair:
+                    v -= _closed_K2(lam, xl, a, b, jtal, jtbl)
+                row[m] = v
+                self.used_closed = True
+        s, ts = self._s, self._t
         for lam in range(len(ts), top + 1):
             ts.append(b * jta[lam - 1] * jtb[lam] + a * jta[lam] * jtb[lam - 1])
         if pair:
-            xl, jtal, jtbl, tsl = lower.x, lower.jta, lower.jtb, lower._t
+            tsl = lower._t
             for lam in range(len(tsl), top + 1):
                 tsl.append(b * jtal[lam - 1] * jtbl[lam] + a * jtal[lam] * jtbl[lam - 1])
-        for m, levels, shut, _ in columns:  # K's closed cells fill whole columns
-            if shut:
-                for lam in levels:
-                    row = rows[lam]
-                    if m not in row:
-                        v = _closed_K2(lam, x, a, b, jta, jtb)
-                        if pair:
-                            v -= _closed_K2(lam, xl, a, b, jtal, jtbl)
-                        row[m] = v
-                        self.used_closed = True
-                continue
+        for m, levels in columns:
             power = None
             for lam in levels:
                 row = rows[lam]

@@ -6,8 +6,9 @@ gives
     I^n_l = (l + n - 1) I^{n-1}_{l-1} - x^n j_{l-1}(x)
 
 which walks (l - i, n - i) down to the l = 0 base I^m_0 = X_{m-1}.  The
-walk truncates early when a coefficient (l + n - 1 - 2i) vanishes, which
-needs l + n odd and 1 - l <= n <= l - 1.  Scaled arguments reduce via
+walk stops early, I's closed form, when a coefficient (l + n - 1 - 2i)
+vanishes, which needs l + n odd and 1 - l <= n <= l - 1: every deeper
+term carries that exact zero factor.  Scaled arguments reduce via
 int x^n j_l(a x) dx = a^(-n-1) I^n_l(a x), with parity folding the sign
 of a negative scale out front.
 """
@@ -29,20 +30,18 @@ class ITable(PointTable):
     The table holds the j_0..j_{l-1} table at u = |alpha| x and the
     TrigChain of u that the l = 0 base reads, so exponents asked of one
     table share both.  ``value(n)`` is alpha^(-n-1) I^n_l(alpha x), with
-    the parity sign of a negative alpha.  ``closed_forms`` is as in eval_I.
-    I takes no walk, so its pair is two sums: I^n_l at x less I^n_l at
-    the lower point, from the lower point's own table.
+    the parity sign of a negative alpha.  The sum stops at a vanishing
+    coefficient, I's closed form, and the path is then
+    "recursion+closed".  I takes no walk, so its pair is two sums: I^n_l
+    at x less I^n_l at the lower point, from the lower point's own table.
     """
 
     __slots__ = (
-        "x", "lower", "orders", "l", "a", "sign", "u", "jt", "chain", "closed_forms",
+        "x", "lower", "orders", "l", "a", "sign", "u", "jt", "chain", "used_closed",
     )
     family = "I"
 
-    def __init__(
-        self, l: int, x: float, alpha: float = 1.0, closed_forms: bool = True,
-        lower: float | None = None,
-    ):
+    def __init__(self, l: int, x: float, alpha: float = 1.0, lower: float | None = None):
         self.x = x
         self.orders = (l,)
         self.l = l
@@ -50,8 +49,8 @@ class ITable(PointTable):
         self.u = u = self.a * x
         self.jt = _j_list(l - 1, u) if l else None
         self.chain = TrigChain(1.0, u)
-        self.closed_forms = closed_forms
-        self.lower = None if lower is None else ITable(l, lower, alpha, closed_forms)
+        self.used_closed = False
+        self.lower = None if lower is None else ITable(l, lower, alpha)
 
     def _X(self, m: int) -> float:
         _refuse_small_arg(m, self.u)
@@ -73,27 +72,25 @@ class ITable(PointTable):
         for i in range(l):
             total -= coef * u ** (n - i) * jt[l - 1 - i]
             coef *= l + n - 1 - 2 * i
-            if self.closed_forms and coef == 0:
+            if coef == 0:
+                self.used_closed = True
                 return total
         return total + coef * self._X(n - l - 1)
 
 
-def eval_I(
-    n: int, l: int, x: float, alpha: float = 1.0, closed_forms: bool = True
-) -> AntiderivativeValue:
+def eval_I(n: int, l: int, x: float, alpha: float = 1.0) -> AntiderivativeValue:
     """int x^n j_l(alpha x) dx = alpha^(-n-1) I^n_l(alpha x) (see
     AntiderivativeValue for the constant of integration), for l >= 0,
     0 < x < inf and nonzero alpha; a negative alpha folds through
     parity, j_l(-u) = (-1)^l j_l(u).
 
-    closed_forms stops the recursion once a vanishing coefficient kills
-    every deeper term (the default): I's closed form, as a stop at the
-    first step is I3.  With closed_forms=False the walk always reaches
-    the trigonometric base; the two paths agree because the skipped
-    terms carry an exact zero factor.
+    I has one route: the sum stops once a vanishing coefficient kills
+    every deeper term, I's closed form (a stop at the first step is I3),
+    and the path is "recursion+closed"; otherwise it reaches the
+    trigonometric base.
     """
     spec = IntegralSpec("I", n, l, alpha)
-    table = ITable(spec.l, check_point(x), spec.alpha, closed_forms)
+    table = ITable(spec.l, check_point(x), spec.alpha)
     return AntiderivativeValue(table.value(spec.n), table.path)
 
 

@@ -82,10 +82,6 @@ def _closed_kind(m: int, lam: int) -> str | None:
     return None
 
 
-#: the closed cells of H's walks without and with closed forms
-_CLOSED = (None, _closed_kind)
-
-
 def _closed_H(kind: str, l: int, x: float, jt=None) -> float:
     """Float core of the printed closed forms; j_{-1} = cos(x)/x at l = 0."""
     if jt is None:
@@ -186,11 +182,11 @@ class HTable(PointTable):
         needs are stored too.  With closed forms on and top >= 1, each even
         cell <= 0 takes its own band walk (``_band``), lowest first.  The
         rest go as ``types.column_plan`` plans them for H's recursion, which
-        then needs no even cell <= 0 above level 0: the closed forms H3 and
-        H4 fill the columns 2 and 4.  Level 0 fills first, lowest exponent
-        first (where the small-argument guard refuses bases, the refusal
-        names the lowest), then column by column, each column upwards, so
-        the powers of u are taken once per column."""
+        then needs no even cell <= 0 above level 0 (H3 and H4 close the
+        columns 2 and 4): level 0, lowest exponent first, so where the
+        small-argument guard refuses bases it names the lowest; the closed
+        cells; the recursion column by column, each upwards, taking the
+        powers of u once per column."""
         lo, hi = self._unfilled(top, lo, hi)
         rows = self.rows
         if self.closed_forms and top and lo % 2 == 0:
@@ -201,7 +197,8 @@ class HTable(PointTable):
             lo = max(lo, 2)
         if lo > hi:
             return
-        bases, columns = column_plan(top, lo, hi, _CLOSED[self.closed_forms])
+        closed = _closed_kind if self.closed_forms else None
+        bases, closed_cells, columns = column_plan(top, lo, hi, closed)
         u, jt, lower = self.u, self.jt, self.lower
         pair = lower is not None
         if pair:
@@ -212,31 +209,20 @@ class HTable(PointTable):
                 row[m] = _H_base(m, u, chain)
                 if pair:
                     row[m] -= _H_base(m, ul, lower.chain)
-        for m, levels, shut, closed_at in columns:
-            if shut:
-                for lam in levels:
-                    row = rows[lam]
-                    if m not in row:
-                        kind = _closed_kind(m, lam)
-                        v = _closed_H(kind, lam, u, jt)
-                        if pair:
-                            v -= _closed_H(kind, lam, ul, jtl)
-                        row[m] = v
-                        self.used_closed = True
-                continue
+        for m, lam, kind in closed_cells:
+            row = rows[lam]
+            if m not in row:
+                v = _closed_H(kind, lam, u, jt)
+                if pair:
+                    v -= _closed_H(kind, lam, ul, jtl)
+                row[m] = v
+                self.used_closed = True
+        for m, levels in columns:
             half = 0.5 * (m - 2)
             power = None
             for lam in levels:
                 row = rows[lam]
                 if m in row:
-                    continue
-                if lam in closed_at:
-                    kind = _closed_kind(m, lam)
-                    v = _closed_H(kind, lam, u, jt)
-                    if pair:
-                        v -= _closed_H(kind, lam, ul, jtl)
-                    row[m] = v
-                    self.used_closed = True
                     continue
                 if power is None:
                     power = (1.0 - 0.5 * m) * u ** (m - 1)

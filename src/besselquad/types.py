@@ -333,7 +333,7 @@ class PointTable:
     __slots__ = ()
     family = ""
     scale = 1.0
-    used_closed = used_band = False  # set by the H and K walks
+    used_closed = used_band = False  # set by the walks
 
     @property
     def path(self) -> str:
@@ -392,7 +392,6 @@ class PointTable:
         return rows[lam]
 
 
-@functools.lru_cache(maxsize=512)
 def sweep(top: int, lo: int, hi: int, closed, step: tuple, floor: int) -> dict:
     """{level: (lo, hi)}: the cells, one run of exponents in steps of 2 per
     level, that the cells lo..hi of level ``top`` reach through a
@@ -400,17 +399,15 @@ def sweep(top: int, lo: int, hi: int, closed, step: tuple, floor: int) -> dict:
 
     A cell (m, lam) needs (m + dm, lam - dlam) for each (dm, dlam) in
     ``step``, unless ``closed(m, lam)`` is true: a printed closed form
-    gives that cell (None: closed forms off).  The one planner of every
-    table's walk.  Going down from ``top``, each level's run has its
-    closed cells trimmed off its ends, and the rest, shifted by each
-    step, widens the run of the level that step reaches.  Closed cells
-    inside a run stay: for the recursions of the H, K and L tables the
-    runs are exact all the same (tests/test_level_walks.py checks them
-    cell by cell).  Levels no cell reaches are absent.  A walk computes
-    the cells of each run from the lowest exponent up, so where several
-    cells would raise, the lowest names the error.  Plans are cached by
-    the identity of ``closed`` and shared, so the dict must not be
-    changed.
+    gives that cell (None: closed forms off).  Going down from ``top``,
+    each level's run has its closed cells trimmed off its ends, and the
+    rest, shifted by each step, widens the run of the level that step
+    reaches.  Closed cells inside a run stay: for the recursions of the
+    H, K and L tables the runs are exact all the same
+    (tests/test_level_walks.py checks them cell by cell).  Levels no cell
+    reaches are absent.  The one planner of every table's walk, which
+    each table reads through a cached planner of its own
+    (``column_plan``, ``mixed_order._plan``, ``mixed_order._equal_plan``).
     """
     runs = {top: (lo, hi)}
     for lam in range(top, floor, -1):
@@ -430,25 +427,27 @@ def sweep(top: int, lo: int, hi: int, closed, step: tuple, floor: int) -> dict:
 
 @functools.lru_cache(maxsize=256)
 def column_plan(top: int, lo: int, hi: int, closed) -> tuple:
-    """(bases, columns): the sweep of the cells lo..hi of level ``top``
-    down to level 0 under the step of H and K (the cell (m, lam) needs
-    (m, lam - 1) and (m - 2, lam - 1)), in the form their tables fill it.
+    """(bases, closed_cells, columns): the sweep of the cells lo..hi of
+    level ``top`` down to level 0 under the step of H and K (the cell
+    (m, lam) needs (m, lam - 1) and (m - 2, lam - 1)), in the order their
+    tables fill it.  ``bases`` runs over the exponents of level 0, lowest
+    first.  ``closed_cells`` holds (m, lam, kind = closed(m, lam)) for
+    each cell above level 0 that a printed closed form gives, and each
+    column is (m, levels), m ascending, with the levels above 0 of the
+    cells of m that the recursion computes, lowest first (a column with
+    none is left out).  A closed cell needs no cell, and an open one
+    cells of the level below in its own column and the one before, so a
+    fill takes level 0, then every closed cell, then each column
+    upwards.  A shallow walk costs about as much to plan as to fill, so
+    plans are kept.
 
-    ``bases`` runs over the exponents of level 0, lowest first.  Each
-    column is (m, levels, shut, closed_at), m ascending: ``levels`` the
-    range of levels above 0 whose runs hold m, ``closed_at`` those of
-    them where m is closed, and ``shut`` whether that is all of them.
     Under the steps (0, 1) and (-2, 1) the levels holding m are
-    consecutive, and a cell needs cells of the level below in its own
-    column and the one before, so a fill takes level 0 first and then
-    each column upwards.  A shallow walk costs about as much to plan as
-    to fill, so plans are kept.
-
-    The columns' level spans are read off the runs' ends, where a column
-    enters or leaves the runs from one level to the next, so a plan costs
-    O(levels + columns) steps besides the ``closed`` calls of closed_at.
+    consecutive, so the columns' level spans are read off the runs' ends,
+    where a column enters or leaves the runs from one level to the next:
+    a plan costs O(levels + columns) steps besides one ``closed`` call
+    per cell.
     """
-    runs = sweep.__wrapped__(top, lo, hi, closed, ((0, 1), (-2, 1)), 0)  # the plan is kept
+    runs = sweep(top, lo, hi, closed, ((0, 1), (-2, 1)), 0)
     first, last = {}, {}  # column -> its lowest and highest level above 0
     below = (0, -2)
     for lam in range(1, top + 2):
@@ -458,13 +457,15 @@ def column_plan(top: int, lo: int, hi: int, closed) -> tuple:
         for m in _beyond(below, run):
             last[m] = lam - 1
         below = run
-    columns = []
+    closed_cells, columns = [], []
     for m in sorted(first):
-        levels = range(first[m], last[m] + 1)
-        closed_at = tuple(filter(functools.partial(closed, m), levels)) if closed else ()
-        columns.append((m, levels, len(closed_at) == len(levels), closed_at))
+        kinds = [(lam, closed(m, lam) if closed else None) for lam in range(first[m], last[m] + 1)]
+        closed_cells += [(m, lam, kind) for lam, kind in kinds if kind]
+        levels = tuple(lam for lam, kind in kinds if not kind)
+        if levels:
+            columns.append((m, levels))
     a, b = runs.get(0, (0, -2))
-    return range(a, b + 1, 2), tuple(columns)
+    return range(a, b + 1, 2), tuple(closed_cells), tuple(columns)
 
 
 def _beyond(run: tuple, other: tuple) -> list:

@@ -272,7 +272,7 @@ class TestCriterion8AppendixSuite:
 
 
 class TestCriterion9TruncationRule:
-    def test_early_termination_equals_full_path(self):
+    def test_early_termination_meets_quadrature(self):
         cases = [
             (n, l)
             for l in range(0, 9)
@@ -284,9 +284,12 @@ class TestCriterion9TruncationRule:
         for (n, l) in cases:
             a = first_zero_estimate(l)
             b = a + 20.0
-            t = eval_I(n, l, b, closed_forms=True).value - eval_I(n, l, a, closed_forms=True).value
-            f = eval_I(n, l, b, closed_forms=False).value - eval_I(n, l, a, closed_forms=False).value
-            rel = abs(t - f) / max(1.0, abs(f))
+            t = eval_I(n, l, b).value - eval_I(n, l, a).value
+            q = definite_integral(
+                IntegralSpec("I", n, l), a, b, tol=1e-11, strategy="quadrature"
+            ).value
+            rel = abs(t - q) / max(1.0, abs(q))
             assert rel < 1e-11, (n, l, rel)
             worst = max(worst, rel)
-        report(9, True, f"{len(cases)} truncation cases, worst rel diff {worst:.2e} < 1e-11")
+        report(9, True, f"{len(cases)} truncation cases against quadrature, "
+                        f"worst rel diff {worst:.2e} < 1e-11")

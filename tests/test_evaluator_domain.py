@@ -122,6 +122,35 @@ def test_noisy_walk_refuses(closed_forms):
     )
 
 
+@pytest.mark.parametrize(
+    "n, l, x, alpha, closed_forms",
+    [
+        pytest.param(-10, 30, 0.06264738300091865, 1.8267598422591373, True,
+                     marks=NO_ACCURACY_GUARD, id="n-10-l30-band"),
+        pytest.param(-10, 30, 0.06264738300091865, 1.8267598422591373, False,
+                     marks=NO_ACCURACY_GUARD, id="n-10-l30-triangle"),
+        pytest.param(-18, 57, 0.04444957486329262, 1.814723671190613, True,
+                     marks=NO_ACCURACY_GUARD, id="n-18-l57-band"),
+        # the triangle's terms overflow at x, a refusal
+        pytest.param(-18, 57, 0.04444957486329262, 1.814723671190613, False,
+                     id="n-18-l57-triangle"),
+    ],
+)
+def test_far_below_threshold_H_walk_refuses(n, l, x, alpha, closed_forms):
+    # far below the first-zero threshold (about 20 and 36 here) the
+    # integral over [x, 1.05 x] is below 1e-130, but the H walks at even
+    # n <= -4 read their rounding: 7.25 (band) and 7.2e129 (triangle) at
+    # x for n = -10, where mpmath gives F(x) = -2.19e-15, and -1.5e13
+    # (band) for n = -18; the small-argument guard (2u < 0.1) misses them
+    spec = bq.IntegralSpec("H", n, l, alpha)
+    assert_refuses_or_meets(
+        lambda t: bq.eval_H(n, l, t, alpha, closed_forms).value,
+        x,
+        1.05 * x,
+        bq.definite_integral(spec, x, 1.05 * x, strategy="quadrature").value,
+    )
+
+
 def test_near_degenerate_series_has_no_constant():
     # near-degenerate scales take the scaled trig series, which carries
     # no n! / alpha^(n+1) constant: the values are int_0^x, however small

@@ -12,7 +12,7 @@ must be that set.
 
 import pytest
 
-from besselquad.mixed_order import LEqualTable, LTable, _equal_closed_kind
+from besselquad.mixed_order import LEqualTable, LTable, _closed_kind_equal
 from besselquad.same_order import _CLOSED as K_CLOSED
 from besselquad.same_order import KTable
 from besselquad.squared_bessel import HTable, _closed_kind
@@ -86,7 +86,7 @@ def l_equal_cells(n, k, l, closed):
     def needs(m, lam):
         if lam == k:
             h_asked.add((m, k))
-        elif closed and _equal_closed_kind(m, k, lam):
+        elif closed and _closed_kind_equal(m, k, lam):
             pass
         elif lam == k + 1:
             h_asked.add((m - 1, k))
@@ -216,14 +216,16 @@ def _column_plan_by_cells(top, lo, hi, closed):
         a, b = runs.get(lam, (0, -2))
         for m in range(a, b + 1, 2):
             levels.setdefault(m, []).append(lam)
-    columns = []
+    closed_cells, columns = [], []
     for m in sorted(levels):
         at = levels[m]
         assert at == list(range(at[0], at[-1] + 1)), (m, at)  # consecutive levels
-        closed_at = tuple(lam for lam in at if closed and closed(m, lam))
-        columns.append((m, range(at[0], at[-1] + 1), len(closed_at) == len(at), closed_at))
+        closed_cells += [(m, lam, closed(m, lam)) for lam in at if closed and closed(m, lam)]
+        open_levels = tuple(lam for lam in at if not (closed and closed(m, lam)))
+        if open_levels:
+            columns.append((m, open_levels))
     a, b = runs.get(0, (0, -2))
-    return range(a, b + 1, 2), tuple(columns)
+    return range(a, b + 1, 2), tuple(closed_cells), tuple(columns)
 
 
 @pytest.mark.parametrize(

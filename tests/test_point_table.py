@@ -104,16 +104,25 @@ def test_equal_magnitude_K_gets_the_H_table_with_the_parity_sign():
         (IntegralSpec("K", 0, 3, 1.2, beta=-1.2), "recursion+exponent"),  # H's table
         (IntegralSpec("K", 2, 3, 1.2, beta=0.7), "recursion+closed"),  # K2
         (IntegralSpec("K", 1, 3, 1.2, beta=0.7), "recursion"),
-        (IntegralSpec("L", 1, 3, 1.2, k=1, beta=0.7), "recursion"),
+        (IntegralSpec("L", 1, 3, 1.2, k=1, beta=0.7), "recursion+closed"),  # the closure
+        (IntegralSpec("L", 2, 3, 1.2, k=1, beta=0.7), "recursion+closed"),  # ladder and K2
+        (IntegralSpec("L", 1, 3, 1.2, k=0, beta=0.7), "recursion"),  # the L01 base
         (IntegralSpec("L", 1, 3, 1.2, k=1, beta=1.2), "equal-args"),
+        (IntegralSpec("I", 0, 3, 1.2), "recursion+closed"),  # a vanishing coefficient
+        (IntegralSpec("I", 1, 3, 1.2), "recursion"),
+        (IntegralSpec("I", 0, 0, 1.2), "base"),
     ],
     ids=repr,
 )
 def test_one_table_one_route(spec, path):
     # each evaluator that reaches a table reports that table's route
-    x, n, (k, alpha), (l, beta) = 9.0, spec.n, *spec.factors[-2:]
+    x, n = 9.0, spec.n
     table = point_table(spec, x)
     table.value(n)
+    if spec.family == "I":
+        assert {table.path, eval_I(n, spec.l, x, spec.alpha).path} == {path}
+        return
+    (k, alpha), (l, beta) = spec.factors[-2:]
     paths = {table.path, eval_L(n, k, l, x, alpha, beta).path}
     if spec.family == "H":
         paths.add(eval_H(n, l, x, alpha).path)
@@ -122,23 +131,28 @@ def test_one_table_one_route(spec, path):
     assert paths == {path}
 
 
+@pytest.mark.parametrize("closed_forms", [True, False])
 @pytest.mark.parametrize("route", ["point_table", "antiderivative"])
-def test_closed_forms_off_walks_I_to_its_trig_base(route, monkeypatch):
+def test_truncated_I_walk_reads_no_trig_base(route, closed_forms, monkeypatch):
     # n = 0, l = 3 stops at the first vanishing coefficient (I's closed
-    # form) and reads no X_m; closed_forms=False walks on to the base
+    # form) and reads no X_m; I has that one route, whatever closed_forms
+    # the two-factor tables are given
     spec, x = IntegralSpec("I", 0, 3), 20.0
-    want = eval_I(0, 3, x, closed_forms=False).value
+    want = eval_I(0, 3, x)
     calls = []
     read_X = ITable._X
     monkeypatch.setattr(ITable, "_X", lambda self, m: calls.append(m) or read_X(self, m))
-    point_table(spec, x).value(0)
-    assert calls == []
     if route == "point_table":
-        got = point_table(spec, x, closed_forms=False).value(0)
+        table = point_table(spec, x, closed_forms)
+        got = table.value(0)
+        assert table.path == want.path == "recursion+closed"
     else:
-        got = antiderivative(spec, x, closed_forms=False)
+        got = antiderivative(spec, x, closed_forms)
+    assert calls == []
+    assert got.hex() == want.value.hex()
+    # an exponent whose coefficients never vanish reads the base once
+    point_table(spec, x, closed_forms).value(1)
     assert len(calls) == 1
-    assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, float("nan")])

@@ -1,8 +1,9 @@
 """tools/same_numbers.py, the bitwise gate between two checkouts: a seeded
 grid written twice compares equal, one changed entry is reported,
-entries that differ only in an error message or only in the reason
-are counted apart, the largest relative value change is printed,
-and changed pool entries are sorted against their pool ref."""
+entries that differ only in an error message, only in the reason or
+only in the path are counted apart, the largest relative value change
+is printed, and changed pool entries are sorted against their pool
+ref."""
 
 import ast
 import importlib.util
@@ -70,13 +71,13 @@ def test_compare_counts_message_only_differences(tmp_path, capsys):
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert ("4 of 4 entries differ: 2 only in an error message, 0 only in the reason, "
-            "2 otherwise") in out
+            "0 only in the path, 2 otherwise") in out
 
     _write(b, {**first, "error": second["error"]})
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert ("1 of 4 entries differ: 1 only in an error message, 0 only in the reason, "
-            "0 otherwise") in out
+            "0 only in the path, 0 otherwise") in out
 
 
 def _record(value="0x1.0p+0", reason="interval entirely above the first-zero threshold 10",
@@ -106,19 +107,51 @@ def test_compare_counts_reason_only_differences(tmp_path, capsys):
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert ("3 of 4 entries differ: 0 only in an error message, 1 only in the reason, "
-            "2 otherwise") in out
+            "0 only in the path, 2 otherwise") in out
 
     _write(b, {**first, "reason": second["reason"]})
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert ("1 of 4 entries differ: 0 only in an error message, 1 only in the reason, "
-            "0 otherwise") in out
+            "0 only in the path, 0 otherwise") in out
     assert "values moved" not in out
 
     # a segment or an evaluation count that changes is not a rewording
     _write(b, {**first, "reason": _record(reason="other", evaluations=15)})
     assert tool.main(["--compare", str(a), str(b)]) == 1
-    assert "0 only in the reason, 1 otherwise" in capsys.readouterr().out
+    assert "0 only in the reason, 0 only in the path, 1 otherwise" in capsys.readouterr().out
+
+
+def test_compare_counts_path_only_differences(tmp_path, capsys):
+    # an antiderivative whose route changed and whose value did not is
+    # counted apart; one whose value moved too is not
+    tool = _tool()
+    first = {
+        "path": {"value": (3.0).hex(), "path": "recursion"},
+        "value": {"value": (3.0).hex(), "path": "recursion"},
+        "same": {"value": (3.0).hex(), "path": "recursion"},
+    }
+    second = {
+        "path": {"value": (3.0).hex(), "path": "recursion+closed"},
+        "value": {"value": (3.5).hex(), "path": "recursion+closed"},
+        "same": {"value": (3.0).hex(), "path": "recursion"},
+    }
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write(a, first)
+    _write(b, second)
+    # a path-only difference still fails the comparison
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert ("2 of 3 entries differ: 0 only in an error message, 0 only in the reason, "
+            "1 only in the path, 1 otherwise") in out
+    assert "1 values moved, the largest by 0.167 relative to the first: value" in out
+
+    _write(b, {**first, "path": second["path"]})
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert ("1 of 3 entries differ: 0 only in an error message, 0 only in the reason, "
+            "1 only in the path, 0 otherwise") in out
+    assert "values moved" not in out
 
 
 def test_compare_prints_the_largest_value_change(tmp_path, capsys):

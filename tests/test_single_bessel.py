@@ -85,7 +85,9 @@ class TestScaled:
     def test_order_zero_path_is_base(self, alpha):
         # the l = 0 value is the trig base itself, as in eval_I
         assert eval_I(0, 0, 2.0, alpha).path == eval_I(0, 0, 2.0).path == "base"
-        assert eval_I(0, 1, 2.0, alpha).path == "recursion"
+        assert eval_I(1, 1, 2.0, alpha).path == "recursion"
+        # I^0_1 = -j_0 stops at the first vanishing coefficient
+        assert eval_I(0, 1, 2.0, alpha).path == "recursion+closed"
 
     def test_former_name_is_the_evaluator(self):
         assert bq.eval_I_scaled is eval_I
@@ -167,9 +169,14 @@ class TestTruncation:
         "n,l",
         [(n, l) for l in range(0, 9) for n in range(-10, 11) if truncates_early(n, l)],
     )
-    def test_truncated_equals_full_path(self, n, l, alpha):
+    def test_truncated_meets_quadrature(self, n, l, alpha):
+        # the stopped sum against an independent oracle, the quadrature
+        # route on the same interval
         a = first_zero_estimate(l) / abs(alpha)
         b = a + 20.0
-        t = eval_I(n, l, b, alpha, True).value - eval_I(n, l, a, alpha, True).value
-        f = eval_I(n, l, b, alpha, False).value - eval_I(n, l, a, alpha, False).value
-        assert abs(t - f) <= 1e-11 * max(1.0, abs(f))
+        t = eval_I(n, l, b, alpha).value - eval_I(n, l, a, alpha).value
+        assert eval_I(n, l, b, alpha).path == "recursion+closed"
+        q = bq.definite_integral(
+            bq.IntegralSpec("I", n, l, alpha), a, b, tol=1e-11, strategy="quadrature"
+        ).value
+        assert abs(t - q) <= 1e-11 * max(1.0, abs(q))

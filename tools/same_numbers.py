@@ -12,9 +12,8 @@ measured with this one file.  It records
 * every input of the four pools in ``perfbench/reference/*.json`` (only
   read), through ``definite_integral`` or ``weighted_integral``: value,
   error estimate, evaluations, convergence, reason and segments;
-* ``--grid`` seeded calls, with value and path, of ``eval_H_scaled``
-  (``eval_H``'s former name, which trees on both sides of the merge of
-  the two have), ``eval_K`` and ``eval_L`` (equal and near-degenerate
+* ``--grid`` seeded calls, with value and path, of ``eval_H``,
+  ``eval_K`` and ``eval_L`` (equal and near-degenerate
   scales included) in both ``closed_forms`` modes, of ``eval_L`` at
   adjacent orders ``max(l, 1) - 1`` and ``max(l, 1)`` and positive
   scales with ``closed_forms`` True (the closure, key ``A``) and False
@@ -55,7 +54,8 @@ numbers; an error is written as its type and message, and a
 evaluations, so an integral that missed its tolerance still shows its
 numbers.  ``--compare`` prints the entries that differ, then how many of
 them differ only in an error message (same error types, every value
-equal), how many only in the reason and how many otherwise,
+equal), how many only in the reason, how many only in the path (an
+antiderivative's route, its value equal) and how many otherwise,
 then how many values moved and the largest relative change among them.
 It then sorts the changed pool entries against their pool ``ref`` into
 closer, farther, and within the pool's check bound (``check_c *
@@ -192,7 +192,7 @@ def grid_entries(bq, calls: int, seed: int):
             x, alpha, beta = map(np.float64, (x, alpha, beta))
         if family == "H":
             fn = lambda: _antiderivative(  # noqa: E731
-                bq.eval_H_scaled(n, l, x, alpha, closed_forms))
+                bq.eval_H(n, l, x, alpha, closed_forms))
         elif family == "K":
             fn = lambda: _antiderivative(  # noqa: E731
                 bq.eval_K(n, l, x, alpha, beta, closed_forms))
@@ -374,10 +374,10 @@ def _without_messages(v):
     return v
 
 
-def _without_reason(v):
-    """A result entry with its reason dropped."""
-    if isinstance(v, dict) and "reason" in v:
-        return {key: e for key, e in v.items() if key != "reason"}
+def _without(field: str, v):
+    """A result or antiderivative entry with ``field`` dropped."""
+    if isinstance(v, dict) and field in v:
+        return {key: e for key, e in v.items() if key != field}
     return v
 
 
@@ -444,10 +444,11 @@ def compare(first: str, second: str) -> int:
         print(f"{key}\n  {a.get(key)}\n  {b.get(key)}")
     both = [key for key in differ if key in a and key in b]
     messages = sum(1 for key in both if _without_messages(a[key]) == _without_messages(b[key]))
-    reasons = sum(1 for key in both if _without_reason(a[key]) == _without_reason(b[key]))
+    reasons = sum(1 for key in both if _without("reason", a[key]) == _without("reason", b[key]))
+    paths = sum(1 for key in both if _without("path", a[key]) == _without("path", b[key]))
     print(f"{len(differ)} of {len(a.keys() | b.keys())} entries differ: "
           f"{messages} only in an error message, {reasons} only in the reason, "
-          f"{len(differ) - messages - reasons} otherwise")
+          f"{paths} only in the path, {len(differ) - messages - reasons - paths} otherwise")
     moved = [(move, key) for key in both for move in _moves(a[key], b[key])]
     if moved:
         move, key = max(moved)
